@@ -28,7 +28,6 @@ __all__ = [
     "VerdictReport",
     "ConfigSyntaxError",
     "parse_config",
-    "format_config",
     "builtin_catalog",
     "builtin_examples",
     "verify_example",
@@ -109,10 +108,6 @@ def parse_config(text: str) -> Configuration:
     return Configuration.from_items(items, mr=mr, index_tag=index_tag)
 
 
-def format_config(config: Configuration) -> str:
-    return config.format()
-
-
 # ---------------------------------------------------------------------------
 # catalog entries
 # ---------------------------------------------------------------------------
@@ -128,10 +123,6 @@ class CatalogEntry:
     component_sigma: tuple       # ((degree, Configuration), ...) when stated
     intersection: str            # prose pattern when stated
     anchor: str
-
-    def key(self) -> tuple:
-        return (self.reduced.multiset(), self.component_type,
-                self.reduced.index_tag)
 
 
 def _parse_component_type(text: str) -> tuple:

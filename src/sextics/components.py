@@ -26,7 +26,6 @@ from .poly import (
 __all__ = [
     "ComponentDecomposition",
     "UndecidedError",
-    "divides",
     "find_linear_factors",
     "find_conic_factors",
     "linear_torus_split",
@@ -59,13 +58,6 @@ class ComponentDecomposition:
         for p, _d, m in self.factors:
             prod = prod * p ** m
         return prod
-
-
-def divides(f: Poly, g: Poly) -> Optional[Poly]:
-    """Quotient f/g when the division is exact, else None."""
-    if g.is_zero():
-        raise DomainError("division by the zero polynomial")
-    return f.divides(g)
 
 
 def _normalize_factor(p: Poly) -> Poly:

@@ -28,7 +28,6 @@ __all__ = [
     "ConfigEntry",
     "DefectTable",
     "assemble_configuration",
-    "is_maximal_rank",
     "homogenize",
     "infinite_singular_directions",
     "good_affine_chart",
@@ -211,11 +210,6 @@ def assemble_configuration(sings: Sequence[LocalSingularity],
             all_simple = False
     mr = all_simple and total_mu == 19
     return Configuration.from_items(items, total_mu, mr, index_tag)
-
-
-def is_maximal_rank(config: Configuration) -> bool:
-    all_simple = all(e.sing_type.is_simple() for e in config.entries)
-    return all_simple and config.total_milnor == 19
 
 
 # ---------------------------------------------------------------------------

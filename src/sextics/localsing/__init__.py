@@ -10,16 +10,11 @@ from .points import (
 )
 from .germs import (
     InfiniteIntersectionError,
-    NewtonFace,
-    NewtonPolygon,
     germ_multiplicity,
     intersection_multiplicity,
     intersection_multiplicity_origin,
-    milnor_number,
     milnor_number_origin,
     multiplicity,
-    newton_polygon,
-    nondegenerate_branches,
 )
 from .resolve import BranchCluster, Resolution, UnresolvedGermError, resolve
 from .classify import (
@@ -31,12 +26,9 @@ from .classify import (
     build_signature_table,
     classify_germ,
     classify_signature,
-    delta,
     delta_invariant,
     dual_branch,
-    dual_branch_general,
     normal_form_germ,
-    parametrization_characteristic,
     recognition_types,
     signature_of_germ,
 )

@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from ..poly import DomainError, Poly, UniPoly, parse_poly
-from ..numfield import NumberField
 from .germs import milnor_number_origin
 from .resolve import Resolution, resolve
 
@@ -38,7 +37,6 @@ __all__ = [
     "delta_invariant",
     "ConsistencyError",
     "dual_branch",
-    "parametrization_characteristic",
 ]
 
 
@@ -117,7 +115,7 @@ def signature_of_resolution(res: Resolution, mu: int, m: int) -> tuple:
 
 
 def signature_of_germ(germ: Poly, field=None, tower_cap: int = 12) -> tuple:
-    res = resolve(germ, field, tower_cap=tower_cap, parametrize=False)
+    res = resolve(germ, field, tower_cap=tower_cap)
     mu = milnor_number_origin(germ)
     return signature_of_resolution(res, mu, germ.lowest_degree())
 
@@ -223,17 +221,12 @@ def delta_invariant(mu: int, res: Resolution) -> int:
     return d
 
 
-def delta(f: Poly, point, tower_cap: int = 12) -> int:
-    """Delta invariant of the curve at the point (both computations agree)."""
-    return analyze_point(f, point, tower_cap).delta
-
-
 # ---------------------------------------------------------------------------
 # dual branches (Gauss map images of parametrized branches)
 # ---------------------------------------------------------------------------
 
 
-def dual_branch(param: tuple, order: Optional[int] = None) -> tuple:
+def dual_branch(param: tuple) -> tuple:
     """Dual of a branch given as (x(t), y(t)) with x = t: (y', y - t y').
 
     Raises DomainError for a line branch (the dual degenerates to a point).
@@ -247,74 +240,4 @@ def dual_branch(param: tuple, order: Optional[int] = None) -> tuple:
     dp = yt.derivative()
     if all(not c for c in dp.coeffs[1:]):
         raise DomainError("line branch: dual is a point")
-    p = dp
-    q = yt - UniPoly(yt.var, [Fraction(0), Fraction(1)]) * dp
-    if order is not None:
-        p = UniPoly(p.var, p.coeffs[:order + 1])
-        q = UniPoly(q.var, q.coeffs[:order + 1])
-    return (p, q)
-
-
-def dual_branch_general(param: tuple, order: int) -> tuple:
-    """Dual of a general parametrized branch: (y'/x', y - x * y'/x')."""
-    xt, yt = param
-    du = xt.derivative()
-    dv = yt.derivative()
-    slope = _series_div(dv, du, order)
-    p = slope
-    q = _trunc(yt - xt * slope, order)
-    return (_trunc(p, order), q)
-
-
-def _trunc(u: UniPoly, order: int) -> UniPoly:
-    return UniPoly(u.var, u.coeffs[:order + 1])
-
-
-def _series_div(a: UniPoly, b: UniPoly, order: int) -> UniPoly:
-    """a/b as a power series, requiring ord(b) <= ord(a)."""
-    ka = next((i for i, c in enumerate(a.coeffs) if c), None)
-    kb = next((i for i, c in enumerate(b.coeffs) if c), None)
-    if kb is None:
-        raise DomainError("division by zero series")
-    if ka is None:
-        return UniPoly(a.var, [])
-    if kb > ka:
-        raise DomainError("series quotient is not a power series")
-    acs = list(a.coeffs[kb:])
-    bcs = list(b.coeffs[kb:])
-    out = []
-    for n in range(order + 1):
-        val = acs[n] if n < len(acs) else Fraction(0)
-        for i in range(1, n + 1):
-            bi = bcs[i] if i < len(bcs) else Fraction(0)
-            if bi and i <= n:
-                val = val - bi * out[n - i]
-        out.append(val / bcs[0])
-    return UniPoly(a.var, out)
-
-
-def parametrization_characteristic(param: tuple) -> tuple:
-    """Exponent data of a normalized parametrization (x = t^m or t, y(t)).
-
-    Returns (m, e1, e2, ...) where the e's are the exponents of y at which
-    the running gcd with m drops; for a smooth graph branch this is (1,).
-    """
-    xt, yt = param
-    m = next((i for i, c in enumerate(xt.coeffs) if c), None)
-    if m is None:
-        raise DomainError("degenerate parametrization")
-    out = [m]
-    g = m
-    for i, c in enumerate(yt.coeffs):
-        if c and i and g > 1:
-            ng = _gcd(g, i)
-            if ng < g:
-                out.append(i)
-                g = ng
-    return tuple(out)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return (dp, yt - UniPoly(yt.var, [Fraction(0), Fraction(1)]) * dp)

@@ -1,18 +1,17 @@
 """Germ-level invariants at the origin: multiplicity, local intersection
-numbers (the classical reduction algorithm), Milnor numbers, and Newton
-polygons with their face factorizations.
+numbers (the classical reduction algorithm) and Milnor numbers.
 
-All functions take germs already translated to the origin; coefficients may
-be rational or number-field elements.
+The `_origin` functions take germs already translated to the origin; the
+others take a curve and a point on it.  Coefficients may be rational or
+number-field elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from ..numfield import NumberField, factor_over_field, nf
+# Unused here; perfbench/tracer.py patches factor_over_field in this namespace.
+from ..numfield import factor_over_field  # noqa: F401
 from ..poly import DomainError, Poly, UniPoly, poly_gcd
 
 __all__ = [
@@ -22,11 +21,6 @@ __all__ = [
     "intersection_multiplicity_origin",
     "intersection_multiplicity",
     "milnor_number_origin",
-    "milnor_number",
-    "NewtonFace",
-    "NewtonPolygon",
-    "newton_polygon",
-    "nondegenerate_branches",
 ]
 
 
@@ -147,146 +141,3 @@ def milnor_number_origin(germ: Poly) -> int:
         return intersection_multiplicity_origin(gx, gy)
     except InfiniteIntersectionError:
         raise DomainError("non-isolated singularity (partials share a factor)")
-
-
-def milnor_number(f: Poly, p) -> int:
-    from .points import translate_to_origin
-    return milnor_number_origin(translate_to_origin(f, p))
-
-
-# ---------------------------------------------------------------------------
-# Newton polygon
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NewtonFace:
-    """One compact face of the Newton boundary.
-
-    The face runs from vertex (i1, j1) to (i2, j2) with j1 > j2; the
-    primitive normal data (a, b) means branches look like y^a = alpha x^b.
-    `face_poly` is the univariate h(w) whose roots are the alphas;
-    `factors` are its irreducible factors over the germ's field with
-    multiplicities.
-    """
-
-    start: tuple
-    end: tuple
-    a: int
-    b: int
-    face_poly: UniPoly
-    factors: tuple  # ((UniPoly, mult), ...)
-
-    @property
-    def root_count(self) -> int:
-        return self.face_poly.degree()
-
-    def is_nondegenerate(self) -> bool:
-        return all(m == 1 for _f, m in self.factors)
-
-
-@dataclass(frozen=True)
-class NewtonPolygon:
-    support: tuple
-    faces: tuple  # of NewtonFace
-    x_branch: bool  # the germ has x as a factor (branch x = 0)
-    y_branch: bool
-
-    def is_nondegenerate(self) -> bool:
-        return all(f.is_nondegenerate() for f in self.faces)
-
-
-def _gcd2(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def newton_polygon(germ: Poly, field: Optional[NumberField] = None) -> NewtonPolygon:
-    """Newton boundary of a germ vanishing at the origin, with face data."""
-    g = germ.with_vars(("x", "y"))
-    if g.is_zero():
-        raise DomainError("zero germ")
-    if g.evaluate({"x": nf(field, 0), "y": nf(field, 0)}):
-        raise DomainError("germ does not vanish at the origin")
-    support = sorted(g.terms.keys())
-    # monomial factors: x^c1 y^c2 divide the germ (axes as branches)
-    c1 = min(i for i, _ in support)
-    c2 = min(j for _, j in support)
-    pts = sorted(set((i - c1, j - c2) for i, j in support))
-    # lower-left convex hull from the y-axis vertex to the x-axis vertex
-    verts = _lower_hull(pts)
-    faces = []
-    for (i1, j1), (i2, j2) in zip(verts, verts[1:]):
-        di, dj = i2 - i1, j1 - j2
-        gg = _gcd2(di, dj)
-        b, a = di // gg, dj // gg
-        coeffs = [nf(field, 0)] * (gg + 1)
-        for (i, j), c in g.terms.items():
-            ii, jj = i - c1, j - c2
-            # on the segment?
-            if (ii - i1) * (j1 - j2) == (j1 - jj) * (i2 - i1) and i1 <= ii <= i2:
-                k = (ii - i1) // b
-                coeffs[k] = coeffs[k] + c
-        face_poly = UniPoly("w", coeffs)
-        factors = tuple(factor_over_field(field, face_poly))
-        faces.append(NewtonFace((i1 + c1, j1 + c2), (i2 + c1, j2 + c2),
-                                a, b, face_poly, factors))
-    return NewtonPolygon(tuple(support), tuple(faces), c1 > 0, c2 > 0)
-
-
-def _lower_hull(pts):
-    """Vertices of the Newton boundary: lower-left convex hull of `pts`.
-
-    `pts` is normalized so that min i = min j = 0; the hull runs from the
-    vertex on the j-axis down to the vertex on the i-axis.
-    """
-    start = min((p for p in pts if p[0] == 0), key=lambda p: p[1])
-    end = min((p for p in pts if p[1] == 0), key=lambda p: p[0])
-    if start == end:
-        return [start]
-    hull = [start]
-    current = start
-    while current != end:
-        best = None
-        for q in pts:
-            if q == current or q[0] < current[0] or q[1] > current[1]:
-                continue
-            if q[1] == current[1] and q != end:
-                continue
-            if best is None:
-                best = q
-                continue
-            # pick the smallest clockwise slope: compare (q - current)
-            cross = ((q[0] - current[0]) * (best[1] - current[1])
-                     - (best[0] - current[0]) * (q[1] - current[1]))
-            if cross > 0 or (cross == 0 and q[0] > best[0]):
-                best = q
-        hull.append(best)
-        current = best
-    return hull
-
-
-def nondegenerate_branches(np: NewtonPolygon):
-    """Branch count and initial forms for a nondegenerate Newton boundary.
-
-    Returns (count, initial forms as (a, b, factor) triples); the axes
-    contribute their own smooth branches when they divide the germ.
-    Raises DomainError on a degenerate polygon (the caller falls back to
-    the full resolution).
-    """
-    if not np.is_nondegenerate():
-        raise DomainError("degenerate Newton boundary")
-    count = 0
-    initial = []
-    if np.x_branch:
-        count += 1
-        initial.append((1, 0, None))
-    if np.y_branch:
-        count += 1
-        initial.append((0, 1, None))
-    for face in np.faces:
-        for f, _m in face.factors:
-            count += f.degree()
-            initial.append((face.a, face.b, f))
-    return count, initial

@@ -61,13 +61,6 @@ class AlgebraicPoint:
     field: Optional[NumberField] = None
     degree: int = 1
 
-    @classmethod
-    def rational(cls, x, y) -> "AlgebraicPoint":
-        return cls(Fraction(x), Fraction(y), None, 1)
-
-    def is_rational(self) -> bool:
-        return self.field is None
-
     def sort_key(self):
         mp = () if self.field is None else tuple(
             (c.numerator, c.denominator) for c in self.field.minpoly.coeffs)

@@ -9,8 +9,7 @@ points over the base field).  From the finished tree we read off
 * the branch clusters (leaves) with per-branch multiplicity sequences,
   reconstructed bottom-up through the proximity relations,
 * the multiset of pairwise intersection numbers between branches
-  (Noether's formula, with conjugate clusters expanded combinatorially),
-* exact branch parametrizations by composing the blow-down charts.
+  (Noether's formula, with conjugate clusters expanded combinatorially).
 
 Blow-ups continue past smoothness until each branch is transverse to the
 exceptional locus at a simple point of it; those extra multiplicity-one
@@ -52,9 +51,6 @@ class _Node:
     germ: Poly
     m: int
     axes: dict                # coordinate axis ("x"/"y") -> creating node id
-    chart: Optional[tuple]    # incoming chart: ("h", t0) or ("v",)
-    embed_from_parent: Optional[callable]
-    children: list
 
 
 @dataclass(frozen=True)
@@ -64,11 +60,6 @@ class BranchCluster:
     degree: int                  # number of conjugate branches
     mult_sequence: tuple         # strict multiplicities, trailing 1s trimmed
     field: Optional[NumberField]
-    parametrization: Optional[tuple]  # (x(t), y(t)) UniPolys, or None
-    param_order: int             # valid truncation order of the pair
-
-    def delta(self) -> int:
-        return sum(m * (m - 1) // 2 for m in self.mult_sequence)
 
 
 @dataclass(frozen=True)
@@ -123,8 +114,7 @@ def _is_leaf(node: _Node) -> bool:
 
 
 def resolve(germ: Poly, field: Optional[NumberField] = None,
-            tower_cap: int = 12, parametrize: bool = False,
-            param_order: int = 30) -> Resolution:
+            tower_cap: int = 12) -> Resolution:
     """Resolve a reduced germ vanishing at the origin.
 
     Raises UnresolvedGermError when the tower cap cuts the resolution off.
@@ -136,7 +126,7 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
         raise DomainError("germ does not vanish at the origin")
     base_degree = field_degree(field)
     nodes: list = []
-    root = _Node(0, None, 0, field, 1, g, g.lowest_degree(), {}, None, None, [])
+    root = _Node(0, None, 0, field, 1, g, g.lowest_degree(), {})
     nodes.append(root)
     stack = [0]
     leaves = []
@@ -161,7 +151,7 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
         for q, _mult in factors:
             if q.degree() == 1:
                 t0 = (-q.coeffs[0]) / q.coeffs[1]
-                cfield, embed = node.field, None
+                cfield = node.field
                 gg = node.germ
                 rel = 1
             else:
@@ -180,10 +170,8 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
                 axes["y"] = node.axes["y"]
             child = _Node(len(nodes), node.nid, node.depth + 1, cfield,
                           node.d_rel * rel, child_germ,
-                          child_germ.lowest_degree(), axes, ("h", t0),
-                          embed, [])
+                          child_germ.lowest_degree(), axes)
             nodes.append(child)
-            node.children.append(child.nid)
             stack.append(child.nid)
         if nu_vertical > 0:
             sub = node.germ.substitute({"x": xv * yv})
@@ -193,9 +181,8 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
                 axes["x"] = node.axes["x"]
             child = _Node(len(nodes), node.nid, node.depth + 1, node.field,
                           node.d_rel, child_germ, child_germ.lowest_degree(),
-                          axes, ("v",), None, [])
+                          axes)
             nodes.append(child)
-            node.children.append(child.nid)
             stack.append(child.nid)
     if capped and not leaves:
         raise UnresolvedGermError("germ needs a field tower beyond the cap")
@@ -295,105 +282,9 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
         raise DomainError(
             "internal resolution inconsistency: %d vs %d" % (check, delta))
 
-    branches = []
-    for lid, seq in branch_tuples:
-        param = None
-        order = 0
-        if parametrize:
-            try:
-                param, order = _leaf_parametrization(nodes, paths[lid],
-                                                     param_order)
-            except DomainError:
-                param, order = None, 0
-        branches.append(BranchCluster(nodes[lid].d_rel, seq, nodes[lid].field,
-                                      param, order))
+    branches = [BranchCluster(nodes[lid].d_rel, seq, nodes[lid].field)
+                for lid, seq in branch_tuples]
     branches.sort(key=lambda b: (b.mult_sequence, b.degree))
     return Resolution(delta, branch_count, mult_sequence, tuple(branches),
                       contacts, capped)
 
-
-# ---------------------------------------------------------------------------
-# branch parametrizations by climbing the chart chain
-# ---------------------------------------------------------------------------
-
-
-def _series_trunc(u: UniPoly, order: int) -> UniPoly:
-    return UniPoly(u.var, u.coeffs[:order + 1])
-
-
-def _solve_smooth_series(germ: Poly, field, order: int):
-    """Parametrize a smooth germ: returns (x(t), y(t)) to the given order."""
-    g = germ.with_vars(("x", "y"))
-    lin = g.homogeneous_part(1)
-    beta = lin.terms.get((0, 1))
-    swap = not beta
-    if swap:
-        g = g.substitute({"x": Poly.var("y", ("y", "x")),
-                          "y": Poly.var("x", ("y", "x"))}).with_vars(("x", "y"))
-        lin = g.homogeneous_part(1)
-        beta = lin.terms.get((0, 1))
-    dcoef = beta
-    phi = [nf(field, 0)]
-    gy = g
-    for k in range(1, order + 1):
-        # evaluate g(t, phi(t)) mod t^{k+1}
-        val = _eval_series(gy, phi, k, field)
-        rho = val[k] if len(val) > k else nf(field, 0)
-        ck = -rho / dcoef
-        phi.append(ck)
-    xt = UniPoly("t", [nf(field, 0), nf(field, 1)])
-    yt = UniPoly("t", phi)
-    if swap:
-        xt, yt = yt, xt
-    return xt, yt
-
-
-def _eval_series(g: Poly, phi, order: int, field):
-    """Coefficients of g(t, phi(t)) up to t^order (phi given low-to-high)."""
-    yt = UniPoly("t", phi)
-    xt = UniPoly("t", [nf(field, 0), nf(field, 1)])
-    acc = UniPoly("t", [])
-    ypows = {0: UniPoly("t", [nf(field, 1)])}
-    xpows = {0: UniPoly("t", [nf(field, 1)])}
-
-    def _pow(cache, base, e):
-        if e not in cache:
-            cache[e] = _series_trunc(_pow(cache, base, e - 1) * base, order)
-        return cache[e]
-
-    for (i, j), c in g.with_vars(("x", "y")).terms.items():
-        if i + j > order + 2:
-            continue
-        term = _series_trunc(_pow(xpows, xt, i) * _pow(ypows, yt, j), order)
-        acc = acc + term.scale(c)
-    cs = list(acc.coeffs) + [nf(field, 0)] * (order + 1 - len(acc.coeffs))
-    return cs
-
-
-def _leaf_parametrization(nodes, path, order: int):
-    """Compose chart maps from the leaf's smooth series back to the root."""
-    leaf = nodes[path[-1]]
-    field = leaf.field
-    xt, yt = _solve_smooth_series(leaf.germ, field, order)
-    # collect embeddings needed to lift ancestor chart constants to leaf field
-    embeds = []
-    for nid in path[1:]:
-        embeds.append(nodes[nid].embed_from_parent)
-
-    def lift(value, from_index):
-        # value lives in nodes[path[from_index]].field; lift to leaf field
-        for emb in embeds[from_index:]:
-            if emb is not None:
-                value = emb(value)
-        return value
-
-    for idx in range(len(path) - 1, 0, -1):
-        node = nodes[path[idx]]
-        chart = node.chart
-        if chart[0] == "h":
-            t0 = chart[1]  # already in node's field; lift to leaf field
-            t0l = lift(t0, idx)
-            yt = _series_trunc(xt * (yt + UniPoly("t", [t0l])), order)
-        else:
-            xt = _series_trunc(xt * yt, order)
-    return (xt, yt), order

@@ -15,6 +15,7 @@ Trager's norm trick.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Tuple
 
 import sympy
@@ -38,7 +39,6 @@ __all__ = [
     "factor_rational",
     "rational_roots",
     "factor_over_field",
-    "roots_in_field",
     "extend_field",
     "coef_key",
 ]
@@ -216,14 +216,6 @@ class NFElt:
     def __rtruediv__(self, other):
         return self.field.from_rational(other) * self.inverse()
 
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise DomainError("not a rational element: %s" % self)
-        return self.coeffs[0]
-
     def to_theta_poly(self, varname: Optional[str] = None) -> UniPoly:
         return UniPoly(varname or self.field.name, self.coeffs)
 
@@ -266,8 +258,8 @@ def _dense_content(a):
     num = 0
     den = 1
     for c in a:
-        num = _gcd_int(num, abs(c.numerator))
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+        num = gcd(num, abs(c.numerator))
+        den = den * c.denominator // gcd(den, c.denominator)
     return Fraction(num, den) if num else Fraction(0)
 
 
@@ -315,11 +307,11 @@ def integral_minpoly(p: UniPoly):
     """
     den = 1
     for c in p.coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     ints = [c * den for c in p.coeffs]
     num = 0
     for c in ints:
-        num = _gcd_int(num, abs(int(c)))
+        num = gcd(num, abs(int(c)))
     ints = [int(c) // num for c in ints]
     n = len(ints) - 1
     an = ints[-1]
@@ -357,7 +349,7 @@ def factor_rational(u: UniPoly):
         return []
     den = 1
     for c in u.coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(c * den) for c in u.coeffs]
     sp = sympy.Poly(list(reversed(ints)), _SYMPY_X, domain="QQ")
     _, factors = sp.factor_list()
@@ -368,12 +360,6 @@ def factor_rational(u: UniPoly):
     out.sort(key=lambda fm: (fm[0].degree(),
                              tuple((c.numerator, c.denominator) for c in fm[0].coeffs)))
     return out
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rational_roots(u: UniPoly):
@@ -394,11 +380,6 @@ def rational_roots(u: UniPoly):
                 rest = rest.divmod(UniPoly(u.var, [-root, Fraction(1)]))[0]
     roots.sort(key=lambda rm: rm[0])
     return roots, rest
-
-
-def is_irreducible_rational(u: UniPoly) -> bool:
-    fs = factor_rational(u)
-    return len(fs) == 1 and fs[0][1] == 1 and fs[0][0].degree() == u.degree()
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +448,6 @@ def _trager_squarefree(field: NumberField, g: UniPoly):
         if attempts > 40:
             raise DomainError("Trager factorization failed for %s" % g)
         s = -s if s > 0 else -s + 1
-
-
-def roots_in_field(field: Optional[NumberField], u: UniPoly):
-    """Roots lying in the field itself: [(root, mult)], deterministic order."""
-    out = []
-    for f, mult in factor_over_field(field, u):
-        if f.degree() == 1:
-            root = -f.coeffs[0] / f.coeffs[1] if field is None else \
-                (-f.coeffs[0]) / f.coeffs[1]
-            out.append((root, mult))
-    return out
 
 
 _GEN_NAMES = "wvuzpq"

@@ -29,7 +29,6 @@ __all__ = [
     "DomainError",
     "parse_poly",
     "poly_gcd",
-    "squarefree_part",
     "is_squarefree",
     "resultant",
 ]
@@ -319,13 +318,6 @@ class Poly:
             bucket = out.setdefault(e, {})
             bucket[mon] = bucket.get(mon, Fraction(0)) + c
         return {e: Poly(rest, t) for e, t in out.items()}
-
-    def from_coeffs_in(self, var: str, coeffs: Mapping[int, "Poly"]) -> "Poly":
-        out = Poly.zero(self.vars)
-        xv = Poly.var(var, self.vars)
-        for e, p in coeffs.items():
-            out = out + p.with_vars(self.vars) * xv ** e
-        return out
 
     def lowest_degree(self) -> int:
         """Order of vanishing at the origin (min total degree); -1 if zero."""
@@ -796,7 +788,7 @@ def unipoly_squarefree_part(p: UniPoly) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd (primitive PRS) and squarefree part
+# multivariate gcd (primitive PRS) and squarefree test
 # ---------------------------------------------------------------------------
 
 
@@ -876,22 +868,6 @@ def _pseudo_rem(f: Poly, g: Poly, var: str) -> Poly:
         lead = r.coeffs_in(var)[dr].with_vars(f.vars)
         r = r * lc - g.with_vars(f.vars) * lead * xv ** (dr - dg)
     return r
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """Same root set with multiplicity one (any number of variables)."""
-    if p.is_zero():
-        raise DomainError("zero polynomial")
-    g = None
-    for v in p.used_vars():
-        d = p.derivative(v)
-        if d.is_zero():
-            continue
-        g = d if g is None else poly_gcd(g, d)
-    if g is None:  # constant
-        return Poly.const(1, p.vars)
-    g = poly_gcd(p, g)
-    return p.divexact(g.with_vars(p.vars)).primitive()
 
 
 def is_squarefree(p: Poly) -> bool:

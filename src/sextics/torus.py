@@ -1,6 +1,5 @@
 """Torus-pair structure: expansion, inner/outer singularities, the
-A_{6j-1} <-> intersection-number correspondence, linear-torus detection,
-and the three parameterized normal forms ([3A5] linear, [A11,A5], [A17]).
+A_{6j-1} <-> intersection-number correspondence and linear-torus detection.
 
 A pair (f2, f3) defines the sextic f2^3 + f3^2; the conic C2: f2 = 0 and
 cubic C3: f3 = 0 stratify its singularities into inner points (on C2 and
@@ -9,26 +8,22 @@ C3) and outer ones.  Pairs are considered up to (f2, f3) ~ (c^2 f2, c^3 f3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .localsing.germs import intersection_multiplicity
 from .localsing.points import AlgebraicPoint
-from .poly import DomainError, Poly, parse_poly, poly_gcd
+from .poly import DomainError, Poly, poly_gcd
 
 __all__ = [
     "TorusPair",
     "DegenerateTorusError",
     "InnerOuterSplit",
-    "NormalFormParams",
-    "NormalForm",
-    "expand",
     "inner_outer_split",
     "verify_inner_correspondence",
     "is_linear_torus",
-    "linear_type_test",
-    "normal_form",
 ]
 
 XY = ("x", "y")
@@ -55,10 +50,6 @@ class TorusPair:
     def normalized_expansion(self) -> Poly:
         """The expansion as a primitive polynomial (curve identity)."""
         return self.expand().primitive()
-
-
-def expand(pair: TorusPair) -> Poly:
-    return pair.expand()
 
 
 @dataclass(frozen=True)
@@ -161,130 +152,9 @@ def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
 
 
 def _isqrt(n: int) -> Optional[int]:
+    """The integer square root of n when n is a perfect square, else None."""
     if n < 0:
         return None
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
-
-def linear_type_test(f: Poly, line: Poly, points) -> bool:
-    """Does the line meet the sextic exactly at `points` with the pattern
-    (2,2,2), (2,4) or (6) matching a 3A5 / A11+A5 / A17 curve?"""
-    f = f.with_vars(XY)
-    if f.divides(line.with_vars(XY)) is not None:
-        raise DomainError("line is a component of the curve")
-    pattern = []
-    for p in points:
-        i = intersection_multiplicity(f, line, p)
-        pattern.extend([i] * p.degree)
-    if sum(pattern) != 6:
-        return False
-    return sorted(pattern) in ([2, 2, 2], [2, 4], [6])
-
-
-# ---------------------------------------------------------------------------
-# Appendix normal forms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormalFormParams:
-    family: str      # "3A5-linear" | "A11A5" | "A17"
-    bindings: dict   # parameter name -> Fraction
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    family: str
-    lead: Fraction   # tau, u11 or u17 at the bindings
-    f3: Poly         # the cubic part at the bindings
-    sextic: Poly     # lead * y^6 + f3^2
-
-
-_3A5_VARS = ("x", "y", "s", "t", "a04", "a06")
-_3A5_F3 = (
-    "-t*y^2 - s*y^2 - y*x^2 + x*t*y^2 + y - x*s*y^2 + x^3 - x"
-    " - y^3*s*t + 1/2*y^3*a04 - 1/2*y^3*s^2 - 1/2*y^3*t^2")
-_3A5_TAU = (
-    "a06 + 1/2*s^2*a04 - t^3*s - s^3*t - 3/2*s^2*t^2 - 1/4*t^4"
-    " + t*a04*s - 1/4*s^4 - 1/4*a04^2 + 1/2*a04*t^2")
-
-_A11_VARS = ("x", "y", "t2", "t3", "t4", "t5", "a04", "a06")
-_A11_U_NUM = (
-    "4*a04*t2^9*t4*t3^2 + t2^4*t4^4 - 2*a04*t2^10*t4^2 - 2*t2^8*a04*t3^4"
-    " + 6*t2^2*t4^2*t3^4 - 4*t2^3*t4^3*t3^2 - 4*t3^6*t4*t2 + a04^2*t2^16"
-    " + t3^8 - 4*a06*t2^14")
-_A11_F3_NUM = (
-    "6*t2^3*y^2*t3*x*t4 - 2*t2^7*x^2 - 2*t2^4*y^2*t4 - 2*t2^6*y*x"
-    " + 2*t2^3*y^2*t3^2 - 2*t2^3*y^2*t3^2*x + 2*t2^4*y^2*x*t4"
-    " - 4*t2^2*y^2*t3^3*x + 2*t2^6*y - 2*t2^4*y^2*x*t5 - y^3*t2^2*t4^2"
-    " + 2*t2*y^3*t3^2*t4 - y^3*t3^4 + 2*t2^7*x^3 + t2^8*y^3*a04"
-    " - 2*t2^5*y*t3*x + 2*t2^5*y*t3*x^2")
-
-_A17_VARS = ("x", "y", "t3", "t4", "t5", "t6", "t7", "a04", "a06")
-_A17_U_NUM = (
-    "24*t6^2*t3^6*t5^2*t4^2 - 24*t4^4*t6^2*t3^5*t5 + 8*a04*t3^13*t4*t6*t5"
-    " - 8*t4*t6^3*t3^7*t5 - 8*a04*t3^12*t5^2*t4^2 + 8*a04*t4^4*t3^11*t5"
-    " + a04^2*t3^20 - 2*a04*t4^6*t3^10 - 2*a04*t3^14*t6^2 + 4*t4^3*t6^3*t3^6"
-    " + 6*t4^6*t6^2*t3^4 - 4*a04*t3^12*t4^3*t6 + t3^8*t6^4 + 4*t4^9*t6*t3^2"
-    " - 4*a06*t3^18 + 24*t4^8*t5^2*t3^2 - 8*t4^10*t5*t3"
-    " + 48*t4^5*t6*t3^4*t5^2 - 24*t4^7*t6*t3^3*t5 + t4^12"
-    " - 32*t6*t3^5*t5^3*t4^3 + 16*t4^4*t5^4*t3^4 - 32*t4^6*t5^3*t3^3")
-_A17_H3_NUM = (
-    "-4*t5^2*t3^2*y^3*t4^2 + 2*t5^2*t3^5*y^2*x + 4*t6*t5*t3^3*y^3*t4"
-    " - 10*t5*t3^4*y^2*x*t4^2 + 4*t5*t3^5*y^2*t4 + 4*t5*t3*y^3*t4^4"
-    " - 2*t5*t3^7*y*x^2 - 2*t3^9*x^3 + 2*t3^6*x^2*t4^2*y - 2*t3^6*y^2*x*t7"
-    " + 6*t6*t3^5*y^2*x*t4 + 4*t3^3*x*y^2*t4^4 - 2*t3^7*x*y*t4"
-    " - y^3*t6^2*t3^4 - 2*t6*t3^2*y^3*t4^3 - y^3*t4^6 - 2*t6*t3^6*y^2"
-    " - 2*t3^4*y^2*t4^3 + 2*t3^8*y + y^3*t3^10*a04")
-
-
-def normal_form_template(family: str):
-    """(variable tuple, lead Poly, denominator Poly, f3-numerator Poly,
-    f3 denominator Poly) of the requested family."""
-    if family == "3A5-linear":
-        tau = parse_poly(_3A5_TAU, _3A5_VARS)
-        f3 = parse_poly(_3A5_F3, _3A5_VARS)
-        one = Poly.const(1, _3A5_VARS)
-        return _3A5_VARS, tau, one, f3, one
-    if family == "A11A5":
-        num = parse_poly(_A11_U_NUM, _A11_VARS).scale(Fraction(-1, 4))
-        den = parse_poly("t2^14", _A11_VARS)
-        f3n = parse_poly(_A11_F3_NUM, _A11_VARS).scale(Fraction(1, 2))
-        f3d = parse_poly("t2^7", _A11_VARS)
-        return _A11_VARS, num, den, f3n, f3d
-    if family == "A17":
-        num = parse_poly(_A17_U_NUM, _A17_VARS).scale(Fraction(-1, 4))
-        den = parse_poly("t3^18", _A17_VARS)
-        f3n = parse_poly(_A17_H3_NUM, _A17_VARS).scale(Fraction(1, 2))
-        f3d = parse_poly("t3^9", _A17_VARS)
-        return _A17_VARS, num, den, f3n, f3d
-    raise DomainError("unknown normal form family %r" % family)
-
-
-def normal_form(params: NormalFormParams) -> NormalForm:
-    """Instantiate a normal-form template at rational parameter values."""
-    variables, lead_num, lead_den, f3_num, f3_den = \
-        normal_form_template(params.family)
-    required = [v for v in variables if v not in ("x", "y")]
-    missing = [v for v in required if v not in params.bindings]
-    if missing:
-        raise DomainError("missing parameter bindings: %s" % missing)
-    binds = {v: Poly.const(Fraction(params.bindings[v]), ())
-             for v in required}
-    den_val = lead_den.substitute(binds).constant_value()
-    f3d_val = f3_den.substitute(binds).constant_value()
-    if not den_val or not f3d_val:
-        raise DomainError("denominator vanishes at the bindings")
-    lead = lead_num.substitute(binds).constant_value() / den_val
-    f3 = f3_num.substitute(binds).scale(1 / f3d_val).with_vars(XY)
-    if not lead:
-        raise DomainError(
-            "degenerate normal form: leading coefficient vanishes"
-            " (the sextic is a perfect square)")
-    yv = Poly.var("y", XY)
-    sextic = yv ** 6 * Poly.const(lead, XY) + f3 ** 2
-    return NormalForm(params.family, lead, f3, sextic)

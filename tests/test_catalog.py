@@ -4,7 +4,6 @@ from sextics.catalog import (
     ConfigSyntaxError,
     builtin_catalog,
     builtin_examples,
-    format_config,
     parse_config,
     verify_example,
     weak_zariski_groups,
@@ -56,12 +55,12 @@ class TestParseConfig:
 
     def test_roundtrip_catalog(self):
         for e in builtin_catalog():
-            text = format_config(e.reduced)
+            text = e.reduced.format()
             again = parse_config(text)
             assert again.multiset() == e.reduced.multiset()
             assert again.index_tag == e.reduced.index_tag
             assert again.mr == e.reduced.mr
-            assert format_config(again) == text
+            assert again.format() == text
 
 
 class TestCatalogData:

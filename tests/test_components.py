@@ -5,7 +5,6 @@ import pytest
 from sextics.components import (
     ComponentDecomposition,
     decompose,
-    divides,
     find_conic_factors,
     find_linear_factors,
     linear_torus_split,
@@ -23,15 +22,15 @@ def g(text):
 class TestDivides:
     def test_b312_quotient(self):
         f = g("-y^2 + y - x^2") ** 3 + g("y^3 - 3*y^2 + 3*y*x^2") ** 2
-        q = divides(f, g("x^2 - y"))
+        q = f.divides(g("x^2 - y"))
         assert q is not None and q.degree() == 4
 
     def test_absent(self):
-        assert divides(g("x^2 - 1"), g("x + 2")) is None
+        assert g("x^2 - 1").divides(g("x + 2")) is None
 
     def test_self(self):
         f = g("x^2 + y")
-        assert divides(f, f) == Poly.const(1, XY)
+        assert f.divides(f) == Poly.const(1, XY)
 
 
 class TestLinearFactors:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,10 +18,9 @@ from sextics.globalinv import (
     good_affine_chart,
     homogenize,
     infinite_singular_directions,
-    is_maximal_rank,
 )
-from sextics.localsing import analyze_point, singular_points
-from sextics.localsing.classify import SingType
+from sextics.localsing import analyze_germ, analyze_point, singular_points
+from sextics.localsing.classify import SingType, normal_form_germ
 from sextics.poly import parse_poly
 
 XY = ("x", "y")
@@ -28,6 +28,12 @@ XY = ("x", "y")
 
 def g(text):
     return parse_poly(text, XY)
+
+
+def classified(family, index, count):
+    """The normal form of a type, analyzed as a cluster of `count` points."""
+    return analyze_germ(normal_form_germ(SingType(family, index)),
+                        point=SimpleNamespace(degree=count))
 
 
 def sings_of(f):
@@ -131,24 +137,19 @@ class TestConfiguration:
         assert not config.mr
 
     def test_mr_flag(self):
-        entries = [
-            (SingType("A", (5,)), 2, None),
-            (SingType("A", (2,)), 2, None),
-            (SingType("D", (5,)), 1, None),
-        ]
-        c = Configuration.from_items(entries, total_milnor=10 + 4 + 5)
-        assert is_maximal_rank(c)
+        c = assemble_configuration([classified("A", (5,), 2),
+                                    classified("A", (2,), 2),
+                                    classified("D", (5,), 1)])
+        assert c.total_milnor == 10 + 4 + 5 and c.mr
 
     def test_not_mr_nonsimple(self):
-        entries = [(SingType("C", (3, 7)), 1, None),
-                   (SingType("A", (8,)), 1, None)]
-        c = Configuration.from_items(entries, total_milnor=19)
-        assert not is_maximal_rank(c)
+        c = assemble_configuration([classified("C", (3, 7), 1),
+                                    classified("A", (8,), 1)])
+        assert c.total_milnor == 19 and not c.mr
 
     def test_not_mr_below_19(self):
-        entries = [(SingType("A", (5,)), 3, None)]
-        c = Configuration.from_items(entries, total_milnor=15)
-        assert not is_maximal_rank(c)
+        c = assemble_configuration([classified("A", (5,), 3)])
+        assert c.total_milnor == 15 and not c.mr
 
     def test_counts_folded(self):
         entries = [(SingType("A", (2,)), 3, None),

@@ -13,7 +13,6 @@ from sextics.poly import (
     parse_poly,
     poly_gcd,
     resultant,
-    squarefree_part,
     unipoly_gcd,
     unipoly_squarefree_decomposition,
     unipoly_squarefree_part,
@@ -156,10 +155,6 @@ class TestGcdSquarefree:
     def test_gcd_bivariate(self):
         g = poly_gcd(P("(x - y)*(x + y)"), P("(x - y)*y"))
         assert g == P("x - y")
-
-    def test_squarefree_part(self):
-        p = P("x^2*(x^2 - 1)^2", X)
-        assert squarefree_part(p) == P("x*(x^2 - 1)", X)
 
     def test_squarefree_detect(self):
         assert is_squarefree(P("x*y*(x + y - 1)"))

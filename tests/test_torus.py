@@ -7,14 +7,9 @@ from sextics.localsing import singular_points
 from sextics.poly import DomainError, Poly, parse_poly
 from sextics.torus import (
     DegenerateTorusError,
-    NormalFormParams,
     TorusPair,
-    expand,
     inner_outer_split,
     is_linear_torus,
-    linear_type_test,
-    normal_form,
-    normal_form_template,
     verify_inner_correspondence,
 )
 
@@ -28,7 +23,7 @@ def g(text):
 class TestExpand:
     def test_linear_torus_shape(self):
         pair = TorusPair(g("-y^2"), g("x^3 + x*y + 1"))
-        assert expand(pair) == g("(x^3 + x*y + 1)^2 - y^6")
+        assert pair.expand() == g("(x^3 + x*y + 1)^2 - y^6")
 
     def test_f3_zero_needs_degree(self):
         with pytest.raises(DomainError):
@@ -116,72 +111,15 @@ class TestIsLinearTorus:
         pair = TorusPair(g("y^2"), g("x^3 + 5"))
         assert is_linear_torus(pair) is None
 
+    @pytest.mark.parametrize("root", [2 ** 60 + 12345, 10 ** 200],
+                             ids=["2^60+12345", "10^200"])
+    def test_large_square(self, root):
+        # past the range where a float square root is exact or finite
+        ell = Poly.var("y", XY).scale(root)
+        pair = TorusPair(-(ell ** 2), g("x^3 + 1"))
+        assert is_linear_torus(pair) == ell
 
-class TestLinearTypeTest:
-    def test_pattern_222(self):
-        pair = TorusPair(g("-y^2"), g("x^3 - x"))
-        f = pair.expand()
-        pts = [p for p in singular_points(f)]
-        assert linear_type_test(f, g("y"), pts)
-
-    def test_pattern_24(self):
-        # double root of f3(x, 0): pattern (2, 4)
-        pair = TorusPair(g("-y^2"), g("x^2*(x - 1) + y^2*x + y^2"))
-        f = pair.expand()
-        pts = singular_points(f)
-        split = inner_outer_split(pair, pts)
-        inner_pts = [p for p, _i in split.inner]
-        assert linear_type_test(f, g("y"), inner_pts)
-
-    def test_generic_line_false(self):
-        pair = TorusPair(g("-y^2"), g("x^3 - x"))
-        f = pair.expand()
-        pts = singular_points(f)
-        assert not linear_type_test(f, g("y - x"), pts)
-
-    def test_component_line_rejected(self):
-        f = g("y") * g("x^5 + y^4 + 1")
-        with pytest.raises(DomainError):
-            linear_type_test(f, g("y"), [])
-
-
-class TestNormalForms:
-    def test_3a5_restriction_identity(self):
-        variables, lead, lead_den, f3, f3_den = normal_form_template("3A5-linear")
-        restricted = f3.substitute({"y": Poly.const(0, ())})
-        assert restricted == parse_poly("x^3 - x", variables)
-
-    def test_3a5_instance(self):
-        nf = normal_form(NormalFormParams(
-            "3A5-linear", {"s": "1", "t": "2", "a04": "1/2", "a06": "3"}))
-        assert nf.lead != 0
-        rest = nf.sextic.substitute({"y": Poly.const(0, XY)})
-        assert rest == g("x^2*(x^2 - 1)^2")
-
-    def test_tau_zero_degenerate(self):
-        # choose a06 to cancel the rest of tau
-        variables, lead, _d, _f3, _fd = normal_form_template("3A5-linear")
-        binds = {"s": Fraction(0), "t": Fraction(0), "a04": Fraction(0)}
-        partial = lead.substitute(
-            {k: Poly.const(v, ()) for k, v in binds.items()})
-        # tau = a06 now; a06 = 0 kills it
-        with pytest.raises(DomainError):
-            normal_form(NormalFormParams(
-                "3A5-linear", {"s": 0, "t": 0, "a04": 0, "a06": 0}))
-
-    def test_spec_tau_substitution(self):
-        variables, lead, _d, _f3, _fd = normal_form_template("3A5-linear")
-        binds = {"s": 0, "t": 0, "a04": 0, "a06": 1}
-        val = lead.substitute({k: Poly.const(Fraction(v), ())
-                               for k, v in binds.items()})
-        assert val.constant_value() == 1
-
-    def test_missing_binding(self):
-        with pytest.raises(DomainError):
-            normal_form(NormalFormParams("3A5-linear", {"s": 1}))
-
-    def test_a11a5_needs_t2(self):
-        with pytest.raises(DomainError):
-            normal_form(NormalFormParams(
-                "A11A5", {"t2": 0, "t3": 1, "t4": 1, "t5": 1,
-                          "a04": 1, "a06": 1}))
+    def test_large_non_square(self):
+        f2 = Poly.var("y", XY) ** 2 * Poly.const(-(10 ** 400 + 1), XY)
+        pair = TorusPair(f2, g("x^3 + 1"))
+        assert is_linear_torus(pair) is None
