@@ -12,12 +12,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Optional
 
 from .analysis import CurveAnalysis, analyze_curve
 from .docs import Claim, CurveDocument, DocumentError, parse_bindings, \
     parse_documents
-from .globalinv import Configuration, corollary_ceiling
+from .globalinv import Configuration
 from .localsing.classify import SingType
 from .poly import DomainError, Poly, PolyError, parse_poly
 from .torus import TorusPair

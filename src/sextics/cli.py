@@ -26,7 +26,7 @@ from .catalog import (
     verify_example,
     weak_zariski_groups,
 )
-from .docs import DocumentError, parse_bindings, parse_document
+from .docs import DocumentError, parse_document
 from .globalinv import DefectTable
 from .localsing.classify import ConsistencyError
 from .poly import PolyError

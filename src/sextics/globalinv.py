@@ -10,7 +10,6 @@ notation used throughout the catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .localsing.classify import LocalSingularity, SingType

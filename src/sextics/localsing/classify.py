@@ -215,7 +215,7 @@ def delta_invariant(mu: int, res: Resolution) -> int:
     if num % 2:
         raise ConsistencyError("mu + r - 1 = %d is odd" % num)
     d = num // 2
-    if not res.tower_capped and d != res.delta:
+    if d != res.delta:
         raise ConsistencyError(
             "delta mismatch: (mu+r-1)/2 = %d vs resolution %d" % (d, res.delta))
     return d

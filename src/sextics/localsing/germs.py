@@ -8,11 +8,9 @@ number-field elements.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 # Unused here; perfbench/tracer.py patches factor_over_field in this namespace.
 from ..numfield import factor_over_field  # noqa: F401
-from ..poly import DomainError, Poly, UniPoly, poly_gcd
+from ..poly import DomainError, Poly, rational_content
 
 __all__ = [
     "InfiniteIntersectionError",
@@ -42,89 +40,87 @@ def multiplicity(f: Poly, p) -> int:
     return germ_multiplicity(translate_to_origin(f, p))
 
 
-def _restrict_y0(g: Poly) -> UniPoly:
-    """g(x, 0) as a univariate in x."""
-    gx = g.with_vars(("x", "y"))
-    deg = max(gx.degree_in("x"), 0)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for (i, j), c in gx.terms.items():
-        if j == 0:
-            coeffs[i] = coeffs[i] + c
-    return UniPoly("x", coeffs)
-
-
-def _ord(u: UniPoly) -> int:
-    for i, c in enumerate(u.coeffs):
-        if c:
-            return i
-    return -1
-
-
-def _trunc_total(p: Poly, bound: int) -> Poly:
-    return Poly(p.vars, {m: c for m, c in p.terms.items() if sum(m) < bound})
-
-
-def _scale_reduce_poly(p: Poly) -> Poly:
+def _scale_reduce(terms: dict) -> dict:
     """Divide by the rational content (a unit; intersection numbers keep)."""
-    from ..poly import rational_content
-    if p.is_zero():
-        return p
-    c = rational_content(p.terms.values())
-    return p if c == 1 else p.scale(1 / c)
+    c = rational_content(terms.values())
+    if c == 1:
+        return terms
+    inv = 1 / c
+    return {m: v * inv for m, v in terms.items()}
 
 
 def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
     """Local intersection number I(g, h; O) by the reduction algorithm.
 
-    Bilinearity, invariance under h -> h + q*g and the unit rules reduce to
-    orders of univariate restrictions; raises InfiniteIntersectionError when
-    the curves share a component through the origin.
+    The reduction (Fulton, Algebraic Curves, 3.3) works on the term dicts
+    {(i, j): coef} of the two germs.  While neither germ has a constant
+    term, it compares the restrictions a = g(x, 0) and b = h(x, 0): when
+    one of them is zero, that germ is y times a cofactor, so I gains the
+    order of the other restriction and the germ is divided by y; otherwise
+    h - c*x^k*g, with deg a <= deg b, kills the leading term of b.  Every
+    germ is divided by its rational content, a unit.
 
-    The intersection number is below the Bezout product, so both germs are
-    truncated past that order to keep the elimination sizes bounded.
+    A finite I is at most deg g * deg h (Bezout), so both germs are
+    truncated at total degree deg g * deg h + 2, which keeps I and the
+    elimination sizes bounded.  The same bound is the guard for a shared
+    component through the origin: each pass either returns or, after
+    finitely many eliminations, raises the running sum, so
+    InfiniteIntersectionError is raised once that sum passes the Bezout
+    bound, or at once when a germ reduces to zero.
     """
     g = g.with_vars(("x", "y"))
     h = h.with_vars(("x", "y"))
     if g.is_zero() or h.is_zero():
         raise InfiniteIntersectionError("zero germ shares every component")
-    common = poly_gcd(g, h)
-    if common.degree() > 0 and not common.evaluate({"x": Fraction(0), "y": Fraction(0)}):
-        raise InfiniteIntersectionError(
-            "curves share a component through the point: %s" % common)
-    bound = g.degree() * h.degree() + 2
-    g = _scale_reduce_poly(_trunc_total(g, bound))
-    h = _scale_reduce_poly(_trunc_total(h, bound))
+    limit = g.degree() * h.degree()
+    bound = limit + 2
+    G = _scale_reduce({m: c for m, c in g.terms.items() if sum(m) < bound})
+    H = _scale_reduce({m: c for m, c in h.terms.items() if sum(m) < bound})
     total = 0
-    yv = Poly.var("y", ("x", "y"))
     while True:
-        if g.evaluate({"x": Fraction(0), "y": Fraction(0)}):
+        # Poly drops zero coefficients and the elimination deletes the ones
+        # it makes, so every key is a nonzero term
+        if (0, 0) in G or (0, 0) in H:
             return total
-        if h.evaluate({"x": Fraction(0), "y": Fraction(0)}):
-            return total
-        a = _restrict_y0(g)
-        b = _restrict_y0(h)
-        if a.is_zero() and b.is_zero():
+        a = [i for i, j in G if j == 0]
+        b = [i for i, j in H if j == 0]
+        if not a and not b:
             raise InfiniteIntersectionError("both germs divisible by y")
-        if a.is_zero():
-            g1 = g.divexact(yv)
-            total += _ord(b)
-            g = g1
+        if not a or not b:
+            # I(y*g1, h) = I(y, h) + I(g1, h), and I(y, h) = ord h(x, 0)
+            if not a:
+                G = {(i, j - 1): c for (i, j), c in G.items()}
+                total += min(b)
+            else:
+                H = {(i, j - 1): c for (i, j), c in H.items()}
+                total += min(a)
+            if total > limit:
+                raise InfiniteIntersectionError(
+                    "intersection passes the Bezout bound %d: the curves"
+                    " share a component through the point" % limit)
             continue
-        if b.is_zero():
-            h1 = h.divexact(yv)
-            total += _ord(a)
-            h = h1
-            continue
-        if a.degree() > b.degree():
-            g, h = h, g
-            a, b = b, a
+        r, s = max(a), max(b)
+        if r > s:
+            G, H = H, G
+            r, s = s, r
         # kill the leading coefficient of b(x) = h(x, 0)
-        s = b.degree()
-        r = a.degree()
-        c = b.coeffs[s] / a.coeffs[r]
-        xv = Poly.var("x", ("x", "y"))
-        h = _scale_reduce_poly(_trunc_total(
-            h - g * xv ** (s - r) * Poly.const(c, ("x", "y")), bound))
+        c = H[(s, 0)] / G[(r, 0)]
+        k = s - r
+        for (i, j), cg in G.items():
+            mon = (i + k, j)
+            if i + k + j >= bound:
+                continue
+            v = H.get(mon)
+            v = -(c * cg) if v is None else v - c * cg
+            if v:
+                H[mon] = v
+            else:
+                del H[mon]
+        if not H:
+            raise InfiniteIntersectionError(
+                "a germ reduces to zero: the curves share a component"
+                " through the point")
+        H = _scale_reduce(H)
 
 
 def intersection_multiplicity(g: Poly, h: Poly, p) -> int:

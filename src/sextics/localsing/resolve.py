@@ -26,7 +26,6 @@ from ..numfield import (
     TowerCapError,
     extend_field,
     factor_over_field,
-    field_degree,
     nf,
 )
 from ..poly import DomainError, Poly, UniPoly
@@ -69,7 +68,8 @@ class Resolution:
     mult_sequence: tuple         # germ fingerprint, level by level
     branches: tuple              # BranchCluster, in deterministic order
     contacts: tuple              # ((value, npairs), ...) unordered pairs
-    tower_capped: bool
+    tower_capped: bool           # always False (a capped resolve raises);
+                                 # perfbench/tracer.py reads it
 
     def contact_multiset(self) -> tuple:
         out = []
@@ -117,20 +117,19 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
             tower_cap: int = 12) -> Resolution:
     """Resolve a reduced germ vanishing at the origin.
 
-    Raises UnresolvedGermError when the tower cap cuts the resolution off.
+    Raises UnresolvedGermError when the tower cap cuts a branch off, so a
+    returned Resolution is always complete (`tower_capped` is always False).
     """
     g = germ.with_vars(("x", "y"))
     if g.is_zero():
         raise DomainError("zero germ")
-    if g.evaluate({"x": nf(field, 0), "y": nf(field, 0)}):
+    if (0, 0) in g.terms:
         raise DomainError("germ does not vanish at the origin")
-    base_degree = field_degree(field)
     nodes: list = []
     root = _Node(0, None, 0, field, 1, g, g.lowest_degree(), {})
     nodes.append(root)
     stack = [0]
     leaves = []
-    capped = False
     while stack:
         nid = stack.pop()
         node = nodes[nid]
@@ -143,11 +142,7 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
         yv = Poly.var("y", ("x", "y"))
         lt = _direction_poly(node.germ, node.m, node.field)
         nu_vertical = node.m - lt.degree()
-        try:
-            factors = factor_over_field(node.field, lt) if lt.degree() > 0 else []
-        except TowerCapError:
-            capped = True
-            factors = []
+        factors = factor_over_field(node.field, lt) if lt.degree() > 0 else []
         for q, _mult in factors:
             if q.degree() == 1:
                 t0 = (-q.coeffs[0]) / q.coeffs[1]
@@ -158,9 +153,10 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
                 try:
                     cfield, embed, t0 = extend_field(
                         node.field, q, cap=tower_cap)
-                except TowerCapError:
-                    capped = True
-                    continue
+                except TowerCapError as exc:
+                    raise UnresolvedGermError(
+                        "germ needs a field tower beyond the cap: %s" % exc
+                    ) from exc
                 gg = _map_coeffs(node.germ, embed)
                 rel = q.degree()
             sub = gg.substitute({"y": xv * (yv + Poly.const(t0, ("x", "y")))})
@@ -184,9 +180,6 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
                           axes)
             nodes.append(child)
             stack.append(child.nid)
-    if capped and not leaves:
-        raise UnresolvedGermError("germ needs a field tower beyond the cap")
-
     delta = sum(n.d_rel * n.m * (n.m - 1) // 2 for n in nodes)
     branch_count = sum(nodes[l].d_rel for l in leaves)
 
@@ -278,7 +271,7 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
     check = sum(nodes[lid].d_rel * sum(m * (m - 1) // 2 for m in seq)
                 for lid, seq in branch_tuples)
     check += sum(v * n for v, n in contacts)
-    if not capped and check != delta:
+    if check != delta:
         raise DomainError(
             "internal resolution inconsistency: %d vs %d" % (check, delta))
 
@@ -286,5 +279,5 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
                 for lid, seq in branch_tuples]
     branches.sort(key=lambda b: (b.mult_sequence, b.degree))
     return Resolution(delta, branch_count, mult_sequence, tuple(branches),
-                      contacts, capped)
+                      contacts, False)
 

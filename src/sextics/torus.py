@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .localsing.germs import intersection_multiplicity
-from .localsing.points import AlgebraicPoint
 from .poly import DomainError, Poly, poly_gcd
 
 __all__ = [

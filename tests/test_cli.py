@@ -63,6 +63,14 @@ class TestAnalyze:
         code, out = run_cli(capsys, "analyze", str(doc))
         assert code == 2
 
+    def test_tower_cap_refused(self, capsys, tmp_path):
+        # the D_4 point at the origin needs Q(sqrt(2)), beyond a cap of 1
+        doc = tmp_path / "capped.txt"
+        doc.write_text("f: x*y^2 - 2*x^3 + x^6 + y^6\n")
+        code, out = run_cli(capsys, "analyze", str(doc), "--tower-cap", "1")
+        assert code == 2
+        assert out.startswith("error: ")
+
     def test_deterministic(self, capsys, item5_doc):
         _c1, out1 = run_cli(capsys, "analyze", item5_doc, "--json")
         _c2, out2 = run_cli(capsys, "analyze", item5_doc, "--json")

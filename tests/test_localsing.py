@@ -7,6 +7,7 @@ from sextics.localsing import (
     ConsistencyError,
     InfiniteIntersectionError,
     NotSquarefreeError,
+    UnresolvedGermError,
     analyze_germ,
     analyze_point,
     build_signature_table,
@@ -24,6 +25,7 @@ from sextics.localsing import (
     translate_to_origin,
 )
 from sextics.localsing._sigdata import SIGNATURES
+from sextics.numfield import NFElt
 from sextics.poly import DomainError, Poly, UniPoly, parse_poly, resultant
 
 XY = ("x", "y")
@@ -103,6 +105,12 @@ class TestIntersectionMultiplicity:
         with pytest.raises(InfiniteIntersectionError):
             intersection_multiplicity_origin(g("x*y"), g("x*(y - x)"))
 
+    def test_shared_non_axis_component(self):
+        # a shared component through the origin trips the Bezout guard
+        with pytest.raises(InfiniteIntersectionError):
+            intersection_multiplicity_origin(g("x*(y - x^2)"),
+                                             g("(y - x^2)*(y + x)"))
+
 
 class TestMilnor:
     @pytest.mark.parametrize("germ,mu", [
@@ -118,6 +126,24 @@ class TestMilnor:
     def test_nonisolated(self):
         with pytest.raises(DomainError):
             milnor_number_origin(g("y^2"))
+
+    def test_nonreduced_germ_raises(self):
+        with pytest.raises(DomainError):
+            milnor_number_origin(g("(y - x^2)^2*(y + x)"))
+
+    def test_number_field_germ(self):
+        # corpus record 5.2-1, [B_{3,6},4A_2,A_1]: three of the four cusps
+        # form a conjugate cluster over a cubic field
+        f = (g("y^2 + (-5*x + 1)*y - x^2") ** 3
+             + g("-3/4*y^3 + (15/4*x + 3/4)*y^2 + (-15*x^2 + 9/4*x)*y"
+                 " + x^3") ** 2)
+        (p,) = [p for p in singular_points(f) if p.field is not None]
+        assert p.degree == 3
+        germ = translate_to_origin(f, p)
+        # the tangent cone lives in the cubic field
+        assert all(isinstance(c, NFElt)
+                   for m, c in germ.terms.items() if sum(m) == 2)
+        assert milnor_number_origin(germ) == 2
 
 
 class TestNewtonPolygon:
@@ -188,6 +214,19 @@ class TestClassify:
     def test_normal_forms(self, germ, name):
         assert classify_germ(g(germ)).name() == name
 
+    @pytest.mark.parametrize("name", [
+        "A_6", "A_7", "A_8", "D_8", "D_9", "C_{3,7}", "C_{3,8}", "D_{4,7}",
+    ])
+    def test_perturbed_normal_form_above_degree_six(self, name):
+        # germ * (1 + x - y) under x -> x + y, y -> y - x: a unit factor and
+        # an invertible linear change keep the type
+        (t,) = [t for t in recognition_types() if t.name() == name]
+        x, y = Poly.var("x", XY), Poly.var("y", XY)
+        germ = normal_form_germ(t) * (Poly.const(1, XY) + x - y)
+        germ = germ.substitute({"x": x + y, "y": y - x})
+        assert germ.degree() >= 7
+        assert analyze_germ(germ).sing_type == t
+
     def test_unknown_signature(self):
         t = classify_germ(g("y^4 - x^9"))
         assert t.family == "Unknown"
@@ -232,10 +271,16 @@ class TestDelta:
 
 
 class TestTowerCap:
-    def test_capped_resolution_partial(self):
-        res = resolve(g("y^3 + x^6"), tower_cap=1)
-        assert res.tower_capped
-        assert res.branch_count == 1  # only the rational branch resolved
+    def test_capped_resolution_raises(self):
+        # two of the three branches need Q(sqrt(-3)), beyond the cap
+        with pytest.raises(UnresolvedGermError):
+            resolve(g("y^3 + x^6"), tower_cap=1)
+
+    def test_capped_germ_feeds_no_delta(self):
+        # D_4 with tangents y = +-sqrt(2)*x: a cut-off tower once gave
+        # Unknown with delta 2 and r 1 (the true values are 3 and 3)
+        with pytest.raises(UnresolvedGermError):
+            analyze_germ(g("x*y^2 - 2*x^3"), tower_cap=1)
 
     def test_default_cap_suffices(self):
         res = resolve(g("y^3 + x^6"))

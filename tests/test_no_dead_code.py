@@ -1,4 +1,5 @@
-"""Every function, class and method in src/sextics has a consumer in the package.
+"""Every function, class and method in src/sextics has a consumer in the package,
+and every module of it reads each name it imports.
 
 A top-level definition counts as used when code in src/sextics, outside the
 definition's own body, looks its name up: in the defining module, or in a
@@ -8,6 +9,9 @@ attribute of that name on any object, so a field or method of the same name
 elsewhere hides it.  Strings (the `__all__` lists, docstrings) and import
 statements are not uses.  Dunder methods are exempt: the interpreter calls
 them.
+
+An imported name counts as read when the importing module loads it
+anywhere.  Package `__init__` modules are exempt: they import to re-export.
 """
 
 import ast
@@ -27,6 +31,13 @@ ALLOWED = {
     "dual_branch",
     # regenerates the shipped signature table, which a test compares to it
     "build_signature_table",
+}
+
+# Imports that no code of their module reads, as "module path: name".
+ALLOWED_IMPORTS = {
+    # perfbench/tracer.py patches factor_over_field in this namespace, and
+    # refuses to install when the name is missing there
+    "localsing/germs.py: factor_over_field",
 }
 
 
@@ -123,3 +134,31 @@ def test_every_definition_has_a_consumer():
 def test_allow_list_holds_only_unused_definitions():
     flagged = {entry.split(": ")[1] for entry in unused_definitions(set())}
     assert ALLOWED <= flagged
+
+
+def unused_imports(allowed=ALLOWED_IMPORTS):
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    label = "%s: %s" % (path.relative_to(SRC).as_posix(), name)
+                    if name not in read and label not in allowed:
+                        unused.append(label)
+    return unused
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
+
+
+def test_import_allow_list_holds_only_unread_imports():
+    assert ALLOWED_IMPORTS <= set(unused_imports(set()))

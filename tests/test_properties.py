@@ -1,6 +1,7 @@
 """Randomized property suites: ring laws, resultant specialization,
-root-finding reconstruction, parse/format round-trips on the corpus, and
-the intersection-singularity law A_{2 iota - 1}.
+root-finding reconstruction, parse/format round-trips on the corpus, the
+intersection-singularity law A_{2 iota - 1} and the metamorphic laws of the
+local intersection number.
 
 Everything is exact and seeded; the whole module stays well under the
 two-minute budget.
@@ -12,13 +13,14 @@ from fractions import Fraction
 import pytest
 
 from sextics.catalog import builtin_examples
-from sextics.localsing import classify_germ
+from sextics.localsing import classify_germ, intersection_multiplicity_origin
 from sextics.numfield import rational_roots
 from sextics.poly import (
     Poly,
     UniPoly,
     format_poly,
     parse_poly,
+    poly_gcd,
     resultant,
 )
 
@@ -147,4 +149,39 @@ class TestIntersectionLaw:
             germ = (yv - up) * (yv - vp)
             t = classify_germ(germ)
             assert t.name() == "A_%d" % (2 * iota - 1), (iota, str(germ))
+            done += 1
+
+
+def random_germ(rng, max_deg=3) -> Poly:
+    """A nonzero germ through the origin with small integer coefficients."""
+    while True:
+        terms = {(i, j): Fraction(rng.randint(-3, 3))
+                 for i in range(max_deg + 1) for j in range(max_deg + 1 - i)
+                 if 0 < i + j and rng.random() < 0.5}
+        germ = Poly(("x", "y"), terms)
+        if not germ.is_zero():
+            return germ
+
+
+def coprime(p: Poly, q: Poly) -> bool:
+    return poly_gcd(p, q).degree() == 0
+
+
+class TestIntersectionNumberLaws:
+    """Symmetry, additivity in a factor and invariance under h -> h + q*g,
+    on seeded random germs through the origin with no common factor."""
+
+    def test_metamorphic_laws(self):
+        rng = random.Random(27182)
+        im = intersection_multiplicity_origin
+        done = 0
+        while done < 40:
+            g, h1, h2 = (random_germ(rng) for _ in range(3))
+            if not (coprime(g, h1) and coprime(g, h2)):
+                continue
+            i1, i2 = im(g, h1), im(g, h2)
+            assert im(h1, g) == i1, (str(g), str(h1))
+            assert im(g, h1 * h2) == i1 + i2, (str(g), str(h1), str(h2))
+            q = random_poly(rng, max_terms=3, max_deg=2)
+            assert im(g, h1 + q * g) == i1, (str(g), str(h1), str(q))
             done += 1
