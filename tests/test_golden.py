@@ -1,0 +1,65 @@
+"""Golden `analyze --json` output for the twelve torus-pair records.
+
+`golden/analyze_pairs.json` holds `cli._analysis_dict` of each record's
+generic samples (seed 0) and listed parameter values.  It pins what no
+verdict checks: the per-point invariants and, for each component, its
+Sigma, genus, class degree and delta*.
+
+Regenerate it only when an output change is intended:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from sextics.analysis import analyze_curve
+from sextics.catalog import _generic_samples, builtin_examples
+from sextics.cli import _analysis_dict
+from sextics.globalinv import DefectTable
+from sextics.torus import TorusPair
+
+GOLDEN = Path(__file__).parent / "golden" / "analyze_pairs.json"
+RECORDS = ("5.2-1", "5.2-2", "5.2-3", "5.2-5", "5.2-7", "5.2-8", "5.2-9",
+           "5.2-12", "5.2-13a", "5.2-18", "remark-c39", "syn-b66")
+
+
+def _bindings(doc):
+    out = list(_generic_samples(doc, 0))
+    out += [v for v in doc.values if v not in out]
+    return out or [()]
+
+
+def _analyze(doc, binding):
+    # the CLI's document -> analysis step, spelled out
+    inst = doc.instantiate(binding)
+    defects = DefectTable(dict(doc.defects)) if doc.defects else None
+    if "f" in inst:
+        return analyze_curve(f=inst["f"], hints=inst["hints"],
+                             defects=defects)
+    return analyze_curve(pair=TorusPair(inst["f2"], inst["f3"]),
+                         hints=inst["hints"], defects=defects)
+
+
+def record_dicts(rid):
+    doc = {r.rid: r for r in builtin_examples()}[rid].doc
+    return {",".join("%s=%s" % nv for nv in b) or "*":
+            _analysis_dict(_analyze(doc, b)) for b in _bindings(doc)}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("rid", RECORDS)
+def test_analysis_matches_golden(golden, rid):
+    assert record_dicts(rid) == golden[rid]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({rid: record_dicts(rid) for rid in RECORDS},
+                                 indent=1, sort_keys=True) + "\n")
