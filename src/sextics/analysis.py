@@ -8,7 +8,7 @@ when a pair is available.  All output orderings are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .components import ComponentDecomposition, decompose
@@ -18,7 +18,7 @@ from .globalinv import (
     ImpossibleCurveError,
     assemble_configuration,
     class_degree,
-    delta_star,
+    corollary_ceiling,
     flex_count,
     genus,
     good_affine_chart,
@@ -26,6 +26,8 @@ from .globalinv import (
 from .localsing import (
     NotSquarefreeError,
     analyze_point,
+    multiplicity,
+    point_on_curve,
     singular_points,
 )
 from .poly import DomainError, Poly, is_squarefree
@@ -60,8 +62,6 @@ class CurveAnalysis:
     components: tuple             # ComponentReport list
     split: Optional[InnerOuterSplit]
     star_report: Optional[tuple]
-    delta_star_total: int
-    delta_star_ceiling: int
     notes: tuple
 
     def degrees(self) -> tuple:
@@ -69,6 +69,14 @@ class CurveAnalysis:
         if not self.decomposition.is_complete():
             degs.append(self.decomposition.residual.degree())
         return tuple(sorted(degs))
+
+    @property
+    def delta_star_total(self) -> int:
+        return sum(c.delta_star for c in self.components)
+
+    @property
+    def delta_star_ceiling(self) -> int:
+        return corollary_ceiling(self.degrees())
 
 
 def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
@@ -115,8 +123,6 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
     config = assemble_configuration(sings, inner_keys)
 
     decomp = decompose(f, hints, pair)
-    components = []
-    per_component_proper = []
     parts = [(comp, cdeg) for comp, cdeg, mult in decomp.factors
              for _ in range(mult)]
     if not decomp.is_complete():
@@ -137,40 +143,53 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
         else:
             notes.append("decomposition incomplete: residual of degree %d"
                          % rdeg)
-    for comp, cdeg in parts:
-        report = _component_report(comp, cdeg, defects, tower_cap,
-                                   affine_sings)
-        components.append(report)
-        per_component_proper.append(report.sings)
-    degrees_for_ceiling = [d for _c, d in parts]
-    if not decomp.is_complete() and not (1 <= decomp.residual.degree() <= 5):
-        degrees_for_ceiling.append(decomp.residual.degree())
-    dstar, ceiling, ok = delta_star(per_component_proper, degrees_for_ceiling)
+    components = tuple(
+        _component_report(comp, cdeg,
+                          _component_sings(f, comp, sings, tower_cap),
+                          defects)
+        for comp, cdeg in parts)
     certified = all(c.genus is not None for c in components)
     if not certified:
         notes.append("a component is geometrically reducible (negative"
                      " genus); the Corollary-1 ceiling is not applicable to"
                      " the rational degree multiset")
-    elif decomp.is_complete() and len(degrees_for_ceiling) > 1 and not ok:
-        notes.append("delta* %d exceeds the Corollary-1 ceiling %d"
-                     % (dstar, ceiling))
-    return CurveAnalysis(f, chart, pair, sings, config, decomp,
-                         tuple(components), split, star_report, dstar,
-                         ceiling, tuple(notes))
+    analysis = CurveAnalysis(f, chart, pair, sings, config, decomp,
+                             components, split, star_report, tuple(notes))
+    dstar = analysis.delta_star_total
+    ceiling = analysis.delta_star_ceiling
+    if certified and decomp.is_complete() and len(parts) > 1 \
+            and dstar > ceiling:
+        analysis = replace(analysis, notes=analysis.notes + (
+            "delta* %d exceeds the Corollary-1 ceiling %d" % (dstar, ceiling),))
+    return analysis
 
 
-def _component_report(comp: Poly, cdeg: int, defects, tower_cap,
-                      candidates=None) -> ComponentReport:
+def _component_sings(f: Poly, comp: Poly, sings, tower_cap):
+    """The singularities of the component `comp` of f, from f's own.
+
+    Where the cofactor f/comp does not vanish, f is comp times a unit, so
+    f's singularity there is comp's; where it vanishes, comp is analyzed
+    afresh wherever it is singular.  A generator, so that the fresh
+    analyses run, and are timed, inside the report that consumes it.
+    """
+    cofactor = f.divexact(comp)
+    for ls in sings:
+        p = ls.point
+        if not point_on_curve(cofactor, p):
+            yield ls
+        elif point_on_curve(comp, p) and multiplicity(comp, p) >= 2:
+            yield analyze_point(comp, p, tower_cap)
+
+
+def _component_report(comp: Poly, cdeg: int, csings,
+                      defects) -> ComponentReport:
+    """Genus, class, flexes and delta* of a component with singularities
+    `csings` (any iterable of LocalSingularity)."""
+    csings = tuple(csings)
     notes = []
-    csings: tuple = ()
     g = None
     nstar = None
     flexes = None
-    try:
-        pts = _component_singular_points(comp, cdeg, tower_cap, candidates)
-        csings = tuple(analyze_point(comp, p, tower_cap) for p in pts)
-    except DomainError as err:
-        notes.append("singular locus: %s" % err)
     try:
         g = genus(cdeg, csings)
     except ImpossibleCurveError as err:
@@ -188,22 +207,3 @@ def _component_report(comp: Poly, cdeg: int, defects, tower_cap,
     dstar = sum(ls.delta * ls.cluster_degree for ls in csings)
     return ComponentReport(comp, cdeg, csings, g, nstar, dstar, flexes,
                            tuple(notes))
-
-
-def _component_singular_points(comp: Poly, cdeg: int, tower_cap,
-                               candidates):
-    """Singular points of one component.
-
-    They are always among the singular points of the whole curve, so reuse
-    those when available instead of re-running the elimination.
-    """
-    from .localsing import multiplicity, point_on_curve
-    if cdeg < 2:
-        return []
-    if candidates is None:
-        return singular_points(comp, tower_cap)
-    out = []
-    for p in candidates:
-        if point_on_curve(comp, p) and multiplicity(comp, p) >= 2:
-            out.append(p)
-    return out

@@ -16,7 +16,7 @@ from importlib import resources
 from .analysis import CurveAnalysis, analyze_curve
 from .docs import Claim, CurveDocument, DocumentError, parse_bindings, \
     parse_documents
-from .globalinv import Configuration
+from .globalinv import Configuration, DefectTable
 from .localsing.classify import SingType
 from .poly import DomainError, Poly, PolyError, parse_poly
 from .torus import TorusPair
@@ -29,6 +29,7 @@ __all__ = [
     "parse_config",
     "builtin_catalog",
     "builtin_examples",
+    "analyze_document",
     "verify_example",
     "weak_zariski_groups",
 ]
@@ -302,13 +303,17 @@ def _generic_samples(doc: CurveDocument, seed: int):
     return samples
 
 
-def _analysis_for(doc: CurveDocument, binding, tower_cap):
+def analyze_document(doc: CurveDocument, binding,
+                     tower_cap: int) -> CurveAnalysis:
+    """The full pipeline on a document at one parameter binding."""
     inst = doc.instantiate(binding)
+    defects = DefectTable(dict(doc.defects)) if doc.defects else None
     if "f" in inst:
         return analyze_curve(f=inst["f"], hints=inst["hints"],
-                             tower_cap=tower_cap)
-    pair = TorusPair(inst["f2"], inst["f3"])
-    return analyze_curve(pair=pair, hints=inst["hints"], tower_cap=tower_cap)
+                             defects=defects, tower_cap=tower_cap)
+    return analyze_curve(pair=TorusPair(inst["f2"], inst["f3"]),
+                         hints=inst["hints"], defects=defects,
+                         tower_cap=tower_cap)
 
 
 def _degrees_consistent(claimed: tuple, analysis: CurveAnalysis) -> bool:
@@ -339,7 +344,7 @@ def verify_example(rec: ExampleRecord, tower_cap: int = 12,
 
     def analysis_at(binding):
         if binding not in cache:
-            cache[binding] = _analysis_for(doc, binding, tower_cap)
+            cache[binding] = analyze_document(doc, binding, tower_cap)
         return cache[binding]
 
     for claim in doc.claims:

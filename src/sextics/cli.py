@@ -7,19 +7,22 @@ Subcommands:
     catalog list | show <config> | groups
     sweep <file> --param s --values 2,1
 
-Exit status: 0 all claims verified, 1 mismatch, 2 usage or parse error,
-3 internal consistency error (the delta cross-check).
+Exit status: 0 all claims verified, 1 mismatch, 2 usage or parse error
+(or the output pipe closed early), 3 internal consistency error (the delta
+cross-check).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
-from .analysis import CurveAnalysis, analyze_curve
+from .analysis import CurveAnalysis
 from .catalog import (
+    analyze_document,
     builtin_catalog,
     builtin_examples,
     parse_config,
@@ -27,10 +30,8 @@ from .catalog import (
     weak_zariski_groups,
 )
 from .docs import DocumentError, parse_document
-from .globalinv import DefectTable
 from .localsing.classify import ConsistencyError
 from .poly import PolyError
-from .torus import TorusPair
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -122,22 +123,11 @@ def _render_analysis(an: CurveAnalysis, as_json: bool, out):
         _print(out, "note: %s" % note)
 
 
-def _doc_to_analysis(doc, binding=(), tower_cap=12):
-    inst = doc.instantiate(binding)
-    defects = DefectTable(dict(doc.defects)) if doc.defects else None
-    if "f" in inst:
-        return analyze_curve(f=inst["f"], hints=inst["hints"],
-                             defects=defects, tower_cap=tower_cap)
-    return analyze_curve(pair=TorusPair(inst["f2"], inst["f3"]),
-                         hints=inst["hints"], defects=defects,
-                         tower_cap=tower_cap)
-
-
 def cmd_analyze(args, out) -> int:
     with open(args.file) as fh:
         doc = parse_document(fh.read())
     binding = doc.generic or ()
-    an = _doc_to_analysis(doc, binding, args.tower_cap)
+    an = analyze_document(doc, binding, args.tower_cap)
     _render_analysis(an, args.json, out)
     return EXIT_OK
 
@@ -264,7 +254,7 @@ def cmd_sweep(args, out) -> int:
     for v in values:
         binding = ((args.param, v),)
         try:
-            an = _doc_to_analysis(doc, binding, args.tower_cap)
+            an = analyze_document(doc, binding, args.tower_cap)
             rows.append((v, str(an.config), list(an.degrees()), None))
         except (PolyError, DocumentError) as err:
             rows.append((v, None, None, "degenerate: %s" % err))
@@ -326,25 +316,39 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _dispatch(args, out) -> int:
+    if args.command == "analyze":
+        return cmd_analyze(args, out)
+    if args.command == "verify":
+        if not args.all and not args.id:
+            _print(out, "verify needs an id or --all")
+            return EXIT_USAGE
+        return cmd_verify(args, out)
+    if args.command == "catalog":
+        if args.what == "show" and not args.config:
+            _print(out, "catalog show needs a configuration")
+            return EXIT_USAGE
+        return cmd_catalog(args, out)
+    if args.command == "sweep":
+        return cmd_sweep(args, out)
+    return EXIT_USAGE
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     out = sys.stdout
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args, out)
-        if args.command == "verify":
-            if not args.all and not args.id:
-                _print(out, "verify needs an id or --all")
-                return EXIT_USAGE
-            return cmd_verify(args, out)
-        if args.command == "catalog":
-            if args.what == "show" and not args.config:
-                _print(out, "catalog show needs a configuration")
-                return EXIT_USAGE
-            return cmd_catalog(args, out)
-        if args.command == "sweep":
-            return cmd_sweep(args, out)
+        code = _dispatch(args, out)
+        # a reader that has gone shows here at the latest, not at exit
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # write nothing more; what is left in the buffer goes to the null
+        # device when the interpreter flushes stdout at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
         return EXIT_USAGE
     except ConsistencyError as err:
         _print(out, "internal consistency error: %s" % err)

@@ -1,8 +1,9 @@
 """Global numerical invariants and configuration assembly.
 
-Genus, delta*, the dual-curve degree and the flex count are straight sums
-over classified singular points; they double as sanity filters (negative
-genus or a dual degree below 2 flags an impossible curve).  Configurations
+Genus, the dual-curve degree and the flex count are straight sums over
+classified singular points; they double as sanity filters (negative genus
+or a dual degree below 2 flags an impossible curve).  The Corollary-1
+ceiling bounds delta* by the component degrees.  Configurations
 are canonical multisets of singularity types, printable in the bracket
 notation used throughout the catalog.
 """
@@ -19,7 +20,6 @@ __all__ = [
     "ImpossibleCurveError",
     "MissingDefectError",
     "genus",
-    "delta_star",
     "corollary_ceiling",
     "class_degree",
     "flex_count",
@@ -64,20 +64,6 @@ def corollary_ceiling(degrees: Sequence[int]) -> int:
     if ds in ([1, 2, 3], [1, 1, 1, 3]):
         return 1
     return 0
-
-
-def delta_star(per_component: Sequence[Sequence[LocalSingularity]],
-               degrees: Sequence[int]):
-    """(sum of per-component delta*, Corollary-1 ceiling, within-bound flag).
-
-    `per_component[i]` must list the proper singularities of component i
-    (points where only that component passes).
-    """
-    total = 0
-    for sings in per_component:
-        total += sum(ls.delta * ls.cluster_degree for ls in sings)
-    ceiling = corollary_ceiling(degrees)
-    return total, ceiling, total <= ceiling
 
 
 def class_degree(degree: int, sings: Sequence[LocalSingularity]) -> int:

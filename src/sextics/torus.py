@@ -90,17 +90,12 @@ def verify_inner_correspondence(pair: TorusPair, split: InnerOuterSplit,
     report: one entry per inner point with status 'ok', 'exempt' (C3
     singular there) or 'mismatch'.
     """
-    by_point = {id(ls.point): ls for ls in classified}
+    by_point = {ls.point.sort_key(): ls for ls in classified}
     f3x = pair.f3.derivative("x")
     f3y = pair.f3.derivative("y")
     report = []
     for p, iota in split.inner:
-        ls = by_point.get(id(p))
-        if ls is None:
-            for cand in classified:
-                if cand.point is not None and cand.point.sort_key() == p.sort_key():
-                    ls = cand
-                    break
+        ls = by_point.get(p.sort_key())
         smooth = bool(f3x.evaluate({"x": p.x, "y": p.y})) or \
             bool(f3y.evaluate({"x": p.x, "y": p.y}))
         if not smooth:

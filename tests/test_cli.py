@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,12 +93,12 @@ class TestAnalyze:
 
     def test_internal_consistency_exit_code(self, capsys, tmp_path,
                                             monkeypatch):
-        import sextics.cli as cli_mod
+        import sextics.catalog as catalog_mod
         from sextics.localsing.classify import ConsistencyError
 
         def boom(*a, **k):
             raise ConsistencyError("delta mismatch: 3 vs 4")
-        monkeypatch.setattr(cli_mod, "analyze_curve", boom)
+        monkeypatch.setattr(catalog_mod, "analyze_curve", boom)
         doc = tmp_path / "c.txt"
         doc.write_text("f: x^6 + y^6 + 1\n")
         code, out = run_cli(capsys, "analyze", str(doc))
@@ -143,6 +147,28 @@ class TestCatalog:
         code, out = run_cli(capsys, "catalog", "groups")
         assert code == 0
         assert "realizations" in out
+
+    def test_reader_closes_after_one_line(self):
+        # `sextics catalog list | head -1`
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("pipe size cannot be set on this platform")
+        r, w = os.pipe()
+        # a one-page pipe: the 10 KB listing cannot all be written before
+        # the reader closes, so the CLI always sees the closed pipe
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sextics.cli", "catalog", "list"],
+            stdout=w, stderr=subprocess.PIPE, env=env)
+        os.close(w)
+        with open(r, "rb", buffering=0) as reader:
+            first = reader.readline()
+        _out, err = proc.communicate(timeout=120)
+        assert first.startswith(b"T")
+        assert proc.returncode == 2
+        assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 class TestSweep:

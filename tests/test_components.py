@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sextics.analysis import analyze_curve
 from sextics.components import (
     ComponentDecomposition,
     decompose,
@@ -150,3 +151,43 @@ class TestDecompose:
         for p, deg, _m in d.factors:
             sub = decompose(p)
             assert sub.degrees() == (deg,)
+
+
+def _component(an, degree):
+    [comp] = [c for c in an.components if c.degree == degree]
+    return comp
+
+
+class TestComponentSingularities:
+    """Each component's Sigma comes from the curve's own singular points."""
+
+    def test_point_on_one_component_reuses_the_curve_point(self):
+        # the cusp is on the cubic only; the line meets it in three nodes
+        an = analyze_curve(f=g("(y^2 - x^3)*(x + y + 5)"))
+        [cusp] = [ls for ls in an.sings if ls.point.field is None]
+        assert str(cusp.sing_type) == "A_2"
+        [own] = _component(an, 3).sings
+        assert own is cusp
+        assert _component(an, 1).sings == ()
+
+    def test_shared_point_gets_the_component_type(self):
+        # the circle passes through the quartic's node: D_4 on the curve,
+        # A_1 on the quartic, nothing on the smooth conic
+        an = analyze_curve(f=g("(x^4 + y^4 + x^2 - y^2)*(x^2 + y^2 - 2*x)"))
+        [origin] = [ls for ls in an.sings if ls.point.field is None]
+        assert str(origin.sing_type) == "D_4"
+        quartic = _component(an, 4)
+        assert [str(ls.sing_type) for ls in quartic.sings] == ["A_1"]
+        assert quartic.sings[0].point.sort_key() == origin.point.sort_key()
+        assert quartic.genus == 2
+        assert _component(an, 2).sings == ()
+
+    def test_line_through_a_node_of_an_unreported_residual(self):
+        # degree 7: the residual sextic is not reported as a component but
+        # passes through the origin, so the line is not f there up to a unit
+        an = analyze_curve(f=g("y*(x^6 + y^6 + x^2 - y^2)"))
+        assert an.degrees() == (1, 6)
+        assert [c.degree for c in an.components] == [1]
+        assert "D_4" in [str(ls.sing_type) for ls in an.sings]
+        assert _component(an, 1).sings == ()
+        assert an.delta_star_total == 0

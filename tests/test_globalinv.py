@@ -12,7 +12,6 @@ from sextics.globalinv import (
     assemble_configuration,
     class_degree,
     corollary_ceiling,
-    delta_star,
     flex_count,
     genus,
     good_affine_chart,
