@@ -202,10 +202,6 @@ class ExampleRecord:
     rid: str
     doc: CurveDocument
 
-    @property
-    def source(self) -> str:
-        return self.doc.source
-
 
 _EXAMPLES_CACHE = None
 

@@ -123,9 +123,16 @@ def _render_analysis(an: CurveAnalysis, as_json: bool, out):
         _print(out, "note: %s" % note)
 
 
+def _read_document(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_document(fh.read())
+    except UnicodeDecodeError as err:
+        raise DocumentError("%s is not UTF-8 text: %s" % (path, err))
+
+
 def cmd_analyze(args, out) -> int:
-    with open(args.file) as fh:
-        doc = parse_document(fh.read())
+    doc = _read_document(args.file)
     binding = doc.generic or ()
     an = analyze_document(doc, binding, args.tower_cap)
     _render_analysis(an, args.json, out)
@@ -176,7 +183,7 @@ def cmd_verify(args, out) -> int:
         for rec, rep in results:
             payload.append({
                 "id": rec.rid,
-                "source": rec.source,
+                "source": rec.doc.source,
                 "counts": rep.counts(),
                 "claims": [{"kind": v.claim.kind, "payload": v.claim.payload,
                             "binding": ["%s=%s" % nv for nv in v.binding],
@@ -189,8 +196,8 @@ def cmd_verify(args, out) -> int:
         for rec, rep in results:
             c = rep.counts()
             _print(out, "%-12s %-55s verified=%d mismatch=%d unverifiable=%d"
-                   % (rec.rid, rec.source[:55], c["verified"], c["mismatch"],
-                      c["unverifiable"]))
+                   % (rec.rid, rec.doc.source[:55], c["verified"],
+                      c["mismatch"], c["unverifiable"]))
             if not args.quiet:
                 for v in rep.verdicts:
                     _print(out, "    " + v.line())
@@ -240,8 +247,7 @@ def cmd_catalog(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    with open(args.file) as fh:
-        doc = parse_document(fh.read())
+    doc = _read_document(args.file)
     if args.param not in doc.params:
         _print(out, "parameter %r not declared in the document" % args.param)
         return EXIT_USAGE

@@ -19,6 +19,7 @@ from .poly import (
     Poly,
     PolyError,
     UniPoly,
+    content_in,
     poly_gcd,
     resultant,
 )
@@ -60,10 +61,6 @@ class ComponentDecomposition:
         return prod
 
 
-def _normalize_factor(p: Poly) -> Poly:
-    return p.primitive()
-
-
 def find_linear_factors(f: Poly) -> list:
     """All rational lines dividing f, each once, primitively normalized."""
     if f.is_zero():
@@ -71,17 +68,10 @@ def find_linear_factors(f: Poly) -> list:
     f = f.with_vars(XY)
     out = []
     # vertical lines x = c: common rational roots of all y-coefficients
-    coeffs = list(f.coeffs_in("y").values())
-    cont = None
-    for c in coeffs:
-        cont = c if cont is None else poly_gcd(cont, c)
-    if cont is not None and cont.degree_in("x") > 0:
-        cu = UniPoly.from_poly(cont)
-        if cu.var != "x":
-            cu = UniPoly("x", cu.coeffs)
-        for root, _m in rational_roots(cu)[0]:
-            out.append(_normalize_factor(
-                Poly.var("x", XY) - Poly.const(root, XY)))
+    cont = content_in(f, "y")
+    if cont.degree_in("x") > 0:
+        for root, _m in rational_roots(UniPoly.from_poly(cont, "x"))[0]:
+            out.append((Poly.var("x", XY) - Poly.const(root, XY)).primitive())
     # non-vertical lines y = m x + c
     fv = f.with_vars(("x", "y", "_m", "_c"))
     sub = fv.substitute({"y": Poly.var("_m", ("x", "_m", "_c")) * Poly.var("x", ("x", "_m", "_c"))
@@ -92,7 +82,7 @@ def find_linear_factors(f: Poly) -> list:
         line = (Poly.var("y", XY) - Poly.var("x", XY).scale(m0)
                 - Poly.const(c0, XY))
         if f.divides(line) is not None:
-            out.append(_normalize_factor(line))
+            out.append(line.primitive())
     out.sort(key=lambda p: sorted(p.terms.items()))
     return out
 
@@ -130,11 +120,8 @@ def _solve_two_var_system(eqs: list) -> list:
         return []
     if rc.degree() == 0:
         return []
-    ru = UniPoly.from_poly(rc.with_vars(("_c",)))
-    if ru.var != "_c":
-        ru = UniPoly("_c", ru.coeffs)
     solutions = []
-    for c0, _m in rational_roots(ru)[0]:
+    for c0, _m in rational_roots(UniPoly.from_poly(rc, "_c"))[0]:
         specialized = []
         for e in eqs:
             s = e.substitute({"_c": Poly.const(c0, ())})
@@ -149,10 +136,7 @@ def _solve_two_var_system(eqs: list) -> list:
             continue
         if g.degree() == 0:
             continue
-        gu = UniPoly.from_poly(g.with_vars(("_m",)))
-        if gu.var != "_m":
-            gu = UniPoly("_m", gu.coeffs)
-        for m0, _k in rational_roots(gu)[0]:
+        for m0, _k in rational_roots(UniPoly.from_poly(g, "_m"))[0]:
             if all(not e.evaluate({"_m": m0, "_c": c0}) for e in eqs):
                 solutions.append((m0, c0))
     return solutions
@@ -219,7 +203,7 @@ def find_conic_factors(f: Poly) -> list:
     found = []
     for g in _conic_candidates(f):
         if f.divides(g) is not None and not find_linear_factors(g):
-            g = _normalize_factor(g)
+            g = g.primitive()
             if g not in found:
                 found.append(g)
     found.sort(key=lambda p: sorted(p.terms.items()))
@@ -233,9 +217,7 @@ def _conic_candidates(f: Poly) -> list:
         xs = _slice_points(f, 3)
         slices = []
         for x0 in xs:
-            u = UniPoly.from_poly(f.substitute({"x": Poly.const(x0, XY)}))
-            if u.var != "y":
-                u = UniPoly("y", u.coeffs)
+            u = UniPoly.from_poly(f.substitute({"x": Poly.const(x0, XY)}), "y")
             divs = _monic_divisors_of_degree(u, 2)
             if len(divs) > 40:
                 raise UndecidedError("too many slice divisors")
@@ -249,14 +231,9 @@ def _conic_candidates(f: Poly) -> list:
     if dy >= 1:
         cands.extend(_linear_in_y_conics(f))
     # conics free of y: quadratic factors of the content in x
-    cont = None
-    for c in f.coeffs_in("y").values():
-        cont = c if cont is None else poly_gcd(cont, c)
-    if cont is not None and cont.degree_in("x") >= 2:
-        cu = UniPoly.from_poly(cont)
-        if cu.var != "x":
-            cu = UniPoly("x", cu.coeffs)
-        for q, _m in factor_rational(cu):
+    cont = content_in(f, "y")
+    if cont.degree_in("x") >= 2:
+        for q, _m in factor_rational(UniPoly.from_poly(cont, "x")):
             if q.degree() == 2:
                 cands.append(q.to_poly(XY))
     return cands
@@ -299,9 +276,7 @@ def _linear_in_y_conics(f: Poly) -> list:
     xs = _slice_points(f, 4)
     slices = []
     for x0 in xs:
-        u = UniPoly.from_poly(f.substitute({"x": Poly.const(x0, XY)}))
-        if u.var != "y":
-            u = UniPoly("y", u.coeffs)
+        u = UniPoly.from_poly(f.substitute({"x": Poly.const(x0, XY)}), "y")
         divs = _monic_divisors_of_degree(u, 1)
         if len(divs) > 20:
             raise UndecidedError("too many slice divisors")
@@ -381,7 +356,7 @@ def decompose(f: Poly, hints: Iterable[Poly] = (), pair=None) -> ComponentDecomp
 
     def divide_out(candidate: Poly):
         nonlocal residual
-        candidate = _normalize_factor(candidate)
+        candidate = candidate.primitive()
         count = 0
         while True:
             q = residual.divides(candidate)

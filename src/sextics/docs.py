@@ -213,7 +213,11 @@ def parse_documents(text: str) -> list:
                 if not part:
                     continue
                 name, _, num = part.partition("=")
-                doc.defects[name.strip()] = int(num)
+                try:
+                    doc.defects[name.strip()] = int(num)
+                except ValueError:
+                    raise DocumentError("line %d: bad defect value %r"
+                                        % (lineno, num.strip()))
         elif key == "claim":
             bits = [b.strip() for b in value.split("::")]
             if len(bits) != 3:

@@ -26,8 +26,8 @@ from ..poly import (
     DomainError,
     Poly,
     UniPoly,
+    content_in,
     is_squarefree,
-    poly_gcd,
     resultant,
     unipoly_squarefree_part,
 )
@@ -99,19 +99,11 @@ def specialize_x(f: Poly, field: Optional[NumberField], x0: Coord) -> UniPoly:
     return UniPoly("y", coeffs)
 
 
-def _pure_x_content(f: Poly) -> Poly:
-    """gcd of the y-coefficients: nonconstant iff f has a factor free of y."""
-    fx = f.with_vars(("x", "y"))
-    cont = None
-    for e, c in fx.coeffs_in("y").items():
-        cont = c if cont is None else poly_gcd(cont, c)
-    return cont
-
-
 def _choose_shear(f: Poly) -> int:
     for k in range(0, 40):
         g = f if k == 0 else _shear(f, k)
-        if _pure_x_content(g).degree() <= 0:
+        # a nonconstant content in y is a factor free of y
+        if content_in(g, "y").degree() <= 0:
             return k
     raise DomainError("no shear frees the curve of vertical components")
 
@@ -145,9 +137,7 @@ def singular_points(f: Poly, tower_cap: int = 12) -> list:
         raise DomainError("unexpected vanishing eliminant")
     if elim.is_constant():
         return []
-    ex = UniPoly.from_poly(elim)
-    if ex.var != "x":
-        ex = UniPoly("x", ex.coeffs)
+    ex = UniPoly.from_poly(elim, "x")
     points = []
     for p, _mult in factor_rational(unipoly_squarefree_part(ex)):
         if p.degree() == 1:

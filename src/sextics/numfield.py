@@ -2,7 +2,8 @@
 
 The resolution of singularities and the singular-point finder work over
 towers of these fields; every extension is immediately re-flattened via a
-primitive element so elements stay simple coefficient vectors.
+primitive element so elements stay simple coefficient vectors.  Inverses
+come from extended Euclid on `UniPoly`s in the generator.
 
 `field = None` denotes Q itself with plain `Fraction` elements throughout
 the package.
@@ -15,7 +16,7 @@ Trager's norm trick.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Tuple
 
 import sympy
@@ -24,6 +25,7 @@ from .poly import (
     DomainError,
     Poly,
     UniPoly,
+    rational_content,
     unipoly_gcd,
     unipoly_squarefree_decomposition,
     resultant,
@@ -188,24 +190,18 @@ class NFElt:
             raise ZeroDivisionError("inverse of zero field element")
         # extended Euclid on (poly of self, minpoly) over Q; remainders and
         # cofactors are rescaled together to stop coefficient snowballing
-        a = list(self.coeffs)
-        while a and not a[-1]:
-            a.pop()
-        r0, r1 = list(self.field.minpoly.coeffs), a
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _dense_divmod(r0, r1)
-            s = _dense_sub(s0, _dense_mul(q, s1))
-            c = _dense_content(r)
-            if c not in (0, 1):
-                inv_c = 1 / c
-                r = [x * inv_c for x in r]
-                s = [x * inv_c for x in s]
+        r0 = self.field.minpoly
+        r1 = UniPoly(r0.var, self.coeffs)
+        s0, s1 = UniPoly(r0.var, []), UniPoly.const(r0.var, 1)
+        while not r1.is_zero():
+            q, r = r0.divmod(r1)
+            s = s0 - q * s1
+            c = rational_content(r.coeffs)
+            if c != 1:
+                r, s = r.scale(1 / c), s.scale(1 / c)
             r0, r1 = r1, r
             s0, s1 = s1, s
-        lead = r0[-1]
-        inv = [c / lead for c in s0]
-        return self.field.element(inv)
+        return self.field.element(s0.scale(1 / r0.lc()).coeffs)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -216,63 +212,13 @@ class NFElt:
     def __rtruediv__(self, other):
         return self.field.from_rational(other) * self.inverse()
 
-    def to_theta_poly(self, varname: Optional[str] = None) -> UniPoly:
-        return UniPoly(varname or self.field.name, self.coeffs)
+    def to_theta_poly(self) -> UniPoly:
+        return UniPoly(self.field.name, self.coeffs)
 
     def __str__(self):
         return str(self.to_theta_poly())
 
     __repr__ = __str__
-
-
-def _dense_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    lc = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        if not a[i]:
-            continue
-        f = a[i] / lc
-        q[i - db] = f
-        for j, c in enumerate(b):
-            a[i - db + j] -= f * c
-    while a and not a[-1]:
-        a.pop()
-    return q, a
-
-
-def _dense_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _dense_content(a):
-    num = 0
-    den = 1
-    for c in a:
-        num = gcd(num, abs(c.numerator))
-        den = den * c.denominator // gcd(den, c.denominator)
-    return Fraction(num, den) if num else Fraction(0)
-
-
-def _dense_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +251,10 @@ def integral_minpoly(p: UniPoly):
     in element reductions; the field generator then stands for D times the
     original root.
     """
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [c * den for c in p.coeffs]
-    num = 0
-    for c in ints:
-        num = gcd(num, abs(int(c)))
-    ints = [int(c) // num for c in ints]
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    num = gcd(*ints)
+    ints = [c // num for c in ints]
     n = len(ints) - 1
     an = ints[-1]
     if an < 0:
@@ -347,9 +289,7 @@ def factor_rational(u: UniPoly):
         raise DomainError("zero polynomial")
     if u.degree() == 0:
         return []
-    den = 1
-    for c in u.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in u.coeffs))
     ints = [int(c * den) for c in u.coeffs]
     sp = sympy.Poly(list(reversed(ints)), _SYMPY_X, domain="QQ")
     _, factors = sp.factor_list()
@@ -430,10 +370,7 @@ def _trager_squarefree(field: NumberField, g: UniPoly):
         gs = g.shift(shift) if s else g
         norm_biv = _theta_expand(field, gs, g.var)
         norm = resultant(mpoly, norm_biv, field.name)
-        nu = UniPoly.from_poly(norm) if not norm.is_constant() else UniPoly(
-            g.var, [norm.constant_value()])
-        if nu.var != g.var:
-            nu = UniPoly(g.var, nu.coeffs)
+        nu = UniPoly.from_poly(norm, g.var)
         if unipoly_gcd(nu, nu.derivative()).degree() == 0:
             factors = []
             for h, _ in factor_rational(nu):
@@ -494,9 +431,7 @@ def extend_field(field: Optional[NumberField], q: UniPoly, cap: int = 0):
         m3 = mpoly.with_vars((field.name, zvar))
         mm = m3.with_vars((field.name, zvar))
         res = resultant(mm, shifted.with_vars((field.name, zvar)), field.name)
-        mu = UniPoly.from_poly(res)
-        if mu.var != zvar:
-            mu = UniPoly(zvar, mu.coeffs)
+        mu = UniPoly.from_poly(res, zvar)
         if unipoly_gcd(mu, mu.derivative()).degree() == 0:
             mu_int, dscale = integral_minpoly(mu)
             new = NumberField(UniPoly("t", mu_int.coeffs), name)

@@ -6,6 +6,11 @@ torus pair parts, partial derivatives, eliminants.  Coefficients are
 number-field elements (see `numfield`) because every operation only uses
 ring/field operators on the coefficients.
 
+The arithmetic helpers that the other modules share live here, one per
+job: `rational_content` (the positive rational content of a coefficient
+list), `content_in` (the gcd of the coefficients in one variable) and
+`UniPoly.from_poly` (a polynomial in one variable, read as a univariate).
+
 Conventions fixed here and relied on by the golden-file tests:
 
 * term order: graded lexicographic in the declared variable order,
@@ -17,7 +22,7 @@ Conventions fixed here and relied on by the golden-file tests:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 __all__ = [
@@ -372,23 +377,11 @@ class Poly:
 
     # -- rational normalization (Fraction coefficients only) ------------------------------
 
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer-primitive; 0 for zero."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = _int_gcd(num, abs(c.numerator))
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        return Fraction(num, den)
-
     def primitive(self) -> "Poly":
         """Integer-primitive multiple with positive graded-lex leading coefficient."""
         if self.is_zero():
             return self
-        c = self.content()
-        p = self.scale(1 / c)
+        p = self.scale(1 / rational_content(self.terms.values()))
         if p.leading_term()[1] < 0:
             p = -p
         return p
@@ -407,10 +400,6 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-def _format_coef(c) -> str:
-    return str(c)
-
-
 def format_poly(p: Poly) -> str:
     if not p.terms:
         return "0"
@@ -427,11 +416,11 @@ def format_poly(p: Poly) -> str:
         negative = isinstance(c, Fraction) and c < 0
         mag = -c if negative else c
         if not factors:
-            body = _format_coef(mag)
+            body = str(mag)
         elif isinstance(mag, Fraction) and mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_format_coef(mag)] + factors)
+            body = "*".join([str(mag)] + factors)
         if not parts:
             parts.append("-" + body if negative else body)
         else:
@@ -590,16 +579,13 @@ class UniPoly:
         return cls(var, [c])
 
     @classmethod
-    def from_poly(cls, p: Poly) -> "UniPoly":
-        used = p.used_vars()
-        if len(used) > 1:
+    def from_poly(cls, p: Poly, var: str) -> "UniPoly":
+        """p, which uses one variable or none, as a univariate in `var`."""
+        if len(p.used_vars()) > 1:
             raise DomainError("not univariate: %s" % p)
-        var = used[0] if used else (p.vars[0] if p.vars else "x")
-        i = p.vars.index(var) if var in p.vars else 0
-        deg = p.degree_in(var) if used else 0
-        cs = [Fraction(0)] * (max(deg, 0) + 1)
+        cs = [Fraction(0)] * (max(p.degree(), 0) + 1)
         for m, c in p.terms.items():
-            cs[m[i] if p.vars else 0] = c
+            cs[sum(m)] = c
         return cls(var, cs)
 
     def to_poly(self, variables: Optional[Sequence[str]] = None) -> Poly:
@@ -727,14 +713,10 @@ def _coef_fractions(c):
 
 
 def rational_content(coeffs) -> Fraction:
-    """Positive rational content across all rational coordinates."""
-    num = 0
-    den = 1
-    for c in coeffs:
-        for q in _coef_fractions(c):
-            num = _int_gcd(num, abs(q.numerator))
-            den = den * q.denominator // _int_gcd(den, q.denominator)
-    return Fraction(num, den) if num else Fraction(1)
+    """Positive rational content across all rational coordinates; 1 for zero."""
+    qs = [q for c in coeffs for q in _coef_fractions(c)]
+    num = gcd(*[q.numerator for q in qs])
+    return Fraction(num, lcm(*[q.denominator for q in qs])) if num else Fraction(1)
 
 
 def scale_reduce(u: UniPoly) -> UniPoly:
@@ -781,10 +763,8 @@ def unipoly_squarefree_decomposition(p: UniPoly):
 
 
 def unipoly_squarefree_part(p: UniPoly) -> UniPoly:
-    prod = UniPoly.const(p.var, Fraction(1))
-    for g, _ in unipoly_squarefree_decomposition(p):
-        prod = prod * g
-    return prod
+    """Monic p / gcd(p, p'): every irreducible factor of p once."""
+    return p.divmod(unipoly_gcd(p, p.derivative()))[0].monic()
 
 
 # ---------------------------------------------------------------------------
@@ -792,14 +772,22 @@ def unipoly_squarefree_part(p: UniPoly) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 
-def _poly_content_in(p: Poly, var: str):
-    """(content Poly in the other vars, primitive part) w.r.t. `var`."""
+def content_in(p: Poly, var: str) -> Optional[Poly]:
+    """gcd of the coefficients of p in `var`, a Poly in the other variables.
+
+    A single coefficient is returned as it is; None for the zero polynomial.
+    """
     coeffs = p.coeffs_in(var)
     cont = None
     for e in sorted(coeffs):
         cont = coeffs[e] if cont is None else poly_gcd(cont, coeffs[e])
-    pp = p.divexact(cont.with_vars(p.vars))
-    return cont, pp
+    return cont
+
+
+def _poly_content_in(p: Poly, var: str):
+    """(content Poly in the other vars, primitive part) w.r.t. `var`."""
+    cont = content_in(p, var)
+    return cont, p.divexact(cont.with_vars(p.vars))
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -814,14 +802,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return Poly.const(1, vs)
     if len(used) == 1:
         # monic Euclid; the pseudo-remainder sequence swells coefficients
-        ua = UniPoly.from_poly(a.with_vars((used[0],)))
-        ub = UniPoly.from_poly(b.with_vars((used[0],)))
-        return _normalize_gcd(unipoly_gcd(ua, ub).to_poly((used[0],)).with_vars(vs))
+        g = unipoly_gcd(UniPoly.from_poly(a, used[0]), UniPoly.from_poly(b, used[0]))
+        return _normalize_gcd(g.to_poly((used[0],)).with_vars(vs))
     var = used[0]
-    if a.degree_in(var) <= 0 and b.degree_in(var) <= 0:
-        # var unused after alignment; recurse on the rest via content trick
-        return poly_gcd(a.with_vars(tuple(v for v in vs if v != var)),
-                        b.with_vars(tuple(v for v in vs if v != var))).with_vars(vs)
     conta, ppa = _poly_content_in(a, var)
     contb, ppb = _poly_content_in(b, var)
     contg = poly_gcd(conta, contb)
@@ -830,17 +813,10 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         f, g = g, f
     while not g.is_zero():
         r = _pseudo_rem(f, g, var)
-        if r.is_zero():
-            f, g = g, r
-            break
-        _, r = _poly_content_in(r, var)
+        if not r.is_zero():
+            r = _poly_content_in(r, var)[1]
         f, g = g, r
-    if g.is_zero():
-        res = f
-    else:
-        res = f
-    gcd_all = contg.with_vars(vs) * res.with_vars(vs)
-    return _normalize_gcd(gcd_all)
+    return _normalize_gcd(contg.with_vars(vs) * f.with_vars(vs))
 
 
 def _normalize_gcd(p: Poly) -> Poly:
@@ -982,8 +958,7 @@ def _det_poly_matrix(rows, variables, bound=None) -> Poly:
         k = -k if k > 0 else -k + 1
     if len(active) == 1:
         # dense univariate entries + Horner evaluation per sample
-        dense = [[UniPoly.from_poly(c.with_vars((v,))) for c in row]
-                 for row in rows]
+        dense = [[UniPoly.from_poly(c, v) for c in row] for row in rows]
         samples = [Poly.const(_bareiss_det(
             [[u.eval(x0) for u in row] for row in dense]), ())
             for x0 in points]

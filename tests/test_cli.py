@@ -67,6 +67,20 @@ class TestAnalyze:
         code, out = run_cli(capsys, "analyze", str(doc))
         assert code == 2
 
+    def test_not_utf8(self, capsys, tmp_path):
+        doc = tmp_path / "bad.txt"
+        doc.write_bytes(b"\xff\xfe")
+        code, out = run_cli(capsys, "analyze", str(doc))
+        assert code == 2
+        assert out.startswith("error: ")
+
+    def test_bad_defect_value(self, capsys, tmp_path):
+        doc = tmp_path / "defects.txt"
+        doc.write_text("f: x^6 + y^6 + 1\ndefects: A_1=abc\n")
+        code, out = run_cli(capsys, "analyze", str(doc))
+        assert code == 2
+        assert out.startswith("error: line 2")
+
     def test_tower_cap_refused(self, capsys, tmp_path):
         # the D_4 point at the origin needs Q(sqrt(2)), beyond a cap of 1
         doc = tmp_path / "capped.txt"
@@ -192,6 +206,14 @@ class TestSweep:
         code, out = run_cli(capsys, "sweep", str(doc),
                             "--param", "s", "--values", "1")
         assert code == 0
+
+    def test_not_utf8(self, capsys, tmp_path):
+        doc = tmp_path / "bad.txt"
+        doc.write_bytes(b"vars: s\nf: x^6 + s*y^6 + 1\n# \xe9\n")
+        code, out = run_cli(capsys, "sweep", str(doc),
+                            "--param", "s", "--values", "1")
+        assert code == 2
+        assert out.startswith("error: ")
 
     def test_unknown_param(self, capsys, sweep_doc):
         code, out = run_cli(capsys, "sweep", sweep_doc,

@@ -71,6 +71,10 @@ class TestParseDocument:
         assert len(doc.values) == 2
         assert doc.claims[1].selector == "s=1"
 
+    def test_bad_defect_value(self):
+        with pytest.raises(DocumentError, match="line 2"):
+            parse_document("f: x^2 + y\ndefects: A_1=abc\n")
+
     def test_unknown_key(self):
         with pytest.raises(DocumentError):
             parse_document("f: x^2 + y\nbogus: 1\n")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,18 @@ class TestNumberField:
         w = K.generator()
         e = w ** 2 + w - 3
         assert e * e.inverse() == K.from_rational(1)
+
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+    def test_inverse_large_coefficients(self, degree):
+        # w^d - 6w + 3 is irreducible (Eisenstein at 3)
+        K = NumberField(U([3, -6] + [0] * (degree - 2) + [1]))
+        rng = random.Random(degree)
+        for _ in range(3):
+            e = K.element([Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                                    rng.randint(1, 10 ** 20))
+                           for _ in range(degree)])
+            assert e * e.inverse() == K.from_rational(1)
+            assert e.inverse().inverse() == e
 
     def test_factor_over_extension(self):
         K = NumberField(U([-2, 0, 1]))

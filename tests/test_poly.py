@@ -8,6 +8,7 @@ from sextics.poly import (
     Poly,
     PolySyntaxError,
     UniPoly,
+    content_in,
     format_poly,
     is_squarefree,
     parse_poly,
@@ -119,6 +120,22 @@ class TestArith:
         assert Poly.const(5, X).derivative("x").is_zero()
 
 
+class TestUniPolyView:
+    @pytest.mark.parametrize("text, variables, var, coeffs", [
+        ("7/2", XY, "t", [Fraction(7, 2)]),
+        ("0", XY, "t", []),
+        ("3*y^2 - y", XY, "y", [0, -1, 3]),
+        ("3*y^2 - y", XY, "z", [0, -1, 3]),
+    ])
+    def test_from_poly(self, text, variables, var, coeffs):
+        u = UniPoly.from_poly(P(text, variables), var)
+        assert u == UniPoly(var, coeffs)
+
+    def test_from_poly_bivariate(self):
+        with pytest.raises(DomainError):
+            UniPoly.from_poly(P("x*y + 1"), "y")
+
+
 class TestResultant:
     def test_eliminate_linear(self):
         r = resultant(P("x^2 - y"), P("x - 1"), "x")
@@ -141,8 +158,8 @@ class TestResultant:
         q = P("y^3 - x")
         r = resultant(p, q, "y")
         for x0 in (Fraction(2), Fraction(-1), Fraction(5, 3)):
-            ps = UniPoly.from_poly(p.substitute({"x": Poly.const(x0)}))
-            qs = UniPoly.from_poly(q.substitute({"x": Poly.const(x0)}))
+            ps = UniPoly.from_poly(p.substitute({"x": Poly.const(x0)}), "y")
+            qs = UniPoly.from_poly(q.substitute({"x": Poly.const(x0)}), "y")
             rs = resultant(ps.to_poly(("y",)), qs.to_poly(("y",)), "y")
             assert rs.constant_value() == r.substitute({"x": Poly.const(x0)}).constant_value()
 
@@ -173,3 +190,21 @@ class TestGcdSquarefree:
     def test_squarefree_part_unipoly(self):
         p = UniPoly("x", [0, 0, 1]) * UniPoly("x", [-1, 0, 1]) ** 2
         assert unipoly_squarefree_part(p) == UniPoly("x", [0, -1, 0, 1])
+
+    def test_squarefree_part_non_monic(self):
+        # 6 (x - 1)^3 (x^2 + 1) (2x + 1)^2 -> (x - 1)(x^2 + 1)(x + 1/2)
+        p = (UniPoly("x", [-1, 1]) ** 3 * UniPoly("x", [1, 0, 1])
+             * UniPoly("x", [1, 2]) ** 2).scale(6)
+        expected = (UniPoly("x", [-1, 1]) * UniPoly("x", [1, 0, 1])
+                    * UniPoly("x", [Fraction(1, 2), 1]))
+        assert unipoly_squarefree_part(p) == expected
+
+    @pytest.mark.parametrize("text, content", [
+        # (x^2 - 2)(x + 3) is a factor free of y
+        ("(x^2 - 2)*(x + 3)*(y^2 - x)", "x^3 + 3*x^2 - 2*x - 6"),
+        ("(x^2 - 2)*(2*x + 6)*y^3", "2*x^3 + 6*x^2 - 4*x - 12"),
+        ("y^2 - x^3 + x", "1"),
+        ("x*y^2 + y - x", "1"),
+    ])
+    def test_content_in(self, text, content):
+        assert content_in(P(text), "y") == P(content, X)
