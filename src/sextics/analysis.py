@@ -9,7 +9,7 @@ when a pair is available.  All output orderings are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from .components import ComponentDecomposition, decompose
 from .globalinv import (
@@ -65,10 +65,7 @@ class CurveAnalysis:
     notes: tuple
 
     def degrees(self) -> tuple:
-        degs = list(self.decomposition.degrees())
-        if not self.decomposition.is_complete():
-            degs.append(self.decomposition.residual.degree())
-        return tuple(sorted(degs))
+        return self.decomposition.degrees()
 
     @property
     def delta_star_total(self) -> int:
@@ -80,7 +77,7 @@ class CurveAnalysis:
 
 
 def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
-                  hints: Sequence[Poly] = (), defects: Optional[DefectTable] = None,
+                  defects: Optional[DefectTable] = None,
                   tower_cap: int = 12) -> CurveAnalysis:
     """Run the full pipeline; exactly one of `f`, `pair` must be given."""
     notes = []
@@ -108,7 +105,6 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
         f = transform(f, None).primitive()
         if pair is not None:
             pair = TorusPair(transform(pair.f2, 2), transform(pair.f3, 3))
-        hints = [transform(h, None).primitive() for h in hints]
         affine_sings = singular_points(f, tower_cap)
 
     sings = tuple(analyze_point(f, p, tower_cap) for p in affine_sings)
@@ -122,34 +118,17 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
         star_report = tuple(verify_inner_correspondence(pair, split, sings))
     config = assemble_configuration(sings, inner_keys)
 
-    decomp = decompose(f, hints, pair)
-    parts = [(comp, cdeg) for comp, cdeg, mult in decomp.factors
-             for _ in range(mult)]
-    if not decomp.is_complete():
-        rdeg = decomp.residual.degree()
-        if 1 <= rdeg <= 5:
-            # no rational line or conic divides it and a rational quintic or
-            # smaller cannot hide a cubic x conic split, so it is a single
-            # Q-irreducible component
-            parts.append((decomp.residual.primitive(), rdeg))
-            notes.append("residual of degree %d taken as one component"
-                         " (no rational line or conic factor)" % rdeg)
-        elif rdeg == 6 and not affine_sings:
-            # a smooth projective plane curve is irreducible (any two
-            # components would intersect); all singular points are affine
-            # in the working chart
-            parts.append((decomp.residual.primitive(), rdeg))
-            notes.append("smooth sextic: irreducible")
-        else:
-            notes.append("decomposition incomplete: residual of degree %d"
-                         % rdeg)
+    decomp = decompose(f)
+    # f is squarefree, so every multiplicity is 1
     components = tuple(
         _component_report(comp, cdeg,
                           _component_sings(f, comp, sings, tower_cap),
                           defects)
-        for comp, cdeg in parts)
+        for comp, cdeg, _m in decomp.factors)
+    # Corollary 1 bounds delta* of a reducible sextic by its component type
+    reducible_sextic = len(components) > 1 and f.degree() == 6
     certified = all(c.genus is not None for c in components)
-    if not certified:
+    if reducible_sextic and not certified:
         notes.append("a component is geometrically reducible (negative"
                      " genus); the Corollary-1 ceiling is not applicable to"
                      " the rational degree multiset")
@@ -157,8 +136,7 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
                              components, split, star_report, tuple(notes))
     dstar = analysis.delta_star_total
     ceiling = analysis.delta_star_ceiling
-    if certified and decomp.is_complete() and len(parts) > 1 \
-            and dstar > ceiling:
+    if reducible_sextic and certified and dstar > ceiling:
         analysis = replace(analysis, notes=analysis.notes + (
             "delta* %d exceeds the Corollary-1 ceiling %d" % (dstar, ceiling),))
     return analysis
@@ -194,6 +172,13 @@ def _component_report(comp: Poly, cdeg: int, csings,
         g = genus(cdeg, csings)
     except ImpossibleCurveError as err:
         notes.append(str(err))
+    if cdeg == 6 and g == 1:
+        # k conjugate components of genus g_e make a Q-irreducible curve of
+        # genus k*g_e - (k - 1); in degree <= 6 that is negative except for
+        # two conjugate smooth cubics, which give exactly 1
+        notes.append("genus 1 in degree 6: may be two conjugate smooth"
+                     " cubics")
+        g = None
     if cdeg >= 2:
         try:
             nstar = class_degree(cdeg, csings)

@@ -305,24 +305,26 @@ def analyze_document(doc: CurveDocument, binding,
     inst = doc.instantiate(binding)
     defects = DefectTable(dict(doc.defects)) if doc.defects else None
     if "f" in inst:
-        return analyze_curve(f=inst["f"], hints=inst["hints"],
-                             defects=defects, tower_cap=tower_cap)
+        return analyze_curve(f=inst["f"], defects=defects,
+                             tower_cap=tower_cap)
     return analyze_curve(pair=TorusPair(inst["f2"], inst["f3"]),
-                         hints=inst["hints"], defects=defects,
-                         tower_cap=tower_cap)
+                         defects=defects, tower_cap=tower_cap)
 
 
 def _degrees_consistent(claimed: tuple, analysis: CurveAnalysis) -> bool:
-    """Resolved factors must match claimed parts; the residual may cover
-    several claimed components (conjugate factors are invisible over Q)."""
+    """Components with a certified genus match claimed degrees one for one;
+    those without one (possibly conjugate components, invisible over Q)
+    together cover the remaining claimed degrees by sum."""
     remaining = list(claimed)
-    for _p, d, m in analysis.decomposition.factors:
-        for _ in range(m):
-            if d in remaining:
-                remaining.remove(d)
-            else:
-                return False
-    return sum(remaining) == max(analysis.decomposition.residual.degree(), 0)
+    uncertified = 0
+    for comp in analysis.components:
+        if comp.genus is None:
+            uncertified += comp.degree
+        elif comp.degree in remaining:
+            remaining.remove(comp.degree)
+        else:
+            return False
+    return sum(remaining) == uncertified
 
 
 def verify_example(rec: ExampleRecord, tower_cap: int = 12,
@@ -394,14 +396,16 @@ def _check_claim(doc, claim, binding, analysis_at) -> ClaimVerdict:
         analysis = analysis_at(binding)
         want = tuple(sorted(int(d) for d in claim.payload.split(",")))
         got = analysis.degrees()
-        if got == want and analysis.decomposition.is_complete():
+        if got == want:
             return ClaimVerdict(claim, binding, "verified", "degrees %s"
                                 % (got,))
         if _degrees_consistent(want, analysis):
+            covering = tuple(c.degree for c in analysis.components
+                             if c.genus is None)
             return ClaimVerdict(
                 claim, binding, "verified",
-                "resolved %s; residual covers the remaining components"
-                % (analysis.degrees(),))
+                "degrees %s; components without a certified genus (degrees"
+                " %s) cover the remaining claimed degrees" % (got, covering))
         return ClaimVerdict(claim, binding, "mismatch",
                             "found %s, claimed %s" % (got, want))
     if claim.kind == "factorization":

@@ -15,11 +15,11 @@ Keys for a curve document:
     f2b:, f3b: a second pair (same-curve claims)
     *_den:     optional denominator polynomial in the parameters; the
                instantiated part is divided by its value
-    hints:     semicolon-separated candidate factors
     param:     sweep parameter name
     values:    semicolon-separated bindings, each `s=2` or `u=5/2,t1=11/4`
     generic:   binding used as the generic sample (families)
-    no_random: `true` to skip random generic sampling (derived parameters)
+    no_random: `true` to skip random generic sampling (derived parameters);
+               one of true/false/yes/no/1/0
     defects:   semicolon-separated `TypeName=integer`
     claim:     `<selector> :: <kind> :: <payload>` (see verifier)
     note:      free text
@@ -64,7 +64,6 @@ class CurveDocument:
     f3_den: Optional[str] = None
     f2b: Optional[str] = None
     f3b: Optional[str] = None
-    hints: tuple = ()
     param: Optional[str] = None
     values: tuple = ()      # tuples of ((name, Fraction), ...)
     generic: Optional[tuple] = None
@@ -99,13 +98,12 @@ class CurveDocument:
             text = getattr(self, key)
             if text is not None:
                 out[key] = self._parse(text)
-        out["hints"] = tuple(self._parse(h) for h in self.hints)
         return out
 
     def instantiate(self, binding=()) -> dict:
         """Substitute parameter values; divide by the *_den values.
 
-        Returns {"f": Poly} or {"f2": Poly, "f3": Poly, ...} plus "hints".
+        Returns {"f": Poly} or {"f2": Poly, "f3": Poly, ...}.
         """
         polys = self.all_polys()
         subs = {name: Poly.const(value, ()) for name, value in binding}
@@ -131,8 +129,6 @@ class CurveDocument:
         for key in ("f", "f2", "f3", "f2b", "f3b"):
             if polys.get(key) is not None:
                 out[key] = inst(key)
-        out["hints"] = tuple(h.substitute(subs).with_vars(XY)
-                             for h in polys["hints"])
         return out
 
 
@@ -151,6 +147,10 @@ def parse_bindings(text: str) -> tuple:
         except (ValueError, ZeroDivisionError):
             raise DocumentError("bad rational %r in binding" % value)
     return tuple(out)
+
+
+_FLAGS = {"true": True, "false": False, "yes": True, "no": False,
+          "1": True, "0": False}
 
 
 def _set_scalar(doc: CurveDocument, key: str, value: str):
@@ -196,8 +196,6 @@ def parse_documents(text: str) -> list:
             doc.source = value
         elif key == "vars":
             doc.params = tuple(value.split())
-        elif key == "hints":
-            doc.hints = tuple(h.strip() for h in value.split(";") if h.strip())
         elif key == "param":
             doc.param = value
         elif key == "values":
@@ -206,13 +204,21 @@ def parse_documents(text: str) -> list:
         elif key == "generic":
             doc.generic = parse_bindings(value)
         elif key == "no_random":
-            doc.no_random = value.lower() in ("true", "1", "yes")
+            flag = value.lower()
+            if flag not in _FLAGS:
+                raise DocumentError("line %d: no_random must be one of %s,"
+                                    " not %r" % (lineno, "/".join(_FLAGS),
+                                                 value))
+            doc.no_random = _FLAGS[flag]
         elif key == "defects":
             for part in value.split(";"):
                 part = part.strip()
                 if not part:
                     continue
                 name, _, num = part.partition("=")
+                if not name.strip():
+                    raise DocumentError("line %d: defect %r names no type"
+                                        % (lineno, part))
                 try:
                     doc.defects[name.strip()] = int(num)
                 except ValueError:

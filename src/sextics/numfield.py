@@ -39,7 +39,6 @@ __all__ = [
     "field_degree",
     "coerce_unipoly",
     "factor_rational",
-    "rational_roots",
     "factor_over_field",
     "extend_field",
     "coef_key",
@@ -274,7 +273,7 @@ def coef_key(c) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# factorization over Q (sympy-backed) and rational roots
+# factorization over Q (sympy-backed)
 # ---------------------------------------------------------------------------
 
 _SYMPY_X = sympy.Symbol("_sextics_x")
@@ -300,26 +299,6 @@ def factor_rational(u: UniPoly):
     out.sort(key=lambda fm: (fm[0].degree(),
                              tuple((c.numerator, c.denominator) for c in fm[0].coeffs)))
     return out
-
-
-def rational_roots(u: UniPoly):
-    """All rational roots with multiplicities plus the root-free residual.
-
-    Returns (sorted list of (Fraction, mult), residual UniPoly) with
-    product of (var - root)^mult times residual equal to the input.
-    """
-    if u.is_zero():
-        raise DomainError("zero polynomial")
-    roots = []
-    rest = u
-    for f, mult in factor_rational(u):
-        if f.degree() == 1:
-            root = -f.coeffs[0] / f.coeffs[1]
-            roots.append((root, mult))
-            for _ in range(mult):
-                rest = rest.divmod(UniPoly(u.var, [-root, Fraction(1)]))[0]
-    roots.sort(key=lambda rm: rm[0])
-    return roots, rest
 
 
 # ---------------------------------------------------------------------------

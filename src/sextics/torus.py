@@ -1,5 +1,5 @@
-"""Torus-pair structure: expansion, inner/outer singularities, the
-A_{6j-1} <-> intersection-number correspondence and linear-torus detection.
+"""Torus-pair structure: expansion, inner/outer singularities and the
+A_{6j-1} <-> intersection-number correspondence.
 
 A pair (f2, f3) defines the sextic f2^3 + f3^2; the conic C2: f2 = 0 and
 cubic C3: f3 = 0 stratify its singularities into inner points (on C2 and
@@ -8,10 +8,7 @@ C3) and outer ones.  Pairs are considered up to (f2, f3) ~ (c^2 f2, c^3 f3).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
 from .localsing.germs import intersection_multiplicity
 from .poly import DomainError, Poly, poly_gcd
@@ -22,7 +19,6 @@ __all__ = [
     "InnerOuterSplit",
     "inner_outer_split",
     "verify_inner_correspondence",
-    "is_linear_torus",
 ]
 
 XY = ("x", "y")
@@ -111,44 +107,3 @@ def verify_inner_correspondence(pair: TorusPair, split: InnerOuterSplit,
             status = "ok" if expected == actual else "mismatch"
         report.append((p, iota, status, ls.sing_type if ls else None))
     return report
-
-
-def is_linear_torus(pair: TorusPair) -> Optional[Poly]:
-    """The linear form ell with f2 = -ell^2, when one exists over Q."""
-    f2 = pair.f2
-    grad = f2.derivative("x")
-    if grad.is_zero():
-        grad = f2.derivative("y")
-    if grad.is_zero() or grad.degree() != 1:
-        return None
-    ell = grad.primitive()
-    quot = f2.divides(ell ** 2)
-    if quot is None or not quot.is_constant():
-        return None
-    c = quot.constant_value()
-    # need f2 = -(s*ell)^2, i.e. -c a rational square
-    if c >= 0:
-        return None
-    s = _fraction_sqrt(-c)
-    if s is None:
-        return None
-    return ell.scale(s)
-
-
-def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    n = _isqrt(q.numerator)
-    d = _isqrt(q.denominator)
-    if n is None or d is None:
-        return None
-    return Fraction(n, d)
-
-
-def _isqrt(n: int) -> Optional[int]:
-    """The integer square root of n when n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-

@@ -2,12 +2,15 @@ import pytest
 
 from sextics.catalog import (
     ConfigSyntaxError,
+    ExampleRecord,
+    analyze_document,
     builtin_catalog,
     builtin_examples,
     parse_config,
     verify_example,
     weak_zariski_groups,
 )
+from sextics.docs import parse_document
 from sextics.globalinv import corollary_ceiling
 from sextics.localsing.classify import SingType, normal_form_germ
 from sextics.localsing import analyze_germ
@@ -182,3 +185,18 @@ class TestExamples:
         assert rep.clean()
         kinds = {v.claim.kind: v.status for v in rep.verdicts}
         assert kinds["config"] == "verified"
+
+    def test_conjugate_cubics_cover_a_three_three_claim(self):
+        # f2 = -2 y^2: f = (f3 - sqrt(2)^3 y^3)(f3 + sqrt(2)^3 y^3) is two
+        # conjugate smooth cubics over Q(sqrt 2), one Q-irreducible sextic
+        # of genus 1
+        doc = parse_document("f2: -2*y^2\nf3: x^3 - x + y^3 + x*y\n"
+                             "claim: * :: config :: [3A_5]\n"
+                             "claim: * :: degrees :: 3,3\n")
+        rep = verify_example(ExampleRecord("conjugate-cubics", doc))
+        assert [v.status for v in rep.verdicts] == ["verified", "verified"]
+        an = analyze_document(doc, (), 12)
+        assert an.degrees() == (6,)
+        [sextic] = an.components
+        assert sextic.genus is None
+        assert any("conjugate" in n for n in sextic.notes)

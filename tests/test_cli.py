@@ -81,6 +81,17 @@ class TestAnalyze:
         assert code == 2
         assert out.startswith("error: line 2")
 
+    @pytest.mark.parametrize("line", ["defects: =5", "no_random: maybe",
+                                      "hints: x^3 + y^3 + 1"],
+                             ids=["defect-without-type", "no-random-maybe",
+                                  "hints"])
+    def test_malformed_key_refused(self, capsys, tmp_path, line):
+        doc = tmp_path / "bad.txt"
+        doc.write_text("f: x^6 + y^6 + 1\n%s\n" % line)
+        code, out = run_cli(capsys, "analyze", str(doc))
+        assert code == 2
+        assert out.startswith("error: line 2")
+
     def test_tower_cap_refused(self, capsys, tmp_path):
         # the D_4 point at the origin needs Q(sqrt(2)), beyond a cap of 1
         doc = tmp_path / "capped.txt"

@@ -75,6 +75,24 @@ class TestParseDocument:
         with pytest.raises(DocumentError, match="line 2"):
             parse_document("f: x^2 + y\ndefects: A_1=abc\n")
 
+    def test_defect_without_type(self):
+        with pytest.raises(DocumentError, match="line 2"):
+            parse_document("f: x^6 + y^6 + 1\ndefects: =5\n")
+
+    @pytest.mark.parametrize("value", ["maybe", "", "on", "truee"])
+    def test_bad_no_random(self, value):
+        with pytest.raises(DocumentError, match="line 2"):
+            parse_document("f: x^6 + y^6 + 1\nno_random: %s\n" % value)
+
+    def test_no_random_words(self):
+        read = {value: parse_document("f: x + y\nno_random: %s\n"
+                                      % value).no_random
+                for value in ("true", "false", "yes", "no", "1", "0",
+                              "True", "NO")}
+        assert read == {"true": True, "false": False, "yes": True,
+                        "no": False, "1": True, "0": False, "True": True,
+                        "NO": False}
+
     def test_unknown_key(self):
         with pytest.raises(DocumentError):
             parse_document("f: x^2 + y\nbogus: 1\n")

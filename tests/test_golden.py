@@ -15,11 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from sextics.analysis import analyze_curve
-from sextics.catalog import _generic_samples, builtin_examples
+from sextics.catalog import _generic_samples, analyze_document, \
+    builtin_examples
 from sextics.cli import _analysis_dict
-from sextics.globalinv import DefectTable
-from sextics.torus import TorusPair
 
 GOLDEN = Path(__file__).parent / "golden" / "analyze_pairs.json"
 RECORDS = ("5.2-1", "5.2-2", "5.2-3", "5.2-5", "5.2-7", "5.2-8", "5.2-9",
@@ -32,21 +30,11 @@ def _bindings(doc):
     return out or [()]
 
 
-def _analyze(doc, binding):
-    # the CLI's document -> analysis step, spelled out
-    inst = doc.instantiate(binding)
-    defects = DefectTable(dict(doc.defects)) if doc.defects else None
-    if "f" in inst:
-        return analyze_curve(f=inst["f"], hints=inst["hints"],
-                             defects=defects)
-    return analyze_curve(pair=TorusPair(inst["f2"], inst["f3"]),
-                         hints=inst["hints"], defects=defects)
-
-
 def record_dicts(rid):
     doc = {r.rid: r for r in builtin_examples()}[rid].doc
     return {",".join("%s=%s" % nv for nv in b) or "*":
-            _analysis_dict(_analyze(doc, b)) for b in _bindings(doc)}
+            _analysis_dict(analyze_document(doc, b, 12))
+            for b in _bindings(doc)}
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ from sextics.numfield import (
     extend_field,
     factor_over_field,
     factor_rational,
-    rational_roots,
 )
 from sextics.poly import UniPoly, unipoly_gcd
 
@@ -33,30 +32,34 @@ class TestFactorRational:
         assert [(str(f), m) for f, m in fs] == [("x", 2), ("x + 1", 3)]
 
 
+def rational_roots(p):
+    """The rational roots of p with multiplicities, from its linear factors
+    over Q, sorted by root."""
+    return sorted((-f.coeffs[0], m) for f, m in factor_rational(p)
+                  if f.degree() == 1)
+
+
 class TestRationalRoots:
     def test_paper_candidate(self):
         # f(x,0) = x^2 (x^2-1)^2
         p = U([0, 0, 1]) * U([-1, 0, 1]) ** 2
-        roots, residual = rational_roots(p)
-        assert roots == [((-1), 2), (Fraction(0), 2), (Fraction(1), 2)]
-        assert residual.degree() == 0
+        assert rational_roots(p) == [(-1, 2), (Fraction(0), 2),
+                                     (Fraction(1), 2)]
 
     def test_no_rational_roots(self):
-        roots, residual = rational_roots(U([1, 0, 1]))
-        assert roots == []
-        assert residual == U([1, 0, 1])
+        assert rational_roots(U([1, 0, 1])) == []
 
     def test_sieve(self):
-        roots, _ = rational_roots(U([1, -5, 6]))
-        assert roots == [(Fraction(1, 3), 1), (Fraction(1, 2), 1)]
+        assert rational_roots(U([1, -5, 6])) == [(Fraction(1, 3), 1),
+                                                 (Fraction(1, 2), 1)]
 
     def test_reconstruction(self):
         p = U([2, 1]) * U([-3, 1]) ** 2 * U([1, 0, 1]).scale(Fraction(5))
-        roots, residual = rational_roots(p)
-        rebuilt = residual
-        for r, m in roots:
-            rebuilt = rebuilt * UniPoly("x", [-r, Fraction(1)]) ** m
+        rebuilt = U([p.lc()])
+        for f, m in factor_rational(p):
+            rebuilt = rebuilt * f ** m
         assert rebuilt == p
+        assert rational_roots(p) == [(Fraction(-2), 1), (Fraction(3), 2)]
 
 
 class TestNumberField:

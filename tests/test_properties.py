@@ -1,5 +1,6 @@
 """Randomized property suites: ring laws, resultant specialization,
-root-finding reconstruction, parse/format round-trips on the corpus, the
+root-finding reconstruction, decomposition of planted factors under an
+affine change of coordinates, parse/format round-trips on the corpus, the
 intersection-singularity law A_{2 iota - 1} and the metamorphic laws of the
 local intersection number.
 
@@ -13,8 +14,9 @@ from fractions import Fraction
 import pytest
 
 from sextics.catalog import builtin_examples
+from sextics.components import decompose
 from sextics.localsing import classify_germ, intersection_multiplicity_origin
-from sextics.numfield import rational_roots
+from sextics.numfield import factor_rational
 from sextics.poly import (
     Poly,
     UniPoly,
@@ -105,29 +107,65 @@ class TestRationalRoots:
             p = residual_part
             for root, mult in factors:
                 p = p * UniPoly("x", [-root, Fraction(1)]) ** mult
-            roots, residual = rational_roots(p)
-            rebuilt = residual
-            for root, mult in roots:
-                rebuilt = rebuilt * UniPoly("x", [-root, Fraction(1)]) ** mult
+            fs = factor_rational(p)
+            rebuilt = UniPoly("x", [p.lc()])
+            for f, mult in fs:
+                rebuilt = rebuilt * f ** mult
             assert rebuilt == p
+            roots = [(-f.coeffs[0], m) for f, m in fs if f.degree() == 1]
             want = {}
             for root, mult in factors:
                 want[root] = want.get(root, 0) + mult
             assert dict(roots) == want
 
 
+# Q-irreducible curves; several split over a number field
+_PLANTED = ("x", "x - 2*y + 1", "y + 3", "x^2 + y^2", "x^2 - 2*y^2",
+            "x^2 + y^2 - 3", "y^2 - x^3 - 2", "x^3 + y^3 + 1", "x^4 + y^4 + 1")
+
+
+class TestDecomposeMetamorphic:
+    def test_planted_factors_under_affine_change(self):
+        rng = random.Random(2718)
+        xy = ("x", "y")
+        planted = [parse_poly(t, xy) for t in _PLANTED]
+        x, y = Poly.var("x", xy), Poly.var("y", xy)
+        for _ in range(30):
+            while True:
+                a, b, c, d = (Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                              for _ in range(4))
+                if a * d != b * c:
+                    break
+            change = {"x": x.scale(a) + y.scale(b)
+                      + Poly.const(rng.randint(-2, 2), xy),
+                      "y": x.scale(c) + y.scale(d)
+                      + Poly.const(Fraction(rng.randint(-2, 2), 3), xy)}
+            want = {}
+            budget = 8
+            for p in rng.sample(planted, rng.randint(1, 3)):
+                m = rng.randint(1, 2)
+                if p.degree() * m > budget:
+                    continue
+                budget -= p.degree() * m
+                want[p.substitute(change).with_vars(xy).primitive()] = m
+            f = Poly.const(Fraction(rng.randint(1, 9), rng.randint(-4, -1)),
+                           xy)
+            for p, m in want.items():
+                f = f * p ** m
+            d = decompose(f)
+            assert {p: m for p, _d, m in d.factors} == want, f
+            assert d.degrees() == tuple(sorted(
+                p.degree() for p, m in want.items() for _ in range(m)))
+            assert d.reconstruct().primitive() == f.primitive()
+
+
 class TestParseFormatCorpus:
     def test_roundtrip_every_corpus_polynomial(self):
         for rec in builtin_examples():
-            for key, p in rec.doc.all_polys().items():
-                if key == "hints":
-                    polys = p
-                else:
-                    polys = (p,)
-                for poly in polys:
-                    text = format_poly(poly)
-                    again = parse_poly(text, poly.vars)
-                    assert again == poly, (rec.rid, key)
+            for key, poly in rec.doc.all_polys().items():
+                text = format_poly(poly)
+                again = parse_poly(text, poly.vars)
+                assert again == poly, (rec.rid, key)
 
 
 class TestIntersectionLaw:

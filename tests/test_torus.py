@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 
 from sextics.analysis import analyze_curve
+from sextics.components import decompose
 from sextics.localsing import singular_points
 from sextics.poly import DomainError, Poly, parse_poly
 from sextics.torus import (
     DegenerateTorusError,
     TorusPair,
     inner_outer_split,
-    is_linear_torus,
     verify_inner_correspondence,
 )
 
@@ -89,37 +89,39 @@ class TestStarLaw:
 
 
 class TestIsLinearTorus:
+    """A linear torus f2 = -ell^2 over Q splits into the two cubics
+    f3 - ell^3 and f3 + ell^3; decompose finds them from the sextic alone."""
+
+    @staticmethod
+    def _split(pair, ell):
+        cube = ell ** 3
+        want = {(pair.f3 - cube).primitive(), (pair.f3 + cube).primitive()}
+        factors = decompose(pair.expand()).factors
+        return len(factors) == 2 and {p for p, _d, _m in factors} == want
+
     def test_minus_y_squared(self):
         pair = TorusPair(g("-y^2"), g("x^3 + 1"))
-        assert is_linear_torus(pair) == g("y")
+        assert self._split(pair, g("y"))
 
     def test_shifted_square(self):
         pair = TorusPair(g("-(x + 2*y - 1)^2"), g("x^3 + y^3 + 2"))
-        ell = is_linear_torus(pair)
-        assert ell is not None and pair.f2 == -(ell ** 2)
+        assert self._split(pair, g("x + 2*y - 1"))
 
     def test_scaled_square(self):
         pair = TorusPair(g("-4*y^2"), g("x^3 - x"))
-        ell = is_linear_torus(pair)
-        assert ell == g("2*y")
+        assert self._split(pair, g("2*y"))
 
     def test_rank_two(self):
         pair = TorusPair(g("y^2 + x"), g("x^3 + 5"))
-        assert is_linear_torus(pair) is None
+        assert decompose(pair.expand()).degrees() == (6,)
 
     def test_positive_square_not_applicable(self):
         pair = TorusPair(g("y^2"), g("x^3 + 5"))
-        assert is_linear_torus(pair) is None
+        assert decompose(pair.expand()).degrees() == (6,)
 
     @pytest.mark.parametrize("root", [2 ** 60 + 12345, 10 ** 200],
                              ids=["2^60+12345", "10^200"])
     def test_large_square(self, root):
-        # past the range where a float square root is exact or finite
         ell = Poly.var("y", XY).scale(root)
         pair = TorusPair(-(ell ** 2), g("x^3 + 1"))
-        assert is_linear_torus(pair) == ell
-
-    def test_large_non_square(self):
-        f2 = Poly.var("y", XY) ** 2 * Poly.const(-(10 ** 400 + 1), XY)
-        pair = TorusPair(f2, g("x^3 + 1"))
-        assert is_linear_torus(pair) is None
+        assert self._split(pair, ell)
