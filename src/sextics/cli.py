@@ -146,6 +146,9 @@ def _verify_worker(job):
 
 
 def cmd_verify(args, out) -> int:
+    if args.jobs < 1:
+        _print(out, "error: --jobs must be at least 1, not %d" % args.jobs)
+        return EXIT_USAGE
     records = builtin_examples()
     if not args.all:
         wanted = {r.rid for r in records}
@@ -158,9 +161,11 @@ def cmd_verify(args, out) -> int:
     jobs = [(r.rid, args.tower_cap, args.seed) for r in records]
     reports = {}
     if args.jobs > 1 and len(jobs) > 1:
-        # records are independent; reports are merged in id order below
+        # records are independent; reports are merged in id order below.
+        # The pool starts all of its workers at once, so it gets no more
+        # than there are records.
         import multiprocessing
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(min(args.jobs, len(jobs))) as pool:
             for rid, rep in pool.imap_unordered(_verify_worker, jobs):
                 reports[rid] = rep
     else:

@@ -11,19 +11,17 @@ integer-primitive with positive leading coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-import sympy
+from .poly import DomainError, Poly, PolyError, from_sympy, to_sympy
 
 # Unused here; perfbench/tracer.py patches resultant and factor_rational in
 # this namespace.
 from .numfield import factor_rational  # noqa: F401
-from .poly import DomainError, Poly, PolyError, resultant  # noqa: F401
+from .poly import resultant  # noqa: F401
 
 __all__ = ["ComponentDecomposition", "decompose"]
 
 XY = ("x", "y")
-_SYMPY_XY = sympy.symbols("x y")
 
 
 @dataclass(frozen=True)
@@ -49,13 +47,9 @@ def decompose(f: Poly) -> ComponentDecomposition:
     f = f.with_vars(XY)
     if f.is_zero():
         raise DomainError("zero polynomial")
-    sp = sympy.Poly.from_dict(
-        {mon: sympy.Rational(c.numerator, c.denominator)
-         for mon, c in f.terms.items()}, *_SYMPY_XY, domain="QQ")
     factors = []
-    for q, mult in sp.factor_list()[1]:
-        p = Poly(XY, {mon: Fraction(c.p, c.q)
-                      for mon, c in q.as_dict().items()}).primitive()
+    for q, mult in to_sympy(f, XY)[0].factor_list()[1]:
+        p = from_sympy(q, XY).primitive()
         factors.append((p, p.degree(), int(mult)))
     factors.sort(key=lambda t: (t[1], sorted(t[0].terms.items())))
     decomp = ComponentDecomposition(tuple(factors))

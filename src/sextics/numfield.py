@@ -19,13 +19,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Tuple
 
-import sympy
-
 from .poly import (
     DomainError,
     Poly,
     UniPoly,
+    from_sympy,
     rational_content,
+    to_sympy,
     unipoly_gcd,
     unipoly_squarefree_decomposition,
     resultant,
@@ -276,9 +276,6 @@ def coef_key(c) -> tuple:
 # factorization over Q (sympy-backed)
 # ---------------------------------------------------------------------------
 
-_SYMPY_X = sympy.Symbol("_sextics_x")
-
-
 def factor_rational(u: UniPoly):
     """Irreducible monic factors of a rational UniPoly: [(factor, mult)].
 
@@ -288,14 +285,11 @@ def factor_rational(u: UniPoly):
         raise DomainError("zero polynomial")
     if u.degree() == 0:
         return []
-    den = lcm(*(c.denominator for c in u.coeffs))
-    ints = [int(c * den) for c in u.coeffs]
-    sp = sympy.Poly(list(reversed(ints)), _SYMPY_X, domain="QQ")
-    _, factors = sp.factor_list()
+    vs = (u.var,)
     out = []
-    for f, mult in factors:
-        cs = [Fraction(c.p, c.q) for c in reversed(f.all_coeffs())]
-        out.append((UniPoly(u.var, cs).monic(), int(mult)))
+    for f, mult in to_sympy(u.to_poly(), vs)[0].factor_list()[1]:
+        out.append((UniPoly.from_poly(from_sympy(f, vs), u.var).monic(),
+                    int(mult)))
     out.sort(key=lambda fm: (fm[0].degree(),
                              tuple((c.numerator, c.denominator) for c in fm[0].coeffs)))
     return out

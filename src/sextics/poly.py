@@ -2,14 +2,20 @@
 
 `Poly` is the universal carrier for every equation in the package: curves,
 torus pair parts, partial derivatives, eliminants.  Coefficients are
-`fractions.Fraction` in the public API; the same class also works with
-number-field elements (see `numfield`) because every operation only uses
-ring/field operators on the coefficients.
+`fractions.Fraction` in the public API; the ring operations also work with
+number-field elements (see `numfield`) because they only use ring/field
+operators on the coefficients.
 
 The arithmetic helpers that the other modules share live here, one per
 job: `rational_content` (the positive rational content of a coefficient
-list), `content_in` (the gcd of the coefficients in one variable) and
-`UniPoly.from_poly` (a polynomial in one variable, read as a univariate).
+list), `content_in` (the gcd of the coefficients in one variable),
+`UniPoly.from_poly` (a polynomial in one variable, read as a univariate)
+and `to_sympy`/`from_sympy` (the one bridge to sympy: an integer sympy
+polynomial and its denominator, and back).
+
+`poly_gcd`, `is_squarefree` and `resultant` take rational coefficients
+only.  sympy computes them over ZZ on the bridged polynomials, and the
+resultant keeps the Sylvester sign fixed below.
 
 Conventions fixed here and relied on by the golden-file tests:
 
@@ -24,6 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+import sympy
 
 __all__ = [
     "Poly",
@@ -683,12 +691,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly(self.var, [c * i for i, c in enumerate(self.coeffs)][1:])
 
-    def eval(self, x: Coef) -> Coef:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def shift(self, a: Coef) -> "UniPoly":
         """Taylor shift: p(t + a)."""
         out = UniPoly(self.var, [])
@@ -767,9 +769,28 @@ def unipoly_squarefree_part(p: UniPoly) -> UniPoly:
     return p.divmod(unipoly_gcd(p, p.derivative()))[0].monic()
 
 
+
+
 # ---------------------------------------------------------------------------
-# multivariate gcd (primitive PRS) and squarefree test
+# exact arithmetic over Q through sympy over ZZ: gcd, squarefree test,
+# resultant
 # ---------------------------------------------------------------------------
+
+
+def to_sympy(p: Poly, variables: Sequence[str]):
+    """(P, d): the integer sympy Poly P in `variables`, in that generator
+    order, and the least positive integer d with p = P / d."""
+    p = p.with_vars(variables)
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    ints = {m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}
+    return sympy.Poly.from_dict(ints, *map(sympy.Symbol, variables),
+                                domain="ZZ"), d
+
+
+def from_sympy(sp, variables: Sequence[str], den: int = 1) -> Poly:
+    """The Poly sp / den, for an integer sympy Poly sp in `variables`."""
+    return Poly(variables, {m: Fraction(int(c), den)
+                            for m, c in sp.as_dict(native=True).items()})
 
 
 def content_in(p: Poly, var: str) -> Optional[Poly]:
@@ -784,133 +805,26 @@ def content_in(p: Poly, var: str) -> Optional[Poly]:
     return cont
 
 
-def _poly_content_in(p: Poly, var: str):
-    """(content Poly in the other vars, primitive part) w.r.t. `var`."""
-    cont = content_in(p, var)
-    return cont, p.divexact(cont.with_vars(p.vars))
-
-
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """GCD over Q (or any field on the coefficients), primitively normalized."""
+    """GCD over Q, integer-primitive with positive leading coefficient."""
     vs, a, b = p._aligned(q)
-    if a.is_zero():
-        return _normalize_gcd(b)
-    if b.is_zero():
-        return _normalize_gcd(a)
-    used = [v for v in vs if v in set(a.used_vars()) | set(b.used_vars())]
-    if not used:
-        return Poly.const(1, vs)
-    if len(used) == 1:
-        # monic Euclid; the pseudo-remainder sequence swells coefficients
-        g = unipoly_gcd(UniPoly.from_poly(a, used[0]), UniPoly.from_poly(b, used[0]))
-        return _normalize_gcd(g.to_poly((used[0],)).with_vars(vs))
-    var = used[0]
-    conta, ppa = _poly_content_in(a, var)
-    contb, ppb = _poly_content_in(b, var)
-    contg = poly_gcd(conta, contb)
-    f, g = ppa, ppb
-    if f.degree_in(var) < g.degree_in(var):
-        f, g = g, f
-    while not g.is_zero():
-        r = _pseudo_rem(f, g, var)
-        if not r.is_zero():
-            r = _poly_content_in(r, var)[1]
-        f, g = g, r
-    return _normalize_gcd(contg.with_vars(vs) * f.with_vars(vs))
-
-
-def _normalize_gcd(p: Poly) -> Poly:
-    if p.is_zero():
-        return p
-    if all(isinstance(c, Fraction) for c in p.terms.values()):
-        return p.primitive()
-    lt = p.leading_term()[1]
-    inv = 1 / lt if isinstance(lt, Fraction) else lt.inverse()
-    return p.scale(inv)
-
-
-def _pseudo_rem(f: Poly, g: Poly, var: str) -> Poly:
-    """Pseudo-remainder of f by g w.r.t. var (lc(g)^k * f mod g)."""
-    df = f.degree_in(var)
-    dg = g.degree_in(var)
-    if df < dg:
-        return f
-    gc = g.coeffs_in(var)
-    lc = gc[dg].with_vars(f.vars)
-    xv = Poly.var(var, f.vars)
-    r = f
-    while not r.is_zero() and r.degree_in(var) >= dg:
-        dr = r.degree_in(var)
-        lead = r.coeffs_in(var)[dr].with_vars(f.vars)
-        r = r * lc - g.with_vars(f.vars) * lead * xv ** (dr - dg)
-    return r
+    if a.is_constant() and b.is_constant():
+        return Poly.const(0 if a.is_zero() and b.is_zero() else 1, vs)
+    g = to_sympy(a, vs)[0].gcd(to_sympy(b, vs)[0])
+    return from_sympy(g, vs).primitive()
 
 
 def is_squarefree(p: Poly) -> bool:
-    if p.is_zero():
-        return False
+    """True iff the gcd of p with all of its partials is constant."""
     if p.is_constant():
-        return True
-    g = None
-    for v in p.used_vars():
-        d = p.derivative(v)
-        g = d if g is None else poly_gcd(g, d)
-    return poly_gcd(p, g).degree() == 0
-
-
-# ---------------------------------------------------------------------------
-# resultants: Sylvester determinant via evaluation/interpolation + Bareiss
-# ---------------------------------------------------------------------------
-
-
-def _bareiss_det(matrix):
-    """Fraction-free determinant of a square matrix of field elements."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0) * prev
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                if isinstance(num, Fraction) and isinstance(prev, Fraction):
-                    m[i][j] = num / prev
-                else:
-                    m[i][j] = num * (prev.inverse() if not isinstance(prev, Fraction)
-                                     else 1 / prev)
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def _sylvester_rows(p_coeffs, q_coeffs, n, m):
-    """Sylvester matrix entries: p-block (m rows) above q-block (n rows)."""
-    size = n + m
-    rows = []
-    pc = [p_coeffs.get(n - i, None) for i in range(n + 1)]  # high to low
-    qc = [q_coeffs.get(m - i, None) for i in range(m + 1)]
-    for r in range(m):
-        row = [None] * size
-        for i, c in enumerate(pc):
-            row[r + i] = c
-        rows.append(row)
-    for r in range(n):
-        row = [None] * size
-        for i, c in enumerate(qc):
-            row[r + i] = c
-        rows.append(row)
-    return rows
+        return not p.is_zero()
+    sp = to_sympy(p, p.vars)[0]
+    g = sp
+    for v in sp.gens:
+        g = g.gcd(sp.diff(v))
+        if g.is_ground:
+            return True
+    return False
 
 
 def resultant(p: Poly, q: Poly, var: str) -> Poly:
@@ -923,73 +837,16 @@ def resultant(p: Poly, q: Poly, var: str) -> Poly:
     if n == 0 and m == 0:
         raise DomainError("resultant: %r occurs in neither argument" % var)
     rest = tuple(v for v in vs if v != var)
-    ac = {e: c.with_vars(rest) for e, c in a.coeffs_in(var).items()}
-    bc = {e: c.with_vars(rest) for e, c in b.coeffs_in(var).items()}
-    rows = _sylvester_rows(ac, bc, n, m)
-    zero = Poly.zero(rest)
-    rows = [[zero if c is None else c for c in row] for row in rows]
-    # for genuinely bivariate inputs the resultant degree obeys Bezout
-    bound = None
-    if len(set(a.used_vars()) | set(b.used_vars())) <= 2:
-        bound = a.degree() * b.degree()
-    det = _det_poly_matrix(rows, rest, bound)
-    return det.with_vars(rest) if rest else det
-
-
-def _det_poly_matrix(rows, variables, bound=None) -> Poly:
-    """Determinant of a matrix of Polys by interpolation, one var at a time."""
-    active = [v for v in variables
-              if any(c.degree_in(v) > 0 for row in rows for c in row if not c.is_zero())]
-    if not active:
-        vals = [[c.constant_value() for c in row] for row in rows]
-        return Poly.const(_bareiss_det(vals), variables)
-    v = active[0]
-    # degree bound of the determinant in v: sum over rows of max degree
-    row_bound = 0
-    for row in rows:
-        row_bound += max((c.degree_in(v) for c in row if not c.is_zero()),
-                         default=0)
-    if bound is not None and len(active) == 1:
-        row_bound = min(row_bound, bound)
-    points = []
-    k = 0
-    while len(points) < row_bound + 1:
-        points.append(Fraction(k))
-        k = -k if k > 0 else -k + 1
-    if len(active) == 1:
-        # dense univariate entries + Horner evaluation per sample
-        dense = [[UniPoly.from_poly(c, v) for c in row] for row in rows]
-        samples = [Poly.const(_bareiss_det(
-            [[u.eval(x0) for u in row] for row in dense]), ())
-            for x0 in points]
+    sa, da = to_sympy(a, (var,) + rest)
+    sb, db = to_sympy(b, (var,) + rest)
+    # sympy swaps the arguments when the first has the lower degree but not
+    # the sign (-1)^(n*m) of the swap, so it gets the higher degree first
+    # and the sign is applied here.
+    if n < m:
+        r, den = sb.resultant(sa), (-1) ** (n * m)
     else:
-        rest = tuple(w for w in variables if w != v)
-        samples = []
-        for x0 in points:
-            spec = [[c.substitute({v: Poly.const(x0, ())}).with_vars(rest)
-                     for c in row] for row in rows]
-            samples.append(_det_poly_matrix(spec, rest, bound))
-    return _interpolate_poly(v, points, samples, variables)
-
-
-def _interpolate_poly(var, points, values, variables) -> Poly:
-    """Newton interpolation with Poly values."""
-    n = len(points)
-    coeffs = [val.with_vars(tuple(w for w in variables if w != var)) for val in values]
-    table = list(coeffs)
-    newton = [table[0]]
-    for level in range(1, n):
-        nxt = []
-        for i in range(n - level):
-            num = table[i + 1] - table[i]
-            den = points[i + level] - points[i]
-            nxt.append(num.scale(Fraction(1) / den))
-        table = nxt
-        newton.append(table[0])
-    result = Poly.zero(variables)
-    basis = Poly.const(1, variables)
-    xv = Poly.var(var, variables)
-    for i in range(n):
-        result = result + newton[i].with_vars(variables) * basis
-        basis = basis * (xv - Poly.const(points[i], variables))
-    return result
+        r, den = sa.resultant(sb), 1
+    den *= da ** m * db ** n
+    if not rest:
+        return Poly.const(Fraction(int(r), den), ())
+    return from_sympy(r, rest, den)

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sextics import cli
 from sextics.cli import main
 
 
@@ -151,6 +153,50 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["records"][0]["id"] == "5.2-18"
         assert payload["records"][0]["counts"]["mismatch"] == 0
+
+
+class TestVerifyJobs:
+    CHEAP = ("syn-b66", "5.2-18", "5.2-15")
+
+    @pytest.fixture(autouse=True)
+    def cheap_records(self, monkeypatch):
+        recs = [r for r in cli.builtin_examples() if r.rid in self.CHEAP]
+        monkeypatch.setattr(cli, "builtin_examples", lambda: list(recs))
+
+    def test_pool_capped_and_reports_merged_in_id_order(self, capsys,
+                                                        monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Runs the jobs here and yields the reports in reverse."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, jobs):
+                return reversed([fn(job) for job in jobs])
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        code, pooled = run_cli(capsys, "verify", "--all", "--json",
+                               "--jobs", "100000")
+        assert code == 0 and sizes == [3]
+        code, serial = run_cli(capsys, "verify", "--all", "--json")
+        assert code == 0 and sizes == [3]
+        assert pooled == serial
+        ids = [r["id"] for r in json.loads(pooled)["records"]]
+        assert ids == sorted(self.CHEAP)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_refused(self, capsys, jobs):
+        code, out = run_cli(capsys, "verify", "--all", "--jobs", jobs)
+        assert code == 2
+        assert out.startswith("error: --jobs")
 
 
 class TestCatalog:

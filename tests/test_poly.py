@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from sextics.poly import (
     DomainError,
@@ -162,6 +164,49 @@ class TestResultant:
             qs = UniPoly.from_poly(q.substitute({"x": Poly.const(x0)}), "y")
             rs = resultant(ps.to_poly(("y",)), qs.to_poly(("y",)), "y")
             assert rs.constant_value() == r.substitute({"x": Poly.const(x0)}).constant_value()
+
+    def test_sign_when_first_argument_has_lower_degree(self):
+        # lc(p)^3 * q(1) = -3; the swapped order Res(q, p) is +3
+        r = resultant(P("y - 1"), P("y^3 + y^2 - 2*y - 3"), "y")
+        assert r == Poly.const(-3)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (3, 2), (3, 1),
+                                      (2, 2), (0, 3), (3, 0)])
+    def test_matches_sylvester_determinant(self, nvars, n, m):
+        rng = random.Random(1000 * nvars + 10 * n + m)
+        vs = ("y", "x", "z")[:nvars]
+        p, q = (_random_in(rng, vs, d) for d in (n, m))
+        syms = [sympy.Symbol(v) for v in vs]
+        pc = [_to_expr(p.coeffs_in("y").get(n - i), syms) for i in range(n + 1)]
+        qc = [_to_expr(q.coeffs_in("y").get(m - i), syms) for i in range(m + 1)]
+        rows = [[0] * r + pc + [0] * (m - 1 - r) for r in range(m)]
+        rows += [[0] * r + qc + [0] * (n - 1 - r) for r in range(n)]
+        det = sympy.Matrix(rows).det(method="bareiss")
+        r = resultant(p, q, "y")
+        assert sympy.expand(_to_expr(r, syms) - det) == 0
+
+
+def _random_in(rng, variables, degree):
+    """Random rational Poly of exact degree `degree` in y, the first of
+    `variables`, with a leading coefficient that may involve the others."""
+    terms = {}
+    for e in range(degree + 1):
+        for _ in range(rng.randint(1, 2) if e == degree else rng.randint(0, 2)):
+            mon = (e,) + tuple(rng.randint(0, 2) for _ in variables[1:])
+            terms[mon] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7),
+                                  rng.randint(1, 4))
+    return Poly(variables, terms)
+
+
+def _to_expr(p, syms):
+    """p as a sympy expression in `syms`; 0 for a missing coefficient."""
+    if p is None:
+        return 0
+    p = p.with_vars([s.name for s in syms])
+    return sum(sympy.Rational(c.numerator, c.denominator)
+               * sympy.Mul(*(s ** e for s, e in zip(syms, m)))
+               for m, c in p.terms.items())
 
 
 class TestGcdSquarefree:

@@ -1,5 +1,5 @@
 """Randomized property suites: ring laws, resultant specialization,
-root-finding reconstruction, decomposition of planted factors under an
+gcds of planted common factors, root-finding reconstruction, decomposition of planted factors under an
 affine change of coordinates, parse/format round-trips on the corpus, the
 intersection-singularity law A_{2 iota - 1} and the metamorphic laws of the
 local intersection number.
@@ -20,7 +20,9 @@ from sextics.numfield import factor_rational
 from sextics.poly import (
     Poly,
     UniPoly,
+    content_in,
     format_poly,
+    is_squarefree,
     parse_poly,
     poly_gcd,
     resultant,
@@ -91,6 +93,22 @@ class TestResultantSpecialization:
                 else r.constant_value()
             assert rs == expected
             done += 1
+
+
+class TestPlantedGcd:
+    def test_planted_common_factor(self):
+        rng = random.Random(31337)
+        for i in range(40):
+            a, b = (random_poly(rng, 2, max_terms=4, max_deg=4, zero_ok=False)
+                    for _ in range(2))
+            # every third c is free of y
+            c = random_poly(rng, 1 if i % 3 == 0 else 2, max_terms=3,
+                            max_deg=3, zero_ok=False)
+            assert poly_gcd(a * c, b * c) == (c * poly_gcd(a, b)).primitive()
+            if not c.is_constant():
+                assert not is_squarefree(a * c ** 2)
+            if "y" not in c.used_vars():
+                assert content_in(a * c, "y").divides(c) is not None
 
 
 class TestRationalRoots:
