@@ -55,7 +55,6 @@ class ComponentReport:
 class CurveAnalysis:
     f: Poly                       # curve in the working chart
     chart: tuple                  # (alpha, beta); (0, 0) = original chart
-    pair: Optional[TorusPair]
     sings: tuple                  # LocalSingularity list, sorted
     config: Configuration
     decomposition: ComponentDecomposition
@@ -132,7 +131,7 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
         notes.append("a component is geometrically reducible (negative"
                      " genus); the Corollary-1 ceiling is not applicable to"
                      " the rational degree multiset")
-    analysis = CurveAnalysis(f, chart, pair, sings, config, decomp,
+    analysis = CurveAnalysis(f, chart, sings, config, decomp,
                              components, split, star_report, tuple(notes))
     dstar = analysis.delta_star_total
     ceiling = analysis.delta_star_ceiling

@@ -122,7 +122,6 @@ class CatalogEntry:
     strength: str                # "exampled" | "asserted"
     component_sigma: tuple       # ((degree, Configuration), ...) when stated
     intersection: str            # prose pattern when stated
-    anchor: str
 
 
 def _parse_component_type(text: str) -> tuple:
@@ -182,9 +181,7 @@ def builtin_catalog() -> list:
                 else:
                     raise DocumentError("catalog line %d: %r" % (lineno, k))
             entries.append(CatalogEntry(theorem, inner, ctype, reduced,
-                                        strength, tuple(sigma), inter,
-                                        "theorem %d, line %d" % (theorem,
-                                                                 lineno)))
+                                        strength, tuple(sigma), inter))
         else:
             raise DocumentError("catalog line %d: unknown key %r"
                                 % (lineno, key))

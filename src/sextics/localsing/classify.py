@@ -177,7 +177,6 @@ class LocalSingularity:
     mult_sequence: tuple
     branch_contacts: tuple       # sorted multiset of pairwise I values
     sing_type: SingType
-    resolution: Resolution
 
     @property
     def cluster_degree(self) -> int:
@@ -200,7 +199,7 @@ def analyze_germ(germ: Poly, field=None, point=None,
     stype = classify_signature(sig)
     return LocalSingularity(point, m, mu, res.branch_count, delta,
                             res.mult_sequence, res.contact_multiset(),
-                            stype, res)
+                            stype)
 
 
 def analyze_point(f: Poly, point, tower_cap: int = 12) -> LocalSingularity:

@@ -1,10 +1,14 @@
 """Locating singular points exactly: rational points and conjugate clusters.
 
 The singular locus of a squarefree curve is cut out by f = f_x = f_y = 0.
-X-coordinates are found from the eliminant Res_y(f, f_y); each irreducible
-factor becomes a number field in which the matching y-coordinates are read
-off a univariate gcd.  Points that are conjugate over Q are kept as one
-cluster with its degree; every germ computation then runs over that field.
+X-coordinates are found from the eliminant Res_y(f, f_y), factored over Q.
+Its order at x0 is at least the sum of the intersection numbers I_P(f, f_y)
+over the points P above x0, and I_P(f, f_y) >= m_P(f) * m_P(f_y) >= 2 at a
+singular point (Fulton, Algebraic Curves, 1.6 and 3.3), so only the factors
+of multiplicity at least 2 are kept.  Each becomes a field (`extend_field`)
+in which the matching y-coordinates are read off a univariate gcd.  Points
+that are conjugate over Q are kept as one cluster with its degree; every
+germ computation then runs over that field.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from ..poly import (
     content_in,
     is_squarefree,
     resultant,
-    unipoly_squarefree_part,
 )
 
 __all__ = [
@@ -139,15 +142,14 @@ def singular_points(f: Poly, tower_cap: int = 12) -> list:
         return []
     ex = UniPoly.from_poly(elim, "x")
     points = []
-    for p, _mult in factor_rational(unipoly_squarefree_part(ex)):
+    for p, mult in factor_rational(ex):
+        # each singular P above x0 adds I_P(g, g_y) >= 2 to x0's multiplicity
+        if mult == 1:
+            continue
         if p.degree() == 1:
-            kfield: Optional[NumberField] = None
-            theta: Coord = -p.coeffs[0] / p.coeffs[1]
+            kfield, theta = None, -p.coeffs[0] / p.coeffs[1]
         else:
-            from ..numfield import integral_minpoly
-            mp, scale = integral_minpoly(p)
-            kfield = NumberField(mp)
-            theta = kfield.generator() * (1 / scale)
+            kfield, _, theta = extend_field(None, p)
         g1 = specialize_x(g, kfield, theta)
         g2 = specialize_x(gx, kfield, theta)
         g3 = specialize_x(gy, kfield, theta)
@@ -157,17 +159,13 @@ def singular_points(f: Poly, tower_cap: int = 12) -> list:
         from ..numfield import factor_over_field
         for q, _m in factor_over_field(kfield, common):
             if q.degree() == 1:
-                y0 = (-q.coeffs[0]) / q.coeffs[1]
-                pfield, px, py = kfield, theta, y0
-                pdeg = p.degree()
+                pfield, px, py = kfield, theta, -q.coeffs[0] / q.coeffs[1]
             else:
-                lfield, embed, y0 = extend_field(kfield, q, cap=tower_cap)
-                pfield = lfield
+                pfield, embed, py = extend_field(kfield, q, cap=tower_cap)
                 px = embed(theta)
-                py = y0
-                pdeg = p.degree() * q.degree()
             if k:
                 px = px + py * k
-            points.append(AlgebraicPoint(px, py, pfield, pdeg))
+            points.append(AlgebraicPoint(px, py, pfield,
+                                         p.degree() * q.degree()))
     points.sort(key=lambda pt: pt.sort_key())
     return points

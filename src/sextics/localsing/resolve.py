@@ -13,7 +13,9 @@ points over the base field).  From the finished tree we read off
 
 Blow-ups continue past smoothness until each branch is transverse to the
 exceptional locus at a simple point of it; those extra multiplicity-one
-points make the proximity sums exact.
+points make the proximity sums exact.  Each blow-up is a map on the
+exponents of the germ's terms, followed by a shift in y for a tangent
+direction t0 != 0.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ class BranchCluster:
 
     degree: int                  # number of conjugate branches
     mult_sequence: tuple         # strict multiplicities, trailing 1s trimmed
-    field: Optional[NumberField]
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,6 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
             continue
         if node.depth >= _MAX_DEPTH or len(nodes) >= _MAX_NODES:
             raise DomainError("resolution runaway (is the germ reduced?)")
-        xv = Poly.var("x", ("x", "y"))
-        yv = Poly.var("y", ("x", "y"))
         lt = _direction_poly(node.germ, node.m, node.field)
         nu_vertical = node.m - lt.degree()
         factors = factor_over_field(node.field, lt) if lt.degree() > 0 else []
@@ -159,8 +158,12 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
                     ) from exc
                 gg = _map_coeffs(node.germ, embed)
                 rel = q.degree()
-            sub = gg.substitute({"y": xv * (yv + Poly.const(t0, ("x", "y")))})
-            child_germ = sub.divexact(xv ** node.m)
+            # y = x(y + t0) takes x^i y^j to x^(i+j-m) (y + t0)^j
+            child_germ = Poly(("x", "y"), {(i + j - node.m, j): c
+                                           for (i, j), c in gg.terms.items()})
+            if t0:
+                child_germ = child_germ.substitute(
+                    {"y": Poly(("x", "y"), {(0, 1): 1, (0, 0): t0})})
             axes = {"x": node.nid}
             if not t0 and "y" in node.axes:
                 axes["y"] = node.axes["y"]
@@ -170,8 +173,9 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
             nodes.append(child)
             stack.append(child.nid)
         if nu_vertical > 0:
-            sub = node.germ.substitute({"x": xv * yv})
-            child_germ = sub.divexact(yv ** node.m)
+            # x = xy takes x^i y^j to x^i y^(i+j-m)
+            child_germ = Poly(("x", "y"), {(i, i + j - node.m): c for (i, j), c
+                                           in node.germ.terms.items()})
             axes = {"y": node.nid}
             if "x" in node.axes:
                 axes["x"] = node.axes["x"]
@@ -275,7 +279,7 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
         raise DomainError(
             "internal resolution inconsistency: %d vs %d" % (check, delta))
 
-    branches = [BranchCluster(nodes[lid].d_rel, seq, nodes[lid].field)
+    branches = [BranchCluster(nodes[lid].d_rel, seq)
                 for lid, seq in branch_tuples]
     branches.sort(key=lambda b: (b.mult_sequence, b.degree))
     return Resolution(delta, branch_count, mult_sequence, tuple(branches),

@@ -1,16 +1,19 @@
 """Number fields presented as Q[w]/(m(w)), flattened to a single generator.
 
 The resolution of singularities and the singular-point finder work over
-towers of these fields; every extension is immediately re-flattened via a
-primitive element so elements stay simple coefficient vectors.  Inverses
-come from extended Euclid on `UniPoly`s in the generator.
+towers of these fields.  `extend_field` is the one constructor: over Q it
+adjoins a root of an irreducible polynomial, over a field it re-flattens the
+extension via a primitive element, so elements stay simple coefficient
+vectors.  Every minimal polynomial is integral and monic.  Inverses come
+from extended Euclid on `UniPoly`s in the generator.
 
 `field = None` denotes Q itself with plain `Fraction` elements throughout
 the package.
 
 Irreducible factorization of univariate polynomials over Q is delegated to
-sympy (`factor_rational`); factorization over an extension reduces to it by
-Trager's norm trick.
+sympy (`factor_rational`).  Factorization over an extension reduces to it by
+Trager's norm trick, and the primitive element of a tower is found from the
+same norm (`_norm`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .poly import (
     from_sympy,
     rational_content,
     to_sympy,
+    is_squarefree,
     unipoly_gcd,
     unipoly_squarefree_decomposition,
     resultant,
@@ -300,16 +304,19 @@ def factor_rational(u: UniPoly):
 # ---------------------------------------------------------------------------
 
 
-def _theta_expand(field: NumberField, u: UniPoly, yvar: str) -> Poly:
-    """Bivariate rational Poly in (generator, yvar) representing u over K."""
-    tn = field.name
-    terms = {}
-    for j, c in enumerate(u.coeffs):
-        c = nf(field, c) if not isinstance(c, NFElt) else c
-        for i, a in enumerate(c.coeffs):
-            if a:
-                terms[(i, j)] = a
-    return Poly((tn, yvar), terms)
+def _norm(field: NumberField, q: UniPoly, s: int, var: str) -> UniPoly:
+    """Res_theta(m(theta), q(var - s*theta)) for q over K = Q(theta).
+
+    The norm of q(var - s*theta) down to Q[var]; its roots are eta + s*theta
+    over all conjugate pairs (theta, eta) with q(eta) = 0.
+    """
+    if s:
+        q = q.shift(field.generator() * -s)
+    terms = {(i, j): a for j, c in enumerate(q.coeffs)
+             for i, a in enumerate(nf(field, c).coeffs) if a}
+    mpoly = field.minpoly.to_poly((field.name,))
+    return UniPoly.from_poly(
+        resultant(mpoly, Poly((field.name, var), terms), field.name), var)
 
 
 def factor_over_field(field: Optional[NumberField], u: UniPoly):
@@ -335,20 +342,15 @@ def _trager_squarefree(field: NumberField, g: UniPoly):
     if g.degree() == 1:
         return [g]
     theta = field.generator()
-    mpoly = field.minpoly.to_poly((field.name,))
     s = 0
     attempts = 0
     while True:
-        shift = theta * Fraction(-s)
-        gs = g.shift(shift) if s else g
-        norm_biv = _theta_expand(field, gs, g.var)
-        norm = resultant(mpoly, norm_biv, field.name)
-        nu = UniPoly.from_poly(norm, g.var)
-        if unipoly_gcd(nu, nu.derivative()).degree() == 0:
+        norm_factors = factor_rational(_norm(field, g, s, g.var))
+        if all(mult == 1 for _, mult in norm_factors):
             factors = []
-            for h, _ in factor_rational(nu):
+            for h, _ in norm_factors:
                 hk = coerce_unipoly(field, h).shift(theta * Fraction(s))
-                fk = unipoly_gcd(coerce_unipoly(field, hk), g)
+                fk = unipoly_gcd(hk, g)
                 if fk.degree() > 0:
                     factors.append(fk.monic())
             total = sum(f.degree() for f in factors)
@@ -368,73 +370,52 @@ def extend_field(field: Optional[NumberField], q: UniPoly, cap: int = 0):
 
     `q` must be irreducible over `field` with degree >= 2.  Returns
     (new_field, embed, eta_img) where `embed` maps old elements into the
-    new field and `eta_img` is the image of the adjoined root.
+    new field and `eta_img` is the image of the adjoined root.  The new
+    field's minimal polynomial is integral and monic (`integral_minpoly`),
+    so its generator stands for a multiple of the primitive element.
 
     Raises TowerCapError when the absolute degree would exceed `cap` > 0.
     """
-    rel = q.degree()
-    total = field_degree(field) * rel
+    total = field_degree(field) * q.degree()
     if cap and total > cap:
         raise TowerCapError(
             "extension degree %d exceeds the tower cap %d" % (total, cap))
     if field is None:
-        name = _GEN_NAMES[0]
-        new = NumberField(q.monic(), name)
-
-        def embed(c, _new=new):
-            return _new.from_rational(c)
-
-        return new, embed, new.generator()
+        mu_int, dscale = integral_minpoly(q)
+        new = NumberField(mu_int, _GEN_NAMES[0])
+        return new, new.from_rational, new.generator() * (1 / dscale)
 
     depth = _GEN_NAMES.index(field.name[0]) if field.name[0] in _GEN_NAMES else 0
     name = _GEN_NAMES[(depth + 1) % len(_GEN_NAMES)]
-    q = coerce_unipoly(field, q.monic())
-    theta = field.generator()
-    mpoly = field.minpoly.to_poly((field.name,))
-    zvar = "_z"
-    s = 1
-    attempts = 0
-    while True:
-        # gamma = eta + s*theta; M(z) = Res_theta(m(theta), q(z - s*theta))
-        biv = _theta_expand(field, q, "_y")  # in (theta, _y)
-        biv = biv.with_vars((field.name, "_y", zvar))
-        zpoly = Poly.var(zvar, (field.name, "_y", zvar))
-        tpoly = Poly.var(field.name, (field.name, "_y", zvar))
-        shifted = biv.substitute({"_y": zpoly - tpoly.scale(s)})
-        m3 = mpoly.with_vars((field.name, zvar))
-        mm = m3.with_vars((field.name, zvar))
-        res = resultant(mm, shifted.with_vars((field.name, zvar)), field.name)
-        mu = UniPoly.from_poly(res, zvar)
-        if unipoly_gcd(mu, mu.derivative()).degree() == 0:
-            mu_int, dscale = integral_minpoly(mu)
-            new = NumberField(UniPoly("t", mu_int.coeffs), name)
-            gamma = new.generator() * (1 / dscale)
-            # theta image: unique common root of m(t) and q(gamma - s t)
-            mt = coerce_unipoly(new, UniPoly("t", field.minpoly.coeffs))
-            qt = _eval_biv_at(field, q, new, gamma, s)
-            g = unipoly_gcd(mt, qt)
-            if g.degree() != 1:
-                attempts += 1
-                s += 1
-                continue
-            theta_img = (-g.coeffs[0]) / g.coeffs[1]
-            eta_img = gamma - theta_img * Fraction(s)
+    mt0 = UniPoly("t", field.minpoly.coeffs)
+    for s in range(1, 42):
+        # gamma = eta + s*theta is primitive when its norm is squarefree and
+        # m(t), q(gamma - s*t) share exactly the root theta
+        mu = _norm(field, q, s, "t")
+        if not is_squarefree(mu.to_poly()):
+            continue
+        mu_int, dscale = integral_minpoly(mu)
+        new = NumberField(mu_int, name)
+        gamma = new.generator() * (1 / dscale)
+        g = unipoly_gcd(coerce_unipoly(new, mt0),
+                        _eval_biv_at(field, q, new, gamma, s))
+        if g.degree() != 1:
+            continue
+        theta_img = (-g.coeffs[0]) / g.coeffs[1]
+        eta_img = gamma - theta_img * Fraction(s)
 
-            def embed(c, _new=new, _theta=theta_img):
-                if isinstance(c, NFElt):
-                    acc = _new.from_rational(0)
-                    for i, a in enumerate(c.coeffs):
-                        if a:
-                            acc = acc + _theta ** i * a
-                    return acc
-                return _new.from_rational(c)
+        def embed(c, _new=new, _theta=theta_img):
+            if isinstance(c, NFElt):
+                acc = _new.from_rational(0)
+                for i, a in enumerate(c.coeffs):
+                    if a:
+                        acc = acc + _theta ** i * a
+                return acc
+            return _new.from_rational(c)
 
-            return new, embed, eta_img
-        attempts += 1
-        if attempts > 40:
-            raise DomainError("no primitive element found for %s over %s"
-                              % (q, field))
-        s += 1
+        return new, embed, eta_img
+    raise DomainError("no primitive element found for %s over %s"
+                      % (q, field))
 
 
 def _eval_biv_at(field: NumberField, q: UniPoly, new: NumberField,
@@ -448,8 +429,8 @@ def _eval_biv_at(field: NumberField, q: UniPoly, new: NumberField,
     lin = UniPoly(tvar, [gamma, new.from_rational(-s)])  # gamma - s t
     ypow = UniPoly.const(tvar, new.from_rational(1))
     for j, c in enumerate(q.coeffs):
-        c = c if isinstance(c, NFElt) else nf(field, c)
-        cpoly = UniPoly(tvar, [new.from_rational(a) for a in c.coeffs])
+        cpoly = UniPoly(tvar, [new.from_rational(a)
+                               for a in nf(field, c).coeffs])
         out = out + cpoly * ypow
         ypow = ypow * lin
     return out

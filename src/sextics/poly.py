@@ -764,13 +764,6 @@ def unipoly_squarefree_decomposition(p: UniPoly):
     return out
 
 
-def unipoly_squarefree_part(p: UniPoly) -> UniPoly:
-    """Monic p / gcd(p, p'): every irreducible factor of p once."""
-    return p.divmod(unipoly_gcd(p, p.derivative()))[0].monic()
-
-
-
-
 # ---------------------------------------------------------------------------
 # exact arithmetic over Q through sympy over ZZ: gcd, squarefree test,
 # resultant

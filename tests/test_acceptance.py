@@ -2,9 +2,11 @@
 
 Each test prints a single PASS line once its assertions went through; all
 tolerances are exact equality.  The corpus regression fixture runs the full
-verifier once and later criteria read off its verdicts.
+verifier once and later criteria read off its verdicts; so does the check of
+every verdict against `golden/verify_all.json`.
 """
 
+import json
 import subprocess
 import sys
 import time
@@ -27,6 +29,7 @@ from sextics.localsing import (
     classify_germ,
 )
 from sextics.poly import Poly, parse_poly
+from test_golden import VERDICTS, verdict_rows
 
 XY = ("x", "y")
 
@@ -93,6 +96,11 @@ def test_criterion_1_corpus_regression(verify_all):
     assert elapsed <= 300, "verify --all took %.0fs" % elapsed
     _passed(1, "%d records verified with zero mismatches in %.0fs"
             % (len(reports), elapsed))
+
+
+def test_verdicts_match_golden(verify_all):
+    reports, _ = verify_all
+    assert verdict_rows(reports) == json.loads(VERDICTS.read_text())
 
 
 def test_criterion_2_paper_local_invariants():

@@ -214,6 +214,12 @@ class TestCatalog:
         code, _out = run_cli(capsys, "catalog", "show")
         assert code == 2
 
+    @pytest.mark.parametrize("config", ["[Q_5]", "[A_5", "[A_5]_x", "[0A_5]"])
+    def test_show_malformed_config(self, capsys, config):
+        code, out = run_cli(capsys, "catalog", "show", config)
+        assert code == 2
+        assert out.startswith("bad configuration: ")
+
     def test_groups(self, capsys):
         code, out = run_cli(capsys, "catalog", "groups")
         assert code == 0
@@ -271,6 +277,13 @@ class TestSweep:
                             "--param", "s", "--values", "1")
         assert code == 2
         assert out.startswith("error: ")
+
+    @pytest.mark.parametrize("values", ["1,abc", "1,1/0", ""])
+    def test_malformed_values(self, capsys, sweep_doc, values):
+        code, out = run_cli(capsys, "sweep", sweep_doc,
+                            "--param", "s", "--values", values)
+        assert code == 2
+        assert out.startswith("bad values list ")
 
     def test_unknown_param(self, capsys, sweep_doc):
         code, out = run_cli(capsys, "sweep", sweep_doc,

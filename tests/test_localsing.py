@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+
+from sextics.analysis import analyze_curve
 
 from sextics.localsing import (
     AlgebraicPoint,
@@ -25,8 +28,10 @@ from sextics.localsing import (
     translate_to_origin,
 )
 from sextics.localsing._sigdata import SIGNATURES
-from sextics.numfield import NFElt
-from sextics.poly import DomainError, Poly, UniPoly, parse_poly, resultant
+from sextics.localsing.points import point_on_curve
+from sextics.numfield import NFElt, factor_rational
+from sextics.poly import DomainError, Poly, UniPoly, is_squarefree, \
+    parse_poly, resultant
 
 XY = ("x", "y")
 
@@ -71,6 +76,92 @@ class TestSingularPoints:
         f = g("x*(y^2 - x - 1)")
         pts = singular_points(f)
         assert len(pts) == 2  # the line meets the conic twice
+
+    def test_tower_cluster(self):
+        # x^2 = 2 and y^2 = 3: y is irrational over Q(sqrt 2), so the four
+        # nodes form one cluster over a field built as a tower
+        f = g("(x^2 - y^2 + 1)*(x^2 + y^2 - 5)")
+        pts = singular_points(f)
+        assert len(pts) == 1 and pts[0].degree == 4
+        p = pts[0]
+        assert p.x ** 2 == 2 and p.y ** 2 == 3
+        assert p.label() == ("(1/2*v^3 - 9/2*v, -1/2*v^3 + 11/2*v)"
+                             " with v^4 - 10*v^2 + 1 = 0")
+        analysis = analyze_curve(f)
+        assert str(analysis.config) == "[4A_1]"
+        assert analysis.degrees() == (2, 2)
+
+    def test_vertical_flex_is_not_singular(self):
+        # Res_y(f, f_y) = 27 x^2: the double root is the tangency of the
+        # vertical line x = 0 at a smooth point
+        f = g("y^3 - x")
+        ex = UniPoly.from_poly(resultant(f, f.derivative("y"), "y"), "x")
+        assert factor_rational(ex) == [(UniPoly("x", [0, 1]), 2)]
+        assert singular_points(f) == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_nodes_of_lines(self, seed):
+        rng = random.Random(seed)
+        while True:
+            lines = [tuple(rng.randint(-4, 4) for _ in range(3))
+                     for _ in range(rng.randint(2, 5))]
+            nodes = set()
+            general = True
+            for i, (a1, b1, c1) in enumerate(lines):
+                for a2, b2, c2 in lines[:i]:
+                    det = a1 * b2 - a2 * b1
+                    if not det:
+                        general = False
+                        break
+                    nodes.add((Fraction(b1 * c2 - b2 * c1, det),
+                               Fraction(a2 * c1 - a1 * c2, det)))
+            # no two lines parallel, no three through one point
+            n = len(lines)
+            if general and len(nodes) == n * (n - 1) // 2:
+                break
+        f = Poly.const(1, XY)
+        for a, b, c in lines:
+            f = f * Poly(XY, {(1, 0): a, (0, 1): b, (0, 0): c})
+        pts = singular_points(f)
+        assert all(p.field is None and p.degree == 1 for p in pts)
+        assert {(p.x, p.y) for p in pts} == nodes and len(pts) == len(nodes)
+        _assert_singular(f, pts)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_nodes_of_two_conics(self, seed):
+        rng = random.Random(100 + seed)
+        while True:
+            c1, c2 = (_random_smooth_conic(rng) for _ in range(2))
+            ex = UniPoly.from_poly(resultant(c1, c2, "y"), "x")
+            # the y^2 terms are constant: four simple roots are four
+            # transversal affine meetings with distinct x
+            if ex.degree() == 4 and is_squarefree(ex.to_poly()):
+                break
+        f = c1 * c2
+        pts = singular_points(f)
+        assert sum(p.degree for p in pts) == 4
+        for p in pts:
+            assert point_on_curve(c1, p) and point_on_curve(c2, p)
+        _assert_singular(f, pts)
+
+
+def _random_smooth_conic(rng):
+    while True:
+        a, b, c, d, e, k = (rng.randint(-3, 3) for _ in range(6))
+        # a x^2 + b xy + c y^2 + d x + e y + k is smooth iff its symmetric
+        # 3x3 matrix is invertible
+        det = (Fraction(a) * (c * k - Fraction(e * e, 4))
+               - Fraction(b, 2) * (Fraction(b * k, 2) - Fraction(d * e, 4))
+               + Fraction(d, 2) * (Fraction(b * e, 4) - Fraction(c * d, 2)))
+        if c and det:
+            return Poly(XY, {(2, 0): a, (1, 1): b, (0, 2): c, (1, 0): d,
+                             (0, 1): e, (0, 0): k})
+
+
+def _assert_singular(f, pts):
+    for p in pts:
+        for h in (f, f.derivative("x"), f.derivative("y")):
+            assert point_on_curve(h, p)
 
 
 class TestMultiplicity:

@@ -18,7 +18,6 @@ from sextics.poly import (
     resultant,
     unipoly_gcd,
     unipoly_squarefree_decomposition,
-    unipoly_squarefree_part,
 )
 
 X = ("x",)
@@ -231,18 +230,6 @@ class TestGcdSquarefree:
         a = UniPoly("x", [-1, 0, 1])
         b = UniPoly("x", [-1, 0, 0, 1])
         assert unipoly_gcd(a, b) == UniPoly("x", [-1, 1])
-
-    def test_squarefree_part_unipoly(self):
-        p = UniPoly("x", [0, 0, 1]) * UniPoly("x", [-1, 0, 1]) ** 2
-        assert unipoly_squarefree_part(p) == UniPoly("x", [0, -1, 0, 1])
-
-    def test_squarefree_part_non_monic(self):
-        # 6 (x - 1)^3 (x^2 + 1) (2x + 1)^2 -> (x - 1)(x^2 + 1)(x + 1/2)
-        p = (UniPoly("x", [-1, 1]) ** 3 * UniPoly("x", [1, 0, 1])
-             * UniPoly("x", [1, 2]) ** 2).scale(6)
-        expected = (UniPoly("x", [-1, 1]) * UniPoly("x", [1, 0, 1])
-                    * UniPoly("x", [Fraction(1, 2), 1]))
-        assert unipoly_squarefree_part(p) == expected
 
     @pytest.mark.parametrize("text, content", [
         # (x^2 - 2)(x + 3) is a factor free of y
