@@ -24,13 +24,14 @@ from .globalinv import (
     good_affine_chart,
 )
 from .localsing import (
-    NotSquarefreeError,
     analyze_point,
     multiplicity,
     point_on_curve,
     singular_points,
 )
-from .poly import DomainError, Poly, is_squarefree
+from .poly import DomainError, Poly
+# Unused here; perfbench/tracer.py patches is_squarefree in this namespace.
+from .poly import is_squarefree  # noqa: F401
 from .torus import InnerOuterSplit, TorusPair, inner_outer_split, \
     verify_inner_correspondence
 
@@ -76,8 +77,7 @@ class CurveAnalysis:
 
 
 def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
-                  defects: Optional[DefectTable] = None,
-                  tower_cap: int = 12) -> CurveAnalysis:
+                  defects: Optional[DefectTable] = None) -> CurveAnalysis:
     """Run the full pipeline; exactly one of `f`, `pair` must be given."""
     notes = []
     if (f is None) == (pair is None):
@@ -93,10 +93,8 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
     f = f.with_vars(XY)
     if f.is_zero() or f.is_constant():
         raise DomainError("not a curve")
-    if not is_squarefree(f):
-        raise NotSquarefreeError("curve is not reduced: %s" % f)
 
-    affine_sings = singular_points(f, tower_cap)
+    affine_sings = singular_points(f)
     chart, transform = good_affine_chart(f, extra_points=affine_sings)
     if chart != (0, 0):
         notes.append("chart rotated by %r to keep all singular points affine"
@@ -104,9 +102,9 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
         f = transform(f, None).primitive()
         if pair is not None:
             pair = TorusPair(transform(pair.f2, 2), transform(pair.f3, 3))
-        affine_sings = singular_points(f, tower_cap)
+        affine_sings = singular_points(f)
 
-    sings = tuple(analyze_point(f, p, tower_cap) for p in affine_sings)
+    sings = tuple(analyze_point(f, p) for p in affine_sings)
 
     split = None
     star_report = None
@@ -121,7 +119,7 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
     # f is squarefree, so every multiplicity is 1
     components = tuple(
         _component_report(comp, cdeg,
-                          _component_sings(f, comp, sings, tower_cap),
+                          _component_sings(f, comp, sings),
                           defects)
         for comp, cdeg, _m in decomp.factors)
     # Corollary 1 bounds delta* of a reducible sextic by its component type
@@ -141,7 +139,7 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
     return analysis
 
 
-def _component_sings(f: Poly, comp: Poly, sings, tower_cap):
+def _component_sings(f: Poly, comp: Poly, sings):
     """The singularities of the component `comp` of f, from f's own.
 
     Where the cofactor f/comp does not vanish, f is comp times a unit, so
@@ -155,7 +153,7 @@ def _component_sings(f: Poly, comp: Poly, sings, tower_cap):
         if not point_on_curve(cofactor, p):
             yield ls
         elif point_on_curve(comp, p) and multiplicity(comp, p) >= 2:
-            yield analyze_point(comp, p, tower_cap)
+            yield analyze_point(comp, p)
 
 
 def _component_report(comp: Poly, cdeg: int, csings,

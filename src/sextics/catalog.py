@@ -296,16 +296,14 @@ def _generic_samples(doc: CurveDocument, seed: int):
     return samples
 
 
-def analyze_document(doc: CurveDocument, binding,
-                     tower_cap: int) -> CurveAnalysis:
+def analyze_document(doc: CurveDocument, binding) -> CurveAnalysis:
     """The full pipeline on a document at one parameter binding."""
     inst = doc.instantiate(binding)
     defects = DefectTable(dict(doc.defects)) if doc.defects else None
     if "f" in inst:
-        return analyze_curve(f=inst["f"], defects=defects,
-                             tower_cap=tower_cap)
+        return analyze_curve(f=inst["f"], defects=defects)
     return analyze_curve(pair=TorusPair(inst["f2"], inst["f3"]),
-                         defects=defects, tower_cap=tower_cap)
+                         defects=defects)
 
 
 def _degrees_consistent(claimed: tuple, analysis: CurveAnalysis) -> bool:
@@ -324,8 +322,7 @@ def _degrees_consistent(claimed: tuple, analysis: CurveAnalysis) -> bool:
     return sum(remaining) == uncertified
 
 
-def verify_example(rec: ExampleRecord, tower_cap: int = 12,
-                   seed: int = 0) -> VerdictReport:
+def verify_example(rec: ExampleRecord, seed: int = 0) -> VerdictReport:
     """Replay one record through the pipeline and diff against its claims."""
     doc = rec.doc
     verdicts = []
@@ -339,7 +336,7 @@ def verify_example(rec: ExampleRecord, tower_cap: int = 12,
 
     def analysis_at(binding):
         if binding not in cache:
-            cache[binding] = analyze_document(doc, binding, tower_cap)
+            cache[binding] = analyze_document(doc, binding)
         return cache[binding]
 
     for claim in doc.claims:

@@ -2,14 +2,15 @@
 
 Subcommands:
 
-    analyze <file>                    full pipeline on one curve document
-    verify <id> | --all               replay catalog examples against claims
+    analyze <file> [--json]           full pipeline on one curve document
+    verify <id> | --all [--json] [--seed N] [--quiet] [--jobs N]
+                                      replay catalog examples against claims
     catalog list | show <config> | groups
-    sweep <file> --param s --values 2,1
+    sweep <file> --param s --values 2,1 [--json]
 
-Exit status: 0 all claims verified, 1 mismatch, 2 usage or parse error
-(or the output pipe closed early), 3 internal consistency error (the delta
-cross-check).
+Exit status: 0 all claims verified, 1 mismatch, 2 usage or parse error (or
+a field tower beyond degree 12, or the output pipe closed early), 3 internal
+consistency error (the delta cross-check).
 """
 
 from __future__ import annotations
@@ -134,15 +135,15 @@ def _read_document(path):
 def cmd_analyze(args, out) -> int:
     doc = _read_document(args.file)
     binding = doc.generic or ()
-    an = analyze_document(doc, binding, args.tower_cap)
+    an = analyze_document(doc, binding)
     _render_analysis(an, args.json, out)
     return EXIT_OK
 
 
 def _verify_worker(job):
-    rid, tower_cap, seed = job
+    rid, seed = job
     recs = {r.rid: r for r in builtin_examples()}
-    return rid, verify_example(recs[rid], tower_cap=tower_cap, seed=seed)
+    return rid, verify_example(recs[rid], seed=seed)
 
 
 def cmd_verify(args, out) -> int:
@@ -158,7 +159,7 @@ def cmd_verify(args, out) -> int:
         records = [r for r in records if r.rid == args.id]
     records = sorted(records, key=lambda r: r.rid)
     by_rid = {r.rid: r for r in records}
-    jobs = [(r.rid, args.tower_cap, args.seed) for r in records]
+    jobs = [(r.rid, args.seed) for r in records]
     reports = {}
     if args.jobs > 1 and len(jobs) > 1:
         # records are independent; reports are merged in id order below.
@@ -265,7 +266,7 @@ def cmd_sweep(args, out) -> int:
     for v in values:
         binding = ((args.param, v),)
         try:
-            an = analyze_document(doc, binding, args.tower_cap)
+            an = analyze_document(doc, binding)
             rows.append((v, str(an.config), list(an.degrees()), None))
         except (PolyError, DocumentError) as err:
             rows.append((v, None, None, "degenerate: %s" % err))
@@ -293,34 +294,31 @@ def cmd_sweep(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="structured output")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for generic parameter sampling")
-    common.add_argument("--tower-cap", type=int, default=12,
-                        help="max absolute degree of coefficient field towers")
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress per-claim lines")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="verify records in parallel (verify --all)")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true",
+                         help="structured output")
     ap = argparse.ArgumentParser(
         prog="sextics",
         description="exact analysis of singular plane sextics of torus type")
     sub = ap.add_subparsers(dest="command", required=True)
     p = sub.add_parser("analyze", help="analyze a curve document",
-                       parents=[common])
+                       parents=[as_json])
     p.add_argument("file")
     p = sub.add_parser("verify", help="verify catalog examples",
-                       parents=[common])
+                       parents=[as_json])
     p.add_argument("id", nargs="?", help="example id, e.g. 5.2-5")
     p.add_argument("--all", action="store_true", help="verify every example")
-    p = sub.add_parser("catalog", help="inspect the classification catalog",
-                       parents=[common])
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for generic parameter sampling")
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress per-claim lines")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="verify records in parallel")
+    p = sub.add_parser("catalog", help="inspect the classification catalog")
     p.add_argument("what", choices=["list", "show", "groups"])
     p.add_argument("config", nargs="?", help="configuration for 'show'")
     p = sub.add_parser("sweep", help="instantiate a family along values",
-                       parents=[common])
+                       parents=[as_json])
     p.add_argument("file")
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True)

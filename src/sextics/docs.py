@@ -37,6 +37,7 @@ __all__ = ["CurveDocument", "Claim", "DocumentError", "parse_documents",
            "parse_document", "parse_bindings"]
 
 XY = ("x", "y")
+_POLY_KEYS = ("f", "f_den", "f2", "f2_den", "f3", "f3_den", "f2b", "f3b")
 
 
 class DocumentError(DomainError):
@@ -93,8 +94,7 @@ class CurveDocument:
 
     def all_polys(self) -> dict:
         out = {}
-        for key in ("f", "f_den", "f2", "f2_den", "f3", "f3_den",
-                    "f2b", "f3b"):
+        for key in _POLY_KEYS:
             text = getattr(self, key)
             if text is not None:
                 out[key] = self._parse(text)
@@ -126,8 +126,8 @@ class CurveDocument:
             return p
 
         out = {}
-        for key in ("f", "f2", "f3", "f2b", "f3b"):
-            if polys.get(key) is not None:
+        for key in _POLY_KEYS:
+            if key in polys and not key.endswith("_den"):
                 out[key] = inst(key)
         return out
 
@@ -189,8 +189,7 @@ def parse_documents(text: str) -> list:
             continue
         if doc is None:
             doc = CurveDocument()
-        if key in ("f", "f_den", "f2", "f2_den", "f3", "f3_den",
-                   "f2b", "f3b"):
+        if key in _POLY_KEYS:
             _set_scalar(doc, key, value)
         elif key == "source":
             doc.source = value

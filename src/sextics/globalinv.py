@@ -175,8 +175,7 @@ class Configuration:
 
 
 def assemble_configuration(sings: Sequence[LocalSingularity],
-                           inner_points=None,
-                           index_tag: Optional[int] = None) -> Configuration:
+                           inner_points=None) -> Configuration:
     """Canonical configuration of classified points.
 
     Conjugate clusters count with their degree.  `inner_points`, when
@@ -194,7 +193,7 @@ def assemble_configuration(sings: Sequence[LocalSingularity],
         if not ls.sing_type.is_simple():
             all_simple = False
     mr = all_simple and total_mu == 19
-    return Configuration.from_items(items, total_mu, mr, index_tag)
+    return Configuration.from_items(items, total_mu, mr)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +213,14 @@ def homogenize(f: Poly, degree: Optional[int] = None) -> Poly:
     return Poly(("x", "y", "z"), terms)
 
 
-def infinite_singular_directions(f: Poly, degree: Optional[int] = None) -> Poly:
+def infinite_singular_directions(f: Poly) -> Poly:
     """gcd of the three partials of the homogenization restricted to z = 0.
 
     Nonconstant iff the projective curve has a singular point at infinity;
     the gcd's roots are the singular directions.
     """
     from .poly import poly_gcd
-    F = homogenize(f, degree)
+    F = homogenize(f)
     g = None
     for v in ("x", "y", "z"):
         d = F.derivative(v).substitute({"z": Poly.const(0, ())})
@@ -234,7 +233,7 @@ def infinite_singular_directions(f: Poly, degree: Optional[int] = None) -> Poly:
     return g
 
 
-def good_affine_chart(f: Poly, extra_points=(), degree: Optional[int] = None):
+def good_affine_chart(f: Poly, extra_points=()):
     """Rotate the chart so all singular points (and `extra_points`) are affine.
 
     Returns ((alpha, beta), transform) with transform(p) applying the
@@ -251,7 +250,7 @@ def good_affine_chart(f: Poly, extra_points=(), degree: Optional[int] = None):
             return F.substitute({"z": zsub}).with_vars(XY)
         return transform
 
-    if infinite_singular_directions(f, degree).degree() <= 0:
+    if infinite_singular_directions(f).degree() <= 0:
         return (0, 0), transform_factory(0, 0)
     shifts = []
     for total in range(1, 12):
@@ -259,7 +258,7 @@ def good_affine_chart(f: Poly, extra_points=(), degree: Optional[int] = None):
             shifts.append((a, total - a))
     for alpha, beta in shifts:
         transform = transform_factory(alpha, beta)
-        g = transform(f, degree)
+        g = transform(f)
         if g.degree() != f.degree():
             continue
         if infinite_singular_directions(g).degree() > 0:

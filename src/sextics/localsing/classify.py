@@ -114,8 +114,8 @@ def signature_of_resolution(res: Resolution, mu: int, m: int) -> tuple:
             res.contact_multiset())
 
 
-def signature_of_germ(germ: Poly, field=None, tower_cap: int = 12) -> tuple:
-    res = resolve(germ, field, tower_cap=tower_cap)
+def signature_of_germ(germ: Poly) -> tuple:
+    res = resolve(germ)
     mu = milnor_number_origin(germ)
     return signature_of_resolution(res, mu, germ.lowest_degree())
 
@@ -156,8 +156,8 @@ def classify_signature(sig: tuple) -> SingType:
     return SingType("Unknown", (), sig)
 
 
-def classify_germ(germ: Poly, field=None, tower_cap: int = 12) -> SingType:
-    return classify_signature(signature_of_germ(germ, field, tower_cap))
+def classify_germ(germ: Poly) -> SingType:
+    return classify_signature(signature_of_germ(germ))
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +188,10 @@ class LocalSingularity:
                    self.delta))
 
 
-def analyze_germ(germ: Poly, field=None, point=None,
-                 tower_cap: int = 12) -> LocalSingularity:
+def analyze_germ(germ: Poly, field=None, point=None) -> LocalSingularity:
     """Resolve + classify a germ at the origin; cross-checks the deltas."""
     m = germ.lowest_degree()
-    res = resolve(germ, field, tower_cap=tower_cap)
+    res = resolve(germ, field)
     mu = milnor_number_origin(germ)
     delta = delta_invariant(mu, res)
     sig = signature_of_resolution(res, mu, m)
@@ -202,10 +201,10 @@ def analyze_germ(germ: Poly, field=None, point=None,
                             stype)
 
 
-def analyze_point(f: Poly, point, tower_cap: int = 12) -> LocalSingularity:
+def analyze_point(f: Poly, point) -> LocalSingularity:
     from .points import translate_to_origin
     germ = translate_to_origin(f, point)
-    return analyze_germ(germ, point.field, point, tower_cap)
+    return analyze_germ(germ, point.field, point)
 
 
 def delta_invariant(mu: int, res: Resolution) -> int:

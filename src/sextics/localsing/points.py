@@ -118,7 +118,7 @@ def _shear(f: Poly, k: int) -> Poly:
     return fx.substitute({"x": xv + yv.scale(k)})
 
 
-def singular_points(f: Poly, tower_cap: int = 12) -> list:
+def singular_points(f: Poly) -> list:
     """All affine points with f = f_x = f_y = 0, as points/clusters.
 
     Raises NotSquarefreeError for a non-reduced curve (its singular locus
@@ -157,11 +157,11 @@ def singular_points(f: Poly, tower_cap: int = 12) -> list:
         if common.degree() <= 0:
             continue
         from ..numfield import factor_over_field
-        for q, _m in factor_over_field(kfield, common):
+        for q in factor_over_field(kfield, common):
             if q.degree() == 1:
                 pfield, px, py = kfield, theta, -q.coeffs[0] / q.coeffs[1]
             else:
-                pfield, embed, py = extend_field(kfield, q, cap=tower_cap)
+                pfield, embed, py = extend_field(kfield, q)
                 px = embed(theta)
             if k:
                 px = px + py * k

@@ -39,7 +39,7 @@ _MAX_DEPTH = 120
 
 
 class UnresolvedGermError(DomainError):
-    """Resolution hit the field-tower cap; partial data only."""
+    """Resolution needs a field tower beyond `numfield.TOWER_CAP`."""
 
 
 @dataclass
@@ -114,12 +114,12 @@ def _is_leaf(node: _Node) -> bool:
     return bool(alpha)
 
 
-def resolve(germ: Poly, field: Optional[NumberField] = None,
-            tower_cap: int = 12) -> Resolution:
+def resolve(germ: Poly, field: Optional[NumberField] = None) -> Resolution:
     """Resolve a reduced germ vanishing at the origin.
 
-    Raises UnresolvedGermError when the tower cap cuts a branch off, so a
-    returned Resolution is always complete (`tower_capped` is always False).
+    Raises UnresolvedGermError when a branch needs a field tower beyond
+    `numfield.TOWER_CAP`, so a returned Resolution is always complete
+    (`tower_capped` is always False).
     """
     g = germ.with_vars(("x", "y"))
     if g.is_zero():
@@ -142,7 +142,7 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
         lt = _direction_poly(node.germ, node.m, node.field)
         nu_vertical = node.m - lt.degree()
         factors = factor_over_field(node.field, lt) if lt.degree() > 0 else []
-        for q, _mult in factors:
+        for q in factors:
             if q.degree() == 1:
                 t0 = (-q.coeffs[0]) / q.coeffs[1]
                 cfield = node.field
@@ -150,8 +150,7 @@ def resolve(germ: Poly, field: Optional[NumberField] = None,
                 rel = 1
             else:
                 try:
-                    cfield, embed, t0 = extend_field(
-                        node.field, q, cap=tower_cap)
+                    cfield, embed, t0 = extend_field(node.field, q)
                 except TowerCapError as exc:
                     raise UnresolvedGermError(
                         "germ needs a field tower beyond the cap: %s" % exc

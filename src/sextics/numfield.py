@@ -31,7 +31,6 @@ from .poly import (
     to_sympy,
     is_squarefree,
     unipoly_gcd,
-    unipoly_squarefree_decomposition,
     resultant,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "NFElt",
     "TowerCapError",
     "nf",
-    "field_degree",
     "coerce_unipoly",
     "factor_rational",
     "factor_over_field",
@@ -50,7 +48,7 @@ __all__ = [
 
 
 class TowerCapError(DomainError):
-    """An extension would exceed the configured total-degree cap."""
+    """A tower would exceed the absolute degree TOWER_CAP."""
 
 
 class NumberField:
@@ -238,10 +236,6 @@ def nf(field: Optional[NumberField], value):
     return Fraction(value) if field is None else field.from_rational(value)
 
 
-def field_degree(field: Optional[NumberField]) -> int:
-    return 1 if field is None else field.degree
-
-
 def coerce_unipoly(field: Optional[NumberField], u: UniPoly) -> UniPoly:
     return UniPoly(u.var, [nf(field, c) if not isinstance(c, NFElt) else c
                            for c in u.coeffs])
@@ -320,20 +314,22 @@ def _norm(field: NumberField, q: UniPoly, s: int, var: str) -> UniPoly:
 
 
 def factor_over_field(field: Optional[NumberField], u: UniPoly):
-    """Irreducible monic factors over the field: [(factor, mult)]."""
+    """The distinct monic irreducible factors of u over the field.
+
+    Multiplicities are dropped: over a number field, Trager runs on the
+    monic squarefree part u / gcd(u, u').  Deterministic order: by (degree,
+    coefficient tuple).
+    """
     if field is None:
-        return factor_rational(u)
+        return [f for f, _ in factor_rational(u)]
     u = coerce_unipoly(field, u)
     if u.is_zero():
         raise DomainError("zero polynomial")
     if u.degree() == 0:
         return []
-    out = []
-    for sqf, mult in unipoly_squarefree_decomposition(u):
-        for f in _trager_squarefree(field, sqf):
-            out.append((f, mult))
-    out.sort(key=lambda fm: (fm[0].degree(),
-                             tuple(coef_key(c) for c in fm[0].coeffs)))
+    sqf = u.divmod(unipoly_gcd(u, u.derivative()))[0].monic()
+    out = _trager_squarefree(field, sqf)
+    out.sort(key=lambda f: (f.degree(), tuple(coef_key(c) for c in f.coeffs)))
     return out
 
 
@@ -363,9 +359,10 @@ def _trager_squarefree(field: NumberField, g: UniPoly):
 
 
 _GEN_NAMES = "wvuzpq"
+TOWER_CAP = 12
 
 
-def extend_field(field: Optional[NumberField], q: UniPoly, cap: int = 0):
+def extend_field(field: Optional[NumberField], q: UniPoly):
     """Flatten field(eta)/q(eta) to a primitive single-generator field.
 
     `q` must be irreducible over `field` with degree >= 2.  Returns
@@ -374,16 +371,17 @@ def extend_field(field: Optional[NumberField], q: UniPoly, cap: int = 0):
     field's minimal polynomial is integral and monic (`integral_minpoly`),
     so its generator stands for a multiple of the primitive element.
 
-    Raises TowerCapError when the absolute degree would exceed `cap` > 0.
+    A first extension of Q is never capped; a tower (`field` not None)
+    raises TowerCapError when its absolute degree would exceed TOWER_CAP.
     """
-    total = field_degree(field) * q.degree()
-    if cap and total > cap:
-        raise TowerCapError(
-            "extension degree %d exceeds the tower cap %d" % (total, cap))
     if field is None:
         mu_int, dscale = integral_minpoly(q)
         new = NumberField(mu_int, _GEN_NAMES[0])
         return new, new.from_rational, new.generator() * (1 / dscale)
+    total = field.degree * q.degree()
+    if total > TOWER_CAP:
+        raise TowerCapError("extension degree %d exceeds the tower cap %d"
+                            % (total, TOWER_CAP))
 
     depth = _GEN_NAMES.index(field.name[0]) if field.name[0] in _GEN_NAMES else 0
     name = _GEN_NAMES[(depth + 1) % len(_GEN_NAMES)]

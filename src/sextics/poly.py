@@ -742,28 +742,6 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic() if not a.is_zero() else a
 
 
-def unipoly_squarefree_decomposition(p: UniPoly):
-    """Yun's algorithm: list of (factor, multiplicity), factors monic."""
-    if p.is_zero():
-        raise DomainError("zero polynomial")
-    p = p.monic()
-    out = []
-    d = p.derivative()
-    a = unipoly_gcd(p, d)
-    b = p.divmod(a)[0]
-    c = d.divmod(a)[0]
-    i = 1
-    while b.degree() > 0:
-        z = c - b.derivative()
-        g = unipoly_gcd(b, z)
-        if g.degree() > 0:
-            out.append((g, i))
-        b = b.divmod(g)[0]
-        c = z.divmod(g)[0]
-        i += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # exact arithmetic over Q through sympy over ZZ: gcd, squarefree test,
 # resultant

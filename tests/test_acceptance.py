@@ -58,7 +58,7 @@ def pair_analyses():
         doc = rec.doc
         if doc.f2 is None:
             continue
-        out[rec.rid] = analyze_document(doc, doc.generic or (), 12)
+        out[rec.rid] = analyze_document(doc, doc.generic or ())
     return out
 
 

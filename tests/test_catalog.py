@@ -195,7 +195,7 @@ class TestExamples:
                              "claim: * :: degrees :: 3,3\n")
         rep = verify_example(ExampleRecord("conjugate-cubics", doc))
         assert [v.status for v in rep.verdicts] == ["verified", "verified"]
-        an = analyze_document(doc, (), 12)
+        an = analyze_document(doc, ())
         assert an.degrees() == (6,)
         [sextic] = an.components
         assert sextic.genus is None

@@ -95,12 +95,12 @@ class TestAnalyze:
         assert out.startswith("error: line 2")
 
     def test_tower_cap_refused(self, capsys, tmp_path):
-        # the D_4 point at the origin needs Q(sqrt(2)), beyond a cap of 1
+        # the singular points x^7 = 2, y^2 = 3 need a field of degree 14
         doc = tmp_path / "capped.txt"
-        doc.write_text("f: x*y^2 - 2*x^3 + x^6 + y^6\n")
-        code, out = run_cli(capsys, "analyze", str(doc), "--tower-cap", "1")
+        doc.write_text("f: (x^7 - 2)^2 + (y^2 - 3)^2\n")
+        code, out = run_cli(capsys, "analyze", str(doc))
         assert code == 2
-        assert out.startswith("error: ")
+        assert out == "error: extension degree 14 exceeds the tower cap 12\n"
 
     def test_deterministic(self, capsys, item5_doc):
         _c1, out1 = run_cli(capsys, "analyze", item5_doc, "--json")
@@ -289,3 +289,14 @@ class TestSweep:
         code, out = run_cli(capsys, "sweep", sweep_doc,
                             "--param", "q", "--values", "1,2")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "list", "--json"),
+    ("analyze", "DOC", "--seed", "1"),
+    ("verify", "--all", "--tower-cap", "12"),
+], ids=["catalog-json", "analyze-seed", "verify-tower-cap"])
+def test_flag_a_subcommand_does_not_read_refused(capsys, smooth_doc, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([smooth_doc if a == "DOC" else a for a in argv])
+    assert exc.value.code == 2

@@ -47,7 +47,7 @@ def verdict_rows(reports):
 def record_dicts(rid):
     doc = {r.rid: r for r in builtin_examples()}[rid].doc
     return {",".join("%s=%s" % nv for nv in b) or "*":
-            _analysis_dict(analyze_document(doc, b, 12))
+            _analysis_dict(analyze_document(doc, b))
             for b in _bindings(doc)}
 
 

@@ -29,7 +29,7 @@ from sextics.localsing import (
 )
 from sextics.localsing._sigdata import SIGNATURES
 from sextics.localsing.points import point_on_curve
-from sextics.numfield import NFElt, factor_rational
+from sextics.numfield import NFElt, NumberField, factor_rational
 from sextics.poly import DomainError, Poly, UniPoly, is_squarefree, \
     parse_poly, resultant
 
@@ -362,16 +362,19 @@ class TestDelta:
 
 
 class TestTowerCap:
+    # K7 = Q(2^(1/7)); a square root over it needs a tower of degree 14
+    K7 = NumberField(UniPoly("w", [-2, 0, 0, 0, 0, 0, 0, 1]))
+
     def test_capped_resolution_raises(self):
-        # two of the three branches need Q(sqrt(-3)), beyond the cap
+        # the tangents y = +-sqrt(3)*x need K7(sqrt(3)), beyond the cap
         with pytest.raises(UnresolvedGermError):
-            resolve(g("y^3 + x^6"), tower_cap=1)
+            resolve(g("y^2 - 3*x^2"), self.K7)
 
     def test_capped_germ_feeds_no_delta(self):
         # D_4 with tangents y = +-sqrt(2)*x: a cut-off tower once gave
         # Unknown with delta 2 and r 1 (the true values are 3 and 3)
         with pytest.raises(UnresolvedGermError):
-            analyze_germ(g("x*y^2 - 2*x^3"), tower_cap=1)
+            analyze_germ(g("x*y^2 - 2*x^3"), self.K7)
 
     def test_default_cap_suffices(self):
         res = resolve(g("y^3 + x^6"))

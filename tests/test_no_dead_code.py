@@ -1,5 +1,6 @@
 """Every function, class, method and dataclass field in src/sextics has a
-consumer in the package, and every module of it reads each name it imports.
+consumer in the package, every module of it reads each name it imports, and
+every defaulted parameter is set by some call in the package.
 
 A top-level definition counts as used when code in src/sextics, outside the
 definition's own body, looks its name up: in the defining module, or in a
@@ -12,6 +13,10 @@ methods are exempt: the interpreter calls them.
 
 An imported name counts as read when the importing module loads it
 anywhere.  Package `__init__` modules are exempt: they import to re-export.
+
+A call is matched to a function by name, `name(...)` or `x.name(...)`, and
+to a class's `__init__` by the class name.  It sets a parameter by position
+or by keyword; a call with `*args` or `**kwargs` sets them all.
 """
 
 import ast
@@ -36,7 +41,8 @@ ALLOWED = {
     # always False now that a capped resolve raises; perfbench/tracer.py
     # counts it as localsing.resolve.capped
     "Resolution.tower_capped",
-    # document keys that CurveDocument.all_polys reads with getattr by name
+    # document keys that CurveDocument.all_polys reads with getattr through
+    # docs._POLY_KEYS
     "CurveDocument.f_den",
     "CurveDocument.f2_den",
     "CurveDocument.f3_den",
@@ -53,6 +59,20 @@ ALLOWED_IMPORTS = {
     # namespace, and refuses to install when either name is missing there
     "components.py: resultant",
     "components.py: factor_rational",
+    # perfbench/tracer.py patches is_squarefree in this namespace, and
+    # refuses to install when the name is missing there
+    "analysis.py: is_squarefree",
+}
+
+# Defaulted parameters that no call in the package sets, as
+# "module path: function.parameter".
+ALLOWED_DEFAULTS = {
+    # the console entry point calls main() with no arguments; tests pass argv
+    "cli.py: main.argv",
+    # closure bindings: they freeze the new field and the image of theta
+    # for this embed, and callers pass only the element
+    "numfield.py: extend_field.embed._new",
+    "numfield.py: extend_field.embed._theta",
 }
 
 
@@ -189,3 +209,68 @@ def test_every_import_is_read():
 
 def test_import_allow_list_holds_only_unread_imports():
     assert ALLOWED_IMPORTS <= set(unused_imports(set()))
+
+
+def _functions(node, prefix="", cls=None):
+    """(qualified name, function node, enclosing class or None), nested
+    functions included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, prefix + child.name + ".", child)
+        elif isinstance(child, ast.FunctionDef):
+            yield prefix + child.name, child, cls
+            yield from _functions(child, prefix + child.name + ".")
+        else:
+            yield from _functions(child, prefix, cls)
+
+
+def _sets(call, index, name):
+    """Whether `call` sets the parameter `name`, which its positional
+    argument number `index` (from 0) would fill."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return len(call.args) > index or any(
+        kw.arg is None or kw.arg == name for kw in call.keywords)
+
+
+def unset_defaults(allowed=ALLOWED_DEFAULTS):
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.rglob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id",
+                                 getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+    unset = []
+    for path, tree in trees.items():
+        for qualname, fn, cls in _functions(tree):
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in fn.decorator_list)
+            bound = cls is not None and not static
+            callee = cls.name if fn.name == "__init__" else fn.name
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            # a keyword-only parameter is never set by position
+            defaulted += [(float("inf"), a.arg) for a, d
+                          in zip(args.kwonlyargs, args.kw_defaults) if d]
+            for index, name in defaulted:
+                label = "%s: %s.%s" % (path.relative_to(SRC).as_posix(),
+                                       qualname, name)
+                if label in allowed:
+                    continue
+                if not any(_sets(c, index - bound, name)
+                           for c in calls.get(callee, ())):
+                    unset.append(label)
+    return unset
+
+
+def test_every_default_is_set_by_a_caller():
+    assert unset_defaults() == []
+
+
+def test_default_allow_list_holds_only_unset_defaults():
+    assert ALLOWED_DEFAULTS <= set(unset_defaults(set()))

@@ -17,7 +17,6 @@ from sextics.poly import (
     poly_gcd,
     resultant,
     unipoly_gcd,
-    unipoly_squarefree_decomposition,
 )
 
 X = ("x",)
@@ -220,11 +219,6 @@ class TestGcdSquarefree:
     def test_squarefree_detect(self):
         assert is_squarefree(P("x*y*(x + y - 1)"))
         assert not is_squarefree(P("(x + y)^2"))
-
-    def test_unipoly_squarefree_decomposition(self):
-        p = UniPoly("x", [0, 0, 0, 1]) * UniPoly("x", [1, -2, 1])
-        out = unipoly_squarefree_decomposition(p)
-        assert [(str(f), m) for f, m in out] == [("x - 1", 2), ("x", 3)]
 
     def test_unipoly_gcd(self):
         a = UniPoly("x", [-1, 0, 1])
