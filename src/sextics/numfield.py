@@ -3,9 +3,12 @@
 The resolution of singularities and the singular-point finder work over
 towers of these fields.  `extend_field` is the one constructor: over Q it
 adjoins a root of an irreducible polynomial, over a field it re-flattens the
-extension via a primitive element, so elements stay simple coefficient
-vectors.  Every minimal polynomial is integral and monic.  Inverses come
-from extended Euclid on `UniPoly`s in the generator.
+extension via a primitive element, so an element is one coordinate vector
+in the powers of a single generator: integer coordinates over one
+denominator.  Every minimal polynomial is integral and monic, so a product
+is an integer convolution reduced by the minimal polynomial, with no
+division and one gcd at the end.  Inverses come from extended Euclid on
+`UniPoly`s in the generator.
 
 `field = None` denotes Q itself with plain `Fraction` elements throughout
 the package.
@@ -52,16 +55,26 @@ class TowerCapError(DomainError):
 
 
 class NumberField:
-    """Q[w]/(minpoly); minpoly monic irreducible over Q of degree >= 2."""
+    """Q[w]/(minpoly); minpoly monic irreducible over Q of degree >= 2.
 
-    __slots__ = ("minpoly", "name")
+    The minimal polynomial must have integer coefficients once monic
+    (`extend_field` always builds such a one, see `integral_minpoly`): the
+    product of two elements is then reduced without any division.
+    """
+
+    __slots__ = ("minpoly", "name", "_reducer")
 
     def __init__(self, minpoly: UniPoly, name: str = "w"):
         mp = minpoly.monic()
         if mp.degree() < 2:
             raise DomainError("number field needs degree >= 2 minimal polynomial")
+        if any(c.denominator != 1 for c in mp.coeffs):
+            raise DomainError("minimal polynomial %s is not integral" % mp)
         object.__setattr__(self, "minpoly", UniPoly(name, mp.coeffs))
         object.__setattr__(self, "name", name)
+        # w^d = -sum m_j w^j: the nonzero (j, m_j) below the leading term
+        object.__setattr__(self, "_reducer", tuple(
+            (j, int(c)) for j, c in enumerate(mp.coeffs[:-1]) if c))
 
     def __setattr__(self, *a):
         raise AttributeError("NumberField is immutable")
@@ -84,92 +97,122 @@ class NumberField:
     # element constructors -------------------------------------------------
 
     def element(self, coeffs) -> "NFElt":
-        cs = [Fraction(c) if isinstance(c, (int, str)) else c for c in coeffs]
-        cs = cs[: self.degree] + [Fraction(0)] * (self.degree - len(cs))
-        return NFElt(self, tuple(cs))
+        cs = [Fraction(c) for c in coeffs][: self.degree]
+        cs += [Fraction(0)] * (self.degree - len(cs))
+        den = lcm(*(c.denominator for c in cs))
+        return NFElt(self, [c.numerator * (den // c.denominator) for c in cs],
+                     den)
 
     def generator(self) -> "NFElt":
         return self.element([0, 1])
 
     def from_rational(self, c) -> "NFElt":
-        return self.element([Fraction(c)])
+        c = Fraction(c)
+        return NFElt(self, (c.numerator,) + (0,) * (self.degree - 1),
+                     c.denominator)
 
 
 class NFElt:
-    """Element of a NumberField: dense coefficient vector in the generator."""
+    """Element of a NumberField: integer coordinates `nums` in the powers
+    of the generator over one positive denominator `den`.
 
-    __slots__ = ("field", "coeffs")
+    The pair is canonical, gcd(den, *nums) = 1, so equal elements have
+    equal vectors.  `coeffs` is the same vector as `Fraction`s.
+    """
 
-    def __init__(self, field: NumberField, coeffs: Tuple[Fraction, ...]):
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field: NumberField, nums, den: int):
+        nums = tuple(nums)
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple(n // g for n in nums)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("NFElt is immutable")
 
-    def _coerce(self, other):
-        if isinstance(other, NFElt):
-            if other.field != self.field:
-                raise DomainError("mixed number fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return NotImplemented
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    def _same_field(self, other: "NFElt"):
+        if other.field is not self.field and other.field != self.field:
+            raise DomainError("mixed number fields")
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other):
+        if isinstance(other, NFElt):
+            return (self.den == other.den and self.nums == other.nums
+                    and self.field == other.field)
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        if not isinstance(other, NFElt):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+            return (self.den == other.denominator
+                    and self.nums[0] == other.numerator
+                    and not any(self.nums[1:]))
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        # a rational element hashes like the rational it equals
+        if not any(self.nums[1:]):
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.field, self.nums, self.den))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return NFElt(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        if isinstance(other, NFElt):
+            self._same_field(other)
+            da, db = self.den, other.den
+            if da == db:
+                return NFElt(self.field, [a + b for a, b in
+                                          zip(self.nums, other.nums)], da)
+            return NFElt(self.field, [a * db + b * da for a, b in
+                                      zip(self.nums, other.nums)], da * db)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            nums = [n * q for n in self.nums]
+            nums[0] += p * self.den
+            return NFElt(self.field, nums, self.den * q)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElt(self.field, tuple(-a for a in self.coeffs))
+        return NFElt(self.field, [-n for n in self.nums], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
+        if isinstance(other, (NFElt, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        mp = self.field.minpoly.coeffs  # monic
-        for k in range(len(prod) - 1, d - 1, -1):
-            c = prod[k]
-            if not c:
-                continue
-            prod[k] = Fraction(0)
-            for j in range(d):
-                prod[k - d + j] -= c * mp[j]
-        return NFElt(self.field, tuple(prod[:d]))
+        if isinstance(other, NFElt):
+            self._same_field(other)
+            # integer convolution, reduced by the monic integer minpoly
+            d = len(self.nums)
+            prod = [0] * (2 * d - 1)
+            for i, a in enumerate(self.nums):
+                if a:
+                    for j, b in enumerate(other.nums):
+                        if b:
+                            prod[i + j] += a * b
+            for k in range(2 * d - 2, d - 1, -1):
+                c = prod[k]
+                if c:
+                    for j, m in self.field._reducer:
+                        prod[k - d + j] -= c * m
+            return NFElt(self.field, prod[:d], self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            p = other.numerator
+            return NFElt(self.field, [n * p for n in self.nums],
+                         self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -205,13 +248,16 @@ class NFElt:
         return self.field.element(s0.scale(1 / r0.lc()).coeffs)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
+        if isinstance(other, NFElt):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        return self.field.from_rational(other) * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def to_theta_poly(self) -> UniPoly:
         return UniPoly(self.field.name, self.coeffs)

@@ -277,31 +277,51 @@ class Poly:
         return Poly(self.vars, terms)
 
     def substitute(self, bindings: Mapping[str, Union["Poly", Coef, int]]) -> "Poly":
-        """Exact simultaneous substitution; bound symbols must be declared."""
+        """Exact simultaneous substitution; bound symbols must be declared.
+
+        The result's variables are the unbound ones, then those of the
+        bindings that occur, each new one in order of first appearance (by
+        term, then by bound variable).  Each term's expansion is added
+        into one term dict; the powers of each binding are computed once.
+        """
         for v in bindings:
             self._index(v)
-        vals = {}
-        for v, b in bindings.items():
-            vals[v] = b if isinstance(b, Poly) else Poly.const(b)
-        remaining = tuple(v for v in self.vars if v not in bindings)
-        out = Poly.zero(remaining)
-        # cache powers per bound variable
-        powers: dict = {v: {0: Poly.const(1)} for v in vals}
+        vals = {v: b if isinstance(b, Poly) else Poly.const(b)
+                for v, b in bindings.items()}
+        keep = [i for i, v in enumerate(self.vars) if v not in vals]
+        bound = [i for i, v in enumerate(self.vars) if v in vals]
+        out_vars = [self.vars[i] for i in keep]
+        used = []
+        for m in self.terms:
+            for i in bound:
+                if m[i] and i not in used:
+                    used.append(i)
+                    out_vars += [w for w in vals[self.vars[i]].vars
+                                 if w not in out_vars]
+        pad = (0,) * (len(out_vars) - len(keep))
+        # powers[i][e] is (binding of variable i)^e over out_vars
+        powers = {i: [None, vals[self.vars[i]].with_vars(out_vars)]
+                  for i in used}
+        terms: dict = {}
         for m, c in self.terms.items():
-            mon = tuple(e for v, e in zip(self.vars, m) if v not in bindings)
-            piece = Poly(remaining, {mon: c})
-            for v, e in zip(self.vars, m):
-                if v in bindings and e:
-                    cache = powers[v]
-                    if e not in cache:
-                        p = vals[v]
-                        acc = cache[max(cache)]
-                        for _ in range(max(cache), e):
-                            acc = acc * p
-                            cache[max(cache) + 1] = acc
-                    piece = piece * cache[e]
-            out = out + piece
-        return out
+            piece = {tuple(m[i] for i in keep) + pad: c}
+            for i in bound:
+                e = m[i]
+                if not e:
+                    continue
+                cache = powers[i]
+                while len(cache) <= e:
+                    cache.append(cache[-1] * cache[1])
+                prod: dict = {}
+                for m1, c1 in piece.items():
+                    for m2, c2 in cache[e].terms.items():
+                        mon = tuple(a + b for a, b in zip(m1, m2))
+                        prod[mon] = prod[mon] + c1 * c2 if mon in prod \
+                            else c1 * c2
+                piece = prod
+            for mon, a in piece.items():
+                terms[mon] = terms[mon] + a if mon in terms else a
+        return Poly(out_vars, terms)
 
     def evaluate(self, point: Mapping[str, Coef]) -> Coef:
         missing = [v for v in self.used_vars() if v not in point]
@@ -708,17 +728,23 @@ class UniPoly:
     __repr__ = __str__
 
 
-def _coef_fractions(c):
-    if isinstance(c, Fraction):
-        return (c,)
-    return tuple(c.coeffs)  # number-field element coordinates
-
-
 def rational_content(coeffs) -> Fraction:
-    """Positive rational content across all rational coordinates; 1 for zero."""
-    qs = [q for c in coeffs for q in _coef_fractions(c)]
-    num = gcd(*[q.numerator for q in qs])
-    return Fraction(num, lcm(*[q.denominator for q in qs])) if num else Fraction(1)
+    """Positive rational content across all rational coordinates; 1 for zero.
+
+    A number-field element (see `numfield.NFElt`) is read as its integer
+    coordinates `nums` over its denominator `den`; gcd(den, *nums) = 1
+    there, so the element's own content is gcd(*nums) / den in lowest terms.
+    """
+    nums, dens = [], []
+    for c in coeffs:
+        if isinstance(c, Fraction):
+            nums.append(c.numerator)
+            dens.append(c.denominator)
+        else:
+            nums.extend(c.nums)
+            dens.append(c.den)
+    num = gcd(*nums)
+    return Fraction(num, lcm(*dens)) if num else Fraction(1)
 
 
 def scale_reduce(u: UniPoly) -> UniPoly:

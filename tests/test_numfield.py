@@ -6,11 +6,12 @@ import pytest
 from sextics.numfield import (
     NumberField,
     TowerCapError,
+    coef_key,
     extend_field,
     factor_over_field,
     factor_rational,
 )
-from sextics.poly import UniPoly, unipoly_gcd
+from sextics.poly import DomainError, UniPoly
 
 
 def U(coeffs):
@@ -138,3 +139,110 @@ class TestExtendField:
         L, embed, eta = extend_field(K, q)
         assert L.degree == 4
         assert eta * eta == -embed(w)
+
+
+class TestRationalElements:
+    def test_hash_like_the_rational(self):
+        K = NumberField(U([-2, 0, 1]))
+        for q in (3, Fraction(3), Fraction(-7, 4), 0):
+            e = K.from_rational(q)
+            assert e == q and hash(e) == hash(q)
+        assert len({K.from_rational(3), Fraction(3), 3}) == 1
+        assert {K.from_rational(Fraction(1, 2)): "half"}[Fraction(1, 2)] \
+            == "half"
+        assert K.generator() != 0 and K.element([1, 1]) != 1
+
+    def test_minpoly_must_be_integral(self):
+        # w^2 - 1/2 once monic; extend_field rescales it to w^2 - 2
+        with pytest.raises(DomainError):
+            NumberField(U([-1, 0, 2]))
+        with pytest.raises(DomainError):
+            NumberField(U([Fraction(1, 3), 1, 0, 1]))
+        K, _, r = extend_field(None, U([-1, 0, 2]))
+        assert K.minpoly == UniPoly("w", [Fraction(-2), 0, Fraction(1)])
+        assert r * r == Fraction(1, 2)
+
+
+def eisenstein_fields():
+    """First extensions of Q of degree 2 to 12, from non-monic rational
+    polynomials (2x^d + 6x - 3) / 5, irreducible by Eisenstein at 3, and
+    two towers of degree 4 and 6 over Q(sqrt 2)."""
+    fields = [extend_field(None, U([Fraction(-3, 5), Fraction(6, 5)]
+                                   + [0] * (d - 2) + [Fraction(2, 5)]))[0]
+              for d in range(2, 13)]
+    K = extend_field(None, U([-2, 0, 1]))[0]
+    for q in ([-3, 0, 1], [-3, 0, 0, 1]):
+        fields.append(extend_field(K, UniPoly(
+            "y", [K.from_rational(c) for c in q]))[0])
+    return fields
+
+
+def random_coords(rng, d):
+    """A coordinate vector: large rationals, some zero, sometimes only the
+    rational coordinate or nothing at all."""
+    kind = rng.randrange(8)
+    if kind == 0:
+        return [Fraction(0)] * d
+    cs = [Fraction(rng.randint(-10 ** 25, 10 ** 25), rng.randint(1, 10 ** 15))
+          if rng.randrange(4) else Fraction(0) for _ in range(d)]
+    return cs[:1] + [Fraction(0)] * (d - 1) if kind == 1 else cs
+
+
+class TestDifferentialAgainstFractions:
+    """NFElt arithmetic against a reference: coordinate vectors of
+    Fractions as UniPolys in the generator, multiplied and reduced modulo
+    the minimal polynomial with UniPoly.divmod."""
+
+    @staticmethod
+    def check(K, e, ref):
+        cs = list(ref.coeffs) + [Fraction(0)] * (K.degree - len(ref.coeffs))
+        assert e.coeffs == tuple(cs)
+        assert coef_key(e) == (1,) + tuple((c.numerator, c.denominator)
+                                           for c in cs)
+        assert str(e) == str(ref)
+        assert bool(e) == (not ref.is_zero())
+        assert e == K.element(cs)
+        if not any(cs[1:]):
+            assert e == cs[0] and hash(e) == hash(cs[0])
+        else:
+            assert e != cs[0]
+
+    def test_seeded_elements(self):
+        rng = random.Random(20261018)
+        for K in eisenstein_fields():
+            d, m = K.degree, K.minpoly
+
+            def ref_mul(a, b):
+                return (a * b).divmod(m)[1]
+
+            for _ in range(4):
+                ca, cb = random_coords(rng, d), random_coords(rng, d)
+                a, b = K.element(ca), K.element(cb)
+                ra, rb = UniPoly(m.var, ca), UniPoly(m.var, cb)
+                q = Fraction(rng.randint(-10 ** 12, 10 ** 12),
+                             rng.randint(1, 10 ** 6))
+                n = rng.randint(-10 ** 6, 10 ** 6)
+                rq, rn = UniPoly.const(m.var, q), UniPoly.const(m.var, n)
+                self.check(K, a, ra)
+                self.check(K, a + b, ra + rb)
+                self.check(K, a - b, ra - rb)
+                self.check(K, -a, -ra)
+                self.check(K, a * b, ref_mul(ra, rb))
+                self.check(K, a + q, ra + rq)
+                self.check(K, q - a, rq - ra)
+                self.check(K, a * q, ra.scale(q))
+                self.check(K, n * a, ra.scale(n))
+                self.check(K, a - n, ra - rn)
+                self.check(K, a ** 3, ref_mul(ref_mul(ra, ra), ra))
+                self.check(K, a ** 0, UniPoly.const(m.var, 1))
+                if q:
+                    self.check(K, a / q, ra.scale(1 / q))
+                if not b:
+                    continue
+                inv = b.inverse()
+                self.check(K, inv * b, UniPoly.const(m.var, 1))
+                self.check(K, b * inv, ref_mul(rb, UniPoly(m.var, inv.coeffs)))
+                quot = a / b
+                self.check(K, quot * b, ra)
+                self.check(K, q / b, ref_mul(rq, UniPoly(m.var, inv.coeffs)))
+                self.check(K, b ** -2 * b * b, UniPoly.const(m.var, 1))

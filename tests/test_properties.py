@@ -1,5 +1,5 @@
-"""Randomized property suites: ring laws, resultant specialization,
-gcds of planted common factors, root-finding reconstruction, decomposition of planted factors under an
+"""Randomized property suites: ring laws, substitution against sympy,
+resultant specialization, gcds of planted common factors, root-finding reconstruction, decomposition of planted factors under an
 affine change of coordinates, parse/format round-trips on the corpus, the
 intersection-singularity law A_{2 iota - 1} and the metamorphic laws of the
 local intersection number.
@@ -12,11 +12,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from sextics.catalog import builtin_examples
 from sextics.components import decompose
 from sextics.localsing import classify_germ, intersection_multiplicity_origin
-from sextics.numfield import factor_rational
+from sextics.numfield import NFElt, extend_field, factor_rational
 from sextics.poly import (
     Poly,
     UniPoly,
@@ -69,6 +70,95 @@ class TestRingLaws:
             for k in range(4):
                 assert a ** k == prod
                 prod = prod * a
+
+
+def to_expr(p: Poly, w=None):
+    """p as a sympy expression in its variables; a number-field
+    coefficient becomes a polynomial in the symbol `w`."""
+    def coef(c):
+        if isinstance(c, NFElt):
+            return sum(coef(a) * w ** i for i, a in enumerate(c.coeffs))
+        return sympy.Rational(c.numerator, c.denominator)
+    return sum((coef(c) * sympy.Mul(*(sympy.Symbol(v) ** e
+                                      for v, e in zip(p.vars, m)))
+                for m, c in p.terms.items()), sympy.Integer(0))
+
+
+class TestSubstituteAgainstSympy:
+    """Poly.substitute against sympy's simultaneous subs on seeded
+    polynomials in two and three variables."""
+
+    @staticmethod
+    def check(p, bindings, w=None, minpoly=None):
+        got = p.substitute(bindings)
+        want = sympy.expand(to_expr(p, w).subs(
+            {sympy.Symbol(v): to_expr(b, w) if isinstance(b, Poly)
+             else sympy.Rational(b.numerator, b.denominator)
+             for v, b in bindings.items()}, simultaneous=True))
+        diff = sympy.expand(to_expr(got, w) - want)
+        if minpoly is not None:
+            diff = sympy.rem(diff, to_expr(minpoly.to_poly(), w), w)
+        assert diff == 0, (str(p), {v: str(b) for v, b in bindings.items()})
+        return got
+
+    def test_swap_shear_and_constant(self):
+        rng = random.Random(4242)
+
+        def moved_last(p, bound):
+            # bindings over p.vars: the unbound variables, then the bound
+            # ones, which come back only when some term uses one of them
+            rest = tuple(v for v in p.vars if v not in bound)
+            used = any(e for m in p.terms for v, e in zip(p.vars, m)
+                       if v in bound)
+            return rest + tuple(v for v in p.vars if v in bound) * used
+
+        for _ in range(25):
+            p = random_poly(rng, rng.randint(2, 3))
+            x, y = (Poly.var(v, p.vars) for v in p.vars[:2])
+            k = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            got = self.check(p, {"x": y, "y": x})
+            assert got.vars == moved_last(p, "xy")
+            got = self.check(p, {"x": x + y.scale(k)})
+            assert got.vars == moved_last(p, "x")
+            got = self.check(p, {"y": k})
+            assert got.vars == tuple(v for v in p.vars if v != "y")
+            got = self.check(p, {"x": Poly.const(k, p.vars)})
+            assert got.vars == moved_last(p, "x")
+
+    def test_binding_brings_in_a_new_variable(self):
+        rng = random.Random(777)
+        for _ in range(25):
+            p = random_poly(rng, 3, zero_ok=False)
+            t, y = Poly.var("t", ("t", "y")), Poly.var("y", ("t", "y"))
+            b = t * y + Poly.const(rng.randint(-5, 5), ("t", "y"))
+            got = self.check(p, {"x": b})
+            uses_x = any(m[0] for m in p.terms)
+            assert got.vars == (("y", "z", "t") if uses_x else ("y", "z"))
+        # new variables come in order of first appearance: by term, then
+        # by bound variable; a binding that no term uses brings in nothing
+        u, tu = Poly.var("u"), Poly(("t", "u"), {(1, 1): 1})
+        y_first = Poly(("x", "y"), {(0, 1): 1, (1, 0): 1})
+        x_first = Poly(("x", "y"), {(1, 0): 1, (0, 1): 1})
+        assert self.check(y_first, {"x": u, "y": tu}).vars == ("t", "u")
+        assert self.check(x_first, {"x": u, "y": tu}).vars == ("u", "t")
+        assert self.check(Poly.var("x", ("x", "y")),
+                          {"y": Poly.var("s")}).vars == ("x",)
+
+    def test_y_shift_over_a_number_field(self):
+        rng = random.Random(99991)
+        w = sympy.Symbol("w")
+        for q in ([-2, 0, 1], [Fraction(1, 2), -3, 0, 2]):
+            K = extend_field(None, UniPoly("w", [Fraction(c) for c in q]))[0]
+            for _ in range(10):
+                p = random_poly(rng, 2, zero_ok=False)
+                p = Poly(p.vars, {m: K.element([c, rng.randint(-9, 9)])
+                                  for m, c in p.terms.items()})
+                t0 = K.element([Fraction(rng.randint(-9, 9), 7),
+                                rng.randint(1, 9)])
+                shift = Poly(("x", "y"), {(0, 1): 1, (0, 0): t0})
+                got = self.check(p, {"y": shift}, w, K.minpoly)
+                uses_y = any(m[1] for m in p.terms)
+                assert got.vars == ("x", "y")[:1 + uses_y]
 
 
 class TestResultantSpecialization:
