@@ -316,8 +316,8 @@ class Poly:
                 for m1, c1 in piece.items():
                     for m2, c2 in cache[e].terms.items():
                         mon = tuple(a + b for a, b in zip(m1, m2))
-                        prod[mon] = prod[mon] + c1 * c2 if mon in prod \
-                            else c1 * c2
+                        v = c1 * c2
+                        prod[mon] = prod[mon] + v if mon in prod else v
                 piece = prod
             for mon, a in piece.items():
                 terms[mon] = terms[mon] + a if mon in terms else a
