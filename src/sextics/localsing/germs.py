@@ -3,14 +3,20 @@ numbers (the classical reduction algorithm) and Milnor numbers.
 
 The `_origin` functions take germs already translated to the origin; the
 others take a curve and a point on it.  Coefficients may be rational or
-number-field elements.
+number-field elements.  When both germs are rational, the intersection
+kernel clears their denominators once and reduces with Python ints and a
+fraction-free elimination step; over a number field it divides by the
+leading coefficient.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+
 # Unused here; perfbench/tracer.py patches factor_over_field in this namespace.
 from ..numfield import factor_over_field  # noqa: F401
-from ..poly import DomainError, Poly, rational_content
+from ..poly import DomainError, Poly, clear_denominators, rational_content
 
 __all__ = [
     "InfiniteIntersectionError",
@@ -49,6 +55,14 @@ def _scale_reduce(terms: dict) -> dict:
     return {m: v * inv for m, v in terms.items()}
 
 
+def _int_reduce(terms: dict) -> dict:
+    """Divide integer coefficients by their gcd (a unit, as above)."""
+    c = gcd(*terms.values())
+    if c == 1:
+        return terms
+    return {m: v // c for m, v in terms.items()}
+
+
 def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
     """Local intersection number I(g, h; O) by the reduction algorithm.
 
@@ -57,8 +71,22 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
     term, it compares the restrictions a = g(x, 0) and b = h(x, 0): when
     one of them is zero, that germ is y times a cofactor, so I gains the
     order of the other restriction and the germ is divided by y; otherwise
-    h - c*x^k*g, with deg a <= deg b, kills the leading term of b.  Every
-    germ is divided by its rational content, a unit.
+    an elimination step with deg a <= deg b kills the leading term of b.
+    After each step the new germ is divided by its content.  Both are
+    multiplications by nonzero constants, units that leave I unchanged.
+
+    The step's scalars depend on the coefficients, chosen once per call.
+    When every coefficient of both germs is rational, their denominators
+    are cleared at entry and the reduction runs on Python ints: the step
+    is fraction-free, h <- d*h - c*x^k*g with (d, c) the leading
+    coefficients of a and b over their gcd, and the content is the gcd of
+    the integer coefficients.  Over a number field the step is
+    h <- h - c*x^k*g with c = lc(b) / lc(a), and the content is the
+    rational content; scaling h by an algebraic d there would let the
+    coordinates grow with nothing to take the growth out again.  The
+    integer germs of each step are nonzero rational multiples of the ones
+    that field division gives, so both steps lead through the same
+    monomials to the same I.
 
     A finite I is at most deg g * deg h (Bezout), so both germs are
     truncated at total degree deg g * deg h + 2, which keeps I and the
@@ -74,8 +102,18 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
         raise InfiniteIntersectionError("zero germ shares every component")
     limit = g.degree() * h.degree()
     bound = limit + 2
-    G = _scale_reduce({m: c for m, c in g.terms.items() if sum(m) < bound})
-    H = _scale_reduce({m: c for m, c in h.terms.items() if sum(m) < bound})
+    G = {m: c for m, c in g.terms.items() if sum(m) < bound}
+    H = {m: c for m, c in h.terms.items() if sum(m) < bound}
+    rational = all(isinstance(c, Fraction)
+                   for c in (*G.values(), *H.values()))
+    if rational:
+        reduce = _int_reduce
+        G = clear_denominators(G)[0]
+        H = clear_denominators(H)[0]
+    else:
+        reduce = _scale_reduce
+    G = reduce(G)
+    H = reduce(H)
     total = 0
     while True:
         # Poly drops zero coefficients and the elimination deletes the ones
@@ -104,7 +142,13 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
             G, H = H, G
             r, s = s, r
         # kill the leading coefficient of b(x) = h(x, 0)
-        c = H[(s, 0)] / G[(r, 0)]
+        if rational:
+            q = gcd(G[(r, 0)], H[(s, 0)])
+            d, c = G[(r, 0)] // q, H[(s, 0)] // q
+            if d != 1:
+                H = {m: d * v for m, v in H.items()}
+        else:
+            c = H[(s, 0)] / G[(r, 0)]
         k = s - r
         for (i, j), cg in G.items():
             mon = (i + k, j)
@@ -120,7 +164,7 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
             raise InfiniteIntersectionError(
                 "a germ reduces to zero: the curves share a component"
                 " through the point")
-        H = _scale_reduce(H)
+        H = reduce(H)
 
 
 def intersection_multiplicity(g: Poly, h: Poly, p) -> int:

@@ -8,7 +8,8 @@ operators on the coefficients.
 
 The arithmetic helpers that the other modules share live here, one per
 job: `rational_content` (the positive rational content of a coefficient
-list), `content_in` (the gcd of the coefficients in one variable),
+list), `clear_denominators` (a rational term dict as integers over one
+denominator), `content_in` (the gcd of the coefficients in one variable),
 `UniPoly.from_poly` (a polynomial in one variable, read as a univariate)
 and `to_sympy`/`from_sympy` (the one bridge to sympy: an integer sympy
 polynomial and its denominator, and back).
@@ -182,6 +183,8 @@ class Poly:
     def with_vars(self, variables: Sequence[str]) -> "Poly":
         """Re-express over a variable tuple that must cover all used vars."""
         vs = tuple(variables)
+        if vs == self.vars:
+            return self
         pos = {}
         for v in self.used_vars():
             if v not in vs:
@@ -194,8 +197,8 @@ class Poly:
             for i, e in enumerate(m):
                 if e:
                     mon[pos[i]] = e
-            mon = tuple(mon)
-            terms[mon] = terms.get(mon, Fraction(0)) + c
+            # the variable map is injective, so no two terms meet
+            terms[tuple(mon)] = c
         return Poly(vs, terms)
 
     def _aligned(self, other: "Poly"):
@@ -272,8 +275,7 @@ class Poly:
         terms = {}
         for m, c in self.terms.items():
             if m[i]:
-                mon = m[:i] + (m[i] - 1,) + m[i + 1:]
-                terms[mon] = terms.get(mon, Fraction(0)) + c * m[i]
+                terms[m[:i] + (m[i] - 1,) + m[i + 1:]] = c * m[i]
         return Poly(self.vars, terms)
 
     def substitute(self, bindings: Mapping[str, Union["Poly", Coef, int]]) -> "Poly":
@@ -346,10 +348,7 @@ class Poly:
         rest = self.vars[:i] + self.vars[i + 1:]
         out: dict = {}
         for m, c in self.terms.items():
-            e = m[i]
-            mon = m[:i] + m[i + 1:]
-            bucket = out.setdefault(e, {})
-            bucket[mon] = bucket.get(mon, Fraction(0)) + c
+            out.setdefault(m[i], {})[m[:i] + m[i + 1:]] = c
         return {e: Poly(rest, t) for e, t in out.items()}
 
     def lowest_degree(self) -> int:
@@ -774,12 +773,19 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 
+def clear_denominators(terms: Mapping[Monom, Fraction]):
+    """(ints, d) for a rational term dict: d is the least positive integer
+    that makes every coefficient integral, and ints maps each monomial to
+    d times its coefficient, an `int`."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (d // c.denominator)
+            for m, c in terms.items()}, d
+
+
 def to_sympy(p: Poly, variables: Sequence[str]):
     """(P, d): the integer sympy Poly P in `variables`, in that generator
     order, and the least positive integer d with p = P / d."""
-    p = p.with_vars(variables)
-    d = lcm(*(c.denominator for c in p.terms.values()))
-    ints = {m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}
+    ints, d = clear_denominators(p.with_vars(variables).terms)
     return sympy.Poly.from_dict(ints, *map(sympy.Symbol, variables),
                                 domain="ZZ"), d
 

@@ -1,14 +1,16 @@
 """Randomized property suites: ring laws, substitution against sympy,
 resultant specialization, gcds of planted common factors, root-finding reconstruction, decomposition of planted factors under an
 affine change of coordinates, parse/format round-trips on the corpus, the
-intersection-singularity law A_{2 iota - 1} and the metamorphic laws of the
-local intersection number.
+intersection-singularity law A_{2 iota - 1}, the metamorphic laws of the
+local intersection number and the intersection kernel against a
+`Fraction` reference of the reduction algorithm.
 
 Everything is exact and seeded; the whole module stays well under the
 two-minute budget.
 """
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,12 @@ import sympy
 
 from sextics.catalog import builtin_examples
 from sextics.components import decompose
-from sextics.localsing import classify_germ, intersection_multiplicity_origin
-from sextics.numfield import NFElt, extend_field, factor_rational
+from sextics.localsing import (
+    InfiniteIntersectionError,
+    classify_germ,
+    intersection_multiplicity_origin,
+)
+from sextics.numfield import NFElt, NumberField, extend_field, factor_rational
 from sextics.poly import (
     Poly,
     UniPoly,
@@ -26,6 +32,7 @@ from sextics.poly import (
     is_squarefree,
     parse_poly,
     poly_gcd,
+    rational_content,
     resultant,
 )
 
@@ -330,4 +337,205 @@ class TestIntersectionNumberLaws:
             assert im(g, h1 * h2) == i1 + i2, (str(g), str(h1), str(h2))
             q = random_poly(rng, max_terms=3, max_deg=2)
             assert im(g, h1 + q * g) == i1, (str(g), str(h1), str(q))
+            done += 1
+
+
+def reference_intersection(g: Poly, h: Poly) -> int:
+    """The reduction algorithm with field division in every step, on any
+    coefficients: h <- h - c*x^k*g with c = lc(b) / lc(a), then division
+    by the rational content."""
+    def scale_reduce(terms):
+        c = rational_content(terms.values())
+        return terms if c == 1 else {m: v / c for m, v in terms.items()}
+
+    g = g.with_vars(("x", "y"))
+    h = h.with_vars(("x", "y"))
+    if g.is_zero() or h.is_zero():
+        raise InfiniteIntersectionError("zero germ")
+    limit = g.degree() * h.degree()
+    bound = limit + 2
+    G = scale_reduce({m: c for m, c in g.terms.items() if sum(m) < bound})
+    H = scale_reduce({m: c for m, c in h.terms.items() if sum(m) < bound})
+    total = 0
+    while True:
+        if (0, 0) in G or (0, 0) in H:
+            return total
+        a = [i for i, j in G if j == 0]
+        b = [i for i, j in H if j == 0]
+        if not a and not b:
+            raise InfiniteIntersectionError("both divisible by y")
+        if not a or not b:
+            if not a:
+                G = {(i, j - 1): c for (i, j), c in G.items()}
+                total += min(b)
+            else:
+                H = {(i, j - 1): c for (i, j), c in H.items()}
+                total += min(a)
+            if total > limit:
+                raise InfiniteIntersectionError("past the Bezout bound")
+            continue
+        r, s = max(a), max(b)
+        if r > s:
+            G, H = H, G
+            r, s = s, r
+        c = H[(s, 0)] / G[(r, 0)]
+        k = s - r
+        for (i, j), cg in G.items():
+            mon = (i + k, j)
+            if i + k + j >= bound:
+                continue
+            v = H.get(mon, 0) - c * cg
+            if v:
+                H[mon] = v
+            else:
+                H.pop(mon, None)
+        if not H:
+            raise InfiniteIntersectionError("a germ reduces to zero")
+        H = scale_reduce(H)
+
+
+def big_rational(rng, height=10 ** 18) -> Fraction:
+    """A nonzero rational with numerator and denominator up to `height`."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, height),
+                    rng.randint(1, height))
+
+
+def linear_change(rng, *polys: Poly) -> list:
+    """The polys under one invertible linear change (x, y) -> (a x + b y,
+    c x + e y) with large-height rational entries; local intersection
+    numbers at the origin keep."""
+    while True:
+        a, b, c, e = (big_rational(rng) for _ in range(4))
+        if a * e != b * c:
+            break
+    vs = ("x", "y")
+    change = {"x": Poly(vs, {(1, 0): a, (0, 1): b}),
+              "y": Poly(vs, {(1, 0): c, (0, 1): e})}
+    return [p.with_vars(vs).substitute(change) for p in polys]
+
+
+def intersection_or_raise(g: Poly, h: Poly, im):
+    """im(g, h), or the string "shared" when it raises
+    InfiniteIntersectionError."""
+    try:
+        return im(g, h)
+    except InfiniteIntersectionError:
+        return "shared"
+
+
+class TestIntersectionKernelAgainstReference:
+    """The kernel (integers over Q, field division over a number field)
+    against `reference_intersection`, on inputs of large height, shared
+    components, mixed rational / number-field pairs and unit multiples."""
+
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        """Fail after 60 s rather than hang: an elimination step that does
+        not cancel the leading term makes the reduction loop forever."""
+        def expire(signum, frame):
+            raise TimeoutError("intersection kernel still running after 60 s")
+        if not hasattr(signal, "SIGALRM"):
+            yield
+            return
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 60)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+
+    def agree(self, g: Poly, h: Poly):
+        """Both orders of (g, h) give the reference's answer; returns it."""
+        want = intersection_or_raise(g, h, reference_intersection)
+        for p, q in ((g, h), (h, g)):
+            got = intersection_or_raise(p, q, intersection_multiplicity_origin)
+            assert got == want, (str(p), str(q))
+        return want
+
+    def test_large_heights_over_q(self):
+        rng = random.Random(1618)
+        seen = set()
+        for _ in range(20):
+            g0, h0 = random_germ(rng), random_germ(rng)
+            if rng.random() < 0.5:
+                g0 = g0 * random_germ(rng, max_deg=2)
+            g, h = linear_change(rng, g0, h0)
+            # unit multiples with large heights; negative leading terms too
+            g = g.scale(big_rational(rng))
+            h = h.scale(-abs(big_rational(rng)))
+            want = self.agree(g, h)
+            assert want == intersection_or_raise(
+                g0, h0, intersection_multiplicity_origin)
+            seen.add(want)
+        assert len(seen) >= 4, seen
+
+    def test_large_coefficients_without_a_change(self):
+        rng = random.Random(2718)
+        for _ in range(30):
+            g, h = (Poly(("x", "y"), {m: big_rational(rng)
+                                      for m in random_germ(rng).terms})
+                    for _ in range(2))
+            self.agree(g, h)
+
+    def test_shared_component_raises(self):
+        rng = random.Random(1414)
+        for _ in range(15):
+            p, = linear_change(rng, random_germ(rng, max_deg=2))
+            g = p * random_poly(rng, max_terms=3, max_deg=2, zero_ok=False)
+            h = p * random_poly(rng, max_terms=3, max_deg=2, zero_ok=False)
+            assert self.agree(g.scale(big_rational(rng)), h) == "shared"
+
+    @pytest.mark.parametrize("minpoly", [[-2, 0, 1], [-2, 0, 0, 1]],
+                             ids=["sqrt2", "cbrt2"])
+    def test_mixed_pairs_over_a_number_field(self, minpoly):
+        rng = random.Random(1732 + len(minpoly))
+        K = NumberField(UniPoly("w", [Fraction(c) for c in minpoly]))
+        n = K.degree
+        w = K.generator()
+        vs = ("x", "y")
+        # the rational curve y^n = 2 x^n has the branch y = w x over K
+        curve = Poly(vs, {(0, n): 1, (n, 0): -2})
+        branch = Poly(vs, {(0, 1): 1, (1, 0): -w})
+        seen = set()
+        for _ in range(8):
+            # a rational germ and a germ with irrational coefficients whose
+            # contact depends on the orders of `tail` and `extra`
+            low = rng.randint(n + 1, n + 3)
+            tail = Poly(vs, {m: c for m, c in random_germ(rng, 5).terms.items()
+                             if sum(m) >= low})
+            g = (curve + tail).scale(big_rational(rng))
+            low = rng.randint(2, 4)
+            extra = Poly(vs, {m: K.element([big_rational(rng, 10 ** 6)
+                                            for _ in range(n)])
+                              for m in random_germ(rng, 5).terms
+                              if sum(m) >= low})
+            h = (branch + extra) * K.element([big_rational(rng, 10 ** 6)
+                                              for _ in range(n)])
+            seen.add(self.agree(g, h))
+            # the branch is a component of the curve
+            shared = branch * (Poly.const(1, vs) + Poly.var("x", vs))
+            assert self.agree(curve.scale(big_rational(rng)),
+                              shared) == "shared"
+            # a rational germ against a random field germ
+            r = random_germ(rng).scale(big_rational(rng))
+            f = Poly(vs, {m: K.element([c] + [big_rational(rng, 10 ** 6)
+                                              for _ in range(n - 1)])
+                          for m, c in random_germ(rng).terms.items()})
+            self.agree(r, f)
+        assert len(seen) >= 2, seen
+
+    def test_unit_multiples_keep_the_number(self):
+        rng = random.Random(577)
+        im = intersection_multiplicity_origin
+        done = 0
+        while done < 20:
+            g, h = random_germ(rng), random_germ(rng)
+            if not coprime(g, h):
+                continue
+            want = im(g, h)
+            a, b = big_rational(rng), big_rational(rng)
+            assert im(g.scale(a), h.scale(b)) == want, (str(g), str(h))
+            g2, h2 = linear_change(rng, g, h)
+            assert im(g2.scale(a), h2.scale(b)) == want
             done += 1
