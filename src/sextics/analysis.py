@@ -99,21 +99,19 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
     if chart != (0, 0):
         notes.append("chart rotated by %r to keep all singular points affine"
                      % (chart,))
-        f = transform(f, None).primitive()
+        f = transform(f).primitive()
         if pair is not None:
-            pair = TorusPair(transform(pair.f2, 2), transform(pair.f3, 3))
+            pair = TorusPair(transform(pair.f2), transform(pair.f3))
         affine_sings = singular_points(f)
 
     sings = tuple(analyze_point(f, p) for p in affine_sings)
 
     split = None
     star_report = None
-    inner_keys = None
     if pair is not None:
         split = inner_outer_split(pair, affine_sings)
-        inner_keys = {p.sort_key() for p, _i in split.inner}
         star_report = tuple(verify_inner_correspondence(pair, split, sings))
-    config = assemble_configuration(sings, inner_keys)
+    config = assemble_configuration(sings)
 
     decomp = decompose(f)
     # f is squarefree, so every multiplicity is 1

@@ -96,7 +96,7 @@ def parse_config(text: str) -> Configuration:
             count = int(m.group("count") or 1)
             if count < 1:
                 raise ConfigSyntaxError("count must be >= 1 in %r" % part)
-            items.append((_parse_type(m.group("name")), count, None))
+            items.append((_parse_type(m.group("name")), count))
     index_tag = None
     mr = False
     m = re.fullmatch(r"(?:_(\d+))?(?:\^mr)?", rest)
@@ -239,9 +239,7 @@ class ClaimVerdict:
 
 @dataclass(frozen=True)
 class VerdictReport:
-    rid: str
     verdicts: tuple
-    notes: tuple
 
     def counts(self) -> dict:
         out = {"verified": 0, "mismatch": 0, "unverifiable": 0}
@@ -326,7 +324,6 @@ def verify_example(rec: ExampleRecord, seed: int = 0) -> VerdictReport:
     """Replay one record through the pipeline and diff against its claims."""
     doc = rec.doc
     verdicts = []
-    notes = list(doc.notes)
     bindings_for = {"*": [()]}
     if doc.values or doc.generic:
         bindings_for["generic"] = _generic_samples(doc, seed)
@@ -355,14 +352,14 @@ def verify_example(rec: ExampleRecord, seed: int = 0) -> VerdictReport:
                 verdicts.append(ClaimVerdict(claim, tuple(binding),
                                              "unverifiable",
                                              "pipeline error: %s" % err))
-    return VerdictReport(rec.rid, tuple(verdicts), tuple(notes))
+    return VerdictReport(tuple(verdicts))
 
 
 def _check_claim(doc, claim, binding, analysis_at) -> ClaimVerdict:
     binding = tuple(binding)
     if claim.kind == "restriction-y0":
         # an identity in the parameters: checked symbolically, once
-        polys = doc.all_polys()
+        polys = doc.polys
         restricted = polys["f"].substitute({"y": Poly.const(0, ())})
         expected = parse_poly(claim.payload, doc.varlist())
         if "f_den" in polys:

@@ -158,7 +158,6 @@ def cmd_verify(args, out) -> int:
             return EXIT_USAGE
         records = [r for r in records if r.rid == args.id]
     records = sorted(records, key=lambda r: r.rid)
-    by_rid = {r.rid: r for r in records}
     jobs = [(r.rid, args.seed) for r in records]
     reports = {}
     if args.jobs > 1 and len(jobs) > 1:

@@ -15,14 +15,19 @@ Keys for a curve document:
     f2b:, f3b: a second pair (same-curve claims)
     *_den:     optional denominator polynomial in the parameters; the
                instantiated part is divided by its value
-    param:     sweep parameter name
     values:    semicolon-separated bindings, each `s=2` or `u=5/2,t1=11/4`
     generic:   binding used as the generic sample (families)
     no_random: `true` to skip random generic sampling (derived parameters);
                one of true/false/yes/no/1/0
     defects:   semicolon-separated `TypeName=integer`
     claim:     `<selector> :: <kind> :: <payload>` (see verifier)
-    note:      free text
+    param:     sweep parameter name (an annotation: `sweep` takes --param)
+    note:      free text (an annotation)
+
+Annotations are accepted and dropped; no command reads them.  Every key
+but `defects:`, `claim:` and the annotations may appear at most once per
+document, and a binding names each parameter at most once; a repeat is
+refused.  The polynomials are parsed once, when the document is read.
 """
 
 from __future__ import annotations
@@ -57,63 +62,45 @@ class CurveDocument:
     record: Optional[str] = None
     source: str = ""
     params: tuple = ()
-    f: Optional[str] = None
-    f_den: Optional[str] = None
-    f2: Optional[str] = None
-    f2_den: Optional[str] = None
-    f3: Optional[str] = None
-    f3_den: Optional[str] = None
-    f2b: Optional[str] = None
-    f3b: Optional[str] = None
-    param: Optional[str] = None
+    polys: dict = field(default_factory=dict)   # key in _POLY_KEYS -> Poly
     values: tuple = ()      # tuples of ((name, Fraction), ...)
     generic: Optional[tuple] = None
     no_random: bool = False
     defects: dict = field(default_factory=dict)
     claims: tuple = ()
-    notes: tuple = ()
 
-    def validate(self):
-        has_f = self.f is not None
-        has_pair = self.f2 is not None or self.f3 is not None
+    def validate(self, texts: dict):
+        """Check that the polynomial keys among `texts` (key -> text) make
+        one curve, and parse each polynomial into `polys`."""
+        has_f = "f" in texts
+        has_pair = "f2" in texts or "f3" in texts
         if has_f == has_pair:
             raise DocumentError(
                 "document needs exactly one of f or (f2, f3)")
-        if has_pair and (self.f2 is None or self.f3 is None):
+        if has_pair and ("f2" not in texts or "f3" not in texts):
             raise DocumentError("torus pair needs both f2 and f3")
-        self.all_polys()  # parse everything now
+        self.polys = {key: parse_poly(texts[key], self.varlist())
+                      for key in _POLY_KEYS if key in texts}
         return self
-
-    # -- polynomial handling -------------------------------------------------
 
     def varlist(self) -> tuple:
         return XY + tuple(self.params)
-
-    def _parse(self, text: str) -> Poly:
-        return parse_poly(text, self.varlist())
-
-    def all_polys(self) -> dict:
-        out = {}
-        for key in _POLY_KEYS:
-            text = getattr(self, key)
-            if text is not None:
-                out[key] = self._parse(text)
-        return out
 
     def instantiate(self, binding=()) -> dict:
         """Substitute parameter values; divide by the *_den values.
 
         Returns {"f": Poly} or {"f2": Poly, "f3": Poly, ...}.
         """
-        polys = self.all_polys()
         subs = {name: Poly.const(value, ()) for name, value in binding}
         missing = [p for p in self.params if p not in subs]
         if missing:
             raise DocumentError("unbound parameters: %s" % missing)
-
-        def inst(key):
-            p = polys[key].substitute(subs).with_vars(XY)
-            den = polys.get(key + "_den")
+        out = {}
+        for key, p in self.polys.items():
+            if key.endswith("_den"):
+                continue
+            p = p.substitute(subs).with_vars(XY)
+            den = self.polys.get(key + "_den")
             if den is not None:
                 dval = den.substitute(subs).constant_value()
                 if not dval:
@@ -123,12 +110,7 @@ class CurveDocument:
             if key == "f" and not p.is_zero():
                 # the analysis is scale-invariant; keep coefficients small
                 p = p.primitive()
-            return p
-
-        out = {}
-        for key in _POLY_KEYS:
-            if key in polys and not key.endswith("_den"):
-                out[key] = inst(key)
+            out[key] = p
         return out
 
 
@@ -142,8 +124,11 @@ def parse_bindings(text: str) -> tuple:
         if "=" not in part:
             raise DocumentError("binding %r needs name=value" % part)
         name, _, value = part.partition("=")
+        name = name.strip()
+        if any(n == name for n, _v in out):
+            raise DocumentError("duplicate parameter %r in binding" % name)
         try:
-            out.append((name.strip(), Fraction(value.strip())))
+            out.append((name, Fraction(value.strip())))
         except (ValueError, ZeroDivisionError):
             raise DocumentError("bad rational %r in binding" % value)
     return tuple(out)
@@ -151,12 +136,11 @@ def parse_bindings(text: str) -> tuple:
 
 _FLAGS = {"true": True, "false": False, "yes": True, "no": False,
           "1": True, "0": False}
-
-
-def _set_scalar(doc: CurveDocument, key: str, value: str):
-    if getattr(doc, key) is not None:
-        raise DocumentError("duplicate key %r" % key)
-    setattr(doc, key, value)
+# keys that are accepted and dropped
+_ANNOTATIONS = ("param", "note")
+# keys that may appear at most once in a document
+_SINGLE_KEYS = _POLY_KEYS + ("source", "vars", "values", "generic",
+                             "no_random")
 
 
 def parse_document(text: str) -> CurveDocument:
@@ -169,10 +153,11 @@ def parse_document(text: str) -> CurveDocument:
 def parse_documents(text: str) -> list:
     docs = []
     doc: Optional[CurveDocument] = None
+    seen: dict = {}     # single key -> its text, in the current document
 
     def flush():
         if doc is not None:
-            docs.append(doc.validate())
+            docs.append(doc.validate(seen))
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -185,54 +170,56 @@ def parse_documents(text: str) -> list:
         value = value.strip()
         if key == "record":
             flush()
-            doc = CurveDocument(record=value)
+            doc, seen = CurveDocument(record=value), {}
             continue
         if doc is None:
             doc = CurveDocument()
-        if key in _POLY_KEYS:
-            _set_scalar(doc, key, value)
-        elif key == "source":
-            doc.source = value
-        elif key == "vars":
-            doc.params = tuple(value.split())
-        elif key == "param":
-            doc.param = value
-        elif key == "values":
-            doc.values = tuple(parse_bindings(v)
-                               for v in value.split(";") if v.strip())
-        elif key == "generic":
-            doc.generic = parse_bindings(value)
-        elif key == "no_random":
-            flag = value.lower()
-            if flag not in _FLAGS:
-                raise DocumentError("line %d: no_random must be one of %s,"
-                                    " not %r" % (lineno, "/".join(_FLAGS),
-                                                 value))
-            doc.no_random = _FLAGS[flag]
-        elif key == "defects":
-            for part in value.split(";"):
-                part = part.strip()
-                if not part:
-                    continue
-                name, _, num = part.partition("=")
-                if not name.strip():
-                    raise DocumentError("line %d: defect %r names no type"
-                                        % (lineno, part))
-                try:
-                    doc.defects[name.strip()] = int(num)
-                except ValueError:
-                    raise DocumentError("line %d: bad defect value %r"
-                                        % (lineno, num.strip()))
-        elif key == "claim":
-            bits = [b.strip() for b in value.split("::")]
-            if len(bits) != 3:
-                raise DocumentError(
-                    "line %d: claim needs selector :: kind :: payload"
-                    % lineno)
-            doc.claims = doc.claims + (Claim(*bits),)
-        elif key == "note":
-            doc.notes = doc.notes + (value,)
-        else:
-            raise DocumentError("line %d: unknown key %r" % (lineno, key))
+        try:
+            _read_key(doc, seen, key, value)
+        except DocumentError as err:
+            raise DocumentError("line %d: %s" % (lineno, err)) from None
     flush()
     return docs
+
+
+def _read_key(doc: CurveDocument, seen: dict, key: str, value: str):
+    """Apply one `key: value` line to `doc`.  A single key's text goes to
+    `seen`, where the polynomial texts wait for `CurveDocument.validate`."""
+    if key in _SINGLE_KEYS:
+        if key in seen:
+            raise DocumentError("duplicate key %r" % key)
+        seen[key] = value
+    if key == "source":
+        doc.source = value
+    elif key == "vars":
+        doc.params = tuple(value.split())
+    elif key == "values":
+        doc.values = tuple(parse_bindings(v)
+                           for v in value.split(";") if v.strip())
+    elif key == "generic":
+        doc.generic = parse_bindings(value)
+    elif key == "no_random":
+        flag = value.lower()
+        if flag not in _FLAGS:
+            raise DocumentError("no_random must be one of %s, not %r"
+                                % ("/".join(_FLAGS), value))
+        doc.no_random = _FLAGS[flag]
+    elif key == "defects":
+        for part in value.split(";"):
+            part = part.strip()
+            if not part:
+                continue
+            name, _, num = part.partition("=")
+            if not name.strip():
+                raise DocumentError("defect %r names no type" % part)
+            try:
+                doc.defects[name.strip()] = int(num)
+            except ValueError:
+                raise DocumentError("bad defect value %r" % num.strip())
+    elif key == "claim":
+        bits = [b.strip() for b in value.split("::")]
+        if len(bits) != 3:
+            raise DocumentError("claim needs selector :: kind :: payload")
+        doc.claims = doc.claims + (Claim(*bits),)
+    elif key not in _POLY_KEYS + _ANNOTATIONS:
+        raise DocumentError("unknown key %r" % key)

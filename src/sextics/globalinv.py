@@ -108,7 +108,6 @@ def flex_count(degree: int, sings: Sequence[LocalSingularity],
 class ConfigEntry:
     sing_type: SingType
     count: int
-    inner: Optional[bool] = None
 
 
 _FAMILY_ORDER = {"B": 0, "C": 1, "D47": 2, "Sp": 3, "Unknown": 4,
@@ -133,21 +132,16 @@ class Configuration:
     def from_items(cls, items, total_milnor: int = 0, mr: bool = False,
                    index_tag: Optional[int] = None) -> "Configuration":
         folded: dict = {}
-        inner_flags: dict = {}
-        for t, count, inner in items:
+        for t, count in items:
             key = (t.family, tuple(t.index))
             folded[key] = folded.get(key, 0) + count
-            if inner is not None:
-                inner_flags[key] = inner_flags.get(key, inner) and inner
-        entries = []
-        for key, count in folded.items():
-            t = SingType(key[0], key[1])
-            entries.append(ConfigEntry(t, count, inner_flags.get(key)))
+        entries = [ConfigEntry(SingType(*key), count)
+                   for key, count in folded.items()]
         entries.sort(key=lambda e: _entry_key(e.sing_type))
         return cls(tuple(entries), total_milnor, mr, index_tag)
 
     def multiset(self) -> tuple:
-        """((family, index, count), ...) ignoring flags and tags."""
+        """((family, index, count), ...) ignoring the mr flag and tags."""
         return tuple(sorted((e.sing_type.family, tuple(e.sing_type.index),
                              e.count) for e in self.entries))
 
@@ -174,21 +168,17 @@ class Configuration:
         return self.format()
 
 
-def assemble_configuration(sings: Sequence[LocalSingularity],
-                           inner_points=None) -> Configuration:
+def assemble_configuration(
+        sings: Sequence[LocalSingularity]) -> Configuration:
     """Canonical configuration of classified points.
 
-    Conjugate clusters count with their degree.  `inner_points`, when
-    given, is a set of point sort keys marking inner singularities.
+    Conjugate clusters count with their degree.
     """
     items = []
     total_mu = 0
     all_simple = True
     for ls in sings:
-        inner = None
-        if inner_points is not None:
-            inner = ls.point is not None and ls.point.sort_key() in inner_points
-        items.append((ls.sing_type, ls.cluster_degree, inner))
+        items.append((ls.sing_type, ls.cluster_degree))
         total_mu += ls.mu * ls.cluster_degree
         if not ls.sing_type.is_simple():
             all_simple = False
@@ -201,12 +191,10 @@ def assemble_configuration(sings: Sequence[LocalSingularity],
 # ---------------------------------------------------------------------------
 
 
-def homogenize(f: Poly, degree: Optional[int] = None) -> Poly:
-    """Homogenize in (x, y, z) to the given (or the total) degree."""
+def homogenize(f: Poly) -> Poly:
+    """Homogenize in (x, y, z) to the total degree."""
     fx = f.with_vars(XY)
-    d = degree if degree is not None else fx.degree()
-    if d < fx.degree():
-        raise DomainError("homogenization degree below the total degree")
+    d = fx.degree()
     terms = {}
     for (i, j), c in fx.terms.items():
         terms[(i, j, d - i - j)] = c
@@ -241,10 +229,10 @@ def good_affine_chart(f: Poly, extra_points=()):
     its own total degree; (0, 0) means the chart is already good.
     """
     def transform_factory(alpha, beta):
-        def transform(p: Poly, deg: Optional[int] = None) -> Poly:
+        def transform(p: Poly) -> Poly:
             if alpha == 0 and beta == 0:
                 return p.with_vars(XY)
-            F = homogenize(p, deg)
+            F = homogenize(p)
             zsub = (Poly.const(1, XY) - Poly.var("x", XY).scale(alpha)
                     - Poly.var("y", XY).scale(beta))
             return F.substitute({"z": zsub}).with_vars(XY)

@@ -56,7 +56,7 @@ def pair_analyses():
     out = {}
     for rec in builtin_examples():
         doc = rec.doc
-        if doc.f2 is None:
+        if "f2" not in doc.polys:
             continue
         out[rec.rid] = analyze_document(doc, doc.generic or ())
     return out

@@ -10,10 +10,12 @@ from sextics.catalog import (
     verify_example,
     weak_zariski_groups,
 )
+from sextics import docs
 from sextics.docs import parse_document
 from sextics.globalinv import corollary_ceiling
 from sextics.localsing.classify import SingType, normal_form_germ
 from sextics.localsing import analyze_germ
+from sextics.poly import Poly
 
 # invariants of each type, computed once from normal forms
 _GERM_CACHE = {}
@@ -177,7 +179,22 @@ class TestExamples:
 
     def test_all_polys_parse(self):
         for rec in builtin_examples():
-            rec.doc.all_polys()
+            assert rec.doc.polys
+            assert all(isinstance(p, Poly) for p in rec.doc.polys.values())
+
+    def test_instantiate_parses_nothing(self, monkeypatch):
+        # the corpus is parsed (and cached) here, before the counter is in
+        records = builtin_examples()
+        parse_poly = docs.parse_poly
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return parse_poly(*args)
+        monkeypatch.setattr(docs, "parse_poly", counted)
+        for rec in records:
+            rec.doc.instantiate(rec.doc.generic or ())
+        assert calls == []
 
     def test_single_record_verifies(self):
         recs = {r.rid: r for r in builtin_examples()}

@@ -83,16 +83,23 @@ class TestAnalyze:
         assert code == 2
         assert out.startswith("error: line 2")
 
-    @pytest.mark.parametrize("line", ["defects: =5", "no_random: maybe",
-                                      "hints: x^3 + y^3 + 1"],
-                             ids=["defect-without-type", "no-random-maybe",
-                                  "hints"])
+    @pytest.mark.parametrize("line", [
+        "defects: =5", "no_random: maybe", "hints: x^3 + y^3 + 1",
+        "f: x^6 + y^6 - 1", "source: a\nsource: b", "vars: s\nvars: t",
+        "values: s=1\nvalues: s=2", "generic: s=1\ngeneric: s=2",
+        "no_random: true\nno_random: false", "generic: s=1,s=2",
+        "values: s=1; t=2,t=3"],
+        ids=["defect-without-type", "no-random-maybe", "hints",
+             "duplicate-f", "duplicate-source", "duplicate-vars",
+             "duplicate-values", "duplicate-generic", "duplicate-no-random",
+             "duplicate-binding", "duplicate-binding-in-values"])
     def test_malformed_key_refused(self, capsys, tmp_path, line):
         doc = tmp_path / "bad.txt"
         doc.write_text("f: x^6 + y^6 + 1\n%s\n" % line)
         code, out = run_cli(capsys, "analyze", str(doc))
         assert code == 2
-        assert out.startswith("error: line 2")
+        # the error names the last line, the offending one
+        assert out.startswith("error: line %d" % (2 + line.count("\n")))
 
     def test_tower_cap_refused(self, capsys, tmp_path):
         # the singular points x^7 = 2, y^2 = 3 need a field of degree 14

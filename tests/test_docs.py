@@ -22,6 +22,10 @@ class TestBindings:
         with pytest.raises(DocumentError):
             parse_bindings("s")
 
+    def test_repeated_name_refused(self):
+        with pytest.raises(DocumentError, match="duplicate parameter 's'"):
+            parse_bindings("s=1,s=2")
+
 
 class TestParseDocument:
     def test_pair_document(self):
@@ -37,7 +41,7 @@ class TestParseDocument:
 
     def test_comments_and_blanks(self):
         doc = parse_document("# a comment\n\nf: x^3 + y^3 + 1\n")
-        assert doc.f is not None
+        assert set(doc.polys) == {"f"}
 
     def test_denominator(self):
         doc = parse_document(
@@ -102,3 +106,34 @@ class TestParseDocument:
                 "record: b\nf2: -y^2\nf3: x^3\n")
         docs = parse_documents(text)
         assert [d.record for d in docs] == ["a", "b"]
+
+    @pytest.mark.parametrize("key,first,second", [
+        ("f", "x^6 + y^6 + 1", "x^6 - y^6 + 1"),
+        ("source", "a", "b"),
+        ("vars", "s", "t"),
+        ("values", "s=1", "s=2"),
+        ("generic", "s=1", "s=2"),
+        ("no_random", "true", "false"),
+    ])
+    def test_repeated_key_refused(self, key, first, second):
+        text = "%s: %s\n%s: %s\nf: x^6 + y^6 + 1\n" % (key, first, key,
+                                                       second)
+        with pytest.raises(DocumentError,
+                           match="line 2: duplicate key '%s'" % key):
+            parse_document(text)
+
+    def test_repeated_binding_in_document_refused(self):
+        with pytest.raises(DocumentError,
+                           match="line 3: duplicate parameter 's'"):
+            parse_document("vars: s\nf: x^6 + s*y^6 + 1\n"
+                           "generic: s=1,s=2\n")
+
+    def test_repeated_key_in_another_record_is_fine(self):
+        docs = parse_documents("record: a\nvars: s\nf: x^6 + s*y^6 + 1\n"
+                               "record: b\nvars: t\nf: x^6 + t*y^6 + 1\n")
+        assert [d.params for d in docs] == [("s",), ("t",)]
+
+    def test_annotations_may_repeat(self):
+        doc = parse_document("vars: s\nf: x^6 + s*y^6 + 1\nparam: s\n"
+                             "note: one\nnote: two\nparam: s\n")
+        assert set(doc.polys) == {"f"}

@@ -151,8 +151,8 @@ class TestConfiguration:
         assert c.total_milnor == 15 and not c.mr
 
     def test_counts_folded(self):
-        entries = [(SingType("A", (2,)), 3, None),
-                   (SingType("A", (2,)), 1, None)]
+        entries = [(SingType("A", (2,)), 3),
+                   (SingType("A", (2,)), 1)]
         c = Configuration.from_items(entries)
         assert str(c) == "[4A_2]"
 
@@ -174,7 +174,7 @@ class TestCharts:
         assert infinite_singular_directions(f).degree() > 0
         chart, transform = good_affine_chart(f)
         assert chart != (0, 0)
-        moved = transform(f, None)
+        moved = transform(f)
         assert infinite_singular_directions(moved).degree() <= 0
 
     def test_analysis_rotates(self):

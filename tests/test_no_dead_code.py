@@ -7,7 +7,8 @@ definition's own body, looks its name up: in the defining module, or in a
 module that imports the name, and not shadowed by a local binding of the
 enclosing function.  A method or an annotated dataclass field counts as used
 when such code reads an attribute of that name on any object, so a field or
-method of the same name elsewhere hides it.  Strings (the `__all__` lists,
+method of the same name elsewhere hides it; assigning the attribute is not a
+read.  Strings (the `__all__` lists,
 docstrings, `getattr` keys) and import statements are not uses.  Dunder
 methods are exempt: the interpreter calls them.
 
@@ -41,13 +42,6 @@ ALLOWED = {
     # always False now that a capped resolve raises; perfbench/tracer.py
     # counts it as localsing.resolve.capped
     "Resolution.tower_capped",
-    # document keys that CurveDocument.all_polys reads with getattr through
-    # docs._POLY_KEYS
-    "CurveDocument.f_den",
-    "CurveDocument.f2_den",
-    "CurveDocument.f3_den",
-    "CurveDocument.f2b",
-    "CurveDocument.f3b",
 }
 
 # Imports that no code of their module reads, as "module path: name".
@@ -115,7 +109,8 @@ class _Uses(ast.NodeVisitor):
             self.names.append((node.id, node.lineno))
 
     def visit_Attribute(self, node):
-        self.attrs.append((node.attr, node.lineno))
+        if isinstance(node.ctx, ast.Load):
+            self.attrs.append((node.attr, node.lineno))
         self.generic_visit(node)
 
 

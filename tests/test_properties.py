@@ -277,7 +277,7 @@ class TestDecomposeMetamorphic:
 class TestParseFormatCorpus:
     def test_roundtrip_every_corpus_polynomial(self):
         for rec in builtin_examples():
-            for key, poly in rec.doc.all_polys().items():
+            for key, poly in rec.doc.polys.items():
                 text = format_poly(poly)
                 again = parse_poly(text, poly.vars)
                 assert again == poly, (rec.rid, key)
