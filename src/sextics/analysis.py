@@ -23,12 +23,7 @@ from .globalinv import (
     genus,
     good_affine_chart,
 )
-from .localsing import (
-    analyze_point,
-    multiplicity,
-    point_on_curve,
-    singular_points,
-)
+from .localsing import analyze_point, point_on_curve, singular_points
 from .poly import DomainError, Poly
 # Unused here; perfbench/tracer.py patches is_squarefree in this namespace.
 from .poly import is_squarefree  # noqa: F401
@@ -83,12 +78,6 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
     if (f is None) == (pair is None):
         raise DomainError("provide exactly one of f or (f2, f3)")
     if pair is not None:
-        from .poly import poly_gcd
-        from .torus import DegenerateTorusError
-        shared = poly_gcd(pair.f2, pair.f3)
-        if shared.degree() > 0:
-            raise DegenerateTorusError(
-                "conic and cubic share the component %s" % shared)
         f = pair.expand()
     f = f.with_vars(XY)
     if f.is_zero() or f.is_constant():
@@ -115,9 +104,9 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
 
     decomp = decompose(f)
     # f is squarefree, so every multiplicity is 1
+    comps = tuple(comp for comp, _d, _m in decomp.factors)
     components = tuple(
-        _component_report(comp, cdeg,
-                          _component_sings(f, comp, sings),
+        _component_report(comp, cdeg, _component_sings(comp, comps, sings),
                           defects)
         for comp, cdeg, _m in decomp.factors)
     # Corollary 1 bounds delta* of a reducible sextic by its component type
@@ -137,20 +126,23 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
     return analysis
 
 
-def _component_sings(f: Poly, comp: Poly, sings):
+def _component_sings(comp: Poly, comps: tuple, sings):
     """The singularities of the component `comp` of f, from f's own.
 
-    Where the cofactor f/comp does not vanish, f is comp times a unit, so
-    f's singularity there is comp's; where it vanishes, comp is analyzed
-    afresh wherever it is singular.  A generator, so that the fresh
-    analyses run, and are timed, inside the report that consumes it.
+    f is squarefree, so the cofactor f/comp is the product of the other
+    components `comps` up to a constant.  Where none of them vanishes, f is
+    comp times a unit, so f's singularity there is comp's; where one does,
+    comp is analyzed afresh wherever it is singular (comp and both partials
+    vanish).  A generator, so that the fresh analyses run, and are timed,
+    inside the report that consumes it.
     """
-    cofactor = f.divexact(comp)
+    others = [c for c in comps if c != comp]
+    partials = (comp.derivative("x"), comp.derivative("y"))
     for ls in sings:
         p = ls.point
-        if not point_on_curve(cofactor, p):
+        if not any(point_on_curve(c, p) for c in others):
             yield ls
-        elif point_on_curve(comp, p) and multiplicity(comp, p) >= 2:
+        elif all(point_on_curve(g, p) for g in (comp,) + partials):
             yield analyze_point(comp, p)
 
 

@@ -27,7 +27,9 @@ Keys for a curve document:
 Annotations are accepted and dropped; no command reads them.  Every key
 but `defects:`, `claim:` and the annotations may appear at most once per
 document, and a binding names each parameter at most once; a repeat is
-refused.  The polynomials are parsed once, when the document is read.
+refused.  Each `values:` and `generic:` binding names exactly the
+parameters declared in `vars:`.  The polynomials are parsed once, when the
+document is read.
 """
 
 from __future__ import annotations
@@ -70,8 +72,20 @@ class CurveDocument:
     claims: tuple = ()
 
     def validate(self, texts: dict):
-        """Check that the polynomial keys among `texts` (key -> text) make
-        one curve, and parse each polynomial into `polys`."""
+        """Check that the polynomial keys among `texts` (key -> (line
+        number, text)) make one curve and that each binding names exactly
+        the declared parameters, and parse each polynomial into `polys`."""
+        for key, group in (("values", self.values),
+                           ("generic", (self.generic,))):
+            if key not in texts:
+                continue
+            for binding in group:
+                names = sorted(n for n, _v in binding)
+                if names != sorted(self.params):
+                    raise DocumentError(
+                        "line %d: %s binding names %s, but vars declares %s"
+                        % (texts[key][0], key, " ".join(names) or "nothing",
+                           " ".join(self.params) or "nothing"))
         has_f = "f" in texts
         has_pair = "f2" in texts or "f3" in texts
         if has_f == has_pair:
@@ -79,7 +93,7 @@ class CurveDocument:
                 "document needs exactly one of f or (f2, f3)")
         if has_pair and ("f2" not in texts or "f3" not in texts):
             raise DocumentError("torus pair needs both f2 and f3")
-        self.polys = {key: parse_poly(texts[key], self.varlist())
+        self.polys = {key: parse_poly(texts[key][1], self.varlist())
                       for key in _POLY_KEYS if key in texts}
         return self
 
@@ -153,7 +167,7 @@ def parse_document(text: str) -> CurveDocument:
 def parse_documents(text: str) -> list:
     docs = []
     doc: Optional[CurveDocument] = None
-    seen: dict = {}     # single key -> its text, in the current document
+    seen: dict = {}     # single key -> (line number, text), this document
 
     def flush():
         if doc is not None:
@@ -175,20 +189,21 @@ def parse_documents(text: str) -> list:
         if doc is None:
             doc = CurveDocument()
         try:
-            _read_key(doc, seen, key, value)
+            _read_key(doc, seen, key, value, lineno)
         except DocumentError as err:
             raise DocumentError("line %d: %s" % (lineno, err)) from None
     flush()
     return docs
 
 
-def _read_key(doc: CurveDocument, seen: dict, key: str, value: str):
-    """Apply one `key: value` line to `doc`.  A single key's text goes to
-    `seen`, where the polynomial texts wait for `CurveDocument.validate`."""
+def _read_key(doc: CurveDocument, seen: dict, key: str, value: str,
+              lineno: int):
+    """Apply line `lineno`, `key: value`, to `doc`.  A single key's line
+    goes to `seen`, where `CurveDocument.validate` reads it."""
     if key in _SINGLE_KEYS:
         if key in seen:
             raise DocumentError("duplicate key %r" % key)
-        seen[key] = value
+        seen[key] = (lineno, value)
     if key == "source":
         doc.source = value
     elif key == "vars":

@@ -10,11 +10,9 @@ from .points import (
 )
 from .germs import (
     InfiniteIntersectionError,
-    germ_multiplicity,
     intersection_multiplicity,
     intersection_multiplicity_origin,
     milnor_number_origin,
-    multiplicity,
 )
 from .resolve import BranchCluster, Resolution, UnresolvedGermError, resolve
 from .classify import (

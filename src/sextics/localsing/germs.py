@@ -1,5 +1,5 @@
-"""Germ-level invariants at the origin: multiplicity, local intersection
-numbers (the classical reduction algorithm) and Milnor numbers.
+"""Germ-level invariants at the origin: local intersection numbers (the
+classical reduction algorithm) and Milnor numbers.
 
 The `_origin` functions take germs already translated to the origin; the
 others take a curve and a point on it.  Coefficients may be rational or
@@ -20,8 +20,6 @@ from ..poly import DomainError, Poly, clear_denominators, rational_content
 
 __all__ = [
     "InfiniteIntersectionError",
-    "germ_multiplicity",
-    "multiplicity",
     "intersection_multiplicity_origin",
     "intersection_multiplicity",
     "milnor_number_origin",
@@ -30,20 +28,6 @@ __all__ = [
 
 class InfiniteIntersectionError(DomainError):
     """The two curves share a component through the point."""
-
-
-def germ_multiplicity(g: Poly) -> int:
-    """Order of vanishing at the origin."""
-    if g.is_zero():
-        raise DomainError("zero germ")
-    return g.lowest_degree()
-
-
-def multiplicity(f: Poly, p) -> int:
-    from .points import point_on_curve, translate_to_origin
-    if not point_on_curve(f, p):
-        raise DomainError("point %s not on the curve" % (p,))
-    return germ_multiplicity(translate_to_origin(f, p))
 
 
 def _scale_reduce(terms: dict) -> dict:

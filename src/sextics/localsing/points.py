@@ -147,7 +147,7 @@ def singular_points(f: Poly) -> list:
         if mult == 1:
             continue
         if p.degree() == 1:
-            kfield, theta = None, -p.coeffs[0] / p.coeffs[1]
+            kfield, theta = None, -p.coeffs[0]   # p is monic
         else:
             kfield, _, theta = extend_field(None, p)
         g1 = specialize_x(g, kfield, theta)
@@ -159,7 +159,7 @@ def singular_points(f: Poly) -> list:
         from ..numfield import factor_over_field
         for q in factor_over_field(kfield, common):
             if q.degree() == 1:
-                pfield, px, py = kfield, theta, -q.coeffs[0] / q.coeffs[1]
+                pfield, px, py = kfield, theta, -q.coeffs[0]   # q is monic
             else:
                 pfield, embed, py = extend_field(kfield, q)
                 px = embed(theta)

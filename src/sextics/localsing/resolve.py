@@ -144,7 +144,7 @@ def resolve(germ: Poly, field: Optional[NumberField] = None) -> Resolution:
         factors = factor_over_field(node.field, lt) if lt.degree() > 0 else []
         for q in factors:
             if q.degree() == 1:
-                t0 = (-q.coeffs[0]) / q.coeffs[1]
+                t0 = -q.coeffs[0]   # q is monic
                 cfield = node.field
                 gg = node.germ
                 rel = 1

@@ -445,7 +445,7 @@ def extend_field(field: Optional[NumberField], q: UniPoly):
                         _eval_biv_at(field, q, new, gamma, s))
         if g.degree() != 1:
             continue
-        theta_img = (-g.coeffs[0]) / g.coeffs[1]
+        theta_img = -g.coeffs[0]   # the gcd is monic
         eta_img = gamma - theta_img * Fraction(s)
 
         def embed(c, _new=new, _theta=theta_img):

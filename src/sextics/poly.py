@@ -39,7 +39,6 @@ __all__ = [
     "UniPoly",
     "PolyError",
     "PolySyntaxError",
-    "InexactDivisionError",
     "DomainError",
     "parse_poly",
     "poly_gcd",
@@ -61,10 +60,6 @@ class PolySyntaxError(PolyError):
     def __init__(self, message: str, position: int):
         super().__init__("%s (at offset %d)" % (message, position))
         self.position = position
-
-
-class InexactDivisionError(PolyError):
-    """Raised by exact division when the remainder is nonzero."""
 
 
 class DomainError(PolyError):
@@ -114,10 +109,6 @@ class Poly:
         if name not in vs:
             raise DomainError("variable %r not in %r" % (name, vs))
         return cls(vs, {mon: Fraction(1)})
-
-    @classmethod
-    def zero(cls, variables: Sequence[str] = ()) -> "Poly":
-        return cls(variables, {})
 
     # -- basic queries ------------------------------------------------------
 
@@ -367,41 +358,6 @@ class Poly:
         mon = max(self.terms, key=lambda m: (sum(m), m))
         return mon, self.terms[mon]
 
-    # -- exact division -----------------------------------------------------------------
-
-    def divides(self, divisor: "Poly"):
-        """Return the quotient self/divisor, or None when not exact."""
-        if divisor.is_zero():
-            raise DomainError("division by zero polynomial")
-        vs, a, b = self._aligned(divisor)
-        if a.is_zero():
-            return Poly.zero(vs)
-        bm, bc = b.leading_term()
-        quot = {}
-        rem = dict(a.terms)
-        while rem:
-            mon = max(rem, key=lambda m: (sum(m), m))
-            c = rem[mon]
-            q = tuple(e1 - e2 for e1, e2 in zip(mon, bm))
-            if any(e < 0 for e in q):
-                return None
-            coef = c / bc
-            quot[q] = coef
-            for m2, c2 in b.terms.items():
-                tm = tuple(e1 + e2 for e1, e2 in zip(q, m2))
-                nc = rem.get(tm, Fraction(0)) - coef * c2
-                if nc:
-                    rem[tm] = nc
-                else:
-                    rem.pop(tm, None)
-        return Poly(vs, quot)
-
-    def divexact(self, divisor: "Poly") -> "Poly":
-        q = self.divides(divisor)
-        if q is None:
-            raise InexactDivisionError("inexact division: %s by %s" % (self, divisor))
-        return q
-
     # -- rational normalization (Fraction coefficients only) ------------------------------
 
     def primitive(self) -> "Poly":
@@ -498,14 +454,21 @@ class _Tokenizer:
         return kind, val, start
 
 
+# The parser recurses once per '('; this bound keeps it far below the
+# interpreter's recursion limit.
+MAX_PAREN_DEPTH = 100
+
+
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     """Parse the fixed grammar (explicit ``*``, ``^`` nonnegative powers).
 
     A leading sign on an expression is accepted so that printed canonical
-    forms re-parse.  Every symbol must appear in `variables`.
+    forms re-parse.  Every symbol must appear in `variables`.  Parentheses
+    nest at most `MAX_PAREN_DEPTH` deep.
     """
     vs = tuple(variables)
     tok = _Tokenizer(text)
+    depth = 0
 
     def parse_expression() -> Poly:
         kind, val, start = tok.peek()
@@ -547,6 +510,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
         return p
 
     def parse_base() -> Poly:
+        nonlocal depth
         kind, val, start = tok.next()
         if kind == "int":
             num = int(val)
@@ -567,10 +531,15 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
                 raise PolySyntaxError("undeclared symbol %r" % val, start)
             return Poly.var(val, vs)
         if kind == "op" and val == "(":
+            depth += 1
+            if depth > MAX_PAREN_DEPTH:
+                raise PolySyntaxError("parentheses nested deeper than %d"
+                                      % MAX_PAREN_DEPTH, start)
             p = parse_expression()
             kind2, val2, start2 = tok.next()
             if kind2 != "op" or val2 != ")":
                 raise PolySyntaxError("expected ')'", start2)
+            depth -= 1
             return p
         raise PolySyntaxError("expected a rational, symbol or '('", start)
 
@@ -682,10 +651,9 @@ class UniPoly:
         return UniPoly(self.var, [v * c for v in self.coeffs])
 
     def monic(self) -> "UniPoly":
-        if self.is_zero():
+        if self.is_zero() or self.lc() == 1:
             return self
-        inv = 1 / self.lc() if isinstance(self.lc(), Fraction) else self.lc().inverse()
-        return self.scale(inv)
+        return self.scale(1 / self.lc())
 
     def divmod(self, other: "UniPoly"):
         if other.is_zero():
@@ -694,7 +662,7 @@ class UniPoly:
         q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
         d = other.degree()
         lc = other.lc()
-        lcinv = 1 / lc if isinstance(lc, Fraction) else lc.inverse()
+        lcinv = 1 if lc == 1 else 1 / lc
         for i in range(len(rem) - 1, d - 1, -1):
             if not rem[i]:
                 continue

@@ -30,6 +30,8 @@ class DegenerateTorusError(DomainError):
 
 @dataclass(frozen=True)
 class TorusPair:
+    """A conic f2 and a cubic f3 that share no component."""
+
     f2: Poly
     f3: Poly
 
@@ -38,6 +40,10 @@ class TorusPair:
         object.__setattr__(self, "f3", self.f3.with_vars(XY))
         if self.f2.degree() != 2 or self.f3.degree() != 3:
             raise DomainError("torus pair needs deg f2 = 2 and deg f3 = 3")
+        shared = poly_gcd(self.f2, self.f3)
+        if shared.degree() > 0:
+            raise DegenerateTorusError(
+                "conic and cubic share the component %s" % shared)
 
     def expand(self) -> Poly:
         return self.f2 ** 3 + self.f3 ** 2
@@ -57,11 +63,11 @@ class InnerOuterSplit:
 
 
 def inner_outer_split(pair: TorusPair, sings) -> InnerOuterSplit:
-    """Split singular points by membership in C2 and C3."""
-    common = poly_gcd(pair.f2, pair.f3)
-    if common.degree() > 0:
-        raise DegenerateTorusError(
-            "conic and cubic share the component %s" % common)
+    """Split singular points by membership in C2 and C3.
+
+    C2 and C3 share no component (`TorusPair` refuses such a pair), so the
+    intersection number at each inner point is finite.
+    """
     inner = []
     outer = []
     for p in sings:

@@ -15,6 +15,7 @@ from sextics.docs import parse_document
 from sextics.globalinv import corollary_ceiling
 from sextics.localsing.classify import SingType, normal_form_germ
 from sextics.localsing import analyze_germ
+from sextics.numfield import NFElt
 from sextics.poly import Poly
 
 # invariants of each type, computed once from normal forms
@@ -202,6 +203,21 @@ class TestExamples:
         assert rep.clean()
         kinds = {v.claim.kind: v.status for v in rep.verdicts}
         assert kinds["config"] == "verified"
+
+    def test_no_field_element_inverts_one(self, monkeypatch):
+        # monic polynomials are used as they are: no division by a leading
+        # coefficient or a linear factor's x-coefficient of 1
+        recs = {r.rid: r for r in builtin_examples()}
+        inverse = NFElt.inverse
+        inverted = []
+
+        def recorded(self):
+            inverted.append(self)
+            return inverse(self)
+        monkeypatch.setattr(NFElt, "inverse", recorded)
+        assert verify_example(recs["5.2-1"]).clean()
+        assert inverted
+        assert not [e for e in inverted if e == 1]
 
     def test_conjugate_cubics_cover_a_three_three_claim(self):
         # f2 = -2 y^2: f = (f3 - sqrt(2)^3 y^3)(f3 + sqrt(2)^3 y^3) is two

@@ -88,11 +88,13 @@ class TestAnalyze:
         "f: x^6 + y^6 - 1", "source: a\nsource: b", "vars: s\nvars: t",
         "values: s=1\nvalues: s=2", "generic: s=1\ngeneric: s=2",
         "no_random: true\nno_random: false", "generic: s=1,s=2",
-        "values: s=1; t=2,t=3"],
+        "values: s=1; t=2,t=3", "values: t=1",
+        "vars: s\ngeneric: s=2,t=1"],
         ids=["defect-without-type", "no-random-maybe", "hints",
              "duplicate-f", "duplicate-source", "duplicate-vars",
              "duplicate-values", "duplicate-generic", "duplicate-no-random",
-             "duplicate-binding", "duplicate-binding-in-values"])
+             "duplicate-binding", "duplicate-binding-in-values",
+             "undeclared-parameter", "binding-beyond-vars"])
     def test_malformed_key_refused(self, capsys, tmp_path, line):
         doc = tmp_path / "bad.txt"
         doc.write_text("f: x^6 + y^6 + 1\n%s\n" % line)
@@ -100,6 +102,15 @@ class TestAnalyze:
         assert code == 2
         # the error names the last line, the offending one
         assert out.startswith("error: line %d" % (2 + line.count("\n")))
+
+    def test_deep_parentheses_refused(self, capsys, tmp_path):
+        # the parser recurses once per '('; past its bound it refuses the
+        # text instead of exhausting the interpreter's stack
+        doc = tmp_path / "deep.txt"
+        doc.write_text("f: %sx^6 + y^6 + 1%s\n" % ("(" * 250, ")" * 250))
+        code, out = run_cli(capsys, "analyze", str(doc))
+        assert code == 2
+        assert out.startswith("error: parentheses nested deeper than")
 
     def test_tower_cap_refused(self, capsys, tmp_path):
         # the singular points x^7 = 2, y^2 = 3 need a field of degree 14

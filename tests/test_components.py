@@ -1,6 +1,6 @@
 from sextics.analysis import analyze_curve
 from sextics.components import decompose
-from sextics.poly import Poly, parse_poly
+from sextics.poly import parse_poly
 from sextics.torus import TorusPair
 
 XY = ("x", "y")
@@ -8,20 +8,6 @@ XY = ("x", "y")
 
 def g(text):
     return parse_poly(text, XY)
-
-
-class TestDivides:
-    def test_b312_quotient(self):
-        f = g("-y^2 + y - x^2") ** 3 + g("y^3 - 3*y^2 + 3*y*x^2") ** 2
-        q = f.divides(g("x^2 - y"))
-        assert q is not None and q.degree() == 4
-
-    def test_absent(self):
-        assert g("x^2 - 1").divides(g("x + 2")) is None
-
-    def test_self(self):
-        f = g("x^2 + y")
-        assert f.divides(f) == Poly.const(1, XY)
 
 
 # The classes below are decompose cases grouped by the factors they plant.
@@ -164,6 +150,21 @@ class TestComponentSingularities:
         assert [str(ls.sing_type) for ls in quartic.sings] == ["A_1"]
         assert quartic.sings[0].point.sort_key() == origin.point.sort_key()
         assert quartic.genus == 2
+        assert _component(an, 2).sings == ()
+
+    def test_conjugate_cluster_shared_by_two_components(self):
+        # the conic passes through the quartic's nodes (+-sqrt 2, 0): D_4 on
+        # the curve over Q(sqrt 2), one A_1 cluster on the quartic
+        an = analyze_curve(f=g("((x^2 - 2)^2 + y^2 - y^3)*(y - x^2 + 2)"))
+        [shared] = [ls for ls in an.sings if ls.point.field is not None]
+        assert str(shared.sing_type) == "D_4"
+        assert shared.cluster_degree == 2
+        quartic = _component(an, 4)
+        [own] = quartic.sings
+        assert str(own.sing_type) == "A_1"
+        assert own.cluster_degree == 2
+        assert own.point.sort_key() == shared.point.sort_key()
+        assert quartic.genus == 1
         assert _component(an, 2).sings == ()
 
     def test_line_through_a_node_of_the_sextic_component(self):

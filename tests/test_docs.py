@@ -128,6 +128,24 @@ class TestParseDocument:
             parse_document("vars: s\nf: x^6 + s*y^6 + 1\n"
                            "generic: s=1,s=2\n")
 
+    @pytest.mark.parametrize("text,line", [
+        ("vars: s\ngeneric: s=2,t=1\n", 2),
+        ("vars: s\ngeneric: t=1\n", 2),
+        ("vars: s\ngeneric:\n", 2),
+        ("values: t=1\n", 1),
+        ("vars: s t\nvalues: s=1,t=1; s=2\n", 2),
+        ("generic: t=1\nvars: s\n", 1),
+    ], ids=["extra", "other", "empty", "undeclared", "missing", "vars-later"])
+    def test_binding_names_exactly_the_parameters(self, text, line):
+        with pytest.raises(DocumentError, match="line %d: " % line):
+            parse_document(text + "f: x^6 + s*y^6 + 1\n")
+
+    def test_bindings_may_precede_vars(self):
+        doc = parse_document("generic: t=1,s=2\nvalues: s=0,t=3\n"
+                             "vars: s t\nf: x^6 + s*y^6 + t\n")
+        assert doc.generic == (("t", Fraction(1)), ("s", Fraction(2)))
+        assert doc.values == ((("s", Fraction(0)), ("t", Fraction(3))),)
+
     def test_repeated_key_in_another_record_is_fine(self):
         docs = parse_documents("record: a\nvars: s\nf: x^6 + s*y^6 + 1\n"
                                "record: b\nvars: t\nf: x^6 + t*y^6 + 1\n")

@@ -16,11 +16,9 @@ from sextics.localsing import (
     build_signature_table,
     classify_germ,
     dual_branch,
-    germ_multiplicity,
     intersection_multiplicity,
     intersection_multiplicity_origin,
     milnor_number_origin,
-    multiplicity,
     normal_form_germ,
     recognition_types,
     resolve,
@@ -162,21 +160,6 @@ def _assert_singular(f, pts):
     for p in pts:
         for h in (f, f.derivative("x"), f.derivative("y")):
             assert point_on_curve(h, p)
-
-
-class TestMultiplicity:
-    def test_cusp(self):
-        assert multiplicity(g("y^2 - x^3"), rational_point(0, 0)) == 2
-
-    def test_d4(self):
-        assert multiplicity(g("y^2*x + x^3"), rational_point(0, 0)) == 3
-
-    def test_smooth_point(self):
-        assert multiplicity(g("y - x^2"), rational_point(1, 1)) == 1
-
-    def test_off_curve(self):
-        with pytest.raises(DomainError):
-            multiplicity(g("y - x"), rational_point(0, 1))
 
 
 class TestIntersectionMultiplicity:

@@ -1,6 +1,7 @@
 """Every function, class, method and dataclass field in src/sextics has a
-consumer in the package, every module of it reads each name it imports, and
-every defaulted parameter is set by some call in the package.
+consumer in the package, every module of it reads each name it imports,
+every defaulted parameter is set by some call in the package, and every
+`__all__` entry names something its module binds at top level.
 
 A top-level definition counts as used when code in src/sextics, outside the
 definition's own body, looks its name up: in the defining module, or in a
@@ -269,3 +270,41 @@ def test_every_default_is_set_by_a_caller():
 
 def test_default_allow_list_holds_only_unset_defaults():
     assert ALLOWED_DEFAULTS <= set(unset_defaults(set()))
+
+
+def _module_bindings(tree):
+    """Names a module binds at top level: definitions, assignment targets
+    and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def stale_exports():
+    """`__all__` entries that name nothing bound in their module, as
+    "module path: name"; `from module import *` raises on each."""
+    stale = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = _module_bindings(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                stale += ["%s: %s" % (path.relative_to(SRC).as_posix(), name)
+                          for name in ast.literal_eval(node.value)
+                          if name not in bound]
+    return stale
+
+
+def test_every_export_is_bound():
+    assert stale_exports() == []

@@ -5,8 +5,8 @@ import pytest
 import sympy
 
 from sextics.poly import (
+    MAX_PAREN_DEPTH,
     DomainError,
-    InexactDivisionError,
     Poly,
     PolySyntaxError,
     UniPoly,
@@ -51,6 +51,18 @@ class TestParse:
         with pytest.raises(PolySyntaxError):
             P("x^-2", X)
 
+    def test_nesting_at_the_bound(self):
+        n = MAX_PAREN_DEPTH
+        text = "(" * n + "x" + ")" * n + "*" + "(" * n + "y" + ")" * n
+        assert P(text) == P("x*y")
+
+    def test_nesting_past_the_bound(self):
+        n = MAX_PAREN_DEPTH + 1
+        with pytest.raises(PolySyntaxError) as err:
+            P("x + " + "(" * n + "y" + ")" * n)
+        # the offset of the first '(' past the bound
+        assert err.value.position == 4 + MAX_PAREN_DEPTH
+
     def test_fraction_coefficient(self):
         p = P("3/4*x", X)
         assert p.terms == {(1,): Fraction(3, 4)}
@@ -88,14 +100,6 @@ class TestFormat:
 class TestArith:
     def test_pow(self):
         assert P("y") ** 3 == P("y^3")
-
-    def test_divexact(self):
-        q = P("x^2 - y^2").divexact(P("x - y"))
-        assert q == P("x + y")
-
-    def test_divexact_error(self):
-        with pytest.raises(InexactDivisionError):
-            P("x^2 - 1", X).divexact(P("x + 2", X))
 
     def test_b312_product(self):
         # conjugate-conic product quartic times the rational conic

@@ -65,8 +65,6 @@ class TestRingLaws:
             assert (a + b) + c == a + (b + c)
             assert a * (b + c) == a * b + a * c
             assert (a * b) * c == a * (b * c)
-            if not b.is_zero():
-                assert (a * b).divexact(b) == a
             checked += 1
 
     def test_pow_matches_repeated_mul(self):
@@ -205,7 +203,8 @@ class TestPlantedGcd:
             if not c.is_constant():
                 assert not is_squarefree(a * c ** 2)
             if "y" not in c.used_vars():
-                assert content_in(a * c, "y").divides(c) is not None
+                content = content_in(a * c, "y")
+                assert poly_gcd(content, c).degree() == c.degree()
 
 
 class TestRationalRoots:
