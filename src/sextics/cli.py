@@ -150,11 +150,17 @@ def cmd_verify(args, out) -> int:
     if args.jobs < 1:
         _print(out, "error: --jobs must be at least 1, not %d" % args.jobs)
         return EXIT_USAGE
+    if args.all and args.id:
+        _print(out, "error: verify takes an id or --all, not both")
+        return EXIT_USAGE
+    if not args.all and not args.id:
+        _print(out, "error: verify needs an id or --all")
+        return EXIT_USAGE
     records = builtin_examples()
     if not args.all:
         wanted = {r.rid for r in records}
         if args.id not in wanted:
-            _print(out, "unknown example id %r" % args.id)
+            _print(out, "error: unknown example id %r" % args.id)
             return EXIT_USAGE
         records = [r for r in records if r.rid == args.id]
     records = sorted(records, key=lambda r: r.rid)
@@ -328,9 +334,6 @@ def _dispatch(args, out) -> int:
     if args.command == "analyze":
         return cmd_analyze(args, out)
     if args.command == "verify":
-        if not args.all and not args.id:
-            _print(out, "verify needs an id or --all")
-            return EXIT_USAGE
         return cmd_verify(args, out)
     if args.command == "catalog":
         if args.what == "show" and not args.config:

@@ -27,9 +27,9 @@ Keys for a curve document:
 Annotations are accepted and dropped; no command reads them.  Every key
 but `defects:`, `claim:` and the annotations may appear at most once per
 document, and a binding names each parameter at most once; a repeat is
-refused.  Each `values:` and `generic:` binding names exactly the
-parameters declared in `vars:`.  The polynomials are parsed once, when the
-document is read.
+refused.  Each `values:` and `generic:` binding, and each claim selector
+that is a binding, names exactly the parameters declared in `vars:`.  The
+polynomials are parsed once, when the document is read.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ class Claim:
     kind: str       # config | degrees | factorization | same-curve |
     #                 type-at | unverifiable
     payload: str
+    line: int       # line number of the claim in its text
 
 
 @dataclass
@@ -73,19 +74,29 @@ class CurveDocument:
 
     def validate(self, texts: dict):
         """Check that the polynomial keys among `texts` (key -> (line
-        number, text)) make one curve and that each binding names exactly
-        the declared parameters, and parse each polynomial into `polys`."""
-        for key, group in (("values", self.values),
-                           ("generic", (self.generic,))):
-            if key not in texts:
+        number, text)) make one curve and that each binding, a claim
+        selector among them, names exactly the declared parameters, and
+        parse each polynomial into `polys`."""
+        bindings = [(texts[key][0], key + " binding", binding)
+                    for key, group in (("values", self.values),
+                                       ("generic", (self.generic,)))
+                    if key in texts for binding in group]
+        for claim in self.claims:
+            if claim.selector in ("*", "generic"):
                 continue
-            for binding in group:
-                names = sorted(n for n, _v in binding)
-                if names != sorted(self.params):
-                    raise DocumentError(
-                        "line %d: %s binding names %s, but vars declares %s"
-                        % (texts[key][0], key, " ".join(names) or "nothing",
-                           " ".join(self.params) or "nothing"))
+            try:
+                binding = parse_bindings(claim.selector)
+            except DocumentError as err:
+                raise DocumentError("line %d: claim selector: %s"
+                                    % (claim.line, err)) from None
+            bindings.append((claim.line, "claim selector", binding))
+        for lineno, what, binding in bindings:
+            names = sorted(n for n, _v in binding)
+            if names != sorted(self.params):
+                raise DocumentError(
+                    "line %d: %s names %s, but vars declares %s"
+                    % (lineno, what, " ".join(names) or "nothing",
+                       " ".join(self.params) or "nothing"))
         has_f = "f" in texts
         has_pair = "f2" in texts or "f3" in texts
         if has_f == has_pair:
@@ -235,6 +246,6 @@ def _read_key(doc: CurveDocument, seen: dict, key: str, value: str,
         bits = [b.strip() for b in value.split("::")]
         if len(bits) != 3:
             raise DocumentError("claim needs selector :: kind :: payload")
-        doc.claims = doc.claims + (Claim(*bits),)
+        doc.claims = doc.claims + (Claim(*bits, lineno),)
     elif key not in _POLY_KEYS + _ANNOTATIONS:
         raise DocumentError("unknown key %r" % key)

@@ -85,11 +85,7 @@ def point_on_curve(f: Poly, p: AlgebraicPoint) -> bool:
 
 def translate_to_origin(f: Poly, p: AlgebraicPoint) -> Poly:
     """Germ of f at p: f(x + px, y + py) over the point's field."""
-    xv = Poly.var("x", ("x", "y"))
-    yv = Poly.var("y", ("x", "y"))
-    fx = f.with_vars(("x", "y"))
-    return fx.substitute({"x": xv + Poly.const(p.x, ("x", "y")),
-                          "y": yv + Poly.const(p.y, ("x", "y"))})
+    return f.with_vars(("x", "y")).shift({"x": p.x, "y": p.y})
 
 
 def specialize_x(f: Poly, field: Optional[NumberField], x0: Coord) -> UniPoly:

@@ -14,8 +14,9 @@ points over the base field).  From the finished tree we read off
 Blow-ups continue past smoothness until each branch is transverse to the
 exceptional locus at a simple point of it; those extra multiplicity-one
 points make the proximity sums exact.  Each blow-up is a map on the
-exponents of the germ's terms, followed by a shift in y for a tangent
-direction t0 != 0.
+exponents of the germ's terms, followed for a tangent direction t0 != 0
+by the Taylor shift y -> y + t0 (`Poly.shift`, on integers when the germ
+and t0 are rational).
 """
 
 from __future__ import annotations
@@ -160,9 +161,7 @@ def resolve(germ: Poly, field: Optional[NumberField] = None) -> Resolution:
             # y = x(y + t0) takes x^i y^j to x^(i+j-m) (y + t0)^j
             child_germ = Poly(("x", "y"), {(i + j - node.m, j): c
                                            for (i, j), c in gg.terms.items()})
-            if t0:
-                child_germ = child_germ.substitute(
-                    {"y": Poly(("x", "y"), {(0, 1): 1, (0, 0): t0})})
+            child_germ = child_germ.shift({"y": t0})
             axes = {"x": node.nid}
             if not t0 and "y" in node.axes:
                 axes["y"] = node.axes["y"]

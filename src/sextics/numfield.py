@@ -7,8 +7,9 @@ extension via a primitive element, so an element is one coordinate vector
 in the powers of a single generator: integer coordinates over one
 denominator.  Every minimal polynomial is integral and monic, so a product
 is an integer convolution reduced by the minimal polynomial, with no
-division and one gcd at the end.  Inverses come from extended Euclid on
-`UniPoly`s in the generator.
+division and one gcd at the end.  An inverse solves the integer linear
+system of multiplication by the element, fraction-free (Bareiss), so it
+needs no `Fraction` either.
 
 `field = None` denotes Q itself with plain `Fraction` elements throughout
 the package.
@@ -30,7 +31,6 @@ from .poly import (
     Poly,
     UniPoly,
     from_sympy,
-    rational_content,
     to_sympy,
     is_squarefree,
     unipoly_gcd,
@@ -117,7 +117,8 @@ class NFElt:
     of the generator over one positive denominator `den`.
 
     The pair is canonical, gcd(den, *nums) = 1, so equal elements have
-    equal vectors.  `coeffs` is the same vector as `Fraction`s.
+    equal vectors.  `coeffs` is the same vector as `Fraction`s.  Products
+    and inverses are computed on `nums` with Python ints.
     """
 
     __slots__ = ("field", "nums", "den")
@@ -230,22 +231,49 @@ class NFElt:
         return out
 
     def inverse(self) -> "NFElt":
+        """den * x / D, where x solves A x = e_0 for the integer matrix A
+        of multiplication by `nums` (column j holds nums * w^j) and D is
+        its determinant.
+
+        Fraction-free Gaussian elimination (Bareiss) on [A | e_0] keeps
+        every entry an integer, swapping in a lower row where a pivot is
+        zero; its last pivot is D, and back substitution gives D * x in
+        integers by exact division (Cramer's rule).
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid on (poly of self, minpoly) over Q; remainders and
-        # cofactors are rescaled together to stop coefficient snowballing
-        r0 = self.field.minpoly
-        r1 = UniPoly(r0.var, self.coeffs)
-        s0, s1 = UniPoly(r0.var, []), UniPoly.const(r0.var, 1)
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            s = s0 - q * s1
-            c = rational_content(r.coeffs)
-            if c != 1:
-                r, s = r.scale(1 / c), s.scale(1 / c)
-            r0, r1 = r1, r
-            s0, s1 = s1, s
-        return self.field.element(s0.scale(1 / r0.lc()).coeffs)
+        d = len(self.nums)
+        cols = [list(self.nums)]
+        for _ in range(d - 1):
+            # times w: shift up, then w^d = -sum m_j w^j
+            top = cols[-1][-1]
+            col = [0] + cols[-1][:-1]
+            if top:
+                for j, m in self.field._reducer:
+                    col[j] -= top * m
+            cols.append(col)
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            if not rows[k][k]:
+                r = next(r for r in range(k + 1, d) if rows[r][k])
+                rows[k], rows[r] = rows[r], rows[k]
+            pivot, rk = rows[k][k], rows[k]
+            for row in rows[k + 1:]:
+                f = row[k]
+                for j in range(k + 1, d + 1):
+                    row[j] = (row[j] * pivot - f * rk[j]) // prev
+                row[k] = 0
+            prev = pivot
+        det = prev
+        sol = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = rows[i]
+            acc = det * row[d] - sum(row[j] * sol[j] for j in range(i + 1, d))
+            sol[i] = acc // row[i]
+        if det < 0:
+            det, sol = -det, [-v for v in sol]
+        return NFElt(self.field, [self.den * v for v in sol], det)
 
     def __truediv__(self, other):
         if isinstance(other, NFElt):

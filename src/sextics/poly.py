@@ -10,9 +10,10 @@ The arithmetic helpers that the other modules share live here, one per
 job: `rational_content` (the positive rational content of a coefficient
 list), `clear_denominators` (a rational term dict as integers over one
 denominator), `content_in` (the gcd of the coefficients in one variable),
-`UniPoly.from_poly` (a polynomial in one variable, read as a univariate)
-and `to_sympy`/`from_sympy` (the one bridge to sympy: an integer sympy
-polynomial and its denominator, and back).
+`UniPoly.from_poly` (a polynomial in one variable, read as a univariate),
+`Poly.shift` (the Taylor shift p(v + a_v), which `UniPoly.shift` shares
+column by column) and `to_sympy`/`from_sympy` (the one bridge to sympy:
+an integer sympy polynomial and its denominator, and back).
 
 `poly_gcd`, `is_squarefree` and `resultant` take rational coefficients
 only.  sympy computes them over ZZ on the bridged polynomials, and the
@@ -29,7 +30,7 @@ Conventions fixed here and relied on by the golden-file tests:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import sympy
@@ -315,6 +316,60 @@ class Poly:
             for mon, a in piece.items():
                 terms[mon] = terms[mon] + a if mon in terms else a
         return Poly(out_vars, terms)
+
+    def shift(self, offsets: Mapping[str, Coef]) -> "Poly":
+        """Taylor shift p(v + a_v) over the same variables, for the offset
+        a_v of each variable v named in `offsets`.
+
+        The variables are shifted one at a time, each column (the terms
+        that differ only in v's exponent) on its own.  The path is chosen
+        once per call.  When every coefficient and offset is rational, the
+        denominators are cleared once and the columns are shifted by
+        Horner's rule on Python ints: for a_v = u/w and n the degree in v,
+        w^n p(z/w) is shifted by u and z = w*v put back, which leaves one
+        more common denominator w^n; one Fraction is built per term at the
+        end.  Otherwise each column is expanded binomially
+        (`_shift_column`) with the powers of a_v computed once.
+        """
+        shifts = [(self._index(v), _as_coef(a)) for v, a in offsets.items()]
+        shifts = [(i, a) for i, a in shifts if a]
+        if not shifts or not self.terms:
+            return self
+        rational = all(isinstance(a, Fraction) for _, a in shifts) and all(
+            isinstance(c, Fraction) for c in self.terms.values())
+        if rational:
+            terms, den = clear_denominators(self.terms)
+        else:
+            terms = self.terms
+        for i, a in shifts:
+            n = max(m[i] for m in terms)
+            cols: dict = {}
+            for m, c in terms.items():
+                cols.setdefault(m[:i] + m[i + 1:], {})[m[i]] = c
+            terms = {}
+            if rational:
+                u, w = a.numerator, a.denominator
+                wpow = [w ** k for k in range(n + 1)]
+                den *= wpow[n]
+                for rest, col in cols.items():
+                    cs = [0] * (max(col) + 1)
+                    for e, c in col.items():
+                        cs[e] = c * wpow[n - e]
+                    top = len(cs) - 1
+                    for s in range(top):
+                        for j in range(top - 1, s - 1, -1):
+                            cs[j] += u * cs[j + 1]
+                    for k, c in enumerate(cs):
+                        if c:
+                            terms[rest[:i] + (k,) + rest[i:]] = c * wpow[k]
+            else:
+                powers = _powers(a, n)
+                for rest, col in cols.items():
+                    for k, c in _shift_column(col, powers).items():
+                        terms[rest[:i] + (k,) + rest[i:]] = c
+        if rational:
+            terms = {m: Fraction(c, den) for m, c in terms.items()}
+        return Poly(self.vars, terms)
 
     def evaluate(self, point: Mapping[str, Coef]) -> Coef:
         missing = [v for v in self.used_vars() if v not in point]
@@ -680,19 +735,41 @@ class UniPoly:
 
     def shift(self, a: Coef) -> "UniPoly":
         """Taylor shift: p(t + a)."""
-        out = UniPoly(self.var, [])
-        t = UniPoly(self.var, [a, Fraction(1)])
-        power = UniPoly.const(self.var, Fraction(1))
-        for i, c in enumerate(self.coeffs):
-            out = out + power.scale(c)
-            if i < len(self.coeffs) - 1:
-                power = power * t
-        return out
+        if not a:
+            return self
+        out = _shift_column({e: c for e, c in enumerate(self.coeffs) if c},
+                            _powers(a, self.degree()))
+        return UniPoly(self.var, [out.get(k, 0)
+                                  for k in range(len(self.coeffs))])
 
     def __str__(self) -> str:
         return format_poly(self.to_poly())
 
     __repr__ = __str__
+
+
+def _powers(a: Coef, n: int) -> list:
+    """[None, a, a^2, ..., a^n]; the unused 0th slot stands for 1."""
+    out = [None, a]
+    while len(out) <= n:
+        out.append(out[-1] * a)
+    return out
+
+
+def _shift_column(col: Mapping[int, Coef], powers: Sequence) -> dict:
+    """{k: coefficient of v^k} of sum_j col[j] * (v + a)^j, where
+    powers[i] = a^i (`_powers`): the term of v^k is
+    col[j] * binomial(j, k) * a^(j - k)."""
+    out: dict = {}
+    for j, c in col.items():
+        for k in range(j + 1):
+            t = c
+            if k < j:
+                t = t * powers[j - k]
+                if k:
+                    t = t * comb(j, k)
+            out[k] = out[k] + t if k in out else t
+    return out
 
 
 def rational_content(coeffs) -> Fraction:

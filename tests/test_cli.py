@@ -160,10 +160,19 @@ class TestVerify:
     def test_bogus_id(self, capsys):
         code, out = run_cli(capsys, "verify", "no-such-id")
         assert code == 2
+        assert out == "error: unknown example id 'no-such-id'\n"
 
     def test_missing_arg(self, capsys):
         code, out = run_cli(capsys, "verify")
         assert code == 2
+        assert out == "error: verify needs an id or --all\n"
+
+    def test_id_and_all_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_example",
+                            lambda *a, **k: pytest.fail("a record ran"))
+        code, out = run_cli(capsys, "verify", "5.2-1", "--all")
+        assert code == 2
+        assert out == "error: verify takes an id or --all, not both\n"
 
     def test_json_shape(self, capsys):
         code, out = run_cli(capsys, "verify", "5.2-18", "--json")

@@ -146,6 +146,21 @@ class TestParseDocument:
         assert doc.generic == (("t", Fraction(1)), ("s", Fraction(2)))
         assert doc.values == ((("s", Fraction(0)), ("t", Fraction(3))),)
 
+    @pytest.mark.parametrize("selector", ["t=1", "s=1,t=2", "s=1/0", ""],
+                             ids=["other", "extra", "bad-rational", "empty"])
+    def test_claim_selector_names_exactly_the_parameters(self, selector):
+        with pytest.raises(DocumentError, match="line 3: claim selector"):
+            parse_document("vars: s\nf: x^6 + s*y^6 + 1\n"
+                           "claim: %s :: degrees :: 6\n" % selector)
+
+    def test_claim_selectors_may_precede_vars(self):
+        doc = parse_document("claim: t=0,s=1 :: degrees :: 6\n"
+                             "claim: generic :: degrees :: 6\n"
+                             "claim: * :: config :: [A5]\n"
+                             "vars: s t\nf: x^6 + s*y^6 + t\n")
+        assert [(c.selector, c.line) for c in doc.claims] == [
+            ("t=0,s=1", 1), ("generic", 2), ("*", 3)]
+
     def test_repeated_key_in_another_record_is_fine(self):
         docs = parse_documents("record: a\nvars: s\nf: x^6 + s*y^6 + 1\n"
                                "record: b\nvars: t\nf: x^6 + t*y^6 + 1\n")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sextics.numfield import (
+    TOWER_CAP,
     NumberField,
     TowerCapError,
     coef_key,
@@ -77,7 +78,39 @@ class TestNumberField:
         e = w ** 2 + w - 3
         assert e * e.inverse() == K.from_rational(1)
 
-    @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+    def test_inverse_needs_a_row_swap(self):
+        # w and w^2 have a zero constant coordinate, so the first pivot of
+        # the multiplication matrix is zero; from w^3 = -w - 1,
+        # 1/w = -w^2 - 1 and 1/w^2 = (1/w)^2 = w^4 + 2w^2 + 1 = w^2 - w + 1
+        K = NumberField(U([1, 1, 0, 1]))
+        w = K.generator()
+        assert w.inverse() == K.element([-1, 0, -1])
+        assert (w ** 2).inverse() == K.element([1, -1, 1])
+        assert (w * Fraction(2, 3)).inverse() == K.element(
+            [Fraction(-3, 2), 0, Fraction(-3, 2)])
+
+    def test_inverse_with_a_negative_determinant(self):
+        # multiplication by sqrt 2 has determinant (norm) -2
+        K = NumberField(U([-2, 0, 1]))
+        r = K.generator()
+        assert r.inverse() == K.element([0, Fraction(1, 2)])
+        assert (r * Fraction(-5, 7) + 1).inverse() == K.element(
+            [Fraction(-49, 1), Fraction(-35, 1)])
+
+    def test_inverse_of_a_rational_element(self):
+        K = NumberField(U([3, -6, 0, 0, 1]))
+        for q in (Fraction(-7, 3), Fraction(1), Fraction(5, 1), -1):
+            assert K.from_rational(q).inverse() == 1 / Fraction(q)
+            assert K.from_rational(q).inverse() == K.from_rational(1 / q)
+
+    def test_inverse_of_zero(self):
+        K = NumberField(U([-2, 0, 1]))
+        with pytest.raises(ZeroDivisionError):
+            K.from_rational(0).inverse()
+        with pytest.raises(ZeroDivisionError):
+            1 / K.element([0, 0])
+
+    @pytest.mark.parametrize("degree", range(2, TOWER_CAP + 1))
     def test_inverse_large_coefficients(self, degree):
         # w^d - 6w + 3 is irreducible (Eisenstein at 3)
         K = NumberField(U([3, -6] + [0] * (degree - 2) + [1]))

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from test_numfield import eisenstein_fields
 
 from sextics.catalog import builtin_examples
 from sextics.components import decompose
@@ -25,6 +26,7 @@ from sextics.localsing import (
 )
 from sextics.numfield import NFElt, NumberField, extend_field, factor_rational
 from sextics.poly import (
+    DomainError,
     Poly,
     UniPoly,
     content_in,
@@ -164,6 +166,77 @@ class TestSubstituteAgainstSympy:
                 got = self.check(p, {"y": shift}, w, K.minpoly)
                 uses_y = any(m[1] for m in p.terms)
                 assert got.vars == ("x", "y")[:1 + uses_y]
+
+
+class TestShiftAgainstSubstitute:
+    """Poly.shift and UniPoly.shift against Poly.substitute, itself checked
+    against sympy (TestSubstituteAgainstSympy.check), on seeded
+    polynomials: rational offsets with large denominators, zero offsets,
+    some of three variables shifted, and offsets and coefficients in
+    number fields of degree 2 to 12 and two towers."""
+
+    @staticmethod
+    def check(p, offsets, w=None, minpoly=None):
+        got = p.shift(offsets)
+        want = TestSubstituteAgainstSympy.check(
+            p, {v: Poly.var(v, p.vars) + Poly.const(a, p.vars)
+                for v, a in offsets.items()}, w, minpoly)
+        assert got.vars == p.vars
+        assert got == want
+        return got
+
+    def test_rational_offsets(self):
+        rng = random.Random(60221)
+        for _ in range(40):
+            p = random_poly(rng, 3, max_terms=8, max_deg=7)
+            offsets = {}
+            for v in rng.sample(p.vars, rng.randint(1, 3)):
+                offsets[v] = rng.choice([
+                    Fraction(rng.randint(-10 ** 12, 10 ** 12),
+                             rng.randint(1, 10 ** 15)),
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                    rng.randint(-5, 5)])
+            got = self.check(p, offsets)
+            assert all(isinstance(c, Fraction) for c in got.terms.values())
+
+    def test_zero_offsets(self):
+        rng = random.Random(17)
+        K = extend_field(None, UniPoly("w", [Fraction(-2), 0, 1]))[0]
+        for _ in range(10):
+            p = random_poly(rng, 3)
+            assert p.shift({}) is p
+            assert p.shift({"x": 0, "z": Fraction(0)}) is p
+            assert p.shift({"y": K.from_rational(0)}) is p
+            assert self.check(p, {"x": 0, "y": Fraction(1, 3)}) \
+                == p.shift({"y": Fraction(1, 3)})
+        with pytest.raises(DomainError):
+            Poly.var("x", ("x", "y")).shift({"t": 1})
+
+    def test_number_field_offsets_and_coefficients(self):
+        rng = random.Random(4711)
+
+        def element(K):
+            return K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                              for _ in range(K.degree)])
+
+        for K in eisenstein_fields():
+            w = sympy.Symbol(K.name)
+            for field_coeffs in (False, True):
+                p = random_poly(rng, 2, max_terms=4, max_deg=3,
+                                zero_ok=False)
+                if field_coeffs:
+                    p = Poly(p.vars, {m: element(K) for m in p.terms})
+                offsets = {"x": element(K), "y": element(K)}
+                if rng.randrange(2):
+                    offsets[rng.choice("xy")] = Fraction(rng.randint(-9, 9),
+                                                         rng.randint(1, 9))
+                self.check(p, offsets, w, K.minpoly)
+            u = UniPoly("x", [element(K) for _ in range(rng.randint(1, 6))])
+            x = Poly.var("x")
+            for a in (element(K), Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                                           10 ** 12 + 1)):
+                want = u.to_poly().substitute({"x": x + Poly.const(a)})
+                assert u.shift(a).to_poly() == want
 
 
 class TestResultantSpecialization:
