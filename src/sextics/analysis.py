@@ -90,7 +90,7 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
                      % (chart,))
         f = transform(f).primitive()
         if pair is not None:
-            pair = TorusPair(transform(pair.f2), transform(pair.f3))
+            pair = pair.transformed(transform)
         affine_sings = singular_points(f)
 
     sings = tuple(analyze_point(f, p) for p in affine_sings)

@@ -4,9 +4,16 @@ classical reduction algorithm) and Milnor numbers.
 The `_origin` functions take germs already translated to the origin; the
 others take a curve and a point on it.  Coefficients may be rational or
 number-field elements.  When both germs are rational, the intersection
-kernel clears their denominators once and reduces with Python ints and a
+kernel clears their denominators and reduces with Python ints and a
 fraction-free elimination step; over a number field it divides by the
 leading coefficient.
+
+The kernel truncates the germs at an adaptive order: it starts at
+2 * ord g * ord h + 2, read off the germs alone, and doubles the order
+until a run returns a value below it, which the run then proves
+(m^I lies in the ideal, so terms of higher order cannot change I).  Once
+the order reaches the Bezout bound deg g * deg h + 2, the last run is the
+full reduction with its guard for a shared component.
 """
 
 from __future__ import annotations
@@ -47,49 +54,17 @@ def _int_reduce(terms: dict) -> dict:
     return {m: v // c for m, v in terms.items()}
 
 
-def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
-    """Local intersection number I(g, h; O) by the reduction algorithm.
+def _reduce(g_terms: dict, h_terms: dict, n: int, cap: int,
+            rational: bool) -> int:
+    """One run of the reduction with both germs truncated at total degree n.
 
-    The reduction (Fulton, Algebraic Curves, 3.3) works on the term dicts
-    {(i, j): coef} of the two germs.  While neither germ has a constant
-    term, it compares the restrictions a = g(x, 0) and b = h(x, 0): when
-    one of them is zero, that germ is y times a cofactor, so I gains the
-    order of the other restriction and the germ is divided by y; otherwise
-    an elimination step with deg a <= deg b kills the leading term of b.
-    After each step the new germ is divided by its content.  Both are
-    multiplications by nonzero constants, units that leave I unchanged.
-
-    The step's scalars depend on the coefficients, chosen once per call.
-    When every coefficient of both germs is rational, their denominators
-    are cleared at entry and the reduction runs on Python ints: the step
-    is fraction-free, h <- d*h - c*x^k*g with (d, c) the leading
-    coefficients of a and b over their gcd, and the content is the gcd of
-    the integer coefficients.  Over a number field the step is
-    h <- h - c*x^k*g with c = lc(b) / lc(a), and the content is the
-    rational content; scaling h by an algebraic d there would let the
-    coordinates grow with nothing to take the growth out again.  The
-    integer germs of each step are nonzero rational multiples of the ones
-    that field division gives, so both steps lead through the same
-    monomials to the same I.
-
-    A finite I is at most deg g * deg h (Bezout), so both germs are
-    truncated at total degree deg g * deg h + 2, which keeps I and the
-    elimination sizes bounded.  The same bound is the guard for a shared
-    component through the origin: each pass either returns or, after
-    finitely many eliminations, raises the running sum, so
-    InfiniteIntersectionError is raised once that sum passes the Bezout
-    bound, or at once when a germ reduces to zero.
+    Returns I of the truncated germs, or the running sum as soon as it
+    reaches `cap`; raises InfiniteIntersectionError when both germs become
+    divisible by y or one reduces to zero.  `rational` picks the integer
+    step or the field-division step (see the kernel's docstring).
     """
-    g = g.with_vars(("x", "y"))
-    h = h.with_vars(("x", "y"))
-    if g.is_zero() or h.is_zero():
-        raise InfiniteIntersectionError("zero germ shares every component")
-    limit = g.degree() * h.degree()
-    bound = limit + 2
-    G = {m: c for m, c in g.terms.items() if sum(m) < bound}
-    H = {m: c for m, c in h.terms.items() if sum(m) < bound}
-    rational = all(isinstance(c, Fraction)
-                   for c in (*G.values(), *H.values()))
+    G = {m: c for m, c in g_terms.items() if sum(m) < n}
+    H = {m: c for m, c in h_terms.items() if sum(m) < n}
     if rational:
         reduce = _int_reduce
         G = clear_denominators(G)[0]
@@ -116,10 +91,8 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
             else:
                 H = {(i, j - 1): c for (i, j), c in H.items()}
                 total += min(a)
-            if total > limit:
-                raise InfiniteIntersectionError(
-                    "intersection passes the Bezout bound %d: the curves"
-                    " share a component through the point" % limit)
+            if total >= cap:
+                return total
             continue
         r, s = max(a), max(b)
         if r > s:
@@ -136,7 +109,7 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
         k = s - r
         for (i, j), cg in G.items():
             mon = (i + k, j)
-            if i + k + j >= bound:
+            if i + k + j >= n:
                 continue
             v = H.get(mon)
             v = -(c * cg) if v is None else v - c * cg
@@ -149,6 +122,91 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
                 "a germ reduces to zero: the curves share a component"
                 " through the point")
         H = reduce(H)
+
+
+def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
+    """Local intersection number I(g, h; O) by the reduction algorithm.
+
+    The reduction (Fulton, Algebraic Curves, 3.3) works on the term dicts
+    {(i, j): coef} of the two germs.  While neither germ has a constant
+    term, it compares the restrictions a = g(x, 0) and b = h(x, 0): when
+    one of them is zero, that germ is y times a cofactor, so I gains the
+    order of the other restriction and the germ is divided by y; otherwise
+    an elimination step with deg a <= deg b kills the leading term of b.
+    After each step the new germ is divided by its content.  Both are
+    multiplications by nonzero constants, units that leave I unchanged.
+
+    The step's scalars depend on the coefficients, chosen once per call.
+    When every coefficient of both germs is rational, their denominators
+    are cleared at entry and the reduction runs on Python ints: the step
+    is fraction-free, h <- d*h - c*x^k*g with (d, c) the leading
+    coefficients of a and b over their gcd, and the content is the gcd of
+    the integer coefficients.  Over a number field the step is
+    h <- h - c*x^k*g with c = lc(b) / lc(a), and the content is the
+    rational content; scaling h by an algebraic d there would let the
+    coordinates grow with nothing to take the growth out again.  The
+    integer germs of each step are nonzero rational multiples of the ones
+    that field division gives, so both steps lead through the same
+    monomials to the same I.
+
+    Every run truncates both germs, and each germ the elimination makes,
+    at a total degree n: terms of degree >= n are dropped.  The first run
+    takes n = 2 * ord g * ord h + 2, from the germs' orders alone (I is
+    at least ord g * ord h, and at a sextic's singular point rarely much
+    more).  A run that returns some I < n has proved it.  Let J = (g, h)
+    in the local ring O at the origin, over Q or over the number field,
+    and m its maximal ideal.  If dim O/J = n', then m^n' lies in J: the
+    dimension of O/(J + m^i) rises strictly with i until the chain
+    stops, so it stops by i = n', and J + m^n' = J + m^(n'+1) gives
+    m^n' in J by Nakayama.  So changing g or h by terms in m^(n'+1),
+    inside m*J, leaves J and I unchanged (Nakayama again).  Read the run
+    backwards: every step is exact on the truncated germs (the division
+    by y, the elimination and the unit scalings), so after each
+    truncation the germs that follow have some I' <= I < n, and the
+    dropped terms lie in m^n, inside m^(I'+1); the germs before the
+    truncation therefore have the same I'.  At the first truncation this
+    is I(g, h).
+
+    A run proves nothing once its running sum reaches n, or when its
+    truncated germs become both divisible by y or one of them reduces to
+    zero; then n is doubled and the reduction runs again.  It is
+    aborted at a sum of n, not n - 1, because a rerun costs about as
+    much as the whole reduction on a small germ.
+
+    Once n reaches deg g * deg h + 2 the last run is the reduction at the
+    Bezout bound: a finite I is at most deg g * deg h, so at that order
+    the germs keep every term that can matter, and the same bound is the
+    guard for a shared component through the origin.  Each pass either
+    returns or, after finitely many eliminations, raises the running sum,
+    so InfiniteIntersectionError is raised once that sum passes the
+    Bezout bound, or at once when both germs are divisible by y or a germ
+    reduces to zero.
+    """
+    g = g.with_vars(("x", "y"))
+    h = h.with_vars(("x", "y"))
+    if g.is_zero() or h.is_zero():
+        raise InfiniteIntersectionError("zero germ shares every component")
+    limit = g.degree() * h.degree()
+    bound = limit + 2
+    G = {m: c for m, c in g.terms.items() if sum(m) < bound}
+    H = {m: c for m, c in h.terms.items() if sum(m) < bound}
+    rational = all(isinstance(c, Fraction)
+                   for c in (*G.values(), *H.values()))
+    n = 2 * g.lowest_degree() * h.lowest_degree() + 2
+    while n < bound:
+        try:
+            total = _reduce(G, H, n, n, rational)
+            if total < n:
+                return total
+        except InfiniteIntersectionError:
+            pass
+        n *= 2
+    total = _reduce(G, H, bound, limit + 1, rational)
+    if total > limit:
+        raise InfiniteIntersectionError(
+            "intersection passes the Bezout bound %d: the curves"
+            " share a component through the point" % limit)
+    return total
 
 
 def intersection_multiplicity(g: Poly, h: Poly, p) -> int:

@@ -351,12 +351,17 @@ def coef_key(c) -> tuple:
 def factor_rational(u: UniPoly):
     """Irreducible monic factors of a rational UniPoly: [(factor, mult)].
 
-    Deterministic order: by (degree, coefficient tuple).
+    Deterministic order: by (degree, coefficient tuple).  A linear u and
+    a monomial c*t^k, most tangent cones, are answered without sympy.
     """
     if u.is_zero():
         raise DomainError("zero polynomial")
     if u.degree() == 0:
         return []
+    if u.degree() == 1:
+        return [(u.monic(), 1)]
+    if not any(u.coeffs[:-1]):
+        return [(UniPoly(u.var, [0, 1]), u.degree())]
     vs = (u.var,)
     out = []
     for f, mult in to_sympy(u.to_poly(), vs)[0].factor_list()[1]:

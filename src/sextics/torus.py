@@ -36,14 +36,27 @@ class TorusPair:
     f3: Poly
 
     def __post_init__(self):
-        object.__setattr__(self, "f2", self.f2.with_vars(XY))
-        object.__setattr__(self, "f3", self.f3.with_vars(XY))
-        if self.f2.degree() != 2 or self.f3.degree() != 3:
-            raise DomainError("torus pair needs deg f2 = 2 and deg f3 = 3")
+        self._set(self.f2, self.f3)
         shared = poly_gcd(self.f2, self.f3)
         if shared.degree() > 0:
             raise DegenerateTorusError(
                 "conic and cubic share the component %s" % shared)
+
+    def _set(self, f2: Poly, f3: Poly):
+        object.__setattr__(self, "f2", f2.with_vars(XY))
+        object.__setattr__(self, "f3", f3.with_vars(XY))
+        if self.f2.degree() != 2 or self.f3.degree() != 3:
+            raise DomainError("torus pair needs deg f2 = 2 and deg f3 = 3")
+
+    def transformed(self, transform) -> "TorusPair":
+        """The pair under an invertible change of coordinates `transform`.
+
+        Such a change cannot make the conic and cubic share a component, so
+        only the degrees are checked again, not the gcd.
+        """
+        pair = object.__new__(TorusPair)
+        pair._set(transform(self.f2), transform(self.f3))
+        return pair
 
     def expand(self) -> Poly:
         return self.f2 ** 3 + self.f3 ** 2

@@ -305,6 +305,26 @@ class TestRationalRoots:
                 want[root] = want.get(root, 0) + mult
             assert dict(roots) == want
 
+    def test_linear_and_monomial_shapes_against_sympy(self):
+        """The shapes answered without sympy: c*x^k and linear u, with
+        large-height coefficients, against sympy's `factor_list`."""
+        rng = random.Random(1729)
+        x = sympy.Symbol("x")
+        for _ in range(30):
+            c = big_rational(rng, 10 ** 40)
+            cases = [UniPoly("x", [0] * rng.randint(1, 9) + [c]),
+                     UniPoly("x", [big_rational(rng, 10 ** 40), c]),
+                     UniPoly("x", [0, c])]
+            for u in cases:
+                expr = sum(a * x ** e for e, a in enumerate(u.coeffs))
+                want = sorted(
+                    ((UniPoly("x", [Fraction(int(a.p), int(a.q)) for a in
+                                    reversed(sympy.Poly(f, x).monic()
+                                             .all_coeffs())]), m)
+                     for f, m in sympy.factor_list(expr, x)[1]),
+                    key=lambda fm: (fm[0].degree(), fm[0].coeffs))
+                assert factor_rational(u) == want, str(u)
+
 
 # Q-irreducible curves; several split over a number field
 _PLANTED = ("x", "x - 2*y + 1", "y + 3", "x^2 + y^2", "x^2 - 2*y^2",
@@ -596,6 +616,58 @@ class TestIntersectionKernelAgainstReference:
                           for m, c in random_germ(rng).terms.items()})
             self.agree(r, f)
         assert len(seen) >= 2, seen
+
+    @staticmethod
+    def coefficient(minpoly):
+        """A coefficient over Q, or with every coordinate nonzero over the
+        number field with that minimal polynomial."""
+        if minpoly is None:
+            return Fraction(-3, 7)
+        K = NumberField(UniPoly("w", [Fraction(c) for c in minpoly]))
+        return K.element([Fraction(2 * i + 1, 5 - i) for i in range(K.degree)])
+
+    @pytest.mark.parametrize("minpoly", [None, [-2, 0, 1], [-2, 0, 0, 1]],
+                             ids=["Q", "sqrt2", "cbrt2"])
+    def test_contact_around_each_truncation_order(self, minpoly):
+        """I at n - 1, n and n + 1 for the order n of the first, second and
+        third run, which forces up to three doublings.  Some of these runs
+        reach a running sum of exactly n on truncated germs whose I is
+        larger."""
+        c = self.coefficient(minpoly)
+        vs = ("x", "y")
+        x, y = Poly.var("x", vs), Poly.var("y", vs)
+        one = Poly.const(1, vs)
+        for run in range(3):
+            for step in (-1, 0, 1):
+                # two smooth germs: the runs truncate at 4, 8, 16, ...
+                i = (4 << run) + step
+                for k in (1, 2, i - 1):
+                    g = y - x ** k
+                    assert self.agree(g, g - (x ** i).scale(c)) == i
+                # a second branch y = x^(k + 2), which meets g with I = k,
+                # makes ord h = 2: the runs truncate at 6, 12, 24, ...
+                i = (6 << run) + step
+                for k in (1, 2, i // 2 - 1):
+                    g = y - x ** k
+                    h = (y - x ** (k + 2)) * (g - (x ** (i - k)).scale(c))
+                    assert self.agree(g, h) == i
+                    assert self.agree(g * (one + x), h.scale(c)) == i
+
+    @pytest.mark.parametrize("minpoly", [None, [-2, 0, 1], [-2, 0, 0, 1]],
+                             ids=["Q", "sqrt2", "cbrt2"])
+    def test_shared_component_past_the_first_order(self, minpoly):
+        """Below degree 9 the shared branch y = c*x^9 looks like y = 0, so
+        the truncated runs prove nothing; the run at the Bezout bound
+        raises."""
+        c = self.coefficient(minpoly)
+        vs = ("x", "y")
+        x, y = Poly.var("x", vs), Poly.var("y", vs)
+        one = Poly.const(1, vs)
+        p = y - (x ** 9).scale(c)
+        for g, h in ((p * (one + x), p * (y + x)), (p, p * (y + x)),
+                     (p * (y - x ** 2), p * (y + x ** 3)),
+                     ((p * p).scale(c), p * (one - y))):
+            assert self.agree(g, h) == "shared"
 
     def test_unit_multiples_keep_the_number(self):
         rng = random.Random(577)

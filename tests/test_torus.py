@@ -38,6 +38,31 @@ class TestExpand:
         assert p1.expand().scale(-27) == p2.expand()
 
 
+class TestRotatedPair:
+    def test_rotation_computes_the_gcd_once(self, monkeypatch):
+        """5.2-2 is analysed in a rotated chart; the rotated pair keeps the
+        pair's coprimality, so `poly_gcd` runs once, at construction."""
+        from sextics import catalog, torus
+        calls = []
+        real = torus.poly_gcd
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+        monkeypatch.setattr(torus, "poly_gcd", counted)
+        rec = {r.rid: r for r in catalog.builtin_examples()}["5.2-2"]
+        an = catalog.analyze_document(rec.doc, ())
+        assert an.chart != (0, 0)
+        assert len(calls) == 1
+
+    def test_transformed_checks_the_degrees(self):
+        pair = TorusPair(g("-y^2"), g("x^3 + x*y + 1"))
+        moved = pair.transformed(lambda p: p.substitute({"x": g("x + y")}))
+        assert moved.f3 == g("(x + y)^3 + (x + y)*y + 1")
+        with pytest.raises(DomainError):
+            pair.transformed(lambda p: p.substitute({"x": g("1")}))
+
+
 class TestInnerOuter:
     def test_item5_origin_inner_iota3(self):
         pair = TorusPair(g("-y^2 + y - x^2"),
