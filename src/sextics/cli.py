@@ -231,7 +231,7 @@ def cmd_catalog(args, out) -> int:
         try:
             want = parse_config(args.config)
         except PolyError as err:
-            _print(out, "bad configuration: %s" % err)
+            _print(out, "error: bad configuration: %s" % err)
             return EXIT_USAGE
         found = [e for e in entries if e.reduced.multiset() == want.multiset()]
         for e in found:
@@ -260,12 +260,13 @@ def cmd_catalog(args, out) -> int:
 def cmd_sweep(args, out) -> int:
     doc = _read_document(args.file)
     if args.param not in doc.params:
-        _print(out, "parameter %r not declared in the document" % args.param)
+        _print(out, "error: parameter %r not declared in the document"
+               % args.param)
         return EXIT_USAGE
     try:
         values = [Fraction(v.strip()) for v in args.values.split(",")]
     except (ValueError, ZeroDivisionError):
-        _print(out, "bad values list %r" % args.values)
+        _print(out, "error: bad values list %r" % args.values)
         return EXIT_USAGE
     rows = []
     for v in values:
@@ -337,7 +338,7 @@ def _dispatch(args, out) -> int:
         return cmd_verify(args, out)
     if args.command == "catalog":
         if args.what == "show" and not args.config:
-            _print(out, "catalog show needs a configuration")
+            _print(out, "error: catalog show needs a configuration")
             return EXIT_USAGE
         return cmd_catalog(args, out)
     if args.command == "sweep":

@@ -1,14 +1,18 @@
 """Locating singular points exactly: rational points and conjugate clusters.
 
 The singular locus of a squarefree curve is cut out by f = f_x = f_y = 0.
-X-coordinates are found from the eliminant Res_y(f, f_y), factored over Q.
-Its order at x0 is at least the sum of the intersection numbers I_P(f, f_y)
-over the points P above x0, and I_P(f, f_y) >= m_P(f) * m_P(f_y) >= 2 at a
-singular point (Fulton, Algebraic Curves, 1.6 and 3.3), so only the factors
-of multiplicity at least 2 are kept.  Each becomes a field (`extend_field`)
-in which the matching y-coordinates are read off a univariate gcd.  Points
-that are conjugate over Q are kept as one cluster with its degree; every
-germ computation then runs over that field.
+X-coordinates are found from the eliminant E = Res_y(f, f_y).  Its order at
+x0 is at least the sum of the intersection numbers I_P(f, f_y) over the
+points P above x0, and I_P(f, f_y) >= m_P(f) * m_P(f_y) >= 2 at a singular
+point (Fulton, Algebraic Curves, 1.6 and 3.3).  So a singular point lies
+over a repeated root of E, and only the repeated part gcd(E, E') is
+factored over Q: its distinct irreducible factors are exactly the factors
+of E of multiplicity at least 2, and the simple roots of E never reach the
+factorization.  Each factor becomes a field (`extend_field`) in which the
+matching y-coordinates are read off a univariate gcd; a repeated root that
+carries no singular point (a vertical tangent) leaves that gcd constant.
+Points that are conjugate over Q are kept as one cluster with its degree;
+every germ computation then runs over that field.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from ..poly import (
     UniPoly,
     content_in,
     is_squarefree,
+    poly_gcd,
     resultant,
 )
 
@@ -114,6 +119,14 @@ def _shear(f: Poly, k: int) -> Poly:
     return fx.substitute({"x": xv + yv.scale(k)})
 
 
+def _repeated_factors(elim: Poly) -> list:
+    """The monic Q-irreducible factors of multiplicity at least 2 of the
+    eliminant, a polynomial in x, in `factor_rational`'s order: the
+    distinct factors of gcd(elim, elim')."""
+    repeated = poly_gcd(elim, elim.derivative("x"))
+    return [p for p, _ in factor_rational(UniPoly.from_poly(repeated, "x"))]
+
+
 def singular_points(f: Poly) -> list:
     """All affine points with f = f_x = f_y = 0, as points/clusters.
 
@@ -136,12 +149,8 @@ def singular_points(f: Poly) -> list:
         raise DomainError("unexpected vanishing eliminant")
     if elim.is_constant():
         return []
-    ex = UniPoly.from_poly(elim, "x")
     points = []
-    for p, mult in factor_rational(ex):
-        # each singular P above x0 adds I_P(g, g_y) >= 2 to x0's multiplicity
-        if mult == 1:
-            continue
+    for p in _repeated_factors(elim):
         if p.degree() == 1:
             kfield, theta = None, -p.coeffs[0]   # p is monic
         else:

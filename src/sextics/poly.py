@@ -74,7 +74,15 @@ def _as_coef(value) -> Coef:
 
 
 class Poly:
-    """Immutable sparse polynomial: variable tuple + exponent-vector terms."""
+    """Immutable sparse polynomial: variable tuple + exponent-vector terms.
+
+    `Poly(variables, terms)` validates its input: distinct variables,
+    nonnegative exponent vectors of the right length, `int`/`str`
+    coefficients read as `Fraction`, zero coefficients dropped.  The
+    methods that build a term dict themselves, with tuple monomials of the
+    right length and `Fraction` or number-field coefficients, construct the
+    result through `_trusted`, which only drops zero coefficients.
+    """
 
     __slots__ = ("vars", "terms")
 
@@ -92,6 +100,15 @@ class Poly:
                 clean[mon] = c
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, variables: tuple, terms: Mapping[Monom, Coef]) -> "Poly":
+        """Poly over the distinct `variables` from a term dict that a Poly
+        method built; zero coefficients are dropped and nothing is checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", variables)
+        object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -177,6 +194,8 @@ class Poly:
         vs = tuple(variables)
         if vs == self.vars:
             return self
+        if len(set(vs)) != len(vs):
+            raise DomainError("duplicate variable in %r" % (vs,))
         pos = {}
         for v in self.used_vars():
             if v not in vs:
@@ -191,7 +210,7 @@ class Poly:
                     mon[pos[i]] = e
             # the variable map is injective, so no two terms meet
             terms[tuple(mon)] = c
-        return Poly(vs, terms)
+        return Poly._trusted(vs, terms)
 
     def _aligned(self, other: "Poly"):
         if self.vars == other.vars:
@@ -212,12 +231,12 @@ class Poly:
         terms = dict(a.terms)
         for m, c in b.terms.items():
             terms[m] = terms.get(m, Fraction(0)) + c
-        return Poly(vs, terms)
+        return Poly._trusted(vs, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {m: -c for m, c in self.terms.items()})
+        return Poly._trusted(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -240,7 +259,7 @@ class Poly:
                     terms[mon] = terms[mon] + prod
                 else:
                     terms[mon] = prod
-        return Poly(vs, terms)
+        return Poly._trusted(vs, terms)
 
     __rmul__ = __mul__
 
@@ -258,7 +277,8 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         c = _as_coef(c)
-        return Poly(self.vars, {m: v * c for m, v in self.terms.items()})
+        return Poly._trusted(self.vars,
+                             {m: v * c for m, v in self.terms.items()})
 
     # -- calculus / evaluation ----------------------------------------------------
 
@@ -268,7 +288,7 @@ class Poly:
         for m, c in self.terms.items():
             if m[i]:
                 terms[m[:i] + (m[i] - 1,) + m[i + 1:]] = c * m[i]
-        return Poly(self.vars, terms)
+        return Poly._trusted(self.vars, terms)
 
     def substitute(self, bindings: Mapping[str, Union["Poly", Coef, int]]) -> "Poly":
         """Exact simultaneous substitution; bound symbols must be declared.
@@ -315,7 +335,7 @@ class Poly:
                 piece = prod
             for mon, a in piece.items():
                 terms[mon] = terms[mon] + a if mon in terms else a
-        return Poly(out_vars, terms)
+        return Poly._trusted(tuple(out_vars), terms)
 
     def shift(self, offsets: Mapping[str, Coef]) -> "Poly":
         """Taylor shift p(v + a_v) over the same variables, for the offset
@@ -369,7 +389,7 @@ class Poly:
                         terms[rest[:i] + (k,) + rest[i:]] = c
         if rational:
             terms = {m: Fraction(c, den) for m, c in terms.items()}
-        return Poly(self.vars, terms)
+        return Poly._trusted(self.vars, terms)
 
     def evaluate(self, point: Mapping[str, Coef]) -> Coef:
         missing = [v for v in self.used_vars() if v not in point]
@@ -395,7 +415,7 @@ class Poly:
         out: dict = {}
         for m, c in self.terms.items():
             out.setdefault(m[i], {})[m[:i] + m[i + 1:]] = c
-        return {e: Poly(rest, t) for e, t in out.items()}
+        return {e: Poly._trusted(rest, t) for e, t in out.items()}
 
     def lowest_degree(self) -> int:
         """Order of vanishing at the origin (min total degree); -1 if zero."""
@@ -404,7 +424,8 @@ class Poly:
         return min(sum(m) for m in self.terms)
 
     def homogeneous_part(self, d: int) -> "Poly":
-        return Poly(self.vars, {m: c for m, c in self.terms.items() if sum(m) == d})
+        return Poly._trusted(self.vars, {m: c for m, c in self.terms.items()
+                                         if sum(m) == d})
 
     def leading_term(self):
         """(monomial, coefficient) that is graded-lex largest."""
@@ -837,8 +858,9 @@ def to_sympy(p: Poly, variables: Sequence[str]):
 
 def from_sympy(sp, variables: Sequence[str], den: int = 1) -> Poly:
     """The Poly sp / den, for an integer sympy Poly sp in `variables`."""
-    return Poly(variables, {m: Fraction(int(c), den)
-                            for m, c in sp.as_dict(native=True).items()})
+    return Poly._trusted(tuple(variables),
+                         {m: Fraction(int(c), den)
+                          for m, c in sp.as_dict(native=True).items()})
 
 
 def content_in(p: Poly, var: str) -> Optional[Poly]:

@@ -238,14 +238,15 @@ class TestCatalog:
         assert "B3+B3" in out
 
     def test_show_needs_config(self, capsys):
-        code, _out = run_cli(capsys, "catalog", "show")
+        code, out = run_cli(capsys, "catalog", "show")
         assert code == 2
+        assert out == "error: catalog show needs a configuration\n"
 
     @pytest.mark.parametrize("config", ["[Q_5]", "[A_5", "[A_5]_x", "[0A_5]"])
     def test_show_malformed_config(self, capsys, config):
         code, out = run_cli(capsys, "catalog", "show", config)
         assert code == 2
-        assert out.startswith("bad configuration: ")
+        assert out.startswith("error: bad configuration: ")
 
     def test_groups(self, capsys):
         code, out = run_cli(capsys, "catalog", "groups")
@@ -310,12 +311,13 @@ class TestSweep:
         code, out = run_cli(capsys, "sweep", sweep_doc,
                             "--param", "s", "--values", values)
         assert code == 2
-        assert out.startswith("bad values list ")
+        assert out.startswith("error: bad values list ")
 
     def test_unknown_param(self, capsys, sweep_doc):
         code, out = run_cli(capsys, "sweep", sweep_doc,
                             "--param", "q", "--values", "1,2")
         assert code == 2
+        assert out == "error: parameter 'q' not declared in the document\n"
 
 
 @pytest.mark.parametrize("argv", [

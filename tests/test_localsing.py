@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sextics.analysis import analyze_curve
+from sextics.catalog import builtin_examples, verify_example
 
 from sextics.localsing import (
     AlgebraicPoint,
@@ -25,6 +26,7 @@ from sextics.localsing import (
     singular_points,
     translate_to_origin,
 )
+from sextics.localsing import points
 from sextics.localsing._sigdata import SIGNATURES
 from sextics.localsing.points import point_on_curve
 from sextics.numfield import NFElt, NumberField, factor_rational
@@ -160,6 +162,91 @@ def _assert_singular(f, pts):
     for p in pts:
         for h in (f, f.derivative("x"), f.derivative("y")):
             assert point_on_curve(h, p)
+
+
+# the records that the verify-pairs and verify-families benchmark workloads
+# verify; at seed 0 the families are verified at seeds 0 and 4
+_PAIR_RECORDS = ("5.2-1", "5.2-2", "5.2-3", "5.2-5", "5.2-7", "5.2-8",
+                 "5.2-9", "5.2-12", "5.2-13a", "5.2-18", "remark-c39",
+                 "syn-b66")
+_FAMILY_RECORDS = ("5.3-5", "app-3a5", "5.3-3")
+
+
+def _repeated_by_full_factorization(elim):
+    return [p for p, m in factor_rational(UniPoly.from_poly(elim, "x"))
+            if m >= 2]
+
+
+class TestRepeatedPartOfEliminant:
+    """`singular_points` factors only gcd(E, E') of its eliminant E; the
+    factors it keeps are the factors of multiplicity at least 2 of a full
+    factorization of E, in the same order."""
+
+    def test_workload_curves(self, monkeypatch):
+        seen = []
+        original = points._repeated_factors
+
+        def record(elim):
+            kept = original(elim)
+            seen.append((elim, kept))
+            return kept
+
+        monkeypatch.setattr(points, "_repeated_factors", record)
+        records = {r.rid: r for r in builtin_examples()}
+        for rid in _PAIR_RECORDS:
+            verify_example(records[rid], seed=0)
+        for rid in _FAMILY_RECORDS:
+            for seed in (0, 4):
+                verify_example(records[rid], seed=seed)
+        assert len(seen) >= 30
+        for elim, kept in seen:
+            assert kept == _repeated_by_full_factorization(elim), str(elim)
+
+    def test_planted_products(self):
+        rng = random.Random(2718)
+        mults = set()
+        for _ in range(30):
+            planted = {}
+            for _ in range(rng.randint(2, 4)):
+                u = UniPoly("x", [Fraction(rng.randint(-6, 6))
+                                  for _ in range(rng.randint(2, 4))]
+                            + [Fraction(rng.randint(1, 3))])
+                for f, _ in factor_rational(u):
+                    planted.setdefault(f, rng.randint(1, 4))
+            elim = UniPoly("x", [Fraction(rng.randint(1, 9),
+                                          rng.randint(1, 9))])
+            for f, m in planted.items():
+                elim = elim * f ** m
+            elim = elim.to_poly(("x",))
+            kept = points._repeated_factors(elim)
+            assert kept == _repeated_by_full_factorization(elim)
+            assert set(kept) == {f for f, m in planted.items() if m >= 2}
+            mults.update(planted.values())
+        assert mults == {1, 2, 3, 4}
+
+    def test_vertical_tangents_are_dropped(self):
+        # x repeats in E: the smooth points (0, 0) and (0, 3) have vertical
+        # tangents; no singular point lies over x = 0
+        f = g("(x - y^2)*(x - (y-3)^2)*(y-7)")
+        elim = resultant(f, f.derivative("y"), "y")
+        assert UniPoly("x", [0, 1]) in points._repeated_factors(elim)
+        assert [(p.x, p.y, p.field) for p in singular_points(f)] == [
+            (Fraction(9, 4), Fraction(3, 2), None),
+            (Fraction(16), Fraction(7), None),
+            (Fraction(49), Fraction(7), None)]
+
+    def test_node_beside_a_vertical_tangent(self):
+        # x^3 divides E: a node at (0, 0) and a smooth vertical-tangent point
+        # at (0, 3); g and g_y both vanish at (0, 3), and g_x drops it
+        f = g("(y^2 - x^2 - x^3)*((y-3)^2 - x)")
+        elim = UniPoly.from_poly(resultant(f, f.derivative("y"), "y"), "x")
+        assert (UniPoly("x", [0, 1]), 3) in factor_rational(elim)
+        pts = singular_points(f)
+        assert [(p.x, p.y, p.degree) for p in pts if p.field is None] \
+            == [(0, 0, 1)]
+        assert [p.degree for p in pts if p.field is not None] == [6]
+        assert len(pts) == 2
+        _assert_singular(f, pts)
 
 
 class TestIntersectionMultiplicity:

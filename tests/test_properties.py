@@ -1,5 +1,6 @@
 """Randomized property suites: ring laws, substitution against sympy,
-resultant specialization, gcds of planted common factors, root-finding reconstruction, decomposition of planted factors under an
+results built without re-validation (`Poly._trusted`), resultant
+specialization, gcds of planted common factors, root-finding reconstruction, decomposition of planted factors under an
 affine change of coordinates, parse/format round-trips on the corpus, the
 intersection-singularity law A_{2 iota - 1}, the metamorphic laws of the
 local intersection number and the intersection kernel against a
@@ -31,14 +32,17 @@ from sextics.poly import (
     UniPoly,
     content_in,
     format_poly,
+    from_sympy,
     is_squarefree,
     parse_poly,
     poly_gcd,
     rational_content,
     resultant,
+    to_sympy,
 )
 
 VARS = ("x", "y", "z", "w")
+XY = ("x", "y")
 
 
 def random_poly(rng, nvars=2, max_terms=6, max_deg=8, zero_ok=True) -> Poly:
@@ -237,6 +241,95 @@ class TestShiftAgainstSubstitute:
                                            10 ** 12 + 1)):
                 want = u.to_poly().substitute({"x": x + Poly.const(a)})
                 assert u.shift(a).to_poly() == want
+
+
+class TestTrustedConstruction:
+    """The methods that build their result through `Poly._trusted` store no
+    zero coefficient, answer `is_zero` rightly and hold the terms the
+    validating constructor would: seeded polynomials over Q and over number
+    fields from `extend_field`, put through `+ - *`, `scale`,
+    `derivative`, `substitute`, `shift`, `coeffs_in`, `homogeneous_part`,
+    `with_vars` and `from_sympy` in ways that cancel."""
+
+    @staticmethod
+    def check(r: Poly, zero: bool = None) -> Poly:
+        assert isinstance(r.vars, tuple) and len(set(r.vars)) == len(r.vars)
+        assert all(isinstance(m, tuple) and len(m) == len(r.vars)
+                   for m in r.terms)
+        assert all(r.terms.values()), r.terms
+        assert Poly(r.vars, r.terms).terms == r.terms
+        if zero is not None:
+            assert r.is_zero() == zero
+        return r
+
+    def laws(self, rng, coef):
+        """Cancelling identities on polynomials whose coefficients `coef`
+        draws; `coef` may return 0."""
+        def poly():
+            p = random_poly(rng, 2, max_terms=5, max_deg=4)
+            return Poly(p.vars, {m: coef() for m in p.terms})
+
+        chk = self.check
+        p, q = poly(), poly()
+        x, y = Poly.var("x", XY), Poly.var("y", XY)
+        a, c = coef(), coef()
+        chk(p + (-p), True)
+        chk(p - p, True)
+        assert chk((p + q) - q) == chk(p)
+        chk(p * q - q * p, True)
+        chk((p + c) * (p - c) - p * p, not c)
+        chk(p.scale(0), True)
+        chk(p.scale(a), p.is_zero() or not a)
+        pq = p * q
+        chk(pq.derivative("x") - (p.derivative("x") * q
+                                  + p * chk(q.derivative("x"))), True)
+        chk(Poly.const(c, XY).derivative("y"), True)
+        chk(((x - y) * q).substitute({"y": x}), True)
+        sheared = chk(p.substitute({"x": x + y})).with_vars(XY)
+        chk(sheared.substitute({"x": x - y}).with_vars(XY) - p, True)
+        assert chk(p.shift({"x": a, "y": c}).shift({"x": -a, "y": -c})) == p
+        shifted = chk(((x - a) ** 2).shift({"x": a}))
+        assert shifted.terms == {(2, 0): 1}
+        for part in p.coeffs_in("y").values():
+            assert not chk(part).is_zero()
+        assert (p - p).coeffs_in("x") == {}
+        for d in range(6):
+            chk(p.homogeneous_part(d), all(sum(m) != d for m in p.terms))
+        chk(p.with_vars(("z", "y", "x")))
+
+    def test_over_q(self):
+        rng = random.Random(8086)
+
+        def coef():
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+        for _ in range(40):
+            self.laws(rng, coef)
+        for _ in range(10):
+            p = random_poly(rng, 2, max_terms=5, max_deg=4)
+            sp, den = to_sympy(p - p, XY)
+            self.check(from_sympy(sp, XY, den), True)
+            sp, den = to_sympy(p, XY)
+            assert self.check(from_sympy(sp, XY, den)) == p
+
+    @pytest.mark.parametrize("minpoly", [[-2, 0, 1], [1, 1, 1],
+                                         [-3, 6, 0, 0, 2]])
+    def test_over_a_number_field(self, minpoly):
+        rng = random.Random(sum(minpoly))
+        K = extend_field(None, UniPoly("w", [Fraction(c) for c in minpoly]))[0]
+
+        def coef():
+            return K.element([Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                              if rng.randrange(3) else 0
+                              for _ in range(K.degree)])
+
+        for _ in range(15):
+            self.laws(rng, coef)
+        w = K.generator()
+        x = Poly.var("x", XY)
+        # (x + w)(x - w) is x^2 - w^2: the cross terms cancel
+        prod = self.check((x + w) * (x - w))
+        assert set(prod.terms) == {(2, 0), (0, 0)}
 
 
 class TestResultantSpecialization:
