@@ -1,9 +1,11 @@
 """End-to-end curve analysis: the pipeline behind the CLI and the verifier.
 
-Given a sextic (or a torus pair), work in an affine chart containing every
-singular point, classify each one, assemble the configuration, decompose
-into components and compute their global invariants, and split inner/outer
-when a pair is available.  All output orderings are deterministic.
+Given a sextic (or a torus pair), `analyze_curve` tests squarefreeness,
+chooses an affine chart containing every singular point, finds and
+classifies those points, assembles the configuration, splits inner/outer
+when a pair is available, and decomposes into components with their global
+invariants, in that order and once each.  All output orderings are
+deterministic.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from .globalinv import (
     genus,
     good_affine_chart,
 )
-from .localsing import analyze_point, point_on_curve, singular_points
-from .poly import DomainError, Poly
-# Unused here; perfbench/tracer.py patches is_squarefree in this namespace.
-from .poly import is_squarefree  # noqa: F401
+from .localsing import NotSquarefreeError, analyze_point, point_on_curve, \
+    singular_points
+from .poly import DomainError, Poly, is_squarefree
 from .torus import InnerOuterSplit, TorusPair, inner_outer_split, \
     verify_inner_correspondence
 
@@ -73,7 +74,11 @@ class CurveAnalysis:
 
 def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
                   defects: Optional[DefectTable] = None) -> CurveAnalysis:
-    """Run the full pipeline; exactly one of `f`, `pair` must be given."""
+    """Run the full pipeline; exactly one of `f`, `pair` must be given.
+
+    Squarefreeness is tested before the chart is chosen, since a rotation
+    keeps it; the singular points are found once, in the final chart.
+    """
     notes = []
     if (f is None) == (pair is None):
         raise DomainError("provide exactly one of f or (f2, f3)")
@@ -83,15 +88,16 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
     if f.is_zero() or f.is_constant():
         raise DomainError("not a curve")
 
-    affine_sings = singular_points(f)
-    chart, transform = good_affine_chart(f, extra_points=affine_sings)
+    if not is_squarefree(f):
+        raise NotSquarefreeError("curve is not squarefree: %s" % f)
+    chart, transform = good_affine_chart(f)
     if chart != (0, 0):
         notes.append("chart rotated by %r to keep all singular points affine"
                      % (chart,))
         f = transform(f).primitive()
         if pair is not None:
             pair = pair.transformed(transform)
-        affine_sings = singular_points(f)
+    affine_sings = singular_points(f)
 
     sings = tuple(analyze_point(f, p) for p in affine_sings)
 

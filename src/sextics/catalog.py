@@ -8,6 +8,7 @@ the document schema; nothing is regenerated at run time.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,14 +139,9 @@ def _load_data(name: str) -> str:
     return resources.files("sextics.data").joinpath(name).read_text()
 
 
-_CATALOG_CACHE = None
-
-
+@functools.cache
 def builtin_catalog() -> list:
     """Every enumerated configuration of the two classification theorems."""
-    global _CATALOG_CACHE
-    if _CATALOG_CACHE is not None:
-        return _CATALOG_CACHE
     entries = []
     theorem = None
     inner = None
@@ -185,7 +181,6 @@ def builtin_catalog() -> list:
         else:
             raise DocumentError("catalog line %d: unknown key %r"
                                 % (lineno, key))
-    _CATALOG_CACHE = entries
     return entries
 
 
@@ -200,19 +195,13 @@ class ExampleRecord:
     doc: CurveDocument
 
 
-_EXAMPLES_CACHE = None
-
-
+@functools.cache
 def builtin_examples() -> list:
-    global _EXAMPLES_CACHE
-    if _EXAMPLES_CACHE is not None:
-        return _EXAMPLES_CACHE
     records = []
     for doc in parse_documents(_load_data("examples.txt")):
         if not doc.record:
             raise DocumentError("corpus document without a record id")
         records.append(ExampleRecord(doc.record, doc))
-    _EXAMPLES_CACHE = records
     return records
 
 

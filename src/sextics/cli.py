@@ -217,11 +217,19 @@ def cmd_verify(args, out) -> int:
     return EXIT_MISMATCH if any_mismatch else EXIT_OK
 
 
+def _component_label(component_type) -> str:
+    """A component type in the catalog's notation, e.g. B2+B4."""
+    return "+".join("B%d" % d for d in component_type)
+
+
 def cmd_catalog(args, out) -> int:
+    if args.what == "show" and not args.config:
+        _print(out, "error: catalog show needs a configuration")
+        return EXIT_USAGE
     entries = builtin_catalog()
     if args.what == "list":
         for e in entries:
-            comp = "+".join("B%d" % d for d in e.component_type)
+            comp = _component_label(e.component_type)
             _print(out, "T%d %-28s %-18s inner=%s%s"
                    % (e.theorem, e.reduced, comp, e.inner.format(with_tags=False),
                       "" if e.strength == "exampled" else "  (asserted)"))
@@ -235,7 +243,7 @@ def cmd_catalog(args, out) -> int:
             return EXIT_USAGE
         found = [e for e in entries if e.reduced.multiset() == want.multiset()]
         for e in found:
-            comp = "+".join("B%d" % d for d in e.component_type)
+            comp = _component_label(e.component_type)
             _print(out, "T%d %s with C=%s (inner %s, %s)"
                    % (e.theorem, e.reduced, comp,
                       e.inner.format(with_tags=False), e.strength))
@@ -251,7 +259,7 @@ def cmd_catalog(args, out) -> int:
             _print(out, "%-28s %d realizations%s"
                    % (g["reduced"], g["realizations"], extra))
             for e in g["rows"]:
-                comp = "+".join("B%d" % d for d in e.component_type)
+                comp = _component_label(e.component_type)
                 _print(out, "    %s with C=%s" % (e.reduced, comp))
         return EXIT_OK
     return EXIT_USAGE
@@ -337,9 +345,6 @@ def _dispatch(args, out) -> int:
     if args.command == "verify":
         return cmd_verify(args, out)
     if args.command == "catalog":
-        if args.what == "show" and not args.config:
-            _print(out, "error: catalog show needs a configuration")
-            return EXIT_USAGE
         return cmd_catalog(args, out)
     if args.command == "sweep":
         return cmd_sweep(args, out)

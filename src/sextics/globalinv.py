@@ -221,12 +221,17 @@ def infinite_singular_directions(f: Poly) -> Poly:
     return g
 
 
-def good_affine_chart(f: Poly, extra_points=()):
-    """Rotate the chart so all singular points (and `extra_points`) are affine.
+def good_affine_chart(f: Poly):
+    """Rotate the chart so all singular points are affine.
 
     Returns ((alpha, beta), transform) with transform(p) applying the
     substitution z -> 1 - alpha x - beta y to any polynomial homogenized to
     its own total degree; (0, 0) means the chart is already good.
+
+    A chart passes when the moved curve has no singular direction at
+    infinity.  That keeps the old affine singular points affine too: one
+    sent to the new line at infinity would be a common zero of the three
+    partials there, so `infinite_singular_directions` would be nonconstant.
     """
     def transform_factory(alpha, beta):
         def transform(p: Poly) -> Poly:
@@ -249,17 +254,6 @@ def good_affine_chart(f: Poly, extra_points=()):
         g = transform(f)
         if g.degree() != f.degree():
             continue
-        if infinite_singular_directions(g).degree() > 0:
-            continue
-        ok = True
-        for p in extra_points:
-            # the old affine point [x : y : 1] stays affine iff its new
-            # z-coordinate 1 + alpha x + beta y does not vanish (a nonzero
-            # field element has no vanishing conjugate)
-            val = 1 + p.x * alpha + p.y * beta
-            if not val:
-                ok = False
-                break
-        if ok:
+        if infinite_singular_directions(g).degree() <= 0:
             return (alpha, beta), transform
     raise DomainError("no deterministic chart rotation found")

@@ -17,6 +17,7 @@ from the normal forms and the test suite asserts they agree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -131,17 +132,11 @@ def build_signature_table() -> dict:
     return table
 
 
-_TABLE_CACHE: Optional[dict] = None
-
-
+@functools.cache
 def _table() -> dict:
-    global _TABLE_CACHE
-    if _TABLE_CACHE is None:
-        from . import _sigdata
-        _TABLE_CACHE = {}
-        for family, index, sig in _sigdata.SIGNATURES:
-            _TABLE_CACHE[_thaw(sig)] = SingType(family, tuple(index))
-    return _TABLE_CACHE
+    from . import _sigdata
+    return {_thaw(sig): SingType(family, tuple(index))
+            for family, index, sig in _sigdata.SIGNATURES}
 
 
 def _thaw(sig):

@@ -13,6 +13,9 @@ matching y-coordinates are read off a univariate gcd; a repeated root that
 carries no singular point (a vertical tangent) leaves that gcd constant.
 Points that are conjugate over Q are kept as one cluster with its degree;
 every germ computation then runs over that field.
+
+E vanishes identically exactly when f is not squarefree (see
+`singular_points`), so squarefreeness is read off E too.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from ..poly import (
     Poly,
     UniPoly,
     content_in,
-    is_squarefree,
+    # unused here; perfbench/tracer.py patches it in this namespace
+    is_squarefree,  # noqa: F401
     poly_gcd,
     resultant,
 )
@@ -97,17 +101,22 @@ def specialize_x(f: Poly, field: Optional[NumberField], x0: Coord) -> UniPoly:
     """f(x0, y) as a univariate in y over the field."""
     fx = f.with_vars(("x", "y"))
     deg = max(fx.degree_in("y"), 0)
+    powers = [nf(field, 1)]
+    for _ in range(fx.degree_in("x")):
+        powers.append(powers[-1] * x0)
     coeffs = [nf(field, 0)] * (deg + 1)
     for (i, j), c in fx.terms.items():
-        coeffs[j] = coeffs[j] + c * (x0 ** i if i else nf(field, 1))
+        coeffs[j] = coeffs[j] + c * powers[i]
     return UniPoly("y", coeffs)
 
 
 def _choose_shear(f: Poly) -> int:
     for k in range(0, 40):
         g = f if k == 0 else _shear(f, k)
-        # a nonconstant content in y is a factor free of y
-        if content_in(g, "y").degree() <= 0:
+        # a nonconstant content in y is a factor free of y; the content
+        # divides the leading coefficient, so a constant one settles it
+        lc = g.coeffs_in("y")[g.degree_in("y")]
+        if lc.is_constant() or content_in(g, "y").degree() <= 0:
             return k
     raise DomainError("no shear frees the curve of vertical components")
 
@@ -131,13 +140,14 @@ def singular_points(f: Poly) -> list:
     """All affine points with f = f_x = f_y = 0, as points/clusters.
 
     Raises NotSquarefreeError for a non-reduced curve (its singular locus
-    would be positive-dimensional).
+    would be positive-dimensional), read off the eliminant: after the shear
+    g has no factor free of y, so Res_y(g, g_y) vanishes exactly when g and
+    g_y share a factor, and an irreducible h dividing both with g = h r
+    divides h_y r, hence r, so h^2 divides g.
     """
     fx = f.with_vars(("x", "y"))
     if fx.is_zero() or fx.is_constant():
         raise DomainError("not a curve: %s" % f)
-    if not is_squarefree(fx):
-        raise NotSquarefreeError("curve is not squarefree: %s" % f)
     k = _choose_shear(fx)
     g = fx if k == 0 else _shear(fx, k)
     gx = g.derivative("x")
@@ -146,7 +156,7 @@ def singular_points(f: Poly) -> list:
         raise DomainError("curve has no y-dependence after shear")
     elim = resultant(g, gy, "y")
     if elim.is_zero():
-        raise DomainError("unexpected vanishing eliminant")
+        raise NotSquarefreeError("curve is not squarefree: %s" % f)
     if elim.is_constant():
         return []
     points = []

@@ -112,13 +112,25 @@ class TestAnalyze:
         assert code == 2
         assert out.startswith("error: parentheses nested deeper than")
 
-    def test_tower_cap_refused(self, capsys, tmp_path):
-        # the singular points x^7 = 2, y^2 = 3 need a field of degree 14
+    @pytest.mark.parametrize("curve, refusal", [
+        # a singular point at [0:1:0] rotates the chart first; there the
+        # degree-14 cluster is one extension, and its germ needs a tower
+        # of degree 28
+        pytest.param("(x^7 - 2)^2 + (y^2 - 3)^2",
+                     "germ needs a field tower beyond the cap: extension"
+                     " degree 28 exceeds the tower cap 12", id="rotated"),
+        # no singular point at infinity: the singular points x^7 = 2,
+        # y^2 = 3 need a field of degree 14
+        pytest.param("(x^7 - 2)^2 + (y^2 - 3)^2*(y^10 + 1)",
+                     "extension degree 14 exceeds the tower cap 12",
+                     id="affine"),
+    ])
+    def test_tower_cap_refused(self, capsys, tmp_path, curve, refusal):
         doc = tmp_path / "capped.txt"
-        doc.write_text("f: (x^7 - 2)^2 + (y^2 - 3)^2\n")
+        doc.write_text("f: %s\n" % curve)
         code, out = run_cli(capsys, "analyze", str(doc))
         assert code == 2
-        assert out == "error: extension degree 14 exceeds the tower cap 12\n"
+        assert out == "error: %s\n" % refusal
 
     def test_deterministic(self, capsys, item5_doc):
         _c1, out1 = run_cli(capsys, "analyze", item5_doc, "--json")

@@ -177,6 +177,29 @@ class TestCharts:
         moved = transform(f)
         assert infinite_singular_directions(moved).degree() <= 0
 
+    def test_rotation_keeps_affine_singular_points(self):
+        # nodes at (-1, 0), (-1, 1) and [1:0:0].  Chart (1, 0) makes the
+        # line x = -1 the line at infinity and drops the degree; chart
+        # (1, 1) keeps the degree but sends the node (-1, 0) to infinity,
+        # and the gcd test alone refuses it
+        f = g("y*(y - 1)*(x + 1)")
+        chart, _transform = good_affine_chart(f)
+        assert chart == (2, 0)
+        moved = homogenize(f).substitute({"z": g("1 - x - y")})
+        moved = moved.with_vars(XY)
+        assert moved.degree() == 3
+        assert infinite_singular_directions(moved).degree() > 0
+
+    def test_squarefree_tested_before_the_chart(self, monkeypatch):
+        from sextics import analysis
+        from sextics.localsing import NotSquarefreeError
+
+        def unexpected(f):
+            raise AssertionError("chart chosen for a non-reduced curve")
+        monkeypatch.setattr(analysis, "good_affine_chart", unexpected)
+        with pytest.raises(NotSquarefreeError):
+            analyze_curve(f=g("(x + y)^2*(x - y)"))
+
     def test_analysis_rotates(self):
         # two horizontal lines meet at infinity in an A_1
         f = g("y*(y - 1)*(x^2 + y^2 + x + 2)")

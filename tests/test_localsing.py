@@ -63,6 +63,26 @@ class TestSingularPoints:
     def test_nonsquarefree_rejected(self):
         with pytest.raises(NotSquarefreeError):
             singular_points(g("(x + y)^2"))
+        # the shear gives x^2 a y, and then the eliminant vanishes
+        with pytest.raises(NotSquarefreeError):
+            singular_points(g("x^2*(y^2 - x - 1)"))
+
+    @pytest.mark.parametrize("curve, k", [
+        ("y^2 - x^3", 0),             # constant leading coefficient in y
+        ("x*y^2 + y + 1", 0),         # x leads, but the content is 1
+        ("x*(y^2 - x - 1)", 1),       # the factor x is free of y
+        ("(x^2 + 1)*y^3 - x^2 - 1", 1),
+    ])
+    def test_shear_frees_the_curve_of_vertical_factors(self, curve, k):
+        assert points._choose_shear(g(curve)) == k
+
+    def test_specialize_x_over_a_field(self):
+        # theta^2 = 2: f(theta, y) = 2 theta y^2 - y + 7
+        field = NumberField(UniPoly("t", [-2, 0, 1]))
+        theta = field.generator()
+        u = points.specialize_x(g("x^3*y^2 + x^2 - y + 5"), field, theta)
+        assert u.coeffs == (field.from_rational(7), field.from_rational(-1),
+                            theta * 2)
 
     def test_conjugate_cluster(self):
         # cusps at the two conjugate points (i, 0), (-i, 0)

@@ -56,7 +56,7 @@ ALLOWED_IMPORTS = {
     "components.py: factor_rational",
     # perfbench/tracer.py patches is_squarefree in this namespace, and
     # refuses to install when the name is missing there
-    "analysis.py: is_squarefree",
+    "localsing/points.py: is_squarefree",
 }
 
 # Defaulted parameters that no call in the package sets, as

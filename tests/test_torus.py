@@ -55,6 +55,23 @@ class TestRotatedPair:
         assert an.chart != (0, 0)
         assert len(calls) == 1
 
+    def test_rotation_finds_the_points_once(self, monkeypatch):
+        """5.2-2 rotates, yet squarefreeness is tested once and the
+        singular points are found once, in the final chart."""
+        from sextics import analysis, catalog
+        calls = {"singular_points": 0, "is_squarefree": 0}
+        for name in calls:
+            real = getattr(analysis, name)
+
+            def counted(f, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(f)
+            monkeypatch.setattr(analysis, name, counted)
+        rec = {r.rid: r for r in catalog.builtin_examples()}["5.2-2"]
+        an = catalog.analyze_document(rec.doc, ())
+        assert an.chart != (0, 0)
+        assert calls == {"singular_points": 1, "is_squarefree": 1}
+
     def test_transformed_checks_the_degrees(self):
         pair = TorusPair(g("-y^2"), g("x^3 + x*y + 1"))
         moved = pair.transformed(lambda p: p.substitute({"x": g("x + y")}))
