@@ -8,11 +8,13 @@ kernel clears their denominators and reduces with Python ints and a
 fraction-free elimination step; over a number field it divides by the
 leading coefficient.
 
-The kernel truncates the germs at an adaptive order: it starts at
-2 * ord g * ord h + 2, read off the germs alone, and doubles the order
+The kernel truncates the germs at an adaptive order n: it starts at
+ord g * ord h + 2, read off the germs alone, and grows it by a quarter
 until a run returns a value below it, which the run then proves
-(m^I lies in the ideal, so terms of higher order cannot change I).  Once
-the order reaches the Bezout bound deg g * deg h + 2, the last run is the
+(m^I lies in the ideal, so terms of higher order cannot change I).
+Within a run the order falls as the running sum t grows: the germs left
+must have I - t < n - t, so their terms of degree >= n - t are dropped.
+Once n reaches the Bezout bound deg g * deg h + 2, the last run is the
 full reduction with its guard for a shared component.
 """
 
@@ -56,12 +58,13 @@ def _int_reduce(terms: dict) -> dict:
 
 def _reduce(g_terms: dict, h_terms: dict, n: int, cap: int,
             rational: bool) -> int:
-    """One run of the reduction with both germs truncated at total degree n.
+    """One run of the reduction with both germs truncated at total degree
+    n - t, t the running sum (see the kernel's docstring).
 
     Returns I of the truncated germs, or the running sum as soon as it
     reaches `cap`; raises InfiniteIntersectionError when both germs become
     divisible by y or one reduces to zero.  `rational` picks the integer
-    step or the field-division step (see the kernel's docstring).
+    step or the field-division step.
     """
     G = {m: c for m, c in g_terms.items() if sum(m) < n}
     H = {m: c for m, c in h_terms.items() if sum(m) < n}
@@ -74,6 +77,7 @@ def _reduce(g_terms: dict, h_terms: dict, n: int, cap: int,
     G = reduce(G)
     H = reduce(H)
     total = 0
+    order = n
     while True:
         # Poly drops zero coefficients and the elimination deletes the ones
         # it makes, so every key is a nonzero term
@@ -93,6 +97,11 @@ def _reduce(g_terms: dict, h_terms: dict, n: int, cap: int,
                 total += min(a)
             if total >= cap:
                 return total
+            # the germs left must have I' < n - total for the run to prove
+            # anything, so their terms of degree >= n - total cannot matter
+            order = n - total
+            G = {m: c for m, c in G.items() if sum(m) < order}
+            H = {m: c for m, c in H.items() if sum(m) < order}
             continue
         r, s = max(a), max(b)
         if r > s:
@@ -109,7 +118,7 @@ def _reduce(g_terms: dict, h_terms: dict, n: int, cap: int,
         k = s - r
         for (i, j), cg in G.items():
             mon = (i + k, j)
-            if i + k + j >= n:
+            if i + k + j >= order:
                 continue
             v = H.get(mon)
             v = -(c * cg) if v is None else v - c * cg
@@ -149,29 +158,32 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
     that field division gives, so both steps lead through the same
     monomials to the same I.
 
-    Every run truncates both germs, and each germ the elimination makes,
-    at a total degree n: terms of degree >= n are dropped.  The first run
-    takes n = 2 * ord g * ord h + 2, from the germs' orders alone (I is
-    at least ord g * ord h, and at a sextic's singular point rarely much
-    more).  A run that returns some I < n has proved it.  Let J = (g, h)
-    in the local ring O at the origin, over Q or over the number field,
-    and m its maximal ideal.  If dim O/J = n', then m^n' lies in J: the
+    Every run truncates both germs at a total degree n: terms of degree
+    >= n are dropped.  Each division by y raises the running sum to some
+    t; both germs then lose their terms of degree >= n - t, and the
+    elimination keeps only terms below n - t.  The first run takes
+    n = ord g * ord h + 2, from the germs' orders alone (I is at least
+    ord g * ord h, and at a sextic's singular point rarely much more).  A
+    run that returns some I < n has proved it.  Let J = (g, h) in the
+    local ring O at the origin, over Q or over the number field, and m
+    its maximal ideal.  If dim O/J = n', then m^n' lies in J: the
     dimension of O/(J + m^i) rises strictly with i until the chain
     stops, so it stops by i = n', and J + m^n' = J + m^(n'+1) gives
     m^n' in J by Nakayama.  So changing g or h by terms in m^(n'+1),
     inside m*J, leaves J and I unchanged (Nakayama again).  Read the run
     backwards: every step is exact on the truncated germs (the division
-    by y, the elimination and the unit scalings), so after each
-    truncation the germs that follow have some I' <= I < n, and the
-    dropped terms lie in m^n, inside m^(I'+1); the germs before the
-    truncation therefore have the same I'.  At the first truncation this
-    is I(g, h).
+    by y, the elimination and the unit scalings), so the germs left at
+    running sum t have I' = I - t < n - t, and the terms dropped there
+    lie in m^(n-t), inside m^(I'+1); the germs before that truncation
+    therefore have the same I'.  At the first truncation this is I(g, h).
+    The elimination must keep every term below n - t: with a lower bound
+    it would not cancel the leading term of b, and the run would not end.
 
     A run proves nothing once its running sum reaches n, or when its
     truncated germs become both divisible by y or one of them reduces to
-    zero; then n is doubled and the reduction runs again.  It is
-    aborted at a sum of n, not n - 1, because a rerun costs about as
-    much as the whole reduction on a small germ.
+    zero; then n grows to n * 5 // 4 + 1 and the reduction runs again.
+    It is aborted at a sum of n, not n - 1, because a rerun costs about
+    as much as the whole reduction on a small germ.
 
     Once n reaches deg g * deg h + 2 the last run is the reduction at the
     Bezout bound: a finite I is at most deg g * deg h, so at that order
@@ -180,7 +192,10 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
     returns or, after finitely many eliminations, raises the running sum,
     so InfiniteIntersectionError is raised once that sum passes the
     Bezout bound, or at once when both germs are divisible by y or a germ
-    reduces to zero.
+    reduces to zero.  Pruning keeps these conclusions: if I were at most
+    deg g * deg h, the argument above would give every truncated pair the
+    same finite I', so neither germ of a pair could vanish and they could
+    not both be divisible by y.
     """
     g = g.with_vars(("x", "y"))
     h = h.with_vars(("x", "y"))
@@ -192,7 +207,7 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
     H = {m: c for m, c in h.terms.items() if sum(m) < bound}
     rational = all(isinstance(c, Fraction)
                    for c in (*G.values(), *H.values()))
-    n = 2 * g.lowest_degree() * h.lowest_degree() + 2
+    n = g.lowest_degree() * h.lowest_degree() + 2
     while n < bound:
         try:
             total = _reduce(G, H, n, n, rational)
@@ -200,7 +215,7 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
                 return total
         except InfiniteIntersectionError:
             pass
-        n *= 2
+        n = n * 5 // 4 + 1
     total = _reduce(G, H, bound, limit + 1, rational)
     if total > limit:
         raise InfiniteIntersectionError(

@@ -167,7 +167,8 @@ def singular_points(f: Poly) -> list:
             kfield, _, theta = extend_field(None, p)
         g1 = specialize_x(g, kfield, theta)
         g2 = specialize_x(gx, kfield, theta)
-        g3 = specialize_x(gy, kfield, theta)
+        # x -> theta commutes with d/dy, so g_y(theta, y) = g1'
+        g3 = g1.derivative()
         common = unipoly_gcd(unipoly_gcd(g1, g2), g3)
         if common.degree() <= 0:
             continue

@@ -96,7 +96,7 @@ def _direction_poly(germ: Poly, m: int, field) -> UniPoly:
 
 
 def _map_coeffs(p: Poly, embed) -> Poly:
-    return Poly(p.vars, {mon: embed(c) for mon, c in p.terms.items()})
+    return Poly._trusted(p.vars, {mon: embed(c) for mon, c in p.terms.items()})
 
 
 def _is_leaf(node: _Node) -> bool:
@@ -158,9 +158,11 @@ def resolve(germ: Poly, field: Optional[NumberField] = None) -> Resolution:
                     ) from exc
                 gg = _map_coeffs(node.germ, embed)
                 rel = q.degree()
-            # y = x(y + t0) takes x^i y^j to x^(i+j-m) (y + t0)^j
-            child_germ = Poly(("x", "y"), {(i + j - node.m, j): c
-                                           for (i, j), c in gg.terms.items()})
+            # y = x(y + t0) takes x^i y^j to x^(i+j-m) (y + t0)^j; every
+            # exponent stays >= 0 since m is the germ's order, so the
+            # blown-up germs of both charts are built unchecked
+            child_germ = Poly._trusted(("x", "y"), {
+                (i + j - node.m, j): c for (i, j), c in gg.terms.items()})
             child_germ = child_germ.shift({"y": t0})
             axes = {"x": node.nid}
             if not t0 and "y" in node.axes:
@@ -172,8 +174,8 @@ def resolve(germ: Poly, field: Optional[NumberField] = None) -> Resolution:
             stack.append(child.nid)
         if nu_vertical > 0:
             # x = xy takes x^i y^j to x^i y^(i+j-m)
-            child_germ = Poly(("x", "y"), {(i, i + j - node.m): c for (i, j), c
-                                           in node.germ.terms.items()})
+            child_germ = Poly._trusted(("x", "y"), {
+                (i, i + j - node.m): c for (i, j), c in node.germ.terms.items()})
             axes = {"y": node.nid}
             if "x" in node.axes:
                 axes["x"] = node.axes["x"]

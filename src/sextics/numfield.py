@@ -23,7 +23,7 @@ same norm (`_norm`).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Optional, Tuple
 
 from .poly import (
@@ -351,8 +351,11 @@ def coef_key(c) -> tuple:
 def factor_rational(u: UniPoly):
     """Irreducible monic factors of a rational UniPoly: [(factor, mult)].
 
-    Deterministic order: by (degree, coefficient tuple).  A linear u and
-    a monomial c*t^k, most tangent cones, are answered without sympy.
+    Deterministic order: by (degree, coefficient tuple).  A linear u, a
+    monomial c*t^k and a quadratic, most tangent cones, are answered
+    without sympy: the monic t^2 + p*t + q splits over Q exactly when its
+    discriminant p^2 - 4q is the square of a rational s, into
+    t + (p - s)/2 and t + (p + s)/2.
     """
     if u.is_zero():
         raise DomainError("zero polynomial")
@@ -362,11 +365,22 @@ def factor_rational(u: UniPoly):
         return [(u.monic(), 1)]
     if not any(u.coeffs[:-1]):
         return [(UniPoly(u.var, [0, 1]), u.degree())]
-    vs = (u.var,)
-    out = []
-    for f, mult in to_sympy(u.to_poly(), vs)[0].factor_list()[1]:
-        out.append((UniPoly.from_poly(from_sympy(f, vs), u.var).monic(),
-                    int(mult)))
+    if u.degree() == 2:
+        monic = u.monic()
+        q, p, _ = monic.coeffs
+        disc = p * p - 4 * q
+        num, den = disc.numerator, disc.denominator
+        if num < 0 or isqrt(num) ** 2 != num or isqrt(den) ** 2 != den:
+            return [(monic, 1)]
+        s = Fraction(isqrt(num), isqrt(den))
+        if not s:
+            return [(UniPoly(u.var, [p / 2, 1]), 2)]
+        out = [(UniPoly(u.var, [(p + e) / 2, 1]), 1) for e in (-s, s)]
+    else:
+        vs = (u.var,)
+        out = [(UniPoly.from_poly(from_sympy(f, vs), u.var).monic(),
+                int(mult))
+               for f, mult in to_sympy(u.to_poly(), vs)[0].factor_list()[1]]
     out.sort(key=lambda fm: (fm[0].degree(),
                              tuple((c.numerator, c.denominator) for c in fm[0].coeffs)))
     return out
@@ -406,6 +420,8 @@ def factor_over_field(field: Optional[NumberField], u: UniPoly):
         raise DomainError("zero polynomial")
     if u.degree() == 0:
         return []
+    if u.degree() == 1:
+        return [u.monic()]
     sqf = u.divmod(unipoly_gcd(u, u.derivative()))[0].monic()
     out = _trager_squarefree(field, sqf)
     out.sort(key=lambda f: (f.degree(), tuple(coef_key(c) for c in f.coeffs)))

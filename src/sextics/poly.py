@@ -81,7 +81,8 @@ class Poly:
     coefficients read as `Fraction`, zero coefficients dropped.  The
     methods that build a term dict themselves, with tuple monomials of the
     right length and `Fraction` or number-field coefficients, construct the
-    result through `_trusted`, which only drops zero coefficients.
+    result through `_trusted`, which only drops zero coefficients; so do
+    the blow-ups of `localsing.resolve`.
     """
 
     __slots__ = ("vars", "terms")

@@ -137,6 +137,19 @@ class TestNumberField:
         fs = factor_over_field(K, U([-3, 0, 1]))
         assert [f.degree() for f in fs] == [2]
 
+    def test_linear_is_its_own_monic_factor(self):
+        # 3w*x + (1 - w) over Q(w), w^2 = 2, is x + (1 - w)/(3w)
+        K = NumberField(U([-2, 0, 1]))
+        w = K.generator()
+        lead = w * 3
+        fs = factor_over_field(K, UniPoly("x", [1 - w, lead]))
+        assert fs == [UniPoly("x", [(1 - w) / lead, 1])]
+        assert fs[0].coeffs[0] == K.element([Fraction(-1, 3),
+                                             Fraction(1, 6)])
+        # a rational linear u is coerced into the field
+        assert factor_over_field(K, U([4, 2])) == [
+            UniPoly("x", [K.from_rational(2), K.from_rational(1)])]
+
     def test_cyclotomic_roots(self):
         # w^2 + w + 1: cube roots of unity; x^3 - 1 has all roots in Q(w)
         K = NumberField(U([1, 1, 1]))

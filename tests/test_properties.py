@@ -418,6 +418,44 @@ class TestRationalRoots:
                     key=lambda fm: (fm[0].degree(), fm[0].coeffs))
                 assert factor_rational(u) == want, str(u)
 
+    def test_quadratics_against_sympy(self):
+        """Quadratics, answered by the discriminant, against sympy's
+        `factor_list` in `factor_rational`'s order (by degree, then by
+        the (numerator, denominator) pairs of the coefficients): two
+        rational roots, a double root, an irrational or complex pair, and
+        discriminants whose numerator or denominator alone is a square."""
+        rng = random.Random(3141)
+        x = sympy.Symbol("x")
+
+        def key(fm):
+            return (fm[0].degree(),
+                    tuple((c.numerator, c.denominator) for c in fm[0].coeffs))
+
+        def root():
+            return big_rational(rng, rng.choice((5, 10 ** 30)))
+
+        for _ in range(40):
+            c = big_rational(rng, 10 ** 20)
+            r1, r2 = root(), root()
+            sq = Fraction(rng.randint(1, 30) ** 2, rng.randint(1, 30) ** 2)
+            cases = [UniPoly("x", [r1 * r2, -r1 - r2, 1]),
+                     UniPoly("x", [r1 * r1, -2 * r1, 1]),
+                     UniPoly("x", [root(), root(), 1]),
+                     UniPoly("x", [sq, 0, -1]),
+                     UniPoly("x", [sq * rng.choice((2, 3, Fraction(1, 2))),
+                                   0, -1]),
+                     UniPoly("x", [sq, 0, 1])]
+            for u in cases:
+                u = u.scale(c)
+                expr = sum(a * x ** e for e, a in enumerate(u.coeffs))
+                want = sorted(
+                    ((UniPoly("x", [Fraction(int(a.p), int(a.q)) for a in
+                                    reversed(sympy.Poly(f, x).monic()
+                                             .all_coeffs())]), m)
+                     for f, m in sympy.factor_list(expr, x)[1]),
+                    key=key)
+                assert factor_rational(u) == want, str(u)
+
 
 # Q-irreducible curves; several split over a number field
 _PLANTED = ("x", "x - 2*y + 1", "y + 3", "x^2 + y^2", "x^2 - 2*y^2",
@@ -745,6 +783,105 @@ class TestIntersectionKernelAgainstReference:
                     h = (y - x ** (k + 2)) * (g - (x ** (i - k)).scale(c))
                     assert self.agree(g, h) == i
                     assert self.agree(g * (one + x), h.scale(c)) == i
+
+    @pytest.mark.parametrize("minpoly", [None, [-2, 0, 1], [-2, 0, 0, 1]],
+                             ids=["Q", "sqrt2", "cbrt2"])
+    def test_contact_around_the_first_four_orders(self, minpoly):
+        """I at n - 1, n and n + 1 for the first four orders n of the
+        schedule, which starts at ord g * ord h + 2 and grows to
+        n * 5 // 4 + 1: 3, 4, 6, 8 for two smooth germs and 4, 6, 8, 11
+        when ord h = 2."""
+        c = self.coefficient(minpoly)
+        vs = ("x", "y")
+        x, y = Poly.var("x", vs), Poly.var("y", vs)
+        one = Poly.const(1, vs)
+        for n in (3, 4, 6, 8):
+            for i in (n - 1, n, n + 1):
+                for k in {1, 2, i - 1}:
+                    g = y - x ** k
+                    assert self.agree(g, g - (x ** i).scale(c)) == i
+        for n in (4, 6, 8, 11):
+            for i in (n - 1, n, n + 1):
+                # y = x^(k + 2) meets g with I = k, and g - c*x^(i - k)
+                # meets it with I = i - k
+                for k in {1, 2, i // 2 - 1} & set(range(1, i)):
+                    g = y - x ** k
+                    h = (y - x ** (k + 2)) * (g - (x ** (i - k)).scale(c))
+                    assert self.agree(g, h) == i
+                    assert self.agree(g * (one + x), h.scale(c)) == i
+
+    @pytest.mark.parametrize("minpoly", [None, [-2, 0, 1], [-2, 0, 0, 1]],
+                             ids=["Q", "sqrt2", "cbrt2"])
+    def test_contact_after_the_running_sum_grows(self, minpoly):
+        """h = y^j * (g*u - c*x^i) + q*g with g = y - x^k and a unit u has
+        I = j*k + i: the reduction divides by y j times, each raising the
+        running sum t by k and lowering the order to n - t, before the
+        elimination that decides the last i.  I is placed at n - 1, n and
+        n + 1 for every order n the runs take, so the decisive elimination
+        runs just inside and just outside the lowered order.  With
+        u = 1 + x^m, g*u has the term x^(m + k) of degree n - t - 1 or
+        n - t; dropping it leaves a germ that meets g with I = m + k, so a
+        run truncated one degree too low would return a wrong n - 1."""
+        c = self.coefficient(minpoly)
+        vs = ("x", "y")
+        x, y = Poly.var("x", vs), Poly.var("y", vs)
+        one, zero = Poly.const(1, vs), Poly.const(0, vs)
+        for j in (1, 2, 3):
+            for k in (1, 2, 3):
+                g = y - x ** k
+                n = j + 3    # ord g * ord h + 2, ord h = j + 1
+                while n <= 16:
+                    edge = n - j * k - k - 1
+                    variants = [(one, zero), (one, x * y + (y ** 2).scale(c))]
+                    variants += [(one + x ** m, zero) for m in (edge, edge + 1)
+                                 if m >= 1]
+                    for want in (n - 1, n, n + 1):
+                        i = want - j * k
+                        if i < 1:
+                            continue
+                        for u, q in variants:
+                            h = (y ** j) * (g * u - (x ** i).scale(c)) + q * g
+                            assert self.agree(g, h) == want, (j, k, i, str(u))
+                            assert self.agree(g * (one - y),
+                                              h.scale(c)) == want
+                    n = n * 5 // 4 + 1
+
+    @pytest.mark.parametrize("minpoly", [None, [-2, 0, 1], [-2, 0, 0, 1]],
+                             ids=["Q", "sqrt2", "cbrt2"])
+    def test_random_germs_against_the_bezout_reduction(self, minpoly):
+        """Seeded random germs, times powers of y and x so that the
+        running sum grows before and between eliminations, against the
+        reduction at the Bezout order with no lowering
+        (`reference_intersection`); shared components included."""
+        rng = random.Random(16180 + len(minpoly or ()))
+        vs = ("x", "y")
+        x, y = Poly.var("x", vs), Poly.var("y", vs)
+        K = None if minpoly is None else NumberField(
+            UniPoly("w", [Fraction(c) for c in minpoly]))
+
+        def coefficient():
+            a = Fraction(rng.randint(-3, 3))
+            if K is None or rng.random() < 0.5:
+                return a
+            return K.element([a, Fraction(rng.randint(-2, 2))])
+
+        def germ():
+            while True:
+                p = Poly(vs, {m: coefficient()
+                              for m in random_germ(rng, 4).terms})
+                if not p.is_zero():
+                    return p
+
+        seen = set()
+        for _ in range(25):
+            g, h = germ(), germ()
+            h = h * y ** rng.randint(0, 3) * x ** rng.randint(0, 1)
+            if rng.random() < 0.5:
+                g = g * (y - x ** rng.randint(1, 3)) ** rng.randint(1, 2)
+            if rng.random() < 0.2:
+                h = h * g
+            seen.add(self.agree(g, h))
+        assert "shared" in seen and len(seen) >= 6, seen
 
     @pytest.mark.parametrize("minpoly", [None, [-2, 0, 1], [-2, 0, 0, 1]],
                              ids=["Q", "sqrt2", "cbrt2"])
