@@ -28,8 +28,9 @@ Annotations are accepted and dropped; no command reads them.  Every key
 but `defects:`, `claim:` and the annotations may appear at most once per
 document, and a binding names each parameter at most once; a repeat is
 refused.  Each `values:` and `generic:` binding, and each claim selector
-that is a binding, names exactly the parameters declared in `vars:`.  The
-polynomials are parsed once, when the document is read.
+that is a binding, names exactly the parameters declared in `vars:`; a
+`generic` claim selector needs a `generic:` line.  The polynomials are
+parsed once, when the document is read.
 """
 
 from __future__ import annotations
@@ -74,14 +75,18 @@ class CurveDocument:
 
     def validate(self, texts: dict):
         """Check that the polynomial keys among `texts` (key -> (line
-        number, text)) make one curve and that each binding, a claim
-        selector among them, names exactly the declared parameters, and
+        number, text)) make one curve, that each binding, a claim
+        selector among them, names exactly the declared parameters and
+        that a `generic` selector has a `generic:` binding to read, and
         parse each polynomial into `polys`."""
         bindings = [(texts[key][0], key + " binding", binding)
                     for key, group in (("values", self.values),
                                        ("generic", (self.generic,)))
                     if key in texts for binding in group]
         for claim in self.claims:
+            if claim.selector == "generic" and self.generic is None:
+                raise DocumentError("line %d: claim selector generic needs a"
+                                    " generic: line" % claim.line)
             if claim.selector in ("*", "generic"):
                 continue
             try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .localsing.classify import LocalSingularity, SingType
-from .poly import DomainError, Poly
+from .poly import DomainError, Poly, poly_gcd
 
 __all__ = [
     "ImpossibleCurveError",
@@ -207,7 +207,6 @@ def infinite_singular_directions(f: Poly) -> Poly:
     Nonconstant iff the projective curve has a singular point at infinity;
     the gcd's roots are the singular directions.
     """
-    from .poly import poly_gcd
     F = homogenize(f)
     g = None
     for v in ("x", "y", "z"):

@@ -14,7 +14,7 @@ from .germs import (
     intersection_multiplicity_origin,
     milnor_number_origin,
 )
-from .resolve import BranchCluster, Resolution, UnresolvedGermError, resolve
+from .resolve import Resolution, UnresolvedGermError, resolve
 from .classify import (
     ConsistencyError,
     LocalSingularity,
@@ -28,5 +28,4 @@ from .classify import (
     dual_branch,
     normal_form_germ,
     recognition_types,
-    signature_of_germ,
 )

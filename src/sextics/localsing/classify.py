@@ -23,7 +23,9 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from ..poly import DomainError, Poly, UniPoly, parse_poly
+from . import _sigdata
 from .germs import milnor_number_origin
+from .points import translate_to_origin
 from .resolve import Resolution, resolve
 
 __all__ = [
@@ -111,21 +113,16 @@ def recognition_types():
 
 
 def signature_of_resolution(res: Resolution, mu: int, m: int) -> tuple:
-    return (m, mu, res.branch_count, res.branch_fingerprints(),
-            res.contact_multiset())
-
-
-def signature_of_germ(germ: Poly) -> tuple:
-    res = resolve(germ)
-    mu = milnor_number_origin(germ)
-    return signature_of_resolution(res, mu, germ.lowest_degree())
+    return (m, mu, res.branch_count, res.branches, res.contacts)
 
 
 def build_signature_table() -> dict:
     """Regenerate signature -> type from the normal forms."""
     table = {}
     for t in recognition_types():
-        sig = signature_of_germ(normal_form_germ(t))
+        germ = normal_form_germ(t)
+        sig = signature_of_resolution(resolve(germ), milnor_number_origin(germ),
+                                      germ.lowest_degree())
         if sig in table:
             raise DomainError("signature collision: %s vs %s" % (table[sig], t))
         table[sig] = t
@@ -134,7 +131,6 @@ def build_signature_table() -> dict:
 
 @functools.cache
 def _table() -> dict:
-    from . import _sigdata
     return {_thaw(sig): SingType(family, tuple(index))
             for family, index, sig in _sigdata.SIGNATURES}
 
@@ -152,7 +148,7 @@ def classify_signature(sig: tuple) -> SingType:
 
 
 def classify_germ(germ: Poly) -> SingType:
-    return classify_signature(signature_of_germ(germ))
+    return analyze_germ(germ).sing_type
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +188,11 @@ def analyze_germ(germ: Poly, field=None, point=None) -> LocalSingularity:
     sig = signature_of_resolution(res, mu, m)
     stype = classify_signature(sig)
     return LocalSingularity(point, m, mu, res.branch_count, delta,
-                            res.mult_sequence, res.contact_multiset(),
+                            res.mult_sequence, res.contacts,
                             stype)
 
 
 def analyze_point(f: Poly, point) -> LocalSingularity:
-    from .points import translate_to_origin
     germ = translate_to_origin(f, point)
     return analyze_germ(germ, point.field, point)
 

@@ -26,6 +26,7 @@ from math import gcd
 # Unused here; perfbench/tracer.py patches factor_over_field in this namespace.
 from ..numfield import factor_over_field  # noqa: F401
 from ..poly import DomainError, Poly, clear_denominators, rational_content
+from .points import translate_to_origin
 
 __all__ = [
     "InfiniteIntersectionError",
@@ -225,7 +226,6 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
 
 
 def intersection_multiplicity(g: Poly, h: Poly, p) -> int:
-    from .points import translate_to_origin
     return intersection_multiplicity_origin(
         translate_to_origin(g, p), translate_to_origin(h, p))
 

@@ -78,13 +78,10 @@ class AlgebraicPoint:
             (c.numerator, c.denominator) for c in self.field.minpoly.coeffs)
         return (self.degree, mp, coef_key(self.x), coef_key(self.y))
 
-    def label(self) -> str:
+    def __str__(self) -> str:
         if self.field is None:
             return "(%s, %s)" % (self.x, self.y)
         return "(%s, %s) with %s = 0" % (self.x, self.y, self.field.minpoly)
-
-    def __str__(self) -> str:
-        return self.label()
 
 
 def point_on_curve(f: Poly, p: AlgebraicPoint) -> bool:

@@ -6,10 +6,11 @@ field, and the node then stands for a whole conjugacy cluster (`d_rel`
 points over the base field).  From the finished tree we read off
 
 * delta = sum of d * m(m-1)/2 over all infinitely near points,
-* the branch clusters (leaves) with per-branch multiplicity sequences,
-  reconstructed bottom-up through the proximity relations,
-* the multiset of pairwise intersection numbers between branches
-  (Noether's formula, with conjugate clusters expanded combinatorially).
+* the multiplicity sequence of every geometric branch (one per conjugate),
+  reconstructed bottom-up from each leaf through the proximity relations,
+* the multiset of intersection numbers of all unordered pairs of branches
+  (Noether's formula over pairs of leaves, conjugates counted
+  combinatorially).
 
 Blow-ups continue past smoothness until each branch is transverse to the
 exceptional locus at a simple point of it; those extra multiplicity-one
@@ -33,7 +34,7 @@ from ..numfield import (
 )
 from ..poly import DomainError, Poly, UniPoly
 
-__all__ = ["BranchCluster", "Resolution", "resolve", "UnresolvedGermError"]
+__all__ = ["Resolution", "resolve", "UnresolvedGermError"]
 
 _MAX_NODES = 600
 _MAX_DEPTH = 120
@@ -56,40 +57,22 @@ class _Node:
 
 
 @dataclass(frozen=True)
-class BranchCluster:
-    """One local branch up to conjugacy over the base field."""
-
-    degree: int                  # number of conjugate branches
-    mult_sequence: tuple         # strict multiplicities, trailing 1s trimmed
-
-
-@dataclass(frozen=True)
 class Resolution:
     delta: int
     branch_count: int
     mult_sequence: tuple         # germ fingerprint, level by level
-    branches: tuple              # BranchCluster, in deterministic order
-    contacts: tuple              # ((value, npairs), ...) unordered pairs
+    branches: tuple              # sorted multiplicity sequences, one per
+                                 # geometric branch, trailing 1s trimmed
+    contacts: tuple              # sorted intersection numbers of all
+                                 # unordered pairs of branches
     tower_capped: bool           # always False (a capped resolve raises);
                                  # perfbench/tracer.py reads it
-
-    def contact_multiset(self) -> tuple:
-        out = []
-        for value, npairs in self.contacts:
-            out.extend([value] * npairs)
-        return tuple(sorted(out))
-
-    def branch_fingerprints(self) -> tuple:
-        out = []
-        for b in self.branches:
-            out.extend([b.mult_sequence] * b.degree)
-        return tuple(sorted(out))
 
 
 def _direction_poly(germ: Poly, m: int, field) -> UniPoly:
     """L(1, t) for the degree-m tangent cone L."""
     coeffs = [nf(field, 0)] * (m + 1)
-    for (i, j), c in germ.with_vars(("x", "y")).terms.items():
+    for (i, j), c in germ.terms.items():
         if i + j == m:
             coeffs[j] = coeffs[j] + c
     return UniPoly("t", coeffs)
@@ -106,7 +89,7 @@ def _is_leaf(node: _Node) -> bool:
         return False
     if not node.axes:
         return True
-    lin = node.germ.homogeneous_part(1).with_vars(("x", "y"))
+    lin = node.germ.homogeneous_part(1)
     ax = next(iter(node.axes))
     if ax == "x":
         beta = lin.terms.get((0, 1))
@@ -185,7 +168,6 @@ def resolve(germ: Poly, field: Optional[NumberField] = None) -> Resolution:
             nodes.append(child)
             stack.append(child.nid)
     delta = sum(n.d_rel * n.m * (n.m - 1) // 2 for n in nodes)
-    branch_count = sum(nodes[l].d_rel for l in leaves)
 
     # germ multiplicity-sequence fingerprint, level by level
     by_depth: dict = {}
@@ -201,6 +183,7 @@ def resolve(germ: Poly, field: Optional[NumberField] = None) -> Resolution:
     # per-leaf paths and branch multiplicities through the proximity sums
     paths = {}
     bmults = {}
+    branches = []
     for lid in leaves:
         path = []
         cur = lid
@@ -219,69 +202,42 @@ def resolve(germ: Poly, field: Optional[NumberField] = None) -> Resolution:
                     total += mb[v]
             mb[u] = total
         bmults[lid] = mb
+        seq = [mb[u] for u in path]
+        while len(seq) > 1 and seq[-1] == 1:
+            seq.pop()
+        branches += [tuple(seq)] * nodes[lid].d_rel
 
-    # contacts: within clusters and across clusters
-    contact_counter: dict = {}
-
-    def _add(value: int, npairs: int):
-        if npairs:
-            contact_counter[value] = contact_counter.get(value, 0) + npairs
-
-    for lid in leaves:
-        d = nodes[lid].d_rel
-        if d < 2:
-            continue
-        path = paths[lid]
-        mb = bmults[lid]
-        partial = 0
-        for idx, u in enumerate(path):
-            partial += mb[u] ** 2
-            d_here = nodes[u].d_rel
-            d_next = nodes[path[idx + 1]].d_rel if idx + 1 < len(path) else None
-            ordered_here = d * d // d_here
-            ordered_next = d * d // d_next if d_next is not None else d
-            _add(partial, (ordered_here - ordered_next) // 2)
+    # Noether's formula over pairs of leaves.  Of the d1*d2 ordered pairs
+    # of conjugate branches, d1*d2/d_u pass through the same conjugate of a
+    # shared node u; those that part after u meet with the running sum
+    # there.  A leaf paired with itself counts its d branches with
+    # themselves as never parting, and each unordered pair twice.
+    contacts = []
     for i, l1 in enumerate(leaves):
-        for l2 in leaves[i + 1:]:
+        for l2 in leaves[i:]:
             p1, p2 = paths[l1], paths[l2]
             mb1, mb2 = bmults[l1], bmults[l2]
-            d1, d2 = nodes[l1].d_rel, nodes[l2].d_rel
-            partial = 0
+            d1 = nodes[l1].d_rel
+            ordered = d1 * nodes[l2].d_rel
             k = 0
             while k < len(p1) and k < len(p2) and p1[k] == p2[k]:
                 k += 1
+            partial = 0
             for idx in range(k):
                 u = p1[idx]
                 partial += mb1[u] * mb2[u]
-                d_here = nodes[u].d_rel
-                d_next = nodes[p1[idx + 1]].d_rel if idx + 1 < k else None
-                pairs_here = d1 * d2 // d_here
-                pairs_next = d1 * d2 // d_next if d_next is not None else 0
-                _add(partial, pairs_here - pairs_next)
-
-    contacts = tuple(sorted(contact_counter.items()))
+                if idx + 1 < k:
+                    parted = ordered // nodes[p1[idx + 1]].d_rel
+                else:
+                    parted = d1 if l1 == l2 else 0
+                npairs = ordered // nodes[u].d_rel - parted
+                contacts += [partial] * (npairs // 2 if l1 == l2 else npairs)
 
     # internal consistency: delta from nodes == sum of branch deltas + contacts
-    branch_tuples = []
-    for lid in leaves:
-        path = paths[lid]
-        mb = bmults[lid]
-        seq = [mb[u] for u in path]
-        while seq and seq[-1] == 1:
-            seq.pop()
-        if not seq:
-            seq = [1]
-        branch_tuples.append((lid, tuple(seq)))
-    check = sum(nodes[lid].d_rel * sum(m * (m - 1) // 2 for m in seq)
-                for lid, seq in branch_tuples)
-    check += sum(v * n for v, n in contacts)
+    check = sum(m * (m - 1) // 2 for seq in branches for m in seq)
+    check += sum(contacts)
     if check != delta:
         raise DomainError(
             "internal resolution inconsistency: %d vs %d" % (check, delta))
-
-    branches = [BranchCluster(nodes[lid].d_rel, seq)
-                for lid, seq in branch_tuples]
-    branches.sort(key=lambda b: (b.mult_sequence, b.degree))
-    return Resolution(delta, branch_count, mult_sequence, tuple(branches),
-                      contacts, False)
-
+    return Resolution(delta, len(branches), mult_sequence,
+                      tuple(sorted(branches)), tuple(sorted(contacts)), False)

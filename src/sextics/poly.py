@@ -601,6 +601,12 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
                 kind3, val3, start3 = tok.next()
                 if kind3 != "int" or int(val3) == 0:
                     raise PolySyntaxError("denominator must be a positive integer", start3)
+                # a fraction literal is one atom, so 2/3^2 would read as
+                # (2/3)^2 where the usual precedence gives 2/9: refuse it
+                kind4, val4, start4 = tok.peek()
+                if kind4 == "op" and val4 == "^":
+                    raise PolySyntaxError(
+                        "a power of a fraction needs parentheses", start4)
                 return Poly.const(Fraction(num, int(val3)), vs)
             return Poly.const(num, vs)
         if kind == "sym":

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .localsing.germs import intersection_multiplicity
+from .localsing.points import point_on_curve
 from .poly import DomainError, Poly, poly_gcd
 
 __all__ = [
@@ -84,9 +85,7 @@ def inner_outer_split(pair: TorusPair, sings) -> InnerOuterSplit:
     inner = []
     outer = []
     for p in sings:
-        v2 = pair.f2.evaluate({"x": p.x, "y": p.y})
-        v3 = pair.f3.evaluate({"x": p.x, "y": p.y})
-        if not v2 and not v3:
+        if point_on_curve(pair.f2, p) and point_on_curve(pair.f3, p):
             iota = intersection_multiplicity(pair.f2, pair.f3, p)
             inner.append((p, iota))
         else:
@@ -111,9 +110,8 @@ def verify_inner_correspondence(pair: TorusPair, split: InnerOuterSplit,
     report = []
     for p, iota in split.inner:
         ls = by_point.get(p.sort_key())
-        smooth = bool(f3x.evaluate({"x": p.x, "y": p.y})) or \
-            bool(f3y.evaluate({"x": p.x, "y": p.y}))
-        if not smooth:
+        if point_on_curve(f3x, p) and point_on_curve(f3y, p):
+            # C3 is singular at p
             report.append((p, iota, "exempt", ls.sing_type if ls else None))
             continue
         expected = _STAR_LAW.get(iota)

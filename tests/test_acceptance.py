@@ -110,13 +110,13 @@ def test_criterion_2_paper_local_invariants():
     assert c37.delta == 6
     b36 = resolve(g("y^3 + x^6"))
     assert b36.branch_count == 3
-    assert b36.contact_multiset() == (2, 2, 2)
+    assert b36.contacts == (2, 2, 2)
     c38 = resolve(g("y^3 + y^2*x^2 - x^8"))
     assert c38.branch_count == 3
-    assert all(b.mult_sequence == (1,) for b in c38.branches)
+    assert c38.branches == ((1,),) * 3
     # contacts 2,2,3: unions give I(L2, L1 u L3) = 5 with (L1 u L3) = A_3
     # and I(L1, L2 u L3) = 4 with (L2 u L3) = A_5
-    assert c38.contact_multiset() == (2, 2, 3)
+    assert c38.contacts == (2, 2, 3)
     u = g("y + x^2")          # L1
     m23 = g("y^2 - x^6")      # L2 u L3 with contact 3 (A_5)
     assert classify_germ(m23).name() == "A_5"

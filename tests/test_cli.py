@@ -89,12 +89,15 @@ class TestAnalyze:
         "values: s=1\nvalues: s=2", "generic: s=1\ngeneric: s=2",
         "no_random: true\nno_random: false", "generic: s=1,s=2",
         "values: s=1; t=2,t=3", "values: t=1",
-        "vars: s\ngeneric: s=2,t=1"],
+        "vars: s\ngeneric: s=2,t=1",
+        "vars: s\nvalues: s=1\nclaim: generic :: config :: [A_5]",
+        "claim: generic :: config :: [A_5]"],
         ids=["defect-without-type", "no-random-maybe", "hints",
              "duplicate-f", "duplicate-source", "duplicate-vars",
              "duplicate-values", "duplicate-generic", "duplicate-no-random",
              "duplicate-binding", "duplicate-binding-in-values",
-             "undeclared-parameter", "binding-beyond-vars"])
+             "undeclared-parameter", "binding-beyond-vars",
+             "generic-claim-without-generic", "generic-claim-without-vars"])
     def test_malformed_key_refused(self, capsys, tmp_path, line):
         doc = tmp_path / "bad.txt"
         doc.write_text("f: x^6 + y^6 + 1\n%s\n" % line)
@@ -102,6 +105,14 @@ class TestAnalyze:
         assert code == 2
         # the error names the last line, the offending one
         assert out.startswith("error: line %d" % (2 + line.count("\n")))
+
+    def test_power_of_bare_fraction_refused(self, capsys, tmp_path):
+        doc = tmp_path / "frac.txt"
+        doc.write_text("f: x^6 + y^6 + 3/2^2\n")
+        code, out = run_cli(capsys, "analyze", str(doc))
+        assert code == 2
+        assert out.startswith("error: ")
+        assert "a power of a fraction needs parentheses" in out
 
     def test_deep_parentheses_refused(self, capsys, tmp_path):
         # the parser recurses once per '('; past its bound it refuses the

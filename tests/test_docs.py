@@ -157,7 +157,8 @@ class TestParseDocument:
         doc = parse_document("claim: t=0,s=1 :: degrees :: 6\n"
                              "claim: generic :: degrees :: 6\n"
                              "claim: * :: config :: [A5]\n"
-                             "vars: s t\nf: x^6 + s*y^6 + t\n")
+                             "vars: s t\nf: x^6 + s*y^6 + t\n"
+                             "generic: s=2,t=1\n")
         assert [(c.selector, c.line) for c in doc.claims] == [
             ("t=0,s=1", 1), ("generic", 2), ("*", 3)]
 

@@ -105,8 +105,8 @@ class TestSingularPoints:
         assert len(pts) == 1 and pts[0].degree == 4
         p = pts[0]
         assert p.x ** 2 == 2 and p.y ** 2 == 3
-        assert p.label() == ("(1/2*v^3 - 9/2*v, -1/2*v^3 + 11/2*v)"
-                             " with v^4 - 10*v^2 + 1 = 0")
+        assert str(p) == ("(1/2*v^3 - 9/2*v, -1/2*v^3 + 11/2*v)"
+                        " with v^4 - 10*v^2 + 1 = 0")
         analysis = analyze_curve(f)
         assert str(analysis.config) == "[4A_1]"
         assert analysis.degrees() == (2, 2)
@@ -350,25 +350,46 @@ class TestResolve:
         res = resolve(g("y^2 - x^6"))
         assert res.branch_count == 2
         assert res.delta == 3
-        assert res.contact_multiset() == (3,)
+        assert res.contacts == (3,)
 
     def test_c37_anatomy(self):
         res = resolve(g("y^3 + y^2*x^2 - x^7"))
         assert res.branch_count == 2
         assert res.delta == 6
-        assert res.contact_multiset() == (4,)
-        assert sorted(b.mult_sequence for b in res.branches) == [(1,), (2, 2)]
+        assert res.contacts == (4,)
+        assert res.branches == ((1,), (2, 2))
 
     def test_b36_three_smooth_contact_2(self):
         res = resolve(g("y^3 + x^6"))
         assert res.branch_count == 3
-        assert res.contact_multiset() == (2, 2, 2)
-        assert all(b.mult_sequence == (1,) for b in res.branches)
+        assert res.contacts == (2, 2, 2)
+        assert res.branches == ((1,),) * 3
 
     def test_c38_contact_split(self):
         res = resolve(g("y^3 + y^2*x^2 - x^8"))
         assert res.branch_count == 3
-        assert res.contact_multiset() == (2, 2, 3)
+        assert res.contacts == (2, 2, 3)
+
+    @pytest.mark.parametrize("germ, branches, contacts", [
+        # y = +-sqrt(2)*x^3: one conjugate pair, meeting to order 3
+        pytest.param("y^2 - 2*x^6", ((1,), (1,)), (3,), id="conjugate-pair"),
+        # y = x^3 beside that pair: every two of the three meet to order 3
+        pytest.param("(y^2 - 2*x^6)*(y - x^3)", ((1,),) * 3, (3, 3, 3),
+                     id="pair-and-rational"),
+        # y = +-sqrt(2)*x and y = +-sqrt(2)*x*(1 + x/4 + ...): branches of
+        # opposite tangents meet once, those of one tangent twice
+        pytest.param("(y^2 - 2*x^2)*(y^2 - 2*x^2 - x^3)", ((1,),) * 4,
+                     (1, 1, 1, 1, 2, 2), id="two-conjugate-pairs"),
+        # y = +-sqrt(2)*x + c*x^(3/2) + ...: two conjugate cusps of
+        # multiplicity 2 with distinct tangents, meeting 2*2 times
+        pytest.param("(y^2 - 2*x^2)^2 - x^5", ((2,), (2,)), (4,),
+                     id="conjugate-cusps"),
+    ])
+    def test_branch_and_contact_multisets(self, germ, branches, contacts):
+        res = resolve(g(germ))
+        assert res.branches == branches
+        assert res.contacts == contacts
+        assert res.branch_count == len(branches)
 
     def test_milnor_consistency(self):
         for text in ("y^3 + x^2*y^2 + x^9", "y^4 + x^3*y^2 + x^7",

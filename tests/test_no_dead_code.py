@@ -1,7 +1,8 @@
 """Every function, class, method and dataclass field in src/sextics has a
 consumer in the package, every module of it reads each name it imports,
-every defaulted parameter is set by some call in the package, and every
-`__all__` entry names something its module binds at top level.
+every defaulted parameter is set by some call in the package, every
+import sits at the top of its module unless it is listed with its reason,
+and every `__all__` entry names something its module binds at top level.
 
 A top-level definition counts as used when code in src/sextics, outside the
 definition's own body, looks its name up: in the defining module, or in a
@@ -57,6 +58,17 @@ ALLOWED_IMPORTS = {
     # perfbench/tracer.py patches is_squarefree in this namespace, and
     # refuses to install when the name is missing there
     "localsing/points.py: is_squarefree",
+}
+
+# Imports inside a function body, as "module path: function: name"; every
+# other import sits at the top of its module.
+ALLOWED_LOCAL_IMPORTS = {
+    # multiprocessing costs start-up time, and only `verify --jobs N` with
+    # N > 1 needs it
+    "cli.py: cmd_verify: multiprocessing",
+    # perfbench/tracer.py patches factor_over_field on sextics.numfield;
+    # the import at call time reads the patched attribute
+    "localsing/points.py: singular_points: factor_over_field",
 }
 
 # Defaulted parameters that no call in the package sets, as
@@ -218,6 +230,41 @@ def _functions(node, prefix="", cls=None):
             yield from _functions(child, prefix + child.name + ".")
         else:
             yield from _functions(child, prefix, cls)
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body, without those of nested functions
+    and classes."""
+    stack = [fn]
+    while stack:
+        for child in ast.iter_child_nodes(stack.pop()):
+            if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield child
+                stack.append(child)
+
+
+def local_imports(allowed=ALLOWED_LOCAL_IMPORTS):
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for qualname, fn, _cls in _functions(tree):
+            for node in _own_nodes(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        label = "%s: %s: %s" % (
+                            path.relative_to(SRC).as_posix(), qualname,
+                            (alias.asname or alias.name).split(".")[0])
+                        if label not in allowed:
+                            found.append(label)
+    return found
+
+
+def test_imports_sit_at_module_level():
+    assert local_imports() == []
+
+
+def test_local_import_allow_list_holds_only_local_imports():
+    assert ALLOWED_LOCAL_IMPORTS <= set(local_imports(set()))
 
 
 def _sets(call, index, name):

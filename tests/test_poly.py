@@ -66,6 +66,15 @@ class TestParse:
     def test_fraction_coefficient(self):
         p = P("3/4*x", X)
         assert p.terms == {(1,): Fraction(3, 4)}
+        assert P("(2/3)^2*x", X).terms == {(1,): Fraction(4, 9)}
+
+    @pytest.mark.parametrize("text, position", [
+        ("3/2^2*x", 3), ("x + 2/3 ^ 2", 8), ("(1/2)*x - 5/7^0", 13)])
+    def test_power_of_bare_fraction_rejected(self, text, position):
+        # the usual precedence reads 3/2^2 as 3/4, a fraction atom as 9/4
+        with pytest.raises(PolySyntaxError) as err:
+            P(text, X)
+        assert err.value.position == position
 
     def test_leading_minus(self):
         p = P("-y^2 + y - x^2")
