@@ -9,7 +9,8 @@ Keys for a curve document:
 
     record:    identifier (corpus files only)
     source:    free-text anchor
-    vars:      extra parameter names (x and y are implicit)
+    vars:      extra parameter names (x and y are implicit), each a
+               distinct symbol
     f:         sextic polynomial        -- or --
     f2:, f3:   torus pair
     f2b:, f3b: a second pair (same-curve claims)
@@ -30,7 +31,8 @@ document, and a binding names each parameter at most once; a repeat is
 refused.  Each `values:` and `generic:` binding, and each claim selector
 that is a binding, names exactly the parameters declared in `vars:`; a
 `generic` claim selector needs a `generic:` line.  The polynomials are
-parsed once, when the document is read.
+parsed once, when the document is read; a parse error names its line and
+key.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .poly import DomainError, Poly, parse_poly
+from .poly import SYMBOL, DomainError, Poly, PolySyntaxError, parse_poly
 
 __all__ = ["CurveDocument", "Claim", "DocumentError", "parse_documents",
            "parse_document", "parse_bindings"]
@@ -109,8 +111,15 @@ class CurveDocument:
                 "document needs exactly one of f or (f2, f3)")
         if has_pair and ("f2" not in texts or "f3" not in texts):
             raise DocumentError("torus pair needs both f2 and f3")
-        self.polys = {key: parse_poly(texts[key][1], self.varlist())
-                      for key in _POLY_KEYS if key in texts}
+        self.polys = {}
+        for key in _POLY_KEYS:
+            if key in texts:
+                lineno, text = texts[key]
+                try:
+                    self.polys[key] = parse_poly(text, self.varlist())
+                except PolySyntaxError as err:
+                    raise DocumentError("line %d: %s: %s"
+                                        % (lineno, key, err)) from None
         return self
 
     def varlist(self) -> tuple:
@@ -223,7 +232,16 @@ def _read_key(doc: CurveDocument, seen: dict, key: str, value: str,
     if key == "source":
         doc.source = value
     elif key == "vars":
-        doc.params = tuple(value.split())
+        names = value.split()
+        for i, name in enumerate(names):
+            if not SYMBOL.fullmatch(name):
+                raise DocumentError("vars: %r is not a name" % name)
+            if name in XY:
+                raise DocumentError("vars: %s is implicit; declare only the"
+                                    " parameters" % name)
+            if name in names[:i]:
+                raise DocumentError("vars: %s is declared twice" % name)
+        doc.params = tuple(names)
     elif key == "values":
         doc.values = tuple(parse_bindings(v)
                            for v in value.split(";") if v.strip())

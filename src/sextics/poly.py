@@ -16,8 +16,10 @@ column by column) and `to_sympy`/`from_sympy` (the one bridge to sympy:
 an integer sympy polynomial and its denominator, and back).
 
 `poly_gcd`, `is_squarefree` and `resultant` take rational coefficients
-only.  sympy computes them over ZZ on the bridged polynomials, and the
-resultant keeps the Sylvester sign fixed below.
+only.  sympy computes the gcds and the squarefree test over ZZ on the
+bridged polynomials.  `resultant` makes no sympy call: it is one integer
+computation, a subresultant PRS on the Kronecker images of the two
+polynomials, with the Sylvester sign fixed below.
 
 Conventions fixed here and relied on by the golden-file tests:
 
@@ -29,6 +31,7 @@ Conventions fixed here and relied on by the golden-file tests:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -393,19 +396,32 @@ class Poly:
         return Poly._trusted(self.vars, terms)
 
     def evaluate(self, point: Mapping[str, Coef]) -> Coef:
+        """The value at `point` (variable -> value), by Horner's rule nested
+        over the variables in order: one multiplication per degree step."""
         missing = [v for v in self.used_vars() if v not in point]
         if missing:
             raise DomainError("evaluate missing values for %r" % missing)
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            val = c
-            for v, e in zip(self.vars, m):
-                if e:
-                    p = point[v]
-                    for _ in range(e):
-                        val = val * p
-            total = total + val
-        return total
+        if not self.terms:
+            return Fraction(0)
+        values = [point.get(v) for v in self.vars]
+
+        def nested(terms, i):
+            # sum of c * prod(values[j] ** m[j] for j >= i) over terms,
+            # whose monomials agree before place i
+            if i == len(values):
+                return terms[0][1]
+            groups: dict = {}
+            for m, c in terms:
+                groups.setdefault(m[i], []).append((m, c))
+            top = max(groups)
+            acc = nested(groups[top], i + 1)
+            for e in range(top - 1, -1, -1):
+                acc = acc * values[i]
+                if e in groups:
+                    acc = acc + nested(groups[e], i + 1)
+            return acc
+
+        return nested(list(self.terms.items()), 0)
 
     # -- structure helpers -----------------------------------------------------------
 
@@ -488,10 +504,11 @@ def format_poly(p: Poly) -> str:
     return " ".join(parts)
 
 
-class _Tokenizer:
-    SYMBOL_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-    SYMBOL_BODY = SYMBOL_START | set("0123456789")
+# a symbol: a variable or parameter name
+SYMBOL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+
+class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -513,11 +530,9 @@ class _Tokenizer:
             while j < len(self.text) and self.text[j].isdigit():
                 j += 1
             return ("int", self.text[start:j], start)
-        if ch in self.SYMBOL_START:
-            j = start
-            while j < len(self.text) and self.text[j] in self.SYMBOL_BODY:
-                j += 1
-            return ("sym", self.text[start:j], start)
+        sym = SYMBOL.match(self.text, start)
+        if sym:
+            return ("sym", sym.group(), start)
         return ("bad", ch, start)
 
     def next(self):
@@ -841,8 +856,8 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# exact arithmetic over Q through sympy over ZZ: gcd, squarefree test,
-# resultant
+# exact arithmetic over Q on integers: gcd and squarefree test through sympy
+# over ZZ, resultant by Kronecker substitution
 # ---------------------------------------------------------------------------
 
 
@@ -863,10 +878,10 @@ def to_sympy(p: Poly, variables: Sequence[str]):
                                 domain="ZZ"), d
 
 
-def from_sympy(sp, variables: Sequence[str], den: int = 1) -> Poly:
-    """The Poly sp / den, for an integer sympy Poly sp in `variables`."""
+def from_sympy(sp, variables: Sequence[str]) -> Poly:
+    """The Poly of an integer sympy Poly sp in `variables`."""
     return Poly._trusted(tuple(variables),
-                         {m: Fraction(int(c), den)
+                         {m: Fraction(int(c))
                           for m, c in sp.as_dict(native=True).items()})
 
 
@@ -905,7 +920,21 @@ def is_squarefree(p: Poly) -> bool:
 
 
 def resultant(p: Poly, q: Poly, var: str) -> Poly:
-    """Sylvester resultant eliminating `var` (p rows above q rows)."""
+    """Sylvester resultant eliminating `var` (p rows above q rows).
+
+    Computed as one integer resultant.  With the denominators cleared, let
+    n and m be the degrees in `var` of the integer polynomials a and b.
+    Each coefficient of Res(a, b) is at most N = |a|_1^m |b|_1^n in size
+    (a permanent bounds the Sylvester determinant), so the other variables
+    are sent to powers of X = 2^bits, bits one above the bit length of N,
+    in a mixed radix whose place for each variable exceeds its degree
+    bound in the resultant (Kronecker substitution).  That map is a ring
+    homomorphism that keeps both leading coefficients nonzero, since their
+    coefficients are below X/2, so the subresultant PRS on the images
+    (`_int_resultant`) gives the image of Res(a, b), and its balanced
+    base-X digits are the coefficients.  Res(p, q) is Res(a, b) over the
+    denominators' powers.
+    """
     if p.is_zero() or q.is_zero():
         raise DomainError("resultant of a zero polynomial")
     vs, a, b = p._aligned(q)
@@ -913,17 +942,98 @@ def resultant(p: Poly, q: Poly, var: str) -> Poly:
     m = max(b.degree_in(var), 0)
     if n == 0 and m == 0:
         raise DomainError("resultant: %r occurs in neither argument" % var)
-    rest = tuple(v for v in vs if v != var)
-    sa, da = to_sympy(a, (var,) + rest)
-    sb, db = to_sympy(b, (var,) + rest)
-    # sympy swaps the arguments when the first has the lower degree but not
-    # the sign (-1)^(n*m) of the swap, so it gets the higher degree first
-    # and the sign is applied here.
+    k = vs.index(var)
+    ia, da = clear_denominators(a.terms)
+    ib, db = clear_denominators(b.terms)
+    bits = (sum(map(abs, ia.values())) ** m
+            * sum(map(abs, ib.values())) ** n).bit_length() + 1
+    # places[j] is the digit place of the j-th other variable; sizes[j] is
+    # one above that variable's degree bound in the resultant
+    places, sizes, unit = [], [], 1
+    for j in range(len(vs)):
+        if j != k:
+            places.append(unit)
+            sizes.append(m * max(mon[j] for mon in ia)
+                         + n * max(mon[j] for mon in ib) + 1)
+            unit *= sizes[-1]
+    r = _int_resultant(_kronecker(ia, k, n, bits, places),
+                       _kronecker(ib, k, m, bits, places))
+    den = da ** m * db ** n
+    terms = {}
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    for place in range(unit):
+        if not r:
+            break
+        digit = r & mask
+        if digit >= half:
+            digit -= 1 << bits
+        r = (r - digit) >> bits
+        if digit:
+            mon, rem = [], place
+            for size in sizes:
+                rem, e = divmod(rem, size)
+                mon.append(e)
+            terms[tuple(mon)] = Fraction(digit, den)
+    return Poly._trusted(tuple(v for v in vs if v != var), terms)
+
+
+def _kronecker(ints: Mapping[Monom, int], k: int, deg: int, bits: int,
+               places: Sequence[int]) -> list:
+    """Coefficients in variable k, low to high up to `deg`, of an integer
+    term dict with every other variable j sent to 2^(bits * places[j])."""
+    out = [0] * (deg + 1)
+    for mon, c in ints.items():
+        rest = mon[:k] + mon[k + 1:]
+        out[mon[k]] += c << (bits * sum(e * w for e, w in zip(rest, places)))
+    return out
+
+
+def _int_resultant(a: list, b: list) -> int:
+    """Sylvester resultant of two integer polynomials given as coefficient
+    lists, low to high, with nonzero last entries and not both constant:
+    the subresultant PRS (Collins; Cohen, Algorithm 3.3.7), without content
+    removal."""
+    n, m = len(a) - 1, len(b) - 1
+    if n == 0:
+        return a[0] ** m
+    if m == 0:
+        return b[0] ** n
+    s = 1
     if n < m:
-        r, den = sb.resultant(sa), (-1) ** (n * m)
-    else:
-        r, den = sa.resultant(sb), 1
-    den *= da ** m * db ** n
-    if not rest:
-        return Poly.const(Fraction(int(r), den), ())
-    return from_sympy(r, rest, den)
+        # Res(a, b) = (-1)^(n m) Res(b, a)
+        a, b, n, m = b, a, m, n
+        if n & m & 1:
+            s = -1
+    g = h = 1
+    while True:
+        d = n - m
+        if n & m & 1:
+            s = -s
+        r = _prem(a, b)
+        if not r:
+            return 0
+        div = g * h ** d
+        a, b = b, [c // div for c in r]
+        g = a[-1]
+        h = h if d == 0 else g ** d // h ** (d - 1)
+        n, m = m, len(b) - 1
+        if m == 0:
+            return s * (b[0] ** n // h ** (n - 1))
+
+
+def _prem(a: list, b: list) -> list:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b of integer
+    coefficient lists, low to high, with trailing zeros removed."""
+    r = list(a)
+    m = len(b) - 1
+    lb = b[-1]
+    for top in range(len(a) - 1, m - 1, -1):
+        c = r.pop()
+        r = [lb * x for x in r]
+        if c:
+            shift = top - m
+            for j in range(m):
+                r[shift + j] -= c * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return r

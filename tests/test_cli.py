@@ -106,13 +106,35 @@ class TestAnalyze:
         # the error names the last line, the offending one
         assert out.startswith("error: line %d" % (2 + line.count("\n")))
 
-    def test_power_of_bare_fraction_refused(self, capsys, tmp_path):
-        doc = tmp_path / "frac.txt"
-        doc.write_text("f: x^6 + y^6 + 3/2^2\n")
+    @pytest.mark.parametrize("text, error", [
+        ("source: s\nf: x^6 + y^6 + 3/2^2\n",
+         "line 2: f: a power of a fraction needs parentheses (at offset 15)"),
+        ("f2: x^2 + y^2\nf3: x^3 + y^^3\n",
+         "line 2: f3: exponent must be a nonnegative integer (at offset 8)"),
+        ("vars: s\nf: x^6 + y^6 + t\nvalues: s=1\n",
+         "line 2: f: undeclared symbol 't' (at offset 12)"),
+    ], ids=["fraction-power", "double-caret", "undeclared"])
+    def test_parse_error_names_line_and_key(self, capsys, tmp_path, text,
+                                            error):
+        doc = tmp_path / "bad.txt"
+        doc.write_text(text)
         code, out = run_cli(capsys, "analyze", str(doc))
         assert code == 2
-        assert out.startswith("error: ")
-        assert "a power of a fraction needs parentheses" in out
+        assert out.strip() == "error: " + error
+
+    @pytest.mark.parametrize("names, error", [
+        ("x", "vars: x is implicit; declare only the parameters"),
+        ("s y", "vars: y is implicit; declare only the parameters"),
+        ("s s", "vars: s is declared twice"),
+        ("2s", "vars: '2s' is not a name"),
+        ("s t-1", "vars: 't-1' is not a name"),
+    ], ids=["x", "y", "repeat", "digit-first", "minus"])
+    def test_vars_names_refused(self, capsys, tmp_path, names, error):
+        doc = tmp_path / "vars.txt"
+        doc.write_text("f: x^6 + y^6 + s\nvars: %s\ngeneric: s=2\n" % names)
+        code, out = run_cli(capsys, "analyze", str(doc))
+        assert code == 2
+        assert out.strip() == "error: line 2: " + error
 
     def test_deep_parentheses_refused(self, capsys, tmp_path):
         # the parser recurses once per '('; past its bound it refuses the
@@ -121,7 +143,8 @@ class TestAnalyze:
         doc.write_text("f: %sx^6 + y^6 + 1%s\n" % ("(" * 250, ")" * 250))
         code, out = run_cli(capsys, "analyze", str(doc))
         assert code == 2
-        assert out.startswith("error: parentheses nested deeper than")
+        assert out.startswith("error: line 1: f: parentheses nested deeper"
+                              " than")
 
     @pytest.mark.parametrize("curve, refusal", [
         # a singular point at [0:1:0] rotates the chart first; there the

@@ -12,10 +12,12 @@ from sextics.poly import (
     UniPoly,
     content_in,
     format_poly,
+    from_sympy,
     is_squarefree,
     parse_poly,
     poly_gcd,
     resultant,
+    to_sympy,
     unipoly_gcd,
 )
 
@@ -196,6 +198,129 @@ class TestResultant:
         det = sympy.Matrix(rows).det(method="bareiss")
         r = resultant(p, q, "y")
         assert sympy.expand(_to_expr(r, syms) - det) == 0
+
+
+def _sympy_resultant(p, q, var):
+    """Res_var(p, q) with the Sylvester sign, by sympy's PRS over ZZ: the
+    oracle for the integer computation of `resultant`."""
+    vs, a, b = p._aligned(q)
+    rest = tuple(v for v in vs if v != var)
+    n, m = max(a.degree_in(var), 0), max(b.degree_in(var), 0)
+    sa, da = to_sympy(a, (var,) + rest)
+    sb, db = to_sympy(b, (var,) + rest)
+    # sympy puts the higher degree first without the swap's sign
+    if n < m:
+        r, sign = sb.resultant(sa), (-1) ** (n * m)
+    else:
+        r, sign = sa.resultant(sb), 1
+    if not rest:
+        return Poly.const(Fraction(int(r) * sign, da ** m * db ** n), ())
+    return from_sympy(r, rest).scale(Fraction(sign, da ** m * db ** n))
+
+
+def _random_high(rng, variables, degree, height, lead=None):
+    """Random rational Poly of exact degree `degree` in the first of
+    `variables`, coefficients of up to `height` over denominators up to
+    1000, at most three terms per power; `lead`, when given, is the leading
+    coefficient, a Poly over the others."""
+    rest = variables[1:]
+    terms = {}
+    for e in range(degree + 1):
+        for _ in range(rng.randint(1, 3) if e == degree else rng.randint(0, 3)):
+            mon = (e,) + tuple(rng.randint(0, 2) for _ in rest)
+            terms[mon] = Fraction(rng.randint(-height, height),
+                                  rng.randint(1, 1000))
+    if lead is not None:
+        terms = {m: c for m, c in terms.items() if m[0] < degree}
+        terms.update({(degree,) + m: c
+                      for m, c in lead.with_vars(rest).terms.items()})
+    if not any(m[0] == degree and c for m, c in terms.items()):
+        terms[(degree,) + (0,) * len(rest)] = Fraction(-height)
+    return Poly(variables, terms)
+
+
+class TestResultantAgainstSympy:
+    """The integer resultant (Kronecker substitution and subresultant
+    PRS) against sympy's, on seeded inputs."""
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @pytest.mark.parametrize("height", [10, 10 ** 6, 10 ** 50, 10 ** 200],
+                             ids=["10", "1e6", "1e50", "1e200"])
+    def test_random(self, nvars, height):
+        rng = random.Random(7 * nvars + len(str(height)))
+        vs = ("y", "x", "z")[:nvars]
+        top = 4 if nvars < 3 else 3
+        for _ in range(6 if nvars < 3 else 3):
+            n, m = rng.randint(0, top), rng.randint(0, top)
+            if n == m == 0:
+                n = 1
+            p, q = (_random_high(rng, vs, d, height) for d in (n, m))
+            assert resultant(p, q, "y") == _sympy_resultant(p, q, "y")
+
+    @pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (2, 3), (3, 5),
+                                      (2, 4), (3, 3), (4, 1)])
+    def test_negative_and_vanishing_leading_coefficients(self, n, m):
+        # leading coefficients that are negative, or that vanish at small x
+        rng = random.Random(10 * n + m)
+        leads = [P("-3", X), P("-x^2 + 1", X), P("(x - 1)*(x + 2)", X),
+                 P("x", X), P("-(10^40)*x*(x - 3)", X)]
+        for lp in leads:
+            for lq in leads:
+                p = _random_high(rng, ("y", "x"), n, 10 ** 12, lp)
+                q = _random_high(rng, ("y", "x"), m, 10 ** 12, lq)
+                want = _sympy_resultant(p, q, "y")
+                assert resultant(p, q, "y") == want
+                assert resultant(q, p, "y") == want.scale((-1) ** (n * m))
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_degree_zero_sides(self, nvars):
+        rng = random.Random(nvars)
+        vs = ("y", "x", "z")[:nvars]
+        for height in (3, 10 ** 200):
+            for d in (1, 2, 3):
+                p = _random_high(rng, vs, d, height)
+                c = _random_high(rng, vs, 0, height)
+                assert resultant(p, c, "y") == _sympy_resultant(p, c, "y")
+                assert resultant(c, p, "y") == _sympy_resultant(c, p, "y")
+
+    @pytest.mark.parametrize("text, c, power", [
+        ("3*y^2 + y", "-(10^200 + 7)", 2),
+        ("y^3 - 5*x*y", "(10^60 + 1)*x^2 - 10^60", 3),
+        ("y", "2^64 - 1", 1),
+    ])
+    def test_bound_attained(self, text, c, power):
+        # Res(p, c) = c^deg(p), and |c|_1^deg(p) is the coefficient bound
+        # itself: the top coefficient sits just below half the radix
+        p, cp = P(text), P(c)
+        assert resultant(p, cp, "y") == cp ** power
+        assert resultant(cp, p, "y") == cp ** power
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_shared_factor(self, nvars):
+        rng = random.Random(100 + nvars)
+        vs = ("y", "x", "z")[:nvars]
+        for height in (10, 10 ** 30):
+            h = _random_high(rng, vs, rng.randint(1, 2), height)
+            u = _random_high(rng, vs, rng.randint(0, 2), height)
+            w = _random_high(rng, vs, rng.randint(1, 2), height)
+            assert resultant(h * u, h * w, "y").is_zero()
+            assert resultant(h * w, h, "y").is_zero()
+
+    def test_variables_keep_their_order(self):
+        p = Poly(("z", "y", "x"), {(1, 1, 0): 1, (0, 0, 2): 3, (2, 0, 0): 1})
+        q = Poly(("x", "y"), {(0, 2): 1, (1, 0): -5})
+        r = resultant(p, q, "y")
+        assert r.vars == ("z", "x")
+        assert r == _sympy_resultant(p, q, "y")
+
+    def test_makes_no_sympy_call(self, monkeypatch):
+        def refuse(*_args, **_kw):
+            raise AssertionError("resultant called sympy")
+
+        monkeypatch.setattr(sympy.Poly, "resultant", refuse)
+        monkeypatch.setattr(sympy.Poly, "from_dict", refuse)
+        r = resultant(P("y^3 - x*y + 2"), P("3*y^2 - x"), "y")
+        assert r == P("4*x^3 - 108", X).scale(-1)
 
 
 def _random_in(rng, variables, degree):

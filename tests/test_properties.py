@@ -1,5 +1,5 @@
 """Randomized property suites: ring laws, substitution against sympy,
-results built without re-validation (`Poly._trusted`), resultant
+evaluation against substitution, results built without re-validation (`Poly._trusted`), resultant
 specialization, gcds of planted common factors, root-finding reconstruction, decomposition of planted factors under an
 affine change of coordinates, parse/format round-trips on the corpus, the
 intersection-singularity law A_{2 iota - 1}, the metamorphic laws of the
@@ -243,6 +243,54 @@ class TestShiftAgainstSubstitute:
                 assert u.shift(a).to_poly() == want
 
 
+class TestEvaluateAgainstSubstitute:
+    """Poly.evaluate (nested Horner) against substituting constants with
+    Poly.substitute, on seeded polynomials of one to four variables over Q
+    and over a cubic field, at rational points and at field points."""
+
+    @staticmethod
+    def check(p, point):
+        got = p.evaluate(point)
+        want = p.substitute({v: Poly.const(a) for v, a in point.items()})
+        assert got == want.constant_value()
+        return got
+
+    def test_over_q(self):
+        rng = random.Random(2718)
+        for _ in range(60):
+            p = random_poly(rng, rng.randint(1, 4), max_terms=10, max_deg=9)
+            point = {v: rng.choice([Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                                             rng.randint(1, 10 ** 6)),
+                                    rng.randint(-3, 3)])
+                     for v in p.vars}
+            assert isinstance(self.check(p, point), Fraction)
+        # unused variables need no value
+        assert Poly(VARS, {(0, 2, 0, 0): 3}).evaluate({"y": 2}) == 12
+        assert Poly(XY, {}).evaluate({}) == 0
+
+    def test_over_a_cubic_field(self):
+        rng = random.Random(31415)
+        K = extend_field(None, UniPoly("w", [Fraction(c)
+                                             for c in (-3, 6, 0, 2)]))[0]
+
+        def element():
+            return K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                              for _ in range(K.degree)])
+
+        for _ in range(30):
+            p = random_poly(rng, rng.randint(1, 3), max_terms=8, max_deg=7,
+                            zero_ok=False)
+            if rng.randrange(2):
+                p = Poly(p.vars, {m: element() for m in p.terms})
+            point = {v: element() if rng.randrange(3) else
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                     for v in p.vars}
+            self.check(p, point)
+        sextic = Poly(XY, {(i, j): Fraction(rng.randint(-9, 9))
+                           for i in range(7) for j in range(7 - i)})
+        self.check(sextic, {"x": element(), "y": element()})
+
+
 class TestTrustedConstruction:
     """The methods that build their result through `Poly._trusted` store no
     zero coefficient, answer `is_zero` rightly and hold the terms the
@@ -308,9 +356,9 @@ class TestTrustedConstruction:
         for _ in range(10):
             p = random_poly(rng, 2, max_terms=5, max_deg=4)
             sp, den = to_sympy(p - p, XY)
-            self.check(from_sympy(sp, XY, den), True)
+            self.check(from_sympy(sp, XY), True)
             sp, den = to_sympy(p, XY)
-            assert self.check(from_sympy(sp, XY, den)) == p
+            assert self.check(from_sympy(sp, XY)).scale(Fraction(1, den)) == p
 
     @pytest.mark.parametrize("minpoly", [[-2, 0, 1], [1, 1, 1],
                                          [-3, 6, 0, 0, 2]])
