@@ -177,11 +177,11 @@ def _component_report(comp: Poly, cdeg: int, csings,
             nstar = class_degree(cdeg, csings)
         except ImpossibleCurveError as err:
             notes.append(str(err))
-    if defects is not None:
-        try:
-            flexes = flex_count(cdeg, csings, defects)
-        except DomainError as err:
-            notes.append("flex count: %s" % err)
+        if defects is not None:
+            try:
+                flexes = flex_count(cdeg, csings, defects)
+            except DomainError as err:
+                notes.append("flex count: %s" % err)
     dstar = sum(ls.delta * ls.cluster_degree for ls in csings)
     return ComponentReport(comp, cdeg, csings, g, nstar, dstar, flexes,
                            tuple(notes))

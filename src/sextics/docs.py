@@ -20,7 +20,7 @@ Keys for a curve document:
     generic:   binding used as the generic sample (families)
     no_random: `true` to skip random generic sampling (derived parameters);
                one of true/false/yes/no/1/0
-    defects:   semicolon-separated `TypeName=integer`
+    defects:   semicolon-separated `TypeName=integer`, each integer >= 0
     claim:     `<selector> :: <kind> :: <payload>` (see verifier)
     param:     sweep parameter name (an annotation: `sweep` takes --param)
     note:      free text (an annotation)
@@ -75,12 +75,14 @@ class CurveDocument:
     defects: dict = field(default_factory=dict)
     claims: tuple = ()
 
-    def validate(self, texts: dict):
+    def validate(self, texts: dict, start: int):
         """Check that the polynomial keys among `texts` (key -> (line
         number, text)) make one curve, that each binding, a claim
         selector among them, names exactly the declared parameters and
         that a `generic` selector has a `generic:` binding to read, and
-        parse each polynomial into `polys`."""
+        parse each polynomial into `polys`.  Each error names a line: a
+        curve key that breaks the one-curve rule names its own, and a
+        document without a curve key names its first line, `start`."""
         bindings = [(texts[key][0], key + " binding", binding)
                     for key, group in (("values", self.values),
                                        ("generic", (self.generic,)))
@@ -104,13 +106,14 @@ class CurveDocument:
                     "line %d: %s names %s, but vars declares %s"
                     % (lineno, what, " ".join(names) or "nothing",
                        " ".join(self.params) or "nothing"))
-        has_f = "f" in texts
-        has_pair = "f2" in texts or "f3" in texts
-        if has_f == has_pair:
-            raise DocumentError(
-                "document needs exactly one of f or (f2, f3)")
-        if has_pair and ("f2" not in texts or "f3" not in texts):
-            raise DocumentError("torus pair needs both f2 and f3")
+        pair = [texts[key][0] for key in ("f2", "f3") if key in texts]
+        if ("f" in texts) == bool(pair):
+            lineno = max(texts["f"][0], min(pair)) if pair else start
+            raise DocumentError("line %d: document needs exactly one of f or"
+                                " (f2, f3)" % lineno)
+        if len(pair) == 1:
+            raise DocumentError("line %d: torus pair needs both f2 and f3"
+                                % pair[0])
         self.polys = {}
         for key in _POLY_KEYS:
             if key in texts:
@@ -193,10 +196,11 @@ def parse_documents(text: str) -> list:
     docs = []
     doc: Optional[CurveDocument] = None
     seen: dict = {}     # single key -> (line number, text), this document
+    start = 0           # the first line of this document
 
     def flush():
         if doc is not None:
-            docs.append(doc.validate(seen))
+            docs.append(doc.validate(seen, start))
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -209,10 +213,10 @@ def parse_documents(text: str) -> list:
         value = value.strip()
         if key == "record":
             flush()
-            doc, seen = CurveDocument(record=value), {}
+            doc, seen, start = CurveDocument(record=value), {}, lineno
             continue
         if doc is None:
-            doc = CurveDocument()
+            doc, start = CurveDocument(), lineno
         try:
             _read_key(doc, seen, key, value, lineno)
         except DocumentError as err:
@@ -262,9 +266,13 @@ def _read_key(doc: CurveDocument, seen: dict, key: str, value: str,
             if not name.strip():
                 raise DocumentError("defect %r names no type" % part)
             try:
-                doc.defects[name.strip()] = int(num)
+                defect = int(num)
             except ValueError:
                 raise DocumentError("bad defect value %r" % num.strip())
+            if defect < 0:
+                raise DocumentError("defect %s=%d is negative"
+                                    % (name.strip(), defect))
+            doc.defects[name.strip()] = defect
     elif key == "claim":
         bits = [b.strip() for b in value.split("::")]
         if len(bits) != 3:

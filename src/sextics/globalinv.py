@@ -96,6 +96,9 @@ def flex_count(degree: int, sings: Sequence[LocalSingularity],
     total = 3 * degree * (degree - 2)
     for ls in sings:
         total -= defects.lookup(ls.sing_type) * ls.cluster_degree
+    if total < 0:
+        raise ImpossibleCurveError(
+            "%d flexes < 0 for a degree-%d curve" % (total, degree))
     return total
 
 
@@ -205,13 +208,15 @@ def infinite_singular_directions(f: Poly) -> Poly:
     """gcd of the three partials of the homogenization restricted to z = 0.
 
     Nonconstant iff the projective curve has a singular point at infinity;
-    the gcd's roots are the singular directions.
+    the gcd's roots are the singular directions.  With f_k the degree-k
+    part of f, those restrictions of F_x, F_y and F_z are d(f_d)/dx,
+    d(f_d)/dy and f_(d-1).
     """
-    F = homogenize(f)
+    f = f.with_vars(XY)
+    top = f.homogeneous_part(f.degree())
     g = None
-    for v in ("x", "y", "z"):
-        d = F.derivative(v).substitute({"z": Poly.const(0, ())})
-        d = d.with_vars(XY)
+    for d in (top.derivative("x"), top.derivative("y"),
+              f.homogeneous_part(f.degree() - 1)):
         if d.is_zero():
             continue
         g = d if g is None else poly_gcd(g, d)

@@ -16,20 +16,22 @@ the package.
 
 Irreducible factorization of univariate polynomials over Q is delegated to
 sympy (`factor_rational`).  Factorization over an extension reduces to it by
-Trager's norm trick, and the primitive element of a tower is found from the
-same norm (`_norm`).
+Trager's norm trick, and the primitive element of a tower is read off the
+same norm: both take the first shift s >= 1 whose norm of q(y - s*theta) is
+squarefree (`_squarefree_norm`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Optional, Tuple
 
 from .poly import (
     DomainError,
     Poly,
     UniPoly,
+    clear_denominators,
     from_sympy,
     to_sympy,
     is_squarefree,
@@ -99,9 +101,8 @@ class NumberField:
     def element(self, coeffs) -> "NFElt":
         cs = [Fraction(c) for c in coeffs][: self.degree]
         cs += [Fraction(0)] * (self.degree - len(cs))
-        den = lcm(*(c.denominator for c in cs))
-        return NFElt(self, [c.numerator * (den // c.denominator) for c in cs],
-                     den)
+        ints, den = clear_denominators(dict(enumerate(cs)))
+        return NFElt(self, ints.values(), den)
 
     def generator(self) -> "NFElt":
         return self.element([0, 1])
@@ -322,15 +323,10 @@ def integral_minpoly(p: UniPoly):
     in element reductions; the field generator then stands for D times the
     original root.
     """
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
-    num = gcd(*ints)
-    ints = [c // num for c in ints]
-    n = len(ints) - 1
-    an = ints[-1]
-    if an < 0:
-        ints = [-c for c in ints]
-        an = -an
+    # times their least common denominator an, the coefficients of p made
+    # monic are coprime integers, the leading one an
+    ints, an = clear_denominators(dict(enumerate(p.monic().coeffs)))
+    n = p.degree()
     out = [Fraction(ints[i] * an ** (n - 1 - i)) for i in range(n)]
     out.append(Fraction(1))
     return UniPoly(p.var, out), Fraction(an)
@@ -391,19 +387,31 @@ def factor_rational(u: UniPoly):
 # ---------------------------------------------------------------------------
 
 
-def _norm(field: NumberField, q: UniPoly, s: int, var: str) -> UniPoly:
-    """Res_theta(m(theta), q(var - s*theta)) for q over K = Q(theta).
+def _lift(field: NumberField, q: UniPoly, s: int) -> dict:
+    """q(y - s*theta) for q over K = Q(theta), as a rational term dict
+    {(i, j): a} of a * theta^i * y^j with i below the field degree."""
+    q = q.shift(field.generator() * -s)
+    return {(i, j): a for j, c in enumerate(q.coeffs)
+            for i, a in enumerate(nf(field, c).coeffs) if a}
 
-    The norm of q(var - s*theta) down to Q[var]; its roots are eta + s*theta
-    over all conjugate pairs (theta, eta) with q(eta) = 0.
+
+def _squarefree_norm(field: NumberField, q: UniPoly):
+    """(s, lift, N) for the least s >= 1 whose norm N = Res_theta(m(theta),
+    q(y - s*theta)), a UniPoly in q's variable, is squarefree; `lift` is
+    q(y - s*theta) (`_lift`).
+
+    The roots of N are eta + s*theta over all conjugate pairs (theta, eta)
+    with q(eta) = 0.  Squarefree, they are distinct: Trager's factors of N
+    then give the factors of q, and gamma = eta + s*theta is a primitive
+    element of K(eta).  Only finitely many s fail for a squarefree q.
     """
-    if s:
-        q = q.shift(field.generator() * -s)
-    terms = {(i, j): a for j, c in enumerate(q.coeffs)
-             for i, a in enumerate(nf(field, c).coeffs) if a}
     mpoly = field.minpoly.to_poly((field.name,))
-    return UniPoly.from_poly(
-        resultant(mpoly, Poly((field.name, var), terms), field.name), var)
+    for s in range(1, 42):
+        lift = _lift(field, q, s)
+        norm = resultant(mpoly, Poly((field.name, q.var), lift), field.name)
+        if is_squarefree(norm):
+            return s, lift, UniPoly.from_poly(norm, q.var)
+    raise DomainError("no squarefree norm found for %s over %s" % (q, field))
 
 
 def factor_over_field(field: Optional[NumberField], u: UniPoly):
@@ -429,28 +437,20 @@ def factor_over_field(field: Optional[NumberField], u: UniPoly):
 
 
 def _trager_squarefree(field: NumberField, g: UniPoly):
-    """Irreducible factors over K of a monic squarefree g in K[y]."""
+    """Irreducible factors over K of a monic squarefree g in K[y]: the gcds
+    of g with h(y + s*theta) over the irreducible factors h of a squarefree
+    norm (`_squarefree_norm`)."""
     if g.degree() == 1:
         return [g]
-    theta = field.generator()
-    s = 0
-    attempts = 0
-    while True:
-        norm_factors = factor_rational(_norm(field, g, s, g.var))
-        if all(mult == 1 for _, mult in norm_factors):
-            factors = []
-            for h, _ in norm_factors:
-                hk = coerce_unipoly(field, h).shift(theta * Fraction(s))
-                fk = unipoly_gcd(hk, g)
-                if fk.degree() > 0:
-                    factors.append(fk.monic())
-            total = sum(f.degree() for f in factors)
-            if total == g.degree():
-                return factors
-        attempts += 1
-        if attempts > 40:
-            raise DomainError("Trager factorization failed for %s" % g)
-        s = -s if s > 0 else -s + 1
+    s, _, norm = _squarefree_norm(field, g)
+    shift = field.generator() * s
+    factors = [unipoly_gcd(coerce_unipoly(field, h).shift(shift), g)
+               for h, _ in factor_rational(norm)]
+    if min(f.degree() for f in factors) < 1 \
+            or sum(f.degree() for f in factors) != g.degree():
+        raise DomainError("Trager factorization of %s over %s is incomplete"
+                          % (g, field))
+    return factors
 
 
 _GEN_NAMES = "wvuzpq"
@@ -480,50 +480,29 @@ def extend_field(field: Optional[NumberField], q: UniPoly):
 
     depth = _GEN_NAMES.index(field.name[0]) if field.name[0] in _GEN_NAMES else 0
     name = _GEN_NAMES[(depth + 1) % len(_GEN_NAMES)]
-    mt0 = UniPoly("t", field.minpoly.coeffs)
-    for s in range(1, 42):
-        # gamma = eta + s*theta is primitive when its norm is squarefree and
-        # m(t), q(gamma - s*t) share exactly the root theta
-        mu = _norm(field, q, s, "t")
-        if not is_squarefree(mu.to_poly()):
-            continue
-        mu_int, dscale = integral_minpoly(mu)
-        new = NumberField(mu_int, name)
-        gamma = new.generator() * (1 / dscale)
-        g = unipoly_gcd(coerce_unipoly(new, mt0),
-                        _eval_biv_at(field, q, new, gamma, s))
-        if g.degree() != 1:
-            continue
-        theta_img = -g.coeffs[0]   # the gcd is monic
-        eta_img = gamma - theta_img * Fraction(s)
+    s, lift, mu = _squarefree_norm(field, q)
+    mu_int, dscale = integral_minpoly(mu)
+    new = NumberField(mu_int, name)
+    gamma = new.generator() * (1 / dscale)
+    # theta is the one common root of m(t) and lift(t, gamma), which is
+    # q(gamma - s*t), since the norm is squarefree
+    cs = [new.from_rational(0)] * field.degree
+    for (i, j), a in lift.items():
+        cs[i] = cs[i] + gamma ** j * a
+    g = unipoly_gcd(coerce_unipoly(new, field.minpoly),
+                    UniPoly(field.name, cs))
+    if g.degree() != 1:
+        raise DomainError("gcd of degree %d for the image of %s"
+                          % (g.degree(), field.name))
+    theta_img = -g.coeffs[0]   # the gcd is monic
+    eta_img = gamma - theta_img * s
 
-        def embed(c, _new=new, _theta=theta_img):
-            if isinstance(c, NFElt):
-                acc = _new.from_rational(0)
-                for i, a in enumerate(c.coeffs):
-                    if a:
-                        acc = acc + _theta ** i * a
-                return acc
-            return _new.from_rational(c)
+    def embed(c):
+        if isinstance(c, NFElt):
+            acc = new.from_rational(0)
+            for a in reversed(c.coeffs):
+                acc = acc * theta_img + a
+            return acc
+        return new.from_rational(c)
 
-        return new, embed, eta_img
-    raise DomainError("no primitive element found for %s over %s"
-                      % (q, field))
-
-
-def _eval_biv_at(field: NumberField, q: UniPoly, new: NumberField,
-                 gamma: NFElt, s: int) -> UniPoly:
-    """q(gamma - s*t) as a UniPoly in t over `new`, where q is over `field`.
-
-    Each coefficient of q is a polynomial in theta; theta becomes t.
-    """
-    tvar = "t"
-    out = UniPoly(tvar, [])
-    lin = UniPoly(tvar, [gamma, new.from_rational(-s)])  # gamma - s t
-    ypow = UniPoly.const(tvar, new.from_rational(1))
-    for j, c in enumerate(q.coeffs):
-        cpoly = UniPoly(tvar, [new.from_rational(a)
-                               for a in nf(field, c).coeffs])
-        out = out + cpoly * ypow
-        ypow = ypow * lin
-    return out
+    return new, embed, eta_img

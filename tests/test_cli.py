@@ -122,6 +122,26 @@ class TestAnalyze:
         assert code == 2
         assert out.strip() == "error: " + error
 
+    @pytest.mark.parametrize("text, error", [
+        ("source: s\n# no curve\nnote: n\n",
+         "line 1: document needs exactly one of f or (f2, f3)"),
+        ("f2: x^2 + y^2\nf: x^6 + y^6 + 1\nf3: x^3 + y^3\n",
+         "line 2: document needs exactly one of f or (f2, f3)"),
+        ("f: x^6 + y^6 + 1\nsource: s\nf3: x^3 + y^3\n",
+         "line 3: document needs exactly one of f or (f2, f3)"),
+        ("source: s\nf3: x^3 + y^3\n",
+         "line 2: torus pair needs both f2 and f3"),
+        ("f: x^6 + y^6 + 1\ndefects: A_1=2; A_5=-4\n",
+         "line 2: defect A_5=-4 is negative"),
+    ], ids=["no-curve", "f-and-pair", "pair-after-f", "f3-alone",
+            "negative-defect"])
+    def test_curve_key_errors_name_line(self, capsys, tmp_path, text, error):
+        doc = tmp_path / "bad.txt"
+        doc.write_text(text)
+        code, out = run_cli(capsys, "analyze", str(doc))
+        assert code == 2
+        assert out.strip() == "error: " + error
+
     @pytest.mark.parametrize("names, error", [
         ("x", "vars: x is implicit; declare only the parameters"),
         ("s y", "vars: y is implicit; declare only the parameters"),
@@ -181,6 +201,17 @@ class TestAnalyze:
         code, out = run_cli(capsys, "analyze", str(doc))
         assert code == 0
         assert "flexes=3" in out  # 3*3*(3-2) - 6 for the nodal cubic
+
+    def test_line_component_counts_no_flexes(self, capsys, tmp_path):
+        # the line x = 0 is a component; 3*1*(1 - 2) flexes would be -3
+        doc = tmp_path / "line.txt"
+        doc.write_text("f2: -y^2\nf3: x^3 - x + y^3 + x*y\n"
+                       "defects: A_1=0; A_5=0\n")
+        code, out = run_cli(capsys, "analyze", str(doc), "--json")
+        assert code == 0
+        flexes = {c["degree"]: c["flex_count"]
+                  for c in json.loads(out)["components"]}
+        assert flexes == {1: None, 2: 0, 3: 9}
 
     def test_internal_consistency_exit_code(self, capsys, tmp_path,
                                             monkeypatch):

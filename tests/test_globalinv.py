@@ -111,6 +111,17 @@ class TestFlexCount:
         with pytest.raises(MissingDefectError):
             flex_count(4, [_LS()], DefectTable({"A_2": 8}))
 
+    @pytest.mark.parametrize("degree, defect", [(1, 0), (4, 25)],
+                             ids=["line", "defects-beyond-24"])
+    def test_negative_count_impossible(self, degree, defect):
+        # a line would count 3*1*(1 - 2) = -3 flexes; a quartic has 24
+        class _LS:
+            sing_type = SingType("A", (1,))
+            cluster_degree = 1
+        sings = [_LS()] if degree > 1 else []
+        with pytest.raises(ImpossibleCurveError):
+            flex_count(degree, sings, DefectTable({"A_1": defect}))
+
 
 class TestCeilings:
     @pytest.mark.parametrize("degrees,ceiling", [

@@ -76,10 +76,6 @@ ALLOWED_LOCAL_IMPORTS = {
 ALLOWED_DEFAULTS = {
     # the console entry point calls main() with no arguments; tests pass argv
     "cli.py: main.argv",
-    # closure bindings: they freeze the new field and the image of theta
-    # for this embed, and callers pass only the element
-    "numfield.py: extend_field.embed._new",
-    "numfield.py: extend_field.embed._theta",
 }
 
 

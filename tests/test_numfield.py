@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from sextics.numfield import (
     TOWER_CAP,
     NumberField,
     TowerCapError,
     coef_key,
+    coerce_unipoly,
     extend_field,
     factor_over_field,
     factor_rational,
@@ -169,6 +171,18 @@ class TestExtendField:
         assert r3 ** 2 == L.from_rational(3)
         assert (embed(r2) * r3) ** 2 == L.from_rational(6)
 
+    def test_tower_field_pinned(self):
+        # the first shift s = 1 makes the norm of q(y - s*theta) squarefree,
+        # so the generator is a multiple of sqrt 3 + sqrt 2
+        K, _, r2 = extend_field(None, U([-2, 0, 1]))
+        L, embed, r3 = extend_field(K, UniPoly("y", [K.from_rational(-3),
+                                                     0, 1]))
+        assert L.minpoly == UniPoly("v", [Fraction(c)
+                                          for c in (1, 0, -10, 0, 1)])
+        assert embed(r2) == L.element([0, Fraction(-9, 2), 0,
+                                       Fraction(1, 2)])
+        assert r3 == L.element([0, Fraction(11, 2), 0, Fraction(-1, 2)])
+
     def test_cap(self):
         # a square root over K7 = Q(2^(1/7)) needs a tower of degree 14
         K7, _, _ = extend_field(None, U([-2, 0, 0, 0, 0, 0, 0, 1]))
@@ -292,3 +306,66 @@ class TestDifferentialAgainstFractions:
                 self.check(K, quot * b, ra)
                 self.check(K, q / b, ref_mul(rq, UniPoly(m.var, inv.coeffs)))
                 self.check(K, b ** -2 * b * b, UniPoly.const(m.var, 1))
+
+
+def _sympy_fields():
+    """(K, generator as a sympy number, sympy extension): Q(sqrt 2),
+    Q(2^(1/3)), Q(i), and the degree-4 tower Q(sqrt 2)(sqrt 3) from
+    `extend_field`, whose generator v is the root sqrt 2 + sqrt 3 of
+    v^4 - 10 v^2 + 1."""
+    r2, r3 = sympy.sqrt(2), sympy.sqrt(3)
+    K2 = extend_field(None, U([-2, 0, 1]))[0]
+    tower = extend_field(K2, UniPoly("y", [K2.from_rational(-3), 0, 1]))[0]
+    assert tower.minpoly.coeffs == (1, 0, -10, 0, 1)
+    return [(K2, r2, r2),
+            (extend_field(None, U([-2, 0, 0, 1]))[0], sympy.cbrt(2),
+             sympy.cbrt(2)),
+            (extend_field(None, U([1, 0, 1]))[0], sympy.I, sympy.I),
+            (tower, r2 + r3, [r2, r3])]
+
+
+class TestFactorOverFieldAgainstSympy:
+    """factor_over_field against sympy's factor_list over the same
+    extension, on seeded products of random factors over K, among them
+    the generator's minimal polynomial, which splits over K."""
+
+    @staticmethod
+    def to_sympy(K, u, gen):
+        y = sympy.Symbol("y")
+        u = coerce_unipoly(K, u)
+        return sympy.expand(sum(
+            sum(a * gen ** i for i, a in enumerate(c.coeffs)) * y ** j
+            for j, c in enumerate(u.coeffs)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_products(self, seed):
+        rng = random.Random(seed)
+        for K, gen, extension in _sympy_fields():
+            for _ in range(2):
+                parts = [UniPoly("y", [K.from_rational(c)
+                                       for c in K.minpoly.coeffs])]
+                while sum(p.degree() for p in parts) < 4:
+                    deg = rng.randint(1, 2)
+                    parts.append(UniPoly("y", [
+                        K.element([rng.randint(-2, 2)
+                                   for _ in range(K.degree)])
+                        for _ in range(deg)] + [K.from_rational(1)]))
+                if rng.randrange(2):
+                    parts.append(parts[-1])
+                u = parts[0]
+                for p in parts[1:]:
+                    u = u * p
+                ours = factor_over_field(K, u)
+                _, theirs = sympy.factor_list(
+                    self.to_sympy(K, u, gen), sympy.Symbol("y"),
+                    extension=extension)
+                assert sorted(f.degree() for f in ours) == sorted(
+                    sympy.degree(f, sympy.Symbol("y")) for f, _ in theirs)
+                prod = UniPoly("y", [K.from_rational(1)])
+                for f in ours:
+                    prod = prod * f
+                # the distinct factors divide u, and make up all of a
+                # squarefree u
+                assert u.divmod(prod)[1].is_zero()
+                if all(m == 1 for _, m in theirs):
+                    assert prod == u.monic()
