@@ -3,7 +3,8 @@ example corpus, plus the verifier that replays every example through the
 pipeline and diffs the outcome against its claims.
 
 Both the catalog rows and the corpus records ship as embedded data files in
-the document schema; nothing is regenerated at run time.
+the document schema; nothing is regenerated at run time.  `globalinv` reads
+their configurations and type names, refusing any the classifier cannot print.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from importlib import resources
 from .analysis import CurveAnalysis, analyze_curve
 from .docs import Claim, CurveDocument, DocumentError, parse_bindings, \
     parse_documents
-from .globalinv import Configuration, DefectTable
-from .localsing.classify import SingType
+from .globalinv import Configuration, DefectTable, parse_config, parse_type
 from .poly import DomainError, Poly, PolyError, parse_poly
 from .torus import TorusPair
 
@@ -26,87 +26,12 @@ __all__ = [
     "CatalogEntry",
     "ExampleRecord",
     "VerdictReport",
-    "ConfigSyntaxError",
-    "parse_config",
     "builtin_catalog",
     "builtin_examples",
     "analyze_document",
     "verify_example",
     "weak_zariski_groups",
 ]
-
-
-class ConfigSyntaxError(PolyError):
-    """Bad configuration string."""
-
-
-_TYPE_RE = re.compile(
-    r"(?:(?P<count>\d+)\s*)?"
-    r"(?P<name>(?:[ADE]_\d+)|(?:[BC]_\{\d+,\d+\})|(?:D_\{4,7\})|(?:Sp_[12]))")
-
-
-def _parse_type(name: str) -> SingType:
-    if name.startswith(("A_", "D_", "E_")) and "{" not in name:
-        return SingType(name[0], (int(name[2:]),))
-    if name.startswith("D_{4,7}"):
-        return SingType("D47", (4, 7))
-    if name.startswith(("B_{", "C_{")):
-        inside = name[3:-1]
-        p, q = inside.split(",")
-        return SingType(name[0], (int(p), int(q)))
-    if name.startswith("Sp_"):
-        return SingType("Sp", (int(name[3:]),))
-    raise ConfigSyntaxError("unknown type name %r" % name)
-
-
-def _split_entries(body: str) -> list:
-    """Split on commas that are not inside {...} index braces."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in body:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [p for p in parts if p]
-
-
-def parse_config(text: str) -> Configuration:
-    """Parse `[A_5,4A_2,2A_1]_2^mr` style configuration strings."""
-    s = text.strip().replace(" ", "")
-    if not s.startswith("["):
-        raise ConfigSyntaxError("configuration must start with '[': %r" % text)
-    close = s.find("]")
-    if close < 0:
-        raise ConfigSyntaxError("missing ']' in %r" % text)
-    body = s[1:close]
-    rest = s[close + 1:]
-    items = []
-    if body:
-        for part in _split_entries(body):
-            m = _TYPE_RE.fullmatch(part)
-            if not m:
-                raise ConfigSyntaxError("bad configuration entry %r" % part)
-            count = int(m.group("count") or 1)
-            if count < 1:
-                raise ConfigSyntaxError("count must be >= 1 in %r" % part)
-            items.append((_parse_type(m.group("name")), count))
-    index_tag = None
-    mr = False
-    m = re.fullmatch(r"(?:_(\d+))?(?:\^mr)?", rest)
-    if not m:
-        raise ConfigSyntaxError("bad configuration suffix %r" % rest)
-    if m.group(1):
-        index_tag = int(m.group(1))
-    mr = rest.endswith("^mr")
-    return Configuration.from_items(items, mr=mr, index_tag=index_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +342,7 @@ def _check_claim(doc, claim, binding, analysis_at) -> ClaimVerdict:
             if not m:
                 raise DocumentError("bad type-at payload %r" % part)
             wanted.append((Fraction(m.group(1)), Fraction(m.group(2)),
-                           _parse_type(m.group(3).strip())))
+                           parse_type(m.group(3).strip())))
         by_point = {}
         for ls in analysis.sings:
             p = ls.point

@@ -26,11 +26,11 @@ from .catalog import (
     analyze_document,
     builtin_catalog,
     builtin_examples,
-    parse_config,
     verify_example,
     weak_zariski_groups,
 )
 from .docs import DocumentError, parse_document
+from .globalinv import parse_config
 from .localsing.classify import ConsistencyError
 from .poly import PolyError
 

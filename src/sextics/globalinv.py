@@ -4,17 +4,20 @@ Genus, the dual-curve degree and the flex count are straight sums over
 classified singular points; they double as sanity filters (negative genus
 or a dual degree below 2 flags an impossible curve).  The Corollary-1
 ceiling bounds delta* by the component degrees.  Configurations
-are canonical multisets of singularity types, printable in the bracket
-notation used throughout the catalog.
+are canonical multisets of singularity types in the bracket notation,
+such as `[C_{3,9},A_5,A_1]_2^mr`, that `Configuration.format` prints and
+`parse_config` reads back with only the type names the classifier prints.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .localsing.classify import LocalSingularity, SingType
-from .poly import DomainError, Poly, poly_gcd
+from .localsing.classify import LocalSingularity, SingType, recognition_types
+from .poly import DomainError, Poly, PolyError, poly_gcd
 
 __all__ = [
     "ImpossibleCurveError",
@@ -25,6 +28,9 @@ __all__ = [
     "flex_count",
     "Configuration",
     "ConfigEntry",
+    "ConfigSyntaxError",
+    "parse_config",
+    "parse_type",
     "DefectTable",
     "assemble_configuration",
     "homogenize",
@@ -169,6 +175,51 @@ class Configuration:
 
     def __str__(self):
         return self.format()
+
+
+class ConfigSyntaxError(PolyError):
+    """Bad configuration string."""
+
+
+@functools.cache
+def _type_names() -> dict:
+    return {t.name(): t for t in recognition_types()}
+
+
+def parse_type(name: str) -> SingType:
+    """The recognized type that `SingType.name` prints as `name`."""
+    try:
+        return _type_names()[name]
+    except KeyError:
+        raise ConfigSyntaxError("unknown type name %r" % name) from None
+
+
+# what `Configuration.format` prints: [entries], then _k and ^mr
+_CONFIG_RE = re.compile(r"\[([^\]]*)\](?:_([0-9]+))?(\^mr)?")
+# a comma not inside the {p,q} of a type name
+_ENTRY_COMMA = re.compile(r",(?![^{]*\})")
+
+
+def parse_config(text: str) -> Configuration:
+    """Read what `Configuration.format` prints, e.g. `[A_5,4A_2,2A_1]_2^mr`.
+
+    Each entry is an optional count of at least 1 and a type name from
+    `recognition_types()`; anything else raises ConfigSyntaxError.
+    """
+    m = _CONFIG_RE.fullmatch(text.strip().replace(" ", ""))
+    if not m:
+        raise ConfigSyntaxError("not a configuration [entries]_k^mr: %r"
+                                % text)
+    body, tag, mr = m.groups()
+    items = []
+    for part in _ENTRY_COMMA.split(body) if body else ():
+        name = part.lstrip("0123456789")
+        count = int(part[:len(part) - len(name)] or 1)
+        if count < 1:
+            raise ConfigSyntaxError("count must be >= 1 in %r" % part)
+        items.append((parse_type(name), count))
+    return Configuration.from_items(
+        items, mr=bool(mr), index_tag=None if tag is None else int(tag))
 
 
 def assemble_configuration(

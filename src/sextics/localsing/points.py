@@ -107,14 +107,15 @@ def specialize_x(f: Poly, field: Optional[NumberField], x0: Coord) -> UniPoly:
     return UniPoly("y", coeffs)
 
 
-def _choose_shear(f: Poly) -> int:
+def _choose_shear(f: Poly) -> tuple:
+    """(k, f(x + k y, y)) for the least k leaving no factor free of y."""
     for k in range(0, 40):
         g = f if k == 0 else _shear(f, k)
         # a nonconstant content in y is a factor free of y; the content
         # divides the leading coefficient, so a constant one settles it
         lc = g.coeffs_in("y")[g.degree_in("y")]
         if lc.is_constant() or content_in(g, "y").degree() <= 0:
-            return k
+            return k, g
     raise DomainError("no shear frees the curve of vertical components")
 
 
@@ -145,8 +146,7 @@ def singular_points(f: Poly) -> list:
     fx = f.with_vars(("x", "y"))
     if fx.is_zero() or fx.is_constant():
         raise DomainError("not a curve: %s" % f)
-    k = _choose_shear(fx)
-    g = fx if k == 0 else _shear(fx, k)
+    k, g = _choose_shear(fx)
     gx = g.derivative("x")
     gy = g.derivative("y")
     if g.degree_in("y") <= 0:

@@ -32,6 +32,7 @@ Conventions fixed here and relied on by the golden-file tests:
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -506,6 +507,17 @@ def format_poly(p: Poly) -> str:
 
 # a symbol: a variable or parameter name
 SYMBOL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# an integer literal: ASCII digits only ('²' or '٣' is no digit here)
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _int_literal(digits: str, start: int) -> int:
+    # int() refuses decimal strings past this limit (0, or before 3.10.7: none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(digits) > limit:
+        raise PolySyntaxError("integer literal of %d digits is too long"
+                              % len(digits), start)
+    return int(digits)
 
 
 class _Tokenizer:
@@ -525,11 +537,9 @@ class _Tokenizer:
         start = self.pos
         if ch in "+-*^()":
             return ("op", ch, start)
-        if ch.isdigit():
-            j = start
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            return ("int", self.text[start:j], start)
+        digits = _DIGITS.match(self.text, start)
+        if digits:
+            return ("int", digits.group(), start)
         sym = SYMBOL.match(self.text, start)
         if sym:
             return ("sym", sym.group(), start)
@@ -598,14 +608,14 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
             kind, val, start = tok.next()
             if kind != "int":
                 raise PolySyntaxError("exponent must be a nonnegative integer", start)
-            p = p ** int(val)
+            p = p ** _int_literal(val, start)
         return p
 
     def parse_base() -> Poly:
         nonlocal depth
         kind, val, start = tok.next()
         if kind == "int":
-            num = int(val)
+            num = _int_literal(val, start)
             kind2, val2, start2 = tok.peek()
             if kind2 == "op" and val2 == "^":
                 return Poly.const(num, vs)
@@ -614,7 +624,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
                 tok._skip_ws()
                 tok.pos += 1  # consume '/'
                 kind3, val3, start3 = tok.next()
-                if kind3 != "int" or int(val3) == 0:
+                if kind3 != "int" or not _int_literal(val3, start3):
                     raise PolySyntaxError("denominator must be a positive integer", start3)
                 # a fraction literal is one atom, so 2/3^2 would read as
                 # (2/3)^2 where the usual precedence gives 2/9: refuse it
@@ -677,7 +687,7 @@ class UniPoly:
         """p, which uses one variable or none, as a univariate in `var`."""
         if len(p.used_vars()) > 1:
             raise DomainError("not univariate: %s" % p)
-        cs = [Fraction(0)] * (max(p.degree(), 0) + 1)
+        cs = [_zero_like(p.terms.values())] * (max(p.degree(), 0) + 1)
         for m, c in p.terms.items():
             cs[sum(m)] = c
         return cls(var, cs)
@@ -727,7 +737,8 @@ class UniPoly:
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero() or other.is_zero():
             return UniPoly(self.var, [])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [_zero_like(self.coeffs + other.coeffs)] * (
+            len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -757,7 +768,8 @@ class UniPoly:
         if other.is_zero():
             raise DomainError("division by zero polynomial")
         rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
+        q = [_zero_like(self.coeffs + other.coeffs)] * max(
+            len(rem) - len(other.coeffs) + 1, 0)
         d = other.degree()
         lc = other.lc()
         lcinv = 1 if lc == 1 else 1 / lc
@@ -789,6 +801,14 @@ class UniPoly:
         return format_poly(self.to_poly())
 
     __repr__ = __str__
+
+
+def _zero_like(coeffs) -> Coef:
+    """A field's zero if any coefficient is a field element, else 0 in Q."""
+    for c in coeffs:
+        if not isinstance(c, Fraction):
+            return c * 0
+    return Fraction(0)
 
 
 def _powers(a: Coef, n: int) -> list:

@@ -93,7 +93,7 @@ def inner_outer_split(pair: TorusPair, sings) -> InnerOuterSplit:
     return InnerOuterSplit(tuple(inner), tuple(outer))
 
 
-_STAR_LAW = {2: ("A", (5,)), 4: ("A", (11,)), 6: ("A", (17,))}
+_STAR_LAW = {2: "A_5", 4: "A_11", 6: "A_17"}
 
 
 def verify_inner_correspondence(pair: TorusPair, split: InnerOuterSplit,
@@ -115,7 +115,7 @@ def verify_inner_correspondence(pair: TorusPair, split: InnerOuterSplit,
             report.append((p, iota, "exempt", ls.sing_type if ls else None))
             continue
         expected = _STAR_LAW.get(iota)
-        actual = (ls.sing_type.family, tuple(ls.sing_type.index)) if ls else None
+        actual = ls.sing_type.name() if ls else None
         in_law = actual in _STAR_LAW.values()
         if expected is None:
             # iota not of the form 2j: the law only forbids A_{6j-1} here

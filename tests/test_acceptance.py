@@ -17,10 +17,9 @@ import pytest
 from sextics.catalog import (
     analyze_document,
     builtin_examples,
-    parse_config,
     verify_example,
 )
-from sextics.globalinv import corollary_ceiling
+from sextics.globalinv import corollary_ceiling, parse_config
 from sextics.localsing import (
     analyze_germ,
     milnor_number_origin,

@@ -1,19 +1,19 @@
 import pytest
 
 from sextics.catalog import (
-    ConfigSyntaxError,
     ExampleRecord,
     analyze_document,
     builtin_catalog,
     builtin_examples,
-    parse_config,
     verify_example,
     weak_zariski_groups,
 )
 from sextics import docs
 from sextics.docs import parse_document
-from sextics.globalinv import corollary_ceiling
-from sextics.localsing.classify import SingType, normal_form_germ
+from sextics.globalinv import ConfigSyntaxError, Configuration, \
+    corollary_ceiling, parse_config
+from sextics.localsing.classify import SingType, normal_form_germ, \
+    recognition_types
 from sextics.localsing import analyze_germ
 from sextics.numfield import NFElt
 from sextics.poly import Poly
@@ -58,6 +58,29 @@ class TestParseConfig:
     def test_bad_type(self):
         with pytest.raises(ConfigSyntaxError):
             parse_config("[F_4]")
+
+    @pytest.mark.parametrize("t", recognition_types(), ids=str)
+    def test_every_recognized_type_roundtrips(self, t):
+        for count, tag, mr in ((1, None, False), (2, 3, False),
+                               (5, None, True), (12, 10, True)):
+            c = Configuration.from_items([(t, count)], mr=mr, index_tag=tag)
+            text = c.format()
+            assert parse_config(text) == c
+            assert parse_config(text).format() == text
+
+    def test_all_recognized_types_in_one_configuration(self):
+        c = Configuration.from_items(
+            [(t, i % 3 + 1) for i, t in enumerate(recognition_types())],
+            mr=True, index_tag=2)
+        assert len(c.entries) == 48
+        assert parse_config(c.format()) == c
+
+    @pytest.mark.parametrize("text", [
+        "[A_25]", "[Sp_3]", "[B_{5,5}]", "[A_5,,A_2]", "[A_5]_x", "[0A_5]",
+        "[A_5,]", "[,A_5]", "[A_5]_\u0663", "[A_5]^mr_2", "A_5"])
+    def test_names_and_entries_outside_the_notation_refused(self, text):
+        with pytest.raises(ConfigSyntaxError):
+            parse_config(text)
 
     def test_roundtrip_catalog(self):
         for e in builtin_catalog():
@@ -218,6 +241,13 @@ class TestExamples:
         assert verify_example(recs["5.2-1"]).clean()
         assert inverted
         assert not [e for e in inverted if e == 1]
+
+    def test_type_at_reads_only_printable_names(self):
+        doc = parse_document("f: x^6 + y^6 + 1\n"
+                             "claim: * :: type-at :: (0,0)=A_25\n")
+        [verdict] = verify_example(ExampleRecord("a25", doc)).verdicts
+        assert verdict.status == "unverifiable"
+        assert verdict.detail == "pipeline error: unknown type name 'A_25'"
 
     def test_conjugate_cubics_cover_a_three_three_claim(self):
         # f2 = -2 y^2: f = (f3 - sqrt(2)^3 y^3)(f3 + sqrt(2)^3 y^3) is two

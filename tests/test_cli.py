@@ -113,11 +113,19 @@ class TestAnalyze:
          "line 2: f3: exponent must be a nonnegative integer (at offset 8)"),
         ("vars: s\nf: x^6 + y^6 + t\nvalues: s=1\n",
          "line 2: f: undeclared symbol 't' (at offset 12)"),
-    ], ids=["fraction-power", "double-caret", "undeclared"])
+        # only ASCII digits are digits, and no literal reaches int() past
+        # the interpreter's limit: neither raises a ValueError
+        ("f: x^\u00b2 + y^6 + 1\n",
+         "line 1: f: unexpected character '\u00b2' (at offset 2)"),
+        ("f: x^6 + y^6 + %s\n" % ("7" * 5000),
+         "line 1: f: integer literal of 5000 digits is too long"
+         " (at offset 12)"),
+    ], ids=["fraction-power", "double-caret", "undeclared",
+            "superscript-digit", "5000-digits"])
     def test_parse_error_names_line_and_key(self, capsys, tmp_path, text,
                                             error):
         doc = tmp_path / "bad.txt"
-        doc.write_text(text)
+        doc.write_text(text, encoding="utf-8")
         code, out = run_cli(capsys, "analyze", str(doc))
         assert code == 2
         assert out.strip() == "error: " + error
@@ -319,7 +327,9 @@ class TestCatalog:
         assert code == 2
         assert out == "error: catalog show needs a configuration\n"
 
-    @pytest.mark.parametrize("config", ["[Q_5]", "[A_5", "[A_5]_x", "[0A_5]"])
+    # [A_25] and [A_5,,A_2]: names and entries the classifier cannot print
+    @pytest.mark.parametrize("config", ["[Q_5]", "[A_5", "[A_5]_x", "[0A_5]",
+                                        "[A_25]", "[A_5,,A_2]"])
     def test_show_malformed_config(self, capsys, config):
         code, out = run_cli(capsys, "catalog", "show", config)
         assert code == 2

@@ -1,4 +1,7 @@
+import random
+import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -171,3 +174,46 @@ class TestParseDocument:
         doc = parse_document("vars: s\nf: x^6 + s*y^6 + 1\nparam: s\n"
                              "note: one\nnote: two\nparam: s\n")
         assert set(doc.polys) == {"f"}
+
+
+class TestParseFuzz:
+    """Documents one character away from a corpus record parse or raise
+    DocumentError, never anything else."""
+
+    # non-ASCII digits and a vulgar fraction, signs, brackets, separators,
+    # a symbol, ASCII digits and one run longer than the interpreter's
+    # int-to-string limit
+    ALPHABET = ["\u00b2", "\u0663", "\u00bd", "+", "-", "*", "/", "^",
+                "(", ")", "[", "]", "{", "}", ":", "::", "=", ",", ";", "#",
+                " ", "\n", "x", "s", "0", "7", "9" * 5000]
+    MUTATIONS_PER_RECORD = 40
+
+    @staticmethod
+    def _records():
+        text = resources.files("sextics.data").joinpath(
+            "examples.txt").read_text()
+        return [chunk for chunk in re.split(r"(?m)^(?=record:)", text)
+                if chunk.startswith("record:")]
+
+    def test_one_character_mutations(self):
+        rng = random.Random(0)
+        records = self._records()
+        assert len(records) == 33
+        tried = 0
+        for text in records:
+            for _ in range(self.MUTATIONS_PER_RECORD):
+                i = rng.randrange(len(text))
+                piece = rng.choice(self.ALPHABET)
+                # a digit joined to an exponent can make (...)^92, whose
+                # expansion is slow but not wrong
+                if piece[0] in "0123456789" and \
+                        text[:i].rstrip("0123456789").endswith("^"):
+                    continue
+                rest = text[i + 1:] if rng.random() < 0.5 else text[i:]
+                mutated = text[:i] + piece + rest
+                tried += 1
+                try:
+                    parse_documents(mutated)
+                except DocumentError:
+                    pass
+        assert tried > 1000

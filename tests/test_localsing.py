@@ -74,7 +74,8 @@ class TestSingularPoints:
         ("(x^2 + 1)*y^3 - x^2 - 1", 1),
     ])
     def test_shear_frees_the_curve_of_vertical_factors(self, curve, k):
-        assert points._choose_shear(g(curve)) == k
+        sheared = g(curve).substitute({"x": g("x + %d*y" % k)})
+        assert points._choose_shear(g(curve)) == (k, sheared)
 
     def test_specialize_x_over_a_field(self):
         # theta^2 = 2: f(theta, y) = 2 theta y^2 - y + 7

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from sextics.numfield import NFElt, NumberField
 from sextics.poly import (
     MAX_PAREN_DEPTH,
     DomainError,
@@ -86,6 +87,28 @@ class TestParse:
         with pytest.raises(PolySyntaxError):
             P("2 x", X)
 
+    @pytest.mark.parametrize("text, position", [
+        ("x^\u00b2 + 1", 2),           # superscript two
+        ("\u0663*x", 0),               # Arabic-Indic three
+        ("x + \uff13", 4),             # fullwidth three
+        ("x + 1/\u0663", 6),
+        ("x + \u00bd", 4),             # vulgar fraction one half
+    ])
+    def test_only_ascii_digits_are_digits(self, text, position):
+        with pytest.raises(PolySyntaxError) as err:
+            P(text, X)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("template", ["x + {}", "x + 1/{}", "{}/7*x",
+                                          "x^{}"])
+    def test_overlong_literal_refused_at_its_offset(self, template):
+        digits = "9" * 5000
+        text = template.format(digits)
+        with pytest.raises(PolySyntaxError) as err:
+            P(text, X)
+        assert err.value.position == text.index(digits)
+        assert "5000 digits" in str(err.value)
+
 
 class TestFormat:
     @pytest.mark.parametrize(
@@ -149,6 +172,41 @@ class TestUniPolyView:
     def test_from_poly_bivariate(self):
         with pytest.raises(DomainError):
             UniPoly.from_poly(P("x*y + 1"), "y")
+
+
+@pytest.mark.parametrize("minpoly", [[-2, 0, 1], [-2, 0, 0, 1]],
+                         ids=["sqrt2", "cbrt2"])
+class TestUniPolyOverAField:
+    """Every coefficient of a result over K = Q(w) is a field element,
+    zeros included."""
+
+    @staticmethod
+    def _assert_field(u, field):
+        assert u.coeffs and all(isinstance(c, NFElt) and c.field is field
+                                for c in u.coeffs), u.coeffs
+
+    def test_product_quotient_and_derivative(self, minpoly):
+        field = NumberField(UniPoly("t", minpoly))
+        w = field.generator()
+        one, zero = field.from_rational(1), field.from_rational(0)
+        a = UniPoly("y", [field.from_rational(-2), zero, one])  # y^2 - 2
+        b = UniPoly("y", [w, zero, one])                        # y^2 + w
+        prod = a * b
+        self._assert_field(prod, field)
+        self._assert_field(prod.derivative(), field)
+        q, r = prod.divmod(b)
+        assert q == a and r.is_zero()
+        self._assert_field(q, field)
+        q, r = (prod + UniPoly("y", [one, w])).divmod(b)
+        self._assert_field(q, field)
+        self._assert_field(r, field)
+
+    def test_from_poly(self, minpoly):
+        field = NumberField(UniPoly("t", minpoly))
+        w = field.generator()
+        u = UniPoly.from_poly(Poly(("y",), {(3,): w, (0,): w * w}), "y")
+        self._assert_field(u, field)
+        assert u.degree() == 3
 
 
 class TestResultant:
