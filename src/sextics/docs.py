@@ -21,6 +21,8 @@ Keys for a curve document:
     no_random: `true` to skip random generic sampling (derived parameters);
                one of true/false/yes/no/1/0
     defects:   semicolon-separated `TypeName=integer`, each integer >= 0
+               and each name one the classifier prints (`A_1`, not
+               `A1`; read by `globalinv.parse_type`)
     claim:     `<selector> :: <kind> :: <payload>` (see verifier)
     param:     sweep parameter name (an annotation: `sweep` takes --param)
     note:      free text (an annotation)
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .globalinv import ConfigSyntaxError, parse_type
 from .poly import SYMBOL, DomainError, Poly, PolySyntaxError, parse_poly
 
 __all__ = ["CurveDocument", "Claim", "DocumentError", "parse_documents",
@@ -265,6 +268,10 @@ def _read_key(doc: CurveDocument, seen: dict, key: str, value: str,
             name, _, num = part.partition("=")
             if not name.strip():
                 raise DocumentError("defect %r names no type" % part)
+            try:
+                parse_type(name.strip())
+            except ConfigSyntaxError as err:
+                raise DocumentError(str(err)) from None
             try:
                 defect = int(num)
             except ValueError:

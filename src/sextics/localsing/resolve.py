@@ -16,8 +16,9 @@ Blow-ups continue past smoothness until each branch is transverse to the
 exceptional locus at a simple point of it; those extra multiplicity-one
 points make the proximity sums exact.  Each blow-up is a map on the
 exponents of the germ's terms, followed for a tangent direction t0 != 0
-by the Taylor shift y -> y + t0 (`Poly.shift`, on integers when the germ
-and t0 are rational).
+by the Taylor shift y -> y + t0 (`Poly.shift`, on integers: Python ints
+when the germ and t0 are rational, else the field's integer coordinate
+vectors, with one field element built per term of the shifted germ).
 """
 
 from __future__ import annotations

@@ -7,9 +7,12 @@ extension via a primitive element, so an element is one coordinate vector
 in the powers of a single generator: integer coordinates over one
 denominator.  Every minimal polynomial is integral and monic, so a product
 is an integer convolution reduced by the minimal polynomial, with no
-division and one gcd at the end.  An inverse solves the integer linear
-system of multiplication by the element, fraction-free (Bareiss), so it
-needs no `Fraction` either.
+division (`poly.convolve_reduce`, whose `reducer` is the field's), and
+one gcd at the end.  The Taylor shift and the univariate gcd of `poly`
+use the same product on coordinate vectors and build their results with
+`NumberField.from_ints`, one element per result coefficient.  An inverse
+solves the integer linear system of multiplication by the element,
+fraction-free (Bareiss), so it needs no `Fraction` either.
 
 `field = None` denotes Q itself with plain `Fraction` elements throughout
 the package.
@@ -32,6 +35,7 @@ from .poly import (
     Poly,
     UniPoly,
     clear_denominators,
+    convolve_reduce,
     from_sympy,
     to_sympy,
     is_squarefree,
@@ -61,10 +65,12 @@ class NumberField:
 
     The minimal polynomial must have integer coefficients once monic
     (`extend_field` always builds such a one, see `integral_minpoly`): the
-    product of two elements is then reduced without any division.
+    product of two elements is then reduced without any division, by
+    `reducer`, the nonzero (j, m_j) below the leading term of
+    w^d + sum m_j w^j (see `poly.convolve_reduce`).
     """
 
-    __slots__ = ("minpoly", "name", "_reducer")
+    __slots__ = ("minpoly", "name", "reducer")
 
     def __init__(self, minpoly: UniPoly, name: str = "w"):
         mp = minpoly.monic()
@@ -74,8 +80,7 @@ class NumberField:
             raise DomainError("minimal polynomial %s is not integral" % mp)
         object.__setattr__(self, "minpoly", UniPoly(name, mp.coeffs))
         object.__setattr__(self, "name", name)
-        # w^d = -sum m_j w^j: the nonzero (j, m_j) below the leading term
-        object.__setattr__(self, "_reducer", tuple(
+        object.__setattr__(self, "reducer", tuple(
             (j, int(c)) for j, c in enumerate(mp.coeffs[:-1]) if c))
 
     def __setattr__(self, *a):
@@ -106,6 +111,11 @@ class NumberField:
 
     def generator(self) -> "NFElt":
         return self.element([0, 1])
+
+    def from_ints(self, nums, den: int) -> "NFElt":
+        """The element with integer coordinates `nums` over the positive
+        integer `den`, in lowest terms."""
+        return NFElt(self, nums, den)
 
     def from_rational(self, c) -> "NFElt":
         c = Fraction(c)
@@ -196,20 +206,9 @@ class NFElt:
     def __mul__(self, other):
         if isinstance(other, NFElt):
             self._same_field(other)
-            # integer convolution, reduced by the monic integer minpoly
-            d = len(self.nums)
-            prod = [0] * (2 * d - 1)
-            for i, a in enumerate(self.nums):
-                if a:
-                    for j, b in enumerate(other.nums):
-                        if b:
-                            prod[i + j] += a * b
-            for k in range(2 * d - 2, d - 1, -1):
-                c = prod[k]
-                if c:
-                    for j, m in self.field._reducer:
-                        prod[k - d + j] -= c * m
-            return NFElt(self.field, prod[:d], self.den * other.den)
+            return NFElt(self.field, convolve_reduce(self.nums, other.nums,
+                                                     self.field.reducer),
+                         self.den * other.den)
         if isinstance(other, (int, Fraction)):
             p = other.numerator
             return NFElt(self.field, [n * p for n in self.nums],
@@ -250,7 +249,7 @@ class NFElt:
             top = cols[-1][-1]
             col = [0] + cols[-1][:-1]
             if top:
-                for j, m in self.field._reducer:
+                for j, m in self.field.reducer:
                     col[j] -= top * m
             cols.append(col)
         rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]

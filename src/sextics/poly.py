@@ -11,9 +11,18 @@ job: `rational_content` (the positive rational content of a coefficient
 list), `clear_denominators` (a rational term dict as integers over one
 denominator), `content_in` (the gcd of the coefficients in one variable),
 `UniPoly.from_poly` (a polynomial in one variable, read as a univariate),
-`Poly.shift` (the Taylor shift p(v + a_v), which `UniPoly.shift` shares
-column by column) and `to_sympy`/`from_sympy` (the one bridge to sympy:
-an integer sympy polynomial and its denominator, and back).
+`convolve_reduce` (the product of two integer coordinate vectors of a
+number field, which `numfield.NFElt` multiplies with), `Poly.shift` (the
+Taylor shift p(v + a_v), which `UniPoly.shift` calls), `unipoly_gcd` (the
+monic gcd of two univariates over Q or a number field) and
+`to_sympy`/`from_sympy` (the one bridge to sympy: an integer sympy
+polynomial and its denominator, and back).
+
+The Taylor shift and the univariate gcd run on integers and build one
+canonical coefficient per term of their result.  A number-field element
+is read as its integer coordinates `nums` over its denominator `den`, and
+results are built by its field (`field.from_ints`), so this module never
+imports `numfield`; a `Fraction` is a coordinate vector of length 1.
 
 `poly_gcd`, `is_squarefree` and `resultant` take rational coefficients
 only.  sympy computes the gcds and the squarefree test over ZZ on the
@@ -347,54 +356,57 @@ class Poly:
         a_v of each variable v named in `offsets`.
 
         The variables are shifted one at a time, each column (the terms
-        that differ only in v's exponent) on its own.  The path is chosen
-        once per call.  When every coefficient and offset is rational, the
-        denominators are cleared once and the columns are shifted by
-        Horner's rule on Python ints: for a_v = u/w and n the degree in v,
-        w^n p(z/w) is shifted by u and z = w*v put back, which leaves one
-        more common denominator w^n; one Fraction is built per term at the
-        end.  Otherwise each column is expanded binomially
-        (`_shift_column`) with the powers of a_v computed once.
+        that differ only in v's exponent) on its own, on integers; one
+        Fraction or field element is built per term at the end.  When every
+        coefficient and offset is rational, the denominators are cleared
+        once and the columns are shifted by Horner's rule on Python ints:
+        for a_v = u/w and n the degree in v, w^n p(z/w) is shifted by u and
+        z = w*v put back, which leaves one more common denominator w^n.
+        Otherwise every coefficient of the result lies in the one number
+        field of the coefficients and offsets, and each coefficient is
+        carried as an (integer vector, denominator) pair through the
+        field's binomial column kernel (`_taylor_shift`).
         """
         shifts = [(self._index(v), _as_coef(a)) for v, a in offsets.items()]
         shifts = [(i, a) for i, a in shifts if a]
         if not shifts or not self.terms:
             return self
-        rational = all(isinstance(a, Fraction) for _, a in shifts) and all(
-            isinstance(c, Fraction) for c in self.terms.values())
-        if rational:
+        field = _field_of([a for _, a in shifts] + list(self.terms.values()))
+        if field is None:
             terms, den = clear_denominators(self.terms)
         else:
-            terms = self.terms
+            terms = {m: _ints(c, field.degree) for m, c in self.terms.items()}
         for i, a in shifts:
-            n = max(m[i] for m in terms)
             cols: dict = {}
             for m, c in terms.items():
                 cols.setdefault(m[:i] + m[i + 1:], {})[m[i]] = c
+            if field is not None:
+                terms = {rest[:i] + (k,) + rest[i:]: c
+                         for rest, col in _taylor_shift(cols, a, field).items()
+                         for k, c in col.items()}
+                continue
+            n = max(m[i] for m in terms)
+            u, w = a.numerator, a.denominator
+            wpow = [w ** k for k in range(n + 1)]
+            den *= wpow[n]
             terms = {}
-            if rational:
-                u, w = a.numerator, a.denominator
-                wpow = [w ** k for k in range(n + 1)]
-                den *= wpow[n]
-                for rest, col in cols.items():
-                    cs = [0] * (max(col) + 1)
-                    for e, c in col.items():
-                        cs[e] = c * wpow[n - e]
-                    top = len(cs) - 1
-                    for s in range(top):
-                        for j in range(top - 1, s - 1, -1):
-                            cs[j] += u * cs[j + 1]
-                    for k, c in enumerate(cs):
-                        if c:
-                            terms[rest[:i] + (k,) + rest[i:]] = c * wpow[k]
-            else:
-                powers = _powers(a, n)
-                for rest, col in cols.items():
-                    for k, c in _shift_column(col, powers).items():
-                        terms[rest[:i] + (k,) + rest[i:]] = c
-        if rational:
-            terms = {m: Fraction(c, den) for m, c in terms.items()}
-        return Poly._trusted(self.vars, terms)
+            for rest, col in cols.items():
+                cs = [0] * (max(col) + 1)
+                for e, c in col.items():
+                    cs[e] = c * wpow[n - e]
+                top = len(cs) - 1
+                for s in range(top):
+                    for j in range(top - 1, s - 1, -1):
+                        cs[j] += u * cs[j + 1]
+                for k, c in enumerate(cs):
+                    if c:
+                        terms[rest[:i] + (k,) + rest[i:]] = c * wpow[k]
+        if field is None:
+            return Poly._trusted(self.vars, {m: Fraction(c, den)
+                                             for m, c in terms.items()})
+        return Poly._trusted(self.vars, {m: field.from_ints(v, dv)
+                                         for m, (v, dv) in terms.items()
+                                         if any(v)})
 
     def evaluate(self, point: Mapping[str, Coef]) -> Coef:
         """The value at `point` (variable -> value), by Horner's rule nested
@@ -789,13 +801,11 @@ class UniPoly:
         return UniPoly(self.var, [c * i for i, c in enumerate(self.coeffs)][1:])
 
     def shift(self, a: Coef) -> "UniPoly":
-        """Taylor shift: p(t + a)."""
-        if not a:
+        """Taylor shift p(t + a), by `Poly.shift`."""
+        if not a or not self.coeffs:
             return self
-        out = _shift_column({e: c for e, c in enumerate(self.coeffs) if c},
-                            _powers(a, self.degree()))
-        return UniPoly(self.var, [out.get(k, 0)
-                                  for k in range(len(self.coeffs))])
+        return UniPoly.from_poly(self.to_poly().shift({self.var: a}),
+                                 self.var)
 
     def __str__(self) -> str:
         return format_poly(self.to_poly())
@@ -809,30 +819,6 @@ def _zero_like(coeffs) -> Coef:
         if not isinstance(c, Fraction):
             return c * 0
     return Fraction(0)
-
-
-def _powers(a: Coef, n: int) -> list:
-    """[None, a, a^2, ..., a^n]; the unused 0th slot stands for 1."""
-    out = [None, a]
-    while len(out) <= n:
-        out.append(out[-1] * a)
-    return out
-
-
-def _shift_column(col: Mapping[int, Coef], powers: Sequence) -> dict:
-    """{k: coefficient of v^k} of sum_j col[j] * (v + a)^j, where
-    powers[i] = a^i (`_powers`): the term of v^k is
-    col[j] * binomial(j, k) * a^(j - k)."""
-    out: dict = {}
-    for j, c in col.items():
-        for k in range(j + 1):
-            t = c
-            if k < j:
-                t = t * powers[j - k]
-                if k:
-                    t = t * comb(j, k)
-            out[k] = out[k] + t if k in out else t
-    return out
 
 
 def rational_content(coeffs) -> Fraction:
@@ -854,25 +840,157 @@ def rational_content(coeffs) -> Fraction:
     return Fraction(num, lcm(*dens)) if num else Fraction(1)
 
 
-def scale_reduce(u: UniPoly) -> UniPoly:
-    """Divide by the rational content; harmless for gcd-like uses."""
-    if u.is_zero():
-        return u
-    c = rational_content(u.coeffs)
-    return u if c == 1 else u.scale(1 / c)
+# ---------------------------------------------------------------------------
+# coordinate vectors: the Taylor shift and the univariate gcd on integers
+# ---------------------------------------------------------------------------
+
+
+def convolve_reduce(a: Sequence[int], b: Sequence[int],
+                    reducer: Sequence) -> list:
+    """Product of two integer coordinate vectors of one length d, the
+    coefficients of a and b in 1, w, ..., w^(d-1), where w is a root of a
+    monic integer polynomial w^d + sum m_j w^j whose nonzero lower terms
+    are `reducer`, the pairs (j, m_j): the convolution, reduced by w^d =
+    -sum m_j w^j from the top down.  No division and no gcd; over Q, d = 1
+    and `reducer` is empty."""
+    d = len(a)
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k]
+        if c:
+            for j, m in reducer:
+                prod[k - d + j] -= c * m
+    del prod[d:]
+    return prod
+
+
+def _field_of(coeffs):
+    """The number field of the field elements among `coeffs`, or None (Q)
+    when every one is a `Fraction`."""
+    field = None
+    for c in coeffs:
+        if not isinstance(c, Fraction):
+            if field is None:
+                field = c.field
+            elif c.field is not field and c.field != field:
+                raise DomainError("mixed number fields")
+    return field
+
+
+def _ints(c: Coef, d: int):
+    """(integer coordinate vector of length d, positive denominator) of a
+    `Fraction` or of a field element of degree d (its `nums` and `den`)."""
+    if isinstance(c, Fraction):
+        return [c.numerator] + [0] * (d - 1), c.denominator
+    return c.nums, c.den
+
+
+def _elt(field, nums: Sequence[int], den: int) -> Coef:
+    """The canonical coefficient nums / den: a `Fraction` over Q, else an
+    element built by the field."""
+    if field is None:
+        return Fraction(nums[0], den)
+    return field.from_ints(nums, den)
+
+
+def _taylor_shift(cols: Mapping, a: Coef, field) -> dict:
+    """Taylor shift by a of every column in `cols` over a number field, on
+    integer coordinate vectors.
+
+    A column maps j to c_j, an (integer vector, denominator) pair (`_ints`),
+    and stands for sum_j c_j (v + a)^j.  With a = A / w, D the column's
+    common denominator and top its degree, the column is scaled to the
+    integer vectors b_j = D c_j w^(top - j), and its coefficient of v^k is
+    sum_j C(j, k) c_j a^(j - k) = sum_j C(j, k) b_j A^(j - k) / (D w^(top - k)).
+    The powers A^e are computed once, by `convolve_reduce` with no
+    normalization.  Returns {key: {k: (vector, denominator)}}.
+    """
+    reducer = field.reducer
+    A, w = _ints(a, field.degree)
+    n = max(max(col) for col in cols.values())
+    apow, wpow = [None, A], [1, w]
+    while len(apow) <= n:
+        apow.append(convolve_reduce(apow[-1], A, reducer))
+        wpow.append(wpow[-1] * w)
+    out = {}
+    for key, col in cols.items():
+        top = max(col)
+        den = lcm(*(dj for _, dj in col.values()))
+        scaled = [(j, [x * (den // dj * wpow[top - j]) for x in v])
+                  for j, (v, dj) in col.items()]
+        shifted = {}
+        for k in range(top + 1):
+            acc = None
+            for j, v in scaled:
+                if j < k:
+                    continue
+                if j > k:
+                    v = convolve_reduce(v, apow[j - k], reducer)
+                    b = comb(j, k)
+                    if b != 1:
+                        v = [b * x for x in v]
+                acc = v if acc is None else [s + x for s, x in zip(acc, v)]
+            if acc is not None:
+                shifted[k] = (acc, den * wpow[top - k])
+        out[key] = shifted
+    return out
+
+
+def _primitive(vectors: list) -> list:
+    """The coefficient vectors without their zero top ones, divided by
+    the integer gcd of all their coordinates."""
+    while vectors and not any(vectors[-1]):
+        vectors.pop()
+    g = gcd(*(x for v in vectors for x in v))
+    if g > 1:
+        vectors = [[x // g for x in v] for v in vectors]
+    return vectors
 
 
 def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over the coefficient field (Euclid).
+    """Monic gcd over the coefficient field: Q, or the number field of the
+    field elements among the coefficients, whose results are field elements.
 
-    Remainders are rescaled by their rational content to tame coefficient
-    growth, especially over number fields.
+    A primitive pseudo-remainder sequence on integer coordinate vectors
+    (Q is the case of vectors of length 1; von zur Gathen & Gerhard,
+    *Modern Computer Algebra*, 6.12): the denominators are cleared, each
+    pseudo-division step replaces R by lc(B) R - lc(R) y^k B, which lowers
+    the degree of R, and R is divided by the integer content of all its
+    coordinates after every step.  The last nonzero remainder is made monic
+    with one inverse of its leading coefficient, one canonical coefficient
+    built per term.
     """
-    a = scale_reduce(a)
-    b = scale_reduce(b)
-    while not b.is_zero():
-        a, b = b, scale_reduce(a % b)
-    return a.monic() if not a.is_zero() else a
+    field = _field_of(a.coeffs + b.coeffs)
+    d = field.degree if field is not None else 1
+    reducer = field.reducer if field is not None else ()
+
+    def cleared(coeffs):
+        pairs = [_ints(c, d) for c in coeffs]
+        den = lcm(*(dc for _, dc in pairs))
+        return _primitive([[x * (den // dc) for x in v] for v, dc in pairs])
+
+    r0, r1 = cleared(a.coeffs), cleared(b.coeffs)
+    while r1:
+        lb, m = r1[-1], len(r1) - 1
+        r = r0
+        while len(r) > m:
+            lr, k = r[-1], len(r) - 1 - m
+            r = [convolve_reduce(lb, c, reducer) for c in r[:-1]]
+            for j in range(m):
+                t = convolve_reduce(lr, r1[j], reducer)
+                r[k + j] = [x - y for x, y in zip(r[k + j], t)]
+            r = _primitive(r)
+        r0, r1 = r1, r
+    if not r0:
+        return UniPoly(a.var, [])
+    inv, den = _ints(1 / _elt(field, r0[-1], 1), d)
+    return UniPoly(a.var, [_elt(field, convolve_reduce(c, inv, reducer), den)
+                           for c in r0])
 
 
 # ---------------------------------------------------------------------------

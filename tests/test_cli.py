@@ -141,8 +141,12 @@ class TestAnalyze:
          "line 2: torus pair needs both f2 and f3"),
         ("f: x^6 + y^6 + 1\ndefects: A_1=2; A_5=-4\n",
          "line 2: defect A_5=-4 is negative"),
+        ("f: x^6 + y^6 + 1\ndefects: A1=2; A_25=7\n",
+         "line 2: unknown type name 'A1'"),
+        ("source: s\nf: x^6 + y^6 + 1\ndefects: A_1=2; A_25=7\n",
+         "line 3: unknown type name 'A_25'"),
     ], ids=["no-curve", "f-and-pair", "pair-after-f", "f3-alone",
-            "negative-defect"])
+            "negative-defect", "defect-name-A1", "defect-name-A_25"])
     def test_curve_key_errors_name_line(self, capsys, tmp_path, text, error):
         doc = tmp_path / "bad.txt"
         doc.write_text(text)

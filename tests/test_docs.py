@@ -11,6 +11,7 @@ from sextics.docs import (
     parse_document,
     parse_documents,
 )
+from sextics.localsing.classify import recognition_types
 
 
 class TestBindings:
@@ -85,6 +86,21 @@ class TestParseDocument:
     def test_defect_without_type(self):
         with pytest.raises(DocumentError, match="line 2"):
             parse_document("f: x^6 + y^6 + 1\ndefects: =5\n")
+
+    @pytest.mark.parametrize("name", ["A1", "A_25", "a_1", "Sp_3", "B_{5,5}",
+                                      "A_1 A_2"])
+    def test_unknown_defect_name(self, name):
+        with pytest.raises(DocumentError,
+                           match="line 2: unknown type name"):
+            parse_document("f: x^6 + y^6 + 1\ndefects: A_1=2; %s=7\n"
+                           % name)
+
+    def test_every_printed_type_name_is_a_defect_name(self):
+        names = [t.name() for t in recognition_types()]
+        doc = parse_document("f: x^6 + y^6 + 1\ndefects: %s\n"
+                             % "; ".join("%s=%d" % (n, i)
+                                         for i, n in enumerate(names)))
+        assert doc.defects == {n: i for i, n in enumerate(names)}
 
     @pytest.mark.parametrize("value", ["maybe", "", "on", "truee"])
     def test_bad_no_random(self, value):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from test_numfield import _sympy_fields, eisenstein_fields
 
 from sextics.numfield import NFElt, NumberField
 from sextics.poly import (
@@ -207,6 +208,25 @@ class TestUniPolyOverAField:
         u = UniPoly.from_poly(Poly(("y",), {(3,): w, (0,): w * w}), "y")
         self._assert_field(u, field)
         assert u.degree() == 3
+
+    def test_shift(self, minpoly):
+        # rational coefficients shifted by a field element, and field
+        # coefficients shifted by a rational: every coefficient of the
+        # result is a field element
+        field = NumberField(UniPoly("t", minpoly))
+        w = field.generator()
+        p = P("x^2*y + y^3 + x")
+        for q, offsets in ((p, {"y": w}), (p, {"x": w, "y": 1 - w}),
+                           (p.scale(w), {"y": Fraction(-2, 3)})):
+            got = q.shift(offsets)
+            assert got.terms and all(isinstance(c, NFElt) and c.field is field
+                                     for c in got.terms.values()), got.terms
+            assert got.shift({v: -a for v, a in offsets.items()}) == q
+        u = UniPoly("y", [1, 0, 3])
+        self._assert_field(u.shift(w), field)
+        assert u.shift(w) == UniPoly("y", [1 + 3 * w * w, 6 * w, 3])
+        self._assert_field(UniPoly("y", [w, 0, 0, 1]).shift(Fraction(1, 2)),
+                           field)
 
 
 class TestResultant:
@@ -430,3 +450,117 @@ class TestGcdSquarefree:
     ])
     def test_content_in(self, text, content):
         assert content_in(P(text), "y") == P(content, X)
+
+
+def _gcd_fields():
+    """(K, generator as a sympy number or None, sympy extension or None,
+    coordinate digits of the large operands): Q, the fields of
+    `_sympy_fields` (Q(sqrt 2), Q(2^(1/3)), Q(i) and the degree-4 tower
+    from `extend_field`), and a degree-12 field from `eisenstein_fields`,
+    whose large operands are smaller and which sympy is not asked about."""
+    return [(None, None, None, 300)] + [f + (300,) for f in _sympy_fields()] \
+        + [(next(K for K in eisenstein_fields() if K.degree == 12), None,
+            None, 30)]
+
+
+class TestUnipolyGcdPlanted:
+    """unipoly_gcd on seeded planted common factors: gcd(a c, b c) is
+    monic(c gcd(a, b)), divides both operands and has coefficients of the
+    operands' field only; one small case per field is checked against
+    sympy's gcd over the same extension."""
+
+    @staticmethod
+    def elt(K, rng, digits):
+        """A random nonzero coefficient whose coordinates have up to
+        `digits` digits, over denominators of up to a third as many."""
+        def q():
+            return Fraction(rng.randint(-10 ** digits, 10 ** digits),
+                            rng.randint(1, 10 ** (digits // 3 + 1)))
+        while True:
+            c = q() if K is None else K.element(
+                [q() if rng.randrange(3) else 0 for _ in range(K.degree)])
+            if c:
+                return c
+
+    @classmethod
+    def poly(cls, K, rng, deg, digits):
+        return UniPoly("y", [cls.elt(K, rng, digits) for _ in range(deg + 1)])
+
+    @staticmethod
+    def check(K, g, a, b):
+        """g is monic over K and divides a and b."""
+        assert g.lc() == 1
+        assert all(isinstance(c, NFElt) and c.field == K if K is not None
+                   else isinstance(c, Fraction) for c in g.coeffs), g.coeffs
+        for u in (a, b):
+            assert u.divmod(g)[1].is_zero()
+
+    @staticmethod
+    def to_sympy(u, gen):
+        y = sympy.Symbol("y")
+        return sympy.expand(sum(
+            sum(sympy.Rational(x.numerator, x.denominator) * gen ** i
+                for i, x in enumerate(c.coeffs)) * y ** j
+            for j, c in enumerate(u.coeffs)))
+
+    @pytest.mark.parametrize("which", range(6), ids=[
+        "Q", "sqrt2", "cbrt2", "i", "tower4", "degree12"])
+    def test_planted_common_factors(self, which):
+        K, gen, extension, digits = _gcd_fields()[which]
+        rng = random.Random(which)
+        for size in (3, digits):
+            for case in range(3):
+                top = 3 if size == 3 else 2
+                a = self.poly(K, rng, rng.randint(0, top), size)
+                b = self.poly(K, rng, rng.randint(0, top), size)
+                c = self.poly(K, rng, rng.randint(1, top), size)
+                if case == 1:
+                    # gcd(a, b) is not 1 either
+                    h = self.poly(K, rng, 1, size)
+                    a, b = a * h, b * h
+                ac, bc = a * c, b * c
+                g = unipoly_gcd(ac, bc)
+                assert g == (c * unipoly_gcd(a, b)).monic()
+                self.check(K, g, ac, bc)
+                if gen is not None and size == 3 and case == 0:
+                    want = sympy.gcd(self.to_sympy(ac, gen),
+                                     self.to_sympy(bc, gen),
+                                     extension=extension)
+                    assert sympy.expand(self.to_sympy(g, gen) - want) == 0
+
+    @pytest.mark.parametrize("which", range(6), ids=[
+        "Q", "sqrt2", "cbrt2", "i", "tower4", "degree12"])
+    def test_zero_constant_coprime_and_non_monic(self, which):
+        K, _, _, digits = _gcd_fields()[which]
+        rng = random.Random(100 + which)
+        one = Fraction(1) if K is None else K.from_rational(1)
+        zero, unit = UniPoly("y", []), UniPoly("y", [one])
+        a = self.poly(K, rng, 3, digits)
+        const = UniPoly("y", [self.elt(K, rng, digits)])
+        assert unipoly_gcd(zero, zero).is_zero()
+        for u, v in ((a, zero), (zero, a)):
+            g = unipoly_gcd(u, v)
+            assert g == a.monic()
+            self.check(K, g, u, v)
+        for u, v in ((a, const), (const, a), (const, zero)):
+            assert unipoly_gcd(u, v) == unit
+            self.check(K, unipoly_gcd(u, v), u, v)
+        # y - r and y + r are coprime for r != 0
+        r = self.elt(K, rng, digits)
+        assert unipoly_gcd(UniPoly("y", [-r, one]),
+                           UniPoly("y", [r, one])) == unit
+        # the last remainder is a multiple of lc * (y - r), with lc far
+        # from 1; the gcd is y - r
+        c = UniPoly("y", [-r, one]).scale(self.elt(K, rng, digits))
+        b = self.poly(K, rng, 1, digits)
+        g = unipoly_gcd(b * c, c * c)
+        assert g.coeffs == (-r, one)
+        self.check(K, g, b * c, c * c)
+
+    def test_rational_operand_against_a_field_operand(self):
+        K = _sympy_fields()[0][0]
+        w = K.generator()
+        a = UniPoly("y", [-2, 0, 1])                   # y^2 - 2 over Q
+        b = UniPoly("y", [-w, K.from_rational(1)])     # y - w over Q(w)
+        assert unipoly_gcd(a, b) == b
+        self.check(K, unipoly_gcd(a, b), a, b)

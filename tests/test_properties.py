@@ -243,6 +243,48 @@ class TestShiftAgainstSubstitute:
                 assert u.shift(a).to_poly() == want
 
 
+    def test_traffic_sized_coordinates_over_degree_four_fields(self):
+        # the largest shifts of the resolution: coordinates of about 1,000
+        # bits over 300-bit denominators, in the quartic Eisenstein field
+        # and the degree-4 tower over Q(sqrt 2), against Poly.substitute
+        rng = random.Random(1000)
+
+        def big():
+            return Fraction(rng.randint(-2 ** 1000, 2 ** 1000),
+                            rng.randint(1, 2 ** 300))
+
+        def element(K):
+            return K.element([big() if rng.randrange(4) else 0
+                              for _ in range(K.degree)])
+
+        quartics = [K for K in eisenstein_fields() if K.degree == 4]
+        assert len(quartics) == 2
+        for K in quartics:
+            for field_coeffs in (False, True, True):
+                p = random_poly(rng, 2, max_terms=6, max_deg=6,
+                                zero_ok=False)
+                p = Poly(p.vars, {m: element(K) if field_coeffs else big()
+                                  for m in p.terms})
+                offsets = {"x": element(K), "y": element(K)}
+                if rng.randrange(2):
+                    offsets[rng.choice("xy")] = big()
+                got = p.shift(offsets)
+                want = p.substitute({v: Poly.var(v, p.vars)
+                                     + Poly.const(a, p.vars)
+                                     for v, a in offsets.items()})
+                assert got.vars == p.vars and got == want
+                assert all(isinstance(c, NFElt) and c.field is K
+                           for c in got.terms.values())
+            u = UniPoly("x", [element(K) for _ in range(7)])
+            x = Poly.var("x")
+            for a in (element(K), big()):
+                got = u.shift(a)
+                assert got.to_poly() == u.to_poly().substitute(
+                    {"x": x + Poly.const(a)})
+                assert all(isinstance(c, NFElt) and c.field is K
+                           for c in got.coeffs)
+
+
 class TestEvaluateAgainstSubstitute:
     """Poly.evaluate (nested Horner) against substituting constants with
     Poly.substitute, on seeded polynomials of one to four variables over Q
