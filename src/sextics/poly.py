@@ -14,9 +14,10 @@ denominator), `content_in` (the gcd of the coefficients in one variable),
 `convolve_reduce` (the product of two integer coordinate vectors of a
 number field, which `numfield.NFElt` multiplies with), `Poly.shift` (the
 Taylor shift p(v + a_v), which `UniPoly.shift` calls), `unipoly_gcd` (the
-monic gcd of two univariates over Q or a number field) and
-`to_sympy`/`from_sympy` (the one bridge to sympy: an integer sympy
-polynomial and its denominator, and back).
+monic gcd of two univariates over Q or a number field), `_int_gcd` (the
+one integer gcd kernel) and `to_sympy`/`from_sympy` (the one bridge to
+sympy, for `components.decompose` and `numfield.factor_rational`: an
+integer sympy polynomial and its denominator, and back).
 
 The Taylor shift and the univariate gcd run on integers and build one
 canonical coefficient per term of their result.  A number-field element
@@ -25,10 +26,13 @@ results are built by its field (`field.from_ints`), so this module never
 imports `numfield`; a `Fraction` is a coordinate vector of length 1.
 
 `poly_gcd`, `is_squarefree` and `resultant` take rational coefficients
-only.  sympy computes the gcds and the squarefree test over ZZ on the
-bridged polynomials.  `resultant` makes no sympy call: it is one integer
-computation, a subresultant PRS on the Kronecker images of the two
-polynomials, with the Sylvester sign fixed below.
+only, and make no sympy call.  The gcds over Q (`poly_gcd`, `unipoly_gcd`
+over Q) and the squarefree test run on the cleared numerators in the
+integer kernel `_int_gcd`, the heuristic gcd of Char, Geddes & Gonnet
+with every candidate checked by exact division and a primitive PRS as
+its fallback.  `resultant` is one integer computation, a subresultant PRS
+on the Kronecker images of the two polynomials, with the Sylvester sign
+fixed below.
 
 Conventions fixed here and relied on by the golden-file tests:
 
@@ -43,7 +47,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, log2
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import sympy
@@ -571,6 +575,12 @@ class _Tokenizer:
 # The parser recurses once per '('; this bound keeps it far below the
 # interpreter's recursion limit.
 MAX_PAREN_DEPTH = 100
+# A power is expanded as soon as it is read, so it is refused before that
+# when its degree e * deg(base), or e times log2 of the base's largest
+# numerator or denominator, passes these bounds.  The corpus needs degree
+# 28; (x + y + 1)^32 takes 0.1 s to expand, ^64 seconds, ^999 hours.
+MAX_POWER_DEGREE = 32
+MAX_POWER_BITS = 1 << 14
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:
@@ -578,7 +588,8 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
 
     A leading sign on an expression is accepted so that printed canonical
     forms re-parse.  Every symbol must appear in `variables`.  Parentheses
-    nest at most `MAX_PAREN_DEPTH` deep.
+    nest at most `MAX_PAREN_DEPTH` deep, and a power is refused, at its
+    exponent, past `MAX_POWER_DEGREE` or `MAX_POWER_BITS`.
     """
     vs = tuple(variables)
     tok = _Tokenizer(text)
@@ -620,7 +631,17 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
             kind, val, start = tok.next()
             if kind != "int":
                 raise PolySyntaxError("exponent must be a nonnegative integer", start)
-            p = p ** _int_literal(val, start)
+            e = _int_literal(val, start)
+            if e * max(p.degree(), 0) > MAX_POWER_DEGREE:
+                raise PolySyntaxError("power of degree %d exceeds %d"
+                                      % (e * p.degree(), MAX_POWER_DEGREE),
+                                      start)
+            bits = e * max((log2(abs(x)) for c in p.terms.values()
+                            for x in (c.numerator, c.denominator)), default=0)
+            if bits > MAX_POWER_BITS:
+                raise PolySyntaxError("power of %d bits exceeds %d"
+                                      % (bits, MAX_POWER_BITS), start)
+            p = p ** e
         return p
 
     def parse_base() -> Poly:
@@ -890,14 +911,6 @@ def _ints(c: Coef, d: int):
     return c.nums, c.den
 
 
-def _elt(field, nums: Sequence[int], den: int) -> Coef:
-    """The canonical coefficient nums / den: a `Fraction` over Q, else an
-    element built by the field."""
-    if field is None:
-        return Fraction(nums[0], den)
-    return field.from_ints(nums, den)
-
-
 def _taylor_shift(cols: Mapping, a: Coef, field) -> dict:
     """Taylor shift by a of every column in `cols` over a number field, on
     integer coordinate vectors.
@@ -956,18 +969,22 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd over the coefficient field: Q, or the number field of the
     field elements among the coefficients, whose results are field elements.
 
-    A primitive pseudo-remainder sequence on integer coordinate vectors
-    (Q is the case of vectors of length 1; von zur Gathen & Gerhard,
-    *Modern Computer Algebra*, 6.12): the denominators are cleared, each
-    pseudo-division step replaces R by lc(B) R - lc(R) y^k B, which lowers
-    the degree of R, and R is divided by the integer content of all its
-    coordinates after every step.  The last nonzero remainder is made monic
-    with one inverse of its leading coefficient, one canonical coefficient
-    built per term.
+    Over Q, the integer kernel `_int_gcd` on the cleared numerators.  Over
+    a number field, a primitive pseudo-remainder sequence on integer
+    coordinate vectors (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, 6.12): the denominators are cleared, each pseudo-division
+    step replaces R by lc(B) R - lc(R) y^k B, which lowers the degree of R,
+    and R is divided by the integer content of all its coordinates after
+    every step.  The last nonzero remainder is made monic with one inverse
+    of its leading coefficient, one canonical coefficient built per term.
     """
     field = _field_of(a.coeffs + b.coeffs)
-    d = field.degree if field is not None else 1
-    reducer = field.reducer if field is not None else ()
+    if field is None:
+        # clear_denominators keeps the order of the coefficients
+        g = _dense_gcd(*(list(clear_denominators(dict(enumerate(
+            u.coeffs)))[0].values()) for u in (a, b)))
+        return UniPoly(a.var, [Fraction(c, g[-1]) for c in g])
+    d, reducer = field.degree, field.reducer
 
     def cleared(coeffs):
         pairs = [_ints(c, d) for c in coeffs]
@@ -988,14 +1005,14 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         r0, r1 = r1, r
     if not r0:
         return UniPoly(a.var, [])
-    inv, den = _ints(1 / _elt(field, r0[-1], 1), d)
-    return UniPoly(a.var, [_elt(field, convolve_reduce(c, inv, reducer), den)
-                           for c in r0])
+    inv, den = _ints(1 / field.from_ints(r0[-1], 1), d)
+    return UniPoly(a.var, [field.from_ints(convolve_reduce(c, inv, reducer),
+                                           den) for c in r0])
 
 
 # ---------------------------------------------------------------------------
-# exact arithmetic over Q on integers: gcd and squarefree test through sympy
-# over ZZ, resultant by Kronecker substitution
+# exact arithmetic over Q on integers: gcds and the squarefree test by the
+# integer gcd kernel below, resultant by Kronecker substitution
 # ---------------------------------------------------------------------------
 
 
@@ -1036,25 +1053,321 @@ def content_in(p: Poly, var: str) -> Optional[Poly]:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """GCD over Q, integer-primitive with positive leading coefficient."""
+    """GCD over Q, integer-primitive with positive leading coefficient.
+
+    gcd(0, 0) = 0, and a nonzero constant operand gives 1.  The integer
+    kernel `_int_gcd` runs on the cleared numerators, over the variables
+    that either polynomial uses.  Its answer is exact by the lemma of Char,
+    Geddes & Gonnet: for primitive a, b and xi > 2 min(|a|_inf, |b|_inf) +
+    2, the primitive part of the balanced base-xi digits of gcd(a(xi),
+    b(xi)) is gcd(a, b) as soon as it divides both, which is checked by
+    exact division; when no point tried passes, a primitive PRS decides.
+    """
     vs, a, b = p._aligned(q)
     if a.is_constant() and b.is_constant():
         return Poly.const(0 if a.is_zero() and b.is_zero() else 1, vs)
-    g = to_sympy(a, vs)[0].gcd(to_sympy(b, vs)[0])
-    return from_sympy(g, vs).primitive()
+    used = set(a.used_vars()) | set(b.used_vars())
+    us = tuple(v for v in vs if v in used)
+    g = _int_gcd(clear_denominators(a.with_vars(us).terms)[0],
+                 clear_denominators(b.with_vars(us).terms)[0])
+    return Poly._trusted(us, {m: Fraction(c) for m, c in g.items()}
+                         ).with_vars(vs).primitive()
 
 
 def is_squarefree(p: Poly) -> bool:
-    """True iff the gcd of p with all of its partials is constant."""
-    if p.is_constant():
+    """True iff p, in at most two variables, has no repeated factor.
+
+    In one variable: gcd(u, u') is constant.  In (x, y): p is squarefree
+    iff some line y = c meets it in a squarefree polynomial of full
+    x-degree and some line x = c does the same in y.  Only if: a factor h
+    with h^2 | p has positive degree in x, say, and on a line y = c where
+    lc_x(p) does not vanish, lc_x(h) does not either, so h(x, c)^2 divides
+    p(x, c) with deg h(x, c) > 0.  If: for a squarefree p of total degree
+    d and x-degree n, the bad c are roots of lc_x(p), of y-degree at most
+    d - 1, or of Disc_x(p), a form of degree 2n - 2 in the coefficients of
+    p and so of y-degree at most (2d - 2) d; that is at most 2d^2 - d - 1
+    values, so one of the first 2d^2 integers c = 0, 1, -1, 2, ... is good.
+    """
+    used = p.used_vars()
+    if not used:
         return not p.is_zero()
-    sp = to_sympy(p, p.vars)[0]
-    g = sp
-    for v in sp.gens:
-        g = g.gcd(sp.diff(v))
-        if g.is_ground:
-            return True
-    return False
+    if len(used) > 2:
+        raise DomainError("is_squarefree takes at most two variables: %s" % p)
+    ints = clear_denominators(p.with_vars(used).terms)[0]
+    if len(used) == 1:
+        return _squarefree_dense(_dense(ints))
+    tries = 2 * p.degree() ** 2
+    for k in (0, 1):
+        full = max(m[k] for m in ints)
+        for i in range(tries):
+            c = (i + 1) // 2 if i % 2 else -(i // 2)
+            line = [0] * (full + 1)
+            for m, v in ints.items():
+                line[m[k]] += v * c ** m[1 - k]
+            if line[full] and _squarefree_dense(line):
+                break
+        else:
+            return False
+    return True
+
+
+def _squarefree_dense(u: list) -> bool:
+    """True iff the integer coefficient list u, low to high with a nonzero
+    last entry, has a constant gcd with its derivative."""
+    return len(_dense_gcd(u, [e * c for e, c in enumerate(u)][1:])) == 1
+
+
+# ---------------------------------------------------------------------------
+# the integer gcd kernel: heuristic gcd, primitive PRS as the fallback
+# ---------------------------------------------------------------------------
+
+# evaluation points tried, each the square of the last, before the PRS
+_HEU_TRIES = 4
+
+
+def _int_gcd(a: Mapping[Monom, int], b: Mapping[Monom, int]) -> dict:
+    """gcd in Z[x_1, ..., x_n], up to sign, of two integer term dicts over
+    the same n variables; {} when both are zero.
+
+    The heuristic gcd of Char, Geddes & Gonnet (J. Symbolic Comput. 7,
+    1989).  The integer contents and the lowest power of each variable are
+    taken out and their gcds put back: a power of x_n left in would
+    bring the factor xi^k into both values at xi = 2^B for every B.  x_n
+    is evaluated at xi = 2^B > 2 min(|a|_inf, |b|_inf) + 2, the gcd of
+    the images in one variable fewer comes from this kernel again, down to
+    `math.gcd` on integers (`_dense_gcd` in one variable), and its balanced
+    base-xi digits, the coefficients of x_n, made primitive, are the
+    candidate.  Lemma (Char, Geddes & Gonnet, Theorem 1; Geddes, Czapor &
+    Labahn, *Algorithms for Computer Algebra*, 7.7): with that xi, a
+    candidate that divides both primitive parts is their gcd.  So a
+    candidate is accepted only after exact division (`_quotient`);
+    otherwise B doubles, and after `_HEU_TRIES` points the primitive PRS
+    `_prs_gcd` decides.
+    """
+    if not a or not b:
+        return dict(a or b)
+    n = len(next(iter(a)))
+    if n < 2:
+        g = _dense_gcd(_dense(a), _dense(b))
+        return {(e,) if n else (): c for e, c in enumerate(g) if c}
+    ca, cb = gcd(*a.values()), gcd(*b.values())
+    la, lb = ([min(m[i] for m in t) for i in range(n)] for t in (a, b))
+    a = {tuple(e - k for e, k in zip(m, la)): v // ca for m, v in a.items()}
+    b = {tuple(e - k for e, k in zip(m, lb)): v // cb for m, v in b.items()}
+    g = _heu_gcd(a, b)
+    if g is None:
+        g = _prs_gcd(a, b)
+    c, low = gcd(ca, cb), list(map(min, la, lb))
+    return {tuple(e + k for e, k in zip(m, low)): v * c for m, v in g.items()}
+
+
+def _heu_gcd(a: dict, b: dict) -> Optional[dict]:
+    """The heuristic of `_int_gcd` on primitive nonzero a, b in n >= 2
+    variables: their gcd up to sign, or None when no point tried gave it."""
+    bits = (2 * min(max(map(abs, a.values())),
+                    max(map(abs, b.values()))) + 2).bit_length()
+    for _ in range(_HEU_TRIES):
+        h = _int_gcd(_evaluate_last(a, bits), _evaluate_last(b, bits))
+        g = {m + (e,): d for m, v in h.items()
+             for e, d in enumerate(_digits(v, bits)) if d}
+        if len(g) == 1 and not any(next(iter(g))):
+            return {next(iter(g)): 1}
+        if g:
+            cg = gcd(*g.values())
+            g = {m: v // cg for m, v in g.items()}
+            if _quotient(a, g) is not None and _quotient(b, g) is not None:
+                return g
+        bits *= 2
+    return None
+
+
+def _dense_gcd(a: list, b: list) -> list:
+    """gcd in Z[t], up to sign, of integer coefficient lists, low to high
+    with nonzero last entries ([] for zero): the kernel of `_int_gcd` in
+    one variable, with `math.gcd` of the two values at xi and `_prem` for
+    the PRS."""
+    if not a or not b:
+        return list(a or b)
+    ca, cb = gcd(*a), gcd(*b)
+    c = gcd(ca, cb)
+    i, j = (next(k for k, x in enumerate(t) if x) for t in (a, b))
+    low = [0] * min(i, j)
+    if len(a) == i + 1 or len(b) == j + 1:
+        return low + [c]
+    a, b = [x // ca for x in a[i:]], [x // cb for x in b[j:]]
+    bits = (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length()
+    for _ in range(_HEU_TRIES):
+        g = _digits(gcd(_at(a, bits), _at(b, bits)), bits)
+        cg = gcd(*g)
+        g = [x // cg for x in g]
+        if len(g) == 1:
+            return low + [c]
+        if _dense_quotient(a, g) is not None \
+                and _dense_quotient(b, g) is not None:
+            break
+        bits *= 2
+    else:
+        g = a
+        while b:
+            g, b = b, _prem(g, b)
+            if b:
+                cg = gcd(*b)
+                b = [x // cg for x in b]
+    return low + [x * c for x in g]
+
+
+def _at(a: Sequence[int], bits: int) -> int:
+    """The integer coefficient list a, low to high, at t = 2^bits."""
+    v = 0
+    for c in reversed(a):
+        v = (v << bits) + c
+    return v
+
+
+def _digits(v: int, bits: int) -> list:
+    """The balanced base-2^bits digits of v, each in [-2^(bits-1),
+    2^(bits-1)), low to high, with no zero last digit."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    while v:
+        digit = v & mask
+        if digit >= half:
+            digit -= 1 << bits
+        out.append(digit)
+        v = (v - digit) >> bits
+    return out
+
+
+def _evaluate_last(a: Mapping[Monom, int], bits: int) -> dict:
+    """The integer term dict a with its last variable set to 2^bits."""
+    out: dict = {}
+    for m, v in a.items():
+        k = m[:-1]
+        out[k] = out.get(k, 0) + (v << (bits * m[-1]))
+    return {k: v for k, v in out.items() if v}
+
+
+def _dense(a: Mapping[Monom, int]) -> list:
+    """The coefficient list, low to high, of an integer term dict in at
+    most one variable."""
+    out = [0] * (max(sum(m) for m in a) + 1) if a else []
+    for m, v in a.items():
+        out[sum(m)] = v
+    return out
+
+
+def _quotient(a: Mapping[Monom, int], h: Mapping[Monom, int]):
+    """a / h for integer term dicts over the same variables when the
+    nonzero h divides a, else None.
+
+    The map x_i -> t^(place_i), with places in the mixed radix of sizes
+    deg_i(a) + 1, is a ring map to Z[t] that is one-to-one on polynomials
+    of degree below size_i in each x_i.  When t-division is exact and the
+    quotient q read back has deg_i(h) + deg_i(q) <= deg_i(a) for every i,
+    h q stays within those degrees and has the image of a, so h q = a.
+    """
+    if not a:
+        return {}
+    n = len(next(iter(h)))
+    da = [max(m[i] for m in a) for i in range(n)]
+    dh = [max(m[i] for m in h) for i in range(n)]
+    if any(x > y for x, y in zip(dh, da)):
+        return None
+    places, unit = [], 1
+    for d in da:
+        places.append(unit)
+        unit *= d + 1
+    q = _dense_quotient(*(_dense({(sum(e * w for e, w in zip(m, places)),): v
+                                  for m, v in t.items()}) for t in (a, h)))
+    if q is None:
+        return None
+    out = {}
+    for k, v in enumerate(q):
+        if v:
+            mon = []
+            for d in da:
+                k, e = divmod(k, d + 1)
+                mon.append(e)
+            out[tuple(mon)] = v
+    if any(max(m[i] for m in out) + dh[i] > da[i] for i in range(n)):
+        return None
+    return out
+
+
+def _dense_quotient(a: list, b: list) -> Optional[list]:
+    """a / b for integer coefficient lists, low to high with nonzero last
+    entries, when b divides a in Z[t], else None."""
+    m = len(b) - 1
+    if len(a) <= m:
+        return None
+    r, lb = list(a), b[-1]
+    lower = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    q = [0] * (len(a) - m)
+    for top in range(len(a) - 1, m - 1, -1):
+        c = r[top]
+        if c:
+            c, rest = divmod(c, lb)
+            if rest:
+                return None
+            q[top - m] = c
+            for j, bj in lower:
+                r[top - m + j] -= c * bj
+    return None if any(r[:m]) else q
+
+
+def _prs_gcd(a: dict, b: dict) -> dict:
+    """gcd of two nonzero integer term dicts in n >= 2 variables, up to
+    sign, by a primitive pseudo-remainder sequence in the last variable x_n
+    (Knuth, TAOCP 2, 4.6.1, Algorithm E): the contents in x_n, the gcds of
+    the coefficients, come from `_int_gcd` in n - 1 variables, and the gcd
+    is the gcd of the contents times the last nonzero primitive remainder.
+    """
+    ca, a = _primitive_last(a)
+    cb, b = _primitive_last(b)
+    if max(m[-1] for m in a) < max(m[-1] for m in b):
+        a, b = b, a
+    while b:
+        db = max(m[-1] for m in b)
+        lb = {m[:-1] + (0,): c for m, c in b.items() if m[-1] == db}
+        r = a
+        while r:
+            dr = max(m[-1] for m in r)
+            if dr < db:
+                break
+            # r <- lc(b) r - lc(r) x_n^(dr - db) b, of lower degree in x_n
+            lr = {m[:-1] + (dr - db,): -c for m, c in r.items()
+                  if m[-1] == dr}
+            r = _terms_mul(lb, r)
+            for m, c in _terms_mul(lr, b).items():
+                r[m] = r.get(m, 0) + c
+            r = {m: c for m, c in r.items() if c}
+        a, b = b, _primitive_last(r)[1]
+    c = _int_gcd(ca, cb)
+    return _terms_mul(a, {m + (0,): v for m, v in c.items()})
+
+
+def _primitive_last(a: dict):
+    """(content, primitive part) of an integer term dict in its last
+    variable: the content is a term dict in the other variables."""
+    if not a:
+        return {}, {}
+    coeffs: dict = {}
+    for m, v in a.items():
+        coeffs.setdefault(m[-1], {})[m[:-1]] = v
+    cont: dict = {}
+    for c in coeffs.values():
+        cont = _int_gcd(cont, c)
+    return cont, _quotient(a, {m + (0,): v for m, v in cont.items()})
+
+
+def _terms_mul(a: Mapping[Monom, int], b: Mapping[Monom, int]) -> dict:
+    """The product of two integer term dicts over the same variables."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def resultant(p: Poly, q: Poly, var: str) -> Poly:
@@ -1098,14 +1411,7 @@ def resultant(p: Poly, q: Poly, var: str) -> Poly:
                        _kronecker(ib, k, m, bits, places))
     den = da ** m * db ** n
     terms = {}
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    for place in range(unit):
-        if not r:
-            break
-        digit = r & mask
-        if digit >= half:
-            digit -= 1 << bits
-        r = (r - digit) >> bits
+    for place, digit in enumerate(_digits(r, bits)):
         if digit:
             mon, rem = [], place
             for size in sizes:

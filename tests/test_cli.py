@@ -120,8 +120,11 @@ class TestAnalyze:
         ("f: x^6 + y^6 + %s\n" % ("7" * 5000),
          "line 1: f: integer literal of 5000 digits is too long"
          " (at offset 12)"),
+        # refused before the expansion, which would take hours
+        ("source: s\nf: (x + y + 1)^999\n",
+         "line 2: f: power of degree 999 exceeds 32 (at offset 12)"),
     ], ids=["fraction-power", "double-caret", "undeclared",
-            "superscript-digit", "5000-digits"])
+            "superscript-digit", "5000-digits", "huge-power"])
     def test_parse_error_names_line_and_key(self, capsys, tmp_path, text,
                                             error):
         doc = tmp_path / "bad.txt"

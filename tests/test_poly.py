@@ -5,9 +5,12 @@ import pytest
 import sympy
 from test_numfield import _sympy_fields, eisenstein_fields
 
+from sextics import poly
 from sextics.numfield import NFElt, NumberField
 from sextics.poly import (
     MAX_PAREN_DEPTH,
+    MAX_POWER_BITS,
+    MAX_POWER_DEGREE,
     DomainError,
     Poly,
     PolySyntaxError,
@@ -66,6 +69,23 @@ class TestParse:
             P("x + " + "(" * n + "y" + ")" * n)
         # the offset of the first '(' past the bound
         assert err.value.position == 4 + MAX_PAREN_DEPTH
+
+    @pytest.mark.parametrize("text, position", [
+        ("(x + y + 1)^999", 12), ("x*y^33", 4), ("1 + (x^2 + y)^17", 14),
+        ("2^16385", 2), ("(10^200)^25", 9), ("(1/3)^10500", 6)])
+    def test_power_past_the_bounds_refused_at_its_exponent(self, text,
+                                                          position):
+        with pytest.raises(PolySyntaxError) as err:
+            P(text)
+        assert err.value.position == position
+
+    def test_powers_at_the_bounds(self):
+        assert P("y^%d" % MAX_POWER_DEGREE).degree() == MAX_POWER_DEGREE
+        assert P("(x^2 + y)^%d" % (MAX_POWER_DEGREE // 2)).degree() \
+            == MAX_POWER_DEGREE
+        assert P("2^%d" % MAX_POWER_BITS, X).constant_value() \
+            == 2 ** MAX_POWER_BITS
+        assert P("10^200", X).constant_value() == 10 ** 200
 
     def test_fraction_coefficient(self):
         p = P("3/4*x", X)
@@ -450,6 +470,182 @@ class TestGcdSquarefree:
     ])
     def test_content_in(self, text, content):
         assert content_in(P(text), "y") == P(content, X)
+
+
+def _sympy_gcd(p, q):
+    """gcd over Q by sympy over ZZ, integer-primitive with positive
+    leading coefficient: the oracle for `poly_gcd`."""
+    vs, a, b = p._aligned(q)
+    g = to_sympy(a, vs)[0].gcd(to_sympy(b, vs)[0])
+    return from_sympy(g, vs).primitive()
+
+
+def _form(rng, degree, height):
+    """Random binary form of the given degree in (x, y), nonzero."""
+    terms = {(i, degree - i): Fraction(rng.randint(-height, height),
+                                       rng.randint(1, 9))
+             for i in range(degree + 1) if rng.random() < 0.7}
+    terms[(degree, 0)] = Fraction(height)
+    return Poly(XY, terms)
+
+
+class TestIntegerGcdAgainstSympy:
+    """The integer heuristic gcd kernel behind `poly_gcd`, `unipoly_gcd`
+    over Q and `is_squarefree`, checked against sympy's gcd over ZZ."""
+
+    HEIGHTS = [7, 10 ** 12, 10 ** 200]
+
+    @pytest.mark.parametrize("height", HEIGHTS, ids=["7", "1e12", "1e200"])
+    @pytest.mark.parametrize("variables", [X, XY, ("y", "x")],
+                             ids=["x", "xy", "yx"])
+    def test_planted_common_factor(self, variables, height):
+        rng = random.Random(len(variables) * 1000 + len(str(height)))
+        for _ in range(6):
+            a, b, c = (_random_high(rng, variables, rng.randint(1, 3), height)
+                       for _ in range(3))
+            g = poly_gcd(a * c, b * c)
+            assert g == _sympy_gcd(a * c, b * c)
+            assert g == (c * poly_gcd(a, b)).primitive()
+
+    @pytest.mark.parametrize("height", HEIGHTS, ids=["7", "1e12", "1e200"])
+    def test_factor_free_of_y(self, height):
+        rng = random.Random(height % 1000)
+        for _ in range(6):
+            a, b = (_random_high(rng, ("y", "x"), rng.randint(1, 3), height)
+                    for _ in range(2))
+            c = _random_high(rng, X, rng.randint(1, 3), height)
+            g = poly_gcd(a * c, b * c)
+            assert g == _sympy_gcd(a * c, b * c)
+            assert poly_gcd(g, c) == c.primitive()
+            assert poly_gcd(content_in(a * c, "y"), c) == c.primitive()
+
+    @pytest.mark.parametrize("height", HEIGHTS, ids=["7", "1e12", "1e200"])
+    def test_binary_forms(self, height):
+        # the restrictions to z = 0 that pick the chart are binary forms
+        rng = random.Random(height % 997)
+        for _ in range(8):
+            c = _form(rng, rng.randint(1, 2), height)
+            a, b = (_form(rng, rng.randint(1, 4), height) for _ in range(2))
+            g = poly_gcd(a * c, b * c)
+            assert g == _sympy_gcd(a * c, b * c)
+            assert g.degree() >= c.degree()
+
+    def test_candidate_that_fails_the_division(self):
+        # at xi = 8 the values of x + 2 and (x + 3)(x^2 + 1) have gcd 5,
+        # whose balanced digits read x - 3: only the division refuses it
+        assert poly_gcd(P("x + 2", X), P("x^3 + 3*x^2 + x + 3", X)) \
+            == P("1", X)
+        assert unipoly_gcd(UniPoly("x", [2, 1]),
+                           UniPoly("x", [3, 1, 3, 1])) == UniPoly("x", [1])
+        # in two variables: at y = 8 the first candidate is wrong too
+        assert poly_gcd(P("-x^2 + 2*y"), P("-2*x + y")) == P("1")
+        assert poly_gcd(P("2*x - y + 2"), P("-x + 3")) == P("1")
+
+    def test_powers_of_a_variable_need_no_prs(self, monkeypatch):
+        # y^k in both operands would put xi^k into both values at every
+        # xi = 2^B; with the cofactor's constant term divisible by 2^60,
+        # four points would not be enough, so the powers are taken out
+        def refuse(*args):
+            raise AssertionError("the PRS ran")
+
+        monkeypatch.setattr(poly, "_prem", refuse)
+        monkeypatch.setattr(poly, "_prs_gcd", refuse)
+        assert unipoly_gcd(UniPoly("y", [0, 0, 1]),
+                           UniPoly("y", [0, 2 ** 60, 3, 5])) \
+            == UniPoly("y", [0, 1])
+        assert poly_gcd(P("x^2*y^3"), P("x*y*(2^60 + 3*x + 5*y)")) \
+            == P("x*y")
+        assert poly_gcd(P("y^2*(x - 1)"), P("y*(x - 1)*(2^60 + y)")) \
+            == P("y*(x - 1)")
+
+    def test_zero_constant_and_coprime_operands(self):
+        zero, p = P("0"), P("6*x^2*y - 4*y")
+        assert poly_gcd(zero, zero) == zero
+        assert poly_gcd(zero, p) == poly_gcd(p, zero) == P("3*x^2*y - 2*y")
+        assert poly_gcd(P("3/7"), p) == poly_gcd(p, P("-2")) == P("1")
+        assert poly_gcd(P("3"), zero) == P("1")
+        assert poly_gcd(P("x^2 + 1"), P("x^3 - x")) == P("1")
+        assert poly_gcd(P("x^2 + y^2 + 1"), P("x*y - 2")) == P("1")
+        # variables that neither operand uses stay in the result's tuple
+        g = poly_gcd(P("(x - 1)*(x + 2)", ("x", "y", "z")),
+                     P("(x - 1)^2", ("x", "y", "z")))
+        assert g.vars == ("x", "y", "z") and g == P("x - 1", X)
+
+    @pytest.mark.parametrize("height", HEIGHTS, ids=["7", "1e12", "1e200"])
+    def test_rational_unipoly_gcd(self, height):
+        rng = random.Random(height % 991)
+        for _ in range(6):
+            a, b, c = (UniPoly.from_poly(
+                _random_high(rng, X, rng.randint(0, 4), height), "x")
+                for _ in range(3))
+            g = unipoly_gcd(a * c, b * c)
+            want = _sympy_gcd((a * c).to_poly(), (b * c).to_poly())
+            assert g == UniPoly.from_poly(want, "x").monic()
+
+    @pytest.mark.parametrize("variables", [X, XY, ("x", "y", "z")],
+                             ids=["x", "xy", "xyz"])
+    def test_prs_fallback(self, monkeypatch, variables):
+        """With no evaluation point to try, the primitive PRS alone gives
+        every gcd: one variable by `_prem`, more by pseudo-remainders in
+        the last variable with contents from the kernel."""
+        rng = random.Random(len(variables))
+        cases = []
+        for i in range(6):
+            a, b, c = (_random_high(rng, variables, rng.randint(0, 3),
+                                    10 ** (6 * i))
+                       for _ in range(3))
+            cases.append((a * c, b * c, poly_gcd(a * c, b * c)))
+        monkeypatch.setattr(poly, "_HEU_TRIES", 0)
+        for p, q, g in cases:
+            assert poly_gcd(p, q) == g
+            ints = [poly.clear_denominators(t.terms)[0] for t in (p, q)]
+            gi = poly._int_gcd(*ints)
+            assert Poly(variables, gi).primitive() == g
+            if len(variables) > 1:
+                a, b = (poly._primitive_last(t)[1] for t in ints)
+                assert Poly(variables, poly._prs_gcd(a, b)).primitive() \
+                    == poly_gcd(Poly(variables, a), Poly(variables, b))
+
+
+class TestSquarefree:
+    """`is_squarefree` by lines: a line y = c of full x-degree and a line
+    x = c of full y-degree with squarefree restrictions."""
+
+    def test_first_five_lines_bad(self):
+        f = P("x^2 - y*(y^2 - 1)*(y^2 - 4)")
+        for c in (0, 1, -1, 2, -2):
+            assert not is_squarefree(f.substitute({"y": c}))
+        assert is_squarefree(f)
+
+    def test_square_seen_on_one_axis_only(self):
+        # every line y = c with c != 0, 1 cuts (c - 1)^2 (x^2 + c), which
+        # is squarefree; only the lines x = c see (y - 1)^2
+        f = P("(y - 1)^2*(x^2 + y)")
+        assert is_squarefree(f.substitute({"y": -1}))
+        assert not is_squarefree(f)
+        assert not is_squarefree(P("(x - 1)^2*(y^2 + x)"))
+
+    def test_one_variable_and_constants(self):
+        assert is_squarefree(P("x^3 - 2", X))
+        assert not is_squarefree(P("(x - 1)^2*(x + 2)", X))
+        assert not is_squarefree(P("(2*y - 1)^2", XY))
+        assert is_squarefree(P("5"))
+        assert not is_squarefree(P("0"))
+
+    def test_more_than_two_variables_refused(self):
+        with pytest.raises(DomainError):
+            is_squarefree(P("x*y*z + 1", ("x", "y", "z")))
+
+    def test_seeded_products(self):
+        rng = random.Random(2024)
+        for i in range(30):
+            a, c = (_random_high(rng, XY if i % 3 else ("y", "x"),
+                                 rng.randint(1, 2), 10 ** (i % 4 * 6 + 1))
+                    for _ in range(2))
+            assert not is_squarefree(a * c * c)
+            ac = a * c
+            want = to_sympy(ac, XY)[0].is_sqf
+            assert is_squarefree(ac) == want
 
 
 def _gcd_fields():
