@@ -19,6 +19,7 @@ from .analysis import CurveAnalysis, analyze_curve
 from .docs import Claim, CurveDocument, DocumentError, parse_bindings, \
     parse_documents
 from .globalinv import Configuration, DefectTable, parse_config, parse_type
+from .localsing.classify import ConsistencyError
 from .poly import DomainError, Poly, PolyError, parse_poly
 from .torus import TorusPair
 
@@ -235,7 +236,12 @@ def _degrees_consistent(claimed: tuple, analysis: CurveAnalysis) -> bool:
 
 
 def verify_example(rec: ExampleRecord, seed: int = 0) -> VerdictReport:
-    """Replay one record through the pipeline and diff against its claims."""
+    """Replay one record through the pipeline and diff against its claims.
+
+    A claim the pipeline refuses (`DomainError`, `PolyError`) is
+    unverifiable; a `ConsistencyError`, the delta cross-check failing,
+    propagates to the caller.
+    """
     doc = rec.doc
     verdicts = []
     bindings_for = {"*": [()]}
@@ -262,6 +268,8 @@ def verify_example(rec: ExampleRecord, seed: int = 0) -> VerdictReport:
             try:
                 verdicts.append(_check_claim(doc, claim, binding,
                                              analysis_at))
+            except ConsistencyError:
+                raise
             except (DomainError, PolyError) as err:
                 verdicts.append(ClaimVerdict(claim, tuple(binding),
                                              "unverifiable",

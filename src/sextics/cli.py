@@ -10,7 +10,8 @@ Subcommands:
 
 Exit status: 0 all claims verified, 1 mismatch, 2 usage or parse error (or
 a field tower beyond degree 12, or the output pipe closed early), 3 internal
-consistency error (the delta cross-check).
+consistency error (the delta cross-check, in any subcommand: a verify
+record or a sweep value that fails it ends the run).
 """
 
 from __future__ import annotations
@@ -282,6 +283,8 @@ def cmd_sweep(args, out) -> int:
         try:
             an = analyze_document(doc, binding)
             rows.append((v, str(an.config), list(an.degrees()), None))
+        except ConsistencyError:
+            raise
         except (PolyError, DocumentError) as err:
             rows.append((v, None, None, "degenerate: %s" % err))
     jumps = []

@@ -27,12 +27,14 @@ imports `numfield`; a `Fraction` is a coordinate vector of length 1.
 
 `poly_gcd`, `is_squarefree` and `resultant` take rational coefficients
 only, and make no sympy call.  The gcds over Q (`poly_gcd`, `unipoly_gcd`
-over Q) and the squarefree test run on the cleared numerators in the
-integer kernel `_int_gcd`, the heuristic gcd of Char, Geddes & Gonnet
-with every candidate checked by exact division and a primitive PRS as
-its fallback.  `resultant` is one integer computation, a subresultant PRS
-on the Kronecker images of the two polynomials, with the Sylvester sign
-fixed below.
+over Q) and the squarefree test run on the cleared numerators, as integer
+term dicts, in the one kernel `_int_gcd`: the heuristic gcd of Char,
+Geddes & Gonnet in n >= 1 variables, recursing down to `math.gcd` of two
+integers at n = 0, with every candidate checked by exact division and a
+primitive PRS (`_prs_gcd`) as its fallback.  `resultant` is one integer
+computation, a subresultant PRS on the Kronecker images of the two
+polynomials, with the Sylvester sign fixed below; dense coefficient lists
+appear only under such images (there and in `_quotient`).
 
 Conventions fixed here and relied on by the golden-file tests:
 
@@ -575,11 +577,13 @@ class _Tokenizer:
 # The parser recurses once per '('; this bound keeps it far below the
 # interpreter's recursion limit.
 MAX_PAREN_DEPTH = 100
-# A power is expanded as soon as it is read, so it is refused before that
-# when its degree e * deg(base), or e times log2 of the base's largest
-# numerator or denominator, passes these bounds.  The corpus needs degree
-# 28; (x + y + 1)^32 takes 0.1 s to expand, ^64 seconds, ^999 hours.
-MAX_POWER_DEGREE = 32
+# A product or power is expanded as soon as it is read, so it is refused
+# before that when its degree, deg p + deg q at a '*' or e * deg(base) at
+# a '^', passes MAX_DEGREE, or a power's e times log2 of the base's
+# largest numerator or denominator passes MAX_POWER_BITS.  The corpus
+# needs degree 28; (x + y + 1)^32 takes 0.1 s to expand, ^64 seconds,
+# ^999 hours, and so does a product of as many factors.
+MAX_DEGREE = 32
 MAX_POWER_BITS = 1 << 14
 
 
@@ -588,8 +592,9 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
 
     A leading sign on an expression is accepted so that printed canonical
     forms re-parse.  Every symbol must appear in `variables`.  Parentheses
-    nest at most `MAX_PAREN_DEPTH` deep, and a power is refused, at its
-    exponent, past `MAX_POWER_DEGREE` or `MAX_POWER_BITS`.
+    nest at most `MAX_PAREN_DEPTH` deep.  A product of degree past
+    `MAX_DEGREE` is refused at its ``*``, and a power past `MAX_DEGREE`
+    or `MAX_POWER_BITS` at its exponent.
     """
     vs = tuple(variables)
     tok = _Tokenizer(text)
@@ -619,7 +624,12 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
             kind, val, start = tok.peek()
             if kind == "op" and val == "*":
                 tok.next()
-                p = p * parse_factor()
+                q = parse_factor()
+                degree = max(p.degree(), 0) + max(q.degree(), 0)
+                if degree > MAX_DEGREE:
+                    raise PolySyntaxError("product of degree %d exceeds %d"
+                                          % (degree, MAX_DEGREE), start)
+                p = p * q
             else:
                 return p
 
@@ -632,10 +642,9 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
             if kind != "int":
                 raise PolySyntaxError("exponent must be a nonnegative integer", start)
             e = _int_literal(val, start)
-            if e * max(p.degree(), 0) > MAX_POWER_DEGREE:
+            if e * max(p.degree(), 0) > MAX_DEGREE:
                 raise PolySyntaxError("power of degree %d exceeds %d"
-                                      % (e * p.degree(), MAX_POWER_DEGREE),
-                                      start)
+                                      % (e * p.degree(), MAX_DEGREE), start)
             bits = e * max((log2(abs(x)) for c in p.terms.values()
                             for x in (c.numerator, c.denominator)), default=0)
             if bits > MAX_POWER_BITS:
@@ -980,9 +989,9 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """
     field = _field_of(a.coeffs + b.coeffs)
     if field is None:
-        # clear_denominators keeps the order of the coefficients
-        g = _dense_gcd(*(list(clear_denominators(dict(enumerate(
-            u.coeffs)))[0].values()) for u in (a, b)))
+        g = _dense(_int_gcd(*(clear_denominators(
+            {(e,): c for e, c in enumerate(u.coeffs) if c})[0]
+            for u in (a, b))))
         return UniPoly(a.var, [Fraction(c, g[-1]) for c in g])
     d, reducer = field.degree, field.reducer
 
@@ -1095,26 +1104,29 @@ def is_squarefree(p: Poly) -> bool:
         raise DomainError("is_squarefree takes at most two variables: %s" % p)
     ints = clear_denominators(p.with_vars(used).terms)[0]
     if len(used) == 1:
-        return _squarefree_dense(_dense(ints))
+        return _squarefree(ints)
     tries = 2 * p.degree() ** 2
     for k in (0, 1):
         full = max(m[k] for m in ints)
         for i in range(tries):
             c = (i + 1) // 2 if i % 2 else -(i // 2)
-            line = [0] * (full + 1)
+            line: dict = {}
             for m, v in ints.items():
-                line[m[k]] += v * c ** m[1 - k]
-            if line[full] and _squarefree_dense(line):
+                e = (m[k],)
+                line[e] = line.get(e, 0) + v * c ** m[1 - k]
+            line = {e: v for e, v in line.items() if v}
+            if (full,) in line and _squarefree(line):
                 break
         else:
             return False
     return True
 
 
-def _squarefree_dense(u: list) -> bool:
-    """True iff the integer coefficient list u, low to high with a nonzero
-    last entry, has a constant gcd with its derivative."""
-    return len(_dense_gcd(u, [e * c for e, c in enumerate(u)][1:])) == 1
+def _squarefree(u: dict) -> bool:
+    """True iff the nonzero integer term dict u in one variable has a
+    constant gcd with its derivative."""
+    du = {(e - 1,): e * v for (e,), v in u.items() if e}
+    return list(_int_gcd(u, du)) == [(0,)]
 
 
 # ---------------------------------------------------------------------------
@@ -1130,27 +1142,26 @@ def _int_gcd(a: Mapping[Monom, int], b: Mapping[Monom, int]) -> dict:
     the same n variables; {} when both are zero.
 
     The heuristic gcd of Char, Geddes & Gonnet (J. Symbolic Comput. 7,
-    1989).  The integer contents and the lowest power of each variable are
-    taken out and their gcds put back: a power of x_n left in would
+    1989), for n >= 1; for n = 0 the gcd is `math.gcd` of the two
+    constants.  The integer contents and the lowest power of each variable
+    are taken out and their gcds put back: a power of x_n left in would
     bring the factor xi^k into both values at xi = 2^B for every B.  x_n
     is evaluated at xi = 2^B > 2 min(|a|_inf, |b|_inf) + 2, the gcd of
     the images in one variable fewer comes from this kernel again, down to
-    `math.gcd` on integers (`_dense_gcd` in one variable), and its balanced
-    base-xi digits, the coefficients of x_n, made primitive, are the
-    candidate.  Lemma (Char, Geddes & Gonnet, Theorem 1; Geddes, Czapor &
-    Labahn, *Algorithms for Computer Algebra*, 7.7): with that xi, a
-    candidate that divides both primitive parts is their gcd.  So a
-    candidate is accepted only after exact division (`_quotient`);
-    otherwise B doubles, and after `_HEU_TRIES` points the primitive PRS
-    `_prs_gcd` decides.
+    n = 0, and its balanced base-xi digits, the coefficients of x_n, made
+    primitive, are the candidate.  Lemma (Char, Geddes & Gonnet, Theorem
+    1; Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, 7.7):
+    with that xi, a candidate that divides both primitive parts is their
+    gcd.  So a candidate is accepted only after exact division
+    (`_quotient`); otherwise B doubles, and after `_HEU_TRIES` points the
+    primitive PRS `_prs_gcd` decides.
     """
     if not a or not b:
         return dict(a or b)
-    n = len(next(iter(a)))
-    if n < 2:
-        g = _dense_gcd(_dense(a), _dense(b))
-        return {(e,) if n else (): c for e, c in enumerate(g) if c}
     ca, cb = gcd(*a.values()), gcd(*b.values())
+    n = len(next(iter(a)))
+    if not n:
+        return {(): gcd(ca, cb)}
     la, lb = ([min(m[i] for m in t) for i in range(n)] for t in (a, b))
     a = {tuple(e - k for e, k in zip(m, la)): v // ca for m, v in a.items()}
     b = {tuple(e - k for e, k in zip(m, lb)): v // cb for m, v in b.items()}
@@ -1162,7 +1173,7 @@ def _int_gcd(a: Mapping[Monom, int], b: Mapping[Monom, int]) -> dict:
 
 
 def _heu_gcd(a: dict, b: dict) -> Optional[dict]:
-    """The heuristic of `_int_gcd` on primitive nonzero a, b in n >= 2
+    """The heuristic of `_int_gcd` on primitive nonzero a, b in n >= 1
     variables: their gcd up to sign, or None when no point tried gave it."""
     bits = (2 * min(max(map(abs, a.values())),
                     max(map(abs, b.values()))) + 2).bit_length()
@@ -1179,49 +1190,6 @@ def _heu_gcd(a: dict, b: dict) -> Optional[dict]:
                 return g
         bits *= 2
     return None
-
-
-def _dense_gcd(a: list, b: list) -> list:
-    """gcd in Z[t], up to sign, of integer coefficient lists, low to high
-    with nonzero last entries ([] for zero): the kernel of `_int_gcd` in
-    one variable, with `math.gcd` of the two values at xi and `_prem` for
-    the PRS."""
-    if not a or not b:
-        return list(a or b)
-    ca, cb = gcd(*a), gcd(*b)
-    c = gcd(ca, cb)
-    i, j = (next(k for k, x in enumerate(t) if x) for t in (a, b))
-    low = [0] * min(i, j)
-    if len(a) == i + 1 or len(b) == j + 1:
-        return low + [c]
-    a, b = [x // ca for x in a[i:]], [x // cb for x in b[j:]]
-    bits = (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length()
-    for _ in range(_HEU_TRIES):
-        g = _digits(gcd(_at(a, bits), _at(b, bits)), bits)
-        cg = gcd(*g)
-        g = [x // cg for x in g]
-        if len(g) == 1:
-            return low + [c]
-        if _dense_quotient(a, g) is not None \
-                and _dense_quotient(b, g) is not None:
-            break
-        bits *= 2
-    else:
-        g = a
-        while b:
-            g, b = b, _prem(g, b)
-            if b:
-                cg = gcd(*b)
-                b = [x // cg for x in b]
-    return low + [x * c for x in g]
-
-
-def _at(a: Sequence[int], bits: int) -> int:
-    """The integer coefficient list a, low to high, at t = 2^bits."""
-    v = 0
-    for c in reversed(a):
-        v = (v << bits) + c
-    return v
 
 
 def _digits(v: int, bits: int) -> list:
@@ -1316,7 +1284,7 @@ def _dense_quotient(a: list, b: list) -> Optional[list]:
 
 
 def _prs_gcd(a: dict, b: dict) -> dict:
-    """gcd of two nonzero integer term dicts in n >= 2 variables, up to
+    """gcd of two nonzero integer term dicts in n >= 1 variables, up to
     sign, by a primitive pseudo-remainder sequence in the last variable x_n
     (Knuth, TAOCP 2, 4.6.1, Algorithm E): the contents in x_n, the gcds of
     the coefficients, come from `_int_gcd` in n - 1 variables, and the gcd

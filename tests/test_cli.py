@@ -123,8 +123,11 @@ class TestAnalyze:
         # refused before the expansion, which would take hours
         ("source: s\nf: (x + y + 1)^999\n",
          "line 2: f: power of degree 999 exceeds 32 (at offset 12)"),
+        ("source: s\nf: %s\n" % "*".join(["(x + y + 1)"] * 999),
+         "line 2: f: product of degree 33 exceeds 32 (at offset 383)"),
     ], ids=["fraction-power", "double-caret", "undeclared",
-            "superscript-digit", "5000-digits", "huge-power"])
+            "superscript-digit", "5000-digits", "huge-power",
+            "huge-product"])
     def test_parse_error_names_line_and_key(self, capsys, tmp_path, text,
                                             error):
         doc = tmp_path / "bad.txt"
@@ -228,8 +231,14 @@ class TestAnalyze:
                   for c in json.loads(out)["components"]}
         assert flexes == {1: None, 2: 0, 3: 9}
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{doc}"], ["verify", "5.2-17"],
+        ["sweep", "{doc}", "--param", "s", "--values", "1,2"]],
+        ids=["analyze", "verify", "sweep"])
     def test_internal_consistency_exit_code(self, capsys, tmp_path,
-                                            monkeypatch):
+                                            monkeypatch, argv):
+        # a failed delta cross-check is no unverifiable claim or degenerate
+        # sweep value: every command ends with exit 3
         import sextics.catalog as catalog_mod
         from sextics.localsing.classify import ConsistencyError
 
@@ -237,10 +246,10 @@ class TestAnalyze:
             raise ConsistencyError("delta mismatch: 3 vs 4")
         monkeypatch.setattr(catalog_mod, "analyze_curve", boom)
         doc = tmp_path / "c.txt"
-        doc.write_text("f: x^6 + y^6 + 1\n")
-        code, out = run_cli(capsys, "analyze", str(doc))
+        doc.write_text("vars: s\nf: x^6 + y^6 + s\ngeneric: s=1\n")
+        code, out = run_cli(capsys, *(a.format(doc=doc) for a in argv))
         assert code == 3
-        assert "internal consistency" in out
+        assert out == "internal consistency error: delta mismatch: 3 vs 4\n"
 
 
 class TestVerify:

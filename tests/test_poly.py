@@ -8,9 +8,9 @@ from test_numfield import _sympy_fields, eisenstein_fields
 from sextics import poly
 from sextics.numfield import NFElt, NumberField
 from sextics.poly import (
+    MAX_DEGREE,
     MAX_PAREN_DEPTH,
     MAX_POWER_BITS,
-    MAX_POWER_DEGREE,
     DomainError,
     Poly,
     PolySyntaxError,
@@ -79,10 +79,28 @@ class TestParse:
             P(text)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("text, position", [
+        ("x^20*y^13", 4), ("x*(x^16 + y)*y^16", 12),
+        ("*".join(["(x + y + 1)"] * 999), 32 * 12 - 1)],
+        ids=["monomials", "third-factor", "999-factors"])
+    def test_product_past_the_degree_bound_refused_at_its_star(self, text,
+                                                               position):
+        # refused before the expansion: 999 factors would take hours
+        with pytest.raises(PolySyntaxError) as err:
+            P(text)
+        assert err.value.position == position
+
+    def test_products_at_the_degree_bound(self):
+        assert P("x^16*y^16").degree() == MAX_DEGREE
+        assert P("*".join(["(x + y + 1)"] * MAX_DEGREE)).degree() \
+            == MAX_DEGREE
+        # a zero or constant factor adds no degree
+        assert P("x^32*0*5").is_zero()
+
     def test_powers_at_the_bounds(self):
-        assert P("y^%d" % MAX_POWER_DEGREE).degree() == MAX_POWER_DEGREE
-        assert P("(x^2 + y)^%d" % (MAX_POWER_DEGREE // 2)).degree() \
-            == MAX_POWER_DEGREE
+        assert P("y^%d" % MAX_DEGREE).degree() == MAX_DEGREE
+        assert P("(x^2 + y)^%d" % (MAX_DEGREE // 2)).degree() \
+            == MAX_DEGREE
         assert P("2^%d" % MAX_POWER_BITS, X).constant_value() \
             == 2 ** MAX_POWER_BITS
         assert P("10^200", X).constant_value() == 10 ** 200
@@ -548,11 +566,14 @@ class TestIntegerGcdAgainstSympy:
         def refuse(*args):
             raise AssertionError("the PRS ran")
 
-        monkeypatch.setattr(poly, "_prem", refuse)
         monkeypatch.setattr(poly, "_prs_gcd", refuse)
         assert unipoly_gcd(UniPoly("y", [0, 0, 1]),
                            UniPoly("y", [0, 2 ** 60, 3, 5])) \
             == UniPoly("y", [0, 1])
+        # a monomial operand leaves 1 once its power and content are out
+        assert unipoly_gcd(UniPoly("y", [0, 0, 0, 6]),
+                           UniPoly("y", [0, 4, 2])) == UniPoly("y", [0, 1])
+        assert poly_gcd(P("6*y^3"), P("4*y + 2*y^2")) == P("y")
         assert poly_gcd(P("x^2*y^3"), P("x*y*(2^60 + 3*x + 5*y)")) \
             == P("x*y")
         assert poly_gcd(P("y^2*(x - 1)"), P("y*(x - 1)*(2^60 + y)")) \
@@ -564,6 +585,19 @@ class TestIntegerGcdAgainstSympy:
         assert poly_gcd(zero, p) == poly_gcd(p, zero) == P("3*x^2*y - 2*y")
         assert poly_gcd(P("3/7"), p) == poly_gcd(p, P("-2")) == P("1")
         assert poly_gcd(P("3"), zero) == P("1")
+        # the same in one variable, where the kernel ends at no variables
+        assert poly_gcd(P("0", X), P("6*x^2 - 4", X)) == P("3*x^2 - 2", X)
+        assert poly_gcd(P("-2", X), P("x", X)) == P("1", X)
+        u0, u1 = UniPoly("x", []), UniPoly("x", [1])
+        assert unipoly_gcd(u0, u0) == u0
+        assert unipoly_gcd(u0, UniPoly("x", [4, 2])) == UniPoly("x", [2, 1])
+        assert unipoly_gcd(UniPoly("x", [-4, -2]), u0) == UniPoly("x", [2, 1])
+        assert unipoly_gcd(UniPoly("x", [Fraction(3, 7)]),
+                           UniPoly("x", [1, 0, 1])) == u1
+        assert unipoly_gcd(UniPoly("x", [5]), u0) == u1
+        assert poly._int_gcd({(): 12}, {(): -18}) == {(): 6}
+        assert poly._int_gcd({}, {(): -5}) == {(): -5}
+        assert poly._int_gcd({}, {}) == {}
         assert poly_gcd(P("x^2 + 1"), P("x^3 - x")) == P("1")
         assert poly_gcd(P("x^2 + y^2 + 1"), P("x*y - 2")) == P("1")
         # variables that neither operand uses stay in the result's tuple
@@ -586,8 +620,8 @@ class TestIntegerGcdAgainstSympy:
                              ids=["x", "xy", "xyz"])
     def test_prs_fallback(self, monkeypatch, variables):
         """With no evaluation point to try, the primitive PRS alone gives
-        every gcd: one variable by `_prem`, more by pseudo-remainders in
-        the last variable with contents from the kernel."""
+        every gcd, by pseudo-remainders in the last variable with contents
+        from the kernel, down to integers in one variable."""
         rng = random.Random(len(variables))
         cases = []
         for i in range(6):
@@ -601,10 +635,9 @@ class TestIntegerGcdAgainstSympy:
             ints = [poly.clear_denominators(t.terms)[0] for t in (p, q)]
             gi = poly._int_gcd(*ints)
             assert Poly(variables, gi).primitive() == g
-            if len(variables) > 1:
-                a, b = (poly._primitive_last(t)[1] for t in ints)
-                assert Poly(variables, poly._prs_gcd(a, b)).primitive() \
-                    == poly_gcd(Poly(variables, a), Poly(variables, b))
+            a, b = (poly._primitive_last(t)[1] for t in ints)
+            assert Poly(variables, poly._prs_gcd(a, b)).primitive() \
+                == poly_gcd(Poly(variables, a), Poly(variables, b))
 
 
 class TestSquarefree:
