@@ -1,8 +1,11 @@
 """Decomposing reduced curves into their irreducible components over Q.
 
-One complete factorization of f over Q (sympy's `factor_list`) gives the
-components; that each factor is Q-irreducible is sympy's claim, while the
-product of the factors is checked exactly against f.  A Q-irreducible
+One complete factorization of f over Z (`factor.factor_bivariate`, the
+Zassenhaus algorithm lifted from one univariate image) gives the
+components.  Each factor is accepted there only when it divides exactly,
+and is Q-irreducible because every smaller combination of the lifted
+modular factors failed first (see that module); the product of the
+factors is checked exactly against f once more here.  A Q-irreducible
 factor may still split over a number field into conjugate components; the
 genus rules of `analysis` flag those.  Every emitted factor is
 integer-primitive with positive leading coefficient.
@@ -11,8 +14,10 @@ integer-primitive with positive leading coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .poly import DomainError, Poly, PolyError, from_sympy, to_sympy
+from .factor import factor_bivariate
+from .poly import DomainError, Poly, PolyError, clear_denominators
 
 # Unused here; perfbench/tracer.py patches resultant and factor_rational in
 # this namespace.
@@ -48,9 +53,10 @@ def decompose(f: Poly) -> ComponentDecomposition:
     if f.is_zero():
         raise DomainError("zero polynomial")
     factors = []
-    for q, mult in to_sympy(f, XY)[0].factor_list()[1]:
-        p = from_sympy(q, XY).primitive()
-        factors.append((p, p.degree(), int(mult)))
+    for g, mult in factor_bivariate(clear_denominators(f.terms)[0]):
+        p = Poly._trusted(XY, {m: Fraction(c) for m, c in g.items()})
+        p = p.primitive()
+        factors.append((p, p.degree(), mult))
     factors.sort(key=lambda t: (t[1], sorted(t[0].terms.items())))
     decomp = ComponentDecomposition(tuple(factors))
     if decomp.reconstruct().primitive() != f.primitive():

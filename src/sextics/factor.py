@@ -1,0 +1,590 @@
+"""Factorization over Z in one and two variables, on Python ints.
+
+`factor_univariate` takes an integer coefficient list, `factor_bivariate`
+an integer term dict in (x, y); both return the irreducible factors over Z
+with their multiplicities, each primitive, integer constants dropped.
+By Gauss's lemma these are the irreducible factors over Q, which is what
+`numfield.factor_rational` and `components.decompose` read off them.
+
+One variable (von zur Gathen & Gerhard, *Modern Computer Algebra*, chs.
+14 and 15):
+
+* the lowest power of the variable and the integer content come out
+  first;
+* f is squarefree when it is so modulo a prime that does not divide
+  lc(f); when none of the first `_PRIMES_COMPARED` odd primes p with p
+  not dividing lc(f) shows that, Yun's algorithm splits f into squarefree
+  parts, on the integer gcd kernel `poly._int_gcd`;
+* a part of degree at most 2 is answered by its discriminant;
+* otherwise, among those primes that keep the part squarefree (or the
+  first prime past them that does), the one with the fewest
+  distinct-degree factors is kept (a count of 1 proves the part
+  irreducible at once), and only the part mod that p is split into its
+  monic irreducible factors, by Cantor and Zassenhaus's equal-degree
+  splitting with a seeded `random.Random`;
+* the factors are Hensel-lifted together, quadratically, to p^l >
+  2 |lc(f)| 2^n ||f||_2 (`_hensel`);
+* subsets of the lifted factors, smallest first, give the candidates
+  lc(f) prod(g_i) mod p^l in the symmetric range; a candidate's primitive
+  part is accepted only when it divides f exactly (`poly._dense_quotient`),
+  and then f and the factor list shrink.
+
+Why the answer is exact: every accepted factor divides f exactly, and is
+irreducible because no smaller subset gave a factor before it.  The
+rest is declared irreducible only after every subset of at most half of
+the remaining lifted factors failed.  That is complete by Mignotte's
+bound: a factor g of f has ||g||_inf <= 2^n ||f||_2 |lc(g) / lc(f)|, so
+lc(f) / lc(g) g, whose image mod p^l is lc(f) times the product of the
+lifts of the modular factors of g (unique, since f is squarefree mod p),
+lies below p^l / 2 and is that product's symmetric representative.  The
+answer depends on neither the prime nor the random seed: it is the
+unique factorization, and the callers sort it.
+
+Two variables:
+
+* the contents of f in x (a polynomial in y) and in y (a polynomial in x)
+  are factored in one variable;
+* Yun's algorithm in x on `poly._int_gcd` splits the rest, whose every
+  factor has positive degree in both variables, into squarefree parts;
+* a part P of degree 1 in x or in y is irreducible; otherwise the shear
+  y -> y + k x makes lc_x a nonzero integer L, and x -> x / L makes the
+  part monic in x over Z: Q(x, y) = L^(d - 1) P(x / L, y + k x / L);
+* for the first integer c (0, 1, -1, 2, ...) with Q(x, c) squarefree, the
+  image Q(x, c) is factored in one variable; one factor proves P
+  irreducible;
+* otherwise the image's factors are lifted in t = y - c to precision
+  t^(deg_t + 1), with coefficients mod p^l for a prime p that keeps the
+  image squarefree (`_lift_in_t`);
+* subsets of the lifted factors, smallest first, are accepted only when
+  their product divides Q(x, t + c) exactly in Z[x, t] (`poly._quotient`),
+  and an accepted factor C(x, t) is carried back to P as the primitive
+  part of C(L x, y - k x - c).
+
+Why the answer is exact: each accepted factor divides exactly, and the
+rest is declared irreducible only after every subset of at most half of
+the remaining lifted factors failed.  A monic factor of Q(x, t + c) in
+Z[x, t] reduces mod t to the product of a subset of the image's factors,
+and as the image is squarefree and monic, and stays squarefree mod p,
+its lift over Z_p[[t]] is unique: so the factor is the product of that
+subset's lifts mod (p^l, t^(deg_t + 1)).  Its coefficients are those of
+its Kronecker image g(x, x^(d + 1)), a factor of a polynomial of degree at
+most d + (d + 1) deg_t with the same coefficients as Q (d = deg_x Q), so
+Mignotte's bound caps them below p^l / 2.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import combinations, islice
+from math import gcd, isqrt
+
+from .poly import _dense, _dense_quotient, _int_gcd, _primitive_last, \
+    _quotient, _squarefree, _terms_mul
+
+__all__ = ["factor_univariate", "factor_bivariate"]
+
+# distinct-degree counts compared before one prime is chosen to split f
+_PRIMES_COMPARED = 3
+
+
+def factor_univariate(f: list) -> list:
+    """[(g, m)]: the irreducible factors g over Z of the nonzero integer
+    coefficient list f (low to high), with multiplicities m, each a
+    primitive coefficient list with positive last entry."""
+    k = next(i for i, c in enumerate(f) if c)
+    out = [([0, 1], k)] if k else []
+    f = f[k:]
+    if len(f) == 1:
+        return out
+    f = _primitive(f)
+    if len(f) <= 3:
+        return out + _small(f)
+    # f is squarefree when it is so mod a prime not dividing lc(f)
+    primes = _primes_for(f)
+    if primes:
+        return out + [(g, 1) for g in _zassenhaus(f, primes)]
+    for a, i in _squarefree_parts({(e,): v for e, v in enumerate(f) if v}):
+        part = _primitive(_dense(a))
+        if len(part) <= 3:
+            gs = [g for g, _ in _small(part)]
+        else:
+            gs = _zassenhaus(part, _primes_for(part)
+                             or [next(_squarefree_mod(part))])
+        out += [(g, i) for g in gs]
+    return out
+
+
+def factor_bivariate(f: dict) -> list:
+    """[(g, m)]: the irreducible factors g over Z of the nonzero integer
+    term dict f in (x, y), with multiplicities m, each an integer-primitive
+    term dict in (x, y)."""
+    in_y, f = _primitive_last({(j, i): v for (i, j), v in f.items()})
+    in_x, f = _primitive_last({(i, j): v for (j, i), v in f.items()})
+    out = [({(0, e): v for e, v in enumerate(g) if v}, m)
+           for g, m in factor_univariate(_dense(in_y))]
+    out += [({(e, 0): v for e, v in enumerate(g) if v}, m)
+            for g, m in factor_univariate(_dense(in_x))]
+    if max(m[0] for m in f):
+        for part, i in _squarefree_parts(f):
+            out += [(g, i) for g in _factor_part(part)]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# squarefree parts and small degrees
+# ---------------------------------------------------------------------------
+
+
+def _squarefree_parts(f: dict) -> list:
+    """[(a_i, i)] with f = +-prod a_i^i, the a_i squarefree, pairwise
+    coprime and of positive degree in the first variable (Yun), for an
+    integer-primitive term dict f all of whose factors have positive
+    degree in that variable.  Every gcd is integer-primitive, so every
+    division is exact in Z by Gauss's lemma."""
+    def diff(a):
+        return {(m[0] - 1,) + m[1:]: m[0] * v for m, v in a.items() if m[0]}
+
+    df = diff(f)
+    g = _int_gcd(f, df)
+    b, c = _quotient(f, g), _quotient(df, g)
+    out, i = [], 1
+    while max(m[0] for m in b):
+        d = dict(c)
+        for m, v in diff(b).items():
+            d[m] = d.get(m, 0) - v
+        d = {m: v for m, v in d.items() if v}
+        a = _int_gcd(b, d)
+        if max(m[0] for m in a):
+            out.append((a, i))
+        b, c = _quotient(b, a), _quotient(d, a)
+        i += 1
+    return out
+
+
+def _small(f: list) -> list:
+    """factor_univariate's answer for a primitive f of degree 1 or 2 with
+    positive last entry and f(0) != 0: a quadratic a t^2 + b t + c splits
+    exactly when its discriminant b^2 - 4ac is a square s^2, into the
+    primitive parts of 2a t + b - s and 2a t + b + s."""
+    if len(f) == 2:
+        return [(f, 1)]
+    c, b, a = f
+    disc = b * b - 4 * a * c
+    s = isqrt(disc) if disc >= 0 else -1
+    if s * s != disc:
+        return [(f, 1)]
+    roots = [_primitive([b - s, 2 * a]), _primitive([b + s, 2 * a])]
+    return [(roots[0], 2)] if not s else [(g, 1) for g in roots]
+
+
+def _primitive(f: list) -> list:
+    """f over its content, signed so that the last entry is positive."""
+    c = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    return [v // c for v in f]
+
+
+# ---------------------------------------------------------------------------
+# dense polynomials mod m, low to high; division only by a unit leading
+# coefficient, so m may be a prime p or a power p^l
+# ---------------------------------------------------------------------------
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(a: list, b: list, m: int) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([(x + b[i] if i < len(b) else x) % m
+                  for i, x in enumerate(a)])
+
+
+def _sub(a: list, b: list, m: int) -> list:
+    return _add(a, [-x for x in b], m)
+
+
+def _mul(a: list, b: list, m: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim([c % m for c in out])
+
+
+def _divmod(a: list, b: list, m: int):
+    """(q, r) with a = q b + r mod m and deg r < deg b, for lc(b) a unit."""
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for top in range(len(a) - 1, db - 1, -1):
+        c = r[top] * inv % m
+        if c:
+            q[top - db] = c
+            for j in range(db):
+                r[top - db + j] -= c * b[j]
+    return _trim(q), _trim([c % m for c in r[:db]])
+
+
+def _rem(a: list, b: list, m: int) -> list:
+    return _divmod(a, b, m)[1]
+
+
+def _monic(a: list, p: int) -> list:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd over F_p; [] when both are zero."""
+    while b:
+        a, b = b, _rem(a, b, p)
+    return _monic(a, p) if a else a
+
+
+def _inverse(a: list, g: list, p: int) -> list:
+    """a^-1 mod g over F_p, for a coprime to the monic g: extended Euclid,
+    keeping s with s a = r mod g for each remainder r."""
+    r0, r1, s0, s1 = g, _rem(a, g, p), [], [1]
+    while len(r1) > 1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _sub(s0, _mul(q, s1, p), p)
+    inv = pow(r1[0], -1, p)
+    return _rem([c * inv for c in s1], g, p)
+
+
+def _powmod(a: list, e: int, f: list, p: int) -> list:
+    out, a = [1], _rem(a, f, p)
+    while e:
+        if e & 1:
+            out = _rem(_mul(out, a, p), f, p)
+        e >>= 1
+        if e:
+            a = _rem(_mul(a, a, p), f, p)
+    return out
+
+
+def _symmetric(a: list, m: int) -> list:
+    half = m // 2
+    return [c - m if c > half else c for c in a]
+
+
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _mod_squarefree(f: list, p: int):
+    """f mod p made monic when it is squarefree, for p not dividing lc(f);
+    else None."""
+    fp = _monic([c % p for c in f], p)
+    df = _trim([i * c % p for i, c in enumerate(fp)][1:])
+    return fp if len(_gcd(fp, df, p)) == 1 else None
+
+
+def _primes_for(f: list) -> list:
+    """[(p, f mod p made monic)] for each of the first `_PRIMES_COMPARED`
+    odd primes p not dividing lc(f) that keep f squarefree."""
+    primes = (p for p in _odd_primes() if f[-1] % p)
+    out = []
+    for p in islice(primes, _PRIMES_COMPARED):
+        fp = _mod_squarefree(f, p)
+        if fp:
+            out.append((p, fp))
+    return out
+
+
+def _squarefree_mod(f: list):
+    """(p, f mod p made monic) for the first odd prime p that does not
+    divide lc(f) and keeps f squarefree, and every later one in turn."""
+    for p in _odd_primes():
+        if f[-1] % p:
+            fp = _mod_squarefree(f, p)
+            if fp:
+                yield p, fp
+
+
+# ---------------------------------------------------------------------------
+# one variable: Zassenhaus
+# ---------------------------------------------------------------------------
+
+
+def _distinct_degree(f: list, p: int) -> list:
+    """[(g, d)]: g is the product of the monic irreducible factors of
+    degree d of the monic squarefree f over F_p, for each d that has one."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd(f, _sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod(f, g, p)[0]
+            h = _rem(h, f, p)
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(g: list, d: int, p: int, rng: random.Random) -> list:
+    """The monic irreducible factors of the monic squarefree g over F_p,
+    p odd, when all of them have degree d (Cantor & Zassenhaus): for a
+    random a, gcd(a^((p^d - 1) / 2) - 1, g) is a proper factor with
+    probability about 1/2."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    e = (p ** d - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        h = _gcd(g, _sub(_powmod(a, e, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            return (_equal_degree(h, d, p, rng)
+                    + _equal_degree(_divmod(g, h, p)[0], d, p, rng))
+
+
+def _hensel(f: list, gs: list, p: int, mod: int):
+    """(lifts, betas): the monic g_i, with f = lc(f) prod g_i mod p, f's
+    leading coefficient prime to p and the g_i pairwise coprime mod p,
+    lifted to f = lc(f) prod g_i mod `mod` (a power of p), and the b_i
+    with sum b_i prod_{j != i} g_j = 1 mod `mod`, deg b_i < deg g_i.
+
+    Quadratic multifactor lifting from modulus m to m' | m^2, with e =
+    f - lc(f) prod g_i = 0 mod m: g_i += (b_i e / lc(f)) mod g_i, after
+    which e = 0 mod m'; then with E = 1 - sum b_i prod_{j != i} g_j = 0
+    mod m, b_i += (b_i E) mod g_i, after which E = 0 mod m'.  At m = p the
+    b_i are the inverses of prod_{j != i} g_j mod g_i, whose sum with
+    those weights is 1 by the Chinese remainder theorem."""
+    def product(gs, m):
+        whole = [1]
+        for g in gs:
+            whole = _mul(whole, g, m)
+        return whole
+
+    whole = product(gs, p)
+    betas = [_inverse(_divmod(whole, g, p)[0], g, p) for g in gs]
+    m, lc = p, f[-1]
+    while m < mod:
+        m = min(m * m, mod)
+        e = _sub(f, [lc * c for c in product(gs, m)], m)
+        if e:
+            e = [c * pow(lc, -1, m) for c in e]
+            gs = [_add(g, _rem(_mul(b, e, m), g, m), m)
+                  for g, b in zip(gs, betas)]
+        whole = product(gs, m)
+        big_e = [1]
+        for g, b in zip(gs, betas):
+            big_e = _sub(big_e, _mul(b, _divmod(whole, g, m)[0], m), m)
+        if big_e:
+            betas = [_add(b, _rem(_mul(b, big_e, m), g, m), m)
+                     for g, b in zip(gs, betas)]
+    return gs, betas
+
+
+def _lift_to(bound: int, p: int) -> int:
+    """The least power of p above bound."""
+    mod = p
+    while mod <= bound:
+        mod *= p
+    return mod
+
+
+def _zassenhaus(f: list, primes: list) -> list:
+    """The irreducible factors of a primitive squarefree f of degree >= 3
+    with positive last entry and f(0) != 0 (see the module docstring),
+    splitting it modulo the one of `primes`, pairs (p, f mod p made monic)
+    with f squarefree mod p, that has the fewest distinct-degree factors."""
+    best = None
+    for p, fp in primes:
+        ddf = _distinct_degree(fp, p)
+        count = sum((len(g) - 1) // d for g, d in ddf)
+        if count == 1:
+            return [f]
+        if best is None or count < best[0]:
+            best = (count, p, ddf)
+    _, p, ddf = best
+    rng = random.Random(0)
+    gs = [h for g, d in ddf for h in _equal_degree(g, d, p, rng)]
+    n, lc = len(f) - 1, f[-1]
+    mod = _lift_to(2 * lc * 2 ** n * (isqrt(sum(c * c for c in f)) + 1), p)
+    gs = _hensel(f, gs, p, mod)[0]
+    found, size = [], 1
+    while 2 * size <= len(gs):
+        for subset in combinations(range(len(gs)), size):
+            lc = f[-1]
+            # the constant term of a factor lc(f) / lc(g) g divides lc(f) f(0)
+            c0 = lc
+            for i in subset:
+                c0 = c0 * gs[i][0] % mod
+            c0 = c0 - mod if c0 > mod // 2 else c0
+            if not c0 or lc * f[0] % c0:
+                continue
+            g = [lc]
+            for i in subset:
+                g = _mul(g, gs[i], mod)
+            g = _primitive(_symmetric(g, mod))
+            q = _dense_quotient(f, g)
+            if q is None:
+                continue
+            found.append(g)
+            f = q
+            gs = [h for i, h in enumerate(gs) if i not in subset]
+            break
+        else:
+            size += 1
+    return found + [f]
+
+
+# ---------------------------------------------------------------------------
+# two variables: lifting one univariate image in t = y - c
+# ---------------------------------------------------------------------------
+
+
+def _substitute(g: dict, x: dict, y: dict) -> dict:
+    """g(x, y) for integer term dicts in two variables."""
+    rows: dict = {}
+    for (i, j), v in g.items():
+        rows.setdefault(i, {})[j] = v
+    xpow, ypow = [{(0, 0): 1}], [{(0, 0): 1}]
+    out: dict = {}
+    for i, row in rows.items():
+        while len(xpow) <= i:
+            xpow.append(_terms_mul(xpow[-1], x))
+        inner: dict = {}
+        for j, v in row.items():
+            while len(ypow) <= j:
+                ypow.append(_terms_mul(ypow[-1], y))
+            for m, c in ypow[j].items():
+                inner[m] = inner.get(m, 0) + v * c
+        for m, c in _terms_mul(xpow[i], inner).items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _factor_part(part: dict) -> list:
+    """The irreducible factors of a squarefree integer term dict in (x, y)
+    that is primitive in x and in y (see the module docstring)."""
+    if max(m[0] for m in part) == 1 or max(m[1] for m in part) == 1:
+        return [part]
+    d = max(sum(m) for m in part)
+    top = {m: v for m, v in part.items() if sum(m) == d}
+    for k in _integers():
+        lead = sum(v * k ** j for (_, j), v in top.items())
+        if lead:
+            break
+    q = _substitute(part, {(1, 0): 1}, {(0, 1): 1, (1, 0): k}) if k else part
+    q = {(i, j): v * lead ** (d - 1 - i) if i < d else 1
+         for (i, j), v in q.items()}
+    for c in _integers():
+        image: dict = {}
+        for (i, j), v in q.items():
+            image[(i,)] = image.get((i,), 0) + v * c ** j
+        image = {m: v for m, v in image.items() if v}
+        if _squarefree(image):
+            break
+    us = [g for g, _ in factor_univariate(_dense(image))]
+    if len(us) == 1:
+        return [part]
+    q = _substitute(q, {(1, 0): 1}, {(0, 1): 1, (0, 0): c})
+    deg_t = max(m[1] for m in q)
+    norm = isqrt(sum(v * v for v in q.values())) + 1
+    p, _ = next(_squarefree_mod(_dense(image)))
+    mod = _lift_to(2 * 2 ** (d + (d + 1) * deg_t) * norm, p)
+    lifts = _lift_in_t(q, us, p, mod, deg_t + 1)
+    found, size, left = [], 1, list(range(len(us)))
+    while 2 * size <= len(left):
+        for subset in combinations(left, size):
+            g = [[1]]
+            for i in subset:
+                g = _series_mul(g, lifts[i], mod, deg_t + 1)
+            g = {(e, k): c for k, row in enumerate(g)
+                 for e, c in enumerate(_symmetric(row, mod)) if c}
+            rest = _quotient(q, g)
+            if rest is None:
+                continue
+            found.append(g)
+            q = rest
+            left = [i for i in left if i not in subset]
+            break
+        else:
+            size += 1
+    out = []
+    for g in found + [q]:
+        g = _substitute(g, {(1, 0): lead}, {(0, 1): 1, (1, 0): -k, (0, 0): -c})
+        cont = gcd(*g.values())
+        out.append({m: v // cont for m, v in g.items()})
+    return out
+
+
+def _integers():
+    """0, 1, -1, 2, -2, ..."""
+    k = 0
+    while True:
+        yield k
+        k = -k if k > 0 else 1 - k
+
+
+def _series_mul(a: list, b: list, m: int, order: int) -> list:
+    """The product of two power series in t, lists of coefficient lists in
+    x mod m, truncated below t^order."""
+    out = [[] for _ in range(min(len(a) + len(b) - 1, order))]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:order - i]):
+            out[i + j] = _add(out[i + j], _mul(x, y, m), m)
+    return out
+
+
+def _lift_in_t(q: dict, us: list, p: int, mod: int, order: int) -> list:
+    """The series G_i in t, lists of coefficient lists in x mod `mod`, with
+    q = prod G_i mod (mod, t^order) and G_i = u_i mod t, for the integer
+    term dict q in (x, t), monic in x, and the monic integer factors u_i of
+    q(x, 0), squarefree mod p.
+
+    Linear lifting with the b_i of `_hensel`, sum b_i prod_{j != i} u_j = 1
+    mod `mod`: the t^k coefficient e of q - prod G_i, with the G_i known
+    below t^k, is matched by G_i += t^k ((b_i e) mod u_i).  The t^k
+    coefficients of the partial products G_1 ... G_j are kept, so each
+    step costs k products per factor."""
+    us = [[c % mod for c in u] for u in us]
+    betas = _hensel(_dense({(i,): v for (i, k), v in q.items() if not k}),
+                    [[c % p for c in u] for u in us], p, mod)[1]
+    rows = [{} for _ in range(order)]
+    for (i, k), v in q.items():
+        rows[k][(i,)] = v
+    lifts = [[u] for u in us]
+    partial = [[us[0]]]
+    for u in us[1:]:
+        partial.append([_mul(partial[-1][0], u, mod)])
+
+    def coefficient(k):
+        # t^k coefficients of the partial products G_1 ... G_j
+        out = [lifts[0][k]]
+        for j in range(1, len(lifts)):
+            acc = []
+            for a in range(k + 1):
+                left = out[j - 1] if a == k else partial[j - 1][a]
+                acc = _add(acc, _mul(left, lifts[j][k - a], mod), mod)
+            out.append(acc)
+        return out
+
+    for k in range(1, order):
+        for g in lifts:
+            g.append([])
+        e = _sub([c % mod for c in _dense(rows[k])], coefficient(k)[-1], mod)
+        if e:
+            for g, u, b in zip(lifts, us, betas):
+                g[k] = _rem(_mul(b, e, mod), u, mod)
+        for j, c in enumerate(coefficient(k)):
+            partial[j].append(c)
+    return lifts

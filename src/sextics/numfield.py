@@ -17,8 +17,9 @@ fraction-free (Bareiss), so it needs no `Fraction` either.
 `field = None` denotes Q itself with plain `Fraction` elements throughout
 the package.
 
-Irreducible factorization of univariate polynomials over Q is delegated to
-sympy (`factor_rational`).  Factorization over an extension reduces to it by
+Irreducible factorization of univariate polynomials over Q is Zassenhaus's
+algorithm over Z (`factor_rational`, on `factor.factor_univariate`).
+Factorization over an extension reduces to it by
 Trager's norm trick, and the primitive element of a tower is read off the
 same norm: both take the first shift s >= 1 whose norm of q(y - s*theta) is
 squarefree (`_squarefree_norm`).
@@ -27,20 +28,20 @@ squarefree (`_squarefree_norm`).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Optional, Tuple
 
+from .factor import factor_univariate
 from .poly import (
     DomainError,
     Poly,
     UniPoly,
     clear_denominators,
     convolve_reduce,
-    from_sympy,
-    to_sympy,
     is_squarefree,
     unipoly_gcd,
     resultant,
+    _dense,
 )
 
 __all__ = [
@@ -340,42 +341,25 @@ def coef_key(c) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# factorization over Q (sympy-backed)
+# factorization over Q
 # ---------------------------------------------------------------------------
 
 def factor_rational(u: UniPoly):
     """Irreducible monic factors of a rational UniPoly: [(factor, mult)].
 
-    Deterministic order: by (degree, coefficient tuple).  A linear u, a
-    monomial c*t^k and a quadratic, most tangent cones, are answered
-    without sympy: the monic t^2 + p*t + q splits over Q exactly when its
-    discriminant p^2 - 4q is the square of a rational s, into
-    t + (p - s)/2 and t + (p + s)/2.
+    Deterministic order: by (degree, coefficient tuple).  The cleared
+    numerators are factored over Z by `factor.factor_univariate`
+    (Zassenhaus's algorithm, exact: see that module), whose primitive
+    factors are the irreducible factors over Q by Gauss's lemma.
     """
     if u.is_zero():
         raise DomainError("zero polynomial")
-    if u.degree() == 0:
-        return []
     if u.degree() == 1:
         return [(u.monic(), 1)]
-    if not any(u.coeffs[:-1]):
-        return [(UniPoly(u.var, [0, 1]), u.degree())]
-    if u.degree() == 2:
-        monic = u.monic()
-        q, p, _ = monic.coeffs
-        disc = p * p - 4 * q
-        num, den = disc.numerator, disc.denominator
-        if num < 0 or isqrt(num) ** 2 != num or isqrt(den) ** 2 != den:
-            return [(monic, 1)]
-        s = Fraction(isqrt(num), isqrt(den))
-        if not s:
-            return [(UniPoly(u.var, [p / 2, 1]), 2)]
-        out = [(UniPoly(u.var, [(p + e) / 2, 1]), 1) for e in (-s, s)]
-    else:
-        vs = (u.var,)
-        out = [(UniPoly.from_poly(from_sympy(f, vs), u.var).monic(),
-                int(mult))
-               for f, mult in to_sympy(u.to_poly(), vs)[0].factor_list()[1]]
+    ints = clear_denominators({(e,): c for e, c in enumerate(u.coeffs)
+                               if c})[0]
+    out = [(UniPoly(u.var, [Fraction(c, g[-1]) for c in g]), mult)
+           for g, mult in factor_univariate(_dense(ints))]
     out.sort(key=lambda fm: (fm[0].degree(),
                              tuple((c.numerator, c.denominator) for c in fm[0].coeffs)))
     return out

@@ -14,10 +14,8 @@ denominator), `content_in` (the gcd of the coefficients in one variable),
 `convolve_reduce` (the product of two integer coordinate vectors of a
 number field, which `numfield.NFElt` multiplies with), `Poly.shift` (the
 Taylor shift p(v + a_v), which `UniPoly.shift` calls), `unipoly_gcd` (the
-monic gcd of two univariates over Q or a number field), `_int_gcd` (the
-one integer gcd kernel) and `to_sympy`/`from_sympy` (the one bridge to
-sympy, for `components.decompose` and `numfield.factor_rational`: an
-integer sympy polynomial and its denominator, and back).
+monic gcd of two univariates over Q or a number field) and `_int_gcd` (the
+one integer gcd kernel, which `factor` also splits squarefree parts with).
 
 The Taylor shift and the univariate gcd run on integers and build one
 canonical coefficient per term of their result.  A number-field element
@@ -26,15 +24,17 @@ results are built by its field (`field.from_ints`), so this module never
 imports `numfield`; a `Fraction` is a coordinate vector of length 1.
 
 `poly_gcd`, `is_squarefree` and `resultant` take rational coefficients
-only, and make no sympy call.  The gcds over Q (`poly_gcd`, `unipoly_gcd`
-over Q) and the squarefree test run on the cleared numerators, as integer
-term dicts, in the one kernel `_int_gcd`: the heuristic gcd of Char,
+only.  The gcds over Q (`poly_gcd`, `unipoly_gcd` over Q) and the
+squarefree test run on the cleared numerators, as integer term dicts, in
+the one kernel `_int_gcd`: the heuristic gcd of Char,
 Geddes & Gonnet in n >= 1 variables, recursing down to `math.gcd` of two
 integers at n = 0, with every candidate checked by exact division and a
 primitive PRS (`_prs_gcd`) as its fallback.  `resultant` is one integer
 computation, a subresultant PRS on the Kronecker images of the two
 polynomials, with the Sylvester sign fixed below; dense coefficient lists
-appear only under such images (there and in `_quotient`).
+appear only under such images (there and in `_quotient`), and in the
+factorization over Z of `factor`, which reuses `_quotient` and
+`_dense_quotient` as its exact division tests.
 
 Conventions fixed here and relied on by the golden-file tests:
 
@@ -51,8 +51,6 @@ import sys
 from fractions import Fraction
 from math import comb, gcd, lcm, log2
 from typing import Iterable, Mapping, Optional, Sequence, Union
-
-import sympy
 
 __all__ = [
     "Poly",
@@ -582,9 +580,15 @@ MAX_PAREN_DEPTH = 100
 # a '^', passes MAX_DEGREE, or a power's e times log2 of the base's
 # largest numerator or denominator passes MAX_POWER_BITS.  The corpus
 # needs degree 28; (x + y + 1)^32 takes 0.1 s to expand, ^64 seconds,
-# ^999 hours, and so does a product of as many factors.
+# ^999 hours, and so does a product of as many factors.  Within those
+# bounds the term count can still grow: (x + y + s + t + u + 1)^16 has
+# 20,349 terms and takes seconds.  So a product is also refused when its
+# bound on the terms, t_p * t_q for factors of t_p and t_q terms or
+# C(k + e - 1, e) for the e-th power of k terms, passes MAX_TERMS; the
+# shipped data files need at most 210.
 MAX_DEGREE = 32
 MAX_POWER_BITS = 1 << 14
+MAX_TERMS = 1 << 12
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:
@@ -594,11 +598,17 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     forms re-parse.  Every symbol must appear in `variables`.  Parentheses
     nest at most `MAX_PAREN_DEPTH` deep.  A product of degree past
     `MAX_DEGREE` is refused at its ``*``, and a power past `MAX_DEGREE`
-    or `MAX_POWER_BITS` at its exponent.
+    or `MAX_POWER_BITS` at its exponent; so is either one whose bound on
+    its terms passes `MAX_TERMS`.
     """
     vs = tuple(variables)
     tok = _Tokenizer(text)
     depth = 0
+
+    def check_terms(bound: int, what: str, start: int):
+        if bound > MAX_TERMS:
+            raise PolySyntaxError("%s of up to %d terms exceeds %d"
+                                  % (what, bound, MAX_TERMS), start)
 
     def parse_expression() -> Poly:
         kind, val, start = tok.peek()
@@ -629,6 +639,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
                 if degree > MAX_DEGREE:
                     raise PolySyntaxError("product of degree %d exceeds %d"
                                           % (degree, MAX_DEGREE), start)
+                check_terms(len(p.terms) * len(q.terms), "product", start)
                 p = p * q
             else:
                 return p
@@ -650,6 +661,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
             if bits > MAX_POWER_BITS:
                 raise PolySyntaxError("power of %d bits exceeds %d"
                                       % (bits, MAX_POWER_BITS), start)
+            check_terms(comb(max(len(p.terms), 1) + e - 1, e), "power", start)
             p = p ** e
         return p
 
@@ -1034,21 +1046,6 @@ def clear_denominators(terms: Mapping[Monom, Fraction]):
             for m, c in terms.items()}, d
 
 
-def to_sympy(p: Poly, variables: Sequence[str]):
-    """(P, d): the integer sympy Poly P in `variables`, in that generator
-    order, and the least positive integer d with p = P / d."""
-    ints, d = clear_denominators(p.with_vars(variables).terms)
-    return sympy.Poly.from_dict(ints, *map(sympy.Symbol, variables),
-                                domain="ZZ"), d
-
-
-def from_sympy(sp, variables: Sequence[str]) -> Poly:
-    """The Poly of an integer sympy Poly sp in `variables`."""
-    return Poly._trusted(tuple(variables),
-                         {m: Fraction(int(c))
-                          for m, c in sp.as_dict(native=True).items()})
-
-
 def content_in(p: Poly, var: str) -> Optional[Poly]:
     """gcd of the coefficients of p in `var`, a Poly in the other variables.
 
@@ -1233,10 +1230,15 @@ def _quotient(a: Mapping[Monom, int], h: Mapping[Monom, int]):
     of degree below size_i in each x_i.  When t-division is exact and the
     quotient q read back has deg_i(h) + deg_i(q) <= deg_i(a) for every i,
     h q stays within those degrees and has the image of a, so h q = a.
+    In one variable the map is the identity, and the lists are divided
+    as they are.
     """
     if not a:
         return {}
     n = len(next(iter(h)))
+    if n == 1:
+        q = _dense_quotient(_dense(a), _dense(h))
+        return None if q is None else {(e,): v for e, v in enumerate(q) if v}
     da = [max(m[i] for m in a) for i in range(n)]
     dh = [max(m[i] for m in h) for i in range(n)]
     if any(x > y for x, y in zip(dh, da)):

@@ -125,9 +125,16 @@ class TestAnalyze:
          "line 2: f: power of degree 999 exceeds 32 (at offset 12)"),
         ("source: s\nf: %s\n" % "*".join(["(x + y + 1)"] * 999),
          "line 2: f: product of degree 33 exceeds 32 (at offset 383)"),
+        # within the degree bound, but with too many terms
+        ("vars: s t u\nf: (x + y + s + t + u + 1)^16\n",
+         "line 2: f: power of up to 20349 terms exceeds 4096"
+         " (at offset 24)"),
+        ("vars: s t u\nf: %s\n" % "*".join(["(x + y + s + t + u + 1)"] * 16),
+         "line 2: f: product of up to 4752 terms exceeds 4096"
+         " (at offset 167)"),
     ], ids=["fraction-power", "double-caret", "undeclared",
             "superscript-digit", "5000-digits", "huge-power",
-            "huge-product"])
+            "huge-product", "many-term-power", "many-term-product"])
     def test_parse_error_names_line_and_key(self, capsys, tmp_path, text,
                                             error):
         doc = tmp_path / "bad.txt"
@@ -432,3 +439,21 @@ def test_flag_a_subcommand_does_not_read_refused(capsys, smooth_doc, argv):
     with pytest.raises(SystemExit) as exc:
         main([smooth_doc if a == "DOC" else a for a in argv])
     assert exc.value.code == 2
+
+
+def test_runtime_never_imports_sympy():
+    # every module of the package, then one verification, in a fresh
+    # interpreter: sympy is left to the tests as an oracle
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import sextics\n"
+        "for m in pkgutil.walk_packages(sextics.__path__, 'sextics.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "from sextics.cli import main\n"
+        "code = main(['verify', '5.2-5'])\n"
+        "print(code, 'sympy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout.splitlines()[-1] == "0 False"

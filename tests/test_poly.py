@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy_bridge import from_sympy, to_sympy
 from test_numfield import _sympy_fields, eisenstein_fields
 
 from sextics import poly
@@ -11,18 +12,17 @@ from sextics.poly import (
     MAX_DEGREE,
     MAX_PAREN_DEPTH,
     MAX_POWER_BITS,
+    MAX_TERMS,
     DomainError,
     Poly,
     PolySyntaxError,
     UniPoly,
     content_in,
     format_poly,
-    from_sympy,
     is_squarefree,
     parse_poly,
     poly_gcd,
     resultant,
-    to_sympy,
     unipoly_gcd,
 )
 
@@ -104,6 +104,22 @@ class TestParse:
         assert P("2^%d" % MAX_POWER_BITS, X).constant_value() \
             == 2 ** MAX_POWER_BITS
         assert P("10^200", X).constant_value() == 10 ** 200
+
+    def test_term_count_bounded_within_the_degree_bound(self):
+        five = ("x", "y", "s", "t", "u")
+        base = "(x + y + s + t + u + 1)"
+        # C(6 + 4 - 1, 4) = 126 terms at most: expanded
+        assert len(parse_poly(base + "^4", five).terms) == 126
+        # a zero base counts as one term
+        assert P("0^0").constant_value() == 1 and P("(x - x)^3").is_zero()
+        # C(6 + 16 - 1, 16) = 20349 at ^16, refused at its exponent; and
+        # at the seventh '*', 792 terms so far times 6, refused there
+        for text, position in [(base + "^16", 24),
+                               ("*".join([base] * 16), 167)]:
+            with pytest.raises(PolySyntaxError) as err:
+                parse_poly(text, five)
+            assert err.value.position == position
+            assert "exceeds %d" % MAX_TERMS in str(err.value)
 
     def test_fraction_coefficient(self):
         p = P("3/4*x", X)

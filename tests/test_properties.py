@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy_bridge import from_sympy, to_sympy
 from test_numfield import eisenstein_fields
 
 from sextics.catalog import builtin_examples
@@ -32,13 +33,11 @@ from sextics.poly import (
     UniPoly,
     content_in,
     format_poly,
-    from_sympy,
     is_squarefree,
     parse_poly,
     poly_gcd,
     rational_content,
     resultant,
-    to_sympy,
 )
 
 VARS = ("x", "y", "z", "w")
