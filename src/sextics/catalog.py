@@ -278,96 +278,116 @@ def verify_example(rec: ExampleRecord, seed: int = 0) -> VerdictReport:
 
 
 def _check_claim(doc, claim, binding, analysis_at) -> ClaimVerdict:
-    binding = tuple(binding)
-    if claim.kind == "restriction-y0":
-        # an identity in the parameters: checked symbolically, once
-        polys = doc.polys
-        restricted = polys["f"].substitute({"y": Poly.const(0, ())})
-        expected = parse_poly(claim.payload, doc.varlist())
-        if "f_den" in polys:
-            expected = expected * polys["f_den"]
-        if restricted == expected:
-            return ClaimVerdict(claim, (), "verified",
-                                "identity holds for all parameter values")
-        return ClaimVerdict(claim, (), "mismatch",
-                            "restriction to y = 0 differs from the claim")
-    if claim.kind == "config":
-        analysis = analysis_at(binding)
-        want = parse_config(claim.payload)
-        got = analysis.config
-        if want.same_types(got):
-            detail = "found %s" % got.format(with_tags=False)
-            if want.mr and not got.mr:
-                return ClaimVerdict(claim, binding, "mismatch",
-                                    "mr flag: claimed mr, computed not")
-            return ClaimVerdict(claim, binding, "verified", detail)
-        return ClaimVerdict(claim, binding, "mismatch",
-                            "found %s, claimed %s"
-                            % (got.format(with_tags=False),
-                               want.format(with_tags=False)))
-    if claim.kind == "degrees":
-        analysis = analysis_at(binding)
-        want = tuple(sorted(int(d) for d in claim.payload.split(",")))
-        got = analysis.degrees()
-        if got == want:
-            return ClaimVerdict(claim, binding, "verified", "degrees %s"
-                                % (got,))
-        if _degrees_consistent(want, analysis):
-            covering = tuple(c.degree for c in analysis.components
-                             if c.genus is None)
-            return ClaimVerdict(
-                claim, binding, "verified",
-                "degrees %s; components without a certified genus (degrees"
-                " %s) cover the remaining claimed degrees" % (got, covering))
-        return ClaimVerdict(claim, binding, "mismatch",
-                            "found %s, claimed %s" % (got, want))
-    if claim.kind == "factorization":
-        inst = doc.instantiate(binding)
-        f = inst.get("f")
-        if f is None:
-            f = TorusPair(inst["f2"], inst["f3"]).expand()
-        want = parse_poly(claim.payload, ("x", "y"))
-        if f == want:
-            return ClaimVerdict(claim, binding, "verified",
-                                "product expands to the sextic")
-        return ClaimVerdict(claim, binding, "mismatch",
-                            "stated factorization does not expand back")
-    if claim.kind == "same-curve":
-        inst = doc.instantiate(binding)
-        p1 = TorusPair(inst["f2"], inst["f3"])
-        p2 = TorusPair(inst["f2b"], inst["f3b"])
-        if p1.normalized_expansion() == p2.normalized_expansion():
-            return ClaimVerdict(claim, binding, "verified",
-                                "expansions define the same sextic")
-        return ClaimVerdict(claim, binding, "mismatch",
-                            "the two pairs define different curves")
-    if claim.kind == "type-at":
-        analysis = analysis_at(binding)
-        wanted = []
-        for part in claim.payload.split(";"):
-            part = part.strip()
-            m = re.fullmatch(r"\(([^,]+),([^)]+)\)=(.+)", part)
-            if not m:
-                raise DocumentError("bad type-at payload %r" % part)
-            wanted.append((Fraction(m.group(1)), Fraction(m.group(2)),
-                           parse_type(m.group(3).strip())))
-        by_point = {}
-        for ls in analysis.sings:
-            p = ls.point
-            if p is not None and p.field is None:
-                by_point[(p.x, p.y)] = ls.sing_type
-        missing = []
-        for x0, y0, t in wanted:
-            got = by_point.get((x0, y0))
-            if got is None or got.name() != t.name():
-                missing.append("(%s,%s): found %s, claimed %s"
-                               % (x0, y0, got, t))
-        if missing:
+    """The verdict on a claim of any kind in `docs.CLAIM_KINDS` but
+    `unverifiable` at one binding, by the check of its kind."""
+    return _CHECKS[claim.kind](doc, claim, tuple(binding), analysis_at)
+
+
+def _check_restriction(doc, claim, _binding, _analysis_at) -> ClaimVerdict:
+    # an identity in the parameters: checked symbolically, once
+    polys = doc.polys
+    restricted = polys["f"].substitute({"y": Poly.const(0, ())})
+    expected = parse_poly(claim.payload, doc.varlist())
+    if "f_den" in polys:
+        expected = expected * polys["f_den"]
+    if restricted == expected:
+        return ClaimVerdict(claim, (), "verified",
+                            "identity holds for all parameter values")
+    return ClaimVerdict(claim, (), "mismatch",
+                        "restriction to y = 0 differs from the claim")
+
+
+def _check_config(_doc, claim, binding, analysis_at) -> ClaimVerdict:
+    analysis = analysis_at(binding)
+    want = parse_config(claim.payload)
+    got = analysis.config
+    if want.same_types(got):
+        detail = "found %s" % got.format(with_tags=False)
+        if want.mr and not got.mr:
             return ClaimVerdict(claim, binding, "mismatch",
-                                "; ".join(missing))
+                                "mr flag: claimed mr, computed not")
+        return ClaimVerdict(claim, binding, "verified", detail)
+    return ClaimVerdict(claim, binding, "mismatch",
+                        "found %s, claimed %s"
+                        % (got.format(with_tags=False),
+                           want.format(with_tags=False)))
+
+
+def _check_degrees(_doc, claim, binding, analysis_at) -> ClaimVerdict:
+    analysis = analysis_at(binding)
+    want = tuple(sorted(int(d) for d in claim.payload.split(",")))
+    got = analysis.degrees()
+    if got == want:
+        return ClaimVerdict(claim, binding, "verified", "degrees %s"
+                            % (got,))
+    if _degrees_consistent(want, analysis):
+        covering = tuple(c.degree for c in analysis.components
+                         if c.genus is None)
+        return ClaimVerdict(
+            claim, binding, "verified",
+            "degrees %s; components without a certified genus (degrees"
+            " %s) cover the remaining claimed degrees" % (got, covering))
+    return ClaimVerdict(claim, binding, "mismatch",
+                        "found %s, claimed %s" % (got, want))
+
+
+def _check_factorization(doc, claim, binding, _analysis_at) -> ClaimVerdict:
+    inst = doc.instantiate(binding)
+    f = inst.get("f")
+    if f is None:
+        f = TorusPair(inst["f2"], inst["f3"]).expand()
+    want = parse_poly(claim.payload, ("x", "y"))
+    if f == want:
         return ClaimVerdict(claim, binding, "verified",
-                            "all stated types found at the stated points")
-    raise DocumentError("unknown claim kind %r" % claim.kind)
+                            "product expands to the sextic")
+    return ClaimVerdict(claim, binding, "mismatch",
+                        "stated factorization does not expand back")
+
+
+def _check_same_curve(doc, claim, binding, _analysis_at) -> ClaimVerdict:
+    inst = doc.instantiate(binding)
+    p1 = TorusPair(inst["f2"], inst["f3"])
+    p2 = TorusPair(inst["f2b"], inst["f3b"])
+    if p1.normalized_expansion() == p2.normalized_expansion():
+        return ClaimVerdict(claim, binding, "verified",
+                            "expansions define the same sextic")
+    return ClaimVerdict(claim, binding, "mismatch",
+                        "the two pairs define different curves")
+
+
+def _check_type_at(_doc, claim, binding, analysis_at) -> ClaimVerdict:
+    analysis = analysis_at(binding)
+    wanted = []
+    for part in claim.payload.split(";"):
+        part = part.strip()
+        m = re.fullmatch(r"\(([^,]+),([^)]+)\)=(.+)", part)
+        if not m:
+            raise DocumentError("bad type-at payload %r" % part)
+        wanted.append((Fraction(m.group(1)), Fraction(m.group(2)),
+                       parse_type(m.group(3).strip())))
+    by_point = {}
+    for ls in analysis.sings:
+        p = ls.point
+        if p is not None and p.field is None:
+            by_point[(p.x, p.y)] = ls.sing_type
+    missing = []
+    for x0, y0, t in wanted:
+        got = by_point.get((x0, y0))
+        if got is None or got.name() != t.name():
+            missing.append("(%s,%s): found %s, claimed %s"
+                           % (x0, y0, got, t))
+    if missing:
+        return ClaimVerdict(claim, binding, "mismatch",
+                            "; ".join(missing))
+    return ClaimVerdict(claim, binding, "verified",
+                        "all stated types found at the stated points")
+
+
+# one check for each kind of `docs.CLAIM_KINDS` but `unverifiable`, which
+# `verify_example` reports as stated
+_CHECKS = {"restriction-y0": _check_restriction, "config": _check_config,
+           "degrees": _check_degrees, "factorization": _check_factorization,
+           "same-curve": _check_same_curve, "type-at": _check_type_at}
 
 
 # ---------------------------------------------------------------------------

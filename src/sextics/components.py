@@ -1,10 +1,10 @@
 """Decomposing reduced curves into their irreducible components over Q.
 
-One complete factorization of f over Z (`factor.factor_bivariate`, the
-Zassenhaus algorithm lifted from one univariate image) gives the
-components.  Each factor is accepted there only when it divides exactly,
-and is Q-irreducible because every smaller combination of the lifted
-modular factors failed first (see that module); the product of the
+One complete factorization of f over Z (`factor.factor_bivariate`, which
+factors one univariate image at y = 2^bits and reads the factors back from
+its digits) gives the components.  Each factor is accepted there only when
+it divides exactly, and is Q-irreducible because every smaller combination
+of the image's factors failed first (see that module); the product of the
 factors is checked exactly against f once more here.  A Q-irreducible
 factor may still split over a number field into conjugate components; the
 genus rules of `analysis` flag those.  Every emitted factor is

@@ -23,7 +23,8 @@ Keys for a curve document:
     defects:   semicolon-separated `TypeName=integer`, each integer >= 0
                and each name one the classifier prints (`A_1`, not
                `A1`; read by `globalinv.parse_type`)
-    claim:     `<selector> :: <kind> :: <payload>` (see verifier)
+    claim:     `<selector> :: <kind> :: <payload>`, the kind one of
+               `CLAIM_KINDS` (see verifier)
     param:     sweep parameter name (an annotation: `sweep` takes --param)
     note:      free text (an annotation)
 
@@ -46,10 +47,13 @@ from typing import Optional
 from .globalinv import ConfigSyntaxError, parse_type
 from .poly import SYMBOL, DomainError, Poly, PolySyntaxError, parse_poly
 
-__all__ = ["CurveDocument", "Claim", "DocumentError", "parse_documents",
-           "parse_document", "parse_bindings"]
+__all__ = ["CurveDocument", "Claim", "CLAIM_KINDS", "DocumentError",
+           "parse_documents", "parse_document", "parse_bindings"]
 
 XY = ("x", "y")
+# the claim kinds `catalog.verify_example` checks; any other is refused
+CLAIM_KINDS = ("config", "degrees", "factorization", "same-curve", "type-at",
+               "restriction-y0", "unverifiable")
 _POLY_KEYS = ("f", "f_den", "f2", "f2_den", "f3", "f3_den", "f2b", "f3b")
 
 
@@ -60,8 +64,7 @@ class DocumentError(DomainError):
 @dataclass(frozen=True)
 class Claim:
     selector: str   # "*", "generic", or a binding like "s=1"
-    kind: str       # config | degrees | factorization | same-curve |
-    #                 type-at | unverifiable
+    kind: str       # one of CLAIM_KINDS
     payload: str
     line: int       # line number of the claim in its text
 
@@ -139,7 +142,8 @@ class CurveDocument:
         subs = {name: Poly.const(value, ()) for name, value in binding}
         missing = [p for p in self.params if p not in subs]
         if missing:
-            raise DocumentError("unbound parameters: %s" % missing)
+            raise DocumentError("unbound parameters: %s"
+                                % " ".join(missing))
         out = {}
         for key, p in self.polys.items():
             if key.endswith("_den"):
@@ -150,7 +154,8 @@ class CurveDocument:
                 dval = den.substitute(subs).constant_value()
                 if not dval:
                     raise DocumentError(
-                        "denominator of %s vanishes at %r" % (key, binding))
+                        "denominator of %s vanishes at %s"
+                        % (key, ",".join("%s=%s" % nv for nv in binding)))
                 p = p.scale(1 / dval)
             if key == "f" and not p.is_zero():
                 # the analysis is scale-invariant; keep coefficients small
@@ -284,6 +289,9 @@ def _read_key(doc: CurveDocument, seen: dict, key: str, value: str,
         bits = [b.strip() for b in value.split("::")]
         if len(bits) != 3:
             raise DocumentError("claim needs selector :: kind :: payload")
+        if bits[1] not in CLAIM_KINDS:
+            raise DocumentError("unknown claim kind %r; one of %s"
+                                % (bits[1], ", ".join(CLAIM_KINDS)))
         doc.claims = doc.claims + (Claim(*bits, lineno),)
     elif key not in _POLY_KEYS + _ANNOTATIONS:
         raise DocumentError("unknown key %r" % key)

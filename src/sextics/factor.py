@@ -46,30 +46,37 @@ Two variables:
   are factored in one variable;
 * Yun's algorithm in x on `poly._int_gcd` splits the rest, whose every
   factor has positive degree in both variables, into squarefree parts;
-* a part P of degree 1 in x or in y is irreducible; otherwise the shear
-  y -> y + k x makes lc_x a nonzero integer L, and x -> x / L makes the
-  part monic in x over Z: Q(x, y) = L^(d - 1) P(x / L, y + k x / L);
-* for the first integer c (0, 1, -1, 2, ...) with Q(x, c) squarefree, the
-  image Q(x, c) is factored in one variable; one factor proves P
-  irreducible;
-* otherwise the image's factors are lifted in t = y - c to precision
-  t^(deg_t + 1), with coefficients mod p^l for a prime p that keeps the
-  image squarefree (`_lift_in_t`);
-* subsets of the lifted factors, smallest first, are accepted only when
-  their product divides Q(x, t + c) exactly in Z[x, t] (`poly._quotient`),
-  and an accepted factor C(x, t) is carried back to P as the primitive
-  part of C(L x, y - k x - c).
+* a part of degree 1 in x or in y is irreducible; otherwise the shear
+  y -> y + k x makes lc_x a nonzero integer L, giving q(x, y) of degree d
+  in x and e in y;
+* for the first integer c (0, 1, -1, 2, ...) with q(x, c) squarefree, the
+  image q(x, c) is factored in one variable; one factor proves q
+  irreducible, since every factor of q has a constant leading coefficient
+  in x and so keeps its degree in the image;
+* otherwise u = q(x, 2^bits) (`poly._evaluate_last`), with 2^bits >
+  2^(d + e + 1) ||q||_2 and bits raised by 1 while u is not squarefree,
+  is factored in one variable;
+* subsets of u's factors, smallest first, with product h and lc(h)
+  dividing L, give the candidates read off the balanced base-2^bits digits
+  (`poly._digits`) of the coefficients of (L / lc(h)) h; a candidate's
+  primitive part is accepted only when it divides q exactly
+  (`poly._quotient`), and each factor is carried back by y -> y - k x.
 
 Why the answer is exact: each accepted factor divides exactly, and the
 rest is declared irreducible only after every subset of at most half of
-the remaining lifted factors failed.  A monic factor of Q(x, t + c) in
-Z[x, t] reduces mod t to the product of a subset of the image's factors,
-and as the image is squarefree and monic, and stays squarefree mod p,
-its lift over Z_p[[t]] is unique: so the factor is the product of that
-subset's lifts mod (p^l, t^(deg_t + 1)).  Its coefficients are those of
-its Kronecker image g(x, x^(d + 1)), a factor of a polynomial of degree at
-most d + (d + 1) deg_t with the same coefficients as Q (d = deg_x Q), so
-Mignotte's bound caps them below p^l / 2.
+the remaining factors of u failed.  Let g be an irreducible factor of q,
+with l = lc_x(g), a divisor of L.  Mahler's inequality (K. Mahler, J.
+London Math. Soc. 37, 1962) bounds the coefficient of x^i y^j in g by
+C(d, i) C(e, j) M(g), and the Mahler measure M is multiplicative, with
+M(q / g) >= |L / l| by Jensen's formula in x; so every coefficient of
+(L / l) g is at most 2^(d + e) M(q) <= 2^(d + e) ||q||_2 < 2^(bits - 1).
+As u is squarefree, g(x, 2^bits) is an integer z times the product h of a
+unique subset of u's primitive factors, so l = z lc(h) and (L / lc(h)) h
+is ((L / l) g)(x, 2^bits): its digits are the coefficients of (L / l) g,
+whose primitive part is g.  So the subset of every irreducible factor
+gives that factor, and as a candidate that divides q is z h at 2^bits for
+its own subset, a reducible one would have been preceded by the smaller
+subsets of its factors.
 """
 
 from __future__ import annotations
@@ -78,8 +85,8 @@ import random
 from itertools import combinations, islice
 from math import gcd, isqrt
 
-from .poly import _dense, _dense_quotient, _int_gcd, _primitive_last, \
-    _quotient, _squarefree, _terms_mul
+from .poly import _dense, _dense_quotient, _digits, _evaluate_last, \
+    _int_gcd, _primitive_last, _quotient, _squarefree, _terms_mul
 
 __all__ = ["factor_univariate", "factor_bivariate"]
 
@@ -355,17 +362,18 @@ def _equal_degree(g: list, d: int, p: int, rng: random.Random) -> list:
 
 
 def _hensel(f: list, gs: list, p: int, mod: int):
-    """(lifts, betas): the monic g_i, with f = lc(f) prod g_i mod p, f's
-    leading coefficient prime to p and the g_i pairwise coprime mod p,
-    lifted to f = lc(f) prod g_i mod `mod` (a power of p), and the b_i
-    with sum b_i prod_{j != i} g_j = 1 mod `mod`, deg b_i < deg g_i.
+    """The monic g_i, with f = lc(f) prod g_i mod p, f's leading
+    coefficient prime to p and the g_i pairwise coprime mod p, lifted to
+    f = lc(f) prod g_i mod `mod` (a power of p).
 
-    Quadratic multifactor lifting from modulus m to m' | m^2, with e =
+    Quadratic multifactor lifting from modulus m to m' | m^2, with the b_i
+    of deg b_i < deg g_i and sum b_i prod_{j != i} g_j = 1 mod m, and e =
     f - lc(f) prod g_i = 0 mod m: g_i += (b_i e / lc(f)) mod g_i, after
-    which e = 0 mod m'; then with E = 1 - sum b_i prod_{j != i} g_j = 0
-    mod m, b_i += (b_i E) mod g_i, after which E = 0 mod m'.  At m = p the
-    b_i are the inverses of prod_{j != i} g_j mod g_i, whose sum with
-    those weights is 1 by the Chinese remainder theorem."""
+    which e = 0 mod m'; then, unless m' = `mod`, with E = 1 - sum b_i
+    prod_{j != i} g_j = 0 mod m, b_i += (b_i E) mod g_i, after which E = 0
+    mod m'.  At m = p the b_i are the inverses of prod_{j != i} g_j mod
+    g_i, whose sum with those weights is 1 by the Chinese remainder
+    theorem."""
     def product(gs, m):
         whole = [1]
         for g in gs:
@@ -379,9 +387,12 @@ def _hensel(f: list, gs: list, p: int, mod: int):
         m = min(m * m, mod)
         e = _sub(f, [lc * c for c in product(gs, m)], m)
         if e:
-            e = [c * pow(lc, -1, m) for c in e]
+            inv = pow(lc, -1, m)
+            e = [c * inv for c in e]
             gs = [_add(g, _rem(_mul(b, e, m), g, m), m)
                   for g, b in zip(gs, betas)]
+        if m == mod:
+            break
         whole = product(gs, m)
         big_e = [1]
         for g, b in zip(gs, betas):
@@ -389,7 +400,7 @@ def _hensel(f: list, gs: list, p: int, mod: int):
         if big_e:
             betas = [_add(b, _rem(_mul(b, big_e, m), g, m), m)
                      for g, b in zip(gs, betas)]
-    return gs, betas
+    return gs
 
 
 def _lift_to(bound: int, p: int) -> int:
@@ -418,7 +429,7 @@ def _zassenhaus(f: list, primes: list) -> list:
     gs = [h for g, d in ddf for h in _equal_degree(g, d, p, rng)]
     n, lc = len(f) - 1, f[-1]
     mod = _lift_to(2 * lc * 2 ** n * (isqrt(sum(c * c for c in f)) + 1), p)
-    gs = _hensel(f, gs, p, mod)[0]
+    gs = _hensel(f, gs, p, mod)
     found, size = [], 1
     while 2 * size <= len(gs):
         for subset in combinations(range(len(gs)), size):
@@ -447,7 +458,7 @@ def _zassenhaus(f: list, primes: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# two variables: lifting one univariate image in t = y - c
+# two variables: one univariate image at y = 2^bits, read back in digits
 # ---------------------------------------------------------------------------
 
 
@@ -484,8 +495,6 @@ def _factor_part(part: dict) -> list:
         if lead:
             break
     q = _substitute(part, {(1, 0): 1}, {(0, 1): 1, (1, 0): k}) if k else part
-    q = {(i, j): v * lead ** (d - 1 - i) if i < d else 1
-         for (i, j), v in q.items()}
     for c in _integers():
         image: dict = {}
         for (i, j), v in q.items():
@@ -493,38 +502,42 @@ def _factor_part(part: dict) -> list:
         image = {m: v for m, v in image.items() if v}
         if _squarefree(image):
             break
-    us = [g for g, _ in factor_univariate(_dense(image))]
-    if len(us) == 1:
+    if len(factor_univariate(_dense(image))) == 1:
         return [part]
-    q = _substitute(q, {(1, 0): 1}, {(0, 1): 1, (0, 0): c})
-    deg_t = max(m[1] for m in q)
     norm = isqrt(sum(v * v for v in q.values())) + 1
-    p, _ = next(_squarefree_mod(_dense(image)))
-    mod = _lift_to(2 * 2 ** (d + (d + 1) * deg_t) * norm, p)
-    lifts = _lift_in_t(q, us, p, mod, deg_t + 1)
-    found, size, left = [], 1, list(range(len(us)))
-    while 2 * size <= len(left):
-        for subset in combinations(left, size):
-            g = [[1]]
+    bits = (norm << (d + max(m[1] for m in q) + 1)).bit_length()
+    u = _evaluate_last(q, bits)
+    while not _squarefree(u):
+        bits += 1
+        u = _evaluate_last(q, bits)
+    us = [{(e,): v for e, v in enumerate(g) if v}
+          for g, _ in factor_univariate(_dense(u))]
+    found, size = [], 1
+    while 2 * size <= len(us):
+        for subset in combinations(range(len(us)), size):
+            h = {(0,): 1}
             for i in subset:
-                g = _series_mul(g, lifts[i], mod, deg_t + 1)
-            g = {(e, k): c for k, row in enumerate(g)
-                 for e, c in enumerate(_symmetric(row, mod)) if c}
+                h = _terms_mul(h, us[i])
+            lc = h[max(h)]
+            if lead % lc:
+                continue
+            g = {(i, j): v for (i,), c in h.items()
+                 for j, v in enumerate(_digits(lead // lc * c, bits)) if v}
+            cont = gcd(*g.values())
+            g = {m: v // cont for m, v in g.items()}
             rest = _quotient(q, g)
             if rest is None:
                 continue
             found.append(g)
             q = rest
-            left = [i for i in left if i not in subset]
+            us = [w for i, w in enumerate(us) if i not in subset]
             break
         else:
             size += 1
-    out = []
-    for g in found + [q]:
-        g = _substitute(g, {(1, 0): lead}, {(0, 1): 1, (1, 0): -k, (0, 0): -c})
-        cont = gcd(*g.values())
-        out.append({m: v // cont for m, v in g.items()})
-    return out
+    if not k:
+        return found + [q]
+    return [_substitute(g, {(1, 0): 1}, {(0, 1): 1, (1, 0): -k})
+            for g in found + [q]]
 
 
 def _integers():
@@ -533,58 +546,3 @@ def _integers():
     while True:
         yield k
         k = -k if k > 0 else 1 - k
-
-
-def _series_mul(a: list, b: list, m: int, order: int) -> list:
-    """The product of two power series in t, lists of coefficient lists in
-    x mod m, truncated below t^order."""
-    out = [[] for _ in range(min(len(a) + len(b) - 1, order))]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b[:order - i]):
-            out[i + j] = _add(out[i + j], _mul(x, y, m), m)
-    return out
-
-
-def _lift_in_t(q: dict, us: list, p: int, mod: int, order: int) -> list:
-    """The series G_i in t, lists of coefficient lists in x mod `mod`, with
-    q = prod G_i mod (mod, t^order) and G_i = u_i mod t, for the integer
-    term dict q in (x, t), monic in x, and the monic integer factors u_i of
-    q(x, 0), squarefree mod p.
-
-    Linear lifting with the b_i of `_hensel`, sum b_i prod_{j != i} u_j = 1
-    mod `mod`: the t^k coefficient e of q - prod G_i, with the G_i known
-    below t^k, is matched by G_i += t^k ((b_i e) mod u_i).  The t^k
-    coefficients of the partial products G_1 ... G_j are kept, so each
-    step costs k products per factor."""
-    us = [[c % mod for c in u] for u in us]
-    betas = _hensel(_dense({(i,): v for (i, k), v in q.items() if not k}),
-                    [[c % p for c in u] for u in us], p, mod)[1]
-    rows = [{} for _ in range(order)]
-    for (i, k), v in q.items():
-        rows[k][(i,)] = v
-    lifts = [[u] for u in us]
-    partial = [[us[0]]]
-    for u in us[1:]:
-        partial.append([_mul(partial[-1][0], u, mod)])
-
-    def coefficient(k):
-        # t^k coefficients of the partial products G_1 ... G_j
-        out = [lifts[0][k]]
-        for j in range(1, len(lifts)):
-            acc = []
-            for a in range(k + 1):
-                left = out[j - 1] if a == k else partial[j - 1][a]
-                acc = _add(acc, _mul(left, lifts[j][k - a], mod), mod)
-            out.append(acc)
-        return out
-
-    for k in range(1, order):
-        for g in lifts:
-            g.append([])
-        e = _sub([c % mod for c in _dense(rows[k])], coefficient(k)[-1], mod)
-        if e:
-            for g, u, b in zip(lifts, us, betas):
-                g[k] = _rem(_mul(b, e, mod), u, mod)
-        for j, c in enumerate(coefficient(k)):
-            partial[j].append(c)
-    return lifts

@@ -1,6 +1,7 @@
 import pytest
 
 from sextics.catalog import (
+    _CHECKS,
     ExampleRecord,
     analyze_document,
     builtin_catalog,
@@ -241,6 +242,10 @@ class TestExamples:
         assert verify_example(recs["5.2-1"]).clean()
         assert inverted
         assert not [e for e in inverted if e == 1]
+
+    def test_every_claim_kind_has_a_check(self):
+        # verify_example reports an unverifiable claim as it is stated
+        assert set(_CHECKS) == set(docs.CLAIM_KINDS) - {"unverifiable"}
 
     def test_type_at_reads_only_printable_names(self):
         doc = parse_document("f: x^6 + y^6 + 1\n"

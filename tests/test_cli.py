@@ -91,13 +91,15 @@ class TestAnalyze:
         "values: s=1; t=2,t=3", "values: t=1",
         "vars: s\ngeneric: s=2,t=1",
         "vars: s\nvalues: s=1\nclaim: generic :: config :: [A_5]",
-        "claim: generic :: config :: [A_5]"],
+        "claim: generic :: config :: [A_5]",
+        "claim: * :: degress :: 6"],
         ids=["defect-without-type", "no-random-maybe", "hints",
              "duplicate-f", "duplicate-source", "duplicate-vars",
              "duplicate-values", "duplicate-generic", "duplicate-no-random",
              "duplicate-binding", "duplicate-binding-in-values",
              "undeclared-parameter", "binding-beyond-vars",
-             "generic-claim-without-generic", "generic-claim-without-vars"])
+             "generic-claim-without-generic", "generic-claim-without-vars",
+             "misspelled-claim-kind"])
     def test_malformed_key_refused(self, capsys, tmp_path, line):
         doc = tmp_path / "bad.txt"
         doc.write_text("f: x^6 + y^6 + 1\n%s\n" % line)

@@ -55,14 +55,17 @@ class TestParseDocument:
 
     def test_denominator_vanishing(self):
         doc = parse_document(
-            "vars: s\nf2: -s*y^2 - x^2\nf2_den: s\nf3: x^3\nparam: s\n")
-        with pytest.raises(DocumentError):
-            doc.instantiate((("s", Fraction(0)),))
+            "vars: s t\nf2: -s*y^2 - x^2\nf2_den: s*t - 1/2\nf3: x^3\n")
+        with pytest.raises(DocumentError) as err:
+            doc.instantiate((("s", Fraction(1)), ("t", Fraction(1, 2))))
+        # the binding in the document's own syntax
+        assert str(err.value) == "denominator of f2 vanishes at s=1,t=1/2"
 
     def test_unbound_parameter(self):
-        doc = parse_document("vars: s\nf: x^6 + s*y^6 + 1\n")
-        with pytest.raises(DocumentError):
+        doc = parse_document("vars: s t\nf: x^6 + s*t*y^6 + 1\n")
+        with pytest.raises(DocumentError) as err:
             doc.instantiate()
+        assert str(err.value) == "unbound parameters: s t"
 
     def test_claims_and_values(self):
         text = ("record: demo\n"
@@ -78,6 +81,11 @@ class TestParseDocument:
         doc = docs[0]
         assert len(doc.values) == 2
         assert doc.claims[1].selector == "s=1"
+
+    def test_misspelled_claim_kind(self):
+        with pytest.raises(DocumentError,
+                           match="line 2: unknown claim kind 'degress'"):
+            parse_document("f: x^6 + y^6 + 1\nclaim: * :: degress :: 6\n")
 
     def test_bad_defect_value(self):
         with pytest.raises(DocumentError, match="line 2"):

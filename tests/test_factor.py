@@ -142,7 +142,8 @@ class TestDecompose:
         "(x^2 + y^2)*(x^2 - 2*y^2)*(x^2 + x*y + y^2)*(x^2 - 3)",
         # a leading coefficient in x that is not constant: sheared
         "(x*y - 1)*(x*y + 2)*(x^2*y + y^3 + 1)",
-        # a leading coefficient 3 * 5 * 7 in x: scaled by x -> x / 105
+        # a leading coefficient 3 * 5 * 7 in x: each factor's digits are
+        # read off (105 / lc) times its image at y = 2^bits
         "(105*x^3 + y^3 + 7*y + 1)*(105*x^2 + x*y - 5)",
         # images with more factors than the curve: at y = 1 the conics
         # give (x - 1)(x + 1) and (x - 2)(x + 2), x^4 - y^2 (y + 3) gives
@@ -154,6 +155,12 @@ class TestDecompose:
         "x^12 + y^12 + 3*x^5*y^2 - 7*x*y^6 + 2*x^3 - y^2 + 1",
         # heights up to 10^200
         "(10^200*y - x^2 + 3)*(x^3 + 10^200*y^2 + 1)",
+        # irreducible, though its image at y = 0 is x^8 - 1
+        "x^8 + y^8 + x^3*y^2 - 3*x*y^4 + 2*y^2 - 1",
+        # factors with larger coefficients than their product
+        "x^4 + 4*y^4", "(x^4 + 4*y^4)*(x - 3*y + 1)",
+        # factors whose images at y = 2^bits have an integer content
+        "(2*x^2 + y^2 + y)*(2*x^2 + y^2 + 3*y)*(x^3 + y - 1)",
     ])
     def test_planted(self, text):
         f = P(text)
