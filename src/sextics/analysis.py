@@ -111,10 +111,11 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
     decomp = decompose(f)
     # f is squarefree, so every multiplicity is 1
     comps = tuple(comp for comp, _d, _m in decomp.factors)
+    through: list = []
     components = tuple(
-        _component_report(comp, cdeg, _component_sings(comp, comps, sings),
-                          defects)
-        for comp, cdeg, _m in decomp.factors)
+        _component_report(comp, cdeg,
+                          _component_sings(k, comps, sings, through), defects)
+        for k, (comp, cdeg, _m) in enumerate(decomp.factors))
     # Corollary 1 bounds delta* of a reducible sextic by its component type
     reducible_sextic = len(components) > 1 and f.degree() == 6
     certified = all(c.genus is not None for c in components)
@@ -132,24 +133,40 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
     return analysis
 
 
-def _component_sings(comp: Poly, comps: tuple, sings):
-    """The singularities of the component `comp` of f, from f's own.
+def _components_through(comps: tuple, point) -> tuple:
+    """Indices of the components `comps` of f through a point of f: the
+    last one is not evaluated when no other passes there."""
+    on = tuple(k for k, comp in enumerate(comps[:-1])
+               if point_on_curve(comp, point))
+    if not on or point_on_curve(comps[-1], point):
+        on += (len(comps) - 1,)
+    return on
+
+
+def _component_sings(k: int, comps: tuple, sings, through: list):
+    """The singularities of the component `comps[k]` of f, from f's own.
 
     f is squarefree, so the cofactor f/comp is the product of the other
-    components `comps` up to a constant.  Where none of them vanishes, f is
-    comp times a unit, so f's singularity there is comp's; where one does,
-    comp is analyzed afresh wherever it is singular (comp and both partials
-    vanish).  A generator, so that the fresh analyses run, and are timed,
-    inside the report that consumes it.
+    components up to a constant.  Where comp is the only one through a
+    point, f is comp times a unit, so f's singularity there is comp's;
+    where another passes too, comp is analyzed afresh if it is singular
+    there (both partials vanish).  `through` lists the components through
+    each point of `sings`; the first call fills it in and the later ones
+    read it.  A generator, so that the fresh analyses and the evaluations
+    run, and are timed, inside the report that consumes it.
     """
-    others = [c for c in comps if c != comp]
-    partials = (comp.derivative("x"), comp.derivative("y"))
-    for ls in sings:
-        p = ls.point
-        if not any(point_on_curve(c, p) for c in others):
+    if not through:
+        through += [_components_through(comps, ls.point) for ls in sings]
+    comp = comps[k]
+    partials = None
+    for ls, on in zip(sings, through):
+        if on == (k,):
             yield ls
-        elif all(point_on_curve(g, p) for g in (comp,) + partials):
-            yield analyze_point(comp, p)
+        elif k in on:
+            if partials is None:
+                partials = (comp.derivative("x"), comp.derivative("y"))
+            if all(point_on_curve(d, ls.point) for d in partials):
+                yield analyze_point(comp, ls.point)
 
 
 def _component_report(comp: Poly, cdeg: int, csings,

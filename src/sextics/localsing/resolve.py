@@ -19,6 +19,28 @@ exponents of the germ's terms, followed for a tangent direction t0 != 0
 by the Taylor shift y -> y + t0 (`Poly.shift`, on integers: Python ints
 when the germ and t0 are rational, else the field's integer coordinate
 vectors, with one field element built per term of the shifted germ).
+
+The blow-ups run on truncated jets.  Every node carries an order budget
+L and keeps only the terms of its germ of order <= L; the root's budget
+is deg g + ord g, so it keeps the whole germ, and a child of a node of
+multiplicity m gets the budget L - m.  This is exact.  Take a term
+x^i y^j of order D at a node of multiplicity m:
+
+* in the x-chart it becomes x^(i+j-m) (y + t0)^j, and every term of that
+  has order >= D - m, since the shift keeps the x-exponent and only
+  lowers the y-exponent;
+* in the y-chart it becomes x^i y^(i+j-m), of order D + i - m >= D - m.
+
+So the terms of order > L of a node reach its children only in orders
+> L - m, and by induction each kept germ agrees with the true germ in
+every term of order <= its budget.  A node whose kept germ is nonzero
+therefore has its true order m, and also its true degree-m tangent
+cone, vertical count, direction factors and leaf test, which read only
+terms of order <= m.  A run in which no kept germ becomes zero builds
+the tree of the whole germ, with the same delta, branches, contacts and
+multiplicity sequence.  When a kept germ does become zero the budget is
+exhausted, and the resolution starts again from the root with twice the
+budget; a reduced germ's tree is finite, so some budget suffices.
 """
 
 from __future__ import annotations
@@ -47,12 +69,12 @@ class UnresolvedGermError(DomainError):
 
 @dataclass
 class _Node:
-    nid: int
     parent: Optional[int]
     depth: int
     field: Optional[NumberField]
     d_rel: int                # conjugates over the germ's base field
-    germ: Poly
+    germ: Poly                # the terms of order <= budget
+    budget: int
     m: int
     axes: dict                # coordinate axis ("x"/"y") -> creating node id
 
@@ -111,9 +133,20 @@ def resolve(germ: Poly, field: Optional[NumberField] = None) -> Resolution:
         raise DomainError("zero germ")
     if (0, 0) in g.terms:
         raise DomainError("germ does not vanish at the origin")
-    nodes: list = []
-    root = _Node(0, None, 0, field, 1, g, g.lowest_degree(), {})
-    nodes.append(root)
+    budget = g.degree() + g.lowest_degree()
+    res = _resolve(g, field, budget)
+    while res is None:
+        budget *= 2
+        res = _resolve(g, field, budget)
+    return res
+
+
+def _resolve(g: Poly, field: Optional[NumberField],
+             budget: int) -> Optional[Resolution]:
+    """The resolution of the germ g in x, y from its terms of order <= budget
+    at the root, or None when some kept germ becomes zero: the budget is
+    exhausted."""
+    nodes = [_Node(None, 0, field, 1, g, budget, g.lowest_degree(), {})]
     stack = [0]
     leaves = []
     while stack:
@@ -124,9 +157,11 @@ def resolve(germ: Poly, field: Optional[NumberField] = None) -> Resolution:
             continue
         if node.depth >= _MAX_DEPTH or len(nodes) >= _MAX_NODES:
             raise DomainError("resolution runaway (is the germ reduced?)")
-        lt = _direction_poly(node.germ, node.m, node.field)
-        nu_vertical = node.m - lt.degree()
+        m, top = node.m, node.budget
+        lt = _direction_poly(node.germ, m, node.field)
+        nu_vertical = m - lt.degree()
         factors = factor_over_field(node.field, lt) if lt.degree() > 0 else []
+        children = []
         for q in factors:
             if q.degree() == 1:
                 t0 = -q.coeffs[0]   # q is monic
@@ -144,30 +179,41 @@ def resolve(germ: Poly, field: Optional[NumberField] = None) -> Resolution:
                 rel = q.degree()
             # y = x(y + t0) takes x^i y^j to x^(i+j-m) (y + t0)^j; every
             # exponent stays >= 0 since m is the germ's order, so the
-            # blown-up germs of both charts are built unchecked
-            child_germ = Poly._trusted(("x", "y"), {
-                (i + j - node.m, j): c for (i, j), c in gg.terms.items()})
-            child_germ = child_germ.shift({"y": t0})
-            axes = {"x": node.nid}
-            if not t0 and "y" in node.axes:
-                axes["y"] = node.axes["y"]
-            child = _Node(len(nodes), node.nid, node.depth + 1, cfield,
-                          node.d_rel * rel, child_germ,
-                          child_germ.lowest_degree(), axes)
-            nodes.append(child)
-            stack.append(child.nid)
+            # blown-up germs of both charts are built unchecked.  A child
+            # keeps the terms of order <= top - m: for t0 = 0 those of
+            # i + 2j <= top, else the low terms of the shifted germ
+            axes = {"x": nid}
+            if t0:
+                child_germ = Poly._trusted(("x", "y"), {
+                    (i + j - m, j): c for (i, j), c in gg.terms.items()}
+                ).shift({"y": t0})
+                child_germ = Poly._trusted(("x", "y"), {
+                    (a, b): c for (a, b), c in child_germ.terms.items()
+                    if a + b <= top - m})
+            else:
+                child_germ = Poly._trusted(("x", "y"), {
+                    (i + j - m, j): c for (i, j), c in gg.terms.items()
+                    if i + 2 * j <= top})
+                if "y" in node.axes:
+                    axes["y"] = node.axes["y"]
+            children.append((cfield, node.d_rel * rel, child_germ, axes))
         if nu_vertical > 0:
-            # x = xy takes x^i y^j to x^i y^(i+j-m)
+            # x = xy takes x^i y^j to x^i y^(i+j-m), of order <= top - m
+            # when 2i + j <= top
             child_germ = Poly._trusted(("x", "y"), {
-                (i, i + j - node.m): c for (i, j), c in node.germ.terms.items()})
-            axes = {"y": node.nid}
+                (i, i + j - m): c for (i, j), c in node.germ.terms.items()
+                if 2 * i + j <= top})
+            axes = {"y": nid}
             if "x" in node.axes:
                 axes["x"] = node.axes["x"]
-            child = _Node(len(nodes), node.nid, node.depth + 1, node.field,
-                          node.d_rel, child_germ, child_germ.lowest_degree(),
-                          axes)
-            nodes.append(child)
-            stack.append(child.nid)
+            children.append((node.field, node.d_rel, child_germ, axes))
+        for cfield, d_rel, child_germ, axes in children:
+            if not child_germ.terms:
+                return None
+            stack.append(len(nodes))
+            nodes.append(_Node(nid, node.depth + 1, cfield, d_rel,
+                               child_germ, top - m,
+                               child_germ.lowest_degree(), axes))
     delta = sum(n.d_rel * n.m * (n.m - 1) // 2 for n in nodes)
 
     # germ multiplicity-sequence fingerprint, level by level

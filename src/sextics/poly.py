@@ -268,30 +268,32 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(other, self.vars)
         vs, a, b = self._aligned(other)
-        terms = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                mon = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                prod = c1 * c2
-                if mon in terms:
-                    terms[mon] = terms[mon] + prod
-                else:
-                    terms[mon] = prod
-        return Poly._trusted(vs, terms)
+        return Poly._trusted(vs, _mul_terms(a.terms, b.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
+        """The n-th power by repeated squaring of the term dict; over Q the
+        denominators are cleared once and the squarings run on Python ints,
+        with one Fraction built per term of the result."""
         if not isinstance(n, int) or n < 0:
             raise DomainError("exponent must be a nonnegative integer")
-        result = Poly.const(1, self.vars)
-        base = self
+        if not n:
+            return Poly.const(1, self.vars)
+        rational = _field_of(self.terms.values()) is None
+        base, den = clear_denominators(self.terms) if rational \
+            else (self.terms, 1)
+        den **= n
+        result = None
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else _mul_terms(result, base)
             n >>= 1
-        return result
+            if n:
+                base = _mul_terms(base, base)
+        if rational:
+            result = {m: Fraction(c, den) for m, c in result.items() if c}
+        return Poly._trusted(self.vars, result)
 
     def scale(self, c) -> "Poly":
         c = _as_coef(c)
@@ -909,6 +911,20 @@ def convolve_reduce(a: Sequence[int], b: Sequence[int],
                 prod[k - d + j] -= c * m
     del prod[d:]
     return prod
+
+
+def _mul_terms(a: Mapping[Monom, Coef], b: Mapping[Monom, Coef]) -> dict:
+    """The product of two term dicts with monomials of one length."""
+    terms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mon = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            prod = c1 * c2
+            if mon in terms:
+                terms[mon] = terms[mon] + prod
+            else:
+                terms[mon] = prod
+    return terms
 
 
 def _field_of(coeffs):

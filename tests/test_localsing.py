@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,12 +28,16 @@ from sextics.localsing import (
     singular_points,
     translate_to_origin,
 )
-from sextics.localsing import points
+from sextics.localsing import classify, points
 from sextics.localsing._sigdata import SIGNATURES
 from sextics.localsing.points import point_on_curve
 from sextics.numfield import NFElt, NumberField, factor_rational
 from sextics.poly import DomainError, Poly, UniPoly, is_squarefree, \
     parse_poly, resultant
+from sextics.torus import TorusPair
+
+# the package exports the function `resolve` under the module's name
+resolve_module = importlib.import_module("sextics.localsing.resolve")
 
 XY = ("x", "y")
 
@@ -399,6 +405,115 @@ class TestResolve:
             res = resolve(germ)
             mu = milnor_number_origin(germ)
             assert mu == 2 * res.delta - res.branch_count + 1
+
+
+# a budget no germ of these tests exhausts: the blow-ups keep every term
+UNLIMITED = 10 ** 6
+
+
+def _recorded_germs(monkeypatch, run):
+    """[(germ, field)] of every `resolve` call that `run()` makes."""
+    seen = []
+    real = classify.resolve
+
+    def record(germ, field=None):
+        seen.append((germ, field))
+        return real(germ, field)
+
+    monkeypatch.setattr(classify, "resolve", record)
+    run()
+    return seen
+
+
+def _workload_germs():
+    """The germs of perfbench's germs workload at seeds 0 to 3, with the
+    benchmark's module loaded from its file and left unchanged."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_germ_workload", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(germ, None) for seed in range(4)
+            for _gid, _name, germ in workloads.germ_inputs(seed)]
+
+
+class TestTruncatedJets:
+    """`resolve` on truncated jets against the blow-ups of whole germs."""
+
+    @staticmethod
+    def _check(germs):
+        assert germs
+        for germ, field in germs:
+            whole = resolve_module._resolve(germ.with_vars(XY), field,
+                                            UNLIMITED)
+            assert resolve(germ, field) == whole, str(germ)
+
+    def test_corpus_points(self, monkeypatch):
+        # every singular point that `verify --all --seed 0` resolves
+        self._check(_recorded_germs(monkeypatch, lambda: [
+            verify_example(rec, seed=0) for rec in builtin_examples()]))
+
+    def test_germ_workload(self):
+        self._check(_workload_germs())
+
+    def test_large_heights(self, monkeypatch):
+        pair = TorusPair(g("10^40*x^2 + 3*y^2 - 7*x*y + 1"),
+                         g("x^3 - 10^30*y^3 + 2*x*y + y - 5"))
+        germs = _recorded_germs(monkeypatch,
+                                lambda: analyze_curve(pair=pair))
+        # [6A_2]: one cluster of six conjugate cusps
+        assert [f.degree for _g, f in germs] == [6]
+        self._check(germs)
+
+    @pytest.fixture
+    def budgets(self, monkeypatch):
+        """The budget of every run of the tree builder, in order."""
+        seen = []
+        real = resolve_module._resolve
+
+        def counted(germ, field, budget):
+            seen.append(budget)
+            return real(germ, field, budget)
+
+        monkeypatch.setattr(resolve_module, "_resolve", counted)
+        return seen
+
+    def test_exhausted_budget_reruns(self, budgets):
+        # Sp_1 has degree 6 and order 4: the first budget, 10, runs out
+        germ = g("(y^2 - x^3)^2 + x^3*y^3")
+        res = resolve(germ)
+        assert budgets == [10, 20]
+        assert res == resolve_module._resolve(germ, None, UNLIMITED)
+        assert res.branches == ((4, 2, 2, 2),) and res.delta == 9
+        budgets.clear()
+        resolve(g("y^2 - x^3"))
+        assert budgets == [5]
+
+    @pytest.mark.parametrize("germ, runs", [
+        ("y^2", 7), ("(y^2 - x^3)^2", 6)])
+    def test_nonreduced_germ_is_refused(self, budgets, germ, runs):
+        # each rerun doubles the budget, until the tree is too deep
+        with pytest.raises(DomainError, match="resolution runaway"):
+            resolve(g(germ))
+        assert len(budgets) == runs
+
+
+class TestFiniteDeterminacy:
+    """A germ with Milnor number mu is (mu + 1)-determined, so terms of
+    order mu + 2 and more keep its topological type."""
+
+    @pytest.mark.parametrize("t", recognition_types(), ids=lambda t: t.name())
+    def test_high_order_terms_keep_the_type(self, t):
+        rng = random.Random(t.name())
+        nf = normal_form_germ(t)
+        mu = milnor_number_origin(nf)
+        terms = {}
+        for _ in range(3):
+            d = rng.randint(mu + 2, mu + 4)
+            i = rng.randint(0, d)
+            terms[(i, d - i)] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        germ = nf + Poly(XY, terms)
+        assert resolve(germ) == resolve(nf)
+        assert analyze_germ(germ).sing_type == t
 
 
 class TestClassify:
