@@ -4,9 +4,10 @@ classical reduction algorithm) and Milnor numbers.
 The `_origin` functions take germs already translated to the origin; the
 others take a curve and a point on it.  Coefficients may be rational or
 number-field elements.  When both germs are rational, the intersection
-kernel clears their denominators and reduces with Python ints and a
-fraction-free elimination step; over a number field it divides by the
-leading coefficient.
+kernel clears their denominators once per call and reduces with Python
+ints and a fraction-free elimination step; over a number field it
+divides by the leading coefficient.  The Milnor number of a rational
+germ clears the germ's denominators once and takes both partials on ints.
 
 The kernel truncates the germs at an adaptive order n: it starts at
 ord g * ord h + 2, read off the germs alone, and grows it by a quarter
@@ -25,7 +26,8 @@ from math import gcd
 
 # Unused here; perfbench/tracer.py patches factor_over_field in this namespace.
 from ..numfield import factor_over_field  # noqa: F401
-from ..poly import DomainError, Poly, clear_denominators, rational_content
+from ..poly import DomainError, Poly, clear_denominators, primitive_ints, \
+    rational_content
 from .points import translate_to_origin
 
 __all__ = [
@@ -34,6 +36,9 @@ __all__ = [
     "intersection_multiplicity",
     "milnor_number_origin",
 ]
+
+
+XY = ("x", "y")
 
 
 class InfiniteIntersectionError(DomainError):
@@ -49,14 +54,6 @@ def _scale_reduce(terms: dict) -> dict:
     return {m: v * inv for m, v in terms.items()}
 
 
-def _int_reduce(terms: dict) -> dict:
-    """Divide integer coefficients by their gcd (a unit, as above)."""
-    c = gcd(*terms.values())
-    if c == 1:
-        return terms
-    return {m: v // c for m, v in terms.items()}
-
-
 def _reduce(g_terms: dict, h_terms: dict, n: int, cap: int,
             rational: bool) -> int:
     """One run of the reduction with both germs truncated at total degree
@@ -64,17 +61,14 @@ def _reduce(g_terms: dict, h_terms: dict, n: int, cap: int,
 
     Returns I of the truncated germs, or the running sum as soon as it
     reaches `cap`; raises InfiniteIntersectionError when both germs become
-    divisible by y or one reduces to zero.  `rational` picks the integer
-    step or the field-division step.
+    divisible by y or one reduces to zero.  `rational` says that both
+    germs have integer coefficients and picks the integer step, else the
+    field-division step.
     """
     G = {m: c for m, c in g_terms.items() if sum(m) < n}
     H = {m: c for m, c in h_terms.items() if sum(m) < n}
-    if rational:
-        reduce = _int_reduce
-        G = clear_denominators(G)[0]
-        H = clear_denominators(H)[0]
-    else:
-        reduce = _scale_reduce
+    # dividing by the content is a unit, as above
+    reduce = primitive_ints if rational else _scale_reduce
     G = reduce(G)
     H = reduce(H)
     total = 0
@@ -148,8 +142,8 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
 
     The step's scalars depend on the coefficients, chosen once per call.
     When every coefficient of both germs is rational, their denominators
-    are cleared at entry and the reduction runs on Python ints: the step
-    is fraction-free, h <- d*h - c*x^k*g with (d, c) the leading
+    are cleared once, at entry, and every run reduces on Python ints: the
+    step is fraction-free, h <- d*h - c*x^k*g with (d, c) the leading
     coefficients of a and b over their gcd, and the content is the gcd of
     the integer coefficients.  Over a number field the step is
     h <- h - c*x^k*g with c = lc(b) / lc(a), and the content is the
@@ -198,17 +192,25 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
     same finite I', so neither germ of a pair could vanish and they could
     not both be divisible by y.
     """
-    g = g.with_vars(("x", "y"))
-    h = h.with_vars(("x", "y"))
-    if g.is_zero() or h.is_zero():
+    G = g.with_vars(XY).terms
+    H = h.with_vars(XY).terms
+    if all(isinstance(c, Fraction) for c in (*G.values(), *H.values())):
+        return _intersection(clear_denominators(G)[0],
+                             clear_denominators(H)[0], True)
+    return _intersection(G, H, False)
+
+
+def _intersection(G: dict, H: dict, rational: bool) -> int:
+    """I(g, h; O) of the germs with term dicts G and H in (x, y), by the
+    runs of `_reduce` that `intersection_multiplicity_origin` describes;
+    `rational` as there."""
+    if not G or not H:
         raise InfiniteIntersectionError("zero germ shares every component")
-    limit = g.degree() * h.degree()
+    limit = max(map(sum, G)) * max(map(sum, H))
     bound = limit + 2
-    G = {m: c for m, c in g.terms.items() if sum(m) < bound}
-    H = {m: c for m, c in h.terms.items() if sum(m) < bound}
-    rational = all(isinstance(c, Fraction)
-                   for c in (*G.values(), *H.values()))
-    n = g.lowest_degree() * h.lowest_degree() + 2
+    n = min(map(sum, G)) * min(map(sum, H)) + 2
+    G = {m: c for m, c in G.items() if sum(m) < bound}
+    H = {m: c for m, c in H.items() if sum(m) < bound}
     while n < bound:
         try:
             total = _reduce(G, H, n, n, rational)
@@ -231,10 +233,18 @@ def intersection_multiplicity(g: Poly, h: Poly, p) -> int:
 
 
 def milnor_number_origin(germ: Poly) -> int:
-    """mu = I(f_x, f_y; O) for an isolated singularity at the origin."""
-    gx = germ.derivative("x")
-    gy = germ.derivative("y")
+    """mu = I(f_x, f_y; O) for an isolated singularity at the origin.
+
+    A rational germ has its denominators cleared once, a unit that keeps
+    the ideal of the partials, and both partials are taken on ints.
+    """
+    terms = germ.with_vars(XY).terms
+    rational = all(isinstance(c, Fraction) for c in terms.values())
+    if rational:
+        terms = clear_denominators(terms)[0]
+    gx = {(i - 1, j): c * i for (i, j), c in terms.items() if i}
+    gy = {(i, j - 1): c * j for (i, j), c in terms.items() if j}
     try:
-        return intersection_multiplicity_origin(gx, gy)
+        return _intersection(gx, gy, rational)
     except InfiniteIntersectionError:
         raise DomainError("non-isolated singularity (partials share a factor)")

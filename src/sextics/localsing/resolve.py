@@ -16,9 +16,35 @@ Blow-ups continue past smoothness until each branch is transverse to the
 exceptional locus at a simple point of it; those extra multiplicity-one
 points make the proximity sums exact.  Each blow-up is a map on the
 exponents of the germ's terms, followed for a tangent direction t0 != 0
-by the Taylor shift y -> y + t0 (`Poly.shift`, on integers: Python ints
-when the germ and t0 are rational, else the field's integer coordinate
-vectors, with one field element built per term of the shifted germ).
+by the Taylor shift y -> y + t0.
+
+A node holds its germ as a term dict {(i, j): c}, in one of two kinds.
+A node over a number field holds field elements, factors its tangent
+cone with `factor_over_field` and shifts with `Poly.shift` (on the
+field's integer coordinate vectors).  A node over Q holds a primitive
+integer dict: its tangent cone L(1, t) goes to `factor.factor_univariate`
+as a list of ints, and at a root t0 = u/w (w > 0, gcd(u, w) = 1) the
+x-chart child is built as
+
+    sum of c x^(i+j-m) w^(J-j) (y + u)^j,    J = the germ's top y-degree,
+
+which is w^J times the true child C(x, y/w), each column (the terms of
+one x-exponent) shifted by Horner's rule on ints.  Every child over Q is
+then divided by the gcd of its coefficients.  Neither step changes the
+tree.  A nonzero constant factor is a unit.  A diagonal change
+D(x, y) = C(ax, by) keeps both axes, the order of every term (hence
+every truncation below), the multiplicity, the degrees of the factors
+of the tangent cone (its roots are scaled by b/a), the vertical count
+and the leaf test.  It also commutes with blowing up: the x-chart of D
+at the root s is the x-chart of C at bs/a under x -> ax, y -> (b/a)y,
+and the y-chart of D is the y-chart of C under x -> (a/b)x, y -> by.
+So by induction the kept germ of every node over Q is a unit times a
+diagonal image of the true one, and the tree, multiplicities,
+proximities and leaves are those of the true germ.  The one exponent J
+serves every column: scaling each column by a power of its own would
+not be a change of coordinates.  A tangent factor of degree >= 2 at a
+node over Q extends the field, and its child is a node over the
+extension.
 
 The blow-ups run on truncated jets.  Every node carries an order budget
 L and keeps only the terms of its germ of order <= L; the root's budget
@@ -33,21 +59,27 @@ x^i y^j of order D at a node of multiplicity m:
 
 So the terms of order > L of a node reach its children only in orders
 > L - m, and by induction each kept germ agrees with the true germ in
-every term of order <= its budget.  A node whose kept germ is nonzero
-therefore has its true order m, and also its true degree-m tangent
-cone, vertical count, direction factors and leaf test, which read only
-terms of order <= m.  A run in which no kept germ becomes zero builds
-the tree of the whole germ, with the same delta, branches, contacts and
-multiplicity sequence.  When a kept germ does become zero the budget is
-exhausted, and the resolution starts again from the root with twice the
-budget; a reduced germ's tree is finite, so some budget suffices.
+every term of order <= its budget (over Q, in the unit times diagonal
+image above, which keeps orders).  So the shift over Q stops each column
+of x-exponent a at y-degree L - m - a; over a number field the whole
+column is shifted and the terms of order > L - m are dropped after.
+A node whose kept germ is nonzero therefore has its true order m,
+and also its true degree-m tangent cone, vertical count, direction
+factors and leaf test, which read only terms of order <= m.  A run in
+which no kept germ becomes zero builds the tree of the whole germ, with
+the same delta, branches, contacts and multiplicity sequence.  When a
+kept germ does become zero the budget is exhausted, and the resolution
+starts again from the root with twice the budget; a reduced germ's tree
+is finite, so some budget suffices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
+from ..factor import factor_univariate
 from ..numfield import (
     NumberField,
     TowerCapError,
@@ -55,7 +87,8 @@ from ..numfield import (
     factor_over_field,
     nf,
 )
-from ..poly import DomainError, Poly, UniPoly
+from ..poly import DomainError, Poly, UniPoly, clear_denominators, \
+    primitive_ints
 
 __all__ = ["Resolution", "resolve", "UnresolvedGermError"]
 
@@ -73,7 +106,8 @@ class _Node:
     depth: int
     field: Optional[NumberField]
     d_rel: int                # conjugates over the germ's base field
-    germ: Poly                # the terms of order <= budget
+    germ: dict                # the terms {(i, j): c} of order <= budget:
+                              # primitive ints when field is None
     budget: int
     m: int
     axes: dict                # coordinate axis ("x"/"y") -> creating node id
@@ -92,17 +126,84 @@ class Resolution:
                                  # perfbench/tracer.py reads it
 
 
-def _direction_poly(germ: Poly, m: int, field) -> UniPoly:
-    """L(1, t) for the degree-m tangent cone L."""
+def _directions(germ: dict, m: int, field):
+    """(nu, slopes, cones) of a node of multiplicity m: the vertical count
+    nu = m - deg L(1, t) for the degree-m tangent cone L, the roots of
+    L(1, t) in the node's field, and its monic irreducible factors of
+    degree >= 2 over that field.
+
+    A root is a pair (u, w) for u/w.  Over Q the integer coefficients of
+    L(1, t) go straight to `factor.factor_univariate`, whose factors are
+    primitive with positive leading coefficient, so a linear factor
+    w t - u gives u/w in lowest terms with w > 0.  Over a number field
+    w = 1.
+    """
+    if field is None:
+        cone = [germ.get((m - j, j), 0) for j in range(m + 1)]
+        while not cone[-1]:
+            cone.pop()
+        factors = [q for q, _ in factor_univariate(cone)] \
+            if len(cone) > 1 else []
+        return (m + 1 - len(cone),
+                [(-q[0], q[1]) for q in factors if len(q) == 2],
+                [UniPoly("t", [Fraction(c, q[-1]) for c in q])
+                 for q in factors if len(q) > 2])
     coeffs = [nf(field, 0)] * (m + 1)
-    for (i, j), c in germ.terms.items():
+    for (i, j), c in germ.items():
         if i + j == m:
             coeffs[j] = coeffs[j] + c
-    return UniPoly("t", coeffs)
+    lt = UniPoly("t", coeffs)
+    factors = factor_over_field(field, lt) if lt.degree() > 0 else []
+    return (m - lt.degree(),
+            [(-q.coeffs[0], 1) for q in factors if q.degree() == 1],
+            [q for q in factors if q.degree() > 1])
 
 
-def _map_coeffs(p: Poly, embed) -> Poly:
-    return Poly._trusted(p.vars, {mon: embed(c) for mon, c in p.terms.items()})
+def _order(germ: dict) -> int:
+    return min(i + j for i, j in germ)
+
+
+def _shift_ints(germ: dict, m: int, keep: int, u: int, w: int) -> dict:
+    """The x-chart child at the slope u/w (w > 0) of a node of multiplicity
+    m whose germ has integer coefficients, scaled by y -> y/w: the terms of
+    order <= keep of the sum of c x^(i+j-m) w^(J-j) (y + u)^j, J the
+    germ's top y-degree.
+
+    Each column (the terms of one x-exponent a) is shifted by Horner's
+    rule on Python ints, stopped once its coefficients of y-degree
+    <= keep - a are final.
+    """
+    top_j = max(j for _, j in germ)
+    wpow = [1]
+    for _ in range(top_j):
+        wpow.append(wpow[-1] * w)
+    cols: dict = {}
+    for (i, j), c in germ.items():
+        cols.setdefault(i + j - m, {})[j] = c * wpow[top_j - j]
+    out = {}
+    for a, col in cols.items():
+        n = max(col)
+        cs = [0] * (n + 1)
+        for j, c in col.items():
+            cs[j] = c
+        last = min(n, keep - a)
+        # after step s the coefficient of y^s is final
+        for s in range(min(n, last + 1)):
+            for j in range(n - 1, s - 1, -1):
+                cs[j] += u * cs[j + 1]
+        for k in range(last + 1):
+            if cs[k]:
+                out[(a, k)] = cs[k]
+    return out
+
+
+def _shift_field(germ: dict, m: int, keep: int, t0) -> dict:
+    """The x-chart child at the slope t0 of a node over a number field:
+    the terms of order <= keep of the sum of c x^(i+j-m) (y + t0)^j."""
+    shifted = Poly._trusted(("x", "y"), {
+        (i + j - m, j): c for (i, j), c in germ.items()}).shift({"y": t0})
+    return {(a, b): c for (a, b), c in shifted.terms.items()
+            if a + b <= keep}
 
 
 def _is_leaf(node: _Node) -> bool:
@@ -112,13 +213,10 @@ def _is_leaf(node: _Node) -> bool:
         return False
     if not node.axes:
         return True
-    lin = node.germ.homogeneous_part(1)
-    ax = next(iter(node.axes))
-    if ax == "x":
-        beta = lin.terms.get((0, 1))
-        return bool(beta)
-    alpha = lin.terms.get((1, 0))
-    return bool(alpha)
+    # the germ has order 1 and holds no zero coefficient
+    if next(iter(node.axes)) == "x":
+        return (0, 1) in node.germ
+    return (1, 0) in node.germ
 
 
 def resolve(germ: Poly, field: Optional[NumberField] = None) -> Resolution:
@@ -146,7 +244,10 @@ def _resolve(g: Poly, field: Optional[NumberField],
     """The resolution of the germ g in x, y from its terms of order <= budget
     at the root, or None when some kept germ becomes zero: the budget is
     exhausted."""
-    nodes = [_Node(None, 0, field, 1, g, budget, g.lowest_degree(), {})]
+    root = g.terms
+    if field is None:
+        root = primitive_ints(clear_denominators(root)[0])
+    nodes = [_Node(None, 0, field, 1, root, budget, _order(root), {})]
     stack = [0]
     leaves = []
     while stack:
@@ -157,63 +258,54 @@ def _resolve(g: Poly, field: Optional[NumberField],
             continue
         if node.depth >= _MAX_DEPTH or len(nodes) >= _MAX_NODES:
             raise DomainError("resolution runaway (is the germ reduced?)")
-        m, top = node.m, node.budget
-        lt = _direction_poly(node.germ, m, node.field)
-        nu_vertical = m - lt.degree()
-        factors = factor_over_field(node.field, lt) if lt.degree() > 0 else []
+        m, top, germ = node.m, node.budget, node.germ
+        keep = top - m
+        nu_vertical, slopes, cones = _directions(germ, m, node.field)
+        # y = x(y + t0) takes x^i y^j to x^(i+j-m) (y + t0)^j; every
+        # exponent stays >= 0 since m is the germ's order.  A child keeps
+        # the terms of order <= keep: for t0 = 0 those of i + 2j <= top,
+        # else the low terms of the shifted germ
         children = []
-        for q in factors:
-            if q.degree() == 1:
-                t0 = -q.coeffs[0]   # q is monic
-                cfield = node.field
-                gg = node.germ
-                rel = 1
-            else:
-                try:
-                    cfield, embed, t0 = extend_field(node.field, q)
-                except TowerCapError as exc:
-                    raise UnresolvedGermError(
-                        "germ needs a field tower beyond the cap: %s" % exc
-                    ) from exc
-                gg = _map_coeffs(node.germ, embed)
-                rel = q.degree()
-            # y = x(y + t0) takes x^i y^j to x^(i+j-m) (y + t0)^j; every
-            # exponent stays >= 0 since m is the germ's order, so the
-            # blown-up germs of both charts are built unchecked.  A child
-            # keeps the terms of order <= top - m: for t0 = 0 those of
-            # i + 2j <= top, else the low terms of the shifted germ
+        for u, w in slopes:
             axes = {"x": nid}
-            if t0:
-                child_germ = Poly._trusted(("x", "y"), {
-                    (i + j - m, j): c for (i, j), c in gg.terms.items()}
-                ).shift({"y": t0})
-                child_germ = Poly._trusted(("x", "y"), {
-                    (a, b): c for (a, b), c in child_germ.terms.items()
-                    if a + b <= top - m})
-            else:
-                child_germ = Poly._trusted(("x", "y"), {
-                    (i + j - m, j): c for (i, j), c in gg.terms.items()
-                    if i + 2 * j <= top})
+            if not u:
+                child = {(i + j - m, j): c for (i, j), c in germ.items()
+                         if i + 2 * j <= top}
                 if "y" in node.axes:
                     axes["y"] = node.axes["y"]
-            children.append((cfield, node.d_rel * rel, child_germ, axes))
+            elif node.field is None:
+                child = _shift_ints(germ, m, keep, u, w)
+            else:
+                child = _shift_field(germ, m, keep, u)
+            children.append((node.field, node.d_rel, child, axes))
+        for q in cones:
+            try:
+                cfield, embed, t0 = extend_field(node.field, q)
+            except TowerCapError as exc:
+                raise UnresolvedGermError(
+                    "germ needs a field tower beyond the cap: %s" % exc
+                ) from exc
+            child = _shift_field({mon: embed(c) for mon, c in germ.items()},
+                                 m, keep, t0)
+            children.append((cfield, node.d_rel * q.degree(), child,
+                             {"x": nid}))
         if nu_vertical > 0:
-            # x = xy takes x^i y^j to x^i y^(i+j-m), of order <= top - m
+            # x = xy takes x^i y^j to x^i y^(i+j-m), of order <= keep
             # when 2i + j <= top
-            child_germ = Poly._trusted(("x", "y"), {
-                (i, i + j - m): c for (i, j), c in node.germ.terms.items()
-                if 2 * i + j <= top})
+            child = {(i, i + j - m): c for (i, j), c in germ.items()
+                     if 2 * i + j <= top}
             axes = {"y": nid}
             if "x" in node.axes:
                 axes["x"] = node.axes["x"]
-            children.append((node.field, node.d_rel, child_germ, axes))
-        for cfield, d_rel, child_germ, axes in children:
-            if not child_germ.terms:
+            children.append((node.field, node.d_rel, child, axes))
+        for cfield, d_rel, child, axes in children:
+            if not child:
                 return None
+            if cfield is None:
+                child = primitive_ints(child)
             stack.append(len(nodes))
-            nodes.append(_Node(nid, node.depth + 1, cfield, d_rel,
-                               child_germ, top - m,
-                               child_germ.lowest_degree(), axes))
+            nodes.append(_Node(nid, node.depth + 1, cfield, d_rel, child,
+                               keep, _order(child), axes))
     delta = sum(n.d_rel * n.m * (n.m - 1) // 2 for n in nodes)
 
     # germ multiplicity-sequence fingerprint, level by level

@@ -50,6 +50,7 @@ import re
 import sys
 from fractions import Fraction
 from math import comb, gcd, lcm, log2
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 __all__ = [
@@ -918,7 +919,7 @@ def _mul_terms(a: Mapping[Monom, Coef], b: Mapping[Monom, Coef]) -> dict:
     terms = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            mon = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            mon = tuple(map(add, m1, m2))
             prod = c1 * c2
             if mon in terms:
                 terms[mon] = terms[mon] + prod
@@ -1060,6 +1061,15 @@ def clear_denominators(terms: Mapping[Monom, Fraction]):
     d = lcm(*(c.denominator for c in terms.values()))
     return {m: c.numerator * (d // c.denominator)
             for m, c in terms.items()}, d
+
+
+def primitive_ints(terms: Mapping[Monom, int]) -> Mapping[Monom, int]:
+    """An integer term dict divided by the gcd of its coefficients (the
+    dict itself when that gcd is 1)."""
+    c = gcd(*terms.values())
+    if c == 1:
+        return terms
+    return {m: v // c for m, v in terms.items()}
 
 
 def content_in(p: Poly, var: str) -> Optional[Poly]:

@@ -497,6 +497,44 @@ class TestTruncatedJets:
         assert len(budgets) == runs
 
 
+class TestIntegerNodes:
+    """Germs over Q are blown up on primitive integer term dicts; over a
+    number field on field elements.  A `Resolution` is geometric, so both
+    kinds of node must give the same one."""
+
+    SQRT2 = NumberField(UniPoly("w", [-2, 0, 1]))
+
+    @classmethod
+    def _check(cls, germs):
+        rational = [germ for germ, field in germs if field is None]
+        assert rational
+        for germ in rational:
+            embedded = Poly(germ.vars, {mon: cls.SQRT2.from_rational(c)
+                                        for mon, c in germ.terms.items()})
+            assert resolve(germ) == resolve(embedded, cls.SQRT2), str(germ)
+
+    def test_corpus_points_over_sqrt2(self, monkeypatch):
+        self._check(_recorded_germs(monkeypatch, lambda: [
+            verify_example(rec, seed=0) for rec in builtin_examples()]))
+
+    def test_germ_workload_over_sqrt2(self):
+        self._check(_workload_germs())
+
+    @pytest.mark.parametrize("t", recognition_types(), ids=lambda t: t.name())
+    def test_slopes_with_denominators(self, t):
+        # y -> y + (u/w) x + (v/w) x^2 is an analytic change of coordinates:
+        # the root's tangent slopes get the denominator w, and the x^2 term
+        # carries it to the next level
+        nf = normal_form_germ(t)
+        want = resolve(nf)
+        x, y = Poly.var("x", XY), Poly.var("y", XY)
+        for u, v, w in [(1, -1, 2), (-2, 5, 3), (3, 1, 7)]:
+            germ = nf.substitute({"y": y + x.scale(Fraction(u, w))
+                                  + (x * x).scale(Fraction(v, w))})
+            assert resolve(germ) == want, (u, v, w)
+            assert analyze_germ(germ).sing_type == t, (u, v, w)
+
+
 class TestFiniteDeterminacy:
     """A germ with Milnor number mu is (mu + 1)-determined, so terms of
     order mu + 2 and more keep its topological type."""
