@@ -2,9 +2,14 @@
 example corpus, plus the verifier that replays every example through the
 pipeline and diffs the outcome against its claims.
 
-Both the catalog rows and the corpus records ship as embedded data files in
-the document schema; nothing is regenerated at run time.  `globalinv` reads
-their configurations and type names, refusing any the classifier cannot print.
+Both ship as embedded data files; nothing is regenerated at run time.  The
+corpus records (`examples.txt`) are curve documents in the document schema
+of `docs`.  The catalog rows (`catalog.txt`) have their own line format,
+read by `builtin_catalog`: a `theorem:` line and an `inner:` configuration
+head a group of `entry:` lines, each a component type and a reduced
+configuration followed by optional `sigma=`, `inter=` and `strength=`
+fields.  `globalinv` reads the configurations and type names of both,
+refusing any the classifier cannot print.
 """
 
 from __future__ import annotations

@@ -47,8 +47,8 @@ Two variables:
 * Yun's algorithm in x on `poly._int_gcd` splits the rest, whose every
   factor has positive degree in both variables, into squarefree parts;
 * a part of degree 1 in x or in y is irreducible; otherwise the shear
-  y -> y + k x makes lc_x a nonzero integer L, giving q(x, y) of degree d
-  in x and e in y;
+  y -> y + k x (`poly.shear`) makes lc_x a nonzero integer L, giving
+  q(x, y) of degree d in x and e in y;
 * for the first integer c (0, 1, -1, 2, ...) with q(x, c) squarefree, the
   image q(x, c) is factored in one variable; one factor proves q
   irreducible, since every factor of q has a constant leading coefficient
@@ -86,7 +86,7 @@ from itertools import combinations, islice
 from math import gcd, isqrt
 
 from .poly import _dense, _dense_quotient, _digits, _evaluate_last, \
-    _int_gcd, _primitive_last, _quotient, _squarefree, _terms_mul
+    _int_gcd, _mul_terms, _primitive_last, _quotient, _squarefree, shear
 
 __all__ = ["factor_univariate", "factor_bivariate"]
 
@@ -462,27 +462,6 @@ def _zassenhaus(f: list, primes: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _substitute(g: dict, x: dict, y: dict) -> dict:
-    """g(x, y) for integer term dicts in two variables."""
-    rows: dict = {}
-    for (i, j), v in g.items():
-        rows.setdefault(i, {})[j] = v
-    xpow, ypow = [{(0, 0): 1}], [{(0, 0): 1}]
-    out: dict = {}
-    for i, row in rows.items():
-        while len(xpow) <= i:
-            xpow.append(_terms_mul(xpow[-1], x))
-        inner: dict = {}
-        for j, v in row.items():
-            while len(ypow) <= j:
-                ypow.append(_terms_mul(ypow[-1], y))
-            for m, c in ypow[j].items():
-                inner[m] = inner.get(m, 0) + v * c
-        for m, c in _terms_mul(xpow[i], inner).items():
-            out[m] = out.get(m, 0) + c
-    return {m: c for m, c in out.items() if c}
-
-
 def _factor_part(part: dict) -> list:
     """The irreducible factors of a squarefree integer term dict in (x, y)
     that is primitive in x and in y (see the module docstring)."""
@@ -494,7 +473,7 @@ def _factor_part(part: dict) -> list:
         lead = sum(v * k ** j for (_, j), v in top.items())
         if lead:
             break
-    q = _substitute(part, {(1, 0): 1}, {(0, 1): 1, (1, 0): k}) if k else part
+    q = shear(part, k, 1) if k else part
     for c in _integers():
         image: dict = {}
         for (i, j), v in q.items():
@@ -517,7 +496,7 @@ def _factor_part(part: dict) -> list:
         for subset in combinations(range(len(us)), size):
             h = {(0,): 1}
             for i in subset:
-                h = _terms_mul(h, us[i])
+                h = _mul_terms(h, us[i])
             lc = h[max(h)]
             if lead % lc:
                 continue
@@ -536,8 +515,7 @@ def _factor_part(part: dict) -> list:
             size += 1
     if not k:
         return found + [q]
-    return [_substitute(g, {(1, 0): 1}, {(0, 1): 1, (1, 0): -k})
-            for g in found + [q]]
+    return [shear(g, -k, 1) for g in found + [q]]
 
 
 def _integers():

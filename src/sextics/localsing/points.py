@@ -42,6 +42,7 @@ from ..poly import (
     is_squarefree,  # noqa: F401
     poly_gcd,
     resultant,
+    shear,
 )
 
 __all__ = [
@@ -120,10 +121,9 @@ def _choose_shear(f: Poly) -> tuple:
 
 
 def _shear(f: Poly, k: int) -> Poly:
-    fx = f.with_vars(("x", "y"))
-    xv = Poly.var("x", ("x", "y"))
-    yv = Poly.var("y", ("x", "y"))
-    return fx.substitute({"x": xv + yv.scale(k)})
+    """f(x + k y, y) (`poly.shear`)."""
+    return Poly._trusted(("x", "y"), shear(f.with_vars(("x", "y")).terms,
+                                           k, 0))
 
 
 def _repeated_factors(elim: Poly) -> list:

@@ -18,33 +18,33 @@ points make the proximity sums exact.  Each blow-up is a map on the
 exponents of the germ's terms, followed for a tangent direction t0 != 0
 by the Taylor shift y -> y + t0.
 
-A node holds its germ as a term dict {(i, j): c}, in one of two kinds.
-A node over a number field holds field elements, factors its tangent
-cone with `factor_over_field` and shifts with `Poly.shift` (on the
-field's integer coordinate vectors).  A node over Q holds a primitive
-integer dict: its tangent cone L(1, t) goes to `factor.factor_univariate`
-as a list of ints, and at a root t0 = u/w (w > 0, gcd(u, w) = 1) the
-x-chart child is built as
+A node holds its germ as a term dict {(i, j): c}: a node over a number
+field holds field elements and factors its tangent cone with
+`factor_over_field`; a node over Q holds a primitive integer dict, and
+its tangent cone L(1, t) goes to `factor.factor_univariate` as a list of
+ints.  Every node builds its x-chart child at a root t0 = u/w the same
+way (`_x_chart`), as
 
     sum of c x^(i+j-m) w^(J-j) (y + u)^j,    J = the germ's top y-degree,
 
-which is w^J times the true child C(x, y/w), each column (the terms of
-one x-exponent) shifted by Horner's rule on ints.  Every child over Q is
-then divided by the gcd of its coefficients.  Neither step changes the
-tree.  A nonzero constant factor is a unit.  A diagonal change
-D(x, y) = C(ax, by) keeps both axes, the order of every term (hence
-every truncation below), the multiplicity, the degrees of the factors
-of the tangent cone (its roots are scaled by b/a), the vertical count
-and the leaf test.  It also commutes with blowing up: the x-chart of D
-at the root s is the x-chart of C at bs/a under x -> ax, y -> (b/a)y,
-and the y-chart of D is the y-chart of C under x -> (a/b)x, y -> by.
-So by induction the kept germ of every node over Q is a unit times a
-diagonal image of the true one, and the tree, multiplicities,
-proximities and leaves are those of the true germ.  The one exponent J
-serves every column: scaling each column by a power of its own would
-not be a change of coordinates.  A tangent factor of degree >= 2 at a
-node over Q extends the field, and its child is a node over the
-extension.
+each column (the terms of one x-exponent) shifted by Horner's rule
+(`poly.horner_shift`).  Over a number field the slope is (t0, 1), so
+this is the true child.  Over Q, w > 0 and gcd(u, w) = 1, and it is w^J
+times the true child C(x, y/w); every child over Q is then divided by
+the gcd of its coefficients.  Neither step changes the tree.  A nonzero
+constant factor is a unit.  A diagonal change D(x, y) = C(ax, by) keeps
+both axes, the order of every term (hence every truncation below), the
+multiplicity, the degrees of the factors of the tangent cone (its roots
+are scaled by b/a), the vertical count and the leaf test.  It also
+commutes with blowing up: the x-chart of D at the root s is the x-chart
+of C at bs/a under x -> ax, y -> (b/a)y, and the y-chart of D is the
+y-chart of C under x -> (a/b)x, y -> by.  So by induction the kept germ
+of every node over Q is a unit times a diagonal image of the true one,
+and the tree, multiplicities, proximities and leaves are those of the
+true germ.  The one exponent J serves every column: scaling each column
+by a power of its own would not be a change of coordinates.  A tangent
+factor of degree >= 2 extends the field, and its child is a node over
+the extension.
 
 The blow-ups run on truncated jets.  Every node carries an order budget
 L and keeps only the terms of its germ of order <= L; the root's budget
@@ -60,17 +60,15 @@ x^i y^j of order D at a node of multiplicity m:
 So the terms of order > L of a node reach its children only in orders
 > L - m, and by induction each kept germ agrees with the true germ in
 every term of order <= its budget (over Q, in the unit times diagonal
-image above, which keeps orders).  So the shift over Q stops each column
-of x-exponent a at y-degree L - m - a; over a number field the whole
-column is shifted and the terms of order > L - m are dropped after.
-A node whose kept germ is nonzero therefore has its true order m,
-and also its true degree-m tangent cone, vertical count, direction
-factors and leaf test, which read only terms of order <= m.  A run in
-which no kept germ becomes zero builds the tree of the whole germ, with
-the same delta, branches, contacts and multiplicity sequence.  When a
-kept germ does become zero the budget is exhausted, and the resolution
-starts again from the root with twice the budget; a reduced germ's tree
-is finite, so some budget suffices.
+image above, which keeps orders).  So the shift stops each column of
+x-exponent a at y-degree L - m - a.  A node whose kept germ is nonzero
+therefore has its true order m, and also its true degree-m tangent cone,
+vertical count, direction factors and leaf test, which read only terms
+of order <= m.  A run in which no kept germ becomes zero builds the tree
+of the whole germ, with the same delta, branches, contacts and
+multiplicity sequence.  When a kept germ does become zero the budget is
+exhausted, and the resolution starts again from the root with twice the
+budget; a reduced germ's tree is finite, so some budget suffices.
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ from ..numfield import (
     nf,
 )
 from ..poly import DomainError, Poly, UniPoly, clear_denominators, \
-    primitive_ints
+    horner_shift, primitive_ints
 
 __all__ = ["Resolution", "resolve", "UnresolvedGermError"]
 
@@ -163,23 +161,22 @@ def _order(germ: dict) -> int:
     return min(i + j for i, j in germ)
 
 
-def _shift_ints(germ: dict, m: int, keep: int, u: int, w: int) -> dict:
-    """The x-chart child at the slope u/w (w > 0) of a node of multiplicity
-    m whose germ has integer coefficients, scaled by y -> y/w: the terms of
-    order <= keep of the sum of c x^(i+j-m) w^(J-j) (y + u)^j, J the
-    germ's top y-degree.
+def _x_chart(germ: dict, m: int, keep: int, u, w: int) -> dict:
+    """The x-chart child at the slope u/w of a node of multiplicity m,
+    scaled by y -> y/w: the terms of order <= keep of the sum of
+    c x^(i+j-m) w^(J-j) (y + u)^j, J the germ's top y-degree.  Over Q, u
+    and w are ints with w > 0; over a number field u is a field element
+    and w = 1.
 
     Each column (the terms of one x-exponent a) is shifted by Horner's
-    rule on Python ints, stopped once its coefficients of y-degree
+    rule (`horner_shift`), stopped once its coefficients of y-degree
     <= keep - a are final.
     """
     top_j = max(j for _, j in germ)
-    wpow = [1]
-    for _ in range(top_j):
-        wpow.append(wpow[-1] * w)
+    scale = [w ** (top_j - j) for j in range(top_j + 1)]
     cols: dict = {}
     for (i, j), c in germ.items():
-        cols.setdefault(i + j - m, {})[j] = c * wpow[top_j - j]
+        cols.setdefault(i + j - m, {})[j] = c if w == 1 else c * scale[j]
     out = {}
     for a, col in cols.items():
         n = max(col)
@@ -187,23 +184,11 @@ def _shift_ints(germ: dict, m: int, keep: int, u: int, w: int) -> dict:
         for j, c in col.items():
             cs[j] = c
         last = min(n, keep - a)
-        # after step s the coefficient of y^s is final
-        for s in range(min(n, last + 1)):
-            for j in range(n - 1, s - 1, -1):
-                cs[j] += u * cs[j + 1]
+        horner_shift(cs, u, last)
         for k in range(last + 1):
             if cs[k]:
                 out[(a, k)] = cs[k]
     return out
-
-
-def _shift_field(germ: dict, m: int, keep: int, t0) -> dict:
-    """The x-chart child at the slope t0 of a node over a number field:
-    the terms of order <= keep of the sum of c x^(i+j-m) (y + t0)^j."""
-    shifted = Poly._trusted(("x", "y"), {
-        (i + j - m, j): c for (i, j), c in germ.items()}).shift({"y": t0})
-    return {(a, b): c for (a, b), c in shifted.terms.items()
-            if a + b <= keep}
 
 
 def _is_leaf(node: _Node) -> bool:
@@ -273,10 +258,8 @@ def _resolve(g: Poly, field: Optional[NumberField],
                          if i + 2 * j <= top}
                 if "y" in node.axes:
                     axes["y"] = node.axes["y"]
-            elif node.field is None:
-                child = _shift_ints(germ, m, keep, u, w)
             else:
-                child = _shift_field(germ, m, keep, u)
+                child = _x_chart(germ, m, keep, u, w)
             children.append((node.field, node.d_rel, child, axes))
         for q in cones:
             try:
@@ -285,8 +268,8 @@ def _resolve(g: Poly, field: Optional[NumberField],
                 raise UnresolvedGermError(
                     "germ needs a field tower beyond the cap: %s" % exc
                 ) from exc
-            child = _shift_field({mon: embed(c) for mon, c in germ.items()},
-                                 m, keep, t0)
+            child = _x_chart({mon: embed(c) for mon, c in germ.items()},
+                             m, keep, t0, 1)
             children.append((cfield, node.d_rel * q.degree(), child,
                              {"x": nid}))
         if nu_vertical > 0:

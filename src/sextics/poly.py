@@ -12,10 +12,15 @@ list), `clear_denominators` (a rational term dict as integers over one
 denominator), `content_in` (the gcd of the coefficients in one variable),
 `UniPoly.from_poly` (a polynomial in one variable, read as a univariate),
 `convolve_reduce` (the product of two integer coordinate vectors of a
-number field, which `numfield.NFElt` multiplies with), `Poly.shift` (the
-Taylor shift p(v + a_v), which `UniPoly.shift` calls), `unipoly_gcd` (the
-monic gcd of two univariates over Q or a number field) and `_int_gcd` (the
-one integer gcd kernel, which `factor` also splits squarefree parts with).
+number field, which `numfield.NFElt` multiplies with), `horner_shift`
+(the one Horner loop: a coefficient list shifted in place, stopped once
+the low coefficients are final, which `Poly.shift` over Q and the x-chart
+of `localsing.resolve` run), `shear` (x -> x + k y or y -> y + k x on a
+term dict, one `horner_shift` per homogeneous part, for `localsing.points`
+and `factor`), `Poly.shift` (the Taylor shift p(v + a_v), which
+`UniPoly.shift` calls), `unipoly_gcd` (the monic gcd of two univariates
+over Q or a number field) and `_int_gcd` (the one integer gcd kernel,
+which `factor` also splits squarefree parts with).
 
 The Taylor shift and the univariate gcd run on integers and build one
 canonical coefficient per term of their result.  A number-field element
@@ -262,9 +267,6 @@ class Poly:
             other = Poly.const(other, self.vars)
         return self + (-other)
 
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
-
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             other = Poly.const(other, self.vars)
@@ -366,9 +368,10 @@ class Poly:
         that differ only in v's exponent) on its own, on integers; one
         Fraction or field element is built per term at the end.  When every
         coefficient and offset is rational, the denominators are cleared
-        once and the columns are shifted by Horner's rule on Python ints:
-        for a_v = u/w and n the degree in v, w^n p(z/w) is shifted by u and
-        z = w*v put back, which leaves one more common denominator w^n.
+        once and the columns are shifted by Horner's rule on Python ints
+        (`horner_shift`): for a_v = u/w and n the degree in v, w^n p(z/w)
+        is shifted by u and z = w*v put back, which leaves one more common
+        denominator w^n.
         Otherwise every coefficient of the result lies in the one number
         field of the coefficients and offsets, and each coefficient is
         carried as an (integer vector, denominator) pair through the
@@ -401,11 +404,7 @@ class Poly:
                 cs = [0] * (max(col) + 1)
                 for e, c in col.items():
                     cs[e] = c * wpow[n - e]
-                top = len(cs) - 1
-                for s in range(top):
-                    for j in range(top - 1, s - 1, -1):
-                        cs[j] += u * cs[j + 1]
-                for k, c in enumerate(cs):
+                for k, c in enumerate(horner_shift(cs, u, n)):
                     if c:
                         terms[rest[:i] + (k,) + rest[i:]] = c * wpow[k]
         if field is None:
@@ -839,9 +838,6 @@ class UniPoly:
                 rem[i - d + j] = rem[i - d + j] - f * b
         return UniPoly(self.var, q), UniPoly(self.var, rem)
 
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[1]
-
     def derivative(self) -> "UniPoly":
         return UniPoly(self.var, [c * i for i, c in enumerate(self.coeffs)][1:])
 
@@ -883,6 +879,43 @@ def rational_content(coeffs) -> Fraction:
             dens.append(c.den)
     num = gcd(*nums)
     return Fraction(num, lcm(*dens)) if num else Fraction(1)
+
+
+def horner_shift(cs: list, u, last: int) -> list:
+    """The coefficients (low to high) of p(t + u) for those of p in `cs`,
+    in place, by Horner's rule: pass s adds u times each coefficient into
+    the one below it, from the top down to t^s, after which the
+    coefficient of t^s is final.  The passes stop once every coefficient
+    of degree <= `last` is; those above it are then partial.  Returns cs.
+    """
+    n = len(cs) - 1
+    for s in range(min(n, last + 1)):
+        for j in range(n - 1, s - 1, -1):
+            cs[j] += u * cs[j + 1]
+    return cs
+
+
+def shear(terms: Mapping[Monom, Coef], k, i: int) -> dict:
+    """The term dict in two variables of p with variable i (0 or 1)
+    replaced by itself plus k times the other one.
+
+    The shear keeps each homogeneous part: the part of degree d is
+    v^d P(x_i / v), v the other variable and P(t) the sum of its
+    coefficients c t^e of x_i^e, and it becomes v^d P(x_i / v + k), so P
+    is shifted by k (`horner_shift`).
+    """
+    parts: dict = {}
+    for m, c in terms.items():
+        parts.setdefault(m[0] + m[1], {})[m[i]] = c
+    out = {}
+    for d, part in parts.items():
+        cs = [0] * (max(part) + 1)
+        for e, c in part.items():
+            cs[e] = c
+        for e, c in enumerate(horner_shift(cs, k, d)):
+            if c:
+                out[(e, d - e) if i == 0 else (d - e, e)] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1333,13 +1366,14 @@ def _prs_gcd(a: dict, b: dict) -> dict:
             # r <- lc(b) r - lc(r) x_n^(dr - db) b, of lower degree in x_n
             lr = {m[:-1] + (dr - db,): -c for m, c in r.items()
                   if m[-1] == dr}
-            r = _terms_mul(lb, r)
-            for m, c in _terms_mul(lr, b).items():
+            r = _mul_terms(lb, r)
+            for m, c in _mul_terms(lr, b).items():
                 r[m] = r.get(m, 0) + c
             r = {m: c for m, c in r.items() if c}
         a, b = b, _primitive_last(r)[1]
     c = _int_gcd(ca, cb)
-    return _terms_mul(a, {m + (0,): v for m, v in c.items()})
+    g = _mul_terms(a, {m + (0,): v for m, v in c.items()})
+    return {m: v for m, v in g.items() if v}
 
 
 def _primitive_last(a: dict):
@@ -1354,16 +1388,6 @@ def _primitive_last(a: dict):
     for c in coeffs.values():
         cont = _int_gcd(cont, c)
     return cont, _quotient(a, {m + (0,): v for m, v in cont.items()})
-
-
-def _terms_mul(a: Mapping[Monom, int], b: Mapping[Monom, int]) -> dict:
-    """The product of two integer term dicts over the same variables."""
-    out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
 
 
 def resultant(p: Poly, q: Poly, var: str) -> Poly:

@@ -272,6 +272,14 @@ class TestVerify:
         assert code == 2
         assert out == "error: unknown example id 'no-such-id'\n"
 
+    @pytest.mark.parametrize("rid", ["5.2-5 ", "5.2-05", "5.2-5@0", "[A_5]"])
+    def test_near_miss_id(self, capsys, rid):
+        # a padded, zero-filled or bound record id, or a configuration,
+        # names no record: ids match exactly
+        code, out = run_cli(capsys, "verify", rid)
+        assert code == 2
+        assert out == "error: unknown example id '%s'\n" % rid
+
     def test_missing_arg(self, capsys):
         code, out = run_cli(capsys, "verify")
         assert code == 2

@@ -31,7 +31,8 @@ from sextics.localsing import (
 from sextics.localsing import classify, points
 from sextics.localsing._sigdata import SIGNATURES
 from sextics.localsing.points import point_on_curve
-from sextics.numfield import NFElt, NumberField, factor_rational
+from sextics.numfield import NFElt, NumberField, extend_field, \
+    factor_rational
 from sextics.poly import DomainError, Poly, UniPoly, is_squarefree, \
     parse_poly, resultant
 from sextics.torus import TorusPair
@@ -519,6 +520,28 @@ class TestIntegerNodes:
 
     def test_germ_workload_over_sqrt2(self):
         self._check(_workload_germs())
+
+    def test_field_nodes_shift_without_poly_shift(self, monkeypatch):
+        # a node over a number field builds its x-chart like a node over
+        # Q, on its own elements: A_4 = (y - a x)^2 - x^5, a the generator
+        # of Q(sqrt 2) or of the degree-4 tower over it, shifts by a once
+        tower = extend_field(self.SQRT2, UniPoly(
+            "y", [self.SQRT2.from_rational(c) for c in (-3, 0, 1)]))[0]
+        want = resolve(g("y^2 - x^5"))
+        calls = []
+        real = Poly.shift
+
+        def counted(p, offsets):
+            calls.append(offsets)
+            return real(p, offsets)
+
+        monkeypatch.setattr(Poly, "shift", counted)
+        for K in (self.SQRT2, tower):
+            a = K.generator()
+            germ = Poly(XY, {(0, 2): K.from_rational(1), (1, 1): a * -2,
+                             (2, 0): a * a, (5, 0): K.from_rational(-1)})
+            assert resolve(germ, K) == want
+        assert calls == []
 
     @pytest.mark.parametrize("t", recognition_types(), ids=lambda t: t.name())
     def test_slopes_with_denominators(self, t):

@@ -10,6 +10,7 @@ Everything is exact and seeded; the whole module stays well under the
 two-minute budget.
 """
 
+import importlib
 import random
 import signal
 from fractions import Fraction
@@ -33,11 +34,13 @@ from sextics.poly import (
     UniPoly,
     content_in,
     format_poly,
+    horner_shift,
     is_squarefree,
     parse_poly,
     poly_gcd,
     rational_content,
     resultant,
+    shear,
 )
 
 VARS = ("x", "y", "z", "w")
@@ -282,6 +285,84 @@ class TestShiftAgainstSubstitute:
                     {"x": x + Poly.const(a)})
                 assert all(isinstance(c, NFElt) and c.field is K
                            for c in got.coeffs)
+
+
+    def test_horner_shift_stopped_early(self):
+        # stopped at `last`, the coefficients of degree <= last are those
+        # of the whole shift, itself checked against Poly.substitute
+        rng = random.Random(5040)
+        t = Poly.var("t")
+        for _ in range(60):
+            n = rng.randint(0, 12)
+            cs = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n + 1)]
+            u = rng.choice([rng.randint(-9, 9),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+            full = horner_shift(list(cs), u, n)
+            want = Poly(("t",), {(e,): c for e, c in enumerate(cs)}) \
+                .substitute({"t": t + Poly.const(u)})
+            assert {(e,): c for e, c in enumerate(full) if c} \
+                == want.with_vars(("t",)).terms
+            for last in range(-1, n + 2):
+                got = horner_shift(list(cs), u, last)
+                assert len(got) == n + 1
+                assert got[:last + 1] == full[:last + 1], (cs, u, last)
+
+    def test_shear_against_substitute(self):
+        # x -> x + k y and y -> y + k x on integer and Fraction term dicts
+        # up to degree 12, undone by the opposite shear
+        rng = random.Random(8128)
+        x, y = Poly.var("x", XY), Poly.var("y", XY)
+        for n in range(40):
+            p = random_poly(rng, 2, max_terms=12, max_deg=12)
+            terms = p.terms
+            if n % 2:
+                terms = {m: rng.choice([-1, 1]) * rng.randint(1, 10 ** 12)
+                         for m in terms}
+                p = Poly(XY, terms)
+            k = rng.choice([rng.randint(-9, 9), rng.randint(-9, 9),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+            for i, image in ((0, x + y.scale(k)), (1, y + x.scale(k))):
+                got = shear(terms, k, i)
+                want = p.substitute({XY[i]: image}).with_vars(XY)
+                assert got == want.terms, (str(p), k, i)
+                if n % 2 and isinstance(k, int):
+                    assert all(type(c) is int for c in got.values())
+                assert shear(got, -k, i) == terms
+
+    def test_field_x_chart_against_shift_then_cut(self):
+        # the resolver's x-chart on field elements against the whole germ
+        # shifted by Poly.shift and cut at order `keep` afterwards, over
+        # Q(sqrt 2) and the degree-4 tower over it
+        resolve_module = importlib.import_module("sextics.localsing.resolve")
+        rng = random.Random(3141)
+        fields = eisenstein_fields()
+        sqrt2 = extend_field(None, UniPoly("w", [Fraction(-2), 0, 1]))[0]
+        tower = [K for K in fields if K.degree == 4 and K.name != "w"]
+        assert len(tower) == 1
+
+        def element(K):
+            return K.element([Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+                              for _ in range(K.degree)])
+
+        for K in (sqrt2, tower[0]):
+            for _ in range(15):
+                m = rng.randint(1, 4)
+                germ = {}
+                for _ in range(rng.randint(1, 10)):
+                    i = rng.randint(0, 6)
+                    germ[(i, rng.randint(max(m - i, 0), 6))] = element(K)
+                m = min(i + j for i, j in germ)
+                t0 = element(K)
+                top = max(i + j for i, j in germ)
+                shifted = Poly(XY, {(i + j - m, j): c
+                                    for (i, j), c in germ.items()}) \
+                    .shift({"y": t0})
+                for keep in range(top - m + 1):
+                    got = resolve_module._x_chart(germ, m, keep, t0, 1)
+                    assert got == {mon: c for mon, c in shifted.terms.items()
+                                   if sum(mon) <= keep}
+                    assert all(isinstance(c, NFElt) and c.field is K
+                               for c in got.values())
 
 
 class TestEvaluateAgainstSubstitute:
