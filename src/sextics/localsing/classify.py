@@ -121,12 +121,19 @@ def build_signature_table() -> dict:
     table = {}
     for t in recognition_types():
         germ = normal_form_germ(t)
-        sig = signature_of_resolution(resolve(germ), milnor_number_origin(germ),
+        res = resolve(germ)
+        sig = signature_of_resolution(res, _milnor(germ, res),
                                       germ.lowest_degree())
         if sig in table:
             raise DomainError("signature collision: %s vs %s" % (table[sig], t))
         table[sig] = t
     return table
+
+
+def _milnor(germ: Poly, res: Resolution) -> int:
+    """mu of the germ, predicted as 2*delta - r + 1 from its resolution
+    (see `analyze_germ`)."""
+    return milnor_number_origin(germ, 2 * res.delta - res.branch_count + 1)
 
 
 @functools.cache
@@ -180,10 +187,17 @@ class LocalSingularity:
 
 
 def analyze_germ(germ: Poly, field=None, point=None) -> LocalSingularity:
-    """Resolve + classify a germ at the origin; cross-checks the deltas."""
+    """Resolve + classify a germ at the origin; cross-checks the deltas.
+
+    The resolution comes first, and the reduction for mu = I(f_x, f_y)
+    starts one order above the value 2*delta - r + 1 that it predicts.
+    The reduction proves mu whatever order it starts at, so
+    `delta_invariant` still compares two independent deltas: a wrong
+    delta or r raises ConsistencyError.
+    """
     m = germ.lowest_degree()
     res = resolve(germ, field)
-    mu = milnor_number_origin(germ)
+    mu = _milnor(germ, res)
     delta = delta_invariant(mu, res)
     sig = signature_of_resolution(res, mu, m)
     stype = classify_signature(sig)

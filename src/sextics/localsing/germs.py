@@ -9,10 +9,20 @@ ints and a fraction-free elimination step; over a number field it
 divides by the leading coefficient.  The Milnor number of a rational
 germ clears the germ's denominators once and takes both partials on ints.
 
-The kernel truncates the germs at an adaptive order n: it starts at
-ord g * ord h + 2, read off the germs alone, and grows it by a quarter
-until a run returns a value below it, which the run then proves
-(m^I lies in the ideal, so terms of higher order cannot change I).
+The kernel truncates the germs at an adaptive order n and grows it by a
+quarter until a run returns a value below it, which the run then proves
+(m^I lies in the ideal, so terms of higher order cannot change I).  The
+first order is ord g * ord h + 2, read off the germs alone, or p + 1
+when the caller predicts the value p and that is larger:
+`classify.analyze_germ` passes the Milnor number 2*delta - r + 1 that
+the resolution predicts, so when delta and r are right the first run
+proves mu.  The prediction cannot change the value, since a run that
+returns I < n returns the true I whatever n is: a prediction too high
+still gets the true value from the first run, one too low makes that
+run fail and n grows as without it.  So the law mu = 2*delta - r + 1 is
+still checked against a mu that the reduction proved, and a wrong delta
+or r still fails it.
+
 Within a run the order falls as the running sum t grows: the germs left
 must have I - t < n - t, so their terms of degree >= n - t are dropped.
 Once n reaches the Bezout bound deg g * deg h + 2, the last run is the
@@ -158,10 +168,12 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
     t; both germs then lose their terms of degree >= n - t, and the
     elimination keeps only terms below n - t.  The first run takes
     n = ord g * ord h + 2, from the germs' orders alone (I is at least
-    ord g * ord h, and at a sextic's singular point rarely much more).  A
-    run that returns some I < n has proved it.  Let J = (g, h) in the
-    local ring O at the origin, over Q or over the number field, and m
-    its maximal ideal.  If dim O/J = n', then m^n' lies in J: the
+    ord g * ord h); the Milnor number starts at p + 1 instead when its
+    caller predicts p and that is larger (`milnor_number_origin`).  The
+    choice cannot change the value: the argument below holds for every
+    n, so a run that returns some I < n has proved it.  Let J = (g, h)
+    in the local ring O at the origin, over Q or over the number field,
+    and m its maximal ideal.  If dim O/J = n', then m^n' lies in J: the
     dimension of O/(J + m^i) rises strictly with i until the chain
     stops, so it stops by i = n', and J + m^n' = J + m^(n'+1) gives
     m^n' in J by Nakayama.  So changing g or h by terms in m^(n'+1),
@@ -200,15 +212,15 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
     return _intersection(G, H, False)
 
 
-def _intersection(G: dict, H: dict, rational: bool) -> int:
+def _intersection(G: dict, H: dict, rational: bool, predicted: int = 0) -> int:
     """I(g, h; O) of the germs with term dicts G and H in (x, y), by the
     runs of `_reduce` that `intersection_multiplicity_origin` describes;
-    `rational` as there."""
+    `rational` as there, `predicted` as in `milnor_number_origin`."""
     if not G or not H:
         raise InfiniteIntersectionError("zero germ shares every component")
     limit = max(map(sum, G)) * max(map(sum, H))
     bound = limit + 2
-    n = min(map(sum, G)) * min(map(sum, H)) + 2
+    n = max(min(map(sum, G)) * min(map(sum, H)) + 2, predicted + 1)
     G = {m: c for m, c in G.items() if sum(m) < bound}
     H = {m: c for m, c in H.items() if sum(m) < bound}
     while n < bound:
@@ -232,8 +244,14 @@ def intersection_multiplicity(g: Poly, h: Poly, p) -> int:
         translate_to_origin(g, p), translate_to_origin(h, p))
 
 
-def milnor_number_origin(germ: Poly) -> int:
+def milnor_number_origin(germ: Poly, predicted: int = 0) -> int:
     """mu = I(f_x, f_y; O) for an isolated singularity at the origin.
+
+    `predicted` is a guess at mu, from the resolution in
+    `classify.analyze_germ`: the first reduction run truncates at
+    predicted + 1 when that is above ord f_x * ord f_y + 2, so a right
+    guess, or one above mu, makes one run.  The run still proves mu; a wrong guess costs
+    time, never the value (see `intersection_multiplicity_origin`).
 
     A rational germ has its denominators cleared once, a unit that keeps
     the ideal of the partials, and both partials are taken on ints.
@@ -245,6 +263,6 @@ def milnor_number_origin(germ: Poly) -> int:
     gx = {(i - 1, j): c * i for (i, j), c in terms.items() if i}
     gy = {(i, j - 1): c * j for (i, j), c in terms.items() if j}
     try:
-        return _intersection(gx, gy, rational)
+        return _intersection(gx, gy, rational, predicted)
     except InfiniteIntersectionError:
         raise DomainError("non-isolated singularity (partials share a factor)")

@@ -254,7 +254,7 @@ class Poly:
         vs, a, b = self._aligned(other)
         terms = dict(a.terms)
         for m, c in b.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms[m] + c if m in terms else c
         return Poly._trusted(vs, terms)
 
     __radd__ = __add__
@@ -1047,7 +1047,8 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     step replaces R by lc(B) R - lc(R) y^k B, which lowers the degree of R,
     and R is divided by the integer content of all its coordinates after
     every step.  The last nonzero remainder is made monic with one inverse
-    of its leading coefficient, one canonical coefficient built per term.
+    of its leading coefficient, one canonical coefficient built per term;
+    a constant remainder is a unit, so the gcd is 1 with no inverse.
     """
     field = _field_of(a.coeffs + b.coeffs)
     if field is None:
@@ -1076,6 +1077,8 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         r0, r1 = r1, r
     if not r0:
         return UniPoly(a.var, [])
+    if len(r0) == 1:
+        return UniPoly(a.var, [field.from_rational(1)])
     inv, den = _ints(1 / field.from_ints(r0[-1], 1), d)
     return UniPoly(a.var, [field.from_ints(convolve_reduce(c, inv, reducer),
                                            den) for c in r0])

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import random
 from fractions import Fraction
@@ -276,6 +277,30 @@ class TestRepeatedPartOfEliminant:
         assert len(pts) == 2
         _assert_singular(f, pts)
 
+    def test_node_beside_a_vertical_tangent_over_a_field(self):
+        # over x^2 = 2 the two parabolas cross at (x, 0), and the hyperbola
+        # has a smooth vertical-tangent point (x, 3): the gcd over Q(sqrt 2)
+        # is y, not a constant, so the factor is kept
+        f = g("(y - x^2 + 2)*(y + x^2 - 2)*((y-3)^2 - x^2 + 2)")
+        over_sqrt2 = [p for p in singular_points(f) if p.degree == 2]
+        assert [(p.x ** 2, p.y) for p in over_sqrt2] == [(2, 0)]
+
+    def test_constant_gcd_takes_no_inverse(self, monkeypatch):
+        # the one repeated factor of this curve's eliminant has degree 60
+        # and carries only vertical tangents: gcd(g, g_x, g_y) over its
+        # field is the constant 1, which needs no inverse
+        calls = []
+        real = NFElt.inverse
+
+        def counted(a):
+            calls.append(a.field.degree)
+            return real(a)
+
+        monkeypatch.setattr(NFElt, "inverse", counted)
+        f = g("x^12 + y^12 + 3*x^5*y^2 - 7*x*y^6 + 2*x^3 - y^2 + 1")
+        assert singular_points(f) == []
+        assert calls == []
+
 
 class TestIntersectionMultiplicity:
     def test_tangent_parabola(self):
@@ -426,14 +451,15 @@ def _recorded_germs(monkeypatch, run):
     return seen
 
 
-def _workload_germs():
-    """The germs of perfbench's germs workload at seeds 0 to 3, with the
-    benchmark's module loaded from its file and left unchanged."""
+def _workload_germs(seeds=range(4)):
+    """The germs of perfbench's germs workload at the seeds, 0 to 3 by
+    default, with the benchmark's module loaded from its file and left
+    unchanged."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_germ_workload", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [(germ, None) for seed in range(4)
+    return [(germ, None) for seed in seeds
             for _gid, _name, germ in workloads.germ_inputs(seed)]
 
 
@@ -556,6 +582,77 @@ class TestIntegerNodes:
                                   + (x * x).scale(Fraction(v, w))})
             assert resolve(germ) == want, (u, v, w)
             assert analyze_germ(germ).sing_type == t, (u, v, w)
+
+
+class TestPredictedMilnorOrder:
+    """`analyze_germ` starts the Milnor reduction at the order that
+    mu = 2*delta - r + 1 predicts from the resolution.  A run proves the
+    value it returns, so the prediction chooses only where the first run
+    truncates: it never changes mu, and a wrong delta still fails."""
+
+    @staticmethod
+    def _check(germs):
+        assert germs
+        for germ, _field in germs:
+            mu = milnor_number_origin(germ)
+            bezout = (germ.degree() - 1) ** 2
+            for hint in (0, mu - 2, mu - 1, mu, mu + 1, 3 * mu, bezout + 10):
+                assert milnor_number_origin(germ, hint) == mu, (str(germ),
+                                                                hint)
+
+    def test_hints_keep_mu_on_corpus_points(self, monkeypatch):
+        germs = _recorded_germs(monkeypatch, lambda: [
+            verify_example(rec, seed=0) for rec in builtin_examples()])
+        assert any(field is not None for _germ, field in germs)
+        self._check(germs)
+
+    def test_hints_keep_mu_on_germ_workload(self):
+        self._check(_workload_germs())
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The truncation order of every reduction run, in order."""
+        germs_module = importlib.import_module("sextics.localsing.germs")
+        seen = []
+        real = germs_module._reduce
+
+        def counted(G, H, n, cap, rational):
+            seen.append(n)
+            return real(G, H, n, cap, rational)
+
+        monkeypatch.setattr(germs_module, "_reduce", counted)
+        return seen
+
+    def test_one_run_per_germ(self, runs):
+        # the 48 normal forms and their perturbations at seed 0
+        for germ, _field in _workload_germs([0]):
+            runs.clear()
+            analyze_germ(germ)
+            assert len(runs) == 1, str(germ)
+
+    def test_unpredicted_reduction_grows_its_order(self, runs):
+        # ord f_x * ord f_y + 2 = 6 is far below mu = 14 (D_14): without
+        # the prediction, the first runs fail and the order grows
+        germ = g("x*y^2 - x^13")
+        assert milnor_number_origin(germ) == 14
+        assert runs == [6, 8, 11, 14, 18]
+        runs.clear()
+        assert analyze_germ(germ).mu == 14
+        assert runs == [15]
+
+    def test_wrong_delta_still_fails(self, monkeypatch):
+        # a delta one too high predicts mu + 2: the run proves the true mu,
+        # and the law refuses it
+        real = classify.resolve
+
+        def off_by_one(germ, field=None):
+            res = real(germ, field)
+            return dataclasses.replace(res, delta=res.delta + 1)
+
+        monkeypatch.setattr(classify, "resolve", off_by_one)
+        for t in recognition_types():
+            with pytest.raises(ConsistencyError, match="delta mismatch"):
+                analyze_germ(normal_form_germ(t))
 
 
 class TestFiniteDeterminacy:

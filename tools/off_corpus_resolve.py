@@ -8,9 +8,11 @@ three wall times of `analyze_curve` in seconds, and the configuration it
 finds with the component degrees.  A torus pair is analyzed as a pair, so
 its inner/outer split runs too.  The set holds a torus sextic with
 coefficients up to 10^40, one with conic and cubic coefficients of
-10^100, the four-leaved rose, and two torus sextics whose configurations
-the catalog does not list (ROADMAP item 3).  It is a stress set, not a
-test: no suite runs it.
+10^100, the four-leaved rose, two torus sextics whose configurations
+the catalog does not list (ROADMAP item 3), and a smooth affine curve of
+degree 12 whose eliminant repeats one factor of degree 60 that carries
+only vertical tangents.  It is a stress set, not a test: no suite runs
+it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ CURVES = [
     ("(x^2 + y^2)^3 - 4*x^2*y^2",),
     ("-2*x^2 + y", "-2*x^3 - 2*x^2*y + x*y + 2*y^2"),
     ("-x^2 - 4*x - 4", "-x^3 - 2*x^2*y - 6*x^2 + x*y - 12*x + y - 8"),
+    ("x^12 + y^12 + 3*x^5*y^2 - 7*x*y^6 + 2*x^3 - y^2 + 1",),
 ]
 
 REPEATS = 3
