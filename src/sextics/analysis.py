@@ -97,14 +97,12 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
         f = transform(f).primitive()
         if pair is not None:
             pair = pair.transformed(transform)
-    affine_sings = singular_points(f)
-
-    sings = tuple(analyze_point(f, p) for p in affine_sings)
+    sings = tuple(analyze_point(f, p) for p in singular_points(f))
 
     split = None
     star_report = None
     if pair is not None:
-        split = inner_outer_split(pair, affine_sings)
+        split = inner_outer_split(pair, sings)
         star_report = tuple(verify_inner_correspondence(pair, split, sings))
     config = assemble_configuration(sings)
 

@@ -3,11 +3,9 @@ classical reduction algorithm) and Milnor numbers.
 
 The `_origin` functions take germs already translated to the origin; the
 others take a curve and a point on it.  Coefficients may be rational or
-number-field elements.  When both germs are rational, the intersection
-kernel clears their denominators once per call and reduces with Python
-ints and a fraction-free elimination step; over a number field it
-divides by the leading coefficient.  The Milnor number of a rational
-germ clears the germ's denominators once and takes both partials on ints.
+number-field elements.  Each call clears the germs' denominators once,
+to Python ints or to integer coordinate vectors over a number field, and
+the kernel reduces with no denominator at all.
 
 The kernel truncates the germs at an adaptive order n and grows it by a
 quarter until a run returns a value below it, which the run then proves
@@ -16,8 +14,9 @@ first order is ord g * ord h + 2, read off the germs alone, or p + 1
 when the caller predicts the value p and that is larger:
 `classify.analyze_germ` passes the Milnor number 2*delta - r + 1 that
 the resolution predicts, so when delta and r are right the first run
-proves mu.  The prediction cannot change the value, since a run that
-returns I < n returns the true I whatever n is: a prediction too high
+proves mu; `torus.inner_outer_split` passes the iota that the type of
+an inner point predicts.  The prediction cannot change the value, since
+a run that returns I < n returns the true I whatever n is: one too high
 still gets the true value from the first run, one too low makes that
 run fail and n grows as without it.  So the law mu = 2*delta - r + 1 is
 still checked against a mu that the reduction proved, and a wrong delta
@@ -31,13 +30,13 @@ full reduction with its guard for a shared component.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from operator import mul
 
 # Unused here; perfbench/tracer.py patches factor_over_field in this namespace.
 from ..numfield import factor_over_field  # noqa: F401
-from ..poly import DomainError, Poly, clear_denominators, primitive_ints, \
-    rational_content
+from ..poly import DomainError, Poly, clear_denominators, convolve_reduce, \
+    field_of, mul_matrix, primitive_ints, scaled
 from .points import translate_to_origin
 
 __all__ = [
@@ -55,34 +54,23 @@ class InfiniteIntersectionError(DomainError):
     """The two curves share a component through the point."""
 
 
-def _scale_reduce(terms: dict) -> dict:
-    """Divide by the rational content (a unit; intersection numbers keep)."""
-    c = rational_content(terms.values())
-    if c == 1:
-        return terms
-    inv = 1 / c
-    return {m: v * inv for m, v in terms.items()}
-
-
-def _reduce(g_terms: dict, h_terms: dict, n: int, cap: int,
-            rational: bool) -> int:
+def _reduce(g_terms: dict, h_terms: dict, n: int, cap: int, field) -> int:
     """One run of the reduction with both germs truncated at total degree
     n - t, t the running sum (see the kernel's docstring).
 
     Returns I of the truncated germs, or the running sum as soon as it
     reaches `cap`; raises InfiniteIntersectionError when both germs become
-    divisible by y or one reduces to zero.  `rational` says that both
-    germs have integer coefficients and picks the integer step, else the
-    field-division step.
+    divisible by y or one reduces to zero.  The germs hold ints, or
+    integer coordinate vectors over the number field `field`.
     """
-    G = {m: c for m, c in g_terms.items() if sum(m) < n}
-    H = {m: c for m, c in h_terms.items() if sum(m) < n}
     # dividing by the content is a unit, as above
-    reduce = primitive_ints if rational else _scale_reduce
-    G = reduce(G)
-    H = reduce(H)
+    G = primitive_ints({m: c for m, c in g_terms.items() if sum(m) < n},
+                       field)
+    H = primitive_ints({m: c for m, c in h_terms.items() if sum(m) < n},
+                       field)
     total = 0
     order = n
+    pivot = None   # the lc(a) whose inverse N/D is kept while it leads G
     while True:
         # Poly drops zero coefficients and the elimination deletes the ones
         # it makes, so every key is a nonzero term
@@ -112,33 +100,54 @@ def _reduce(g_terms: dict, h_terms: dict, n: int, cap: int,
         if r > s:
             G, H = H, G
             r, s = s, r
-        # kill the leading coefficient of b(x) = h(x, 0)
-        if rational:
+        # kill the leading coefficient of b(x) = h(x, 0): H <- d*H - c*x^k*G
+        # with d*lc(b) = c*lc(a), d a positive integer
+        k = s - r
+        if field is None:
             q = gcd(G[(r, 0)], H[(s, 0)])
             d, c = G[(r, 0)] // q, H[(s, 0)] // q
             if d != 1:
                 H = {m: d * v for m, v in H.items()}
+            for (i, j), cg in G.items():
+                if i + k + j < order:
+                    mon = (i + k, j)
+                    v = H.get(mon, 0) - c * cg
+                    if v:
+                        H[mon] = v
+                    else:
+                        del H[mon]
         else:
-            c = H[(s, 0)] / G[(r, 0)]
-        k = s - r
-        for (i, j), cg in G.items():
-            mon = (i + k, j)
-            if i + k + j >= order:
-                continue
-            v = H.get(mon)
-            v = -(c * cg) if v is None else v - c * cg
-            if v:
-                H[mon] = v
-            else:
-                del H[mon]
+            if G[(r, 0)] is not pivot:   # no vector changes in place
+                pivot = G[(r, 0)]
+                inv = field.from_ints(pivot, 1).inverse()
+            c = mul_matrix(convolve_reduce(H[(s, 0)], inv.nums,
+                                           field.reducer), field.reducer)
+            prods = {(i + k, j): [sum(map(mul, row, cg)) for row in c]
+                     for (i, j), cg in G.items() if i + k + j < order}
+            # often all divisible by D (G is lc(a) times an integral germ):
+            # then the step divides them by D rather than scale H by it
+            q = gcd(inv.den, *(x for p in prods.values() for x in p))
+            d = inv.den // q
+            if d != 1:
+                H = {m: [d * x for x in v] for m, v in H.items()}
+            zero = [0] * field.degree
+            for mon, p in prods.items():
+                v = [x - y // q for x, y in zip(H.get(mon, zero), p)]
+                if any(v):
+                    H[mon] = v
+                else:
+                    del H[mon]
+        if (s, 0) in H:
+            raise DomainError("the elimination step left the leading term")
         if not H:
             raise InfiniteIntersectionError(
                 "a germ reduces to zero: the curves share a component"
                 " through the point")
-        H = reduce(H)
+        H = primitive_ints(H, field)
 
 
-def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
+def intersection_multiplicity_origin(g: Poly, h: Poly,
+                                     predicted: int = 0) -> int:
     """Local intersection number I(g, h; O) by the reduction algorithm.
 
     The reduction (Fulton, Algebraic Curves, 3.3) works on the term dicts
@@ -150,26 +159,26 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
     After each step the new germ is divided by its content.  Both are
     multiplications by nonzero constants, units that leave I unchanged.
 
-    The step's scalars depend on the coefficients, chosen once per call.
-    When every coefficient of both germs is rational, their denominators
-    are cleared once, at entry, and every run reduces on Python ints: the
-    step is fraction-free, h <- d*h - c*x^k*g with (d, c) the leading
-    coefficients of a and b over their gcd, and the content is the gcd of
-    the integer coefficients.  Over a number field the step is
-    h <- h - c*x^k*g with c = lc(b) / lc(a), and the content is the
-    rational content; scaling h by an algebraic d there would let the
-    coordinates grow with nothing to take the growth out again.  The
-    integer germs of each step are nonzero rational multiples of the ones
-    that field division gives, so both steps lead through the same
-    monomials to the same I.
+    The denominators of both germs are cleared once, at entry, and every
+    run reduces on integers (ints, or coordinate vectors over a number
+    field): the step is h <- d*h - c*x^k*g with d*lc(b) = c*lc(a), and
+    the content is the gcd of all the integers.  Over Q, (d, c) are lc(a)
+    and lc(b) over their gcd.  Over a number field, lc(a)^-1 = N/D with
+    N integral and D a positive integer is computed once while lc(a)
+    stays, and (d, c) = (D, lc(b)*N) over q = gcd(D, the coordinates of
+    c*x^k*g), the step's products divided by q: h is scaled only by a
+    rational integer, since an algebraic d would let the coordinates grow
+    with no integer content to take the growth out again.  Each step's germ is a nonzero
+    rational multiple of the one field division h - (lc(b)/lc(a)) x^k g
+    gives, so both lead through the same monomials to the same I.
 
     Every run truncates both germs at a total degree n: terms of degree
     >= n are dropped.  Each division by y raises the running sum to some
     t; both germs then lose their terms of degree >= n - t, and the
     elimination keeps only terms below n - t.  The first run takes
     n = ord g * ord h + 2, from the germs' orders alone (I is at least
-    ord g * ord h); the Milnor number starts at p + 1 instead when its
-    caller predicts p and that is larger (`milnor_number_origin`).  The
+    ord g * ord h); a run starts at p + 1 instead when the caller
+    predicts the value p and that is larger (`predicted`).  The
     choice cannot change the value: the argument below holds for every
     n, so a run that returns some I < n has proved it.  Let J = (g, h)
     in the local ring O at the origin, over Q or over the number field,
@@ -206,16 +215,15 @@ def intersection_multiplicity_origin(g: Poly, h: Poly) -> int:
     """
     G = g.with_vars(XY).terms
     H = h.with_vars(XY).terms
-    if all(isinstance(c, Fraction) for c in (*G.values(), *H.values())):
-        return _intersection(clear_denominators(G)[0],
-                             clear_denominators(H)[0], True)
-    return _intersection(G, H, False)
+    field = field_of((*G.values(), *H.values()))
+    return _intersection(clear_denominators(G, field)[0],
+                         clear_denominators(H, field)[0], field, predicted)
 
 
-def _intersection(G: dict, H: dict, rational: bool, predicted: int = 0) -> int:
-    """I(g, h; O) of the germs with term dicts G and H in (x, y), by the
-    runs of `_reduce` that `intersection_multiplicity_origin` describes;
-    `rational` as there, `predicted` as in `milnor_number_origin`."""
+def _intersection(G: dict, H: dict, field, predicted: int) -> int:
+    """I(g, h; O) of the germs with cleared term dicts G and H in (x, y),
+    by the runs of `_reduce` that `intersection_multiplicity_origin`
+    describes."""
     if not G or not H:
         raise InfiniteIntersectionError("zero germ shares every component")
     limit = max(map(sum, G)) * max(map(sum, H))
@@ -225,13 +233,13 @@ def _intersection(G: dict, H: dict, rational: bool, predicted: int = 0) -> int:
     H = {m: c for m, c in H.items() if sum(m) < bound}
     while n < bound:
         try:
-            total = _reduce(G, H, n, n, rational)
+            total = _reduce(G, H, n, n, field)
             if total < n:
                 return total
         except InfiniteIntersectionError:
             pass
         n = n * 5 // 4 + 1
-    total = _reduce(G, H, bound, limit + 1, rational)
+    total = _reduce(G, H, bound, limit + 1, field)
     if total > limit:
         raise InfiniteIntersectionError(
             "intersection passes the Bezout bound %d: the curves"
@@ -239,9 +247,9 @@ def _intersection(G: dict, H: dict, rational: bool, predicted: int = 0) -> int:
     return total
 
 
-def intersection_multiplicity(g: Poly, h: Poly, p) -> int:
+def intersection_multiplicity(g: Poly, h: Poly, p, predicted: int = 0) -> int:
     return intersection_multiplicity_origin(
-        translate_to_origin(g, p), translate_to_origin(h, p))
+        translate_to_origin(g, p), translate_to_origin(h, p), predicted)
 
 
 def milnor_number_origin(germ: Poly, predicted: int = 0) -> int:
@@ -250,19 +258,19 @@ def milnor_number_origin(germ: Poly, predicted: int = 0) -> int:
     `predicted` is a guess at mu, from the resolution in
     `classify.analyze_germ`: the first reduction run truncates at
     predicted + 1 when that is above ord f_x * ord f_y + 2, so a right
-    guess, or one above mu, makes one run.  The run still proves mu; a wrong guess costs
-    time, never the value (see `intersection_multiplicity_origin`).
+    guess, or one above mu, makes one run.  The run still proves mu; a
+    wrong guess costs time, never the value (see
+    `intersection_multiplicity_origin`).
 
-    A rational germ has its denominators cleared once, a unit that keeps
-    the ideal of the partials, and both partials are taken on ints.
+    The germ has its denominators cleared once, a unit that keeps the
+    ideal of the partials, and both partials are taken on integers.
     """
     terms = germ.with_vars(XY).terms
-    rational = all(isinstance(c, Fraction) for c in terms.values())
-    if rational:
-        terms = clear_denominators(terms)[0]
-    gx = {(i - 1, j): c * i for (i, j), c in terms.items() if i}
-    gy = {(i, j - 1): c * j for (i, j), c in terms.items() if j}
+    field = field_of(terms.values())
+    terms = clear_denominators(terms, field)[0]
+    gx = {(i - 1, j): scaled(c, i) for (i, j), c in terms.items() if i}
+    gy = {(i, j - 1): scaled(c, j) for (i, j), c in terms.items() if j}
     try:
-        return _intersection(gx, gy, rational, predicted)
+        return _intersection(gx, gy, field, predicted)
     except InfiniteIntersectionError:
         raise DomainError("non-isolated singularity (partials share a factor)")

@@ -30,14 +30,15 @@ from ..numfield import (
     coef_key,
     extend_field,
     factor_rational,
-    nf,
     unipoly_gcd,
 )
 from ..poly import (
     DomainError,
     Poly,
     UniPoly,
+    clear_denominators,
     content_in,
+    convolve_reduce,
     # unused here; perfbench/tracer.py patches it in this namespace
     is_squarefree,  # noqa: F401
     poly_gcd,
@@ -96,16 +97,24 @@ def translate_to_origin(f: Poly, p: AlgebraicPoint) -> Poly:
 
 
 def specialize_x(f: Poly, field: Optional[NumberField], x0: Coord) -> UniPoly:
-    """f(x0, y) as a univariate in y over the field."""
-    fx = f.with_vars(("x", "y"))
-    deg = max(fx.degree_in("y"), 0)
-    powers = [nf(field, 1)]
-    for _ in range(fx.degree_in("x")):
-        powers.append(powers[-1] * x0)
-    coeffs = [nf(field, 0)] * (deg + 1)
-    for (i, j), c in fx.terms.items():
-        coeffs[j] = coeffs[j] + c * powers[i]
-    return UniPoly("y", coeffs)
+    """f(x0, y) as a univariate in y over the field, for a rational f: on
+    integers, with f's denominators cleared, x0 = A/w and n the degree in
+    x, w^n f(x0, y) is the sum of c A^i w^(n-i) y^j, the powers of A (ints
+    or coordinate vectors, `convolve_reduce`) taken once."""
+    terms, den = clear_denominators(f.with_vars(("x", "y")).terms)
+    a, w, reducer = ([x0.numerator], x0.denominator, ()) if field is None \
+        else (x0.nums, x0.den, field.reducer)
+    n = max(i for i, _ in terms)
+    powers = [[1] + [0] * (len(a) - 1)]
+    for _ in range(n):
+        powers.append(convolve_reduce(powers[-1], a, reducer))
+    sums = [[0] * len(a)] * (max(j for _, j in terms) + 1)
+    for (i, j), c in terms.items():
+        c *= w ** (n - i)
+        sums[j] = [s + c * p for s, p in zip(sums[j], powers[i])]
+    den *= w ** n
+    return UniPoly("y", [Fraction(v[0], den) if field is None
+                         else field.from_ints(v, den) for v in sums])
 
 
 def _choose_shear(f: Poly) -> tuple:

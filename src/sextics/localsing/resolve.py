@@ -18,33 +18,34 @@ points make the proximity sums exact.  Each blow-up is a map on the
 exponents of the germ's terms, followed for a tangent direction t0 != 0
 by the Taylor shift y -> y + t0.
 
-A node holds its germ as a term dict {(i, j): c}: a node over a number
-field holds field elements and factors its tangent cone with
-`factor_over_field`; a node over Q holds a primitive integer dict, and
-its tangent cone L(1, t) goes to `factor.factor_univariate` as a list of
-ints.  Every node builds its x-chart child at a root t0 = u/w the same
-way (`_x_chart`), as
+A node holds its germ as a term dict {(i, j): c} with no denominator,
+divided by the gcd of all its integers: over Q each c is an int, over a
+number field an integer coordinate vector.  The tangent cone L(1, t) of
+a node over Q goes to `factor.factor_univariate` as a list of ints; over
+a number field its m + 1 coefficients are the only field elements a node
+builds (for `factor_over_field`), besides the embedding of its germ into
+an extension field.  Every node builds its x-chart child at a root
+t0 = u/w (w > 0 an integer, u an int or t0's coordinate vector) the same
+way (`_x_chart`), as the x-chart at the slope u of g(wx, y),
 
-    sum of c x^(i+j-m) w^(J-j) (y + u)^j,    J = the germ's top y-degree,
+    sum of c w^i x^(i+j-m) (y + u)^j,
 
 each column (the terms of one x-exponent) shifted by Horner's rule
-(`poly.horner_shift`).  Over a number field the slope is (t0, 1), so
-this is the true child.  Over Q, w > 0 and gcd(u, w) = 1, and it is w^J
-times the true child C(x, y/w); every child over Q is then divided by
-the gcd of its coefficients.  Neither step changes the tree.  A nonzero
-constant factor is a unit.  A diagonal change D(x, y) = C(ax, by) keeps
+(`poly.horner_shift`, through u's integer matrix over a field).  This is
+w^m C(wx, y/w) for the true child C, and every child is then divided by
+the gcd of its integers.  Neither step changes the tree.  A nonzero
+rational factor is a unit.  A diagonal change D(x, y) = C(ax, by) keeps
 both axes, the order of every term (hence every truncation below), the
 multiplicity, the degrees of the factors of the tangent cone (its roots
 are scaled by b/a), the vertical count and the leaf test.  It also
 commutes with blowing up: the x-chart of D at the root s is the x-chart
 of C at bs/a under x -> ax, y -> (b/a)y, and the y-chart of D is the
 y-chart of C under x -> (a/b)x, y -> by.  So by induction the kept germ
-of every node over Q is a unit times a diagonal image of the true one,
-and the tree, multiplicities, proximities and leaves are those of the
-true germ.  The one exponent J serves every column: scaling each column
-by a power of its own would not be a change of coordinates.  A tangent
-factor of degree >= 2 extends the field, and its child is a node over
-the extension.
+of every node is a unit times a diagonal image of the true one, and the
+tree, multiplicities, proximities and leaves are those of the true
+germ.  (Scaling each column by a power of w of its own would not be a
+change of coordinates.)  A tangent factor of degree >= 2 extends the
+field, and its child is a node over the extension.
 
 The blow-ups run on truncated jets.  Every node carries an order budget
 L and keeps only the terms of its germ of order <= L; the root's budget
@@ -59,8 +60,8 @@ x^i y^j of order D at a node of multiplicity m:
 
 So the terms of order > L of a node reach its children only in orders
 > L - m, and by induction each kept germ agrees with the true germ in
-every term of order <= its budget (over Q, in the unit times diagonal
-image above, which keeps orders).  So the shift stops each column of
+every term of order <= its budget (in the unit times diagonal image
+above, which keeps orders).  So the shift stops each column of
 x-exponent a at y-degree L - m - a.  A node whose kept germ is nonzero
 therefore has its true order m, and also its true degree-m tangent cone,
 vertical count, direction factors and leaf test, which read only terms
@@ -75,6 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from ..factor import factor_univariate
@@ -83,10 +85,9 @@ from ..numfield import (
     TowerCapError,
     extend_field,
     factor_over_field,
-    nf,
 )
 from ..poly import DomainError, Poly, UniPoly, clear_denominators, \
-    horner_shift, primitive_ints
+    horner_shift, mul_matrix, primitive_ints, scaled
 
 __all__ = ["Resolution", "resolve", "UnresolvedGermError"]
 
@@ -105,7 +106,7 @@ class _Node:
     field: Optional[NumberField]
     d_rel: int                # conjugates over the germ's base field
     germ: dict                # the terms {(i, j): c} of order <= budget:
-                              # primitive ints when field is None
+                              # primitive ints or coordinate vectors
     budget: int
     m: int
     axes: dict                # coordinate axis ("x"/"y") -> creating node id
@@ -130,11 +131,12 @@ def _directions(germ: dict, m: int, field):
     L(1, t) in the node's field, and its monic irreducible factors of
     degree >= 2 over that field.
 
-    A root is a pair (u, w) for u/w.  Over Q the integer coefficients of
-    L(1, t) go straight to `factor.factor_univariate`, whose factors are
-    primitive with positive leading coefficient, so a linear factor
-    w t - u gives u/w in lowest terms with w > 0.  Over a number field
-    w = 1.
+    A root is a pair (u, w) for u/w, w > 0, and 0 is (0, 1).  Over Q the
+    integer coefficients of L(1, t) go straight to
+    `factor.factor_univariate`, whose factors are primitive with positive
+    leading coefficient, so a linear factor w t - u gives u/w in lowest
+    terms.  Over a number field u is a root's coordinate vector over its
+    denominator w.
     """
     if field is None:
         cone = [germ.get((m - j, j), 0) for j in range(m + 1)]
@@ -146,14 +148,14 @@ def _directions(germ: dict, m: int, field):
                 [(-q[0], q[1]) for q in factors if len(q) == 2],
                 [UniPoly("t", [Fraction(c, q[-1]) for c in q])
                  for q in factors if len(q) > 2])
-    coeffs = [nf(field, 0)] * (m + 1)
-    for (i, j), c in germ.items():
-        if i + j == m:
-            coeffs[j] = coeffs[j] + c
-    lt = UniPoly("t", coeffs)
+    cone = [germ.get((m - j, j), [0] * field.degree) for j in range(m + 1)]
+    # divided by its own content, a unit, so that lc(L) is cheap to invert
+    content = gcd(*(x for v in cone for x in v))
+    lt = UniPoly("t", [field.from_ints(v, content) for v in cone])
     factors = factor_over_field(field, lt) if lt.degree() > 0 else []
+    roots = [-q.coeffs[0] for q in factors if q.degree() == 1]
     return (m - lt.degree(),
-            [(-q.coeffs[0], 1) for q in factors if q.degree() == 1],
+            [(t0.nums, t0.den) if t0 else (0, 1) for t0 in roots],
             [q for q in factors if q.degree() > 1])
 
 
@@ -161,32 +163,31 @@ def _order(germ: dict) -> int:
     return min(i + j for i, j in germ)
 
 
-def _x_chart(germ: dict, m: int, keep: int, u, w: int) -> dict:
+def _x_chart(germ: dict, m: int, keep: int, u, w: int, field) -> dict:
     """The x-chart child at the slope u/w of a node of multiplicity m,
-    scaled by y -> y/w: the terms of order <= keep of the sum of
-    c x^(i+j-m) w^(J-j) (y + u)^j, J the germ's top y-degree.  Over Q, u
-    and w are ints with w > 0; over a number field u is a field element
-    and w = 1.
+    scaled by x -> wx, y -> y/w: the terms of order <= keep of the sum of
+    c w^i x^(i+j-m) (y + u)^j.  u and the coefficients are ints over Q
+    (`field` None), integer coordinate vectors over a number field.
 
     Each column (the terms of one x-exponent a) is shifted by Horner's
     rule (`horner_shift`), stopped once its coefficients of y-degree
     <= keep - a are final.
     """
-    top_j = max(j for _, j in germ)
-    scale = [w ** (top_j - j) for j in range(top_j + 1)]
+    if field is not None:
+        u = mul_matrix(u, field.reducer)
     cols: dict = {}
     for (i, j), c in germ.items():
-        cols.setdefault(i + j - m, {})[j] = c if w == 1 else c * scale[j]
+        cols.setdefault(i + j - m, {})[j] = c if w == 1 else scaled(c, w ** i)
     out = {}
     for a, col in cols.items():
         n = max(col)
-        cs = [0] * (n + 1)
+        cs = [0 if field is None else [0] * field.degree] * (n + 1)
         for j, c in col.items():
             cs[j] = c
         last = min(n, keep - a)
         horner_shift(cs, u, last)
         for k in range(last + 1):
-            if cs[k]:
+            if cs[k] if field is None else any(cs[k]):
                 out[(a, k)] = cs[k]
     return out
 
@@ -229,9 +230,7 @@ def _resolve(g: Poly, field: Optional[NumberField],
     """The resolution of the germ g in x, y from its terms of order <= budget
     at the root, or None when some kept germ becomes zero: the budget is
     exhausted."""
-    root = g.terms
-    if field is None:
-        root = primitive_ints(clear_denominators(root)[0])
+    root = primitive_ints(clear_denominators(g.terms, field)[0], field)
     nodes = [_Node(None, 0, field, 1, root, budget, _order(root), {})]
     stack = [0]
     leaves = []
@@ -259,7 +258,7 @@ def _resolve(g: Poly, field: Optional[NumberField],
                 if "y" in node.axes:
                     axes["y"] = node.axes["y"]
             else:
-                child = _x_chart(germ, m, keep, u, w)
+                child = _x_chart(germ, m, keep, u, w, node.field)
             children.append((node.field, node.d_rel, child, axes))
         for q in cones:
             try:
@@ -268,8 +267,11 @@ def _resolve(g: Poly, field: Optional[NumberField],
                 raise UnresolvedGermError(
                     "germ needs a field tower beyond the cap: %s" % exc
                 ) from exc
-            child = _x_chart({mon: embed(c) for mon, c in germ.items()},
-                             m, keep, t0, 1)
+            lifted = germ if node.field is None else {
+                mon: embed(node.field.from_ints(v, 1))
+                for mon, v in germ.items()}
+            child = _x_chart(clear_denominators(lifted, cfield)[0], m, keep,
+                             t0.nums, t0.den, cfield)
             children.append((cfield, node.d_rel * q.degree(), child,
                              {"x": nid}))
         if nu_vertical > 0:
@@ -284,8 +286,7 @@ def _resolve(g: Poly, field: Optional[NumberField],
         for cfield, d_rel, child, axes in children:
             if not child:
                 return None
-            if cfield is None:
-                child = primitive_ints(child)
+            child = primitive_ints(child, cfield)
             stack.append(len(nodes))
             nodes.append(_Node(nid, node.depth + 1, cfield, d_rel, child,
                                keep, _order(child), axes))

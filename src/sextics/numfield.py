@@ -8,11 +8,11 @@ in the powers of a single generator: integer coordinates over one
 denominator.  Every minimal polynomial is integral and monic, so a product
 is an integer convolution reduced by the minimal polynomial, with no
 division (`poly.convolve_reduce`, whose `reducer` is the field's), and
-one gcd at the end.  The Taylor shift and the univariate gcd of `poly`
-use the same product on coordinate vectors and build their results with
-`NumberField.from_ints`, one element per result coefficient.  An inverse
-solves the integer linear system of multiplication by the element,
-fraction-free (Bareiss), so it needs no `Fraction` either.
+one gcd at the end.  The loops over many coefficients (see `poly`) run
+on the same coordinate vectors and build elements with
+`NumberField.from_ints` only where a result needs them.  An inverse
+solves the integer linear system of multiplication by the element
+(`poly.mul_matrix`), fraction-free (Bareiss), so it needs no `Fraction`.
 
 `field = None` denotes Q itself with plain `Fraction` elements throughout
 the package.
@@ -39,6 +39,7 @@ from .poly import (
     clear_denominators,
     convolve_reduce,
     is_squarefree,
+    mul_matrix,
     unipoly_gcd,
     resultant,
     _dense,
@@ -48,7 +49,6 @@ __all__ = [
     "NumberField",
     "NFElt",
     "TowerCapError",
-    "nf",
     "coerce_unipoly",
     "factor_rational",
     "factor_over_field",
@@ -244,16 +244,8 @@ class NFElt:
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         d = len(self.nums)
-        cols = [list(self.nums)]
-        for _ in range(d - 1):
-            # times w: shift up, then w^d = -sum m_j w^j
-            top = cols[-1][-1]
-            col = [0] + cols[-1][:-1]
-            if top:
-                for j, m in self.field.reducer:
-                    col[j] -= top * m
-            cols.append(col)
-        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+        rows = [row + [int(i == 0)] for i, row in
+                enumerate(mul_matrix(self.nums, self.field.reducer))]
         prev = 1
         for k in range(d):
             if not rows[k][k]:
@@ -302,18 +294,9 @@ class NFElt:
 # ---------------------------------------------------------------------------
 
 
-def nf(field: Optional[NumberField], value):
-    """Embed a rational-ish value into the field."""
-    if isinstance(value, NFElt):
-        if field is None or value.field != field:
-            raise DomainError("element of the wrong field")
-        return value
-    return Fraction(value) if field is None else field.from_rational(value)
-
-
-def coerce_unipoly(field: Optional[NumberField], u: UniPoly) -> UniPoly:
-    return UniPoly(u.var, [nf(field, c) if not isinstance(c, NFElt) else c
-                           for c in u.coeffs])
+def coerce_unipoly(field: NumberField, u: UniPoly) -> UniPoly:
+    return UniPoly(u.var, [c if isinstance(c, NFElt)
+                           else field.from_rational(c) for c in u.coeffs])
 
 
 def integral_minpoly(p: UniPoly):
@@ -375,7 +358,7 @@ def _lift(field: NumberField, q: UniPoly, s: int) -> dict:
     {(i, j): a} of a * theta^i * y^j with i below the field degree."""
     q = q.shift(field.generator() * -s)
     return {(i, j): a for j, c in enumerate(q.coeffs)
-            for i, a in enumerate(nf(field, c).coeffs) if a}
+            for i, a in enumerate(c.coeffs) if a}
 
 
 def _squarefree_norm(field: NumberField, q: UniPoly):

@@ -8,25 +8,28 @@ operators on the coefficients.
 
 The arithmetic helpers that the other modules share live here, one per
 job: `rational_content` (the positive rational content of a coefficient
-list), `clear_denominators` (a rational term dict as integers over one
-denominator), `content_in` (the gcd of the coefficients in one variable),
+list), `clear_denominators` (a term dict as integers, or as integer
+coordinate vectors over a number field, over one denominator),
+`primitive_ints` (such a dict over the gcd of its integers),
+`content_in` (the gcd of the coefficients in one variable),
 `UniPoly.from_poly` (a polynomial in one variable, read as a univariate),
-`convolve_reduce` (the product of two integer coordinate vectors of a
-number field, which `numfield.NFElt` multiplies with), `horner_shift`
-(the one Horner loop: a coefficient list shifted in place, stopped once
-the low coefficients are final, which `Poly.shift` over Q and the x-chart
-of `localsing.resolve` run), `shear` (x -> x + k y or y -> y + k x on a
-term dict, one `horner_shift` per homogeneous part, for `localsing.points`
-and `factor`), `Poly.shift` (the Taylor shift p(v + a_v), which
-`UniPoly.shift` calls), `unipoly_gcd` (the monic gcd of two univariates
-over Q or a number field) and `_int_gcd` (the one integer gcd kernel,
-which `factor` also splits squarefree parts with).
+`convolve_reduce` and `mul_matrix` (the product of two coordinate
+vectors, and the integer matrix of multiplication by one), `horner_shift`
+(the one Horner loop: a list of ints or of coordinate vectors shifted in
+place, stopped once the low coefficients are final, which `Poly.shift`
+and the x-chart of `localsing.resolve` run), `shear` (x -> x + k y or
+y -> y + k x on a term dict, one `horner_shift` per homogeneous part,
+for `localsing.points` and `factor`), `Poly.shift` (the Taylor shift
+p(v + a_v), which `UniPoly.shift` calls), `unipoly_gcd` (the monic gcd
+of two univariates over Q or a number field) and `_int_gcd` (the one
+integer gcd kernel, which `factor` also splits squarefree parts with).
 
-The Taylor shift and the univariate gcd run on integers and build one
-canonical coefficient per term of their result.  A number-field element
-is read as its integer coordinates `nums` over its denominator `den`, and
-results are built by its field (`field.from_ints`), so this module never
-imports `numfield`; a `Fraction` is a coordinate vector of length 1.
+Over a number field a coefficient column is carried as integer
+coordinate vectors, lists of ints in the powers of the field's
+generator, and one canonical coefficient is built per term of a result.
+A number-field element is read as its integer coordinates `nums` over
+its denominator `den`, and results are built by its field
+(`field.from_ints`), so this module never imports `numfield`.
 
 `poly_gcd`, `is_squarefree` and `resultant` take rational coefficients
 only.  The gcds over Q (`poly_gcd`, `unipoly_gcd` over Q) and the
@@ -55,7 +58,7 @@ import re
 import sys
 from fractions import Fraction
 from math import comb, gcd, lcm, log2
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 __all__ = [
@@ -283,7 +286,7 @@ class Poly:
             raise DomainError("exponent must be a nonnegative integer")
         if not n:
             return Poly.const(1, self.vars)
-        rational = _field_of(self.terms.values()) is None
+        rational = field_of(self.terms.values()) is None
         base, den = clear_denominators(self.terms) if rational \
             else (self.terms, 1)
         den **= n
@@ -364,55 +367,40 @@ class Poly:
         """Taylor shift p(v + a_v) over the same variables, for the offset
         a_v of each variable v named in `offsets`.
 
-        The variables are shifted one at a time, each column (the terms
-        that differ only in v's exponent) on its own, on integers; one
-        Fraction or field element is built per term at the end.  When every
-        coefficient and offset is rational, the denominators are cleared
-        once and the columns are shifted by Horner's rule on Python ints
-        (`horner_shift`): for a_v = u/w and n the degree in v, w^n p(z/w)
-        is shifted by u and z = w*v put back, which leaves one more common
-        denominator w^n.
-        Otherwise every coefficient of the result lies in the one number
-        field of the coefficients and offsets, and each coefficient is
-        carried as an (integer vector, denominator) pair through the
-        field's binomial column kernel (`_taylor_shift`).
+        The denominators are cleared once, to ints over Q and to
+        coordinate vectors over the number field of the coefficients and
+        offsets, and each variable's columns (the terms that differ only
+        in its exponent) are shifted by Horner's rule (`horner_shift`):
+        for a_v = u/w and n the degree in v, w^n p(z/w) is shifted by u
+        and z = w*v put back, which leaves one more common denominator
+        w^n.  One Fraction or field element is built per term at the end.
         """
         shifts = [(self._index(v), _as_coef(a)) for v, a in offsets.items()]
         shifts = [(i, a) for i, a in shifts if a]
         if not shifts or not self.terms:
             return self
-        field = _field_of([a for _, a in shifts] + list(self.terms.values()))
-        if field is None:
-            terms, den = clear_denominators(self.terms)
-        else:
-            terms = {m: _ints(c, field.degree) for m, c in self.terms.items()}
+        field = field_of([a for _, a in shifts] + list(self.terms.values()))
+        terms, den = clear_denominators(self.terms, field)
         for i, a in shifts:
             cols: dict = {}
             for m, c in terms.items():
                 cols.setdefault(m[:i] + m[i + 1:], {})[m[i]] = c
-            if field is not None:
-                terms = {rest[:i] + (k,) + rest[i:]: c
-                         for rest, col in _taylor_shift(cols, a, field).items()
-                         for k, c in col.items()}
-                continue
             n = max(m[i] for m in terms)
-            u, w = a.numerator, a.denominator
+            u, w = _ints(a, field.degree if field else 1)
+            u = mul_matrix(u, field.reducer) if field else u[0]
             wpow = [w ** k for k in range(n + 1)]
             den *= wpow[n]
             terms = {}
             for rest, col in cols.items():
-                cs = [0] * (max(col) + 1)
+                cs = [[0] * field.degree if field else 0] * (max(col) + 1)
                 for e, c in col.items():
-                    cs[e] = c * wpow[n - e]
+                    cs[e] = scaled(c, wpow[n - e])
                 for k, c in enumerate(horner_shift(cs, u, n)):
-                    if c:
-                        terms[rest[:i] + (k,) + rest[i:]] = c * wpow[k]
-        if field is None:
-            return Poly._trusted(self.vars, {m: Fraction(c, den)
-                                             for m, c in terms.items()})
-        return Poly._trusted(self.vars, {m: field.from_ints(v, dv)
-                                         for m, (v, dv) in terms.items()
-                                         if any(v)})
+                    if any(c) if field else c:
+                        terms[rest[:i] + (k,) + rest[i:]] = scaled(c, wpow[k])
+        build = field.from_ints if field else Fraction
+        return Poly._trusted(self.vars, {m: build(c, den)
+                                         for m, c in terms.items()})
 
     def evaluate(self, point: Mapping[str, Coef]) -> Coef:
         """The value at `point` (variable -> value), by Horner's rule nested
@@ -887,8 +875,19 @@ def horner_shift(cs: list, u, last: int) -> list:
     the one below it, from the top down to t^s, after which the
     coefficient of t^s is final.  The passes stop once every coefficient
     of degree <= `last` is; those above it are then partial.  Returns cs.
+
+    Over a number field cs holds coordinate vectors and `u` is the shift's
+    matrix (`mul_matrix`), a list of rows.
     """
     n = len(cs) - 1
+    if isinstance(u, list):
+        for s in range(min(n, last + 1)):
+            for j in range(n - 1, s - 1, -1):
+                v = cs[j + 1]
+                if any(v):
+                    cs[j] = [x + sum(map(mul, row, v))
+                             for x, row in zip(cs[j], u)]
+        return cs
     for s in range(min(n, last + 1)):
         for j in range(n - 1, s - 1, -1):
             cs[j] += u * cs[j + 1]
@@ -919,7 +918,7 @@ def shear(terms: Mapping[Monom, Coef], k, i: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# coordinate vectors: the Taylor shift and the univariate gcd on integers
+# coordinate vectors of a number field, and the univariate gcd on them
 # ---------------------------------------------------------------------------
 
 
@@ -961,7 +960,7 @@ def _mul_terms(a: Mapping[Monom, Coef], b: Mapping[Monom, Coef]) -> dict:
     return terms
 
 
-def _field_of(coeffs):
+def field_of(coeffs):
     """The number field of the field elements among `coeffs`, or None (Q)
     when every one is a `Fraction`."""
     field = None
@@ -976,53 +975,32 @@ def _field_of(coeffs):
 
 def _ints(c: Coef, d: int):
     """(integer coordinate vector of length d, positive denominator) of a
-    `Fraction` or of a field element of degree d (its `nums` and `den`)."""
-    if isinstance(c, Fraction):
+    rational or of a field element of degree d (its `nums` and `den`)."""
+    if isinstance(c, (int, Fraction)):
         return [c.numerator] + [0] * (d - 1), c.denominator
     return c.nums, c.den
 
 
-def _taylor_shift(cols: Mapping, a: Coef, field) -> dict:
-    """Taylor shift by a of every column in `cols` over a number field, on
-    integer coordinate vectors.
+def scaled(c, s: int):
+    """c * s for an int or an integer coordinate vector c."""
+    return [x * s for x in c] if type(c) is list else c * s
 
-    A column maps j to c_j, an (integer vector, denominator) pair (`_ints`),
-    and stands for sum_j c_j (v + a)^j.  With a = A / w, D the column's
-    common denominator and top its degree, the column is scaled to the
-    integer vectors b_j = D c_j w^(top - j), and its coefficient of v^k is
-    sum_j C(j, k) c_j a^(j - k) = sum_j C(j, k) b_j A^(j - k) / (D w^(top - k)).
-    The powers A^e are computed once, by `convolve_reduce` with no
-    normalization.  Returns {key: {k: (vector, denominator)}}.
-    """
-    reducer = field.reducer
-    A, w = _ints(a, field.degree)
-    n = max(max(col) for col in cols.values())
-    apow, wpow = [None, A], [1, w]
-    while len(apow) <= n:
-        apow.append(convolve_reduce(apow[-1], A, reducer))
-        wpow.append(wpow[-1] * w)
-    out = {}
-    for key, col in cols.items():
-        top = max(col)
-        den = lcm(*(dj for _, dj in col.values()))
-        scaled = [(j, [x * (den // dj * wpow[top - j]) for x in v])
-                  for j, (v, dj) in col.items()]
-        shifted = {}
-        for k in range(top + 1):
-            acc = None
-            for j, v in scaled:
-                if j < k:
-                    continue
-                if j > k:
-                    v = convolve_reduce(v, apow[j - k], reducer)
-                    b = comb(j, k)
-                    if b != 1:
-                        v = [b * x for x in v]
-                acc = v if acc is None else [s + x for s, x in zip(acc, v)]
-            if acc is not None:
-                shifted[k] = (acc, den * wpow[top - k])
-        out[key] = shifted
-    return out
+
+def mul_matrix(a: Sequence[int], reducer: Sequence) -> list:
+    """The rows of the integer matrix of multiplication by the coordinate
+    vector `a` (`reducer` as in `convolve_reduce`): column k holds a w^k,
+    and a v is sum(map(mul, row, v)) over the rows."""
+    col = list(a)
+    cols = [col]
+    for _ in range(len(a) - 1):
+        # times w: shift up, then w^d = -sum m_j w^j
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            for j, m in reducer:
+                col[j] -= top * m
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
 
 
 def _primitive(vectors: list) -> list:
@@ -1050,7 +1028,7 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     of its leading coefficient, one canonical coefficient built per term;
     a constant remainder is a unit, so the gcd is 1 with no inverse.
     """
-    field = _field_of(a.coeffs + b.coeffs)
+    field = field_of(a.coeffs + b.coeffs)
     if field is None:
         g = _dense(_int_gcd(*(clear_denominators(
             {(e,): c for e, c in enumerate(u.coeffs) if c})[0]
@@ -1059,9 +1037,8 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     d, reducer = field.degree, field.reducer
 
     def cleared(coeffs):
-        pairs = [_ints(c, d) for c in coeffs]
-        den = lcm(*(dc for _, dc in pairs))
-        return _primitive([[x * (den // dc) for x in v] for v, dc in pairs])
+        return _primitive(list(clear_denominators(dict(enumerate(coeffs)),
+                                                  field)[0].values()))
 
     r0, r1 = cleared(a.coeffs), cleared(b.coeffs)
     while r1:
@@ -1090,22 +1067,30 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 
-def clear_denominators(terms: Mapping[Monom, Fraction]):
-    """(ints, d) for a rational term dict: d is the least positive integer
-    that makes every coefficient integral, and ints maps each monomial to
-    d times its coefficient, an `int`."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (d // c.denominator)
-            for m, c in terms.items()}, d
+def clear_denominators(terms: Mapping[Monom, Coef], field=None):
+    """(cleared, d) for a term dict over Q, or over the number field
+    `field`: d is the least positive integer that makes every coefficient
+    integral, and cleared maps each monomial to d times its coefficient,
+    an `int` over Q and a list of integer coordinates over the field."""
+    if field is None:
+        d = lcm(*(c.denominator for c in terms.values()))
+        return {m: c.numerator * (d // c.denominator)
+                for m, c in terms.items()}, d
+    pairs = {m: _ints(c, field.degree) for m, c in terms.items()}
+    d = lcm(*(dc for _, dc in pairs.values()))
+    return {m: [x * (d // dc) for x in v]
+            for m, (v, dc) in pairs.items()}, d
 
 
-def primitive_ints(terms: Mapping[Monom, int]) -> Mapping[Monom, int]:
-    """An integer term dict divided by the gcd of its coefficients (the
-    dict itself when that gcd is 1)."""
-    c = gcd(*terms.values())
-    if c == 1:
-        return terms
-    return {m: v // c for m, v in terms.items()}
+def primitive_ints(terms: Mapping[Monom, int], field=None) -> Mapping:
+    """A term dict from `clear_denominators` divided by the gcd of all its
+    integers (the dict itself when that gcd is 1)."""
+    if field is None:
+        c = gcd(*terms.values())
+        return terms if c == 1 else {m: v // c for m, v in terms.items()}
+    c = gcd(*(x for v in terms.values() for x in v))
+    return terms if c == 1 else {m: [x // c for x in v]
+                                 for m, v in terms.items()}
 
 
 def content_in(p: Poly, var: str) -> Optional[Poly]:

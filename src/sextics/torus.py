@@ -77,20 +77,35 @@ class InnerOuterSplit:
 
 
 def inner_outer_split(pair: TorusPair, sings) -> InnerOuterSplit:
-    """Split singular points by membership in C2 and C3.
+    """Split the singular points (`LocalSingularity`s) by C2 and C3.
 
     C2 and C3 share no component (`TorusPair` refuses such a pair), so the
-    intersection number at each inner point is finite.
+    intersection number at each inner point is finite.  Its reduction
+    starts at the type's prediction (`_predicted_iota`) and proves iota
+    from any start, so the law's check stays independent.
     """
     inner = []
     outer = []
-    for p in sings:
+    for ls in sings:
+        p = ls.point
         if point_on_curve(pair.f2, p) and point_on_curve(pair.f3, p):
-            iota = intersection_multiplicity(pair.f2, pair.f3, p)
+            iota = intersection_multiplicity(pair.f2, pair.f3, p,
+                                             _predicted_iota(ls.sing_type))
             inner.append((p, iota))
         else:
             outer.append(p)
     return InnerOuterSplit(tuple(inner), tuple(outer))
+
+
+def _predicted_iota(t) -> int:
+    """iota at an inner point of type t, or 0: C2 and C3 smooth meeting
+    with iota = i make A_{3i-1}, and B_{3,q}, C_{3,q} read q = 2*iota off
+    the term x^(2*iota) of f = u*y^3 + f3^2 where f2 = y, u a unit."""
+    if t.family == "A" and t.index[0] % 3 == 2:
+        return (t.index[0] + 1) // 3
+    if t.family in ("B", "C") and t.index[0] == 3:
+        return t.index[1] // 2
+    return 0
 
 
 _STAR_LAW = {2: "A_5", 4: "A_11", 6: "A_17"}

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib.util
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from sextics.localsing import (
     singular_points,
     translate_to_origin,
 )
+from sextics import torus
 from sextics.localsing import classify, points
 from sextics.localsing._sigdata import SIGNATURES
 from sextics.localsing.points import point_on_curve
@@ -582,6 +584,142 @@ class TestIntegerNodes:
                                   + (x * x).scale(Fraction(v, w))})
             assert resolve(germ) == want, (u, v, w)
             assert analyze_germ(germ).sing_type == t, (u, v, w)
+
+
+@functools.cache
+def _corpus_calls():
+    """([(germ, field)] of every `resolve` call, [(f2, f3, point)] of every
+    inner-point iota) that `verify --all --seed 0` makes."""
+    germs, pairs = [], []
+    real_resolve, real_iota = classify.resolve, torus.intersection_multiplicity
+
+    def record_germ(germ, field=None):
+        germs.append((germ, field))
+        return real_resolve(germ, field)
+
+    def record_pair(f2, f3, p, predicted):
+        pairs.append((f2, f3, p))
+        return real_iota(f2, f3, p, predicted)
+
+    classify.resolve, torus.intersection_multiplicity = record_germ, \
+        record_pair
+    try:
+        for rec in builtin_examples():
+            verify_example(rec, seed=0)
+    finally:
+        classify.resolve, torus.intersection_multiplicity = real_resolve, \
+            real_iota
+    return germs, pairs
+
+
+class TestFieldVectors:
+    """Germs over a number field are resolved and reduced on primitive
+    integer coordinate vectors with no denominator.  Every value must be
+    the one of the integer path, and a unit of the field must change
+    nothing."""
+
+    SQRT2 = NumberField(UniPoly("w", [-2, 0, 1]))
+    QUARTIC = NumberField(UniPoly("w", [-3, 1, 0, 0, 1]))
+
+    @staticmethod
+    def _embed(germ, K):
+        return Poly(germ.vars, {m: K.from_rational(c)
+                                for m, c in germ.terms.items()})
+
+    def test_milnor_numbers_of_rational_germs(self):
+        germs = [germ for germ, field in _corpus_calls()[0] + _workload_germs()
+                 if field is None]
+        assert len(germs) > 300
+        for germ in germs:
+            mu = milnor_number_origin(germ)
+            for K in (self.SQRT2, self.QUARTIC):
+                assert milnor_number_origin(self._embed(germ, K)) == mu, \
+                    (str(germ), K)
+
+    def test_iota_of_rational_inner_points(self):
+        pairs = [(translate_to_origin(f2, p), translate_to_origin(f3, p))
+                 for f2, f3, p in _corpus_calls()[1] if p.field is None]
+        assert len(pairs) > 20
+        for g2, g3 in pairs:
+            iota = intersection_multiplicity_origin(g2, g3)
+            for K in (self.SQRT2, self.QUARTIC):
+                assert intersection_multiplicity_origin(
+                    self._embed(g2, K), self._embed(g3, K)) == iota, \
+                    (str(g2), str(g3), K)
+
+    def test_field_units_change_nothing(self):
+        germs = [(germ, K) for germ, K in _corpus_calls()[0]
+                 if K is not None]
+        assert {K.degree for _germ, K in germs} >= {2, 4}
+        for germ, K in germs:
+            c = K.element([Fraction(3, 2), -5] + [Fraction(1, 7)]
+                          * (K.degree - 2))
+            scaled = germ.scale(c)
+            assert resolve(scaled, K) == resolve(germ, K), str(germ)
+            assert milnor_number_origin(scaled) \
+                == milnor_number_origin(germ), str(germ)
+
+    def test_one_inverse_per_pivot(self, monkeypatch):
+        # the kernel inverts a leading coefficient only when it changes,
+        # never the same one twice in a row, and a field x-chart inverts
+        # nothing
+        germs_module = importlib.import_module("sextics.localsing.germs")
+        inverted = []
+        real_inverse = NFElt.inverse
+
+        def counted_inverse(e):
+            inverted.append(e)
+            return real_inverse(e)
+
+        real_reduce = germs_module._reduce
+
+        def run(G, H, n, cap, field):
+            start = len(inverted)
+            try:
+                return real_reduce(G, H, n, cap, field)
+            finally:
+                mine = inverted[start:]
+                assert all(a != b for a, b in zip(mine, mine[1:]))
+
+        real_chart = resolve_module._x_chart
+
+        def chart(*args):
+            start = len(inverted)
+            out = real_chart(*args)
+            assert len(inverted) == start
+            return out
+
+        monkeypatch.setattr(NFElt, "inverse", counted_inverse)
+        monkeypatch.setattr(germs_module, "_reduce", run)
+        monkeypatch.setattr(resolve_module, "_x_chart", chart)
+        germs = [(germ, K) for germ, K in _corpus_calls()[0]
+                 if K is not None]
+        for germ, K in germs:
+            inverted.clear()
+            analyze_germ(germ, K)
+        # the A_60 germ below takes 61 elimination steps, not 61 inverses
+        germ = self._a60(self.SQRT2)
+        inverted.clear()
+        assert milnor_number_origin(germ) == 60
+        assert 0 < len(inverted) < 20
+
+    @staticmethod
+    def _a60(K):
+        w = K.generator()
+        one = K.from_rational(1)
+        x, y = Poly.var("x", XY), Poly.var("y", XY)
+        branch = y + (x * x).scale(w * 7 + 5) \
+            + (x * x * x).scale(w * w + 3)
+        return branch * branch + (x ** 61).scale(w + 11 * one)
+
+    @pytest.mark.parametrize("K", [SQRT2, QUARTIC], ids=["sqrt2", "quartic"])
+    def test_a60(self, K):
+        # (y + (7w+5)x^2 + (w^2+3)x^3)^2 + (w+11)x^61 is A_60
+        germ = self._a60(K)
+        assert milnor_number_origin(germ) == 60
+        assert milnor_number_origin(germ, 60) == 60
+        res = resolve(germ, K)
+        assert (res.delta, res.branch_count) == (30, 1)
 
 
 class TestPredictedMilnorOrder:

@@ -32,6 +32,7 @@ from sextics.poly import (
     DomainError,
     Poly,
     UniPoly,
+    clear_denominators,
     content_in,
     format_poly,
     horner_shift,
@@ -330,9 +331,11 @@ class TestShiftAgainstSubstitute:
                 assert shear(got, -k, i) == terms
 
     def test_field_x_chart_against_shift_then_cut(self):
-        # the resolver's x-chart on field elements against the whole germ
-        # shifted by Poly.shift and cut at order `keep` afterwards, over
-        # Q(sqrt 2) and the degree-4 tower over it
+        # the resolver's x-chart on integer coordinate vectors against the
+        # whole germ shifted by Poly.shift and cut at order `keep`
+        # afterwards, over Q(sqrt 2) and the degree-4 tower over it: at
+        # the slope t0 = A/w the chart of the germ cleared to vectors over
+        # den is den * w^m * C(wx, y/w), C the true child
         resolve_module = importlib.import_module("sextics.localsing.resolve")
         rng = random.Random(3141)
         fields = eisenstein_fields()
@@ -357,12 +360,17 @@ class TestShiftAgainstSubstitute:
                 shifted = Poly(XY, {(i + j - m, j): c
                                     for (i, j), c in germ.items()}) \
                     .shift({"y": t0})
+                vectors, den = clear_denominators(germ, K)
                 for keep in range(top - m + 1):
-                    got = resolve_module._x_chart(germ, m, keep, t0, 1)
-                    assert got == {mon: c for mon, c in shifted.terms.items()
-                                   if sum(mon) <= keep}
-                    assert all(isinstance(c, NFElt) and c.field is K
-                               for c in got.values())
+                    got = resolve_module._x_chart(vectors, m, keep, t0.nums,
+                                                  t0.den, K)
+                    assert all(type(v) is list and len(v) == K.degree
+                               for v in got.values())
+                    assert {mon: K.from_ints(v, den)
+                            for mon, v in got.items()} \
+                        == {(a, k): c * t0.den ** (m + a - k)
+                            for (a, k), c in shifted.terms.items()
+                            if a + k <= keep}
 
 
 class TestEvaluateAgainstSubstitute:

@@ -4,7 +4,7 @@ import pytest
 
 from sextics.analysis import analyze_curve
 from sextics.components import decompose
-from sextics.localsing import singular_points
+from sextics.localsing import analyze_point, singular_points
 from sextics.poly import DomainError, Poly, parse_poly
 from sextics.torus import (
     DegenerateTorusError,
@@ -80,12 +80,18 @@ class TestRotatedPair:
             pair.transformed(lambda p: p.substitute({"x": g("1")}))
 
 
+def analyzed_points(pair):
+    """The LocalSingularity of every affine singular point of the pair's
+    sextic, as `analysis.analyze_curve` hands them to `inner_outer_split`."""
+    f = pair.expand()
+    return [analyze_point(f, p) for p in singular_points(f)]
+
+
 class TestInnerOuter:
     def test_item5_origin_inner_iota3(self):
         pair = TorusPair(g("-y^2 + y - x^2"),
                          g("-2*y^3 + (-3*x + 2)*y^2 + (-2*x^2 + 3*x)*y + x^3"))
-        pts = singular_points(pair.expand())
-        split = inner_outer_split(pair, pts)
+        split = inner_outer_split(pair, analyzed_points(pair))
         by_xy = {(p.x, p.y): iota for p, iota in split.inner}
         assert by_xy[(Fraction(0), Fraction(0))] == 3
 
@@ -95,14 +101,12 @@ class TestInnerOuter:
 
     def test_linear_torus_inner_on_line(self):
         pair = TorusPair(g("-y^2"), g("x^3 - x + y^2 + y^3"))
-        pts = singular_points(pair.expand())
-        split = inner_outer_split(pair, pts)
+        split = inner_outer_split(pair, analyzed_points(pair))
         assert all(p.y == 0 for p, _i in split.inner)
 
     def test_iota_total_six(self):
         pair = TorusPair(g("-y^2"), g("x^3 - x"))
-        pts = singular_points(pair.expand())
-        split = inner_outer_split(pair, pts)
+        split = inner_outer_split(pair, analyzed_points(pair))
         assert split.iota_total() == 6
 
 
