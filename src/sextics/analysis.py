@@ -90,11 +90,11 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
 
     if not is_squarefree(f):
         raise NotSquarefreeError("curve is not squarefree: %s" % f)
-    chart, transform = good_affine_chart(f)
+    chart, transform, moved = good_affine_chart(f)
     if chart != (0, 0):
         notes.append("chart rotated by %r to keep all singular points affine"
                      % (chart,))
-        f = transform(f).primitive()
+        f = moved.primitive()
         if pair is not None:
             pair = pair.transformed(transform)
     sings = tuple(analyze_point(f, p) for p in singular_points(f))
@@ -103,7 +103,7 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
     star_report = None
     if pair is not None:
         split = inner_outer_split(pair, sings)
-        star_report = tuple(verify_inner_correspondence(pair, split, sings))
+        star_report = tuple(verify_inner_correspondence(split))
     config = assemble_configuration(sings)
 
     decomp = decompose(f)

@@ -80,7 +80,8 @@ def _analysis_dict(an: CurveAnalysis) -> dict:
             "notes": list(c.notes),
         })
     if an.split is not None:
-        d["inner"] = [{"point": str(p), "iota": i} for p, i in an.split.inner]
+        d["inner"] = [{"point": str(ls.point), "iota": i}
+                      for ls, i, _smooth in an.split.inner]
         d["outer"] = [str(p) for p in an.split.outer]
         d["star_law"] = [{"point": str(p), "iota": i, "status": st,
                           "type": str(t)} for p, i, st, t in an.star_report]
@@ -103,7 +104,8 @@ def _render_analysis(an: CurveAnalysis, as_json: bool, out):
             if ls.cluster_degree > 1 else ""
         _print(out, "  %s%s" % (ls.describe(), extra))
     if an.split is not None:
-        inner = ", ".join("%s iota=%d" % (p, i) for p, i in an.split.inner)
+        inner = ", ".join("%s iota=%d" % (ls.point, i)
+                          for ls, i, _smooth in an.split.inner)
         _print(out, "inner points: %s" % (inner or "none"))
         outer = ", ".join(str(p) for p in an.split.outer)
         _print(out, "outer points: %s" % (outer or "none"))

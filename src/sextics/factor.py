@@ -17,11 +17,11 @@ One variable (von zur Gathen & Gerhard, *Modern Computer Algebra*, chs.
   parts, on the integer gcd kernel `poly._int_gcd`;
 * a part of degree at most 2 is answered by its discriminant;
 * otherwise, among those primes that keep the part squarefree (or the
-  first prime past them that does), the one with the fewest
-  distinct-degree factors is kept (a count of 1 proves the part
-  irreducible at once), and only the part mod that p is split into its
-  monic irreducible factors, by Cantor and Zassenhaus's equal-degree
-  splitting with a seeded `random.Random`;
+  first prime past them that does, each prime tested once), the one
+  with the fewest distinct-degree factors is kept (a count of 1 proves
+  the part irreducible at once), and only the part mod that p is split
+  into its monic irreducible factors, by Cantor and Zassenhaus's
+  equal-degree splitting with a seeded `random.Random`;
 * the factors are Hensel-lifted together, quadratically, to p^l >
   2 |lc(f)| 2^n ||f||_2 (`_hensel`);
 * subsets of the lifted factors, smallest first, give the candidates
@@ -47,12 +47,14 @@ Two variables:
 * Yun's algorithm in x on `poly._int_gcd` splits the rest, whose every
   factor has positive degree in both variables, into squarefree parts;
 * a part of degree 1 in x or in y is irreducible; otherwise the shear
-  y -> y + k x (`poly.shear`) makes lc_x a nonzero integer L, giving
-  q(x, y) of degree d in x and e in y;
-* for the first integer c (0, 1, -1, 2, ...) with q(x, c) squarefree, the
-  image q(x, c) is factored in one variable; one factor proves q
-  irreducible, since every factor of q has a constant leading coefficient
-  in x and so keeps its degree in the image;
+  y -> y + k x (`poly.shear`), k the first of 0, 1, -1, 2, ...
+  (`poly._integers`) that makes lc_x a nonzero integer L, gives q(x, y)
+  of degree d in x and e in y;
+* for the first c in that order with q(x, c) squarefree (the search and
+  bound of `poly.is_squarefree`), the image q(x, c) is factored in one
+  variable; one factor proves q irreducible, since every factor of q has
+  a constant leading coefficient in x and so keeps its degree in the
+  image;
 * otherwise u = q(x, 2^bits) (`poly._evaluate_last`), with 2^bits >
   2^(d + e + 1) ||q||_2 and bits raised by 1 while u is not squarefree,
   is factored in one variable;
@@ -85,8 +87,9 @@ import random
 from itertools import combinations, islice
 from math import gcd, isqrt
 
-from .poly import _dense, _dense_quotient, _digits, _evaluate_last, \
-    _int_gcd, _mul_terms, _primitive_last, _quotient, _squarefree, shear
+from .poly import DomainError, _dense, _dense_quotient, _digits, \
+    _evaluate_last, _int_gcd, _integers, _mul_terms, _primitive_last, \
+    _quotient, _squarefree, _squarefree_line, shear
 
 __all__ = ["factor_univariate", "factor_bivariate"]
 
@@ -107,7 +110,8 @@ def factor_univariate(f: list) -> list:
     if len(f) <= 3:
         return out + _small(f)
     # f is squarefree when it is so mod a prime not dividing lc(f)
-    primes = _primes_for(f)
+    images = _squarefree_images(f)
+    primes = _compared(images)
     if primes:
         return out + [(g, 1) for g in _zassenhaus(f, primes)]
     for a, i in _squarefree_parts({(e,): v for e, v in enumerate(f) if v}):
@@ -115,8 +119,10 @@ def factor_univariate(f: list) -> list:
         if len(part) <= 3:
             gs = [g for g, _ in _small(part)]
         else:
-            gs = _zassenhaus(part, _primes_for(part)
-                             or [next(_squarefree_mod(part))])
+            if part != f:   # else f is squarefree: go on with its images
+                images = _squarefree_images(part)
+                primes = _compared(images)
+            gs = _zassenhaus(part, primes or [next(q for q in images if q[1])])
         out += [(g, i) for g in gs]
     return out
 
@@ -298,26 +304,17 @@ def _mod_squarefree(f: list, p: int):
     return fp if len(_gcd(fp, df, p)) == 1 else None
 
 
-def _primes_for(f: list) -> list:
-    """[(p, f mod p made monic)] for each of the first `_PRIMES_COMPARED`
-    odd primes p not dividing lc(f) that keep f squarefree."""
-    primes = (p for p in _odd_primes() if f[-1] % p)
-    out = []
-    for p in islice(primes, _PRIMES_COMPARED):
-        fp = _mod_squarefree(f, p)
-        if fp:
-            out.append((p, fp))
-    return out
-
-
-def _squarefree_mod(f: list):
-    """(p, f mod p made monic) for the first odd prime p that does not
-    divide lc(f) and keeps f squarefree, and every later one in turn."""
+def _squarefree_images(f: list):
+    """(p, f mod p made monic, or None where f is not squarefree mod p)
+    for each odd prime p not dividing lc(f), in turn."""
     for p in _odd_primes():
         if f[-1] % p:
-            fp = _mod_squarefree(f, p)
-            if fp:
-                yield p, fp
+            yield p, _mod_squarefree(f, p)
+
+
+def _compared(images) -> list:
+    """The next `_PRIMES_COMPARED` pairs of `images` that keep f squarefree."""
+    return [(p, fp) for p, fp in islice(images, _PRIMES_COMPARED) if fp]
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +471,9 @@ def _factor_part(part: dict) -> list:
         if lead:
             break
     q = shear(part, k, 1) if k else part
-    for c in _integers():
-        image: dict = {}
-        for (i, j), v in q.items():
-            image[(i,)] = image.get((i,), 0) + v * c ** j
-        image = {m: v for m, v in image.items() if v}
-        if _squarefree(image):
-            break
+    image = _squarefree_line(q, 0)
+    if image is None:
+        raise DomainError("no squarefree line through %r" % (part,))
     if len(factor_univariate(_dense(image))) == 1:
         return [part]
     norm = isqrt(sum(v * v for v in q.values())) + 1
@@ -516,11 +509,3 @@ def _factor_part(part: dict) -> list:
     if not k:
         return found + [q]
     return [shear(g, -k, 1) for g in found + [q]]
-
-
-def _integers():
-    """0, 1, -1, 2, -2, ..."""
-    k = 0
-    while True:
-        yield k
-        k = -k if k > 0 else 1 - k

@@ -279,9 +279,10 @@ def infinite_singular_directions(f: Poly) -> Poly:
 def good_affine_chart(f: Poly):
     """Rotate the chart so all singular points are affine.
 
-    Returns ((alpha, beta), transform) with transform(p) applying the
-    substitution z -> 1 - alpha x - beta y to any polynomial homogenized to
-    its own total degree; (0, 0) means the chart is already good.
+    Returns ((alpha, beta), transform, transform(f)) with transform(p)
+    applying the substitution z -> 1 - alpha x - beta y to any polynomial
+    homogenized to its own total degree; (0, 0) means the chart is already
+    good.
 
     A chart passes when the moved curve has no singular direction at
     infinity.  That keeps the old affine singular points affine too: one
@@ -299,7 +300,7 @@ def good_affine_chart(f: Poly):
         return transform
 
     if infinite_singular_directions(f).degree() <= 0:
-        return (0, 0), transform_factory(0, 0)
+        return (0, 0), transform_factory(0, 0), f.with_vars(XY)
     shifts = []
     for total in range(1, 12):
         for a in range(0, total + 1):
@@ -310,5 +311,5 @@ def good_affine_chart(f: Poly):
         if g.degree() != f.degree():
             continue
         if infinite_singular_directions(g).degree() <= 0:
-            return (alpha, beta), transform
+            return (alpha, beta), transform, g
     raise DomainError("no deterministic chart rotation found")

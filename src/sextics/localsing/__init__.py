@@ -10,7 +10,6 @@ from .points import (
 )
 from .germs import (
     InfiniteIntersectionError,
-    intersection_multiplicity,
     intersection_multiplicity_origin,
     milnor_number_origin,
 )

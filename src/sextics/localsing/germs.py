@@ -1,11 +1,10 @@
 """Germ-level invariants at the origin: local intersection numbers (the
 classical reduction algorithm) and Milnor numbers.
 
-The `_origin` functions take germs already translated to the origin; the
-others take a curve and a point on it.  Coefficients may be rational or
-number-field elements.  Each call clears the germs' denominators once,
-to Python ints or to integer coordinate vectors over a number field, and
-the kernel reduces with no denominator at all.
+Every function takes germs already translated to the origin, with
+rational or number-field coefficients.  Each call clears the germs'
+denominators once, to Python ints or to integer coordinate vectors over
+a number field, and the kernel reduces with no denominator at all.
 
 The kernel truncates the germs at an adaptive order n and grows it by a
 quarter until a run returns a value below it, which the run then proves
@@ -37,12 +36,10 @@ from operator import mul
 from ..numfield import factor_over_field  # noqa: F401
 from ..poly import DomainError, Poly, clear_denominators, convolve_reduce, \
     field_of, mul_matrix, primitive_ints, scaled
-from .points import translate_to_origin
 
 __all__ = [
     "InfiniteIntersectionError",
     "intersection_multiplicity_origin",
-    "intersection_multiplicity",
     "milnor_number_origin",
 ]
 
@@ -245,11 +242,6 @@ def _intersection(G: dict, H: dict, field, predicted: int) -> int:
             "intersection passes the Bezout bound %d: the curves"
             " share a component through the point" % limit)
     return total
-
-
-def intersection_multiplicity(g: Poly, h: Poly, p, predicted: int = 0) -> int:
-    return intersection_multiplicity_origin(
-        translate_to_origin(g, p), translate_to_origin(h, p), predicted)
 
 
 def milnor_number_origin(germ: Poly, predicted: int = 0) -> int:

@@ -21,8 +21,10 @@ and the x-chart of `localsing.resolve` run), `shear` (x -> x + k y or
 y -> y + k x on a term dict, one `horner_shift` per homogeneous part,
 for `localsing.points` and `factor`), `Poly.shift` (the Taylor shift
 p(v + a_v), which `UniPoly.shift` calls), `unipoly_gcd` (the monic gcd
-of two univariates over Q or a number field) and `_int_gcd` (the one
-integer gcd kernel, which `factor` also splits squarefree parts with).
+of two univariates over Q or a number field), `_squarefree_line` (the
+first line c = 0, 1, -1, ... (`_integers`) with a squarefree image, for
+`is_squarefree` and `factor`) and `_int_gcd` (the one integer gcd
+kernel, which `factor` also splits squarefree parts with).
 
 Over a number field a coefficient column is carried as integer
 coordinate vectors, lists of ints in the powers of the field's
@@ -57,6 +59,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm, log2
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -1149,21 +1152,33 @@ def is_squarefree(p: Poly) -> bool:
     ints = clear_denominators(p.with_vars(used).terms)[0]
     if len(used) == 1:
         return _squarefree(ints)
-    tries = 2 * p.degree() ** 2
-    for k in (0, 1):
-        full = max(m[k] for m in ints)
-        for i in range(tries):
-            c = (i + 1) // 2 if i % 2 else -(i // 2)
-            line: dict = {}
-            for m, v in ints.items():
-                e = (m[k],)
-                line[e] = line.get(e, 0) + v * c ** m[1 - k]
-            line = {e: v for e, v in line.items() if v}
-            if (full,) in line and _squarefree(line):
-                break
-        else:
-            return False
-    return True
+    return all(_squarefree_line(ints, k) is not None for k in (0, 1))
+
+
+def _squarefree_line(ints: Mapping[Monom, int], k: int) -> Optional[dict]:
+    """The image {(e,): v} in variable k of the integer term dict `ints`
+    in two variables on the line where the other one is c, for the first
+    c = 0, 1, -1, ... where it is squarefree of full degree; None when
+    none of the first 2 d^2, d the total degree, is (see `is_squarefree`)."""
+    full = max(m[k] for m in ints)
+    tries = 2 * max(map(sum, ints)) ** 2
+    for c in islice(_integers(), tries):
+        line: dict = {}
+        for m, v in ints.items():
+            e = (m[k],)
+            line[e] = line.get(e, 0) + v * c ** m[1 - k]
+        line = {e: v for e, v in line.items() if v}
+        if (full,) in line and _squarefree(line):
+            return line
+    return None
+
+
+def _integers():
+    """0, 1, -1, 2, -2, ..."""
+    k = 0
+    while True:
+        yield k
+        k = -k if k > 0 else 1 - k
 
 
 def _squarefree(u: dict) -> bool:

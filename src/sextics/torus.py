@@ -4,14 +4,16 @@ A_{6j-1} <-> intersection-number correspondence.
 A pair (f2, f3) defines the sextic f2^3 + f3^2; the conic C2: f2 = 0 and
 cubic C3: f3 = 0 stratify its singularities into inner points (on C2 and
 C3) and outer ones.  Pairs are considered up to (f2, f3) ~ (c^2 f2, c^3 f3).
+`inner_outer_split` keeps each inner point's type with the iota and C3
+smoothness that its germs of f2 and f3 show; the law is checked on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .localsing.germs import intersection_multiplicity
-from .localsing.points import point_on_curve
+from .localsing.germs import intersection_multiplicity_origin
+from .localsing.points import point_on_curve, translate_to_origin
 from .poly import DomainError, Poly, poly_gcd
 
 __all__ = [
@@ -69,29 +71,38 @@ class TorusPair:
 
 @dataclass(frozen=True)
 class InnerOuterSplit:
-    inner: tuple   # ((AlgebraicPoint, iota), ...)
+    inner: tuple   # ((LocalSingularity, iota, C3 smooth there), ...)
     outer: tuple   # (AlgebraicPoint, ...)
 
     def iota_total(self) -> int:
-        return sum(iota * p.degree for p, iota in self.inner)
+        return sum(iota * ls.cluster_degree for ls, iota, _ in self.inner)
 
 
 def inner_outer_split(pair: TorusPair, sings) -> InnerOuterSplit:
-    """Split the singular points (`LocalSingularity`s) by C2 and C3.
+    """Split the singular points (`LocalSingularity`s of the pair's
+    sextic) by C2 and C3.
 
-    C2 and C3 share no component (`TorusPair` refuses such a pair), so the
-    intersection number at each inner point is finite.  Its reduction
-    starts at the type's prediction (`_predicted_iota`) and proves iota
-    from any start, so the law's check stays independent.
+    Only f2 is evaluated: f2^3 + f3^2 vanishes at each point (in a
+    rotated chart it is the moved curve times a power of 1 - alpha x -
+    beta y), so f2 = 0 gives f3 = 0.  At an inner point the germs of f2
+    and f3 give iota, and C3 is smooth there exactly when f3's germ has
+    order 1.
+
+    C2 and C3 share no component (`TorusPair` refuses such a pair), so
+    iota is finite.  Its reduction starts at the type's prediction
+    (`_predicted_iota`) and proves iota from any start, so the law's
+    check stays independent.
     """
     inner = []
     outer = []
     for ls in sings:
         p = ls.point
-        if point_on_curve(pair.f2, p) and point_on_curve(pair.f3, p):
-            iota = intersection_multiplicity(pair.f2, pair.f3, p,
-                                             _predicted_iota(ls.sing_type))
-            inner.append((p, iota))
+        if point_on_curve(pair.f2, p):
+            g2 = translate_to_origin(pair.f2, p)
+            g3 = translate_to_origin(pair.f3, p)
+            iota = intersection_multiplicity_origin(
+                g2, g3, _predicted_iota(ls.sing_type))
+            inner.append((ls, iota, g3.lowest_degree() == 1))
         else:
             outer.append(p)
     return InnerOuterSplit(tuple(inner), tuple(outer))
@@ -111,31 +122,23 @@ def _predicted_iota(t) -> int:
 _STAR_LAW = {2: "A_5", 4: "A_11", 6: "A_17"}
 
 
-def verify_inner_correspondence(pair: TorusPair, split: InnerOuterSplit,
-                                classified) -> list:
+def verify_inner_correspondence(split: InnerOuterSplit) -> list:
     """Check A_{6j-1} <-> iota = 2j at inner points where C3 is smooth.
 
-    `classified` maps each inner point to its LocalSingularity.  Returns a
-    report: one entry per inner point with status 'ok', 'exempt' (C3
+    Reads the split alone.  Returns a report: one entry (point, iota,
+    status, type) per inner point, with status 'ok', 'exempt' (C3
     singular there) or 'mismatch'.
     """
-    by_point = {ls.point.sort_key(): ls for ls in classified}
-    f3x = pair.f3.derivative("x")
-    f3y = pair.f3.derivative("y")
     report = []
-    for p, iota in split.inner:
-        ls = by_point.get(p.sort_key())
-        if point_on_curve(f3x, p) and point_on_curve(f3y, p):
-            # C3 is singular at p
-            report.append((p, iota, "exempt", ls.sing_type if ls else None))
-            continue
+    for ls, iota, c3_smooth in split.inner:
         expected = _STAR_LAW.get(iota)
-        actual = ls.sing_type.name() if ls else None
-        in_law = actual in _STAR_LAW.values()
-        if expected is None:
+        actual = ls.sing_type.name()
+        if not c3_smooth:
+            status = "exempt"
+        elif expected is None:
             # iota not of the form 2j: the law only forbids A_{6j-1} here
-            status = "mismatch" if in_law else "ok"
+            status = "mismatch" if actual in _STAR_LAW.values() else "ok"
         else:
             status = "ok" if expected == actual else "mismatch"
-        report.append((p, iota, status, ls.sing_type if ls else None))
+        report.append((ls.point, iota, status, ls.sing_type))
     return report

@@ -13,10 +13,11 @@ from fractions import Fraction
 import pytest
 from sympy_bridge import from_sympy, to_sympy
 
-from sextics import factor
+from sextics import factor, poly
 from sextics.components import decompose
 from sextics.numfield import factor_rational
-from sextics.poly import Poly, UniPoly, parse_poly
+from sextics.poly import DomainError, Poly, UniPoly, is_squarefree, \
+    parse_poly
 
 X = ("x",)
 XY = ("x", "y")
@@ -202,3 +203,61 @@ class TestKernels:
         assert got == [([((0, 0), -2), ((1, 0), 1)], 2),
                        ([((0, 0), 1), ((0, 2), 1)], 1),
                        ([((0, 0), 1), ((0, 2), 1), ((2, 0), 1)], 1)]
+
+
+class TestOneSearchEach:
+    """`poly._squarefree_line` is the one search for a line with a
+    squarefree image, for `is_squarefree` and for `factor_bivariate`, and
+    one generator runs through the primes of a Yun part."""
+
+    def test_first_two_lines_fail(self, monkeypatch):
+        # y = 0 and y = 1 meet the curve in x^2, and the sheared curve
+        # q(x, y) = f(x, y + x) that factor_bivariate searches in a double
+        # root x = 0; both searches go on to y = -1
+        f = P("x^2 - y^2*(y - 1)^2")
+        tried = []
+        real = poly._squarefree
+
+        def recorded(u):
+            tried.append(real(u))
+            return tried[-1]
+        monkeypatch.setattr(poly, "_squarefree", recorded)
+        assert is_squarefree(f)
+        assert tried[:3] == [False, False, True]
+        tried.clear()
+        got = factor.factor_bivariate({m: int(c) for m, c in f.terms.items()})
+        assert tried == [False, False, True]
+        assert sorted(sorted(g.items()) for g, _m in got) == [
+            [((0, 1), -1), ((0, 2), 1), ((1, 0), 1)],
+            [((0, 1), 1), ((0, 2), -1), ((1, 0), 1)]]
+
+    def test_no_squarefree_line_is_refused(self):
+        square = {(2, 0): 1, (1, 1): 2, (0, 2): 1}   # (x + y)^2
+        assert poly._squarefree_line(square, 0) is None
+        with pytest.raises(DomainError):
+            factor._factor_part(square)
+
+    def test_each_prime_tested_once(self, monkeypatch):
+        # g = (x - 1)(x - 106)(x - 211) has a triple root mod 3, 5 and 7,
+        # which divide 105, and three roots mod 11: g, and the Yun part g
+        # of g^2 (x^2 + 1), fail their first three primes and fall back
+        # to 11
+        def ints(text):
+            u = UniPoly.from_poly(parse_poly(text, X), "x")
+            return [int(c) for c in u.coeffs]
+        g = ints("(x - 1)*(x - 106)*(x - 211)")
+        f = ints("(x - 1)^2*(x - 106)^2*(x - 211)^2*(x^2 + 1)")
+        calls = []
+        real = factor._mod_squarefree
+
+        def counted(h, p):
+            calls.append((tuple(h), p))
+            return real(h, p)
+        monkeypatch.setattr(factor, "_mod_squarefree", counted)
+        roots = [[-211, 1], [-106, 1], [-1, 1]]
+        for h, want in [(f, [(r, 2) for r in roots] + [([1, 0, 1], 1)]),
+                        (g, [(r, 1) for r in roots])]:
+            calls.clear()
+            assert sorted(factor.factor_univariate(h)) == want
+            assert len(calls) == len(set(calls))
+            assert [p for u, p in calls if list(u) == g] == [3, 5, 7, 11]

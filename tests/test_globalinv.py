@@ -183,9 +183,9 @@ class TestCharts:
     def test_parallel_lines_node_at_infinity(self):
         f = g("y*(y - 1)*(x^2 + y^2 + x + 2)")
         assert infinite_singular_directions(f).degree() > 0
-        chart, transform = good_affine_chart(f)
+        chart, transform, moved = good_affine_chart(f)
         assert chart != (0, 0)
-        moved = transform(f)
+        assert moved == transform(f)
         assert infinite_singular_directions(moved).degree() <= 0
 
     def test_rotation_keeps_affine_singular_points(self):
@@ -194,7 +194,7 @@ class TestCharts:
         # (1, 1) keeps the degree but sends the node (-1, 0) to infinity,
         # and the gcd test alone refuses it
         f = g("y*(y - 1)*(x + 1)")
-        chart, _transform = good_affine_chart(f)
+        chart, _transform, _moved = good_affine_chart(f)
         assert chart == (2, 0)
         moved = homogenize(f).substitute({"z": g("1 - x - y")})
         moved = moved.with_vars(XY)

@@ -21,7 +21,6 @@ from sextics.localsing import (
     build_signature_table,
     classify_germ,
     dual_branch,
-    intersection_multiplicity,
     intersection_multiplicity_origin,
     milnor_number_origin,
     normal_form_germ,
@@ -315,7 +314,8 @@ class TestIntersectionMultiplicity:
         # I(y^2, C_3; P) = 2 at a simple root of f_3(x, 0)
         f3 = g("x^3 - x")
         p = rational_point(1, 0)
-        assert intersection_multiplicity(g("y^2"), f3, p) == 2
+        assert intersection_multiplicity_origin(
+            translate_to_origin(g("y^2"), p), translate_to_origin(f3, p)) == 2
 
     def test_common_component(self):
         with pytest.raises(InfiniteIntersectionError):
@@ -588,27 +588,28 @@ class TestIntegerNodes:
 
 @functools.cache
 def _corpus_calls():
-    """([(germ, field)] of every `resolve` call, [(f2, f3, point)] of every
-    inner-point iota) that `verify --all --seed 0` makes."""
+    """([(germ, field)] of every `resolve` call, [(g2, g3)] the germs of f2
+    and f3 of every inner-point iota) that `verify --all --seed 0` makes."""
     germs, pairs = [], []
-    real_resolve, real_iota = classify.resolve, torus.intersection_multiplicity
+    real_resolve = classify.resolve
+    real_iota = torus.intersection_multiplicity_origin
 
     def record_germ(germ, field=None):
         germs.append((germ, field))
         return real_resolve(germ, field)
 
-    def record_pair(f2, f3, p, predicted):
-        pairs.append((f2, f3, p))
-        return real_iota(f2, f3, p, predicted)
+    def record_pair(g2, g3, predicted):
+        pairs.append((g2, g3))
+        return real_iota(g2, g3, predicted)
 
-    classify.resolve, torus.intersection_multiplicity = record_germ, \
+    classify.resolve, torus.intersection_multiplicity_origin = record_germ, \
         record_pair
     try:
         for rec in builtin_examples():
             verify_example(rec, seed=0)
     finally:
-        classify.resolve, torus.intersection_multiplicity = real_resolve, \
-            real_iota
+        classify.resolve, torus.intersection_multiplicity_origin = \
+            real_resolve, real_iota
     return germs, pairs
 
 
@@ -637,8 +638,9 @@ class TestFieldVectors:
                     (str(germ), K)
 
     def test_iota_of_rational_inner_points(self):
-        pairs = [(translate_to_origin(f2, p), translate_to_origin(f3, p))
-                 for f2, f3, p in _corpus_calls()[1] if p.field is None]
+        pairs = [(g2, g3) for g2, g3 in _corpus_calls()[1]
+                 if all(isinstance(c, Fraction)
+                        for c in (*g2.terms.values(), *g3.terms.values()))]
         assert len(pairs) > 20
         for g2, g3 in pairs:
             iota = intersection_multiplicity_origin(g2, g3)

@@ -66,9 +66,6 @@ ALLOWED_LOCAL_IMPORTS = {
     # multiprocessing costs start-up time, and only `verify --jobs N` with
     # N > 1 needs it
     "cli.py: cmd_verify: multiprocessing",
-    # perfbench/tracer.py patches factor_over_field on sextics.numfield;
-    # the import at call time reads the patched attribute
-    "localsing/points.py: singular_points: factor_over_field",
 }
 
 # Defaulted parameters that no call in the package sets, as

@@ -92,7 +92,8 @@ class TestInnerOuter:
         pair = TorusPair(g("-y^2 + y - x^2"),
                          g("-2*y^3 + (-3*x + 2)*y^2 + (-2*x^2 + 3*x)*y + x^3"))
         split = inner_outer_split(pair, analyzed_points(pair))
-        by_xy = {(p.x, p.y): iota for p, iota in split.inner}
+        by_xy = {(ls.point.x, ls.point.y): iota
+                 for ls, iota, _smooth in split.inner}
         assert by_xy[(Fraction(0), Fraction(0))] == 3
 
     def test_shared_component_error(self):
@@ -102,12 +103,112 @@ class TestInnerOuter:
     def test_linear_torus_inner_on_line(self):
         pair = TorusPair(g("-y^2"), g("x^3 - x + y^2 + y^3"))
         split = inner_outer_split(pair, analyzed_points(pair))
-        assert all(p.y == 0 for p, _i in split.inner)
+        assert all(ls.point.y == 0 for ls, _i, _smooth in split.inner)
 
     def test_iota_total_six(self):
         pair = TorusPair(g("-y^2"), g("x^3 - x"))
         split = inner_outer_split(pair, analyzed_points(pair))
         assert split.iota_total() == 6
+
+
+# (f2, f3) of the two torus pairs of tools/off_corpus_resolve.py that are
+# analyzed in a rotated chart
+ROTATED_PAIRS = [
+    ("-2*x^2 + y", "-2*x^3 - 2*x^2*y + x*y + 2*y^2"),
+    ("-x^2 - 4*x - 4", "-x^3 - 2*x^2*y - 6*x^2 + x*y - 12*x + y - 8"),
+]
+
+
+def _recorded_splits():
+    """[(pair, sings, split)] of every `inner_outer_split` call that
+    `verify --all --seed 0` makes, then those of the family records
+    5.3-5, app-3a5 and 5.3-3 at seed 4 and of the two rotated pairs."""
+    from sextics import analysis, catalog
+    calls = []
+    real = analysis.inner_outer_split
+
+    def record(pair, sings):
+        split = real(pair, sings)
+        calls.append((pair, tuple(sings), split))
+        return split
+
+    analysis.inner_outer_split = record
+    try:
+        records = catalog.builtin_examples()
+        for rec in records:
+            catalog.verify_example(rec, seed=0)
+        for rec in records:
+            if rec.rid in ("5.3-5", "app-3a5", "5.3-3"):
+                catalog.verify_example(rec, seed=4)
+        for f2, f3 in ROTATED_PAIRS:
+            assert analyze_curve(pair=TorusPair(g(f2), g(f3))).chart != (0, 0)
+    finally:
+        analysis.inner_outer_split = real
+    return calls
+
+
+class TestSplitAgainstEvaluation:
+    """The split reads C3 and iota off the germs it translates; the rule it
+    replaces evaluated f2, f3 and f3's partials at each point."""
+
+    def test_same_inner_points_and_c3_flags(self):
+        calls = _recorded_splits()
+        assert len(calls) > 60
+        flags = []
+        for pair, sings, split in calls:
+            f3x, f3y = pair.f3.derivative("x"), pair.f3.derivative("y")
+            want = {}
+            for ls in sings:
+                at = {"x": ls.point.x, "y": ls.point.y}
+                if not pair.f2.evaluate(at) and not pair.f3.evaluate(at):
+                    want[ls.point.sort_key()] = \
+                        bool(f3x.evaluate(at) or f3y.evaluate(at))
+            got = {ls.point.sort_key(): smooth
+                   for ls, _iota, smooth in split.inner}
+            assert got == want, str(pair.expand())
+            assert [ls for ls, _i, _s in split.inner] == \
+                [ls for ls in sings if ls.point.sort_key() in want]
+            assert list(split.outer) == \
+                [ls.point for ls in sings if ls.point.sort_key() not in want]
+            flags += got.values()
+        # both flags occur, at rational points and in conjugate clusters
+        assert True in flags and False in flags
+        fields = {ls.point.field is None for _pair, _sings, split in calls
+                  for ls, _i, _s in split.inner}
+        assert fields == {True, False}
+
+    def test_f2_evaluated_once_per_point_and_the_law_reads_the_split(
+            self, monkeypatch):
+        from sextics import analysis
+        pair = TorusPair(g("-y^2 + y - x^2"),
+                         g("-2*y^3 + (-3*x + 2)*y^2 + (-2*x^2 + 3*x)*y + x^3"))
+        stage = [None]
+        seen = {"evaluate": [], "shift": []}
+        for name in seen:
+            real = getattr(Poly, name)
+
+            def counted(p, *args, _name=name, _real=real):
+                seen[_name].append((stage[0], p))
+                return _real(p, *args)
+            monkeypatch.setattr(Poly, name, counted)
+        for name in ("inner_outer_split", "verify_inner_correspondence"):
+            real = getattr(analysis, name)
+
+            def staged(*args, _name=name, _real=real):
+                stage[0] = _name
+                try:
+                    return _real(*args)
+                finally:
+                    stage[0] = None
+            monkeypatch.setattr(analysis, name, staged)
+        an = analyze_curve(pair=pair)
+        evaluated = [p for s, p in seen["evaluate"]
+                     if s == "inner_outer_split"]
+        assert len(evaluated) == len(an.sings)
+        assert all(p == pair.f2 for p in evaluated)
+        assert any(st == "exempt" for _p, _i, st, _t in an.star_report)
+        assert not [s for calls in seen.values() for s, _p in calls
+                    if s == "verify_inner_correspondence"]
 
 
 class TestStarLaw:
