@@ -107,13 +107,12 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
     config = assemble_configuration(sings)
 
     decomp = decompose(f)
-    # f is squarefree, so every multiplicity is 1
-    comps = tuple(comp for comp, _d, _m in decomp.factors)
+    comps = decomp.factors
     through: list = []
     components = tuple(
-        _component_report(comp, cdeg,
+        _component_report(comp, comp.degree(),
                           _component_sings(k, comps, sings, through), defects)
-        for k, (comp, cdeg, _m) in enumerate(decomp.factors))
+        for k, comp in enumerate(comps))
     # Corollary 1 bounds delta* of a reducible sextic by its component type
     reducible_sextic = len(components) > 1 and f.degree() == 6
     certified = all(c.genus is not None for c in components)

@@ -9,6 +9,13 @@ factors is checked exactly against f once more here.  A Q-irreducible
 factor may still split over a number field into conjugate components; the
 genus rules of `analysis` flag those.  Every emitted factor is
 integer-primitive with positive leading coefficient.
+
+f must be squarefree: `analysis.analyze_curve` tests that before it
+chooses a chart, and it is not decided again here.  A repeated factor is
+refused, not answered wrongly: one free of x or of y comes back once from
+its content, so the product check raises `PolyError`, and one of positive
+degree in both variables leaves no squarefree line, so `factor_bivariate`
+raises `DomainError`.
 """
 
 from __future__ import annotations
@@ -31,33 +38,33 @@ XY = ("x", "y")
 
 @dataclass(frozen=True)
 class ComponentDecomposition:
-    factors: tuple        # ((Poly, degree, multiplicity), ...)
+    factors: tuple        # (Poly, ...)
 
     def degrees(self) -> tuple:
-        out = []
-        for _p, d, m in self.factors:
-            out.extend([d] * m)
-        return tuple(sorted(out))
+        return tuple(sorted(p.degree() for p in self.factors))
 
     def reconstruct(self) -> Poly:
         prod = Poly.const(1, XY)
-        for p, _d, m in self.factors:
-            prod = prod * p ** m
+        for p in self.factors:
+            prod = prod * p
         return prod
 
 
 def decompose(f: Poly) -> ComponentDecomposition:
-    """The Q-irreducible factors of f with their multiplicities, sorted by
-    (degree, terms); their product is f up to a nonzero rational constant."""
+    """The Q-irreducible factors of the squarefree f, sorted by (degree,
+    terms); their product is f up to a nonzero rational constant.
+
+    A repeated factor raises: `PolyError` from the product check when it
+    is free of x or of y, `DomainError` from `factor_bivariate` when not.
+    """
     f = f.with_vars(XY)
     if f.is_zero():
         raise DomainError("zero polynomial")
     factors = []
-    for g, mult in factor_bivariate(clear_denominators(f.terms)[0]):
+    for g in factor_bivariate(clear_denominators(f.terms)[0]):
         p = Poly._trusted(XY, {m: Fraction(c) for m, c in g.items()})
-        p = p.primitive()
-        factors.append((p, p.degree(), mult))
-    factors.sort(key=lambda t: (t[1], sorted(t[0].terms.items())))
+        factors.append(p.primitive())
+    factors.sort(key=lambda p: (p.degree(), sorted(p.terms.items())))
     decomp = ComponentDecomposition(tuple(factors))
     if decomp.reconstruct().primitive() != f.primitive():
         raise PolyError("factorization of %s does not multiply back" % f)

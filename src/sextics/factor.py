@@ -1,8 +1,10 @@
 """Factorization over Z in one and two variables, on Python ints.
 
 `factor_univariate` takes an integer coefficient list, `factor_bivariate`
-an integer term dict in (x, y); both return the irreducible factors over Z
-with their multiplicities, each primitive, integer constants dropped.
+an integer term dict in (x, y) that is squarefree; both return the
+distinct irreducible factors over Z, each primitive, integer constants
+dropped, and no multiplicities: the pipeline factors reduced curves and
+the repeated parts of eliminants, and reads only which factors there are.
 By Gauss's lemma these are the irreducible factors over Q, which is what
 `numfield.factor_rational` and `components.decompose` read off them.
 
@@ -13,13 +15,14 @@ One variable (von zur Gathen & Gerhard, *Modern Computer Algebra*, chs.
   first;
 * f is squarefree when it is so modulo a prime that does not divide
   lc(f); when none of the first `_PRIMES_COMPARED` odd primes p with p
-  not dividing lc(f) shows that, Yun's algorithm splits f into squarefree
-  parts, on the integer gcd kernel `poly._int_gcd`;
-* a part of degree at most 2 is answered by its discriminant;
-* otherwise, among those primes that keep the part squarefree (or the
-  first prime past them that does, each prime tested once), the one
-  with the fewest distinct-degree factors is kept (a count of 1 proves
-  the part irreducible at once), and only the part mod that p is split
+  not dividing lc(f) shows that, f is replaced by its primitive
+  squarefree part f / gcd(f, f') (one `poly._int_gcd`, one
+  `poly._quotient`), whose irreducible factors are f's distinct ones;
+* an f of degree at most 2 is answered by its discriminant;
+* otherwise, among those primes that keep f squarefree (or the first
+  prime past them that does, each prime tested once), the one with the
+  fewest distinct-degree factors is kept (a count of 1 proves f
+  irreducible at once), and only f mod that p is split
   into its monic irreducible factors, by Cantor and Zassenhaus's
   equal-degree splitting with a seeded `random.Random`;
 * the factors are Hensel-lifted together, quadratically, to p^l >
@@ -40,12 +43,15 @@ lies below p^l / 2 and is that product's symmetric representative.  The
 answer depends on neither the prime nor the random seed: it is the
 unique factorization, and the callers sort it.
 
-Two variables:
+Two variables, for a squarefree f:
 
 * the contents of f in x (a polynomial in y) and in y (a polynomial in x)
   are factored in one variable;
-* Yun's algorithm in x on `poly._int_gcd` splits the rest, whose every
-  factor has positive degree in both variables, into squarefree parts;
+* the rest, the part, is primitive in both variables and every factor of
+  it has positive degree in both; it is squarefree, and the search for a
+  squarefree line below finds none for a part that is not, which raises
+  `DomainError` (a repeated factor in a content comes back once, which
+  `components.decompose`'s product check refuses);
 * a part of degree 1 in x or in y is irreducible; otherwise the shear
   y -> y + k x (`poly.shear`), k the first of 0, 1, -1, 2, ...
   (`poly._integers`) that makes lc_x a nonzero integer L, gives q(x, y)
@@ -98,11 +104,11 @@ _PRIMES_COMPARED = 3
 
 
 def factor_univariate(f: list) -> list:
-    """[(g, m)]: the irreducible factors g over Z of the nonzero integer
-    coefficient list f (low to high), with multiplicities m, each a
-    primitive coefficient list with positive last entry."""
+    """The distinct irreducible factors over Z of the nonzero integer
+    coefficient list f (low to high), each a primitive coefficient list
+    with positive last entry."""
     k = next(i for i, c in enumerate(f) if c)
-    out = [([0, 1], k)] if k else []
+    out = [[0, 1]] if k else []
     f = f[k:]
     if len(f) == 1:
         return out
@@ -112,82 +118,57 @@ def factor_univariate(f: list) -> list:
     # f is squarefree when it is so mod a prime not dividing lc(f)
     images = _squarefree_images(f)
     primes = _compared(images)
-    if primes:
-        return out + [(g, 1) for g in _zassenhaus(f, primes)]
-    for a, i in _squarefree_parts({(e,): v for e, v in enumerate(f) if v}):
-        part = _primitive(_dense(a))
+    if not primes:
+        # f / gcd(f, f') has f's distinct factors
+        a = {(e,): v for e, v in enumerate(f) if v}
+        da = {(e - 1,): e * v for (e,), v in a.items() if e}
+        part = _primitive(_dense(_quotient(a, _int_gcd(a, da))))
         if len(part) <= 3:
-            gs = [g for g, _ in _small(part)]
-        else:
-            if part != f:   # else f is squarefree: go on with its images
-                images = _squarefree_images(part)
-                primes = _compared(images)
-            gs = _zassenhaus(part, primes or [next(q for q in images if q[1])])
-        out += [(g, i) for g in gs]
-    return out
+            return out + _small(part)
+        if part != f:   # else f is squarefree: go on with its images
+            f, images = part, _squarefree_images(part)
+            primes = _compared(images)
+        primes = primes or [next(q for q in images if q[1])]
+    return out + _zassenhaus(f, primes)
 
 
 def factor_bivariate(f: dict) -> list:
-    """[(g, m)]: the irreducible factors g over Z of the nonzero integer
-    term dict f in (x, y), with multiplicities m, each an integer-primitive
-    term dict in (x, y)."""
+    """The irreducible factors over Z of the squarefree nonzero integer
+    term dict f in (x, y), each an integer-primitive term dict in (x, y).
+
+    A repeated factor free of x or of y comes back once; one of positive
+    degree in both variables raises `DomainError` (see `_factor_part`)."""
     in_y, f = _primitive_last({(j, i): v for (i, j), v in f.items()})
     in_x, f = _primitive_last({(i, j): v for (j, i), v in f.items()})
-    out = [({(0, e): v for e, v in enumerate(g) if v}, m)
-           for g, m in factor_univariate(_dense(in_y))]
-    out += [({(e, 0): v for e, v in enumerate(g) if v}, m)
-            for g, m in factor_univariate(_dense(in_x))]
+    out = [{(0, e): v for e, v in enumerate(g) if v}
+           for g in factor_univariate(_dense(in_y))]
+    out += [{(e, 0): v for e, v in enumerate(g) if v}
+            for g in factor_univariate(_dense(in_x))]
     if max(m[0] for m in f):
-        for part, i in _squarefree_parts(f):
-            out += [(g, i) for g in _factor_part(part)]
+        out += _factor_part(f)
     return out
 
 
 # ---------------------------------------------------------------------------
-# squarefree parts and small degrees
+# small degrees
 # ---------------------------------------------------------------------------
-
-
-def _squarefree_parts(f: dict) -> list:
-    """[(a_i, i)] with f = +-prod a_i^i, the a_i squarefree, pairwise
-    coprime and of positive degree in the first variable (Yun), for an
-    integer-primitive term dict f all of whose factors have positive
-    degree in that variable.  Every gcd is integer-primitive, so every
-    division is exact in Z by Gauss's lemma."""
-    def diff(a):
-        return {(m[0] - 1,) + m[1:]: m[0] * v for m, v in a.items() if m[0]}
-
-    df = diff(f)
-    g = _int_gcd(f, df)
-    b, c = _quotient(f, g), _quotient(df, g)
-    out, i = [], 1
-    while max(m[0] for m in b):
-        d = dict(c)
-        for m, v in diff(b).items():
-            d[m] = d.get(m, 0) - v
-        d = {m: v for m, v in d.items() if v}
-        a = _int_gcd(b, d)
-        if max(m[0] for m in a):
-            out.append((a, i))
-        b, c = _quotient(b, a), _quotient(d, a)
-        i += 1
-    return out
 
 
 def _small(f: list) -> list:
     """factor_univariate's answer for a primitive f of degree 1 or 2 with
     positive last entry and f(0) != 0: a quadratic a t^2 + b t + c splits
     exactly when its discriminant b^2 - 4ac is a square s^2, into the
-    primitive parts of 2a t + b - s and 2a t + b + s."""
+    primitive parts of 2a t + b - s and 2a t + b + s, one factor when
+    s = 0."""
     if len(f) == 2:
-        return [(f, 1)]
+        return [f]
     c, b, a = f
     disc = b * b - 4 * a * c
     s = isqrt(disc) if disc >= 0 else -1
     if s * s != disc:
-        return [(f, 1)]
+        return [f]
     roots = [_primitive([b - s, 2 * a]), _primitive([b + s, 2 * a])]
-    return [(roots[0], 2)] if not s else [(g, 1) for g in roots]
+    return roots[:1] if not s else roots
 
 
 def _primitive(f: list) -> list:
@@ -461,7 +442,9 @@ def _zassenhaus(f: list, primes: list) -> list:
 
 def _factor_part(part: dict) -> list:
     """The irreducible factors of a squarefree integer term dict in (x, y)
-    that is primitive in x and in y (see the module docstring)."""
+    that is primitive in x and in y (see the module docstring); a part
+    that is not squarefree has no squarefree line and raises
+    `DomainError`."""
     if max(m[0] for m in part) == 1 or max(m[1] for m in part) == 1:
         return [part]
     d = max(sum(m) for m in part)
@@ -483,7 +466,7 @@ def _factor_part(part: dict) -> list:
         bits += 1
         u = _evaluate_last(q, bits)
     us = [{(e,): v for e, v in enumerate(g) if v}
-          for g, _ in factor_univariate(_dense(u))]
+          for g in factor_univariate(_dense(u))]
     found, size = [], 1
     while 2 * size <= len(us):
         for subset in combinations(range(len(us)), size):

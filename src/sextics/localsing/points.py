@@ -38,13 +38,13 @@ from ..poly import (
     Poly,
     UniPoly,
     clear_denominators,
-    content_in,
     convolve_reduce,
     # unused here; perfbench/tracer.py patches it in this namespace
     is_squarefree,  # noqa: F401
     poly_gcd,
     resultant,
     shear,
+    _primitive_last,
 )
 
 __all__ = [
@@ -122,10 +122,13 @@ def _choose_shear(f: Poly) -> tuple:
     """(k, f(x + k y, y)) for the least k leaving no factor free of y."""
     for k in range(0, 40):
         g = f if k == 0 else _shear(f, k)
-        # a nonconstant content in y is a factor free of y; the content
+        # a content in y with x in it is a factor free of y; the content
         # divides the leading coefficient, so a constant one settles it
         lc = g.coeffs_in("y")[g.degree_in("y")]
-        if lc.is_constant() or content_in(g, "y").degree() <= 0:
+        if lc.is_constant():
+            return k, g
+        content = _primitive_last(clear_denominators(g.terms)[0])[0]
+        if not any(m[0] for m in content):
             return k, g
     raise DomainError("no shear frees the curve of vertical components")
 
@@ -141,7 +144,7 @@ def _repeated_factors(elim: Poly) -> list:
     eliminant, a polynomial in x, in `factor_rational`'s order: the
     distinct factors of gcd(elim, elim')."""
     repeated = poly_gcd(elim, elim.derivative("x"))
-    return [p for p, _ in factor_rational(UniPoly.from_poly(repeated, "x"))]
+    return factor_rational(UniPoly.from_poly(repeated, "x"))
 
 
 def singular_points(f: Poly) -> list:

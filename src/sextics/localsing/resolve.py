@@ -142,8 +142,7 @@ def _directions(germ: dict, m: int, field):
         cone = [germ.get((m - j, j), 0) for j in range(m + 1)]
         while not cone[-1]:
             cone.pop()
-        factors = [q for q, _ in factor_univariate(cone)] \
-            if len(cone) > 1 else []
+        factors = factor_univariate(cone) if len(cone) > 1 else []
         return (m + 1 - len(cone),
                 [(-q[0], q[1]) for q in factors if len(q) == 2],
                 [UniPoly("t", [Fraction(c, q[-1]) for c in q])

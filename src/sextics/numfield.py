@@ -328,7 +328,7 @@ def coef_key(c) -> tuple:
 # ---------------------------------------------------------------------------
 
 def factor_rational(u: UniPoly):
-    """Irreducible monic factors of a rational UniPoly: [(factor, mult)].
+    """The distinct monic irreducible factors of a rational UniPoly.
 
     Deterministic order: by (degree, coefficient tuple).  The cleared
     numerators are factored over Z by `factor.factor_univariate`
@@ -338,13 +338,13 @@ def factor_rational(u: UniPoly):
     if u.is_zero():
         raise DomainError("zero polynomial")
     if u.degree() == 1:
-        return [(u.monic(), 1)]
+        return [u.monic()]
     ints = clear_denominators({(e,): c for e, c in enumerate(u.coeffs)
                                if c})[0]
-    out = [(UniPoly(u.var, [Fraction(c, g[-1]) for c in g]), mult)
-           for g, mult in factor_univariate(_dense(ints))]
-    out.sort(key=lambda fm: (fm[0].degree(),
-                             tuple((c.numerator, c.denominator) for c in fm[0].coeffs)))
+    out = [UniPoly(u.var, [Fraction(c, g[-1]) for c in g])
+           for g in factor_univariate(_dense(ints))]
+    out.sort(key=lambda f: (f.degree(), tuple((c.numerator, c.denominator)
+                                             for c in f.coeffs)))
     return out
 
 
@@ -383,12 +383,11 @@ def _squarefree_norm(field: NumberField, q: UniPoly):
 def factor_over_field(field: Optional[NumberField], u: UniPoly):
     """The distinct monic irreducible factors of u over the field.
 
-    Multiplicities are dropped: over a number field, Trager runs on the
-    monic squarefree part u / gcd(u, u').  Deterministic order: by (degree,
-    coefficient tuple).
+    Over a number field, Trager runs on the monic squarefree part
+    u / gcd(u, u').  Deterministic order: by (degree, coefficient tuple).
     """
     if field is None:
-        return [f for f, _ in factor_rational(u)]
+        return factor_rational(u)
     u = coerce_unipoly(field, u)
     if u.is_zero():
         raise DomainError("zero polynomial")
@@ -411,7 +410,7 @@ def _trager_squarefree(field: NumberField, g: UniPoly):
     s, _, norm = _squarefree_norm(field, g)
     shift = field.generator() * s
     factors = [unipoly_gcd(coerce_unipoly(field, h).shift(shift), g)
-               for h, _ in factor_rational(norm)]
+               for h in factor_rational(norm)]
     if min(f.degree() for f in factors) < 1 \
             or sum(f.degree() for f in factors) != g.degree():
         raise DomainError("Trager factorization of %s over %s is incomplete"

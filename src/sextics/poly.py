@@ -11,7 +11,6 @@ job: `rational_content` (the positive rational content of a coefficient
 list), `clear_denominators` (a term dict as integers, or as integer
 coordinate vectors over a number field, over one denominator),
 `primitive_ints` (such a dict over the gcd of its integers),
-`content_in` (the gcd of the coefficients in one variable),
 `UniPoly.from_poly` (a polynomial in one variable, read as a univariate),
 `convolve_reduce` and `mul_matrix` (the product of two coordinate
 vectors, and the integer matrix of multiplication by one), `horner_shift`
@@ -24,7 +23,8 @@ p(v + a_v), which `UniPoly.shift` calls), `unipoly_gcd` (the monic gcd
 of two univariates over Q or a number field), `_squarefree_line` (the
 first line c = 0, 1, -1, ... (`_integers`) with a squarefree image, for
 `is_squarefree` and `factor`) and `_int_gcd` (the one integer gcd
-kernel, which `factor` also splits squarefree parts with).
+kernel, on which `factor` also computes a squarefree part
+f / gcd(f, f')).
 
 Over a number field a coefficient column is carried as integer
 coordinate vectors, lists of ints in the powers of the field's
@@ -1094,18 +1094,6 @@ def primitive_ints(terms: Mapping[Monom, int], field=None) -> Mapping:
     c = gcd(*(x for v in terms.values() for x in v))
     return terms if c == 1 else {m: [x // c for x in v]
                                  for m, v in terms.items()}
-
-
-def content_in(p: Poly, var: str) -> Optional[Poly]:
-    """gcd of the coefficients of p in `var`, a Poly in the other variables.
-
-    A single coefficient is returned as it is; None for the zero polynomial.
-    """
-    coeffs = p.coeffs_in(var)
-    cont = None
-    for e in sorted(coeffs):
-        cont = coeffs[e] if cont is None else poly_gcd(cont, coeffs[e])
-    return cont
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:

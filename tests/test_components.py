@@ -1,6 +1,10 @@
+import pytest
+
+from sextics import factor, poly
 from sextics.analysis import analyze_curve
+from sextics.catalog import builtin_examples
 from sextics.components import decompose
-from sextics.poly import parse_poly
+from sextics.poly import DomainError, PolyError, parse_poly
 from sextics.torus import TorusPair
 
 XY = ("x", "y")
@@ -12,65 +16,65 @@ def g(text):
 
 # The classes below are decompose cases grouped by the factors they plant.
 def _factors(f):
-    """decompose(f) as (factor text, multiplicity) pairs, in its order."""
+    """decompose(f) as factor texts, in its order."""
     if isinstance(f, str):
         f = g(f)
-    return [(str(p), m) for p, _d, m in decompose(f).factors]
+    return [str(p) for p in decompose(f).factors]
 
 
 class TestLinearFactors:
     def test_horizontal_line(self):
-        assert _factors("y*(x^2 + y^2 - 1)") == [("y", 1),
-                                                 ("x^2 + y^2 - 1", 1)]
+        assert _factors("y*(x^2 + y^2 - 1)") == ["y", "x^2 + y^2 - 1"]
 
     def test_no_rational_lines(self):
-        assert _factors("x^2 + y^2 + 1") == [("x^2 + y^2 + 1", 1)]
+        assert _factors("x^2 + y^2 + 1") == ["x^2 + y^2 + 1"]
 
     def test_item5_line(self):
         f = (g("-y^2 + y - x^2") ** 3
              + g("-2*y^3 + (-3*x + 2)*y^2 + (-2*x^2 + 3*x)*y + x^3") ** 2)
         assert decompose(f).degrees() == (1, 5)
-        assert _factors(f)[0] == ("y", 1)
+        assert _factors(f)[0] == "y"
 
     def test_vertical_and_slanted(self):
         assert _factors("x*(y - 2*x + 1)*(y + x)") == [
-            ("2*x - y - 1", 1), ("x + y", 1), ("x", 1)]
+            "2*x - y - 1", "x + y", "x"]
 
-    def test_repeated_line_found_once(self):
-        assert _factors("(y - x)^2*(y + 1)") == [("y + 1", 1), ("x - y", 2)]
+    def test_repeated_line_refused(self):
+        # the repeated line has positive degree in x and in y, so no line
+        # meets the rest in a squarefree image; the squarefree part splits
+        with pytest.raises(DomainError):
+            decompose(g("(y - x)^2*(y + 1)"))
+        assert _factors("(y - x)*(y + 1)") == ["y + 1", "x - y"]
 
 
 class TestConicFactors:
     def test_seeded_product(self):
-        assert _factors("(y - x^2)*(y^3 + x + 5)") == [("x^2 - y", 1),
-                                                       ("y^3 + x + 5", 1)]
+        assert _factors("(y - x^2)*(y^3 + x + 5)") == ["x^2 - y",
+                                                       "y^3 + x + 5"]
 
     def test_b312_one_rational_conic(self):
         f = g("-y^2 + y - x^2") ** 3 + g("y^3 - 3*y^2 + 3*y*x^2") ** 2
         assert _factors(f) == [
-            ("x^2 - y", 1),
-            ("x^4 - 6*x^2*y^2 - 3*y^4 - 2*x^2*y + 6*y^3 + y^2", 1)]
+            "x^2 - y", "x^4 - 6*x^2*y^2 - 3*y^4 - 2*x^2*y + 6*y^3 + y^2"]
 
     def test_irreducible_sextic(self):
-        assert _factors("x^6 + y^6 + x*y + 1") == [("x^6 + y^6 + x*y + 1", 1)]
+        assert _factors("x^6 + y^6 + x*y + 1") == ["x^6 + y^6 + x*y + 1"]
 
     def test_circle(self):
         assert _factors("(x^2 + y^2 - 1)*(x + y + 3)") == [
-            ("x + y + 3", 1), ("x^2 + y^2 - 1", 1)]
+            "x + y + 3", "x^2 + y^2 - 1"]
 
     def test_conic_linear_in_y(self):
         assert _factors("(x*y + x^2 - 2)*(y^2 + x + 1)") == [
-            ("x^2 + x*y - 2", 1), ("y^2 + x + 1", 1)]
+            "x^2 + x*y - 2", "y^2 + x + 1"]
 
     def test_line_pair_excluded(self):
         # (x - y)(x + y) is two lines, not a conic
-        assert _factors("(x^2 - y^2)*(y - 7)") == [
-            ("y - 7", 1), ("x - y", 1), ("x + y", 1)]
+        assert _factors("(x^2 - y^2)*(y - 7)") == ["y - 7", "x - y", "x + y"]
 
     def test_conjugate_line_pair_kept(self):
         # x^2 + y^2 is irreducible over Q
-        assert _factors("(x^2 + y^2)*(y - 1)") == [("y - 1", 1),
-                                                   ("x^2 + y^2", 1)]
+        assert _factors("(x^2 + y^2)*(y - 1)") == ["y - 1", "x^2 + y^2"]
 
 
 class TestLinearTorusSplit:
@@ -78,13 +82,12 @@ class TestLinearTorusSplit:
 
     def test_generic_split(self):
         pair = TorusPair(g("-y^2"), g("x^3 - x + y^2"))
-        assert _factors(pair.expand()) == [("x^3 - y^3 + y^2 - x", 1),
-                                           ("x^3 + y^3 + y^2 - x", 1)]
+        assert _factors(pair.expand()) == ["x^3 - y^3 + y^2 - x",
+                                           "x^3 + y^3 + y^2 - x"]
 
     def test_three_a5_on_line(self):
         pair = TorusPair(g("-y^2"), g("x^3 - x"))
-        assert _factors(pair.expand()) == [("x^3 - y^3 - x", 1),
-                                           ("x^3 + y^3 - x", 1)]
+        assert _factors(pair.expand()) == ["x^3 - y^3 - x", "x^3 + y^3 - x"]
 
     def test_rank_two_not_applicable(self):
         pair = TorusPair(g("x*y"), g("x^3 + y^3 + 1"))
@@ -104,23 +107,51 @@ class TestDecompose:
 
     def test_irreducible_no_hints(self):
         f = g("x^6 + y^6 + x*y + 1")
-        assert decompose(f).factors == ((f, 6, 1),)
+        assert decompose(f).factors == (f,)
 
     def test_reconstruction(self):
         f = g("-2*(y - x)*(x^2 + y^2 - 2)*(y^3 - x + 1)")
         assert decompose(f).reconstruct().primitive() == f.primitive()
 
     def test_multiplicity(self):
-        f = g("(y - x)^2*(y + x)")
-        d = decompose(f)
-        assert sorted(m for _p, _d, m in d.factors) == [1, 2]
+        # decompose takes reduced curves: a repeated factor is refused
+        with pytest.raises(PolyError):
+            decompose(g("(y - x)^2*(y + x)"))
+
+    def test_repeated_factor_free_of_y_fails_the_product_check(self):
+        # x comes back once from the content in y, so the factors multiply
+        # back to x*(y^2 + x^3 + 1) only
+        with pytest.raises(PolyError, match="does not multiply back") as err:
+            decompose(g("x^2*(y^2 + x^3 + 1)"))
+        assert type(err.value) is PolyError
+
+    def test_repeated_factor_in_both_variables_has_no_squarefree_line(self):
+        with pytest.raises(DomainError, match="no squarefree line"):
+            decompose(g("(y - x^2)^2*(x + y)"))
+
+    def test_squarefree_sextic_takes_no_bivariate_gcd(self, monkeypatch):
+        # squarefreeness is decided before decompose, which computes no
+        # gcd of two-variable dicts on 5.2-5's sextic
+        [rec] = [r for r in builtin_examples() if r.rid == "5.2-5"]
+        inst = rec.doc.instantiate()
+        f = TorusPair(inst["f2"], inst["f3"]).expand()
+        nvars = []
+        real = poly._int_gcd
+
+        def spy(a, b):
+            nvars.append(len(next(iter(a or b or {(): 0}))))
+            return real(a, b)
+        monkeypatch.setattr(poly, "_int_gcd", spy)
+        monkeypatch.setattr(factor, "_int_gcd", spy)
+        assert decompose(f).degrees() == (1, 5)
+        assert nvars and 2 not in nvars
 
     def test_emitted_factor_idempotent(self):
         f = g("(x^2 + y^2 - 1)*(y - 2*x + 1)*(y^3 + x^3 + 3)")
         d = decompose(f)
-        for p, deg, _m in d.factors:
+        for p in d.factors:
             sub = decompose(p)
-            assert sub.degrees() == (deg,)
+            assert sub.degrees() == (p.degree(),)
 
 
 def _component(an, degree):

@@ -4,8 +4,10 @@ sympy's `factor_list`: seeded products in one and two variables, inputs
 that split modulo every prime and so force recombination, cyclotomic
 binomials, repeated factors, lines of x-degree 0, conjugate pairs that
 stay irreducible over Q, leading coefficients divisible by the first
-primes, and heights up to 10^200.  The 10^400 + 1 curve is checked
-against its known factors instead, which sympy takes minutes to find."""
+primes, and heights up to 10^200.  Both return distinct factors; a curve
+with a repeated factor is refused by `decompose`, and its squarefree part
+is compared instead.  The 10^400 + 1 curve is checked against its known
+factors, which sympy takes minutes to find."""
 
 import random
 from fractions import Fraction
@@ -16,8 +18,8 @@ from sympy_bridge import from_sympy, to_sympy
 from sextics import factor, poly
 from sextics.components import decompose
 from sextics.numfield import factor_rational
-from sextics.poly import DomainError, Poly, UniPoly, is_squarefree, \
-    parse_poly
+from sextics.poly import DomainError, Poly, PolyError, UniPoly, \
+    is_squarefree, parse_poly
 
 X = ("x",)
 XY = ("x", "y")
@@ -28,22 +30,33 @@ def U(coeffs):
 
 
 def theirs_rational(u: UniPoly) -> list:
-    """factor_rational's answer, computed by sympy."""
-    out = [(UniPoly.from_poly(from_sympy(f, X), "x").monic(), int(m))
-           for f, m in to_sympy(u.to_poly(), X)[0].factor_list()[1]]
-    out.sort(key=lambda fm: (fm[0].degree(), tuple(
-        (c.numerator, c.denominator) for c in fm[0].coeffs)))
+    """factor_rational's answer, computed by sympy: the distinct monic
+    factors."""
+    out = [UniPoly.from_poly(from_sympy(f, X), "x").monic()
+           for f, _m in to_sympy(u.to_poly(), X)[0].factor_list()[1]]
+    out.sort(key=lambda f: (f.degree(), tuple(
+        (c.numerator, c.denominator) for c in f.coeffs)))
     return out
 
 
 def theirs_decompose(f: Poly) -> tuple:
-    """decompose(f).factors, computed by sympy."""
-    out = []
-    for q, m in to_sympy(f, XY)[0].factor_list()[1]:
-        p = from_sympy(q, XY).primitive()
-        out.append((p, p.degree(), int(m)))
-    out.sort(key=lambda t: (t[1], sorted(t[0].terms.items())))
+    """decompose(f).factors for a squarefree f, computed by sympy."""
+    out = [from_sympy(q, XY).primitive()
+           for q, _m in to_sympy(f, XY)[0].factor_list()[1]]
+    out.sort(key=lambda p: (p.degree(), sorted(p.terms.items())))
     return tuple(out)
+
+
+def assert_decompose_as_sympy(f: Poly):
+    """decompose(f) against sympy: the factors of a squarefree f; for an
+    f with a repeated factor, a refusal, and the factors of its
+    squarefree part."""
+    theirs = to_sympy(f, XY)[0]
+    if any(m > 1 for _q, m in theirs.factor_list()[1]):
+        with pytest.raises(PolyError):
+            decompose(f)
+        f = from_sympy(theirs.sqf_part(), XY)
+    assert decompose(f).factors == theirs_decompose(f)
 
 
 def random_uni(rng, degree, height):
@@ -128,7 +141,7 @@ class TestDecompose:
             for _ in range(rng.randint(1, 3)):
                 f = f * random_biv(rng, rng.randint(1, 3), height) \
                     ** rng.randint(1, 2)
-            assert decompose(f).factors == theirs_decompose(f)
+            assert_decompose_as_sympy(f)
 
     @pytest.mark.parametrize("text", [
         # irreducible, though its images split modulo every prime
@@ -164,8 +177,7 @@ class TestDecompose:
         "(2*x^2 + y^2 + y)*(2*x^2 + y^2 + 3*y)*(x^3 + y - 1)",
     ])
     def test_planted(self, text):
-        f = P(text)
-        assert decompose(f).factors == theirs_decompose(f)
+        assert_decompose_as_sympy(P(text))
 
     def test_height_10_400_irreducible(self):
         # f2 = -(10^400 + 1) y^2, f3 = x^3 + 1: f2^3 + f3^2 is
@@ -173,7 +185,7 @@ class TestDecompose:
         # only if N is a square, and 10^400 < N < (10^200 + 1)^2
         n = 10 ** 400 + 1
         f = Poly.const(-n, XY) ** 3 * P("y^6") + P("(x^3 + 1)^2")
-        assert decompose(f).factors == ((f.primitive(), 6, 1),)
+        assert decompose(f).factors == (f.primitive(),)
 
     def test_height_10_400_split(self):
         # with N = (10^200 + 1)^2 a square, it is the product of
@@ -183,32 +195,46 @@ class TestDecompose:
         known = [P("x^3 + 1") + Poly.const(s * r, XY) * P("y^3")
                  for s in (-1, 1)]
         got = decompose(f).factors
-        assert sorted(str(p) for p, _d, _m in got) \
+        assert sorted(str(p) for p in got) \
             == sorted(str(p.primitive()) for p in known)
-        assert [(d, m) for _p, d, m in got] == [(3, 1), (3, 1)]
+        assert [p.degree() for p in got] == [3, 3]
 
 
 class TestKernels:
     def test_univariate_output_form(self):
-        # primitive, positive last entry; the integer content is dropped
+        # primitive, positive last entry; the integer content is dropped,
+        # and x^2 gives x once
         got = factor.factor_univariate([0, 0, -6, 0, 6])
-        assert sorted(got) == [([-1, 1], 1), ([0, 1], 2), ([1, 1], 1)]
+        assert sorted(got) == [[-1, 1], [0, 1], [1, 1]]
+
+    @pytest.mark.parametrize("text", [
+        "(x - 1)^3", "x^2*(x^2 - 2)^3*(x + 5)", "(2*x + 3)^2"])
+    def test_univariate_distinct_factors(self, text):
+        # f / gcd(f, f') has f's distinct factors; a square quadratic gives
+        # its root once
+        u = P(text).with_vars(X)
+        got = factor.factor_univariate(
+            [int(c) for c in UniPoly.from_poly(u, "x").coeffs])
+        want = sorted([int(c) for c in reversed(q.all_coeffs())]
+                      for q, _m in to_sympy(u, X)[0].factor_list()[1])
+        assert sorted(got) == want
 
     def test_bivariate_contents(self):
-        # the contents in x and in y are factored in one variable
+        # the contents in x and in y are factored in one variable; the
+        # repeated factor x - 2 of the content in y comes back once
         f = P("6*(y^2 + 1)*(x - 2)^2*(x^2 + y^2 + 1)")
-        got = sorted((sorted(g.items()), m)
-                     for g, m in factor.factor_bivariate(
+        got = sorted(sorted(g.items())
+                     for g in factor.factor_bivariate(
                          {m: int(c) for m, c in f.terms.items()}))
-        assert got == [([((0, 0), -2), ((1, 0), 1)], 2),
-                       ([((0, 0), 1), ((0, 2), 1)], 1),
-                       ([((0, 0), 1), ((0, 2), 1), ((2, 0), 1)], 1)]
+        assert got == [[((0, 0), -2), ((1, 0), 1)],
+                       [((0, 0), 1), ((0, 2), 1)],
+                       [((0, 0), 1), ((0, 2), 1), ((2, 0), 1)]]
 
 
 class TestOneSearchEach:
     """`poly._squarefree_line` is the one search for a line with a
     squarefree image, for `is_squarefree` and for `factor_bivariate`, and
-    one generator runs through the primes of a Yun part."""
+    one generator runs through the primes of a squarefree part."""
 
     def test_first_two_lines_fail(self, monkeypatch):
         # y = 0 and y = 1 meet the curve in x^2, and the sheared curve
@@ -227,7 +253,7 @@ class TestOneSearchEach:
         tried.clear()
         got = factor.factor_bivariate({m: int(c) for m, c in f.terms.items()})
         assert tried == [False, False, True]
-        assert sorted(sorted(g.items()) for g, _m in got) == [
+        assert sorted(sorted(g.items()) for g in got) == [
             [((0, 1), -1), ((0, 2), 1), ((1, 0), 1)],
             [((0, 1), 1), ((0, 2), -1), ((1, 0), 1)]]
 
@@ -239,14 +265,15 @@ class TestOneSearchEach:
 
     def test_each_prime_tested_once(self, monkeypatch):
         # g = (x - 1)(x - 106)(x - 211) has a triple root mod 3, 5 and 7,
-        # which divide 105, and three roots mod 11: g, and the Yun part g
-        # of g^2 (x^2 + 1), fail their first three primes and fall back
-        # to 11
+        # which divide 105, and three roots mod 11: g, and the squarefree
+        # part g (x^2 + 1) of g^2 (x^2 + 1), fail their first three primes
+        # and fall back to 11
         def ints(text):
             u = UniPoly.from_poly(parse_poly(text, X), "x")
             return [int(c) for c in u.coeffs]
         g = ints("(x - 1)*(x - 106)*(x - 211)")
         f = ints("(x - 1)^2*(x - 106)^2*(x - 211)^2*(x^2 + 1)")
+        part = ints("(x - 1)*(x - 106)*(x - 211)*(x^2 + 1)")
         calls = []
         real = factor._mod_squarefree
 
@@ -255,9 +282,9 @@ class TestOneSearchEach:
             return real(h, p)
         monkeypatch.setattr(factor, "_mod_squarefree", counted)
         roots = [[-211, 1], [-106, 1], [-1, 1]]
-        for h, want in [(f, [(r, 2) for r in roots] + [([1, 0, 1], 1)]),
-                        (g, [(r, 1) for r in roots])]:
+        for h, sqf, want in [(f, part, roots + [[1, 0, 1]]),
+                             (g, g, roots)]:
             calls.clear()
             assert sorted(factor.factor_univariate(h)) == want
             assert len(calls) == len(set(calls))
-            assert [p for u, p in calls if list(u) == g] == [3, 5, 7, 11]
+            assert [p for u, p in calls if list(u) == sqf] == [3, 5, 7, 11]

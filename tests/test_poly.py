@@ -17,7 +17,6 @@ from sextics.poly import (
     Poly,
     PolySyntaxError,
     UniPoly,
-    content_in,
     format_poly,
     is_squarefree,
     parse_poly,
@@ -503,7 +502,22 @@ class TestGcdSquarefree:
         ("x*y^2 + y - x", "1"),
     ])
     def test_content_in(self, text, content):
-        assert content_in(P(text), "y") == P(content, X)
+        # the content in y of the integer dict, up to sign, and the
+        # primitive part that it multiplies back to
+        cont, prim = poly._primitive_last(
+            poly.clear_denominators(P(text).terms)[0])
+        got = Poly(X, {m: Fraction(v) for m, v in cont.items()})
+        assert got == P(content, X) or -got == P(content, X)
+        assert Poly(XY, {m + (0,): v for m, v in cont.items()}) \
+            * Poly(XY, prim) == P(text)
+
+
+def _content_in_y(p):
+    """The content in y of p in (x, y), a Poly in x, up to sign, read by
+    `poly._primitive_last` on the cleared integer dict."""
+    cont = poly._primitive_last(
+        poly.clear_denominators(p.with_vars(XY).terms)[0])[0]
+    return Poly(X, {m: Fraction(v) for m, v in cont.items()})
 
 
 def _sympy_gcd(p, q):
@@ -551,7 +565,7 @@ class TestIntegerGcdAgainstSympy:
             g = poly_gcd(a * c, b * c)
             assert g == _sympy_gcd(a * c, b * c)
             assert poly_gcd(g, c) == c.primitive()
-            assert poly_gcd(content_in(a * c, "y"), c) == c.primitive()
+            assert poly_gcd(_content_in_y(a * c), c) == c.primitive()
 
     @pytest.mark.parametrize("height", HEIGHTS, ids=["7", "1e12", "1e200"])
     def test_binary_forms(self, height):
