@@ -93,9 +93,9 @@ import random
 from itertools import combinations, islice
 from math import gcd, isqrt
 
-from .poly import DomainError, _dense, _dense_quotient, _digits, \
+from .poly import DomainError, Poly, _dense, _dense_quotient, _digits, \
     _evaluate_last, _int_gcd, _integers, _mul_terms, _primitive_last, \
-    _quotient, _squarefree, _squarefree_line, shear
+    _quotient, _squarefree, _squarefree_line, _trim, primitive_ints, shear
 
 __all__ = ["factor_univariate", "factor_bivariate"]
 
@@ -181,12 +181,6 @@ def _primitive(f: list) -> list:
 # dense polynomials mod m, low to high; division only by a unit leading
 # coefficient, so m may be a prime p or a power p^l
 # ---------------------------------------------------------------------------
-
-
-def _trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
 
 
 def _add(a: list, b: list, m: int) -> list:
@@ -456,7 +450,8 @@ def _factor_part(part: dict) -> list:
     q = shear(part, k, 1) if k else part
     image = _squarefree_line(q, 0)
     if image is None:
-        raise DomainError("no squarefree line through %r" % (part,))
+        raise DomainError("no squarefree line through %s"
+                          % Poly(("x", "y"), part))
     if len(factor_univariate(_dense(image))) == 1:
         return [part]
     norm = isqrt(sum(v * v for v in q.values())) + 1
@@ -478,8 +473,7 @@ def _factor_part(part: dict) -> list:
                 continue
             g = {(i, j): v for (i,), c in h.items()
                  for j, v in enumerate(_digits(lead // lc * c, bits)) if v}
-            cont = gcd(*g.values())
-            g = {m: v // cont for m, v in g.items()}
+            g = primitive_ints(g)
             rest = _quotient(q, g)
             if rest is None:
                 continue

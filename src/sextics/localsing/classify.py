@@ -138,13 +138,8 @@ def _milnor(germ: Poly, res: Resolution) -> int:
 
 @functools.cache
 def _table() -> dict:
-    return {_thaw(sig): SingType(family, tuple(index))
+    return {sig: SingType(family, index)
             for family, index, sig in _sigdata.SIGNATURES}
-
-
-def _thaw(sig):
-    m, mu, r, fps, contacts = sig
-    return (m, mu, r, tuple(tuple(f) for f in fps), tuple(contacts))
 
 
 def classify_signature(sig: tuple) -> SingType:

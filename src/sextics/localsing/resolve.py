@@ -86,7 +86,7 @@ from ..numfield import (
     extend_field,
     factor_over_field,
 )
-from ..poly import DomainError, Poly, UniPoly, clear_denominators, \
+from ..poly import DomainError, Poly, UniPoly, _trim, clear_denominators, \
     horner_shift, mul_matrix, primitive_ints, scaled
 
 __all__ = ["Resolution", "resolve", "UnresolvedGermError"]
@@ -139,9 +139,7 @@ def _directions(germ: dict, m: int, field):
     denominator w.
     """
     if field is None:
-        cone = [germ.get((m - j, j), 0) for j in range(m + 1)]
-        while not cone[-1]:
-            cone.pop()
+        cone = _trim([germ.get((m - j, j), 0) for j in range(m + 1)])
         factors = factor_univariate(cone) if len(cone) > 1 else []
         return (m + 1 - len(cone),
                 [(-q[0], q[1]) for q in factors if len(q) == 2],
@@ -320,7 +318,7 @@ def _resolve(g: Poly, field: Optional[NumberField],
             total = 0
             for j in range(idx + 1, len(path)):
                 v = path[j]
-                if u in set(nodes[v].axes.values()) or nodes[v].parent == u:
+                if u in nodes[v].axes.values():
                     total += mb[v]
             mb[u] = total
         bmults[lid] = mb

@@ -10,8 +10,10 @@ The arithmetic helpers that the other modules share live here, one per
 job: `rational_content` (the positive rational content of a coefficient
 list), `clear_denominators` (a term dict as integers, or as integer
 coordinate vectors over a number field, over one denominator),
-`primitive_ints` (such a dict over the gcd of its integers),
-`UniPoly.from_poly` (a polynomial in one variable, read as a univariate),
+`primitive_ints` (such a dict over the gcd of its integers), `_trim`
+(a coefficient list with its zero top entries popped), `UniPoly.from_poly`
+(a polynomial in one variable, read as a univariate; UniPoly's ring
+arithmetic is Poly's, read back by it),
 `convolve_reduce` and `mul_matrix` (the product of two coordinate
 vectors, and the integer matrix of multiplication by one), `horner_shift`
 (the one Horner loop: a list of ints or of coordinate vectors shifted in
@@ -355,13 +357,7 @@ class Poly:
                 cache = powers[i]
                 while len(cache) <= e:
                     cache.append(cache[-1] * cache[1])
-                prod: dict = {}
-                for m1, c1 in piece.items():
-                    for m2, c2 in cache[e].terms.items():
-                        mon = tuple(a + b for a, b in zip(m1, m2))
-                        v = c1 * c2
-                        prod[mon] = prod[mon] + v if mon in prod else v
-                piece = prod
+                piece = _mul_terms(piece, cache[e].terms)
             for mon, a in piece.items():
                 terms[mon] = terms[mon] + a if mon in terms else a
         return Poly._trusted(tuple(out_vars), terms)
@@ -711,23 +707,19 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
 
 
 class UniPoly:
-    """Dense univariate polynomial; coefficient list is low-to-high degree."""
+    """Dense univariate polynomial; coefficient list is low-to-high degree,
+    with no zero top coefficient.  `+`, `*` and `**` are `Poly`'s, on
+    `to_poly()` and read back by `from_poly`."""
 
     __slots__ = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs: Iterable[Coef]):
-        cs = [_as_coef(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs",
+                           tuple(_trim([_as_coef(c) for c in coeffs])))
 
     def __setattr__(self, *a):
         raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def const(cls, var: str, c) -> "UniPoly":
-        return cls(var, [c])
 
     @classmethod
     def from_poly(cls, p: Poly, var: str) -> "UniPoly":
@@ -769,11 +761,7 @@ class UniPoly:
         return hash((self.var, self.coeffs))
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = a[i] + c
-        return UniPoly(self.var, a)
+        return UniPoly.from_poly(self.to_poly() + other.to_poly(), self.var)
 
     def __neg__(self) -> "UniPoly":
         return UniPoly(self.var, [-c for c in self.coeffs])
@@ -782,25 +770,10 @@ class UniPoly:
         return self + (-other)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero() or other.is_zero():
-            return UniPoly(self.var, [])
-        out = [_zero_like(self.coeffs + other.coeffs)] * (
-            len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return UniPoly(self.var, out)
+        return UniPoly.from_poly(self.to_poly() * other.to_poly(), self.var)
 
     def __pow__(self, n: int) -> "UniPoly":
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("exponent must be a nonnegative integer")
-        out = UniPoly.const(self.var, Fraction(1))
-        for _ in range(n):
-            out = out * self
-        return out
+        return UniPoly.from_poly(self.to_poly() ** n, self.var)
 
     def scale(self, c) -> "UniPoly":
         c = _as_coef(c)
@@ -843,6 +816,13 @@ class UniPoly:
         return format_poly(self.to_poly())
 
     __repr__ = __str__
+
+
+def _trim(a: list) -> list:
+    """The list a with its zero top entries popped, in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def _zero_like(coeffs) -> Coef:
@@ -1231,8 +1211,7 @@ def _heu_gcd(a: dict, b: dict) -> Optional[dict]:
         if len(g) == 1 and not any(next(iter(g))):
             return {next(iter(g)): 1}
         if g:
-            cg = gcd(*g.values())
-            g = {m: v // cg for m, v in g.items()}
+            g = primitive_ints(g)
             if _quotient(a, g) is not None and _quotient(b, g) is not None:
                 return g
         bits *= 2
@@ -1489,6 +1468,4 @@ def _prem(a: list, b: list) -> list:
             shift = top - m
             for j in range(m):
                 r[shift + j] -= c * b[j]
-    while r and not r[-1]:
-        r.pop()
-    return r
+    return _trim(r)

@@ -10,9 +10,12 @@ module that imports the name, and not shadowed by a local binding of the
 enclosing function.  A method or an annotated dataclass field counts as used
 when such code reads an attribute of that name on any object, so a field or
 method of the same name elsewhere hides it; assigning the attribute is not a
-read.  Strings (the `__all__` lists,
-docstrings, `getattr` keys) and import statements are not uses.  Dunder
-methods are exempt: the interpreter calls them.
+read.  A classmethod counts as used only when such code reads it through
+its own class's name (`Cls.name`, also as `module.Cls.name`), or through
+`cls` inside the class, so `Poly.const` does not keep a `UniPoly.const`.
+Strings (the `__all__` lists, docstrings, `getattr` keys) and import
+statements are not uses.  Dunder methods are exempt: the interpreter calls
+them.
 
 An imported name counts as read when the importing module loads it
 anywhere.  Package `__init__` modules are exempt: they import to re-export.
@@ -97,7 +100,7 @@ class _Uses(ast.NodeVisitor):
 
     def __init__(self):
         self.names = []       # (name, line)
-        self.attrs = []       # (attr, line)
+        self.attrs = []       # (owner name or None, attr, line)
         self.imported = set()
         self._scopes = []
 
@@ -116,7 +119,8 @@ class _Uses(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         if isinstance(node.ctx, ast.Load):
-            self.attrs.append((node.attr, node.lineno))
+            owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+            self.attrs.append((owner, node.attr, node.lineno))
         self.generic_visit(node)
 
 
@@ -125,25 +129,34 @@ def _is_dataclass(node):
                == "dataclass" for d in node.decorator_list)
 
 
+def _is_classmethod(node):
+    return any(getattr(d, "id", None) == "classmethod"
+               for d in node.decorator_list)
+
+
 def _definitions(tree):
-    """(label, name, kind, first line, last line) of every checked definition."""
+    """(label, name, kind, first line, last line, enclosing class or None)
+    of every checked definition."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        yield node.name, node.name, "name", node.lineno, node.end_lineno
+        yield node.name, node.name, "name", node.lineno, node.end_lineno, None
         if not isinstance(node, ast.ClassDef):
             continue
         for item in node.body:
+            kind = "attr"
             if isinstance(item, ast.FunctionDef) \
                     and not item.name.startswith("__"):
                 name = item.name
+                if _is_classmethod(item):
+                    kind = "classmethod"
             elif isinstance(item, ast.AnnAssign) and _is_dataclass(node) \
                     and isinstance(item.target, ast.Name):
                 name = item.target.id
             else:
                 continue
-            yield ("%s.%s" % (node.name, name), name, "attr",
-                   item.lineno, item.end_lineno)
+            yield ("%s.%s" % (node.name, name), name, kind,
+                   item.lineno, item.end_lineno, node)
 
 
 def unused_definitions(allowed=ALLOWED):
@@ -155,7 +168,7 @@ def unused_definitions(allowed=ALLOWED):
         modules[path] = (tree, uses)
     unused = []
     for path, (tree, _) in modules.items():
-        for label, name, kind, first, last in _definitions(tree):
+        for label, name, kind, first, last, cls in _definitions(tree):
             if label in allowed:
                 continue
             used = False
@@ -164,8 +177,12 @@ def unused_definitions(allowed=ALLOWED):
                     if other != path and name not in uses.imported:
                         continue
                     lines = [line for n, line in uses.names if n == name]
+                elif kind == "classmethod":
+                    lines = [line for o, a, line in uses.attrs if a == name
+                             and (o == cls.name or o == "cls" and other == path
+                                  and cls.lineno <= line <= cls.end_lineno)]
                 else:
-                    lines = [line for a, line in uses.attrs if a == name]
+                    lines = [line for _, a, line in uses.attrs if a == name]
                 if any(other != path or not first <= line <= last
                        for line in lines):
                     used = True

@@ -282,6 +282,70 @@ class TestUniPolyOverAField:
                            field)
 
 
+@pytest.mark.parametrize("minpoly", [None, [-2, 0, 1], [-2, 0, 0, 1]],
+                         ids=["Q", "sqrt2", "cbrt2"])
+class TestUniPolyArithAgainstPoly:
+    """UniPoly's +, -, * and ** agree with Poly's on to_poly(), keep no
+    zero top coefficient, and agree with the values at a few points."""
+
+    @staticmethod
+    def _pairs(minpoly):
+        rng = random.Random(35)
+        if minpoly is None:
+            one, w = Fraction(1), Fraction(1)
+        else:
+            field = NumberField(UniPoly("t", minpoly))
+            one, w = field.from_rational(1), field.generator()
+
+        def coef():
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            return c * one + Fraction(rng.randint(-9, 9)) * w
+
+        def uni(n):
+            return UniPoly("y", [coef() for _ in range(n)] + [w + 3])
+
+        pairs = [(uni(rng.randint(0, 4)), uni(rng.randint(0, 4)))
+                 for _ in range(6)]
+        a = uni(3)
+        # the top two coefficients cancel; a times zero is zero
+        b = UniPoly("y", [coef(), -a.coeffs[1] + one, -a.coeffs[2],
+                          -a.coeffs[3]])
+        return pairs + [(a, b), (a, UniPoly("y", [])), (UniPoly("y", []), a)]
+
+    @staticmethod
+    def _check(got, want):
+        assert got.to_poly() == want
+        assert got.degree() == want.degree()
+        assert not got.coeffs or got.coeffs[-1]
+
+    def test_sum_difference_product(self, minpoly):
+        for a, b in self._pairs(minpoly):
+            pa, pb = a.to_poly(), b.to_poly()
+            self._check(a + b, pa + pb)
+            self._check(a - b, pa - pb)
+            self._check(a * b, pa * pb)
+            for t in (Fraction(0), Fraction(-2, 3), Fraction(5)):
+                at = {"y": t}
+                va, vb = pa.evaluate(at), pb.evaluate(at)
+                assert (a + b).to_poly().evaluate(at) == va + vb
+                assert (a * b).to_poly().evaluate(at) == va * vb
+
+    def test_cancelling_sum_and_zero_product(self, minpoly):
+        *_, (a, b), (_, zero), _ = self._pairs(minpoly)
+        assert (a + b).degree() == 1
+        assert (a * zero).is_zero() and (zero * a).is_zero()
+        assert (a - a).is_zero()
+
+    def test_power(self, minpoly):
+        for a, _ in self._pairs(minpoly):
+            for n in range(4):
+                self._check(a ** n, a.to_poly() ** n)
+            assert a ** 0 == UniPoly("y", [1])
+            assert a ** 3 == a * a * a
+        with pytest.raises(DomainError):
+            UniPoly("y", [1, 1]) ** -1
+
+
 class TestResultant:
     def test_eliminate_linear(self):
         r = resultant(P("x^2 - y"), P("x - 1"), "x")
