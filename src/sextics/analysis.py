@@ -1,11 +1,12 @@
 """End-to-end curve analysis: the pipeline behind the CLI and the verifier.
 
 Given a sextic (or a torus pair), `analyze_curve` tests squarefreeness,
-chooses an affine chart containing every singular point, finds and
-classifies those points, assembles the configuration, splits inner/outer
-when a pair is available, and decomposes into components with their global
-invariants, in that order and once each.  All output orderings are
-deterministic.
+chooses an affine chart containing every singular point, decomposes the
+curve into components, finds and classifies the singular points (each
+resolved once, with the components through it), assembles the
+configuration, splits inner/outer when a pair is available, and reports
+each component's singularities and global invariants, in that order and
+once each.  All output orderings are deterministic.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .globalinv import (
     genus,
     good_affine_chart,
 )
-from .localsing import NotSquarefreeError, analyze_point, point_on_curve, \
-    singular_points
+from .localsing import NotSquarefreeError, analyze_point, singular_points
 from .poly import DomainError, Poly, is_squarefree
 from .torus import InnerOuterSplit, TorusPair, inner_outer_split, \
     verify_inner_correspondence
@@ -97,7 +97,9 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
         f = moved.primitive()
         if pair is not None:
             pair = pair.transformed(transform)
-    sings = tuple(analyze_point(f, p) for p in singular_points(f))
+    decomp = decompose(f)
+    comps = decomp.factors
+    sings = tuple(analyze_point(f, p, comps) for p in singular_points(f))
 
     split = None
     star_report = None
@@ -106,13 +108,12 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
         star_report = tuple(verify_inner_correspondence(split))
     config = assemble_configuration(sings)
 
-    decomp = decompose(f)
-    comps = decomp.factors
-    through: list = []
-    components = tuple(
-        _component_report(comp, comp.degree(),
-                          _component_sings(k, comps, sings, through), defects)
-        for k, comp in enumerate(comps))
+    csings: list = [[] for _ in comps]
+    for ls in sings:
+        for k, own in ls.components:
+            csings[k].append(ls if own is None else own)
+    components = tuple(_component_report(comp, tuple(cs), defects)
+                       for comp, cs in zip(comps, csings))
     # Corollary 1 bounds delta* of a reducible sextic by its component type
     reducible_sextic = len(components) > 1 and f.degree() == 6
     certified = all(c.genus is not None for c in components)
@@ -130,47 +131,11 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
     return analysis
 
 
-def _components_through(comps: tuple, point) -> tuple:
-    """Indices of the components `comps` of f through a point of f: the
-    last one is not evaluated when no other passes there."""
-    on = tuple(k for k, comp in enumerate(comps[:-1])
-               if point_on_curve(comp, point))
-    if not on or point_on_curve(comps[-1], point):
-        on += (len(comps) - 1,)
-    return on
-
-
-def _component_sings(k: int, comps: tuple, sings, through: list):
-    """The singularities of the component `comps[k]` of f, from f's own.
-
-    f is squarefree, so the cofactor f/comp is the product of the other
-    components up to a constant.  Where comp is the only one through a
-    point, f is comp times a unit, so f's singularity there is comp's;
-    where another passes too, comp is analyzed afresh if it is singular
-    there (both partials vanish).  `through` lists the components through
-    each point of `sings`; the first call fills it in and the later ones
-    read it.  A generator, so that the fresh analyses and the evaluations
-    run, and are timed, inside the report that consumes it.
-    """
-    if not through:
-        through += [_components_through(comps, ls.point) for ls in sings]
-    comp = comps[k]
-    partials = None
-    for ls, on in zip(sings, through):
-        if on == (k,):
-            yield ls
-        elif k in on:
-            if partials is None:
-                partials = (comp.derivative("x"), comp.derivative("y"))
-            if all(point_on_curve(d, ls.point) for d in partials):
-                yield analyze_point(comp, ls.point)
-
-
-def _component_report(comp: Poly, cdeg: int, csings,
+def _component_report(comp: Poly, csings: tuple,
                       defects) -> ComponentReport:
     """Genus, class, flexes and delta* of a component with singularities
-    `csings` (any iterable of LocalSingularity)."""
-    csings = tuple(csings)
+    `csings`, read off the curve's points by `analyze_curve`."""
+    cdeg = comp.degree()
     notes = []
     g = None
     nstar = None

@@ -244,7 +244,7 @@ def verify_example(rec: ExampleRecord, seed: int = 0) -> VerdictReport:
     """Replay one record through the pipeline and diff against its claims.
 
     A claim the pipeline refuses (`DomainError`, `PolyError`) is
-    unverifiable; a `ConsistencyError`, the delta cross-check failing,
+    unverifiable; a `ConsistencyError`, an internal cross-check failing,
     propagates to the caller.
     """
     doc = rec.doc

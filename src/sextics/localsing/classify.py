@@ -18,15 +18,15 @@ from the normal forms and the test suite asserts they agree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
 from ..poly import DomainError, Poly, UniPoly, parse_poly
 from . import _sigdata
 from .germs import milnor_number_origin
-from .points import translate_to_origin
-from .resolve import Resolution, resolve
+from .points import point_on_curve, translate_to_origin
+from .resolve import ConsistencyError, Resolution, resolve
 
 __all__ = [
     "SingType",
@@ -41,10 +41,6 @@ __all__ = [
     "ConsistencyError",
     "dual_branch",
 ]
-
-
-class ConsistencyError(DomainError):
-    """The two independent delta computations disagree (build-failing)."""
 
 
 @dataclass(frozen=True, order=True)
@@ -170,6 +166,9 @@ class LocalSingularity:
     mult_sequence: tuple
     branch_contacts: tuple       # sorted multiset of pairwise I values
     sing_type: SingType
+    # (k, own) for each component k singular at the point: its own
+    # LocalSingularity, or None where k alone passes and this is its own
+    components: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def cluster_degree(self) -> int:
@@ -181,7 +180,8 @@ class LocalSingularity:
                    self.delta))
 
 
-def analyze_germ(germ: Poly, field=None, point=None) -> LocalSingularity:
+def analyze_germ(germ: Poly, field=None, point=None,
+                 factors: tuple = ()) -> LocalSingularity:
     """Resolve + classify a germ at the origin; cross-checks the deltas.
 
     The resolution comes first, and the reduction for mu = I(f_x, f_y)
@@ -189,21 +189,48 @@ def analyze_germ(germ: Poly, field=None, point=None) -> LocalSingularity:
     The reduction proves mu whatever order it starts at, so
     `delta_invariant` still compares two independent deltas: a wrong
     delta or r raises ConsistencyError.
+
+    `factors`, pairs (k, germ) of the factors through the origin, are
+    carried through the resolution; each singular one gets its own
+    cross-checked LocalSingularity in `components`.
     """
+    res = resolve(germ, field, tuple(q for _k, q in factors))
+    own = tuple((k, _singularity(q, qres, point))
+                for (k, q), qres in zip(factors, res.factors)
+                if q.lowest_degree() > 1)
+    return _singularity(germ, res, point, own)
+
+
+def _singularity(germ: Poly, res: Resolution, point,
+                 components: tuple = ()) -> LocalSingularity:
     m = germ.lowest_degree()
-    res = resolve(germ, field)
     mu = _milnor(germ, res)
     delta = delta_invariant(mu, res)
     sig = signature_of_resolution(res, mu, m)
-    stype = classify_signature(sig)
     return LocalSingularity(point, m, mu, res.branch_count, delta,
                             res.mult_sequence, res.contacts,
-                            stype)
+                            classify_signature(sig), components)
 
 
-def analyze_point(f: Poly, point) -> LocalSingularity:
+def analyze_point(f: Poly, point, comps: tuple = ()) -> LocalSingularity:
+    """The singularity of f at a point; given `comps`, the components of f
+    (its factors over Q), also theirs there, in `components`.  A component
+    alone at the point is f times a unit there.  Two or more are all
+    smooth if as many pass as f's multiplicity; otherwise their germs are
+    carried through f's one resolution.  The last component is evaluated
+    only when another passes, since f vanishes at the point.
+    """
     germ = translate_to_origin(f, point)
-    return analyze_germ(germ, point.field, point)
+    on = [k for k, comp in enumerate(comps[:-1])
+          if point_on_curve(comp, point)]
+    if comps and (not on or point_on_curve(comps[-1], point)):
+        on.append(len(comps) - 1)
+    if len(on) == 1:
+        return replace(analyze_germ(germ, point.field, point),
+                       components=((on[0], None),))
+    factors = tuple((k, translate_to_origin(comps[k], point)) for k in on) \
+        if len(on) < germ.lowest_degree() else ()
+    return analyze_germ(germ, point.field, point, factors)
 
 
 def delta_invariant(mu: int, res: Resolution) -> int:

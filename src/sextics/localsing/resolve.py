@@ -70,11 +70,23 @@ of the whole germ, with the same delta, branches, contacts and
 multiplicity sequence.  When a kept germ does become zero the budget is
 exhausted, and the resolution starts again from the root with twice the
 budget; a reduced germ's tree is finite, so some budget suffices.
+
+A germ can carry factors, germs through the origin whose product is the
+germ times a unit (the components of a curve through a point).  Each
+child map is applied to a factor with its own order mq <= m and the
+node's budget, which keeps the truncation exact (a term of order D goes
+to orders >= D - mq >= D - m); a factor whose child has a constant term
+leaves that subtree.  At every node the factors' orders must sum to m,
+else `ConsistencyError`.  A factor's directions are among the germ's, with
+the same field extensions, so the nodes it passes, cut where it passes
+the leaf test alone, are its own tree, and `_invariants` reads its delta,
+branches, contacts and multiplicity sequence off them as it does the
+germ's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -89,7 +101,7 @@ from ..numfield import (
 from ..poly import DomainError, Poly, UniPoly, _trim, clear_denominators, \
     horner_shift, mul_matrix, primitive_ints, scaled
 
-__all__ = ["Resolution", "resolve", "UnresolvedGermError"]
+__all__ = ["Resolution", "resolve", "UnresolvedGermError", "ConsistencyError"]
 
 _MAX_NODES = 600
 _MAX_DEPTH = 120
@@ -97,6 +109,10 @@ _MAX_DEPTH = 120
 
 class UnresolvedGermError(DomainError):
     """Resolution needs a field tower beyond `numfield.TOWER_CAP`."""
+
+
+class ConsistencyError(DomainError):
+    """Two independent computations disagree (build-failing)."""
 
 
 @dataclass
@@ -110,6 +126,8 @@ class _Node:
     budget: int
     m: int
     axes: dict                # coordinate axis ("x"/"y") -> creating node id
+    factors: list             # (k, germ, own) of the carried factors through
+                              # the node, own while it is on k's own tree
 
 
 @dataclass(frozen=True)
@@ -123,6 +141,8 @@ class Resolution:
                                  # unordered pairs of branches
     tower_capped: bool           # always False (a capped resolve raises);
                                  # perfbench/tracer.py reads it
+    factors: tuple = _field(default=(), compare=False)
+                                 # the carried factors' own Resolutions
 
 
 def _directions(germ: dict, m: int, field):
@@ -189,74 +209,112 @@ def _x_chart(germ: dict, m: int, keep: int, u, w: int, field) -> dict:
     return out
 
 
-def _is_leaf(node: _Node) -> bool:
-    if node.m != 1:
+def _x_chart0(germ: dict, m: int, keep: int) -> dict:
+    """y = xy: x^i y^j -> x^(i+j-m) y^j, kept if of order <= keep."""
+    return {(i + j - m, j): c for (i, j), c in germ.items()
+            if i + 2 * j - m <= keep}
+
+
+def _y_chart(germ: dict, m: int, keep: int) -> dict:
+    """x = xy: x^i y^j -> x^i y^(i+j-m), kept if of order <= keep."""
+    return {(i, i + j - m): c for (i, j), c in germ.items()
+            if 2 * i + j - m <= keep}
+
+
+def _lifted_x_chart(germ: dict, m: int, keep: int, field, embed, cfield,
+                    t0) -> dict:
+    """`_x_chart` at a root t0 of a tangent factor, in its field `cfield`."""
+    if field is not None:
+        germ = {mon: embed(field.from_ints(v, 1)) for mon, v in germ.items()}
+    return _x_chart(clear_denominators(germ, cfield)[0], m, keep, t0.nums,
+                    t0.den, cfield)
+
+
+def _is_leaf(m: int, axes: dict, germ: dict) -> bool:
+    if m != 1:
         return False
-    if len(node.axes) > 1:
+    if len(axes) > 1:
         return False
-    if not node.axes:
+    if not axes:
         return True
     # the germ has order 1 and holds no zero coefficient
-    if next(iter(node.axes)) == "x":
-        return (0, 1) in node.germ
-    return (1, 0) in node.germ
+    if next(iter(axes)) == "x":
+        return (0, 1) in germ
+    return (1, 0) in germ
 
 
-def resolve(germ: Poly, field: Optional[NumberField] = None) -> Resolution:
-    """Resolve a reduced germ vanishing at the origin.
+def resolve(germ: Poly, field: Optional[NumberField] = None,
+            factors: tuple = ()) -> Resolution:
+    """Resolve a reduced germ vanishing at the origin, and with `factors`,
+    germs in x, y through the origin whose product is `germ` times a unit,
+    each of those along the germ's own tree (`Resolution.factors`).
 
     Raises UnresolvedGermError when a branch needs a field tower beyond
     `numfield.TOWER_CAP`, so a returned Resolution is always complete
     (`tower_capped` is always False).
     """
     g = germ.with_vars(("x", "y"))
-    if g.is_zero():
-        raise DomainError("zero germ")
-    if (0, 0) in g.terms:
-        raise DomainError("germ does not vanish at the origin")
+    for p in (g, *factors):
+        if p.is_zero():
+            raise DomainError("zero germ")
+        if (0, 0) in p.terms:
+            raise DomainError("germ does not vanish at the origin")
     budget = g.degree() + g.lowest_degree()
-    res = _resolve(g, field, budget)
+    res = _resolve(g, field, budget, factors)
     while res is None:
         budget *= 2
-        res = _resolve(g, field, budget)
+        res = _resolve(g, field, budget, factors)
     return res
 
 
-def _resolve(g: Poly, field: Optional[NumberField],
-             budget: int) -> Optional[Resolution]:
-    """The resolution of the germ g in x, y from its terms of order <= budget
-    at the root, or None when some kept germ becomes zero: the budget is
-    exhausted."""
-    root = primitive_ints(clear_denominators(g.terms, field)[0], field)
-    nodes = [_Node(None, 0, field, 1, root, budget, _order(root), {})]
+def _resolve(g: Poly, field: Optional[NumberField], budget: int,
+             factors: tuple = ()) -> Optional[Resolution]:
+    """The resolution of the germ g in x, y, and of its `factors`, from
+    their terms of order <= budget at the root, or None when some kept
+    germ becomes zero: the budget is exhausted."""
+    root, *carried = [primitive_ints(clear_denominators(p.terms, field)[0],
+                                     field) for p in (g, *factors)]
+    nodes = [_Node(None, 0, field, 1, root, budget, _order(root), {},
+                   [(k, q, True) for k, q in enumerate(carried)])]
+    # per factor: its order at each node of its own tree, and its leaves
+    trees = [({}, []) for _ in factors]
     stack = [0]
     leaves = []
     while stack:
         nid = stack.pop()
         node = nodes[nid]
-        if _is_leaf(node):
+        m, germ = node.m, node.germ
+        passing = []
+        for k, q, own in node.factors:
+            mq = _order(q)
+            if own:
+                trees[k][0][nid] = mq
+                if _is_leaf(mq, node.axes, q):
+                    trees[k][1].append(nid)
+                    own = False
+            passing.append((k, q, mq, own))
+        if passing and sum(mq for _, _, mq, _ in passing) != m:
+            raise ConsistencyError("internal resolution inconsistency: factor"
+                                   " orders do not sum to %d" % m)
+        if _is_leaf(m, node.axes, germ):
             leaves.append(nid)
             continue
         if node.depth >= _MAX_DEPTH or len(nodes) >= _MAX_NODES:
             raise DomainError("resolution runaway (is the germ reduced?)")
-        m, top, germ = node.m, node.budget, node.germ
-        keep = top - m
+        keep = node.budget - m
         nu_vertical, slopes, cones = _directions(germ, m, node.field)
-        # y = x(y + t0) takes x^i y^j to x^(i+j-m) (y + t0)^j; every
-        # exponent stays >= 0 since m is the germ's order.  A child keeps
-        # the terms of order <= keep: for t0 = 0 those of i + 2j <= top,
-        # else the low terms of the shifted germ
+        # chart(g, m, keep, *args) is the child of a germ g of order m,
+        # for the germ and each factor through the node (of order mq)
         children = []
         for u, w in slopes:
             axes = {"x": nid}
             if not u:
-                child = {(i + j - m, j): c for (i, j), c in germ.items()
-                         if i + 2 * j <= top}
+                chart = (_x_chart0, ())
                 if "y" in node.axes:
                     axes["y"] = node.axes["y"]
             else:
-                child = _x_chart(germ, m, keep, u, w, node.field)
-            children.append((node.field, node.d_rel, child, axes))
+                chart = (_x_chart, (u, w, node.field))
+            children.append((node.field, node.d_rel, chart, axes))
         for q in cones:
             try:
                 cfield, embed, t0 = extend_field(node.field, q)
@@ -264,35 +322,47 @@ def _resolve(g: Poly, field: Optional[NumberField],
                 raise UnresolvedGermError(
                     "germ needs a field tower beyond the cap: %s" % exc
                 ) from exc
-            lifted = germ if node.field is None else {
-                mon: embed(node.field.from_ints(v, 1))
-                for mon, v in germ.items()}
-            child = _x_chart(clear_denominators(lifted, cfield)[0], m, keep,
-                             t0.nums, t0.den, cfield)
-            children.append((cfield, node.d_rel * q.degree(), child,
+            chart = (_lifted_x_chart, (node.field, embed, cfield, t0))
+            children.append((cfield, node.d_rel * q.degree(), chart,
                              {"x": nid}))
         if nu_vertical > 0:
-            # x = xy takes x^i y^j to x^i y^(i+j-m), of order <= keep
-            # when 2i + j <= top
-            child = {(i, i + j - m): c for (i, j), c in germ.items()
-                     if 2 * i + j <= top}
             axes = {"y": nid}
             if "x" in node.axes:
                 axes["x"] = node.axes["x"]
-            children.append((node.field, node.d_rel, child, axes))
-        for cfield, d_rel, child, axes in children:
+            children.append((node.field, node.d_rel, (_y_chart, ()), axes))
+        for cfield, d_rel, (chart, args), axes in children:
+            child = chart(germ, m, keep, *args)
             if not child:
                 return None
-            child = primitive_ints(child, cfield)
+            below = []
+            for k, q, mq, own in passing:
+                c = chart(q, mq, keep, *args)
+                if not c:
+                    return None
+                # a factor whose child has a constant term leaves the subtree
+                if (0, 0) not in c:
+                    below.append((k, primitive_ints(c, cfield), own))
             stack.append(len(nodes))
-            nodes.append(_Node(nid, node.depth + 1, cfield, d_rel, child,
-                               keep, _order(child), axes))
-    delta = sum(n.d_rel * n.m * (n.m - 1) // 2 for n in nodes)
+            nodes.append(_Node(nid, node.depth + 1, cfield, d_rel,
+                               primitive_ints(child, cfield), keep,
+                               _order(child), axes, below))
+    of_factors = tuple(_invariants(nodes, ends, mults)
+                       for mults, ends in trees)
+    return _invariants(nodes, leaves, {nid: n.m for nid, n in
+                                       enumerate(nodes)}, of_factors)
 
-    # germ multiplicity-sequence fingerprint, level by level
+
+def _invariants(nodes: list, leaves: list, mults: dict,
+                factors: tuple = ()) -> Resolution:
+    """The Resolution of a germ whose tree is the nodes in `mults` (node id
+    -> the germ's multiplicity there), ending at `leaves`."""
+    # delta, and the germ multiplicity-sequence fingerprint level by level
+    delta = 0
     by_depth: dict = {}
-    for n in nodes:
-        by_depth.setdefault(n.depth, []).extend([n.m] * n.d_rel)
+    for nid, m in mults.items():
+        n = nodes[nid]
+        delta += n.d_rel * m * (m - 1) // 2
+        by_depth.setdefault(n.depth, []).extend([m] * n.d_rel)
     levels = [tuple(sorted(by_depth[d], reverse=True)) for d in sorted(by_depth)]
     while levels and all(m == 1 for m in levels[-1]):
         levels.pop()
@@ -357,7 +427,8 @@ def _resolve(g: Poly, field: Optional[NumberField],
     check = sum(m * (m - 1) // 2 for seq in branches for m in seq)
     check += sum(contacts)
     if check != delta:
-        raise DomainError(
+        raise ConsistencyError(
             "internal resolution inconsistency: %d vs %d" % (check, delta))
     return Resolution(delta, len(branches), mult_sequence,
-                      tuple(sorted(branches)), tuple(sorted(contacts)), False)
+                      tuple(sorted(branches)), tuple(sorted(contacts)), False,
+                      factors)

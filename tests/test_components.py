@@ -1,9 +1,12 @@
 import pytest
 
-from sextics import factor, poly
+from sextics import analysis, factor, poly
 from sextics.analysis import analyze_curve
-from sextics.catalog import builtin_examples
+from sextics.catalog import ExampleRecord, builtin_examples, verify_example
+from sextics.cli import main
 from sextics.components import decompose
+from sextics.docs import parse_document
+from sextics.localsing import ConsistencyError, analyze_point, classify
 from sextics.poly import DomainError, PolyError, parse_poly
 from sextics.torus import TorusPair
 
@@ -215,3 +218,130 @@ class TestComponentSingularities:
         assert an.delta_star_total == 1
         # Corollary 1 is a statement about sextics
         assert not any("Corollary-1" in n for n in an.notes)
+
+
+# the fields in which a component's singularity read off the curve's
+# resolution must equal a fresh analysis of the component
+FIELDS = ("point", "m", "mu", "r", "delta", "mult_sequence",
+          "branch_contacts", "sing_type")
+
+# three components through the origin: two cusps and a line
+TRIPLE = "(y^2 - x^3)*(y^2 - 2*x^3)*(x - y)"
+
+
+def _derived(points):
+    """[(component, its derived LocalSingularity)] at the points, given as
+    (components, curve LocalSingularity) pairs."""
+    return [(comps[k], own) for comps, ls in points
+            for k, own in ls.components if own is not None]
+
+
+def _assert_fresh(derived):
+    assert derived
+    for comp, own in derived:
+        fresh = analyze_point(comp, own.point)
+        for name in FIELDS:
+            assert getattr(own, name) == getattr(fresh, name), \
+                (name, str(comp), str(own.point))
+
+
+class TestCarriedComponents:
+    """A component's singularity where other components pass too is read
+    off the curve's own resolution; a fresh `analyze_point` of the
+    component is the oracle."""
+
+    @pytest.fixture
+    def points(self, monkeypatch):
+        """(components, LocalSingularity) of every curve point analyzed."""
+        seen = []
+        real = analysis.analyze_point
+
+        def record(f, point, comps=()):
+            ls = real(f, point, comps)
+            seen.append((comps, ls))
+            return ls
+
+        monkeypatch.setattr(analysis, "analyze_point", record)
+        return seen
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_corpus_against_fresh_analysis(self, points, seed):
+        for rec in builtin_examples():
+            verify_example(rec, seed=seed)
+        _assert_fresh(_derived(points))
+
+    @pytest.mark.parametrize("text, curve_type, own_types", [
+        # a node with conjugate tangents: the field extends inside the
+        # carried resolution
+        ("(y^2 - 2*x^2 + x^3)*(y - 3*x)", "D_4", ["A_1"]),
+        ("(y^2 - 2*x^2 + x^3)*(y^2 - 2*x^2 - x^3)", "C_{6,6}",
+         ["A_1", "A_1"]),
+        # shared points over Q(sqrt 2)
+        ("((x^2 - 2)^2 - y^3)*y", "D_5", ["A_2"]),
+        ("((x^2 - 2)^2 + y^2*(x^2 - 3) + y^4)*y", "D_4", ["A_1"]),
+        (TRIPLE, "Unknown", ["A_2", "A_2"]),
+        ("((y^2 - 2*x^2)^2 - x^5)*(y - x)", "Unknown", ["Unknown"]),
+    ])
+    def test_number_fields_and_many_components(self, points, text,
+                                               curve_type, own_types):
+        analyze_curve(f=g(text))
+        [(comps, ls)] = [(comps, ls) for comps, ls in points
+                         if any(own for _k, own in ls.components)]
+        assert str(ls.sing_type) == curve_type
+        assert sorted(str(own.sing_type) for _k, own in ls.components) == \
+            own_types
+        _assert_fresh(_derived([(comps, ls)]))
+
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        """The factor germs of every `resolve` call."""
+        seen = []
+        real = classify.resolve
+
+        def record(germ, field=None, factors=()):
+            seen.append(factors)
+            return real(germ, field, factors)
+
+        monkeypatch.setattr(classify, "resolve", record)
+        return seen
+
+    def test_concurrent_lines_are_not_carried(self, factors):
+        # three smooth components through D_4: as many as its multiplicity
+        an = analyze_curve(f=g("x*y*(x - y)"))
+        assert [str(ls.sing_type) for ls in an.sings] == ["D_4"]
+        assert factors == [()]
+        assert [c.sings for c in an.components] == [(), (), ()]
+
+    def test_cusp_and_line_are_carried(self, factors):
+        an = analyze_curve(f=g("(y^2 - x^3)*(x + y)"))
+        [origin] = [ls for ls in an.sings if ls.m == 3]
+        assert [len(fs) for fs in factors if fs] == [2]
+        [own] = _component(an, 3).sings
+        assert str(own.sing_type) == "A_2" and own is not origin
+        assert own.point is origin.point
+        assert _component(an, 1).sings == ()
+
+    def test_dropped_component_fails_the_multiplicity_sum(self, monkeypatch,
+                                                          capsys, tmp_path):
+        # a membership test that misses the line at the origin leaves two
+        # cusps of orders 2 + 2 where the curve has multiplicity 5
+        real = classify.point_on_curve
+
+        def planted(comp, point):
+            if comp.degree() == 1 and point.field is None \
+                    and point.x == 0 and point.y == 0:
+                return False
+            return real(comp, point)
+
+        monkeypatch.setattr(classify, "point_on_curve", planted)
+        with pytest.raises(ConsistencyError, match="do not sum"):
+            analyze_curve(f=g(TRIPLE))
+        doc = parse_document("f: %s\nclaim: * :: degrees :: 1,3,3\n"
+                             % TRIPLE)
+        with pytest.raises(ConsistencyError, match="do not sum"):
+            verify_example(ExampleRecord("triple", doc))
+        path = tmp_path / "triple.txt"
+        path.write_text("f: %s\n" % TRIPLE)
+        assert main(["analyze", str(path)]) == 3
+        assert capsys.readouterr().out.startswith(
+            "internal consistency error: internal resolution inconsistency")

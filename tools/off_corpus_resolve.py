@@ -5,11 +5,12 @@ coordinate heights or deep blow-up trees, none of them in the corpus.
 
 For each curve below, prints one JSON line with the curve, the best of
 three wall times of `analyze_curve` in seconds, and the configuration it
-finds with the component degrees.  A torus pair is analyzed as a pair, so
-its inner/outer split runs too.  The set holds a torus sextic with
-coefficients up to 10^40, one with conic and cubic coefficients of
-10^100, the four-leaved rose, two torus sextics whose configurations
-the catalog does not list (ROADMAP item 3), and a smooth affine curve of
+finds with the component degrees and each component's singularity
+types.  A torus pair is analyzed as a pair, so its inner/outer split
+runs too.  The set holds a torus sextic with coefficients up to 10^40,
+one with conic and cubic coefficients of 10^100, the four-leaved rose,
+two torus sextics whose configurations the catalog does not list
+(ROADMAP item 5), and a smooth affine curve of
 degree 12 whose eliminant repeats one factor of degree 60 that carries
 only vertical tangents.  It is a stress set, not a test: no suite runs
 it.
@@ -58,7 +59,9 @@ def main() -> int:
         print(json.dumps({
             "curve": list(texts), "best_s": round(best, 4),
             "configuration": str(an.config),
-            "component_degrees": list(an.degrees())}))
+            "component_degrees": list(an.degrees()),
+            "component_sigma": [[str(ls.sing_type) for ls in c.sings]
+                                for c in an.components]}))
     return 0
 
 
