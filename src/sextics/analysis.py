@@ -11,8 +11,7 @@ once each.  All output orderings are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .components import ComponentDecomposition, decompose
 from .globalinv import (
@@ -36,8 +35,7 @@ __all__ = ["CurveAnalysis", "ComponentReport", "analyze_curve"]
 XY = ("x", "y")
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     poly: Poly
     degree: int
     sings: tuple             # LocalSingularity of the component itself
@@ -48,8 +46,7 @@ class ComponentReport:
     notes: tuple
 
 
-@dataclass(frozen=True)
-class CurveAnalysis:
+class CurveAnalysis(NamedTuple):
     f: Poly                       # curve in the working chart
     chart: tuple                  # (alpha, beta); (0, 0) = original chart
     sings: tuple                  # LocalSingularity list, sorted
@@ -126,7 +123,7 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
     dstar = analysis.delta_star_total
     ceiling = analysis.delta_star_ceiling
     if reducible_sextic and certified and dstar > ceiling:
-        analysis = replace(analysis, notes=analysis.notes + (
+        analysis = analysis._replace(notes=analysis.notes + (
             "delta* %d exceeds the Corollary-1 ceiling %d" % (dstar, ceiling),))
     return analysis
 

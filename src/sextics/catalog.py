@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from .analysis import CurveAnalysis, analyze_curve
 from .docs import Claim, CurveDocument, DocumentError, parse_bindings, \
@@ -45,8 +45,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     theorem: int
     inner: Configuration
     component_type: tuple        # degrees, e.g. (1, 5) or (1, 1, 4)
@@ -120,8 +119,7 @@ def builtin_catalog() -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExampleRecord:
+class ExampleRecord(NamedTuple):
     rid: str
     doc: CurveDocument
 
@@ -141,8 +139,7 @@ def builtin_examples() -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClaimVerdict:
+class ClaimVerdict(NamedTuple):
     claim: Claim
     binding: tuple
     status: str          # "verified" | "mismatch" | "unverifiable"
@@ -157,8 +154,7 @@ class ClaimVerdict:
                                            self.detail)
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     verdicts: tuple
 
     def counts(self) -> dict:

@@ -95,7 +95,7 @@ def _render_analysis(an: CurveAnalysis, as_json: bool, out):
     _print(out, "curve: %s" % an.f)
     if an.chart != (0, 0):
         _print(out, "chart: rotated by %r" % (an.chart,))
-    _print(out, "configuration: %s" % an.config)
+    _print(out, "configuration: %s" % (an.config,))
     _print(out, "total Milnor number: %d" % an.config.total_milnor)
     _print(out, "maximal rank: %s" % ("yes" if an.config.mr else "no"))
     _print(out, "singular points:")

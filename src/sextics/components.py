@@ -20,8 +20,8 @@ raises `DomainError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .factor import factor_bivariate
 from .poly import DomainError, Poly, PolyError, clear_denominators
@@ -36,8 +36,7 @@ __all__ = ["ComponentDecomposition", "decompose"]
 XY = ("x", "y")
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
+class ComponentDecomposition(NamedTuple):
     factors: tuple        # (Poly, ...)
 
     def degrees(self) -> tuple:

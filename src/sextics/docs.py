@@ -40,9 +40,8 @@ key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .globalinv import ConfigSyntaxError, parse_type
 from .poly import SYMBOL, DomainError, Poly, PolySyntaxError, parse_poly
@@ -61,25 +60,37 @@ class DocumentError(DomainError):
     """Malformed input document."""
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     selector: str   # "*", "generic", or a binding like "s=1"
     kind: str       # one of CLAIM_KINDS
     payload: str
     line: int       # line number of the claim in its text
 
 
-@dataclass
 class CurveDocument:
-    record: Optional[str] = None
-    source: str = ""
-    params: tuple = ()
-    polys: dict = field(default_factory=dict)   # key in _POLY_KEYS -> Poly
-    values: tuple = ()      # tuples of ((name, Fraction), ...)
-    generic: Optional[tuple] = None
-    no_random: bool = False
-    defects: dict = field(default_factory=dict)
-    claims: tuple = ()
+    """One curve document, filled in key by key as its lines are read."""
+
+    __slots__ = ("record", "source", "params", "polys", "values", "generic",
+                 "no_random", "defects", "claims")
+
+    def __init__(self, record: Optional[str] = None):
+        self.record = record
+        self.source = ""
+        self.params = ()
+        self.polys = {}         # key in _POLY_KEYS -> Poly
+        self.values = ()        # tuples of ((name, Fraction), ...)
+        self.generic = None     # ((name, Fraction), ...) when given
+        self.no_random = False
+        self.defects = {}
+        self.claims = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, CurveDocument):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
+
+    __hash__ = None
 
     def validate(self, texts: dict, start: int):
         """Check that the polynomial keys among `texts` (key -> (line

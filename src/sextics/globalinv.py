@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .localsing.classify import LocalSingularity, SingType, recognition_types
 from .poly import DomainError, Poly, PolyError, poly_gcd
@@ -86,8 +85,7 @@ def class_degree(degree: int, sings: Sequence[LocalSingularity]) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class DefectTable:
+class DefectTable(NamedTuple):
     values: dict  # type name (e.g. "A_2") -> nonnegative integer
 
     def lookup(self, t: SingType) -> int:
@@ -113,8 +111,7 @@ def flex_count(degree: int, sings: Sequence[LocalSingularity],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConfigEntry:
+class ConfigEntry(NamedTuple):
     sing_type: SingType
     count: int
 
@@ -130,8 +127,7 @@ def _entry_key(t: SingType):
     return (fam, tuple(t.index))
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     entries: tuple            # ConfigEntry, canonical order
     total_milnor: int = 0
     mr: bool = False

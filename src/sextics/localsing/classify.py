@@ -18,9 +18,8 @@ from the normal forms and the test suite asserts they agree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..poly import DomainError, Poly, UniPoly, parse_poly
 from . import _sigdata
@@ -43,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class SingType:
+class SingType(NamedTuple):
     """Recognized singularity type: family tag plus indices."""
 
     family: str                  # A | D | E | B | C | D47 | Sp | Unknown
@@ -92,7 +90,7 @@ def normal_form_germ(t: SingType) -> Poly:
     if f == "Sp":
         return (_g("(y^2 - x^3)^2 + x^3*y^3") if ix[0] == 1
                 else _g("(y^2 - x^3)^2 - y^6"))
-    raise DomainError("no normal form for %s" % t)
+    raise DomainError("no normal form for %s" % (t,))
 
 
 def recognition_types():
@@ -154,21 +152,52 @@ def classify_germ(germ: Poly) -> SingType:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LocalSingularity:
-    """A singular point with its germ invariants and recognized type."""
+    """A singular point with its germ invariants and recognized type.
 
-    point: object                # AlgebraicPoint
-    m: int
-    mu: int
-    r: int
-    delta: int
-    mult_sequence: tuple
-    branch_contacts: tuple       # sorted multiset of pairwise I values
-    sing_type: SingType
-    # (k, own) for each component k singular at the point: its own
-    # LocalSingularity, or None where k alone passes and this is its own
-    components: tuple = field(default=(), compare=False, repr=False)
+    `components` holds (k, own) for each component k singular at the
+    point: its own LocalSingularity, or None where k alone passes and this
+    is its own.  It takes no part in equality, hashing or the repr.
+    """
+
+    __slots__ = ("point", "m", "mu", "r", "delta", "mult_sequence",
+                 "branch_contacts", "sing_type", "components")
+
+    def __init__(self, point, m: int, mu: int, r: int, delta: int,
+                 mult_sequence: tuple, branch_contacts: tuple,
+                 sing_type: SingType, components: tuple):
+        object.__setattr__(self, "point", point)    # AlgebraicPoint
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "mult_sequence", mult_sequence)
+        # sorted multiset of pairwise I values
+        object.__setattr__(self, "branch_contacts", branch_contacts)
+        object.__setattr__(self, "sing_type", sing_type)
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, *a):
+        raise AttributeError("LocalSingularity is immutable")
+
+    def _key(self) -> tuple:
+        """The compared fields, in constructor order."""
+        return (self.point, self.m, self.mu, self.r, self.delta,
+                self.mult_sequence, self.branch_contacts, self.sing_type)
+
+    def __eq__(self, other):
+        if not isinstance(other, LocalSingularity):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "LocalSingularity%r" % (self._key(),)
+
+    def __reduce__(self):
+        return LocalSingularity, self._key() + (self.components,)
 
     @property
     def cluster_degree(self) -> int:
@@ -226,8 +255,8 @@ def analyze_point(f: Poly, point, comps: tuple = ()) -> LocalSingularity:
     if comps and (not on or point_on_curve(comps[-1], point)):
         on.append(len(comps) - 1)
     if len(on) == 1:
-        return replace(analyze_germ(germ, point.field, point),
-                       components=((on[0], None),))
+        lone = analyze_germ(germ, point.field, point)
+        return LocalSingularity(*lone._key(), ((on[0], None),))
     factors = tuple((k, translate_to_origin(comps[k], point)) for k in on) \
         if len(on) < germ.lowest_degree() else ()
     return analyze_germ(germ, point.field, point, factors)

@@ -20,9 +20,8 @@ E vanishes identically exactly when f is not squarefree (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .. import numfield
 from ..numfield import (
@@ -63,8 +62,7 @@ class NotSquarefreeError(DomainError):
     """The input curve has a repeated component."""
 
 
-@dataclass(frozen=True)
-class AlgebraicPoint:
+class AlgebraicPoint(NamedTuple):
     """A point with exact coordinates, possibly a conjugate cluster.
 
     `field` is None for rational points; otherwise both coordinates live in

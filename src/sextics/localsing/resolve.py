@@ -86,7 +86,6 @@ germ's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -115,34 +114,72 @@ class ConsistencyError(DomainError):
     """Two independent computations disagree (build-failing)."""
 
 
-@dataclass
 class _Node:
-    parent: Optional[int]
-    depth: int
-    field: Optional[NumberField]
-    d_rel: int                # conjugates over the germ's base field
-    germ: dict                # the terms {(i, j): c} of order <= budget:
-                              # primitive ints or coordinate vectors
-    budget: int
-    m: int
-    axes: dict                # coordinate axis ("x"/"y") -> creating node id
-    factors: list             # (k, germ, own) of the carried factors through
-                              # the node, own while it is on k's own tree
+    __slots__ = ("parent", "depth", "field", "d_rel", "germ", "budget", "m",
+                 "axes", "factors")
+
+    def __init__(self, parent: Optional[int], depth: int,
+                 field: Optional[NumberField], d_rel: int, germ: dict,
+                 budget: int, m: int, axes: dict, factors: list):
+        self.parent = parent
+        self.depth = depth
+        self.field = field
+        self.d_rel = d_rel        # conjugates over the germ's base field
+        self.germ = germ          # the terms {(i, j): c} of order <= budget:
+                                  # primitive ints or coordinate vectors
+        self.budget = budget
+        self.m = m
+        self.axes = axes          # coordinate axis ("x"/"y") -> creating
+                                  # node id
+        self.factors = factors    # (k, germ, own) of the carried factors
+                                  # through the node, own while it is on
+                                  # k's own tree
 
 
-@dataclass(frozen=True)
 class Resolution:
-    delta: int
-    branch_count: int
-    mult_sequence: tuple         # germ fingerprint, level by level
-    branches: tuple              # sorted multiplicity sequences, one per
-                                 # geometric branch, trailing 1s trimmed
-    contacts: tuple              # sorted intersection numbers of all
-                                 # unordered pairs of branches
-    tower_capped: bool           # always False (a capped resolve raises);
-                                 # perfbench/tracer.py reads it
-    factors: tuple = _field(default=(), compare=False)
-                                 # the carried factors' own Resolutions
+    """The invariants of a resolved germ.  `factors`, the carried factors'
+    own Resolutions, takes no part in equality or hashing."""
+
+    __slots__ = ("delta", "branch_count", "mult_sequence", "branches",
+                 "contacts", "tower_capped", "factors")
+
+    def __init__(self, delta: int, branch_count: int, mult_sequence: tuple,
+                 branches: tuple, contacts: tuple, tower_capped: bool,
+                 factors: tuple):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "branch_count", branch_count)
+        # germ fingerprint, level by level
+        object.__setattr__(self, "mult_sequence", mult_sequence)
+        # sorted multiplicity sequences, one per geometric branch, trailing
+        # 1s trimmed
+        object.__setattr__(self, "branches", branches)
+        # sorted intersection numbers of all unordered pairs of branches
+        object.__setattr__(self, "contacts", contacts)
+        # always False (a capped resolve raises); perfbench/tracer.py reads it
+        object.__setattr__(self, "tower_capped", tower_capped)
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Resolution is immutable")
+
+    def _key(self) -> tuple:
+        """The compared fields, in constructor order."""
+        return (self.delta, self.branch_count, self.mult_sequence,
+                self.branches, self.contacts, self.tower_capped)
+
+    def __eq__(self, other):
+        if not isinstance(other, Resolution):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Resolution%r" % (self._key() + (self.factors,),)
+
+    def __reduce__(self):
+        return Resolution, self._key() + (self.factors,)
 
 
 def _directions(germ: dict, m: int, field):

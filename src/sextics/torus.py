@@ -10,7 +10,7 @@ smoothness that its germs of f2 and f3 show; the law is checked on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .localsing.germs import intersection_multiplicity_origin
 from .localsing.points import point_on_curve, translate_to_origin
@@ -31,15 +31,13 @@ class DegenerateTorusError(DomainError):
     """The conic and cubic share a component."""
 
 
-@dataclass(frozen=True)
 class TorusPair:
     """A conic f2 and a cubic f3 that share no component."""
 
-    f2: Poly
-    f3: Poly
+    __slots__ = ("f2", "f3")
 
-    def __post_init__(self):
-        self._set(self.f2, self.f3)
+    def __init__(self, f2: Poly, f3: Poly):
+        self._set(f2, f3)
         shared = poly_gcd(self.f2, self.f3)
         if shared.degree() > 0:
             raise DegenerateTorusError(
@@ -50,6 +48,20 @@ class TorusPair:
         object.__setattr__(self, "f3", f3.with_vars(XY))
         if self.f2.degree() != 2 or self.f3.degree() != 3:
             raise DomainError("torus pair needs deg f2 = 2 and deg f3 = 3")
+
+    def __setattr__(self, *a):
+        raise AttributeError("TorusPair is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, TorusPair):
+            return NotImplemented
+        return (self.f2, self.f3) == (other.f2, other.f3)
+
+    def __hash__(self):
+        return hash((self.f2, self.f3))
+
+    def __repr__(self):
+        return "TorusPair(f2=%r, f3=%r)" % (self.f2, self.f3)
 
     def transformed(self, transform) -> "TorusPair":
         """The pair under an invertible change of coordinates `transform`.
@@ -69,8 +81,7 @@ class TorusPair:
         return self.expand().primitive()
 
 
-@dataclass(frozen=True)
-class InnerOuterSplit:
+class InnerOuterSplit(NamedTuple):
     inner: tuple   # ((LocalSingularity, iota, C3 smooth there), ...)
     outer: tuple   # (AlgebraicPoint, ...)
 

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from sextics.catalog import (
@@ -227,6 +229,12 @@ class TestExamples:
         assert rep.clean()
         kinds = {v.claim.kind: v.status for v in rep.verdicts}
         assert kinds["config"] == "verified"
+
+    def test_report_survives_pickling(self):
+        # a `verify --jobs N` worker sends its report back pickled
+        recs = {r.rid: r for r in builtin_examples()}
+        rep = verify_example(recs["5.2-5"])
+        assert pickle.loads(pickle.dumps(rep)) == rep
 
     def test_no_field_element_inverts_one(self, monkeypatch):
         # monic polynomials are used as they are: no division by a leading

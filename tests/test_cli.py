@@ -452,18 +452,23 @@ def test_flag_a_subcommand_does_not_read_refused(capsys, smooth_doc, argv):
 
 
 def test_runtime_never_imports_sympy():
-    # every module of the package, then one verification, in a fresh
-    # interpreter: sympy is left to the tests as an oracle
+    # one verification, then every module of the package, in a fresh
+    # interpreter: sympy is left to the tests as an oracle, and the records
+    # are NamedTuples and slotted classes, so neither dataclasses nor the
+    # inspect module it pulls in costs start-up time.  inspect is looked
+    # for before the module walk, which imports it itself.
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
-        "import importlib, pkgutil, sys\n"
-        "import sextics\n"
-        "for m in pkgutil.walk_packages(sextics.__path__, 'sextics.'):\n"
-        "    importlib.import_module(m.name)\n"
+        "import sys\n"
         "from sextics.cli import main\n"
         "code = main(['verify', '5.2-5'])\n"
-        "print(code, 'sympy' in sys.modules)\n")
+        "inspect = 'inspect' in sys.modules\n"
+        "import importlib, pkgutil, sextics\n"
+        "for m in pkgutil.walk_packages(sextics.__path__, 'sextics.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "print(code, 'sympy' in sys.modules, 'dataclasses' in sys.modules,\n"
+        "      inspect)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=300)
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == "0 False False False"

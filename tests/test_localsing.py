@@ -1,6 +1,6 @@
-import dataclasses
 import functools
 import importlib.util
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +14,9 @@ from sextics.localsing import (
     AlgebraicPoint,
     ConsistencyError,
     InfiniteIntersectionError,
+    LocalSingularity,
     NotSquarefreeError,
+    Resolution,
     UnresolvedGermError,
     analyze_germ,
     analyze_point,
@@ -590,6 +592,42 @@ class TestCarriedFactors:
             verify_example(rec)
 
 
+class TestSlottedRecords:
+    """The frozen slotted records keep equality without their carried
+    field, immutability and pickling."""
+
+    CUSP, LINE = g("y^2 - x^3"), g("x - y")
+
+    def _origin(self):
+        return analyze_point(self.CUSP * self.LINE, rational_point(0, 0),
+                             (self.CUSP, self.LINE))
+
+    def test_carried_field_takes_no_part_in_equality(self):
+        ls = self._origin()
+        # the cusp is singular there, the line is not
+        [(k, own)] = ls.components
+        assert k == 0 and own.sing_type.name() == "A_2"
+        bare = LocalSingularity(*ls._key(), ())
+        assert bare == ls and hash(bare) == hash(ls)
+        res = resolve(self.CUSP * self.LINE, None, (self.CUSP, self.LINE))
+        assert hash(res) == hash(resolve(self.CUSP * self.LINE))
+
+    def test_immutable(self):
+        ls = self._origin()
+        with pytest.raises(AttributeError):
+            ls.delta = 0
+        with pytest.raises(AttributeError):
+            resolve(self.CUSP).delta = 0
+
+    def test_pickle_round_trip(self):
+        ls = self._origin()
+        back = pickle.loads(pickle.dumps(ls))
+        assert back == ls and back.components == ls.components
+        res = resolve(self.CUSP * self.LINE, None, (self.CUSP, self.LINE))
+        back = pickle.loads(pickle.dumps(res))
+        assert back == res and back.factors == res.factors
+
+
 class TestIntegerNodes:
     """Germs over Q are blown up on primitive integer term dicts; over a
     number field on field elements.  A `Resolution` is geometric, so both
@@ -851,7 +889,9 @@ class TestPredictedMilnorOrder:
 
         def off_by_one(germ, field=None, factors=()):
             res = real(germ, field, factors)
-            return dataclasses.replace(res, delta=res.delta + 1)
+            return Resolution(
+                res.delta + 1, res.branch_count, res.mult_sequence,
+                res.branches, res.contacts, res.tower_capped, res.factors)
 
         monkeypatch.setattr(classify, "resolve", off_by_one)
         for t in recognition_types():

@@ -1,4 +1,4 @@
-"""Every function, class, method and dataclass field in src/sextics has a
+"""Every function, class, method and record field in src/sextics has a
 consumer in the package, every module of it reads each name it imports,
 every defaulted parameter is set by some call in the package, every
 import sits at the top of its module unless it is listed with its reason,
@@ -7,12 +7,17 @@ and every `__all__` entry names something its module binds at top level.
 A top-level definition counts as used when code in src/sextics, outside the
 definition's own body, looks its name up: in the defining module, or in a
 module that imports the name, and not shadowed by a local binding of the
-enclosing function.  A method or an annotated dataclass field counts as used
-when such code reads an attribute of that name on any object, so a field or
-method of the same name elsewhere hides it; assigning the attribute is not a
-read.  A classmethod counts as used only when such code reads it through
-its own class's name (`Cls.name`, also as `module.Cls.name`), or through
-`cls` inside the class, so `Poly.const` does not keep a `UniPoly.const`.
+enclosing function.  A method or a record field counts as used when such
+code reads an attribute of that name on any object, so a field or method of
+the same name elsewhere hides it; assigning the attribute is not a read.
+The record fields are the annotated fields of a `NamedTuple` class and the
+names in a class's `__slots__`.  A field read in its own class's dunder
+methods, or in the `_key` that lists the compared fields for them, is not
+used: those serve equality, hashing, the repr and pickling, as a generated
+method would.  A classmethod counts as used only when such code reads it
+through its own class's name (`Cls.name`, also as `module.Cls.name`), or
+through `cls` inside the class, so `Poly.const` does not keep a
+`UniPoly.const`.
 Strings (the `__all__` lists, docstrings, `getattr` keys) and import
 statements are not uses.  Dunder methods are exempt: the interpreter calls
 them.
@@ -124,9 +129,26 @@ class _Uses(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _is_dataclass(node):
-    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
-               == "dataclass" for d in node.decorator_list)
+def _record_fields(cls):
+    """(name, statement) of each field of a record class: the annotated
+    fields of a NamedTuple, and the names in `__slots__`."""
+    named_tuple = any(getattr(b, "id", None) == "NamedTuple"
+                      for b in cls.bases)
+    for item in cls.body:
+        if named_tuple and isinstance(item, ast.AnnAssign) \
+                and isinstance(item.target, ast.Name):
+            yield item.target.id, item
+        elif isinstance(item, ast.Assign) and any(
+                getattr(t, "id", None) == "__slots__" for t in item.targets):
+            for name in ast.literal_eval(item.value):
+                yield name, item
+
+
+def _plumbing(cls):
+    """(first, last) lines of a class's dunder methods and its `_key`."""
+    return [(item.lineno, item.end_lineno) for item in cls.body
+            if isinstance(item, ast.FunctionDef)
+            and (item.name.startswith("__") or item.name == "_key")]
 
 
 def _is_classmethod(node):
@@ -144,18 +166,13 @@ def _definitions(tree):
         if not isinstance(node, ast.ClassDef):
             continue
         for item in node.body:
-            kind = "attr"
             if isinstance(item, ast.FunctionDef) \
                     and not item.name.startswith("__"):
-                name = item.name
-                if _is_classmethod(item):
-                    kind = "classmethod"
-            elif isinstance(item, ast.AnnAssign) and _is_dataclass(node) \
-                    and isinstance(item.target, ast.Name):
-                name = item.target.id
-            else:
-                continue
-            yield ("%s.%s" % (node.name, name), name, kind,
+                kind = "classmethod" if _is_classmethod(item) else "attr"
+                yield ("%s.%s" % (node.name, item.name), item.name, kind,
+                       item.lineno, item.end_lineno, node)
+        for name, item in _record_fields(node):
+            yield ("%s.%s" % (node.name, name), name, "field",
                    item.lineno, item.end_lineno, node)
 
 
@@ -183,6 +200,9 @@ def unused_definitions(allowed=ALLOWED):
                                   and cls.lineno <= line <= cls.end_lineno)]
                 else:
                     lines = [line for _, a, line in uses.attrs if a == name]
+                if kind == "field" and other == path:
+                    lines = [line for line in lines if not any(
+                        a <= line <= b for a, b in _plumbing(cls))]
                 if any(other != path or not first <= line <= last
                        for line in lines):
                     used = True
