@@ -59,9 +59,9 @@ def _parse_component_type(text: str) -> tuple:
     degs = []
     for part in text.split("+"):
         part = part.strip().rstrip("'")
-        if not part.startswith("B"):
+        if not part.startswith("B") or not part[1:].isdecimal():
             raise DocumentError("bad component type %r" % text)
-        degs.append(int(part[1:].rstrip("'")))
+        degs.append(int(part[1:]))
     return tuple(sorted(degs))
 
 
@@ -71,7 +71,9 @@ def _load_data(name: str) -> str:
 
 @functools.cache
 def builtin_catalog() -> list:
-    """Every enumerated configuration of the two classification theorems."""
+    """Every enumerated configuration of the two classification theorems.
+
+    A malformed row raises DocumentError naming its line."""
     entries = []
     theorem = None
     inner = None
@@ -82,36 +84,45 @@ def builtin_catalog() -> list:
         key, _, value = line.partition(":")
         key = key.strip()
         value = value.strip()
-        if key == "theorem":
-            theorem = int(value)
-        elif key == "inner":
-            inner = parse_config(value)
-        elif key == "entry":
-            bits = [b.strip() for b in value.split("|")]
-            ctype = _parse_component_type(bits[0])
-            reduced = parse_config(bits[1])
-            strength = "exampled"
-            sigma = []
-            inter = ""
-            for extra in bits[2:]:
-                k, _, v = extra.partition("=")
-                k = k.strip()
-                v = v.strip()
-                if k == "strength":
-                    strength = v
-                elif k == "sigma":
-                    d, _, cfg = v.partition("@")
-                    sigma.append((int(d), parse_config(cfg)))
-                elif k == "inter":
-                    inter = v
-                else:
-                    raise DocumentError("catalog line %d: %r" % (lineno, k))
-            entries.append(CatalogEntry(theorem, inner, ctype, reduced,
-                                        strength, tuple(sigma), inter))
-        else:
-            raise DocumentError("catalog line %d: unknown key %r"
-                                % (lineno, key))
+        try:
+            if key == "theorem":
+                theorem = int(value)
+            elif key == "inner":
+                inner = parse_config(value)
+            elif key == "entry":
+                entries.append(_parse_entry(theorem, inner, value))
+            else:
+                raise DocumentError("unknown key %r" % key)
+        except ValueError as err:
+            raise DocumentError("catalog line %d: %s" % (lineno, err)) \
+                from None
     return entries
+
+
+def _parse_entry(theorem, inner, value: str) -> CatalogEntry:
+    """One `entry:` row under its theorem and inner configuration."""
+    bits = [b.strip() for b in value.split("|")]
+    if len(bits) < 2:
+        raise DocumentError("entry without a configuration")
+    ctype, reduced, *extras = bits
+    strength = "exampled"
+    sigma = []
+    inter = ""
+    for extra in extras:
+        k, _, v = extra.partition("=")
+        k = k.strip()
+        v = v.strip()
+        if k == "strength":
+            strength = v
+        elif k == "sigma":
+            d, _, cfg = v.partition("@")
+            sigma.append((int(d), parse_config(cfg)))
+        elif k == "inter":
+            inter = v
+        else:
+            raise DocumentError("unknown field %r" % k)
+    return CatalogEntry(theorem, inner, _parse_component_type(ctype),
+                        parse_config(reduced), strength, tuple(sigma), inter)
 
 
 # ---------------------------------------------------------------------------

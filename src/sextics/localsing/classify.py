@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Tuple
 from ..poly import DomainError, Poly, UniPoly, parse_poly
 from . import _sigdata
 from .germs import milnor_number_origin
-from .points import point_on_curve, translate_to_origin
+from .points import AlgebraicPoint, point_on_curve, translate_to_origin
 from .resolve import ConsistencyError, Resolution, resolve
 
 __all__ = [
@@ -152,52 +152,23 @@ def classify_germ(germ: Poly) -> SingType:
 # ---------------------------------------------------------------------------
 
 
-class LocalSingularity:
+class LocalSingularity(NamedTuple):
     """A singular point with its germ invariants and recognized type.
 
     `components` holds (k, own) for each component k singular at the
     point: its own LocalSingularity, or None where k alone passes and this
-    is its own.  It takes no part in equality, hashing or the repr.
+    is its own.
     """
 
-    __slots__ = ("point", "m", "mu", "r", "delta", "mult_sequence",
-                 "branch_contacts", "sing_type", "components")
-
-    def __init__(self, point, m: int, mu: int, r: int, delta: int,
-                 mult_sequence: tuple, branch_contacts: tuple,
-                 sing_type: SingType, components: tuple):
-        object.__setattr__(self, "point", point)    # AlgebraicPoint
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "mult_sequence", mult_sequence)
-        # sorted multiset of pairwise I values
-        object.__setattr__(self, "branch_contacts", branch_contacts)
-        object.__setattr__(self, "sing_type", sing_type)
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LocalSingularity is immutable")
-
-    def _key(self) -> tuple:
-        """The compared fields, in constructor order."""
-        return (self.point, self.m, self.mu, self.r, self.delta,
-                self.mult_sequence, self.branch_contacts, self.sing_type)
-
-    def __eq__(self, other):
-        if not isinstance(other, LocalSingularity):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "LocalSingularity%r" % (self._key(),)
-
-    def __reduce__(self):
-        return LocalSingularity, self._key() + (self.components,)
+    point: Optional[AlgebraicPoint]
+    m: int
+    mu: int
+    r: int
+    delta: int
+    mult_sequence: tuple
+    branch_contacts: tuple  # sorted multiset of pairwise I values
+    sing_type: SingType
+    components: tuple
 
     @property
     def cluster_degree(self) -> int:
@@ -256,7 +227,7 @@ def analyze_point(f: Poly, point, comps: tuple = ()) -> LocalSingularity:
         on.append(len(comps) - 1)
     if len(on) == 1:
         lone = analyze_germ(germ, point.field, point)
-        return LocalSingularity(*lone._key(), ((on[0], None),))
+        return lone._replace(components=((on[0], None),))
     factors = tuple((k, translate_to_origin(comps[k], point)) for k in on) \
         if len(on) < germ.lowest_degree() else ()
     return analyze_germ(germ, point.field, point, factors)

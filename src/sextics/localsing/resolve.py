@@ -88,7 +88,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..factor import factor_univariate
 from ..numfield import (
@@ -136,50 +136,20 @@ class _Node:
                                   # k's own tree
 
 
-class Resolution:
-    """The invariants of a resolved germ.  `factors`, the carried factors'
-    own Resolutions, takes no part in equality or hashing."""
+class Resolution(NamedTuple):
+    """The invariants of a resolved germ, with the carried factors' own
+    Resolutions in `factors`."""
 
-    __slots__ = ("delta", "branch_count", "mult_sequence", "branches",
-                 "contacts", "tower_capped", "factors")
-
-    def __init__(self, delta: int, branch_count: int, mult_sequence: tuple,
-                 branches: tuple, contacts: tuple, tower_capped: bool,
-                 factors: tuple):
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "branch_count", branch_count)
-        # germ fingerprint, level by level
-        object.__setattr__(self, "mult_sequence", mult_sequence)
-        # sorted multiplicity sequences, one per geometric branch, trailing
-        # 1s trimmed
-        object.__setattr__(self, "branches", branches)
-        # sorted intersection numbers of all unordered pairs of branches
-        object.__setattr__(self, "contacts", contacts)
-        # always False (a capped resolve raises); perfbench/tracer.py reads it
-        object.__setattr__(self, "tower_capped", tower_capped)
-        object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Resolution is immutable")
-
-    def _key(self) -> tuple:
-        """The compared fields, in constructor order."""
-        return (self.delta, self.branch_count, self.mult_sequence,
-                self.branches, self.contacts, self.tower_capped)
-
-    def __eq__(self, other):
-        if not isinstance(other, Resolution):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "Resolution%r" % (self._key() + (self.factors,),)
-
-    def __reduce__(self):
-        return Resolution, self._key() + (self.factors,)
+    delta: int
+    branch_count: int
+    mult_sequence: tuple   # germ fingerprint, level by level
+    branches: tuple        # sorted multiplicity sequences, one per geometric
+                           # branch, trailing 1s trimmed
+    contacts: tuple        # sorted intersection numbers of all unordered
+                           # pairs of branches
+    tower_capped: bool     # always False (a capped resolve raises);
+                           # perfbench/tracer.py reads it
+    factors: tuple
 
 
 def _directions(germ: dict, m: int, field):

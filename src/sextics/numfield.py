@@ -34,6 +34,7 @@ from typing import Optional, Tuple
 from .factor import factor_univariate
 from .poly import (
     DomainError,
+    Frozen,
     Poly,
     UniPoly,
     clear_denominators,
@@ -61,7 +62,7 @@ class TowerCapError(DomainError):
     """A tower would exceed the absolute degree TOWER_CAP."""
 
 
-class NumberField:
+class NumberField(Frozen):
     """Q[w]/(minpoly); minpoly monic irreducible over Q of degree >= 2.
 
     The minimal polynomial must have integer coefficients once monic
@@ -83,9 +84,6 @@ class NumberField:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "reducer", tuple(
             (j, int(c)) for j, c in enumerate(mp.coeffs[:-1]) if c))
-
-    def __setattr__(self, *a):
-        raise AttributeError("NumberField is immutable")
 
     @property
     def degree(self) -> int:
@@ -124,7 +122,7 @@ class NumberField:
                      c.denominator)
 
 
-class NFElt:
+class NFElt(Frozen):
     """Element of a NumberField: integer coordinates `nums` in the powers
     of the generator over one positive denominator `den`.
 
@@ -144,9 +142,6 @@ class NFElt:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("NFElt is immutable")
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:

@@ -104,7 +104,22 @@ def _as_coef(value) -> Coef:
     return value
 
 
-class Poly:
+class Frozen:
+    """Base of the immutable slotted value types: assigning an attribute
+    raises, and `__setstate__` restores the slots past that guard, so
+    `copy` and `pickle` rebuild an equal value."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Poly(Frozen):
     """Immutable sparse polynomial: variable tuple + exponent-vector terms.
 
     `Poly(variables, terms)` validates its input: distinct variables,
@@ -141,9 +156,6 @@ class Poly:
         object.__setattr__(p, "vars", variables)
         object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
         return p
-
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -706,7 +718,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-class UniPoly:
+class UniPoly(Frozen):
     """Dense univariate polynomial; coefficient list is low-to-high degree,
     with no zero top coefficient.  `+`, `*` and `**` are `Poly`'s, on
     `to_poly()` and read back by `from_poly`."""
@@ -717,9 +729,6 @@ class UniPoly:
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "coeffs",
                            tuple(_trim([_as_coef(c) for c in coeffs])))
-
-    def __setattr__(self, *a):
-        raise AttributeError("UniPoly is immutable")
 
     @classmethod
     def from_poly(cls, p: Poly, var: str) -> "UniPoly":

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .localsing.germs import intersection_multiplicity_origin
 from .localsing.points import point_on_curve, translate_to_origin
-from .poly import DomainError, Poly, poly_gcd
+from .poly import DomainError, Frozen, Poly, poly_gcd
 
 __all__ = [
     "TorusPair",
@@ -31,7 +31,7 @@ class DegenerateTorusError(DomainError):
     """The conic and cubic share a component."""
 
 
-class TorusPair:
+class TorusPair(Frozen):
     """A conic f2 and a cubic f3 that share no component."""
 
     __slots__ = ("f2", "f3")
@@ -48,9 +48,6 @@ class TorusPair:
         object.__setattr__(self, "f3", f3.with_vars(XY))
         if self.f2.degree() != 2 or self.f3.degree() != 3:
             raise DomainError("torus pair needs deg f2 = 2 and deg f3 = 3")
-
-    def __setattr__(self, *a):
-        raise AttributeError("TorusPair is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, TorusPair):

@@ -1,7 +1,10 @@
+import copy
 import pickle
+import re
 
 import pytest
 
+from sextics import catalog
 from sextics.catalog import (
     _CHECKS,
     ExampleRecord,
@@ -11,8 +14,8 @@ from sextics.catalog import (
     verify_example,
     weak_zariski_groups,
 )
-from sextics import docs
-from sextics.docs import parse_document
+from sextics import cli, docs
+from sextics.docs import DocumentError, parse_document
 from sextics.globalinv import ConfigSyntaxError, Configuration, \
     corollary_ceiling, parse_config
 from sextics.localsing.classify import SingType, normal_form_germ, \
@@ -176,6 +179,52 @@ class TestCatalogData:
             {"[2A_5,2A_2]", "[3A_5]"}
 
 
+class TestMalformedCatalog:
+    """A bad catalog row is refused with its line number, by the loader
+    and by the CLI."""
+
+    @pytest.fixture
+    def catalog_text(self, monkeypatch):
+        real = catalog._load_data
+        rows = []
+
+        def load(name):
+            if name != "catalog.txt":
+                return real(name)
+            return "theorem: 1\ninner: [A_5,4A_2]\n%s\n" % rows[0]
+        monkeypatch.setattr(catalog, "_load_data", load)
+        builtin_catalog.cache_clear()
+        yield rows.append
+        builtin_catalog.cache_clear()
+
+    @pytest.mark.parametrize("row, error", [
+        ("entry: B | [A_5]", "bad component type 'B'"),
+        ("entry: Bx+B2 | [A_5]", "bad component type 'Bx+B2'"),
+        ("entry: B1+B5", "entry without a configuration"),
+        ("entry: B1+B5 | [A_5,4A_2", "not a configuration"),
+        ("entry: B1+B5 | [A_5] | sigma=x@[A_2]", "invalid literal"),
+        ("entry: B1+B5 | [A_5] | sigma=5@[Q_2]", "unknown type name"),
+        ("entry: B1+B5 | [A_5] | colour=red", "unknown field 'colour'"),
+        ("inner: [A_5", "not a configuration"),
+        ("theorem: one", "invalid literal"),
+        ("lemma: 1", "unknown key 'lemma'"),
+    ])
+    def test_row_error_names_its_line(self, catalog_text, capsys, row,
+                                      error):
+        catalog_text(row)
+        with pytest.raises(DocumentError, match="^catalog line 3: .*%s"
+                           % re.escape(error)):
+            builtin_catalog()
+        assert cli.main(["catalog", "list"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: catalog line 3: ") and error in out
+
+    def test_primed_component_type_reads(self, catalog_text):
+        catalog_text("entry: B1'+B1''+B4 | [A_5]")
+        [entry] = builtin_catalog()
+        assert entry.component_type == (1, 1, 4)
+
+
 class TestWeakZariski:
     def test_a5_4a2_a3_2a1_group(self):
         groups = {g["reduced"]: g for g in
@@ -235,6 +284,22 @@ class TestExamples:
         recs = {r.rid: r for r in builtin_examples()}
         rep = verify_example(recs["5.2-5"])
         assert pickle.loads(pickle.dumps(rep)) == rep
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_analysis_over_a_number_field_survives_copying(self,
+                                                           round_trip):
+        recs = {r.rid: r for r in builtin_examples()}
+        doc = recs["5.3-1"].doc
+        an = analyze_document(doc, doc.generic or ())
+        carried = [s for s in an.sings
+                   if s.point.field is not None and s.components]
+        assert carried
+        back = round_trip(an)
+        assert back == an and hash(back) == hash(an)
+        assert [s.components for s in back.sings] == \
+            [s.components for s in an.sings]
 
     def test_no_field_element_inverts_one(self, monkeypatch):
         # monic polynomials are used as they are: no division by a leading

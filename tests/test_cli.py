@@ -299,6 +299,17 @@ class TestVerify:
         assert payload["records"][0]["id"] == "5.2-18"
         assert payload["records"][0]["counts"]["mismatch"] == 0
 
+    def test_two_jobs_print_what_one_prints(self, capsys):
+        # the whole corpus through a real multiprocessing pool
+        code, pooled = run_cli(capsys, "verify", "--all", "--json",
+                               "--jobs", "2")
+        assert code == 0
+        code, serial = run_cli(capsys, "verify", "--all", "--json")
+        assert code == 0
+        assert pooled == serial
+        ids = [r["id"] for r in json.loads(pooled)["records"]]
+        assert ids == sorted(r.rid for r in cli.builtin_examples())
+
 
 class TestVerifyJobs:
     CHEAP = ("syn-b66", "5.2-18", "5.2-15")

@@ -14,7 +14,6 @@ from sextics.localsing import (
     AlgebraicPoint,
     ConsistencyError,
     InfiniteIntersectionError,
-    LocalSingularity,
     NotSquarefreeError,
     Resolution,
     UnresolvedGermError,
@@ -561,7 +560,7 @@ class TestCarriedFactors:
         germ = functools.reduce(lambda a, b: a * b, factors)
         for field, embed in ((None, lambda p: p), (self.SQRT2, self._embed)):
             res = resolve(embed(germ), field, tuple(map(embed, factors)))
-            assert res == resolve(embed(germ), field)
+            assert res._replace(factors=()) == resolve(embed(germ), field)
             assert len(res.factors) == len(factors)
             for q, qres in zip(factors, res.factors):
                 assert qres == resolve(embed(q), field), str(q)
@@ -593,8 +592,8 @@ class TestCarriedFactors:
 
 
 class TestSlottedRecords:
-    """The frozen slotted records keep equality without their carried
-    field, immutability and pickling."""
+    """The point and resolution records compare their carried fields like
+    every other field, stay immutable and pickle."""
 
     CUSP, LINE = g("y^2 - x^3"), g("x - y")
 
@@ -602,15 +601,14 @@ class TestSlottedRecords:
         return analyze_point(self.CUSP * self.LINE, rational_point(0, 0),
                              (self.CUSP, self.LINE))
 
-    def test_carried_field_takes_no_part_in_equality(self):
+    def test_carried_field_takes_part_in_equality(self):
         ls = self._origin()
         # the cusp is singular there, the line is not
         [(k, own)] = ls.components
         assert k == 0 and own.sing_type.name() == "A_2"
-        bare = LocalSingularity(*ls._key(), ())
-        assert bare == ls and hash(bare) == hash(ls)
+        assert ls != ls._replace(components=())
         res = resolve(self.CUSP * self.LINE, None, (self.CUSP, self.LINE))
-        assert hash(res) == hash(resolve(self.CUSP * self.LINE))
+        assert res != resolve(self.CUSP * self.LINE)
 
     def test_immutable(self):
         ls = self._origin()

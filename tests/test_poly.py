@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from sextics.poly import (
     resultant,
     unipoly_gcd,
 )
+from sextics.torus import TorusPair
 
 X = ("x",)
 XY = ("x", "y")
@@ -887,3 +890,37 @@ class TestUnipolyGcdPlanted:
         b = UniPoly("y", [-w, K.from_rational(1)])     # y - w over Q(w)
         assert unipoly_gcd(a, b) == b
         self.check(K, unipoly_gcd(a, b), a, b)
+
+
+class TestFrozenValues:
+    """The immutable slotted value types copy and pickle to an equal value
+    with an equal hash, and still refuse assignment."""
+
+    @staticmethod
+    def values():
+        K = NumberField(UniPoly("w", [-2, 0, 1]))
+        return [
+            parse_poly("x^2 - 3/2*x*y + y", XY),
+            UniPoly("t", [Fraction(1, 3), 0, -2]),
+            K,
+            K.element([Fraction(-1, 2), 3]),
+            Poly(XY, {(1, 0): K.generator(), (0, 2): K.from_rational(5)}),
+            TorusPair(parse_poly("x^2 + y^2 - 1", XY),
+                      parse_poly("x^3 - y", XY)),
+        ]
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"])
+    def test_round_trip_is_equal(self, round_trip):
+        for value in self.values():
+            back = round_trip(value)
+            assert type(back) is type(value)
+            assert back == value and hash(back) == hash(value), repr(value)
+
+    def test_assignment_raises(self):
+        for value in self.values():
+            with pytest.raises(AttributeError, match="is immutable"):
+                value.vars = ()
+            with pytest.raises(AttributeError, match="is immutable"):
+                pickle.loads(pickle.dumps(value)).field = None
