@@ -167,6 +167,66 @@ class TestParse:
         assert "5000 digits" in str(err.value)
 
 
+# a sum of the 66 monomials x^i*y^j with i + j <= 10
+_SUM66 = "(" + " + ".join("x^%d*y^%d" % (i, d - i)
+                          for d in range(11) for i in range(d + 1)) + ")"
+_QUADRIC = "(x^2 + x*y + y^2 + x + y + 1)"
+
+
+class TestParseErrorContract:
+    """Each place the parser refuses its input, with the message and the
+    offset it reports there."""
+
+    @pytest.mark.parametrize("text, message, offset", [
+        (" ", "expected a rational, symbol or '('", 1),
+        ("x + ", "expected a rational, symbol or '('", 4),
+        ("*x", "expected a rational, symbol or '('", 0),
+        ("x*-y", "expected a rational, symbol or '('", 2),
+        ("$", "unexpected character '$'", 0),
+        ("x^ $", "unexpected character '$'", 3),
+        ("(x $", "unexpected character '$'", 3),
+        ("(x/2)", "unexpected character '/'", 2),
+        ("/2", "unexpected character '/'", 0),
+        ("7 / / 3", "unexpected character '/'", 4),
+        ("x $", "trailing input", 2),
+        ("x/2", "trailing input", 1),
+        ("2 x", "trailing input", 2),
+        ("x^2^2", "trailing input", 3),
+        ("2/x", "denominator must be a positive integer", 2),
+        ("2/0", "denominator must be a positive integer", 2),
+        ("2/ ", "denominator must be a positive integer", 3),
+        ("2/3^2", "a power of a fraction needs parentheses", 3),
+        ("1/ 2 ^2", "a power of a fraction needs parentheses", 5),
+        ("x^y", "exponent must be a nonnegative integer", 2),
+        ("x^", "exponent must be a nonnegative integer", 2),
+        ("x + z", "undeclared symbol 'z'", 4),
+        ("(x", "expected ')'", 2),
+        ("(" * 101 + "x" + ")" * 101, "parentheses nested deeper than 100",
+         100),
+        ("x^33", "power of degree 33 exceeds 32", 2),
+        ("2^16385", "power of 16385 bits exceeds 16384", 2),
+        ("(10^200)^25", "power of 16609 bits exceeds 16384", 9),
+        (_QUADRIC + "^16", "power of up to 20349 terms exceeds 4096",
+         len(_QUADRIC) + 1),
+        ("x^20*y^13", "product of degree 33 exceeds 32", 4),
+        (_SUM66 + "*" + _SUM66, "product of up to 4356 terms exceeds 4096",
+         len(_SUM66)),
+        ("x + " + "9" * 5000, "integer literal of 5000 digits is too long",
+         4),
+    ], ids=lambda v: v[:12] if isinstance(v, str) else None)
+    def test_message_and_offset(self, text, message, offset):
+        with pytest.raises(PolySyntaxError) as err:
+            P(text)
+        assert (str(err.value), err.value.position) \
+            == ("%s (at offset %d)" % (message, offset), offset)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("x ", "x"), (" x + 1 \t", "x + 1"), ("7 / 3*x", "7/3*x"),
+        ("7/ 3", "7/3"), ("7 /3", "7/3"), ("2^3 ", "8")])
+    def test_white_space_between_tokens(self, text, expected):
+        assert P(text) == P(expected)
+
+
 class TestFormat:
     @pytest.mark.parametrize(
         "text",
