@@ -25,7 +25,8 @@ from .docs import Claim, CurveDocument, DocumentError, parse_bindings, \
     parse_documents
 from .globalinv import Configuration, DefectTable, parse_config, parse_type
 from .localsing.classify import ConsistencyError
-from .poly import DomainError, Poly, PolyError, parse_poly
+from .poly import DomainError, Poly, PolyError, PolySyntaxError, \
+    parse_poly, parse_rational
 from .torus import TorusPair
 
 __all__ = [
@@ -374,9 +375,14 @@ def _check_type_at(_doc, claim, binding, analysis_at) -> ClaimVerdict:
         part = part.strip()
         m = re.fullmatch(r"\(([^,]+),([^)]+)\)=(.+)", part)
         if not m:
-            raise DocumentError("bad type-at payload %r" % part)
-        wanted.append((Fraction(m.group(1)), Fraction(m.group(2)),
-                       parse_type(m.group(3).strip())))
+            raise DocumentError("line %d: bad type-at payload %r"
+                                % (claim.line, part))
+        try:
+            x0, y0 = parse_rational(m.group(1)), parse_rational(m.group(2))
+        except PolySyntaxError as err:
+            raise DocumentError("line %d: type-at coordinate: %s"
+                                % (claim.line, err)) from None
+        wanted.append((x0, y0, parse_type(m.group(3).strip())))
     by_point = {}
     for ls in analysis.sings:
         p = ls.point

@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .analysis import CurveAnalysis
 from .catalog import (
@@ -33,7 +32,7 @@ from .catalog import (
 from .docs import DocumentError, parse_document
 from .globalinv import parse_config
 from .localsing.classify import ConsistencyError
-from .poly import PolyError
+from .poly import PolyError, PolySyntaxError, parse_rational
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -275,8 +274,8 @@ def cmd_sweep(args, out) -> int:
                % args.param)
         return EXIT_USAGE
     try:
-        values = [Fraction(v.strip()) for v in args.values.split(",")]
-    except (ValueError, ZeroDivisionError):
+        values = [parse_rational(v) for v in args.values.split(",")]
+    except PolySyntaxError:
         _print(out, "error: bad values list %r" % args.values)
         return EXIT_USAGE
     rows = []

@@ -40,11 +40,11 @@ key.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .globalinv import ConfigSyntaxError, parse_type
-from .poly import SYMBOL, DomainError, Poly, PolySyntaxError, parse_poly
+from .poly import SYMBOL, DomainError, Poly, PolySyntaxError, parse_poly, \
+    parse_rational
 
 __all__ = ["CurveDocument", "Claim", "CLAIM_KINDS", "DocumentError",
            "parse_documents", "parse_document", "parse_bindings"]
@@ -189,9 +189,10 @@ def parse_bindings(text: str) -> tuple:
         if any(n == name for n, _v in out):
             raise DocumentError("duplicate parameter %r in binding" % name)
         try:
-            out.append((name, Fraction(value.strip())))
-        except (ValueError, ZeroDivisionError):
-            raise DocumentError("bad rational %r in binding" % value)
+            out.append((name, parse_rational(value)))
+        except PolySyntaxError as err:
+            raise DocumentError("bad rational %r in binding: %s"
+                                % (value.strip(), err)) from None
     return tuple(out)
 
 

@@ -106,13 +106,19 @@ def _as_coef(value) -> Coef:
 
 class Frozen:
     """Base of the immutable slotted value types: assigning an attribute
-    raises, and `__setstate__` restores the slots past that guard, so
-    `copy` and `pickle` rebuild an equal value."""
+    raises, `__getstate__` lists the slots and `__setstate__` restores
+    them past that guard, so `copy` and `pickle` (every protocol) rebuild
+    an equal value."""
 
     __slots__ = ()
 
     def __setattr__(self, *a):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __getstate__(self):
+        return None, {name: getattr(self, name)
+                      for cls in type(self).__mro__
+                      for name in getattr(cls, "__slots__", ())}
 
     def __setstate__(self, state):
         for name, value in state[1].items():
@@ -524,8 +530,13 @@ def format_poly(p: Poly) -> str:
 
 # a symbol: a variable or parameter name
 SYMBOL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# an integer literal: ASCII digits only ('²' or '٣' is no digit here)
-_DIGITS = re.compile(r"[0-9]+")
+# one token after any white space: a run of ASCII digits ('²' or '٣' is no
+# digit here), a symbol, or any other single character
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|(\S))")
+_OPERATORS = frozenset("+-*^()/")
+# a rational literal on its own: an optional sign, digits and an optional
+# denominator
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
 
 def _int_literal(digits: str, start: int) -> int:
@@ -537,40 +548,39 @@ def _int_literal(digits: str, start: int) -> int:
     return int(digits)
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _tokens(text: str) -> list:
+    """The (kind, text, offset) of each token of `text`, then ("end", "",
+    len(text)).  The kind is "int", "sym", the operator character itself
+    (one of ``+-*^()/``), or "bad" for a character that no rule reads."""
+    out = []
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        val = m[group]
+        kind = "int" if group == 1 else "sym" if group == 2 else \
+            val if val in _OPERATORS else "bad"
+        out.append((kind, val, m.start(group)))
+    out.append(("end", "", len(text)))
+    return out
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", None, self.pos)
-        ch = self.text[self.pos]
-        start = self.pos
-        if ch in "+-*^()":
-            return ("op", ch, start)
-        digits = _DIGITS.match(self.text, start)
-        if digits:
-            return ("int", digits.group(), start)
-        sym = SYMBOL.match(self.text, start)
-        if sym:
-            return ("sym", sym.group(), start)
-        return ("bad", ch, start)
-
-    def next(self):
-        kind, val, start = self.peek()
-        if kind == "op":
-            self.pos = start + 1
-        elif kind in ("int", "sym"):
-            self.pos = start + len(val)
-        elif kind == "bad":
-            raise PolySyntaxError("unexpected character %r" % val, start)
-        return kind, val, start
+def parse_rational(text: str) -> Fraction:
+    """The rational that `text` writes by the parser's literal rule: an
+    optional sign, ASCII digits, and an optional ``/`` and positive
+    denominator, each integer within the digit limit of `int`; white
+    space around it is ignored.  Anything else raises PolySyntaxError."""
+    lead = len(text) - len(text.lstrip())
+    m = _RATIONAL.fullmatch(text.strip())
+    if not m:
+        raise PolySyntaxError("not a rational literal: %r" % text.strip(),
+                              lead)
+    num = _int_literal(m.group(2), lead + m.start(2))
+    if m.group(3) is None:
+        return Fraction(-num if m.group(1) == "-" else num)
+    den = _int_literal(m.group(3), lead + m.start(3))
+    if not den:
+        raise PolySyntaxError("denominator must be a positive integer",
+                              lead + m.start(3))
+    return Fraction(-num if m.group(1) == "-" else num, den)
 
 
 # The parser recurses once per '('; this bound keeps it far below the
@@ -601,116 +611,167 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     `MAX_DEGREE` is refused at its ``*``, and a power past `MAX_DEGREE`
     or `MAX_POWER_BITS` at its exponent; so is either one whose bound on
     its terms passes `MAX_TERMS`.
+
+    The text is tokenized in one regex pass (`_tokens`) and read by
+    recursive descent.  A product is carried as a coefficient (an int, or
+    a Fraction after a ``/`` literal), an exponent tuple, and the term
+    dict of its parenthesized factors or None; only those factors are
+    multiplied (`_mul_terms`) or raised to a power (`Poly.__pow__`) as
+    polynomials.  The terms of a sum go into one dict, and one Fraction
+    is built per term of the result.
     """
     vs = tuple(variables)
-    tok = _Tokenizer(text)
+    if len(set(vs)) != len(vs):
+        raise DomainError("duplicate variable in %r" % (vs,))
+    one = (0,) * len(vs)
+    units = {v: one[:k] + (1,) + one[k + 1:] for k, v in enumerate(vs)}
+    toks = _tokens(text)
+    i = 0
     depth = 0
 
-    def check_terms(bound: int, what: str, start: int):
-        if bound > MAX_TERMS:
-            raise PolySyntaxError("%s of up to %d terms exceeds %d"
-                                  % (what, bound, MAX_TERMS), start)
+    def take():
+        # the next token, consumed; '/' is read only after an integer
+        nonlocal i
+        tok = toks[i]
+        if tok[0] == "bad" or tok[0] == "/":
+            raise PolySyntaxError("unexpected character %r" % tok[1], tok[2])
+        i += 1
+        return tok
 
-    def parse_expression() -> Poly:
-        kind, val, start = tok.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            tok.next()
-            negate = val == "-"
-        p = parse_term()
+    def size(coef, exps, rest):
+        # (degree, number of terms) of coef * x^exps * rest; -1 and 0 if zero
+        if not coef or rest == {}:
+            return -1, 0
+        if rest is None:
+            return sum(exps), 1
+        return sum(exps) + max(map(sum, rest)), len(rest)
+
+    def expression() -> dict:
+        # the sum, exponent tuple -> int or Fraction, zeros not yet dropped
+        nonlocal i
+        terms: dict = {}
+        kind = toks[i][0]
+        negate = kind == "-"
+        if negate or kind == "+":
+            i += 1
+        while True:
+            term(terms, negate)
+            kind = toks[i][0]
+            if kind != "+" and kind != "-":
+                return terms
+            i += 1
+            negate = kind == "-"
+
+    def term(terms: dict, negate: bool):
+        # add the product, negated or not, into `terms`
+        nonlocal i
+        coef, exps, rest = factor()
+        while toks[i][0] == "*":
+            start = toks[i][2]
+            i += 1
+            c, e, q = factor()
+            dp, tp = size(coef, exps, rest)
+            dq, tq = size(c, e, q)
+            degree = max(dp, 0) + max(dq, 0)
+            if degree > MAX_DEGREE:
+                raise PolySyntaxError("product of degree %d exceeds %d"
+                                      % (degree, MAX_DEGREE), start)
+            if tp * tq > MAX_TERMS:
+                raise PolySyntaxError("product of up to %d terms exceeds %d"
+                                      % (tp * tq, MAX_TERMS), start)
+            coef *= c
+            if e is not one:
+                exps = tuple(map(add, exps, e))
+            if q is not None:
+                rest = q if rest is None else \
+                    {m: a for m, a in _mul_terms(rest, q).items() if a}
+        if not coef:
+            return
         if negate:
-            p = -p
-        while True:
-            kind, val, start = tok.peek()
-            if kind == "op" and val in "+-":
-                tok.next()
-                q = parse_term()
-                p = p - q if val == "-" else p + q
-            else:
-                return p
+            coef = -coef
+        if rest is None:
+            terms[exps] = terms.get(exps, 0) + coef
+            return
+        for m, c in rest.items():
+            if exps is not one:
+                m = tuple(map(add, m, exps))
+            terms[m] = terms.get(m, 0) + coef * c
 
-    def parse_term() -> Poly:
-        p = parse_factor()
-        while True:
-            kind, val, start = tok.peek()
-            if kind == "op" and val == "*":
-                tok.next()
-                q = parse_factor()
-                degree = max(p.degree(), 0) + max(q.degree(), 0)
-                if degree > MAX_DEGREE:
-                    raise PolySyntaxError("product of degree %d exceeds %d"
-                                          % (degree, MAX_DEGREE), start)
-                check_terms(len(p.terms) * len(q.terms), "product", start)
-                p = p * q
-            else:
-                return p
-
-    def parse_factor() -> Poly:
-        p = parse_base()
-        kind, val, start = tok.peek()
-        if kind == "op" and val == "^":
-            tok.next()
-            kind, val, start = tok.next()
-            if kind != "int":
-                raise PolySyntaxError("exponent must be a nonnegative integer", start)
-            e = _int_literal(val, start)
-            if e * max(p.degree(), 0) > MAX_DEGREE:
-                raise PolySyntaxError("power of degree %d exceeds %d"
-                                      % (e * p.degree(), MAX_DEGREE), start)
-            bits = e * max((log2(abs(x)) for c in p.terms.values()
+    def factor():
+        # (coef, exps, rest) of a base and its power
+        nonlocal i
+        coef, exps, rest = base()
+        if toks[i][0] != "^":
+            return coef, exps, rest
+        i += 1
+        kind, val, start = take()
+        if kind != "int":
+            raise PolySyntaxError("exponent must be a nonnegative integer",
+                                  start)
+        e = _int_literal(val, start)
+        degree = size(coef, exps, rest)[0]
+        if e * max(degree, 0) > MAX_DEGREE:
+            raise PolySyntaxError("power of degree %d exceeds %d"
+                                  % (e * degree, MAX_DEGREE), start)
+        # e times log2 of the base's largest numerator or denominator; the
+        # coefficient of an atom before a '^' is an int
+        if rest is None:
+            bits = e * log2(abs(coef)) if coef else 0
+        else:
+            bits = e * max((log2(abs(x)) for c in rest.values()
                             for x in (c.numerator, c.denominator)), default=0)
-            if bits > MAX_POWER_BITS:
-                raise PolySyntaxError("power of %d bits exceeds %d"
-                                      % (bits, MAX_POWER_BITS), start)
-            check_terms(comb(max(len(p.terms), 1) + e - 1, e), "power", start)
-            p = p ** e
-        return p
+        if bits > MAX_POWER_BITS:
+            raise PolySyntaxError("power of %d bits exceeds %d"
+                                  % (bits, MAX_POWER_BITS), start)
+        if rest is None:
+            return coef ** e, tuple(a * e for a in exps) if e else one, None
+        bound = comb(max(len(rest), 1) + e - 1, e)
+        if bound > MAX_TERMS:
+            raise PolySyntaxError("power of up to %d terms exceeds %d"
+                                  % (bound, MAX_TERMS), start)
+        power = Poly._trusted(vs, {m: Fraction(c) for m, c in rest.items()})
+        return 1, one, (power ** e).terms
 
-    def parse_base() -> Poly:
-        nonlocal depth
-        kind, val, start = tok.next()
+    def base():
+        nonlocal i, depth
+        kind, val, start = take()
         if kind == "int":
             num = _int_literal(val, start)
-            kind2, val2, start2 = tok.peek()
-            if kind2 == "op" and val2 == "^":
-                return Poly.const(num, vs)
-            # rational: integer '/' positive-integer
-            if tok.pos < len(tok.text) and tok.text[tok.pos:].lstrip().startswith("/"):
-                tok._skip_ws()
-                tok.pos += 1  # consume '/'
-                kind3, val3, start3 = tok.next()
-                if kind3 != "int" or not _int_literal(val3, start3):
-                    raise PolySyntaxError("denominator must be a positive integer", start3)
-                # a fraction literal is one atom, so 2/3^2 would read as
-                # (2/3)^2 where the usual precedence gives 2/9: refuse it
-                kind4, val4, start4 = tok.peek()
-                if kind4 == "op" and val4 == "^":
-                    raise PolySyntaxError(
-                        "a power of a fraction needs parentheses", start4)
-                return Poly.const(Fraction(num, int(val3)), vs)
-            return Poly.const(num, vs)
+            if toks[i][0] != "/":
+                return num, one, None
+            # a rational: integer '/' positive-integer
+            i += 1
+            kind, val, start = take()
+            if kind != "int" or not _int_literal(val, start):
+                raise PolySyntaxError("denominator must be a positive integer",
+                                      start)
+            # a fraction literal is one atom, so 2/3^2 would read as
+            # (2/3)^2 where the usual precedence gives 2/9: refuse it
+            if toks[i][0] == "^":
+                raise PolySyntaxError("a power of a fraction needs parentheses",
+                                      toks[i][2])
+            return Fraction(num, int(val)), one, None
         if kind == "sym":
-            if val not in vs:
+            if val not in units:
                 raise PolySyntaxError("undeclared symbol %r" % val, start)
-            return Poly.var(val, vs)
-        if kind == "op" and val == "(":
+            return 1, units[val], None
+        if kind == "(":
             depth += 1
             if depth > MAX_PAREN_DEPTH:
                 raise PolySyntaxError("parentheses nested deeper than %d"
                                       % MAX_PAREN_DEPTH, start)
-            p = parse_expression()
-            kind2, val2, start2 = tok.next()
-            if kind2 != "op" or val2 != ")":
-                raise PolySyntaxError("expected ')'", start2)
+            terms = expression()
+            kind, val, start = take()
+            if kind != ")":
+                raise PolySyntaxError("expected ')'", start)
             depth -= 1
-            return p
+            return 1, one, {m: c for m, c in terms.items() if c}
         raise PolySyntaxError("expected a rational, symbol or '('", start)
 
-    p = parse_expression()
-    kind, val, start = tok.peek()
-    if kind != "end":
-        raise PolySyntaxError("trailing input", start)
-    return p
+    terms = expression()
+    if toks[i][0] != "end":
+        raise PolySyntaxError("trailing input", toks[i][2])
+    return Poly._trusted(vs, {m: Fraction(c) for m, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -223,6 +224,55 @@ class TestMalformedCatalog:
         catalog_text("entry: B1'+B1''+B4 | [A_5]")
         [entry] = builtin_catalog()
         assert entry.component_type == (1, 1, 4)
+
+
+# rationals that `Fraction(str)` reads but the parser's literal rule does
+# not: an exponent (a 3.3-million-bit value), non-ASCII digits, a digit
+# separator, a decimal point
+_REFUSED_RATIONALS = ["1e1000000", "٣", "３/2", "1_000", "1.5",
+                      "2/-3", "1/0", "9" * 5000]
+
+
+class TestRationalLiterals:
+    """Bindings, sweep values and type-at coordinates are read by one
+    literal rule, the parser's, and refused by it with their line."""
+
+    @pytest.mark.parametrize("value", _REFUSED_RATIONALS,
+                             ids=lambda v: v[:10])
+    def test_binding(self, value):
+        with pytest.raises(DocumentError,
+                           match="^line 2: bad rational .* in binding"):
+            parse_document("vars: t\ngeneric: t=%s\nf: x^6 + t*y^6 + 1\n"
+                           % value)
+        with pytest.raises(DocumentError, match="^line 3: claim selector: "
+                                                "bad rational"):
+            parse_document("vars: t\nf: x^6 + t*y^6 + 1\n"
+                           "claim: t=%s :: degrees :: 6\n" % value)
+
+    @pytest.mark.parametrize("value", _REFUSED_RATIONALS,
+                             ids=lambda v: v[:10])
+    def test_sweep_values(self, value, tmp_path, capsys):
+        doc = tmp_path / "sweep.txt"
+        doc.write_text("vars: s\nf: x^6 + s*y^6 + 1\n")
+        assert cli.main(["sweep", str(doc), "--param", "s",
+                         "--values", "1," + value]) == 2
+        assert capsys.readouterr().out.startswith("error: bad values list ")
+
+    @pytest.mark.parametrize("value", _REFUSED_RATIONALS,
+                             ids=lambda v: v[:10])
+    def test_type_at_coordinate(self, value):
+        doc = parse_document("f: x^6 + y^6 + 1\n"
+                             "claim: * :: type-at :: (0,%s)=A_1\n" % value)
+        [verdict] = verify_example(ExampleRecord("coords", doc)).verdicts
+        assert verdict.status == "unverifiable"
+        assert verdict.detail.startswith(
+            "pipeline error: line 2: type-at coordinate: ")
+
+    def test_plain_literals_read(self):
+        doc = parse_document("vars: t\ngeneric: t= -4/6 \n"
+                             "values: t=+3; t=-0\nf: x^6 + t*y^6 + 1\n")
+        assert doc.generic == (("t", Fraction(-2, 3)),)
+        assert doc.values == ((("t", Fraction(3)),), (("t", Fraction(0)),))
 
 
 class TestWeakZariski:

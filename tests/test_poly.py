@@ -8,7 +8,9 @@ import sympy
 from sympy_bridge import from_sympy, to_sympy
 from test_numfield import _sympy_fields, eisenstein_fields
 
-from sextics import poly
+from sextics import docs, poly
+from sextics.catalog import _load_data
+from sextics.localsing import classify
 from sextics.numfield import NFElt, NumberField
 from sextics.poly import (
     MAX_DEGREE,
@@ -22,6 +24,7 @@ from sextics.poly import (
     format_poly,
     is_squarefree,
     parse_poly,
+    parse_rational,
     poly_gcd,
     resultant,
     unipoly_gcd,
@@ -225,6 +228,119 @@ class TestParseErrorContract:
         ("7/ 3", "7/3"), ("7 /3", "7/3"), ("2^3 ", "8")])
     def test_white_space_between_tokens(self, text, expected):
         assert P(text) == P(expected)
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("text, value", [
+        ("3", Fraction(3)), (" -7/2 ", Fraction(-7, 2)),
+        ("+4/6", Fraction(2, 3)), ("-0", Fraction(0)), ("12/1", Fraction(12))])
+    def test_literals(self, text, value):
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == value
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("1e5", "not a rational literal: '1e5'", 0),
+        (" 1 / 2", "not a rational literal: '1 / 2'", 1),
+        ("", "not a rational literal: ''", 0),
+        ("--1", "not a rational literal: '--1'", 0),
+        ("1/0", "denominator must be a positive integer", 2),
+        (" -" + "9" * 5000, "integer literal of 5000 digits is too long", 2),
+        ("1/" + "9" * 5000, "integer literal of 5000 digits is too long", 2),
+    ], ids=lambda v: v[:8] if isinstance(v, str) else None)
+    def test_refused(self, text, message, offset):
+        with pytest.raises(PolySyntaxError) as err:
+            parse_rational(text)
+        assert (str(err.value), err.value.position) \
+            == ("%s (at offset %d)" % (message, offset), offset)
+
+
+def _random_sum(r, vs, depth):
+    """(text, sympy expression, degree) of a seeded random sum of
+    products, with an optional leading sign."""
+    text, expr, degree = "", 0, 0
+    for k in range(r.randint(1, 3)):
+        t, e, d = _random_product(r, vs, depth)
+        sign = r.choice(["", "", "-", "+"]) if not k else r.choice("+-")
+        text += (" %s " % sign if k else sign) + t
+        expr = expr - e if sign == "-" else expr + e
+        degree = max(degree, d)
+    return text, expr, degree
+
+
+def _random_product(r, vs, depth):
+    text, expr, degree = [], 1, 0
+    for _ in range(r.randint(1, 3)):
+        k = r.randrange(5 if depth < 3 else 3)
+        if k == 0:
+            v = r.choice(vs)
+            t, e, d = v, sympy.Symbol(v), 1
+        elif k == 1:
+            n = r.randint(0, 30)
+            t, e, d = str(n), sympy.Integer(n), 0
+        elif k == 2:
+            # a fraction literal takes no power
+            p, q = r.randint(0, 40), r.randint(1, 12)
+            text.append("%d/%d" % (p, q))
+            expr *= sympy.Rational(p, q)
+            continue
+        else:
+            t, e, d = _random_sum(r, vs, depth + 1)
+            t = "(" + t + ")"
+        if r.random() < 0.4:
+            n = r.randint(0, 8 // max(d, 1))
+            t, e, d = "%s^%d" % (t, n), e ** n, d * n
+        if degree + d > 24:
+            continue
+        text.append(t)
+        expr *= e
+        degree += d
+    if not text:
+        return "1", 1, 0
+    return "*".join(text), expr, degree
+
+
+class TestParseAgainstSympy:
+    """parse_poly against sympy's expansion, through the bridge: seeded
+    random expressions and every shipped polynomial text."""
+
+    @staticmethod
+    def agrees(p, expr, vs):
+        assert p.vars == tuple(vs)
+        assert all(type(c) is Fraction for c in p.terms.values())
+        integral, d = to_sympy(p, vs)
+        assert sympy.expand(integral.as_expr() - d * expr) == 0
+
+    @pytest.mark.parametrize("nvars", [2, 3, 4, 5])
+    def test_random_expressions(self, nvars):
+        r = random.Random(nvars)
+        vs = ("x", "y", "s", "t", "u")[:nvars]
+        for _ in range(60):
+            text, expr, _d = _random_sum(r, vs, 0)
+            self.agrees(parse_poly(text, vs), sympy.expand(expr), vs)
+
+    def test_shipped_texts(self, monkeypatch):
+        texts = []
+
+        def recording(text, variables):
+            texts.append((text, tuple(variables)))
+            return parse_poly(text, variables)
+        monkeypatch.setattr(docs, "parse_poly", recording)
+        monkeypatch.setattr(classify, "parse_poly", recording)
+        for doc in docs.parse_documents(_load_data("examples.txt")):
+            for claim in doc.claims:
+                if claim.kind == "restriction-y0":
+                    texts.append((claim.payload, doc.varlist()))
+                elif claim.kind == "factorization":
+                    texts.append((claim.payload, XY))
+        corpus = len(texts)
+        for t in classify.recognition_types():
+            classify.normal_form_germ(t)
+        assert corpus >= 72 and len(texts) - corpus >= 48
+        for text, vs in texts:
+            names = {v: sympy.Symbol(v) for v in vs}
+            expr = sympy.parse_expr(text.replace("^", "**"),
+                                    local_dict=names)
+            self.agrees(parse_poly(text, vs), sympy.expand(expr), vs)
 
 
 class TestFormat:
@@ -975,6 +1091,13 @@ class TestFrozenValues:
     def test_round_trip_is_equal(self, round_trip):
         for value in self.values():
             back = round_trip(value)
+            assert type(back) is type(value)
+            assert back == value and hash(back) == hash(value), repr(value)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_every_pickle_protocol(self, protocol):
+        for value in self.values():
+            back = pickle.loads(pickle.dumps(value, protocol))
             assert type(back) is type(value)
             assert back == value and hash(back) == hash(value), repr(value)
 
