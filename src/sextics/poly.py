@@ -48,6 +48,17 @@ appear only under such images (there and in `_quotient`), and in the
 factorization over Z of `factor`, which reuses `_quotient` and
 `_dense_quotient` as its exact division tests.
 
+Text becomes a `Poly` in one pass: `parse_poly` tokenizes it with one
+regex (`_tokens`) and reads the tokens by recursive descent, carrying a
+product of atoms as a coefficient and an exponent tuple and the terms
+of a sum in one dict, so that only parenthesized factors meet
+polynomial arithmetic and one Fraction is built per term of the result.
+Every bound of the grammar (`MAX_DEGREE`, `MAX_POWER_BITS`,
+`MAX_TERMS`, `MAX_PAREN_DEPTH` and the digit limit of an integer
+literal) is checked before the work it bounds.  `parse_rational` reads
+a lone rational by the same literal rule, for the document bindings,
+the sweep values and the type-at coordinates.
+
 Conventions fixed here and relied on by the golden-file tests:
 
 * term order: graded lexicographic in the declared variable order,
@@ -73,6 +84,7 @@ __all__ = [
     "PolySyntaxError",
     "DomainError",
     "parse_poly",
+    "parse_rational",
     "poly_gcd",
     "is_squarefree",
     "resultant",
@@ -532,7 +544,7 @@ def format_poly(p: Poly) -> str:
 SYMBOL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # one token after any white space: a run of ASCII digits ('²' or '٣' is no
 # digit here), a symbol, or any other single character
-_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|(\S))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|(%s)|(\S))" % SYMBOL.pattern)
 _OPERATORS = frozenset("+-*^()/")
 # a rational literal on its own: an optional sign, digits and an optional
 # denominator
@@ -574,9 +586,8 @@ def parse_rational(text: str) -> Fraction:
         raise PolySyntaxError("not a rational literal: %r" % text.strip(),
                               lead)
     num = _int_literal(m.group(2), lead + m.start(2))
-    if m.group(3) is None:
-        return Fraction(-num if m.group(1) == "-" else num)
-    den = _int_literal(m.group(3), lead + m.start(3))
+    den = 1 if m.group(3) is None else \
+        _int_literal(m.group(3), lead + m.start(3))
     if not den:
         raise PolySyntaxError("denominator must be a positive integer",
                               lead + m.start(3))
