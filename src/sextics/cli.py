@@ -275,8 +275,8 @@ def cmd_sweep(args, out) -> int:
         return EXIT_USAGE
     try:
         values = [parse_rational(v) for v in args.values.split(",")]
-    except PolySyntaxError:
-        _print(out, "error: bad values list %r" % args.values)
+    except PolySyntaxError as err:
+        _print(out, "error: bad values list %r: %s" % (args.values, err))
         return EXIT_USAGE
     rows = []
     for v in values:

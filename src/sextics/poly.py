@@ -634,7 +634,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     vs = tuple(variables)
     if len(set(vs)) != len(vs):
         raise DomainError("duplicate variable in %r" % (vs,))
-    one = (0,) * len(vs)
+    one = (0,) * len(vs)    # the exponents of the monomial 1
     units = {v: one[:k] + (1,) + one[k + 1:] for k, v in enumerate(vs)}
     toks = _tokens(text)
     i = 0
@@ -650,8 +650,8 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
         return tok
 
     def size(coef, exps, rest):
-        # (degree, number of terms) of coef * x^exps * rest; -1 and 0 if zero
-        if not coef or rest == {}:
+        # (degree, number of terms) of coef * x^exps * rest; (-1, 0) if zero
+        if not coef or rest is not None and not rest:
             return -1, 0
         if rest is None:
             return sum(exps), 1
@@ -700,10 +700,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
             return
         if negate:
             coef = -coef
-        if rest is None:
-            terms[exps] = terms.get(exps, 0) + coef
-            return
-        for m, c in rest.items():
+        for m, c in ({one: 1} if rest is None else rest).items():
             if exps is not one:
                 m = tuple(map(add, m, exps))
             terms[m] = terms.get(m, 0) + coef * c
@@ -720,26 +717,22 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
             raise PolySyntaxError("exponent must be a nonnegative integer",
                                   start)
         e = _int_literal(val, start)
-        degree = size(coef, exps, rest)[0]
+        degree, count = size(coef, exps, rest)
         if e * max(degree, 0) > MAX_DEGREE:
             raise PolySyntaxError("power of degree %d exceeds %d"
                                   % (e * degree, MAX_DEGREE), start)
-        # e times log2 of the base's largest numerator or denominator; the
-        # coefficient of an atom before a '^' is an int
-        if rest is None:
-            bits = e * log2(abs(coef)) if coef else 0
-        else:
-            bits = e * max((log2(abs(x)) for c in rest.values()
-                            for x in (c.numerator, c.denominator)), default=0)
+        coefs = rest.values() if rest is not None else (coef,) if coef else ()
+        bits = e * max((log2(abs(x)) for c in coefs
+                        for x in (c.numerator, c.denominator)), default=0)
         if bits > MAX_POWER_BITS:
             raise PolySyntaxError("power of %d bits exceeds %d"
                                   % (bits, MAX_POWER_BITS), start)
-        if rest is None:
-            return coef ** e, tuple(a * e for a in exps) if e else one, None
-        bound = comb(max(len(rest), 1) + e - 1, e)
+        bound = comb(max(count, 1) + e - 1, e)
         if bound > MAX_TERMS:
             raise PolySyntaxError("power of up to %d terms exceeds %d"
                                   % (bound, MAX_TERMS), start)
+        if rest is None:
+            return coef ** e, tuple(a * e for a in exps), None
         power = Poly._trusted(vs, {m: Fraction(c) for m, c in rest.items()})
         return 1, one, (power ** e).terms
 
