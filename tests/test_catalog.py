@@ -226,16 +226,17 @@ class TestMalformedCatalog:
         assert entry.component_type == (1, 1, 4)
 
 
-# rationals that `Fraction(str)` reads but the parser's literal rule does
-# not: an exponent (a 3.3-million-bit value), non-ASCII digits, a digit
-# separator, a decimal point
+# values outside the parser's literal rule; `Fraction(str)` reads the
+# first five: an exponent (a 3.3-million-bit value), non-ASCII digits, a
+# digit separator and a decimal point
 _REFUSED_RATIONALS = ["1e1000000", "٣", "３/2", "1_000", "1.5",
                       "2/-3", "1/0", "9" * 5000]
 
 
 class TestRationalLiterals:
     """Bindings, sweep values and type-at coordinates are read by one
-    literal rule, the parser's, and refused by it with their line."""
+    literal rule, the parser's: a binding or a coordinate outside it is
+    refused with its line, a sweep value with exit status 2."""
 
     @pytest.mark.parametrize("value", _REFUSED_RATIONALS,
                              ids=lambda v: v[:10])
