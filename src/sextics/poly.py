@@ -693,7 +693,9 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
             coef *= c
             if e is not one:
                 exps = tuple(map(add, exps, e))
-            if q is not None:
+            # a zero product passes every bound above, so it is not
+            # multiplied out: its factors are still read and checked
+            if q is not None and coef:
                 rest = q if rest is None else \
                     {m: a for m, a in _mul_terms(rest, q).items() if a}
         if not coef:

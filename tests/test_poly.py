@@ -223,6 +223,17 @@ class TestParseErrorContract:
         assert (str(err.value), err.value.position) \
             == ("%s (at offset %d)" % (message, offset), offset)
 
+    @pytest.mark.parametrize("head", ["0*", "0/5*", "(x+y+1)^32*0*",
+                                      "(x - x)*"])
+    def test_zero_product_is_not_multiplied_out(self, head):
+        # every bound passes once a product is zero; its later factors
+        # are read and checked but not multiplied into a product of
+        # degree 320 and tens of thousands of terms
+        text = head + "*".join(["(x+y+1)^32"] * 10)
+        assert P(text + " + x") == P("x")
+        with pytest.raises(PolySyntaxError, match="power of degree 33"):
+            P(text + "*x^33")
+
     @pytest.mark.parametrize("text, expected", [
         ("x ", "x"), (" x + 1 \t", "x + 1"), ("7 / 3*x", "7/3*x"),
         ("7/ 3", "7/3"), ("7 /3", "7/3"), ("2^3 ", "8")])
