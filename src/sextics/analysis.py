@@ -96,7 +96,8 @@ def analyze_curve(f: Optional[Poly] = None, pair: Optional[TorusPair] = None,
             pair = pair.transformed(transform)
     decomp = decompose(f)
     comps = decomp.factors
-    sings = tuple(analyze_point(f, p, comps) for p in singular_points(f))
+    sings = tuple(analyze_point(f, p, comps)
+                  for p in singular_points(f, comps))
 
     split = None
     star_report = None

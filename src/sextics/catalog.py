@@ -15,18 +15,16 @@ refusing any the classifier cannot print.
 from __future__ import annotations
 
 import functools
-import re
 from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
 from .analysis import CurveAnalysis, analyze_curve
 from .docs import Claim, CurveDocument, DocumentError, parse_bindings, \
-    parse_documents
-from .globalinv import Configuration, DefectTable, parse_config, parse_type
+    parse_documents, parse_integer
+from .globalinv import Configuration, DefectTable, parse_config
 from .localsing.classify import ConsistencyError
-from .poly import DomainError, Poly, PolyError, PolySyntaxError, \
-    parse_poly, parse_rational
+from .poly import DomainError, Poly, PolyError, parse_poly
 from .torus import TorusPair
 
 __all__ = [
@@ -87,7 +85,7 @@ def builtin_catalog() -> list:
         value = value.strip()
         try:
             if key == "theorem":
-                theorem = int(value)
+                theorem = parse_integer(value, "theorem")
             elif key == "inner":
                 inner = parse_config(value)
             elif key == "entry":
@@ -117,7 +115,8 @@ def _parse_entry(theorem, inner, value: str) -> CatalogEntry:
             strength = v
         elif k == "sigma":
             d, _, cfg = v.partition("@")
-            sigma.append((int(d), parse_config(cfg)))
+            sigma.append((parse_integer(d, "a sigma= degree"),
+                          parse_config(cfg)))
         elif k == "inter":
             inter = v
         else:
@@ -328,7 +327,8 @@ def _check_config(_doc, claim, binding, analysis_at) -> ClaimVerdict:
 
 def _check_degrees(_doc, claim, binding, analysis_at) -> ClaimVerdict:
     analysis = analysis_at(binding)
-    want = tuple(sorted(int(d) for d in claim.payload.split(",")))
+    want = tuple(sorted(parse_integer(d, "a claimed degree")
+                        for d in claim.payload.split(",")))
     got = analysis.degrees()
     if got == want:
         return ClaimVerdict(claim, binding, "verified", "degrees %s"
@@ -370,26 +370,13 @@ def _check_same_curve(doc, claim, binding, _analysis_at) -> ClaimVerdict:
 
 def _check_type_at(_doc, claim, binding, analysis_at) -> ClaimVerdict:
     analysis = analysis_at(binding)
-    wanted = []
-    for part in claim.payload.split(";"):
-        part = part.strip()
-        m = re.fullmatch(r"\(([^,]+),([^)]+)\)=(.+)", part)
-        if not m:
-            raise DocumentError("line %d: bad type-at payload %r"
-                                % (claim.line, part))
-        try:
-            x0, y0 = parse_rational(m.group(1)), parse_rational(m.group(2))
-        except PolySyntaxError as err:
-            raise DocumentError("line %d: type-at coordinate: %s"
-                                % (claim.line, err)) from None
-        wanted.append((x0, y0, parse_type(m.group(3).strip())))
     by_point = {}
     for ls in analysis.sings:
         p = ls.point
         if p is not None and p.field is None:
             by_point[(p.x, p.y)] = ls.sing_type
     missing = []
-    for x0, y0, t in wanted:
+    for x0, y0, t in claim.points:
         got = by_point.get((x0, y0))
         if got is None or got.name() != t.name():
             missing.append("(%s,%s): found %s, claimed %s"

@@ -21,8 +21,9 @@ Keys for a curve document:
     no_random: `true` to skip random generic sampling (derived parameters);
                one of true/false/yes/no/1/0
     defects:   semicolon-separated `TypeName=integer`, each integer >= 0
-               and each name one the classifier prints (`A_1`, not
-               `A1`; read by `globalinv.parse_type`)
+               in ASCII digits (`parse_integer`) and each name one the
+               classifier prints (`A_1`, not `A1`; read by
+               `globalinv.parse_type`)
     claim:     `<selector> :: <kind> :: <payload>`, the kind one of
                `CLAIM_KINDS` (see verifier)
     param:     sweep parameter name (an annotation: `sweep` takes --param)
@@ -35,11 +36,13 @@ refused.  Each `values:` and `generic:` binding, and each claim selector
 that is a binding, names exactly the parameters declared in `vars:`; a
 `generic` claim selector needs a `generic:` line.  The polynomials are
 parsed once, when the document is read; a parse error names its line and
-key.
+key.  A type-at claim's payload, `(x,y)=T` entries joined by `;`, is read
+then too, into the claim's `points`.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple, Optional
 
 from .globalinv import ConfigSyntaxError, parse_type
@@ -47,7 +50,8 @@ from .poly import SYMBOL, DomainError, Poly, PolySyntaxError, parse_poly, \
     parse_rational
 
 __all__ = ["CurveDocument", "Claim", "CLAIM_KINDS", "DocumentError",
-           "parse_documents", "parse_document", "parse_bindings"]
+           "parse_documents", "parse_document", "parse_bindings",
+           "parse_integer"]
 
 XY = ("x", "y")
 # the claim kinds `catalog.verify_example` checks; any other is refused
@@ -65,6 +69,7 @@ class Claim(NamedTuple):
     kind: str       # one of CLAIM_KINDS
     payload: str
     line: int       # line number of the claim in its text
+    points: tuple   # type-at: ((x, y, SingType), ...) of the payload
 
 
 class CurveDocument:
@@ -196,6 +201,45 @@ def parse_bindings(text: str) -> tuple:
     return tuple(out)
 
 
+def parse_integer(text: str, what: str) -> int:
+    """The integer that `text` writes by the parser's literal rule
+    (`poly.parse_rational`); anything else raises DocumentError naming
+    `what`."""
+    try:
+        value = parse_rational(text)
+    except PolySyntaxError as err:
+        raise DocumentError("invalid literal for %s: %s" % (what, err)) \
+            from None
+    if value.denominator != 1:
+        raise DocumentError("invalid literal for %s: %s is not an integer"
+                            % (what, value))
+    return value.numerator
+
+
+_TYPE_AT = re.compile(r"\(([^,]+),([^)]+)\)=(.+)")
+
+
+def _type_at_points(payload: str) -> tuple:
+    """((x, y, SingType), ...) of a type-at payload `(x,y)=T;...`: the
+    coordinates by the parser's literal rule, each type a name that
+    `SingType.name` prints."""
+    out = []
+    for part in payload.split(";"):
+        part = part.strip()
+        m = _TYPE_AT.fullmatch(part)
+        if not m:
+            raise DocumentError("bad type-at payload %r" % part)
+        try:
+            x0, y0 = parse_rational(m.group(1)), parse_rational(m.group(2))
+        except PolySyntaxError as err:
+            raise DocumentError("type-at coordinate: %s" % err) from None
+        try:
+            out.append((x0, y0, parse_type(m.group(3).strip())))
+        except ConfigSyntaxError as err:
+            raise DocumentError(str(err)) from None
+    return tuple(out)
+
+
 _FLAGS = {"true": True, "false": False, "yes": True, "no": False,
           "1": True, "0": False}
 # keys that are accepted and dropped
@@ -289,10 +333,7 @@ def _read_key(doc: CurveDocument, seen: dict, key: str, value: str,
                 parse_type(name.strip())
             except ConfigSyntaxError as err:
                 raise DocumentError(str(err)) from None
-            try:
-                defect = int(num)
-            except ValueError:
-                raise DocumentError("bad defect value %r" % num.strip())
+            defect = parse_integer(num, "defect %s" % name.strip())
             if defect < 0:
                 raise DocumentError("defect %s=%d is negative"
                                     % (name.strip(), defect))
@@ -304,6 +345,7 @@ def _read_key(doc: CurveDocument, seen: dict, key: str, value: str,
         if bits[1] not in CLAIM_KINDS:
             raise DocumentError("unknown claim kind %r; one of %s"
                                 % (bits[1], ", ".join(CLAIM_KINDS)))
-        doc.claims = doc.claims + (Claim(*bits, lineno),)
+        points = _type_at_points(bits[2]) if bits[1] == "type-at" else ()
+        doc.claims = doc.claims + (Claim(*bits, lineno, points),)
     elif key not in _POLY_KEYS + _ANNOTATIONS:
         raise DocumentError("unknown key %r" % key)

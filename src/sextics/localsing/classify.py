@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Tuple
 from ..poly import DomainError, Poly, UniPoly, parse_poly
 from . import _sigdata
 from .germs import milnor_number_origin
-from .points import AlgebraicPoint, point_on_curve, translate_to_origin
+from .points import AlgebraicPoint, translate_to_origin
 from .resolve import ConsistencyError, Resolution, resolve
 
 __all__ = [
@@ -214,17 +214,14 @@ def _singularity(germ: Poly, res: Resolution, point,
 
 def analyze_point(f: Poly, point, comps: tuple = ()) -> LocalSingularity:
     """The singularity of f at a point; given `comps`, the components of f
-    (its factors over Q), also theirs there, in `components`.  A component
+    (its factors over Q), also theirs there, in `components`.  The point
+    names the components through it (`singular_points`).  A component
     alone at the point is f times a unit there.  Two or more are all
     smooth if as many pass as f's multiplicity; otherwise their germs are
-    carried through f's one resolution.  The last component is evaluated
-    only when another passes, since f vanishes at the point.
+    carried through f's one resolution.
     """
     germ = translate_to_origin(f, point)
-    on = [k for k, comp in enumerate(comps[:-1])
-          if point_on_curve(comp, point)]
-    if comps and (not on or point_on_curve(comps[-1], point)):
-        on.append(len(comps) - 1)
+    on = point.components if comps else ()
     if len(on) == 1:
         lone = analyze_germ(germ, point.field, point)
         return lone._replace(components=((on[0], None),))

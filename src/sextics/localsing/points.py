@@ -1,26 +1,39 @@
 """Locating singular points exactly: rational points and conjugate clusters.
 
-The singular locus of a squarefree curve is cut out by f = f_x = f_y = 0.
-X-coordinates are found from the eliminant E = Res_y(f, f_y).  Its order at
-x0 is at least the sum of the intersection numbers I_P(f, f_y) over the
-points P above x0, and I_P(f, f_y) >= m_P(f) * m_P(f_y) >= 2 at a singular
-point (Fulton, Algebraic Curves, 1.6 and 3.3).  So a singular point lies
-over a repeated root of E, and only the repeated part gcd(E, E') is
-factored over Q: its distinct irreducible factors are exactly the factors
-of E of multiplicity at least 2, and the simple roots of E never reach the
-factorization.  Each factor becomes a field (`extend_field`) in which the
-matching y-coordinates are read off a univariate gcd; a repeated root that
-carries no singular point (a vertical tangent) leaves that gcd constant.
-Points that are conjugate over Q are kept as one cluster with its degree;
-every germ computation then runs over that field.
+The singular locus of a squarefree curve f = c_1 ... c_n, the c_i its
+components, is the union of the singular loci of the components and of
+their pairwise intersections, so the x-coordinates are read off
+eliminants of the components, never of f: Res_y(c, c_y) for each
+component of degree at least 2, and Res_y(c_i, c_j) for each pair, all
+under f's one shear (`_choose_shear`).  The order of Res_y(c, c_y) at x0
+is at least the sum of the intersection numbers I_P(c, c_y) over the
+points P above x0, and I_P(c, c_y) >= m_P(c) * m_P(c_y) >= 2 at a
+singular point of c (Fulton, Algebraic Curves, 1.6 and 3.3).  So a
+singular point of c lies over a repeated root of its eliminant, and only
+the repeated part gcd(E, E') is factored over Q: its distinct
+irreducible factors are exactly the factors of E of multiplicity at
+least 2.  Every root of a pair's eliminant may carry a meeting point, so
+that eliminant is factored whole.
 
-E vanishes identically exactly when f is not squarefree (see
-`singular_points`), so squarefreeness is read off E too.
+Each factor becomes a field (`extend_field`), built once however many
+sources share it, and each component is specialized at its root once.
+A source's points are read off a univariate gcd over that field:
+gcd(c, c_x, c_y) for a component, where a repeated root that carries no
+singular point (a vertical tangent) leaves it constant, and gcd(c_i,
+c_j) for a pair.  Points that are conjugate over Q are kept as one
+cluster with its degree, and every germ computation then runs over that
+field.  A cluster found by several sources is one point, and it records
+the components of all of them.
+
+An eliminant vanishes identically exactly when the curve has a repeated
+component (see `singular_points`), so squarefreeness is read off the
+eliminants too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple, Optional, Union
 
 from .. import numfield
@@ -67,12 +80,15 @@ class AlgebraicPoint(NamedTuple):
 
     `field` is None for rational points; otherwise both coordinates live in
     the number field and the point stands for all `degree` conjugates.
+    `components` holds the indices of the curve's components through the
+    point (`singular_points`).
     """
 
     x: Coord
     y: Coord
     field: Optional[NumberField] = None
     degree: int = 1
+    components: tuple = ()
 
     def sort_key(self):
         mp = () if self.field is None else tuple(
@@ -145,43 +161,85 @@ def _repeated_factors(elim: Poly) -> list:
     return factor_rational(UniPoly.from_poly(repeated, "x"))
 
 
-def singular_points(f: Poly) -> list:
-    """All affine points with f = f_x = f_y = 0, as points/clusters.
+def _orbits(f: Poly, cs: list) -> dict:
+    """{p: sources} over the monic Q-irreducible p that may carry a
+    singular point of the product of the sheared components `cs`: the
+    repeated factors of Res_y(c, c_y) for each c of degree >= 2, whose
+    source is (i,), and every factor of Res_y(c_i, c_j), whose source is
+    (i, j).  A vanishing eliminant means a repeated component."""
+    sources = [(i,) for i, c in enumerate(cs) if c.degree() >= 2]
+    sources += combinations(range(len(cs)), 2)
+    orbits: dict = {}
+    for source in sources:
+        a = cs[source[0]]
+        b = a.derivative("y") if len(source) == 1 else cs[source[1]]
+        elim = resultant(a, b, "y")
+        if elim.is_zero():
+            raise NotSquarefreeError("curve is not squarefree: %s" % f)
+        if elim.is_constant():
+            continue
+        for p in _repeated_factors(elim) if len(source) == 1 \
+                else factor_rational(UniPoly.from_poly(elim, "x")):
+            orbits.setdefault(p, []).append(source)
+    return orbits
+
+
+def singular_points(f: Poly, comps: tuple = ()) -> list:
+    """All affine points with f = f_x = f_y = 0, as points/clusters, each
+    with the indices of the components `comps` through it.  `comps` are
+    the Q-irreducible factors of f (`components.decompose`); without
+    them f is its own one component.
+
+    The components are sheared with f (`_choose_shear`), and the
+    x-coordinates are read off each component and each pair of them
+    (`_orbits`).  Each x-orbit's field is built once, each component
+    specialized at its root once, and the points of a source are the
+    roots of its own gcd there: gcd(c, c_x, c_y) for a component,
+    gcd(c_i, c_j) for a pair.  A point's components are the union of its
+    sources' indices, which is exact: a point on two components is in
+    their pair's source, and a point on one component alone is singular
+    on it.
 
     Raises NotSquarefreeError for a non-reduced curve (its singular locus
-    would be positive-dimensional), read off the eliminant: after the shear
-    g has no factor free of y, so Res_y(g, g_y) vanishes exactly when g and
-    g_y share a factor, and an irreducible h dividing both with g = h r
-    divides h_y r, hence r, so h^2 divides g.
+    would be positive-dimensional), read off the eliminants: after the
+    shear no component has a factor free of y, so Res_y(c, c_y) vanishes
+    exactly when c and c_y share a factor, and an irreducible h dividing
+    both with c = h r divides h_y r, hence r, so h^2 divides c; and
+    Res_y(c_i, c_j) vanishes exactly when c_i and c_j share a factor.
     """
     fx = f.with_vars(("x", "y"))
     if fx.is_zero() or fx.is_constant():
         raise DomainError("not a curve: %s" % f)
     k, g = _choose_shear(fx)
-    gx = g.derivative("x")
-    gy = g.derivative("y")
     if g.degree_in("y") <= 0:
         raise DomainError("curve has no y-dependence after shear")
-    elim = resultant(g, gy, "y")
-    if elim.is_zero():
-        raise NotSquarefreeError("curve is not squarefree: %s" % f)
-    if elim.is_constant():
-        return []
+    # one component is f itself, up to a constant factor
+    cs = [_shear(c, k) if k else c.with_vars(("x", "y")) for c in comps] \
+        if len(comps) > 1 else [g]
+    cxs = [c.derivative("x") for c in cs]
     points = []
-    for p in _repeated_factors(elim):
+    for p, sources in _orbits(f, cs).items():
         if p.degree() == 1:
             kfield, theta = None, -p.coeffs[0]   # p is monic
         else:
             kfield, _, theta = extend_field(None, p)
-        g1 = specialize_x(g, kfield, theta)
-        g2 = specialize_x(gx, kfield, theta)
-        # x -> theta commutes with d/dy, so g_y(theta, y) = g1'
-        g3 = g1.derivative()
-        common = unipoly_gcd(unipoly_gcd(g1, g2), g3)
-        if common.degree() <= 0:
-            continue
-        # read off the module, where perfbench/tracer.py patches it
-        for q in numfield.factor_over_field(kfield, common):
+        at = {i: specialize_x(cs[i], kfield, theta)
+              for i in set().union(*sources)}
+        members: dict = {}
+        for source in sources:
+            c1 = at[source[0]]
+            if len(source) == 1:
+                c2 = specialize_x(cxs[source[0]], kfield, theta)
+                # x -> theta commutes with d/dy, so c_y(theta, y) = c1'
+                common = unipoly_gcd(unipoly_gcd(c1, c2), c1.derivative())
+            else:
+                common = unipoly_gcd(c1, at[source[1]])
+            if common.degree() <= 0:
+                continue
+            # read off the module, where perfbench/tracer.py patches it
+            for q in numfield.factor_over_field(kfield, common):
+                members.setdefault(q, set()).update(source)
+        for q, on in members.items():
             if q.degree() == 1:
                 pfield, px, py = kfield, theta, -q.coeffs[0]   # q is monic
             else:
@@ -190,6 +248,7 @@ def singular_points(f: Poly) -> list:
             if k:
                 px = px + py * k
             points.append(AlgebraicPoint(px, py, pfield,
-                                         p.degree() * q.degree()))
+                                         p.degree() * q.degree(),
+                                         tuple(sorted(on))))
     points.sort(key=lambda pt: pt.sort_key())
     return points

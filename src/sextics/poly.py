@@ -724,11 +724,16 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
             raise PolySyntaxError("power of degree %d exceeds %d"
                                   % (e * degree, MAX_DEGREE), start)
         coefs = rest.values() if rest is not None else (coef,) if coef else ()
-        bits = e * max((log2(abs(x)) for c in coefs
-                        for x in (c.numerator, c.denominator)), default=0)
-        if bits > MAX_POWER_BITS:
-            raise PolySyntaxError("power of %d bits exceeds %d"
-                                  % (bits, MAX_POWER_BITS), start)
+        # e times log2 in integers, the log2 as its float's exact ratio:
+        # e may pass the range of a float, and its bits the digit limit
+        num, den = max((log2(abs(x)) for c in coefs
+                        for x in (c.numerator, c.denominator)),
+                       default=0.0).as_integer_ratio()
+        if e * num > MAX_POWER_BITS * den:
+            bits = e * num // den
+            raise PolySyntaxError("power of %s bits exceeds %d" % (
+                bits if bits.bit_length() <= 64 else "over 2^64",
+                MAX_POWER_BITS), start)
         bound = comb(max(count, 1) + e - 1, e)
         if bound > MAX_TERMS:
             raise PolySyntaxError("power of up to %d terms exceeds %d"

@@ -208,6 +208,10 @@ class TestMalformedCatalog:
         ("entry: B1+B5 | [A_5] | colour=red", "unknown field 'colour'"),
         ("inner: [A_5", "not a configuration"),
         ("theorem: one", "invalid literal"),
+        # int() reads both as 3 and 10
+        ("theorem: \u0663", "invalid literal for theorem"),
+        ("entry: B1+B5 | [A_5] | sigma=1_0@[A_2]",
+         "invalid literal for a sigma= degree"),
         ("lemma: 1", "unknown key 'lemma'"),
     ])
     def test_row_error_names_its_line(self, catalog_text, capsys, row,
@@ -262,12 +266,11 @@ class TestRationalLiterals:
     @pytest.mark.parametrize("value", _REFUSED_RATIONALS,
                              ids=lambda v: v[:10])
     def test_type_at_coordinate(self, value):
-        doc = parse_document("f: x^6 + y^6 + 1\n"
-                             "claim: * :: type-at :: (0,%s)=A_1\n" % value)
-        [verdict] = verify_example(ExampleRecord("coords", doc)).verdicts
-        assert verdict.status == "unverifiable"
-        assert verdict.detail.startswith(
-            "pipeline error: line 2: type-at coordinate: ")
+        # refused when the document is read, before any analysis
+        with pytest.raises(DocumentError,
+                           match="^line 2: type-at coordinate: "):
+            parse_document("f: x^6 + y^6 + 1\n"
+                           "claim: * :: type-at :: (0,%s)=A_1\n" % value)
 
     def test_plain_literals_read(self):
         doc = parse_document("vars: t\ngeneric: t= -4/6 \n"
@@ -372,11 +375,25 @@ class TestExamples:
         assert set(_CHECKS) == set(docs.CLAIM_KINDS) - {"unverifiable"}
 
     def test_type_at_reads_only_printable_names(self):
-        doc = parse_document("f: x^6 + y^6 + 1\n"
-                             "claim: * :: type-at :: (0,0)=A_25\n")
-        [verdict] = verify_example(ExampleRecord("a25", doc)).verdicts
-        assert verdict.status == "unverifiable"
-        assert verdict.detail == "pipeline error: unknown type name 'A_25'"
+        with pytest.raises(DocumentError,
+                           match="^line 2: unknown type name 'A_25'$"):
+            parse_document("f: x^6 + y^6 + 1\n"
+                           "claim: * :: type-at :: (0,0)=A_25\n")
+
+    def test_type_at_payload_is_read_with_the_document(self):
+        with pytest.raises(DocumentError,
+                           match="^line 3: bad type-at payload '\\(0,0\\)'"):
+            parse_document("f: x^6 + y^6 + 1\nsource: s\n"
+                           "claim: * :: type-at :: (0,1)=A_1; (0,0)\n")
+        doc = parse_document("f: y*(x - y)*(x + y - 2)\n"
+                             "claim: * :: type-at :: (0, 0)=A_1;(1,2/2)=A_1\n"
+                             "claim: * :: type-at :: (2,0)=A_2\n")
+        [first, second] = doc.claims
+        assert first.points == ((0, 0, SingType("A", (1,))),
+                                (1, 1, SingType("A", (1,))))
+        statuses = [v.status for v in
+                    verify_example(ExampleRecord("nodes", doc)).verdicts]
+        assert statuses == ["verified", "mismatch"]
 
     def test_conjugate_cubics_cover_a_three_three_claim(self):
         # f2 = -2 y^2: f = (f3 - sqrt(2)^3 y^3)(f3 + sqrt(2)^3 y^3) is two

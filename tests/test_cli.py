@@ -134,9 +134,13 @@ class TestAnalyze:
         ("vars: s t u\nf: %s\n" % "*".join(["(x + y + s + t + u + 1)"] * 16),
          "line 2: f: product of up to 4752 terms exceeds 4096"
          " (at offset 167)"),
+        # an exponent past the range of a float
+        ("source: s\nf: x^6 + 2^%s\n" % ("9" * 400),
+         "line 2: f: power of over 2^64 bits exceeds 16384 (at offset 8)"),
     ], ids=["fraction-power", "double-caret", "undeclared",
             "superscript-digit", "5000-digits", "huge-power",
-            "huge-product", "many-term-power", "many-term-product"])
+            "huge-product", "many-term-power", "many-term-product",
+            "huge-exponent"])
     def test_parse_error_names_line_and_key(self, capsys, tmp_path, text,
                                             error):
         doc = tmp_path / "bad.txt"
@@ -144,6 +148,15 @@ class TestAnalyze:
         code, out = run_cli(capsys, "analyze", str(doc))
         assert code == 2
         assert out.strip() == "error: " + error
+
+    def test_huge_power_of_one_reads_as_one(self, capsys, tmp_path):
+        doc = tmp_path / "one.txt"
+        doc.write_text("f: x^6 + y^6 + 1^%s\n" % ("7" * 400))
+        plain = tmp_path / "plain.txt"
+        plain.write_text("f: x^6 + y^6 + 1\n")
+        code, out = run_cli(capsys, "analyze", str(doc))
+        assert code == 0
+        assert out == run_cli(capsys, "analyze", str(plain))[1]
 
     @pytest.mark.parametrize("text, error", [
         ("source: s\n# no curve\nnote: n\n",

@@ -323,17 +323,18 @@ class TestCarriedComponents:
 
     def test_dropped_component_fails_the_multiplicity_sum(self, monkeypatch,
                                                           capsys, tmp_path):
-        # a membership test that misses the line at the origin leaves two
-        # cusps of orders 2 + 2 where the curve has multiplicity 5
-        real = classify.point_on_curve
+        # a membership that misses the line at the origin leaves two cusps
+        # of orders 2 + 2 where the curve has multiplicity 5
+        real = analysis.singular_points
 
-        def planted(comp, point):
-            if comp.degree() == 1 and point.field is None \
-                    and point.x == 0 and point.y == 0:
-                return False
-            return real(comp, point)
+        def planted(f, comps):
+            line = next(k for k, c in enumerate(comps) if c.degree() == 1)
+            return [p._replace(components=tuple(k for k in p.components
+                                                if k != line))
+                    if p.field is None and p.x == 0 and p.y == 0 else p
+                    for p in real(f, comps)]
 
-        monkeypatch.setattr(classify, "point_on_curve", planted)
+        monkeypatch.setattr(analysis, "singular_points", planted)
         with pytest.raises(ConsistencyError, match="do not sum"):
             analyze_curve(f=g(TRIPLE))
         doc = parse_document("f: %s\nclaim: * :: degrees :: 1,3,3\n"

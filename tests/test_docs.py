@@ -91,6 +91,16 @@ class TestParseDocument:
         with pytest.raises(DocumentError, match="line 2"):
             parse_document("f: x^2 + y\ndefects: A_1=abc\n")
 
+    @pytest.mark.parametrize("value", ["\u0663", "1_0", "3/2", "2.0"])
+    def test_defect_value_is_an_ascii_literal(self, value):
+        # int() would read the first two as 3 and 10
+        with pytest.raises(DocumentError,
+                           match="^line 2: invalid literal for defect A_1"):
+            parse_document("f: x^6 + y^6 + 1\ndefects: A_2=1; A_1=%s\n"
+                           % value)
+        doc = parse_document("f: x^6 + y^6 + 1\ndefects: A_1= +4 \n")
+        assert doc.defects == {"A_1": 4}
+
     def test_defect_without_type(self):
         with pytest.raises(DocumentError, match="line 2"):
             parse_document("f: x^6 + y^6 + 1\ndefects: =5\n")

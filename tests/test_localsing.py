@@ -9,6 +9,7 @@ import pytest
 
 from sextics.analysis import analyze_curve
 from sextics.catalog import builtin_examples, verify_example
+from sextics.components import decompose
 
 from sextics.localsing import (
     AlgebraicPoint,
@@ -309,6 +310,88 @@ class TestRepeatedPartOfEliminant:
         assert calls == []
 
 
+def _off_corpus_curves():
+    """The curves of tools/off_corpus_resolve.py with more than one
+    component, each as (f, its components).  With one component,
+    `singular_points(f, comps)` runs the code of `singular_points(f)`,
+    and the two curves of 10^40 and 10^100 coefficients take seconds."""
+    path = Path(__file__).resolve().parents[1] / "tools" \
+        / "off_corpus_resolve.py"
+    spec = importlib.util.spec_from_file_location("_off_corpus", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    out = []
+    for texts in tool.CURVES:
+        polys = [g(t) for t in texts]
+        f = TorusPair(*polys).expand() if len(polys) == 2 else polys[0]
+        comps = decompose(f).factors
+        if len(comps) > 1:
+            out.append((f, comps))
+    return out
+
+
+class TestComponentSources:
+    """`singular_points(f, comps)` reads the x-coordinates off each
+    component and each pair of components.  It finds the points that the
+    one eliminant of f finds, and each point names exactly the components
+    through it, as `point_on_curve` tells."""
+
+    @staticmethod
+    def _check(f, comps):
+        pts = singular_points(f, comps)
+        alone = singular_points(f)
+        assert [p._replace(components=()) for p in pts] \
+            == [p._replace(components=()) for p in alone]
+        assert all(p.components == (0,) for p in alone)
+        for p in pts:
+            assert p.components == tuple(
+                k for k, c in enumerate(comps) if point_on_curve(c, p))
+        return pts
+
+    def test_every_verified_binding(self, monkeypatch):
+        from sextics import analysis
+        seen = []
+        real = analysis.singular_points
+
+        def record(f, comps):
+            seen.append((f, comps))
+            return real(f, comps)
+
+        monkeypatch.setattr(analysis, "singular_points", record)
+        for rec in builtin_examples():
+            verify_example(rec, seed=0)
+        monkeypatch.undo()
+        assert sum(len(comps) > 1 for _f, comps in seen) >= 60
+        for f, comps in seen:
+            self._check(f, comps)
+
+    def test_off_corpus_curves(self):
+        curves = _off_corpus_curves()
+        assert len(curves) == 6
+        for f, comps in curves:
+            self._check(f, comps)
+
+    @pytest.mark.parametrize("text, on", [
+        # six lines through the origin
+        ("x*y*(x - y)*(x + y)*(x - 2*y)*(x + 2*y)", [(0, 1, 2, 3, 4, 5)]),
+        # components x - y, x + y, x^2 + y - 2, x^2 - y: three through
+        # each of (-1, 1), (0, 0) and (1, 1), two through (-2, -2) and
+        # (2, -2)
+        ("(x^2 - y)*(x^2 + y - 2)*(x - y)*(x + y)",
+         [(0, 1, 3), (0, 2), (0, 2, 3), (1, 2), (1, 2, 3)]),
+    ])
+    def test_concurrent_components(self, text, on):
+        f = g(text)
+        comps = decompose(f).factors
+        pts = self._check(f, comps)
+        assert sorted(p.components for p in pts) == sorted(on)
+
+    def test_pair_sharing_a_factor_is_not_squarefree(self):
+        circle = g("x^2 + y^2 - 1")
+        with pytest.raises(NotSquarefreeError):
+            singular_points(circle * circle, (circle, circle))
+
+
 class TestIntersectionMultiplicity:
     def test_tangent_parabola(self):
         assert intersection_multiplicity_origin(g("y - x^2"), g("y")) == 2
@@ -598,7 +681,8 @@ class TestSlottedRecords:
     CUSP, LINE = g("y^2 - x^3"), g("x - y")
 
     def _origin(self):
-        return analyze_point(self.CUSP * self.LINE, rational_point(0, 0),
+        origin = AlgebraicPoint(Fraction(0), Fraction(0), components=(0, 1))
+        return analyze_point(self.CUSP * self.LINE, origin,
                              (self.CUSP, self.LINE))
 
     def test_carried_field_takes_part_in_equality(self):

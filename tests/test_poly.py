@@ -209,6 +209,10 @@ class TestParseErrorContract:
         ("x^33", "power of degree 33 exceeds 32", 2),
         ("2^16385", "power of 16385 bits exceeds 16384", 2),
         ("(10^200)^25", "power of 16609 bits exceeds 16384", 9),
+        # an exponent past the range of a float, and bits past int's digit
+        # limit: no OverflowError, no ValueError
+        ("x^6 + 2^" + "9" * 400, "power of over 2^64 bits exceeds 16384", 8),
+        ("3^" + "9" * 4300, "power of over 2^64 bits exceeds 16384", 2),
         (_QUADRIC + "^16", "power of up to 20349 terms exceeds 4096",
          len(_QUADRIC) + 1),
         ("x^20*y^13", "product of degree 33 exceeds 32", 4),
@@ -222,6 +226,12 @@ class TestParseErrorContract:
             P(text)
         assert (str(err.value), err.value.position) \
             == ("%s (at offset %d)" % (message, offset), offset)
+
+    @pytest.mark.parametrize("base", ["1", "-1", "0", "(1)", "(1/1)"])
+    def test_huge_exponent_of_a_unit_or_zero(self, base):
+        # a power of 1, -1 or 0 has no bits to bound, whatever its exponent
+        value = P(base + "^" + "7" * 400)
+        assert value == P("-1" if base == "-1" else "1" if base != "0" else "0")
 
     @pytest.mark.parametrize("head", ["0*", "0/5*", "(x+y+1)^32*0*",
                                       "(x - x)*"])

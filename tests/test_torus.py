@@ -63,9 +63,9 @@ class TestRotatedPair:
         for name in calls:
             real = getattr(analysis, name)
 
-            def counted(f, _name=name, _real=real):
+            def counted(*args, _name=name, _real=real):
                 calls[_name] += 1
-                return _real(f)
+                return _real(*args)
             monkeypatch.setattr(analysis, name, counted)
         rec = {r.rid: r for r in catalog.builtin_examples()}["5.2-2"]
         an = catalog.analyze_document(rec.doc, ())

@@ -10,10 +10,13 @@ types.  A torus pair is analyzed as a pair, so its inner/outer split
 runs too.  The set holds a torus sextic with coefficients up to 10^40,
 one with conic and cubic coefficients of 10^100, the four-leaved rose,
 two torus sextics whose configurations the catalog does not list
-(ROADMAP item 5), and a smooth affine curve of
+(ROADMAP item 5), a smooth affine curve of
 degree 12 whose eliminant repeats one factor of degree 60 that carries
-only vertical tangents.  It is a stress set, not a test: no suite runs
-it.
+only vertical tangents, and four curves of many components, where the
+singular points are found per component and per pair of components: six
+lines through one point, six lines in general position, two conics and
+two lines, and two cusps and a line through one point.  It is a stress
+set, not a test: no suite runs it.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ CURVES = [
     ("-2*x^2 + y", "-2*x^3 - 2*x^2*y + x*y + 2*y^2"),
     ("-x^2 - 4*x - 4", "-x^3 - 2*x^2*y - 6*x^2 + x*y - 12*x + y - 8"),
     ("x^12 + y^12 + 3*x^5*y^2 - 7*x*y^6 + 2*x^3 - y^2 + 1",),
+    ("x*y*(x - y)*(x + y)*(x - 2*y)*(x + 2*y)",),
+    ("(x + 2*y - 1)*(2*x - y + 3)*(x - 3*y - 2)*(3*x + y + 5)*(x + y + 7)"
+     "*(4*x - y - 6)",),
+    ("(x^2 + y^2 - 1)*(x^2 + 2*y^2 - 3)*(x - y)*(x + y)",),
+    ("(y^2 - x^3)*(y^2 - 2*x^3)*(x - y)",),
 ]
 
 REPEATS = 3
