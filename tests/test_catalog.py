@@ -380,6 +380,17 @@ class TestExamples:
             parse_document("f: x^6 + y^6 + 1\n"
                            "claim: * :: type-at :: (0,0)=A_25\n")
 
+    @pytest.mark.parametrize("payload", ["\u0663,3", "1_0", "x"])
+    def test_degrees_claim_reads_ascii_integers(self, payload):
+        # int() reads the first two as 3,3 and 10, and raises a ValueError
+        # that no verdict catches on the third
+        doc = parse_document("f: x^6 + y^6 + 1\n"
+                             "claim: * :: degrees :: %s\n" % payload)
+        [verdict] = verify_example(ExampleRecord("degrees", doc)).verdicts
+        assert verdict.status == "unverifiable"
+        assert verdict.detail.startswith(
+            "pipeline error: invalid literal for a claimed degree: ")
+
     def test_type_at_payload_is_read_with_the_document(self):
         with pytest.raises(DocumentError,
                            match="^line 3: bad type-at payload '\\(0,0\\)'"):
