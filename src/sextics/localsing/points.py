@@ -2,10 +2,11 @@
 
 The singular locus of a squarefree curve f = c_1 ... c_n, the c_i its
 components, is the union of the singular loci of the components and of
-their pairwise intersections, so the x-coordinates are read off
-eliminants of the components, never of f: Res_y(c, c_y) for each
-component of degree at least 2, and Res_y(c_i, c_j) for each pair, all
-under f's one shear (`_choose_shear`).  The order of Res_y(c, c_y) at x0
+their pairwise intersections, so the x-coordinates are read off small
+eliminants of the components rather than one of their product:
+Res_y(c, c_y) for each component of degree at least 2, and
+Res_y(c_i, c_j) for each pair, all under f's one shear
+(`_choose_shear`).  The order of Res_y(c, c_y) at x0
 is at least the sum of the intersection numbers I_P(c, c_y) over the
 points P above x0, and I_P(c, c_y) >= m_P(c) * m_P(c_y) >= 2 at a
 singular point of c (Fulton, Algebraic Curves, 1.6 and 3.3).  So a
